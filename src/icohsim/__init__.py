@@ -14,31 +14,9 @@ from .counting import (
     double_pair_probability,
     sample_counts,
 )
-from .expectation import (
-    RatePrediction,
-    compose_setup,
-    coincidence_rate,
-    phase_averaged_rates,
-    singles_rate,
-)
+from .expectation import RatePrediction, compose_setup, phase_averaged_rates
 from .fockoracle import FockState, build_state, detection_moments
-from .operators import (
-    BeamSplitterParams,
-    CrystalParams,
-    DelaySetting,
-    LadderKind,
-    LadderTerm,
-    ModeLabel,
-    ModeRole,
-    OperatorExpansion,
-    attenuate,
-    beam_splitter,
-    commutator_norm,
-    phase_delay,
-    spdc,
-    truncate,
-    vacuum,
-)
+from .operators import DelaySetting
 from .scan import (
     FitNonConvergenceError,
     FringeFit,
@@ -47,7 +25,6 @@ from .scan import (
     estimate_period,
     fit_fringe,
     run_scan,
-    visibility_minmax,
 )
 from .spectral import (
     SpectralProfile,
@@ -60,34 +37,23 @@ from .spectral import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BeamSplitterParams",
     "ConfigError",
     "CountSample",
     "CountingConfig",
-    "CrystalParams",
     "DelaySetting",
     "ExperimentConfig",
     "FitNonConvergenceError",
     "FockState",
     "FringeFit",
-    "LadderKind",
-    "LadderTerm",
-    "ModeLabel",
-    "ModeRole",
     "NoFringeError",
-    "OperatorExpansion",
     "RatePrediction",
     "ScanRecord",
     "ScanSettings",
     "SpectralProfile",
     "accidental_rate",
-    "attenuate",
-    "beam_splitter",
     "build_state",
     "calibrate",
     "coherence_length",
-    "coincidence_rate",
-    "commutator_norm",
     "compose_setup",
     "default_config",
     "detection_moments",
@@ -99,12 +65,6 @@ __all__ = [
     "modulated_rates",
     "parse_config",
     "phase_averaged_rates",
-    "phase_delay",
     "run_scan",
     "sample_counts",
-    "singles_rate",
-    "spdc",
-    "truncate",
-    "vacuum",
-    "visibility_minmax",
 ]

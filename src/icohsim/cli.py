@@ -14,6 +14,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 
 import numpy as np
@@ -67,6 +68,20 @@ def write_scan_csv(record: ScanRecord, stream: io.TextIOBase) -> None:
         )
 
 
+def _csv_cell(text: str, column: int, line: int) -> float | int:
+    """Parse one CSV cell: the delay and rates are finite floats, the counts integers."""
+    parse, kind = (float, "finite number") if column < 4 else (int, "integer")
+    try:
+        value = parse(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ConfigError(
+            f"CSV line {line}, column {CSV_HEADER[column]}: not a {kind}: {text!r}"
+        )
+    return value
+
+
 def read_scan_csv(stream: io.TextIOBase) -> ScanRecord:
     reader = csv.reader(stream)
     header = next(reader, None)
@@ -78,11 +93,18 @@ def read_scan_csv(stream: io.TextIOBase) -> ScanRecord:
     for row in reader:
         if not row:
             continue
+        line = reader.line_num
         if len(row) != len(CSV_HEADER):
-            raise ConfigError(f"CSV row has {len(row)} columns, expected {len(CSV_HEADER)}")
-        delays.append(float(row[0]))
-        predicted.append(RatePrediction(float(row[1]), float(row[2]), float(row[3])))
-        samples.append(CountSample(int(row[4]), int(row[5]), int(row[6]), 0.0))
+            raise ConfigError(
+                f"CSV line {line}: row has {len(row)} columns, expected {len(CSV_HEADER)}"
+            )
+        values = [_csv_cell(text, column, line) for column, text in enumerate(row)]
+        delays.append(values[0])
+        try:
+            predicted.append(RatePrediction(*values[1:4]))
+        except ValueError as exc:
+            raise ConfigError(f"CSV line {line}: {exc}") from None
+        samples.append(CountSample(*values[4:], 0.0))
     return ScanRecord(
         axis="signal",
         delays=np.array(delays),

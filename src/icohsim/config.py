@@ -25,6 +25,9 @@ recombination splitter.  ``coherence_length_override_mm``, when set, rescales
 the pump bandwidth so the envelope half-maximum matches the given length;
 ``stated_coherence_length_mm`` is informational only and lets reports compare
 a quoted value against the one computed from the bandwidth.
+``truncation_degree = 0`` switches the parametric (gain) terms off, so every
+rate is zero; any value >= 1 gives the exact rates of the four-mode engine,
+the same for every such value.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from .counting import CountingConfig
 from .spectral import SpectralProfile, profile_for_coherence_length
 
 SCAN_AXES = ("signal", "pump")
+MAX_SCAN_POINTS = 1_000_000
 
 
 class ConfigError(ValueError):
@@ -62,6 +66,11 @@ class ScanSettings:
             raise ConfigError("scan.stop must exceed scan.start")
         if not self.dwell > 0:
             raise ConfigError("scan.dwell must be positive")
+        span = (self.stop - self.start) / self.step
+        if not span < MAX_SCAN_POINTS or round(span) + 1 > MAX_SCAN_POINTS:
+            raise ConfigError(
+                f"scan.step_nm gives {span + 1:.3g} grid points; at most {MAX_SCAN_POINTS} allowed"
+            )
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,8 @@
 """Vacuum expectation values for the two-crystal interferometer.
 
-The detected quantities are the signal singles rate <a_s^+ a_s>, the idler
-singles rate, and the signal/idler coincidence rate <a_s^+ a_i^+ a_i a_s>,
-all evaluated exactly on the initial vacuum for linear operator expansions.
-Rates carry arbitrary units of |K|^2; calibration to detector count rates is
-the counting module's job.
+Signal singles <a_s^+ a_s>, idler singles, and coincidences
+<a_s^+ a_i^+ a_i a_s>, exact on the vacuum for the channels of ``operators``,
+in units of |K|^2; calibration to count rates is the counting module's job.
 """
 
 from __future__ import annotations
@@ -13,20 +11,11 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .operators import (
-    BeamSplitterParams,
-    DelaySetting,
-    LadderKind,
-    ModeLabel,
-    ModeRole,
-    OperatorExpansion,
-    attenuate,
-    beam_splitter,
-    phase_delay,
-    spdc,
-    truncate,
-    vacuum,
-)
+import numpy as np
+
+# Imported by name so a tracer can wrap them in this namespace (benchmarks/tracing.py).
+from .operators import IO1, SO1, SO2, BeamSplitterParams, Channel, DelaySetting
+from .operators import attenuate, beam_splitter, free_mode, phase_delay, spdc
 
 if TYPE_CHECKING:  # pragma: no cover
     from .config import ExperimentConfig
@@ -47,79 +36,40 @@ class RatePrediction:
                 raise ValueError(f"rate {name}={v!r} must be finite and non-negative")
 
 
-def singles_rate(x: OperatorExpansion) -> float:
-    """<0| x^+ x |0>: the summed squared creation amplitude per mode.
+def singles_rate(x: Channel) -> float:
+    """<0| x^+ x |0>: the squared norm of x's creation row."""
+    return float(np.sum(np.abs(x[1]) ** 2))
 
-    x|0> is a superposition of one-photon states built from x's creation
-    terms, so the expectation is exact for linear expansions.
+
+def coincidence_rate(s: Channel, i: Channel) -> float:
+    """|| i s |0> ||^2 by exact contraction.
+
+    s|0> is the photon in s's creation row.  i leaves a vacuum part (its
+    annihilation row dotted into it: the usual coincidence rate) and the
+    two-photon part M = outer(i's creation row, s's creation row), of norm^2
+    ||M + M^T||^2 / 2 (the O(K^4) double-pair contribution).
     """
-    return sum(abs(c) ** 2 for c in x.amplitudes(LadderKind.CREATION).values())
+    vacuum_amp = np.sum(i[0] * s[1])
+    pairs = np.outer(i[1], s[1])
+    return float(abs(vacuum_amp) ** 2 + 0.5 * np.sum(np.abs(pairs + pairs.T) ** 2))
 
 
-def coincidence_rate(s: OperatorExpansion, i: OperatorExpansion) -> float:
-    """|| i s |0> ||^2 computed by exact contraction.
+def setup_operators(config: "ExperimentConfig", delays: DelaySetting) -> tuple[Channel, Channel]:
+    """Heisenberg channels (detected signal port, idler after both crystals).
 
-    s|0> is a one-photon superposition from s's creation amplitudes.
-    Applying i produces a vacuum component (i's annihilation amplitudes
-    contracted against those photons) and a two-photon component (i's
-    creation amplitudes on top of them); both squared norms are summed.
-    The leading order reproduces the usual second-order coincidence rate,
-    and the two-photon part carries the O(K^4) double-pair contribution.
+    SPDC in crystal 1, the idler link (amplitude eta), SPDC in crystal 2 with
+    the pump phase on its gain, the signal delay on arm 1, and the output
+    splitter; exact, except that ``truncation_degree = 0`` zeroes the gains.
     """
-    beta = s.amplitudes(LadderKind.CREATION)
-    alpha = i.amplitudes(LadderKind.ANNIHILATION)
-    gamma = i.amplitudes(LadderKind.CREATION)
-
-    vacuum_amp = sum(alpha.get(mode, 0j) * b for mode, b in beta.items())
-
-    pair_amp: dict[tuple[str, str], complex] = {}
-    for mode_c, g in gamma.items():
-        for mode_b, b in beta.items():
-            if mode_c.name == mode_b.name:
-                key = (mode_c.name, mode_b.name)
-                pair_amp[key] = pair_amp.get(key, 0j) + math.sqrt(2.0) * g * b
-            else:
-                key = (min(mode_c.name, mode_b.name), max(mode_c.name, mode_b.name))
-                pair_amp[key] = pair_amp.get(key, 0j) + g * b
-
-    return abs(vacuum_amp) ** 2 + sum(abs(a) ** 2 for a in pair_amp.values())
-
-
-def setup_operators(
-    config: "ExperimentConfig", delays: DelaySetting
-) -> tuple[OperatorExpansion, OperatorExpansion]:
-    """Heisenberg operators (detected signal port, idler after both crystals).
-
-    Builds the full chain: SPDC in crystal 1, the attenuated/mode-matched
-    idler link (effective amplitude factor eta), SPDC in crystal 2 with the
-    pump phase riding on its classical gain, signal delay on the crystal-1
-    signal arm, and recombination at the output beam splitter.  Expansions
-    are truncated at the configured gain degree.
-    """
-    lam_s = config.signal_filter.center_wavelength
-    lam_i = config.idler_filter.center_wavelength
-    lam_p = config.pump_wavelength
-
-    so1 = ModeLabel("so1", ModeRole.SIGNAL_VACUUM, lam_s)
-    so2 = ModeLabel("so2", ModeRole.SIGNAL_VACUUM, lam_s)
-    io1 = ModeLabel("io1", ModeRole.IDLER_VACUUM, lam_i)
-    anc = ModeLabel("anc", ModeRole.ANCILLA_VACUUM, lam_i)
-
+    pump_phase = delays.pump_phase(config.pump_wavelength)
     gain1 = complex(config.gain1)
-    gain2 = complex(config.gain2) * complex(
-        math.cos(delays.pump_phase(lam_p)), math.sin(delays.pump_phase(lam_p))
-    )
-
-    s1, i1 = spdc(vacuum(so1), vacuum(io1), gain1)
-    link = attenuate(i1, config.eta, anc)
-    s2, i2 = spdc(vacuum(so2), link, gain2)
-
-    degree = config.truncation_degree
-    s1 = truncate(s1, degree)
-    s2 = truncate(s2, degree)
-    i2 = truncate(i2, degree)
-
-    s1_delayed = phase_delay(s1, delays.delta_x_s, lam_s)
+    gain2 = complex(config.gain2) * complex(math.cos(pump_phase), math.sin(pump_phase))
+    if config.truncation_degree == 0:
+        gain1 = gain2 = 0j
+    s1, i1 = spdc(free_mode(SO1), free_mode(IO1), gain1)
+    link = attenuate(i1, config.eta)
+    s2, i2 = spdc(free_mode(SO2), link, gain2)
+    s1_delayed = phase_delay(s1, delays.delta_x_s, config.signal_filter.center_wavelength)
     bs = BeamSplitterParams.from_transmitted_fraction(config.splitter_ratio)
     out_a, _camera = beam_splitter(s2, s1_delayed, bs)
     return out_a, i2
@@ -128,11 +78,7 @@ def setup_operators(
 def compose_setup(config: "ExperimentConfig", delays: DelaySetting) -> RatePrediction:
     """Monochromatic rate prediction for one delay setting, in |K|^2 units."""
     out_a, i2 = setup_operators(config, delays)
-    return RatePrediction(
-        p_a=singles_rate(out_a),
-        p_b=singles_rate(i2),
-        p_ab=coincidence_rate(out_a, i2),
-    )
+    return RatePrediction(singles_rate(out_a), singles_rate(i2), coincidence_rate(out_a, i2))
 
 
 def phase_averaged_rates(
@@ -140,17 +86,13 @@ def phase_averaged_rates(
 ) -> RatePrediction:
     """Fringe baseline: rates averaged over the relative pump/signal phase.
 
-    The monochromatic rates are sinusoidal in (pump phase - signal phase),
-    so averaging the prediction with the one taken half a pump wavelength
-    away removes the oscillatory part exactly.
+    The rates are sinusoidal in (pump phase - signal phase), so the mean with
+    the prediction half a pump wavelength away removes the fringe exactly.
     """
-    here = compose_setup(config, delays)
-    flipped = compose_setup(
-        config,
-        DelaySetting(delays.delta_x_p + config.pump_wavelength / 2.0, delays.delta_x_s),
-    )
+    half = DelaySetting(delays.delta_x_p + config.pump_wavelength / 2.0, delays.delta_x_s)
+    here, flipped = compose_setup(config, delays), compose_setup(config, half)
     return RatePrediction(
-        p_a=(here.p_a + flipped.p_a) / 2.0,
-        p_b=(here.p_b + flipped.p_b) / 2.0,
-        p_ab=(here.p_ab + flipped.p_ab) / 2.0,
+        (here.p_a + flipped.p_a) / 2.0,
+        (here.p_b + flipped.p_b) / 2.0,
+        (here.p_ab + flipped.p_ab) / 2.0,
     )

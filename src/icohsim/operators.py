@@ -1,200 +1,29 @@
-"""Ladder-operator algebra for cascaded parametric down-conversion channels.
+"""Heisenberg-picture channels over the four vacuum modes of the interferometer.
 
-Each optical channel is represented in the Heisenberg picture as a linear
-combination of annihilation/creation operators acting on labelled vacuum
-modes.  The transformations provided here (low-gain SPDC, phase delay,
-beam splitting, beam-splitter-style attenuation) are all linear maps on
-these expansions, so vacuum expectation values downstream reduce to sums
-over coefficient products.
-
-Every term carries a ``gain_degree``: the total power of parametric gain
-factors it has accumulated.  Truncating at degree 1 reproduces the usual
-low-gain approximation as an explicit, testable step rather than a baked-in
-assumption.
+``MODES`` are the crystals' signal modes so1 and so2, the first idler io1 and
+the ancilla anc that takes the idler link's loss.  A channel is a (2, 4)
+complex array of ladder-operator coefficients: row 0 for a, row 1 for a^+.
 """
 
 from __future__ import annotations
 
 import cmath
-import enum
 import math
 from dataclasses import dataclass
-from typing import Iterable
+
+import numpy as np
 
 MAX_GAIN = 0.1
+MODES = ("so1", "so2", "io1", "anc")
+SO1, SO2, IO1, ANC = range(len(MODES))
+Channel = np.ndarray  # (2, 4) complex: rows (a, a^+), columns MODES
 
 
-class ModeRole(enum.Enum):
-    SIGNAL_VACUUM = "signal-vacuum"
-    IDLER_VACUUM = "idler-vacuum"
-    ANCILLA_VACUUM = "ancilla-vacuum"
-
-
-class LadderKind(enum.Enum):
-    ANNIHILATION = "annihilation"
-    CREATION = "creation"
-
-
-@dataclass(frozen=True)
-class ModeLabel:
-    """A free vacuum mode, identified by name.
-
-    ``center_wavelength`` is carried as metadata (meters); phase factors are
-    always applied with an explicit wavelength argument.
-    """
-
-    name: str
-    role: ModeRole
-    center_wavelength: float
-
-    def __post_init__(self) -> None:
-        if self.center_wavelength <= 0:
-            raise ValueError(f"mode {self.name!r}: center_wavelength must be > 0")
-
-
-@dataclass(frozen=True)
-class LadderTerm:
-    """One ``coefficient * a`` or ``coefficient * a_dagger`` term."""
-
-    mode: ModeLabel
-    kind: LadderKind
-    coefficient: complex
-    gain_degree: int = 0
-
-    def __post_init__(self) -> None:
-        c = complex(self.coefficient)
-        if not (math.isfinite(c.real) and math.isfinite(c.imag)):
-            raise ValueError("ladder term coefficient must be finite")
-        if self.gain_degree < 0:
-            raise ValueError("gain_degree must be >= 0")
-
-    def dagger(self) -> "LadderTerm":
-        kind = (
-            LadderKind.CREATION
-            if self.kind is LadderKind.ANNIHILATION
-            else LadderKind.ANNIHILATION
-        )
-        return LadderTerm(self.mode, kind, complex(self.coefficient).conjugate(), self.gain_degree)
-
-
-class OperatorExpansion:
-    """A linear combination of ladder operators over vacuum modes.
-
-    Immutable.  Terms are normalized so that at most one term exists per
-    (mode, kind, gain_degree) triple; rate computations additionally group
-    coefficients coherently per (mode, kind) pair, so the split by degree
-    never affects physics, only what ``truncate`` can remove.
-    """
-
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms: Iterable[LadderTerm] = ()):
-        merged: dict[tuple[ModeLabel, LadderKind, int], complex] = {}
-        names: dict[str, ModeLabel] = {}
-        for term in terms:
-            seen = names.setdefault(term.mode.name, term.mode)
-            if seen != term.mode:
-                raise ValueError(f"mode name {term.mode.name!r} used for two distinct labels")
-            key = (term.mode, term.kind, term.gain_degree)
-            merged[key] = merged.get(key, 0j) + complex(term.coefficient)
-        cleaned = [
-            LadderTerm(mode, kind, coef, degree)
-            for (mode, kind, degree), coef in merged.items()
-            if coef != 0
-        ]
-        cleaned.sort(key=lambda t: (t.mode.name, t.kind.value, t.gain_degree))
-        self._terms = tuple(cleaned)
-
-    @property
-    def terms(self) -> tuple[LadderTerm, ...]:
-        return self._terms
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, OperatorExpansion):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash(self._terms)
-
-    def __repr__(self) -> str:
-        parts = ", ".join(
-            f"({t.coefficient})*{t.mode.name}"
-            + ("^+" if t.kind is LadderKind.CREATION else "")
-            + (f"[K^{t.gain_degree}]" if t.gain_degree else "")
-            for t in self._terms
-        )
-        return f"OperatorExpansion({parts or '0'})"
-
-    def __add__(self, other: "OperatorExpansion") -> "OperatorExpansion":
-        if not isinstance(other, OperatorExpansion):
-            return NotImplemented
-        return OperatorExpansion(self._terms + other._terms)
-
-    def __mul__(self, scalar: complex) -> "OperatorExpansion":
-        scalar = complex(scalar)
-        return OperatorExpansion(
-            LadderTerm(t.mode, t.kind, t.coefficient * scalar, t.gain_degree)
-            for t in self._terms
-        )
-
-    __rmul__ = __mul__
-
-    def dagger(self) -> "OperatorExpansion":
-        return OperatorExpansion(t.dagger() for t in self._terms)
-
-    def modes(self) -> set[ModeLabel]:
-        return {t.mode for t in self._terms}
-
-    def amplitudes(self, kind: LadderKind) -> dict[ModeLabel, complex]:
-        """Total coefficient per mode for the given operator kind.
-
-        Degrees are summed coherently; this is the physically meaningful
-        amplitude entering expectation values.
-        """
-        out: dict[ModeLabel, complex] = {}
-        for t in self._terms:
-            if t.kind is kind:
-                out[t.mode] = out.get(t.mode, 0j) + t.coefficient
-        return out
-
-
-def vacuum(mode: ModeLabel) -> OperatorExpansion:
-    """The free, unperturbed annihilation operator of ``mode``."""
-    return OperatorExpansion([LadderTerm(mode, LadderKind.ANNIHILATION, 1.0 + 0j, 0)])
-
-
-def dagger(x: OperatorExpansion) -> OperatorExpansion:
-    return x.dagger()
-
-
-def commutator_norm(x: OperatorExpansion) -> float:
-    """C(x) = [x, x^dagger] evaluated on grouped amplitudes.
-
-    For a linear expansion this is sum(|annihilation|^2) - sum(|creation|^2);
-    canonical channels have C = 1, and the degree-1 SPDC output has
-    C = 1 - |K|^2 exactly.
-    """
-    ann = x.amplitudes(LadderKind.ANNIHILATION)
-    cre = x.amplitudes(LadderKind.CREATION)
-    return sum(abs(c) ** 2 for c in ann.values()) - sum(abs(c) ** 2 for c in cre.values())
-
-
-@dataclass(frozen=True)
-class CrystalParams:
-    """Parametric gain of one crystal, K = conversion_efficiency * pump_amplitude."""
-
-    gain: complex
-
-    def __post_init__(self) -> None:
-        if abs(self.gain) >= MAX_GAIN:
-            raise ValueError(
-                f"parametric gain |K|={abs(self.gain):.3g} outside perturbative range (< {MAX_GAIN})"
-            )
-
-    @classmethod
-    def from_pump(cls, conversion_efficiency: float, pump_amplitude: complex) -> "CrystalParams":
-        return cls(conversion_efficiency * pump_amplitude)
+def free_mode(index: int) -> Channel:
+    """The unperturbed annihilation operator of mode ``MODES[index]``."""
+    x = np.zeros((2, len(MODES)), dtype=complex)
+    x[0, index] = 1.0
+    return x
 
 
 @dataclass(frozen=True)
@@ -235,81 +64,36 @@ class DelaySetting:
         return 2.0 * math.pi * self.delta_x_s / signal_wavelength
 
 
-def spdc(
-    signal_in: OperatorExpansion,
-    idler_in: OperatorExpansion,
-    gain: complex,
-) -> tuple[OperatorExpansion, OperatorExpansion]:
-    """Low-gain parametric transformation of a signal/idler mode pair.
+def spdc(signal_in: Channel, idler_in: Channel, gain: complex) -> tuple[Channel, Channel]:
+    """Low-gain SPDC: signal_out = signal_in + i*gain*idler_in^+, and vice versa.
 
-    signal_out = signal_in + i*gain*dagger(idler_in)
-    idler_out  = idler_in  + i*gain*dagger(signal_in)
-
-    Every term contributed by the gain has its gain_degree raised by one.
-    A pump phase is carried by the complex ``gain`` itself, never by an
-    operator.
+    x^+ is x with its rows swapped and conjugated; the complex gain carries the pump phase.
     """
-    gain = complex(gain)
     if abs(gain) >= MAX_GAIN:
-        raise ValueError(
-            f"parametric gain |K|={abs(gain):.3g} outside perturbative range (< {MAX_GAIN})"
-        )
-
-    def pumped(source: OperatorExpansion) -> OperatorExpansion:
-        return OperatorExpansion(
-            LadderTerm(t.mode, t.kind, 1j * gain * t.coefficient, t.gain_degree + 1)
-            for t in source.dagger().terms
-        )
-
-    return signal_in + pumped(idler_in), idler_in + pumped(signal_in)
+        raise ValueError(f"parametric gain |K|={abs(gain):.3g} outside perturbative range "
+                         f"(< {MAX_GAIN})")
+    pump = 1j * gain
+    return signal_in + pump * idler_in[::-1].conj(), idler_in + pump * signal_in[::-1].conj()
 
 
-def phase_delay(x: OperatorExpansion, delta_x: float, wavelength: float) -> OperatorExpansion:
+def phase_delay(x: Channel, delta_x: float, wavelength: float) -> Channel:
     """Propagation delay: multiply the whole channel by exp(i*2*pi*delta_x/wavelength)."""
     if wavelength <= 0:
         raise ValueError("wavelength must be positive")
     return x * cmath.exp(2j * math.pi * delta_x / wavelength)
 
 
-def beam_splitter(
-    a: OperatorExpansion,
-    b: OperatorExpansion,
-    bs: BeamSplitterParams,
-) -> tuple[OperatorExpansion, OperatorExpansion]:
-    """Combine two channels: out1 = t*a + r*b, out2 = t*b - r*a.
-
-    The second-port sign is the simplest real unitary completion; only the
-    first port is observed in the interferometer topology here.
-    """
-    out1 = bs.t * a + bs.r * b
-    out2 = bs.t * b + (-bs.r) * a
-    return out1, out2
+def beam_splitter(a: Channel, b: Channel, bs: BeamSplitterParams) -> tuple[Channel, Channel]:
+    """out1 = t*a + r*b is the observed port; out2 = t*b - r*a completes the unitary."""
+    return bs.t * a + bs.r * b, bs.t * b - bs.r * a
 
 
-def attenuate(
-    x: OperatorExpansion,
-    transmission: float,
-    ancilla: ModeLabel,
-) -> OperatorExpansion:
-    """Amplitude transmission T through a lossy link.
-
-    Models the loss as a beam splitter against a fresh vacuum ancilla:
-    x' = T*x + sqrt(1 - T^2)*a_ancilla, which preserves the commutator norm
-    of canonical channels.
-    """
+def attenuate(x: Channel, transmission: float) -> Channel:
+    """Link of amplitude transmission T: a beam splitter against the vacuum ancilla anc."""
     if not 0.0 <= transmission <= 1.0:
         raise ValueError(f"transmission T={transmission!r} out of [0, 1]")
-    if any(m.name == ancilla.name for m in x.modes()):
-        raise ValueError(f"ancilla mode {ancilla.name!r} already present in expansion")
-    mixed = x * transmission
-    leak = math.sqrt(max(0.0, 1.0 - transmission * transmission))
-    if leak > 0.0:
-        mixed = mixed + leak * vacuum(ancilla)
-    return mixed
-
-
-def truncate(x: OperatorExpansion, max_degree: int) -> OperatorExpansion:
-    """Drop terms whose accumulated gain power exceeds ``max_degree``."""
-    if max_degree < 0:
-        raise ValueError("max_degree must be >= 0")
-    return OperatorExpansion(t for t in x.terms if t.gain_degree <= max_degree)
+    if np.any(x[:, ANC]):
+        raise ValueError("ancilla mode 'anc' already present in channel")
+    out = x * transmission
+    out[0, ANC] = math.sqrt(max(0.0, 1.0 - transmission * transmission))
+    return out

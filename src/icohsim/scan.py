@@ -565,20 +565,3 @@ def fit_fringe(
             fit,
         )
     return fit
-
-
-def visibility_minmax(
-    record: ScanRecord, channel: str = "singles", source: str = "auto"
-) -> float:
-    """(max - min)/(max + min) of the fitted model over one period at the
-    envelope center, which equals the fitted visibility for this model
-    family.  A flat record counts as zero visibility."""
-    try:
-        fit = fit_fringe(record, channel=channel, source=source)
-    except NoFringeError:
-        return 0.0
-    highest = fit.baseline * (1.0 + fit.visibility)
-    lowest = fit.baseline * (1.0 - fit.visibility)
-    if highest + lowest == 0:
-        return 0.0
-    return (highest - lowest) / (highest + lowest)

@@ -197,3 +197,21 @@ def test_bad_csv_header_rejected(tmp_path):
     bad.write_text("a,b,c\n1,2,3\n")
     code = main(["fit", str(bad), "--config", DEFAULT_CONFIG, "--quiet"])
     assert code == EXIT_CONFIG
+
+
+@pytest.mark.parametrize(
+    "line, column, cell",
+    [(2, 0, "abc"), (4, 1, "nan"), (5, 3, "inf"), (7, 6, "1.5"), (9, 4, "")],
+)
+def test_malformed_csv_cell_names_line_and_column(tmp_path, capsys, line, column, cell):
+    scan = tmp_path / "scan.csv"
+    assert main(["simulate", "--config", DEFAULT_CONFIG, "--out", str(scan), "--quiet"]) == EXIT_OK
+    lines = scan.read_text().splitlines()
+    row = lines[line - 1].split(",")
+    row[column] = cell
+    lines[line - 1] = ",".join(row)
+    scan.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["fit", str(scan), "--config", DEFAULT_CONFIG, "--quiet"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"CSV line {line}, column {CSV_HEADER[column]}" in err

@@ -3,8 +3,10 @@ from pathlib import Path
 import pytest
 
 from icohsim.config import (
+    MAX_SCAN_POINTS,
     ConfigError,
     ExperimentConfig,
+    ScanSettings,
     default_config,
     load_config,
     parse_config,
@@ -74,6 +76,17 @@ def test_scan_validation():
         parse_config("[scan]\nstep_nm = 0\n")
     with pytest.raises(ConfigError, match=r"scan\.stop"):
         parse_config("[scan]\nstart_um = 2\nstop_um = -2\n")
+
+
+def test_scan_size_is_capped():
+    for step_nm in ("1e-30", "1e-6", "0.003"):
+        with pytest.raises(ConfigError, match=r"scan\.step_nm"):
+            parse_config(f"[scan]\nstep_nm = {step_nm}\n")
+    with pytest.raises(ConfigError, match=r"scan\.step_nm"):
+        ScanSettings(start=0.0, stop=float("inf"), step=1e-9)
+    # the largest allowed grid still constructs
+    largest = ScanSettings(start=0.0, stop=(MAX_SCAN_POINTS - 1) * 1e-9, step=1e-9)
+    assert round((largest.stop - largest.start) / largest.step) + 1 == MAX_SCAN_POINTS
 
 
 def test_detector_validation():

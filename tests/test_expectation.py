@@ -14,35 +14,97 @@ from icohsim.expectation import (
 )
 from icohsim.fockoracle import build_state, detection_moments
 from icohsim.operators import (
+    IO1,
+    SO1,
+    SO2,
+    BeamSplitterParams,
     DelaySetting,
-    LadderKind,
-    LadderTerm,
-    ModeLabel,
-    ModeRole,
-    OperatorExpansion,
-    vacuum,
+    beam_splitter,
+    free_mode,
+    spdc,
 )
 
 from conftest import config_with
 
-SO1 = ModeLabel("so1", ModeRole.SIGNAL_VACUUM, 808e-9)
-IO1 = ModeLabel("io1", ModeRole.IDLER_VACUUM, 632e-9)
+# Rates (p_a, p_b, p_ab) recorded from the engine this one replaced, a general
+# ladder-term algebra, at each of GOLDEN_DELAYS (delta_x_p, delta_x_s) for
+# configs spanning eta < 1, unequal splitters, gains up to 0.08 and a
+# truncation degree above 1.
+GOLDEN_DELAYS = [(0.0, 0.0), (1.3e-07, -2.9e-07), (-4.1e-07, 6.5e-07)]
+GOLDEN = [
+    (
+        dict(gain1=0.001, gain2=0.001),
+        [
+            (2.0000000000000008e-06, 2e-06, 2.000004000000001e-06),
+            (8.442362608890034e-07, 2e-06, 8.442379493615251e-07),
+            (1.967614991458359e-06, 2e-06, 1.967618926688342e-06),
+        ],
+    ),
+    (
+        dict(gain1=0.001, gain2=0.001, eta=0.7),
+        [
+            (1.7000000000000005e-06, 1.49e-06, 1.4450025330000003e-06),
+            (8.909653826223023e-07, 1.49e-06, 6.359667101607223e-07),
+            (1.677330494020851e-06, 1.49e-06, 1.422332993243287e-06),
+        ],
+    ),
+    (
+        dict(gain1=0.02, gain2=0.005, eta=0.45, splitter_ratio=0.3),
+        [
+            (0.0003287431812546026, 0.00010600000000000002, 0.00010547802803181554),
+            (0.0002810758078749506, 0.00010600000000000002, 5.780560191058528e-05),
+            (0.0003274075204773877, 0.00010600000000000002, 0.00010414222567455838),
+        ],
+    ),
+    (
+        dict(gain1=0.08, gain2=0.08, eta=0.9, splitter_ratio=0.8),
+        [
+            (0.011008000000000002, 0.011584, 0.010892316672000002),
+            (0.005682240690176525, 0.011584, 0.005504863766331532),
+            (0.010858769880640115, 0.011584, 0.01074135787093745),
+        ],
+    ),
+    (
+        dict(gain1=0.05, gain2=0.08, eta=0.0, splitter_ratio=0.6),
+        [
+            (0.004840000000000001, 0.0064, 0.003870976000000001),
+            (0.004840000000000001, 0.0064, 0.003870976000000001),
+            (0.004840000000000001, 0.0064, 0.003870976000000001),
+        ],
+    ),
+    (
+        dict(gain1=0.0003, gain2=0.06, eta=0.25, splitter_ratio=0.05, truncation_degree=2),
+        [
+            (0.00018204700452459325, 0.003600005625, 0.0001826222185148962),
+            (0.0001797799687209662, 0.003600005625, 0.00018034702136962403),
+            (0.0001819834811838099, 0.003600005625, 0.0001825584664897287),
+        ],
+    ),
+]
+
+
+@pytest.mark.parametrize("overrides, rates", GOLDEN, ids=[f"config{n}" for n in range(len(GOLDEN))])
+def test_rates_match_recorded_engine_outputs(overrides, rates):
+    cfg = config_with(**overrides)
+    for delays, want in zip(GOLDEN_DELAYS, rates):
+        got = compose_setup(cfg, DelaySetting(*delays))
+        assert (got.p_a, got.p_b, got.p_ab) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_singles_rate_of_pure_annihilator_is_zero():
-    assert singles_rate(vacuum(SO1)) == 0.0
+    assert singles_rate(free_mode(SO1)) == 0.0
 
 
 def test_singles_rate_counts_creation_amplitudes_coherently():
-    x = OperatorExpansion(
-        [
-            LadderTerm(IO1, LadderKind.CREATION, 0.3 + 0.4j, 1),
-            LadderTerm(IO1, LadderKind.CREATION, 0.3 + 0.4j, 2),
-            LadderTerm(SO1, LadderKind.ANNIHILATION, 5.0, 0),
-        ]
-    )
-    # two same-mode creation terms of different gain degree add as amplitudes
-    assert singles_rate(x) == pytest.approx(abs(2 * (0.3 + 0.4j)) ** 2)
+    # both arms carry an io1 creator; the recombined port adds them as amplitudes
+    k = 0.01
+    s1, _ = spdc(free_mode(SO1), free_mode(IO1), k)
+    s2, _ = spdc(free_mode(SO2), free_mode(IO1), k)
+    bs = BeamSplitterParams.from_transmitted_fraction(0.5)
+    out, _ = beam_splitter(s2, s1, bs)
+    assert singles_rate(out) == pytest.approx(abs((bs.t + bs.r) * k) ** 2, rel=1e-14)
+    out_opposed, _ = beam_splitter(s2, -s1, bs)
+    assert singles_rate(out_opposed) <= 1e-30
 
 
 def test_ideal_singles_rate_extremes():
@@ -72,7 +134,7 @@ def test_phase_grid_matches_cosine_law():
 
 
 def test_coincidence_trivial_zero():
-    assert coincidence_rate(vacuum(SO1), vacuum(IO1)) == 0.0
+    assert coincidence_rate(free_mode(SO1), free_mode(IO1)) == 0.0
 
 
 def test_coincidence_shares_phase_dependence_with_singles():
@@ -137,6 +199,15 @@ def test_truncation_degree_zero_removes_all_pairs():
     assert p.p_a == 0.0
     assert p.p_b == 0.0
     assert p.p_ab == 0.0
+    # every degree >= 1 is the exact result
+    delays = DelaySetting(delta_x_p=1.1e-7, delta_x_s=-3.7e-7)
+    exact = [
+        compose_setup(config_with(gain1=0.03, gain2=0.07, eta=0.6, truncation_degree=d), delays)
+        for d in (1, 2, 3)
+    ]
+    for p in exact[1:]:
+        for field in ("p_a", "p_b", "p_ab"):
+            assert getattr(p, field) == pytest.approx(getattr(exact[0], field), rel=1e-15)
 
 
 def test_phase_averaged_rates_are_the_baseline():
@@ -194,9 +265,9 @@ def test_oracle_agreement_over_randomized_configs():
 def test_setup_operators_expose_detected_channels():
     cfg = config_with(gain1=1e-3, gain2=1e-3)
     out_a, i2 = setup_operators(cfg, DelaySetting())
+    assert out_a.shape == i2.shape == (2, 4)
     assert singles_rate(out_a) == pytest.approx(compose_setup(cfg, DelaySetting()).p_a)
-    names = {m.name for m in i2.modes()}
-    assert "io1" in names
+    assert i2[0, IO1] == 1.0
 
 
 def test_rate_prediction_rejects_negative():

@@ -12,7 +12,6 @@ from icohsim.scan import (
     fit_fringe,
     run_scan,
     scan_grid,
-    visibility_minmax,
 )
 
 from conftest import config_with
@@ -114,6 +113,9 @@ def test_fit_noiseless_exact_round_trip():
     assert fit.reduced_residual < 1e-12
     assert fit.converged
     assert fit.iterations <= 200
+    for vis in (0.25, 0.6, 0.95):
+        record = synthetic_record(visibility=vis, sigma=SIGMA_SIGNAL)
+        assert fit_fringe(record, source="rates").visibility == pytest.approx(vis, abs=1e-4)
 
 
 def test_fit_recovers_phase_and_center():
@@ -204,21 +206,6 @@ def test_fit_coincidence_channel(config):
     fit = fit_fringe(record, channel="coincidence")
     assert abs(fit.period - 808e-9) < 1e-9
     assert fit.visibility == pytest.approx(0.9395973, abs=0.01)
-
-
-def test_visibility_minmax_equals_fitted_visibility():
-    for vis in (0.25, 0.6, 0.95):
-        record = synthetic_record(visibility=vis, sigma=SIGMA_SIGNAL)
-        fit = fit_fringe(record, source="rates")
-        assert visibility_minmax(record, source="rates") == pytest.approx(
-            fit.visibility, abs=1e-12
-        )
-        assert fit.visibility == pytest.approx(vis, abs=1e-4)
-
-
-def test_visibility_minmax_flat_record_is_zero():
-    record = synthetic_record(visibility=0.0)
-    assert visibility_minmax(record, source="rates") == 0.0
 
 
 def test_visibility_convergence_with_dwell():
