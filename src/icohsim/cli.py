@@ -30,7 +30,9 @@ from .scan import (
     NoFringeError,
     ScanRecord,
     fit_fringe,
+    off_grid_step,
     run_scan,
+    undersampling_warning,
 )
 from .spectral import coherence_length, envelope, frequency_fwhm
 
@@ -82,12 +84,33 @@ def _csv_cell(text: str, column: int, line: int) -> float | int:
     return value
 
 
-def read_scan_csv(stream: io.TextIOBase) -> ScanRecord:
+def _check_delay_grid(delays: np.ndarray, lines: list[int]) -> None:
+    """Reject a delay column that is not strictly increasing on a uniform grid."""
+    if len(delays) < 2:
+        return
+    down = np.flatnonzero(np.diff(delays) <= 0)
+    if len(down):
+        k = int(down[0]) + 1
+        raise ConfigError(
+            f"CSV line {lines[k]}: delay {delays[k]:.9g} m is not greater than "
+            f"the previous delay {delays[k - 1]:.9g} m"
+        )
+    off = off_grid_step(delays)
+    if off is not None:
+        raise ConfigError(
+            f"CSV line {lines[off + 1]}: delay step {delays[off + 1] - delays[off]:.6g} m "
+            f"is off the grid's median step; delays must be uniformly spaced"
+        )
+
+
+def read_scan_csv(stream: io.TextIOBase, axis: str = "signal") -> ScanRecord:
+    """Parse a scan CSV; bad cells and a non-uniform delay grid name their line."""
     reader = csv.reader(stream)
     header = next(reader, None)
     if header != CSV_HEADER:
         raise ConfigError(f"unexpected CSV header {header!r}; expected {CSV_HEADER!r}")
     delays: list[float] = []
+    lines: list[int] = []
     predicted: list[RatePrediction] = []
     samples: list[CountSample] = []
     for row in reader:
@@ -100,21 +123,25 @@ def read_scan_csv(stream: io.TextIOBase) -> ScanRecord:
             )
         values = [_csv_cell(text, column, line) for column, text in enumerate(row)]
         delays.append(values[0])
+        lines.append(line)
         try:
             predicted.append(RatePrediction(*values[1:4]))
         except ValueError as exc:
             raise ConfigError(f"CSV line {line}: {exc}") from None
         samples.append(CountSample(*values[4:], 0.0))
+    grid = np.array(delays)
+    _check_delay_grid(grid, lines)
     return ScanRecord(
-        axis="signal",
-        delays=np.array(delays),
+        axis=axis,
+        delays=grid,
         predicted=predicted,
         samples=samples,
     )
 
 
 def fit_summary(fit: FringeFit) -> dict:
-    return {
+    """JSON-ready fit values; a non-finite number (an unbounded sigma) becomes None."""
+    summary = {
         "period_m": fit.period,
         "period_sigma_m": fit.period_sigma,
         "visibility": fit.visibility,
@@ -125,6 +152,18 @@ def fit_summary(fit: FringeFit) -> dict:
         "baseline_hz": fit.baseline,
         "reduced_residual": fit.reduced_residual,
         "converged": fit.converged,
+        "iterations": fit.iterations,
+        "envelope_resolved": fit.envelope_resolved,
+        "envelope_center_sigma_m": fit.envelope_center_sigma,
+        "envelope_fwhm_sigma_m": fit.envelope_fwhm_sigma,
+        "phase_sigma_rad": fit.phase_sigma,
+        "baseline_sigma_hz": fit.baseline_sigma,
+        "channel": fit.channel,
+        "source": fit.source,
+    }
+    return {
+        key: None if isinstance(value, float) and not math.isfinite(value) else value
+        for key, value in summary.items()
     }
 
 
@@ -350,7 +389,10 @@ def _run(args: argparse.Namespace) -> int:
     if args.command == "fit":
         config = _load(args)
         with open(args.input, "r", encoding="utf-8", newline="") as fh:
-            record = read_scan_csv(fh)
+            record = read_scan_csv(fh, axis=config.scan.axis)
+        warning = undersampling_warning(config, record.axis, record.delays)
+        if warning:
+            print(f"warning: {warning}", file=sys.stderr)
         try:
             fit = fit_fringe(
                 record, channel=args.channel, source=args.source, dwell=config.scan.dwell

@@ -22,9 +22,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .counting import CountSample, calibrate, sample_counts
-from .expectation import RatePrediction, phase_averaged_rates
-from .operators import DelaySetting
-from .spectral import modulated_rates
+from .expectation import RatePrediction
+from .spectral import compile_model
 
 if TYPE_CHECKING:  # pragma: no cover
     from .config import ExperimentConfig
@@ -36,6 +35,8 @@ MAX_ITERATIONS = 200
 MAX_REWEIGHT_ROUNDS = 8
 MAX_WEIGHT_REFRESHES = 3
 PARAM_TOLERANCE = 1e-10
+# Largest relative deviation of a delay step from the median step on a uniform grid.
+GRID_TOLERANCE = 1e-6
 
 
 class NoFringeError(RuntimeError):
@@ -95,10 +96,32 @@ class FringeFit:
     source: str = "counts"
 
 
+def off_grid_step(delays: np.ndarray) -> int | None:
+    """Index i of the first step delays[i] -> delays[i+1] off the median step, or None."""
+    dx = np.diff(delays)
+    step = float(np.median(dx))
+    off = np.flatnonzero(np.abs(dx - step) > GRID_TOLERANCE * step)
+    return int(off[0]) if len(off) else None
+
+
 def scan_grid(config: "ExperimentConfig") -> np.ndarray:
     scan = config.scan
     n = int(round((scan.stop - scan.start) / scan.step)) + 1
     return np.linspace(scan.start, scan.stop, n)
+
+
+def undersampling_warning(config: "ExperimentConfig", axis: str, delays: np.ndarray) -> str | None:
+    """Warning text when the grid has fewer than 8 points per expected fringe period."""
+    if len(delays) < 2:
+        return None
+    step = float(np.median(np.diff(delays)))
+    wavelength = config.scan_wavelength(axis)
+    if step <= wavelength / 8.0:
+        return None
+    return (
+        f"grid step {step:.3g} m gives fewer than 8 points per expected "
+        f"{wavelength:.3g} m fringe period; fits may be unreliable"
+    )
 
 
 def run_scan(
@@ -109,6 +132,8 @@ def run_scan(
 ) -> ScanRecord:
     """Evaluate the scan: envelope-modulated rates, then counts per point.
 
+    The config is compiled once into its closed-form fringe model, which
+    gives the whole grid's rates in one pass and the calibration baseline.
     The non-scanned delay axis is held at zero.  A warning (not an error)
     is recorded when the grid undersamples the expected fringe period.
     """
@@ -116,34 +141,26 @@ def run_scan(
     if axis not in ("signal", "pump"):
         raise ValueError(f"scan axis must be 'signal' or 'pump', got {axis!r}")
     delays = scan_grid(config) if grid is None else np.asarray(grid, dtype=float)
+    warning = undersampling_warning(config, axis, delays)
 
-    warnings: list[str] = []
-    if len(delays) >= 2:
-        step = float(np.median(np.diff(delays)))
-        wavelength = config.scan_wavelength(axis)
-        if step > wavelength / 8.0:
-            warnings.append(
-                f"grid step {step:.3g} m gives fewer than 8 points per expected "
-                f"{wavelength:.3g} m fringe period; fits may be unreliable"
-            )
-
-    cc = calibrate(config.detectors, phase_averaged_rates(config))
+    model = compile_model(config)
+    cc = calibrate(config.detectors, model.baseline)
+    rates = model.rates(delta_x_p=delays) if axis == "pump" else model.rates(delta_x_s=delays)
     predicted: list[RatePrediction] = []
     samples: list[CountSample] | None = [] if sample else None
-    for index, x in enumerate(delays):
-        setting = DelaySetting(delta_x_p=x) if axis == "pump" else DelaySetting(delta_x_s=x)
-        model = modulated_rates(config, setting)
-        r_a, r_b, r_ab = cc.detected_rates(model)
+    for index, point in enumerate(zip(*rates.tolist())):
+        point_rates = RatePrediction(*point)
+        r_a, r_b, r_ab = cc.detected_rates(point_rates)
         predicted.append(RatePrediction(p_a=r_a, p_b=r_b, p_ab=r_ab))
         if samples is not None:
-            samples.append(sample_counts(model, cc, index))
+            samples.append(sample_counts(point_rates, cc, index))
     return ScanRecord(
         axis=axis,
         delays=delays,
         predicted=predicted,
         samples=samples,
         config=config,
-        warnings=warnings,
+        warnings=[warning] if warning else [],
     )
 
 
@@ -185,10 +202,9 @@ def estimate_period(
     x = record.delays
     if len(x) < 8:
         raise NoFringeError("record too short for period estimation")
-    dx = np.diff(x)
-    step = float(np.median(dx))
-    if np.max(np.abs(dx - step)) > 1e-6 * step:
+    if off_grid_step(x) is not None:
         raise ValueError("period estimation requires a uniform delay grid")
+    step = float(np.median(np.diff(x)))
 
     centered = y - y.mean()
     if not np.any(np.abs(centered) > 0):
@@ -554,7 +570,7 @@ def fit_fringe(
         reduced_residual=reduced_residual,
         converged=converged,
         iterations=iterations,
-        envelope_resolved=not envelope_pinned and sigma_env < span,
+        envelope_resolved=not envelope_pinned and bool(sigma_env < span),
         channel=channel,
         source=source,
     )

@@ -26,6 +26,14 @@ FIT_KEYS = [
     "baseline_hz",
     "reduced_residual",
     "converged",
+    "iterations",
+    "envelope_resolved",
+    "envelope_center_sigma_m",
+    "envelope_fwhm_sigma_m",
+    "phase_sigma_rad",
+    "baseline_sigma_hz",
+    "channel",
+    "source",
 ]
 
 
@@ -51,6 +59,29 @@ def test_simulate_then_fit_signal_default(tmp_path):
     assert list(summary.keys()) == FIT_KEYS
     assert abs(summary["period_m"] - 808e-9) < 1e-9
     assert summary["converged"] is True
+
+
+def _reject_constant(name):
+    raise AssertionError(f"fit JSON is not strict: {name}")
+
+
+def test_fit_json_reports_diagnostics_as_strict_json(tmp_path):
+    scan = tmp_path / "scan.csv"
+    args = ["--config", DEFAULT_CONFIG, "--seed", "3", "--quiet"]
+    assert main(["simulate", *args, "--out", str(scan)]) == EXIT_OK
+    fit_out = tmp_path / "fit.json"
+    assert main(["fit", str(scan), *args, "--out", str(fit_out)]) == EXIT_OK
+    summary = json.loads(fit_out.read_text(), parse_constant=_reject_constant)
+    assert list(summary.keys()) == FIT_KEYS
+    assert summary["iterations"] > 0
+    # a 4 um scan cannot resolve the ~350 um signal envelope: its width is a
+    # lower bound, and on this seed its uncertainty is unbounded
+    assert summary["envelope_resolved"] is False
+    assert summary["envelope_fwhm_sigma_m"] is None
+    assert summary["phase_sigma_rad"] > 0
+    assert summary["baseline_sigma_hz"] > 0
+    assert summary["channel"] == "singles"
+    assert summary["source"] == "counts"
 
 
 def test_simulate_then_fit_pump_axis(tmp_path):
@@ -88,9 +119,26 @@ def test_axis_override(tmp_path):
     out = tmp_path / "x.csv"
     main(["predict", "--config", DEFAULT_CONFIG, "--out", str(out), "--axis", "pump", "--quiet"])
     with open(out) as fh:
-        record = read_scan_csv(fh)
+        record = read_scan_csv(fh, axis="pump")
     # pump fringes: a 355 nm shift leaves the rate unchanged
     assert len(record.delays) == 401
+    assert record.axis == "pump"
+
+
+def test_fit_warns_on_undersampled_pump_csv(tmp_path, capsys):
+    config = write_config(tmp_path, "[scan]\nstart_um = -2\nstop_um = 2\nstep_nm = 50\n")
+    scan = tmp_path / "scan.csv"
+    predict = ["predict", "--config", config, "--axis", "pump", "--out", str(scan), "--quiet"]
+    assert main(predict) == EXIT_OK
+    capsys.readouterr()
+    # 50 nm steps resolve the 808 nm signal period but not the 355 nm pump period
+    fit = ["fit", str(scan), "--config", config, "--source", "rates", "--quiet"]
+    assert main(fit) == EXIT_OK
+    assert "warning:" not in capsys.readouterr().err
+    assert main([*fit, "--axis", "pump"]) == EXIT_OK
+    err = capsys.readouterr().err
+    assert "warning: grid step 5e-08 m gives fewer than 8 points per expected" in err
+    assert "3.55e-07 m fringe period" in err
 
 
 def test_csv_floats_have_nine_significant_digits(tmp_path):
@@ -215,3 +263,37 @@ def test_malformed_csv_cell_names_line_and_column(tmp_path, capsys, line, column
     assert main(["fit", str(scan), "--config", DEFAULT_CONFIG, "--quiet"]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert f"CSV line {line}, column {CSV_HEADER[column]}" in err
+
+
+def _swap_rows(lines):
+    lines[100], lines[101] = lines[101], lines[100]
+
+
+def _duplicate_row(lines):
+    lines.insert(50, lines[49])
+
+
+def _delete_ten_rows(lines):
+    del lines[200:210]
+
+
+@pytest.mark.parametrize(
+    "edit, line, reason",
+    [
+        (_swap_rows, 102, "is not greater than the previous delay"),
+        (_duplicate_row, 51, "is not greater than the previous delay"),
+        (_delete_ten_rows, 201, "is off the grid's median step"),
+    ],
+)
+def test_bad_delay_grid_names_line(tmp_path, capsys, edit, line, reason):
+    scan = tmp_path / "pred.csv"
+    assert main(["predict", "--config", DEFAULT_CONFIG, "--out", str(scan), "--quiet"]) == EXIT_OK
+    lines = scan.read_text().splitlines()
+    edit(lines)
+    scan.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    code = main(["fit", str(scan), "--config", DEFAULT_CONFIG, "--source", "rates", "--quiet"])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"CSV line {line}: delay" in err
+    assert reason in err

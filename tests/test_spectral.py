@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
 
-from icohsim.expectation import compose_setup
+import icohsim.expectation
+import icohsim.spectral
+from icohsim.counting import calibrate
+from icohsim.expectation import compose_setup, phase_averaged_rates
 from icohsim.operators import DelaySetting
+from icohsim.scan import run_scan
 from icohsim.spectral import (
     SPEED_OF_LIGHT,
     SpectralProfile,
     coherence_length,
+    compile_model,
     envelope,
     frequency_fwhm,
     modulated_rates,
@@ -41,8 +46,10 @@ def test_profile_validation():
 def test_envelope_basics():
     assert envelope(PUMP, 0.0) == 1.0
     xs = np.linspace(0, 5e-3, 40)
-    values = [envelope(PUMP, x) for x in xs]
-    assert all(a >= b for a, b in zip(values, values[1:]))  # decreasing
+    values = envelope(PUMP, xs)
+    assert values.shape == xs.shape
+    assert np.all(np.diff(values) <= 0)  # decreasing
+    np.testing.assert_allclose(values, [envelope(PUMP, x) for x in xs], rtol=1e-15, atol=0)
     for x in (1e-4, 2.3e-3):
         assert envelope(PUMP, x) == envelope(PUMP, -x)  # even
     assert envelope(PUMP, 1.0) < 1e-300 or envelope(PUMP, 1.0) == 0.0
@@ -140,3 +147,71 @@ def test_coherence_override_changes_pump_envelope():
     profile = cfg.pump_profile()
     assert coherence_length(profile) == pytest.approx(1.4e-3, rel=1e-12)
     assert envelope(profile, 600e-6) < envelope(PUMP, 600e-6)
+
+
+def _random_config(rng):
+    eta = (0.0, 1.0, rng.uniform(0.0, 1.0))[rng.integers(3)]
+    return config_with(
+        gain1=rng.uniform(1e-4, 0.08),
+        gain2=rng.uniform(1e-4, 0.08),
+        eta=eta,
+        splitter_ratio=rng.uniform(0.01, 0.99),
+        truncation_degree=int(rng.integers(0, 4)),
+    )
+
+
+def test_compiled_model_matches_per_point_rates_on_random_configs():
+    rng = np.random.default_rng(20261018)
+    for _ in range(200):
+        cfg = _random_config(rng)
+        dxp = rng.uniform(-1e-3, 1e-3, 5)
+        dxs = rng.uniform(-1e-4, 1e-4, 5)
+        model = compile_model(cfg)
+        compiled = model.rates(dxp, dxs)
+        assert compiled.shape == (3, 5)
+        base = np.array([model.baseline.p_a, model.baseline.p_b, model.baseline.p_ab])
+        for k in range(5):
+            ref = modulated_rates(cfg, DelaySetting(delta_x_p=dxp[k], delta_x_s=dxs[k]))
+            reference = np.array([ref.p_a, ref.p_b, ref.p_ab])
+            assert np.all(np.abs(compiled[:, k] - reference) <= 1e-10 * base), cfg
+
+
+def test_compiled_baseline_is_the_phase_averaged_baseline():
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        cfg = _random_config(rng)
+        assert compile_model(cfg).baseline == phase_averaged_rates(cfg)
+
+
+@pytest.mark.parametrize("axis", ["signal", "pump"])
+def test_run_scan_equals_per_point_path(axis):
+    cfg = config_with()
+    record = run_scan(cfg, axis=axis, sample=False)
+    baseline = phase_averaged_rates(cfg)
+    cc = calibrate(cfg.detectors, baseline)
+    # relative to each channel's calibrated baseline: fringe minima reach ~1e-4 of it
+    tolerance = 1e-12 * np.array(cc.detected_rates(baseline))
+    for x, got in zip(record.delays, record.predicted):
+        setting = DelaySetting(delta_x_p=x) if axis == "pump" else DelaySetting(delta_x_s=x)
+        expected = cc.detected_rates(modulated_rates(cfg, setting))
+        assert np.all(np.abs(np.array([got.p_a, got.p_b, got.p_ab]) - expected) <= tolerance)
+
+
+def test_compile_model_makes_three_engine_calls_per_scan(monkeypatch):
+    calls = []
+
+    def counted(config, delays):
+        calls.append(delays)
+        return compose_setup(config, delays)
+
+    monkeypatch.setattr(icohsim.spectral, "compose_setup", counted)
+    monkeypatch.setattr(icohsim.expectation, "compose_setup", counted)
+    cfg = config_with()
+    compile_model(cfg)
+    assert len(calls) == 3
+    for points in (9, 401, 4001):
+        calls.clear()
+        grid = np.linspace(-1e-6, 1e-6, points)
+        record = run_scan(cfg, axis="pump", grid=grid)
+        assert len(record.predicted) == points
+        assert len(calls) == 3
