@@ -21,7 +21,7 @@ import numpy as np
 
 from . import fockoracle
 from .config import ConfigError, ExperimentConfig, load_config, with_overrides
-from .counting import CountSample, accidental_rate, double_pair_probability
+from .counting import accidental_rate, double_pair_probability
 from .expectation import RatePrediction, compose_setup
 from .operators import DelaySetting
 from .scan import (
@@ -45,38 +45,36 @@ EXIT_FIT = 4
 CSV_HEADER = ["delay_m", "rate_a_hz", "rate_b_hz", "coinc_hz", "counts_a", "counts_b", "coinc_counts"]
 
 LOW_GAIN_BOUND = 1e-2
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.8e}"
+# One CSV row: delay and rates with nine significant digits, then the counts.
+_ROW_FORMAT = "%.8e,%.8e,%.8e,%.8e,%d,%d,%d\n"
+_HEADER_LINE = ",".join(CSV_HEADER)
 
 
 def write_scan_csv(record: ScanRecord, stream: io.TextIOBase) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    for i, delay in enumerate(record.delays):
-        rates = record.predicted[i]
-        s = record.samples[i] if record.samples else CountSample(0, 0, 0, 0.0)
-        writer.writerow(
-            [
-                _fmt(delay),
-                _fmt(rates.p_a),
-                _fmt(rates.p_b),
-                _fmt(rates.p_ab),
-                s.counts_a,
-                s.counts_b,
-                s.coincidences,
-            ]
-        )
+    """One header line, then one row per delay; a noiseless record writes zero counts."""
+    counts = record.counts
+    if counts is None:
+        counts = np.zeros((3, len(record.delays)), dtype=np.int64)
+    columns = zip(record.delays.tolist(), *record.rates.tolist(), *counts.tolist())
+    stream.write(_HEADER_LINE + "\n" + "".join(_ROW_FORMAT % row for row in columns))
 
 
 def _csv_cell(text: str, column: int, line: int) -> float | int:
-    """Parse one CSV cell: the delay and rates are finite floats, the counts integers."""
+    """Parse one CSV cell: the delay and rates are finite floats, the counts 64-bit integers."""
     parse, kind = (float, "finite number") if column < 4 else (int, "integer")
     try:
         value = parse(text)
     except ValueError:
         value = math.nan
+    if isinstance(value, int):
+        if _INT64_MIN <= value <= _INT64_MAX:
+            return value
+        raise ConfigError(
+            f"CSV line {line}, column {CSV_HEADER[column]}: integer out of the 64-bit range: {text!r}"
+        )
     if not math.isfinite(value):
         raise ConfigError(
             f"CSV line {line}, column {CSV_HEADER[column]}: not a {kind}: {text!r}"
@@ -103,16 +101,18 @@ def _check_delay_grid(delays: np.ndarray, lines: list[int]) -> None:
         )
 
 
-def read_scan_csv(stream: io.TextIOBase, axis: str = "signal") -> ScanRecord:
-    """Parse a scan CSV; bad cells and a non-uniform delay grid name their line."""
-    reader = csv.reader(stream)
+def _read_cells(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
+    """Parse a scan CSV cell by cell with the csv module, naming the line of any bad cell.
+
+    Returns the delays, the (3, n) rates, the (3, n) counts and each row's line number.
+    """
+    reader = csv.reader(io.StringIO(text, newline=""))
     header = next(reader, None)
     if header != CSV_HEADER:
         raise ConfigError(f"unexpected CSV header {header!r}; expected {CSV_HEADER!r}")
-    delays: list[float] = []
     lines: list[int] = []
-    predicted: list[RatePrediction] = []
-    samples: list[CountSample] = []
+    floats: list[list[float]] = []
+    ints: list[list[int]] = []
     for row in reader:
         if not row:
             continue
@@ -121,22 +121,65 @@ def read_scan_csv(stream: io.TextIOBase, axis: str = "signal") -> ScanRecord:
             raise ConfigError(
                 f"CSV line {line}: row has {len(row)} columns, expected {len(CSV_HEADER)}"
             )
-        values = [_csv_cell(text, column, line) for column, text in enumerate(row)]
-        delays.append(values[0])
-        lines.append(line)
+        values = [_csv_cell(cell, column, line) for column, cell in enumerate(row)]
         try:
-            predicted.append(RatePrediction(*values[1:4]))
+            RatePrediction(*values[1:4])
         except ValueError as exc:
             raise ConfigError(f"CSV line {line}: {exc}") from None
-        samples.append(CountSample(*values[4:], 0.0))
-    grid = np.array(delays)
-    _check_delay_grid(grid, lines)
-    return ScanRecord(
-        axis=axis,
-        delays=grid,
-        predicted=predicted,
-        samples=samples,
-    )
+        lines.append(line)
+        floats.append(values[:4])
+        ints.append(values[4:])
+    table = np.array(floats, dtype=float).reshape(-1, 4).T
+    counts = np.array(ints, dtype=np.int64).reshape(-1, 3).T
+    return table[0], table[1:], counts, lines
+
+
+def _read_fast(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, range] | None:
+    """The same parse as :func:`_read_cells` in a few whole-column passes.
+
+    Returns None, leaving the file to :func:`_read_cells`, whenever the
+    result or its error could differ: a carriage return (the csv module
+    ends a row there), a header other than the exact one, a line longer
+    than the csv field limit, a row without exactly seven cells (blank lines
+    included), or a cell that fails to parse, is not finite, is a negative
+    rate or an integer outside the 64-bit range.  Cells go through
+    ``float`` and ``int`` as in the cell-by-cell parse, so every accepted
+    value is the same; a quote or NUL never survives those conversions.
+    """
+    if "\r" in text:
+        return None
+    header, _, body = text.partition("\n")
+    if header != _HEADER_LINE:
+        return None
+    rows = body.split("\n")
+    if rows[-1] == "":
+        rows.pop()
+    limit = csv.field_size_limit()
+    if any(row.count(",") != 6 or len(row) > limit for row in rows):
+        return None
+    cells = ",".join(rows).split(",")
+    try:
+        table = np.array([list(map(float, cells[column::7])) for column in range(4)])
+        counts = np.array([list(map(int, cells[column::7])) for column in range(4, 7)], dtype=np.int64)
+    except (ValueError, OverflowError):
+        return None
+    if not np.all(np.isfinite(table)) or np.any(table[1:] < -1e-15):
+        return None
+    return table[0], table[1:], counts, range(2, len(rows) + 2)
+
+
+def read_scan_csv(stream: io.TextIOBase, axis: str = "signal") -> ScanRecord:
+    """Parse a scan CSV; bad cells and a non-uniform delay grid name their line.
+
+    A well-formed file is parsed column-wise; anything else goes through the
+    csv module cell by cell, which gives the same values and raises the
+    error that names the offending line.
+    """
+    text = stream.read()
+    parsed = _read_fast(text)
+    delays, rates, counts, lines = parsed if parsed is not None else _read_cells(text)
+    _check_delay_grid(delays, lines)
+    return ScanRecord(axis=axis, delays=delays, rates=rates, counts=counts)
 
 
 def fit_summary(fit: FringeFit) -> dict:

@@ -3,9 +3,10 @@
 Model rates come out of the expectation engine in arbitrary |K|^2 units;
 calibration pins the fringe-baseline singles rates of both detectors to
 configured counts/s and everything else scales along.  Sampling is
-counter-based: each scan point gets its own Philox stream keyed by
+counter-based: each scan point draws from its own Philox stream keyed by
 (seed, point index), so results are bit-identical no matter how points are
-scheduled.
+scheduled.  A scan reuses one Philox generator and resets its key at each
+point, which gives the same draws as a fresh stream per point.
 """
 
 from __future__ import annotations
@@ -48,7 +49,13 @@ class CountingConfig:
         return self.baseline_a is not None and self.baseline_b is not None
 
     def detected_rates(self, rates: RatePrediction) -> tuple[float, float, float]:
-        """Counts/s at detector A, detector B, and true coincidences.
+        """Counts/s at detector A, detector B, and true coincidences for one point."""
+        r_a, r_b, r_ab = self.detected(_column(rates))[:, 0].tolist()
+        return r_a, r_b, r_ab
+
+    def detected(self, rates: np.ndarray) -> np.ndarray:
+        """Counts/s rows (detector A, detector B, true coincidences) for model
+        rate rows (p_a, p_b, p_ab) of shape (3, n).
 
         Coincidences share detector A's scale: every detected signal photon
         belongs to a pair whose idler feeds the detected-idler pool, so the
@@ -59,16 +66,22 @@ class CountingConfig:
         if not self.calibrated:
             raise ValueError("counting config not calibrated; call calibrate() first")
         assert self.baseline_a is not None and self.baseline_b is not None
+        out = np.empty_like(rates, dtype=float)
         if self.baseline_a > 0:
-            r_a = self.rate_a_cal * rates.p_a / self.baseline_a
-            r_ab = self.rate_a_cal * rates.p_ab / self.baseline_a
+            out[0] = self.rate_a_cal * rates[0] / self.baseline_a
+            out[2] = self.rate_a_cal * rates[2] / self.baseline_a
         else:
-            r_a, r_ab = self.rate_a_cal, 0.0
+            out[0], out[2] = self.rate_a_cal, 0.0
         if self.baseline_b > 0:
-            r_b = self.rate_b_cal * rates.p_b / self.baseline_b
+            out[1] = self.rate_b_cal * rates[1] / self.baseline_b
         else:
-            r_b = self.rate_b_cal
-        return r_a, r_b, r_ab
+            out[1] = self.rate_b_cal
+        return out
+
+
+def _column(rates: RatePrediction) -> np.ndarray:
+    """One point's rates as a (3, 1) column."""
+    return np.array([[rates.p_a], [rates.p_b], [rates.p_ab]])
 
 
 def calibrate(cc: CountingConfig, baseline: RatePrediction) -> CountingConfig:
@@ -112,27 +125,55 @@ def point_rng(seed: int, point_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def sample_counts(rates: RatePrediction, cc: CountingConfig, point_index: int) -> CountSample:
-    """Draw one scan point's counts.
+def count_means(detected: np.ndarray, cc: CountingConfig) -> np.ndarray:
+    """Expected counts per dwell, rows (A, B, true coincidences, accidentals).
 
-    Detector counts and true coincidences are independent Poisson variates
-    with means rate * dwell; accidental coincidences are drawn on top with
-    mean accidental_rate * dwell.  Deterministic in (seed, point_index)
-    regardless of evaluation order.
+    ``detected`` holds the (3, n) counts/s rows of :meth:`CountingConfig.detected`;
+    accidentals follow :func:`accidental_rate`.
     """
-    r_a, r_b, r_true = cc.detected_rates(rates)
-    acc = accidental_rate(r_a, r_b, cc.window)
-    means = (r_a * cc.dwell, r_b * cc.dwell, r_true * cc.dwell, acc * cc.dwell)
-    if any(m > _MAX_MEAN for m in means):
-        raise OverflowError(f"expected counts {max(means):.3g} exceed representable integers")
-    rng = point_rng(cc.seed, point_index)
-    counts_a = int(rng.poisson(means[0]))
-    counts_b = int(rng.poisson(means[1]))
-    true_coinc = int(rng.poisson(means[2]))
-    accidentals = int(rng.poisson(means[3]))
+    r_a, r_b, _ = detected
+    if np.any(r_a < 0) or np.any(r_b < 0):
+        raise ValueError("rates and window must be non-negative")
+    return np.vstack([detected * cc.dwell, r_a * r_b * cc.window * cc.dwell])
+
+
+def sample_scan(means: np.ndarray, seed: int, first_index: int = 0) -> np.ndarray:
+    """Counts rows (A, B, coincidences including accidentals) for (4, n) means.
+
+    Detector counts, true coincidences and accidentals are independent
+    Poisson variates, drawn in that order from point k's stream
+    ``point_rng(seed, first_index + k)``.  One generator serves the whole
+    scan: before each point its state is reset to that of a fresh stream
+    with the point's key.
+    """
+    over = np.flatnonzero(np.any(means > _MAX_MEAN, axis=0))
+    if len(over):
+        raise OverflowError(
+            f"expected counts {max(means[:, over[0]].tolist()):.3g} exceed representable integers"
+        )
+    rng = point_rng(seed, first_index)
+    bits = rng.bit_generator
+    fresh = bits.state
+    key = fresh["state"]["key"]
+    poisson = rng.poisson
+    counts = []
+    for index, (m_a, m_b, m_true, m_acc) in enumerate(zip(*means.tolist()), first_index):
+        key[1] = index & _U64
+        bits.state = fresh
+        counts.append((poisson(m_a), poisson(m_b), poisson(m_true) + poisson(m_acc)))
+    return np.array(counts, dtype=np.int64).reshape(-1, 3).T
+
+
+def sample_counts(rates: RatePrediction, cc: CountingConfig, point_index: int) -> CountSample:
+    """Draw one scan point's counts: :func:`sample_scan` on a single point.
+
+    Deterministic in (seed, point_index) regardless of evaluation order.
+    """
+    means = count_means(cc.detected(_column(rates)), cc)
+    counts_a, counts_b, coincidences = sample_scan(means, cc.seed, point_index)[:, 0].tolist()
     return CountSample(
         counts_a=counts_a,
         counts_b=counts_b,
-        coincidences=true_coinc + accidentals,
-        accidentals_expected=means[3],
+        coincidences=coincidences,
+        accidentals_expected=float(means[3, 0]),
     )

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .counting import CountSample, calibrate, sample_counts
+from .counting import calibrate, count_means, sample_scan
 from .expectation import RatePrediction
 from .spectral import compile_model
 
@@ -53,21 +53,30 @@ class FitNonConvergenceError(RuntimeError):
 
 @dataclass
 class ScanRecord:
-    """One delay scan: grid, calibrated rate predictions, sampled counts."""
+    """One delay scan: grid, calibrated rates, sampled counts.
+
+    ``rates`` holds counts/s rows (detector A, detector B, true
+    coincidences) and ``counts`` the sampled count rows (detector A,
+    detector B, coincidences including accidentals), each of shape (3, n);
+    ``counts`` is None for a noiseless record.
+    """
 
     axis: str
     delays: np.ndarray
-    predicted: list[RatePrediction]
-    samples: list[CountSample] | None = None
+    rates: np.ndarray
+    counts: np.ndarray | None = None
     config: "ExperimentConfig | None" = None
     warnings: list[str] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         self.delays = np.asarray(self.delays, dtype=float)
-        if len(self.delays) != len(self.predicted):
-            raise ValueError("delays and predictions must have equal length")
-        if self.samples is not None and len(self.samples) != len(self.delays):
-            raise ValueError("delays and samples must have equal length")
+        self.rates = np.asarray(self.rates, dtype=float)
+        if self.rates.shape != (3, len(self.delays)):
+            raise ValueError("rates must have shape (3, number of delays)")
+        if self.counts is not None:
+            self.counts = np.asarray(self.counts, dtype=np.int64)
+            if self.counts.shape != self.rates.shape:
+                raise ValueError("counts must have shape (3, number of delays)")
         if len(self.delays) >= 2 and not np.all(np.diff(self.delays) > 0):
             raise ValueError("delay grid must be strictly increasing")
 
@@ -130,10 +139,12 @@ def run_scan(
     grid: np.ndarray | None = None,
     sample: bool = True,
 ) -> ScanRecord:
-    """Evaluate the scan: envelope-modulated rates, then counts per point.
+    """Evaluate the scan: calibrated envelope-modulated rates, then counts.
 
     The config is compiled once into its closed-form fringe model, which
-    gives the whole grid's rates in one pass and the calibration baseline.
+    gives the whole grid's rates in one pass and the calibration baseline;
+    the grid is calibrated as one array and sampled by one
+    :func:`~icohsim.counting.sample_scan` call.
     The non-scanned delay axis is held at zero.  A warning (not an error)
     is recorded when the grid undersamples the expected fringe period.
     """
@@ -146,19 +157,15 @@ def run_scan(
     model = compile_model(config)
     cc = calibrate(config.detectors, model.baseline)
     rates = model.rates(delta_x_p=delays) if axis == "pump" else model.rates(delta_x_s=delays)
-    predicted: list[RatePrediction] = []
-    samples: list[CountSample] | None = [] if sample else None
-    for index, point in enumerate(zip(*rates.tolist())):
-        point_rates = RatePrediction(*point)
-        r_a, r_b, r_ab = cc.detected_rates(point_rates)
-        predicted.append(RatePrediction(p_a=r_a, p_b=r_b, p_ab=r_ab))
-        if samples is not None:
-            samples.append(sample_counts(point_rates, cc, index))
+    bad = np.flatnonzero(~np.all(np.isfinite(rates) & (rates >= -1e-15), axis=0))
+    if len(bad):
+        RatePrediction(*rates[:, bad[0]].tolist())  # raises, naming the channel
+    detected = cc.detected(rates)
     return ScanRecord(
         axis=axis,
         delays=delays,
-        predicted=predicted,
-        samples=samples,
+        rates=detected,
+        counts=sample_scan(count_means(detected, cc), cc.seed) if sample else None,
         config=config,
         warnings=[warning] if warning else [],
     )
@@ -170,24 +177,14 @@ def _series(record: ScanRecord, channel: str, source: str) -> tuple[np.ndarray, 
     if source not in SOURCES:
         raise ValueError(f"source must be one of {SOURCES}, got {source!r}")
     if source == "auto":
-        source = "counts" if record.samples else "rates"
+        source = "counts" if record.counts is not None else "rates"
+    # Row of each channel in both arrays: detector A, detector B, coincidences.
+    row = {"singles": 0, "idler": 1, "coincidence": 2}[channel]
     if source == "counts":
-        if not record.samples:
+        if record.counts is None:
             raise ValueError("record has no sampled counts; use source='rates'")
-        picks = {
-            "singles": lambda s: s.counts_a,
-            "coincidence": lambda s: s.coincidences,
-            "idler": lambda s: s.counts_b,
-        }
-        y = np.array([picks[channel](s) for s in record.samples], dtype=float)
-    else:
-        picks = {
-            "singles": lambda p: p.p_a,
-            "coincidence": lambda p: p.p_ab,
-            "idler": lambda p: p.p_b,
-        }
-        y = np.array([picks[channel](p) for p in record.predicted], dtype=float)
-    return y, source
+        return record.counts[row].astype(float), source
+    return record.rates[row], source
 
 
 def estimate_period(
@@ -231,8 +228,20 @@ def estimate_period(
     return 1.0 / frequency
 
 
-def _model_and_jacobian(theta: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Fringe model and analytic Jacobian in internal parameters.
+@dataclass(frozen=True)
+class _FringeTerms:
+    """Fringe model at one parameter vector, with what its Jacobian reuses."""
+
+    theta: np.ndarray
+    model: np.ndarray
+    envelope: np.ndarray
+    osc: np.ndarray
+    offset: np.ndarray
+    arg: np.ndarray
+
+
+def _fringe_model(theta: np.ndarray, xs: np.ndarray) -> _FringeTerms:
+    """Fringe model in internal parameters.
 
     theta = (b, u, c, q, log_l, phi): baseline, visibility angle
     (V = sin^2 u), envelope center, inverse squared envelope width
@@ -244,11 +253,18 @@ def _model_and_jacobian(theta: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, 
     offset = xs - c
     envelope = np.exp(-0.5 * q * offset**2)
     arg = 2.0 * math.pi * xs / lam + phi
-    cosine = np.cos(arg)
-    sine = np.sin(arg)
-    osc = envelope * cosine
+    osc = envelope * np.cos(arg)
     model = b * (1.0 + v * osc)
+    return _FringeTerms(theta, model, envelope, osc, offset, arg)
 
+
+def _fringe_jacobian(terms: _FringeTerms, xs: np.ndarray) -> np.ndarray:
+    """Analytic Jacobian of the fringe model in internal parameters."""
+    b, u, c, q, log_l, phi = terms.theta
+    lam = math.exp(log_l)
+    v = math.sin(u) ** 2
+    osc, offset, envelope = terms.osc, terms.offset, terms.envelope
+    sine = np.sin(terms.arg)
     jac = np.empty((len(xs), 6))
     jac[:, 0] = 1.0 + v * osc
     jac[:, 1] = b * osc * math.sin(2.0 * u)
@@ -256,7 +272,7 @@ def _model_and_jacobian(theta: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, 
     jac[:, 3] = -0.5 * b * v * osc * offset**2
     jac[:, 4] = b * v * envelope * sine * 2.0 * math.pi * xs / lam
     jac[:, 5] = -b * v * envelope * sine
-    return model, jac
+    return jac
 
 
 @dataclass
@@ -293,64 +309,75 @@ def _lm_rounds(
     its descent direction pointing outward is dropped from the solve, so a
     saturated direction (visibility at 1, flat envelope) cannot distort the
     steps of the remaining parameters.
+
+    The linearization (weighted Jacobian, gradient, active set, column
+    scaling) depends only on the accepted parameters and the weights, so it
+    is built once per accepted step and reused while rejected trial steps
+    raise the damping; a trial step evaluates the model alone.
     """
 
     def project(params: np.ndarray) -> np.ndarray:
         return np.clip(params, bounds[:, 0], bounds[:, 1])
 
     theta = project(np.asarray(theta0, dtype=float).copy())
-    model, jac = _model_and_jacobian(theta, xs)
-    weights = weights_for(ys)
+    terms = _fringe_model(theta, xs)
+    sqrt_w = np.sqrt(weights_for(ys))
     damping = 1e-3
     iterations = 0
     converged = False
     ssr = math.inf
     for _round in range(MAX_REWEIGHT_ROUNDS):
         round_start = theta.copy()
-        residual = (model - ys) * np.sqrt(weights)
+        residual = (terms.model - ys) * sqrt_w
         ssr = float(residual @ residual)
+        jac_w = None
         inner_done = False
         while iterations < budget and not inner_done:
             iterations += 1
-            jac_w = jac * np.sqrt(weights)[:, None]
-            gradient = jac_w.T @ residual
-            active = free.copy()
-            for k in range(6):
-                if not active[k]:
-                    continue
-                span_k = max(abs(theta[k]), 1.0)
-                if theta[k] >= bounds[k, 1] - 1e-14 * span_k and gradient[k] < 0:
-                    active[k] = False
-                elif theta[k] <= bounds[k, 0] + 1e-14 * span_k and gradient[k] > 0:
-                    active[k] = False
-            if not np.any(active):
-                inner_done = True
-                break
+            if jac_w is None:
+                jac_w = _fringe_jacobian(terms, xs) * sqrt_w[:, None]
+                gradient = jac_w.T @ residual
+                active = free.copy()
+                for k in range(6):
+                    if not active[k]:
+                        continue
+                    span_k = max(abs(theta[k]), 1.0)
+                    if theta[k] >= bounds[k, 1] - 1e-14 * span_k and gradient[k] < 0:
+                        active[k] = False
+                    elif theta[k] <= bounds[k, 0] + 1e-14 * span_k and gradient[k] > 0:
+                        active[k] = False
+                if not np.any(active):
+                    inner_done = True
+                    break
+                n_active = int(np.sum(active))
+                jw = jac_w[:, active]
+                col_norms = np.linalg.norm(jw, axis=0)
+                # Flat directions must stay damped, so the scaling diagonal
+                # never drops far below the leading column.
+                floor = 1e-6 * float(col_norms.max())
+                col_norms = np.maximum(col_norms, floor if floor > 0 else 1.0)
+                augmented = np.vstack([jw, np.zeros((n_active, n_active))])
+                rhs = np.concatenate([-residual, np.zeros(n_active)])
+                diagonal = np.arange(len(xs), len(xs) + n_active), np.arange(n_active)
 
-            jw = jac_w[:, active]
-            col_norms = np.linalg.norm(jw, axis=0)
-            # Flat directions must stay damped, so the scaling diagonal
-            # never drops far below the leading column.
-            floor = 1e-6 * float(col_norms.max())
-            col_norms = np.maximum(col_norms, floor if floor > 0 else 1.0)
-            augmented = np.vstack([jw, math.sqrt(damping) * np.diag(col_norms)])
-            rhs = np.concatenate([-residual, np.zeros(int(np.sum(active)))])
+            augmented[diagonal] = math.sqrt(damping) * col_norms
             step_active, *_ = np.linalg.lstsq(augmented, rhs, rcond=None)
             step = np.zeros(6)
             step[active] = step_active
 
             trial = project(theta + step)
             effective = trial - theta
-            trial_model, trial_jac = _model_and_jacobian(trial, xs)
-            trial_residual = (trial_model - ys) * np.sqrt(weights)
+            trial_terms = _fringe_model(trial, xs)
+            trial_residual = (trial_terms.model - ys) * sqrt_w
             trial_ssr = float(trial_residual @ trial_residual)
             relative = float(np.max(np.abs(effective) / np.maximum(np.abs(theta), 1.0)))
 
             if trial_ssr < ssr:
                 theta = trial
-                model, jac = trial_model, trial_jac
+                terms = trial_terms
                 residual = trial_residual
                 ssr = trial_ssr
+                jac_w = None
                 damping = max(damping / 3.0, 1e-14)
                 if relative < PARAM_TOLERANCE:
                     inner_done = True
@@ -373,13 +400,15 @@ def _lm_rounds(
         # quoted uncertainty; afterwards they stay frozen so the iteration
         # has a fixed objective to settle on.
         if _round < MAX_WEIGHT_REFRESHES:
-            weights = weights_for(model)
+            sqrt_w = np.sqrt(weights_for(terms.model))
+    if jac_w is None:
+        jac_w = _fringe_jacobian(terms, xs) * sqrt_w[:, None]
     return _LMState(
         theta=theta,
         converged=converged,
         iterations=iterations,
         ssr=ssr,
-        jacobian_weighted=jac * np.sqrt(weights)[:, None],
+        jacobian_weighted=jac_w,
         free=free,
         damping=damping,
     )
@@ -536,14 +565,17 @@ def fit_fringe(
     span = float(x_raw[-1] - x_raw[0])
 
     # A width beyond fifty spans is indistinguishable from flat; report the
-    # bound itself as a lower limit on the true width.
+    # bound itself as a lower limit on the true width.  The center of such
+    # an envelope is not measured either, whatever the curvature says.
     q_resolved = 1.0 / (50.0 * span_scaled) ** 2
     if q > q_resolved:
         sigma_env = x_scale / math.sqrt(q)
         fwhm_sigma = fwhm_factor * sigma_env * sigmas[3] / (2.0 * q)
+        center_sigma = sigmas[2] * x_scale
     else:
         sigma_env = x_scale * 50.0 * span_scaled
         fwhm_sigma = math.inf
+        center_sigma = math.inf
 
     if source == "counts":
         baseline = b * y_scale / dwell
@@ -560,7 +592,7 @@ def fit_fringe(
         visibility=math.sin(u) ** 2,
         visibility_sigma=abs(math.sin(2.0 * u)) * sigmas[1],
         envelope_center=c * x_scale,
-        envelope_center_sigma=sigmas[2] * x_scale,
+        envelope_center_sigma=center_sigma,
         envelope_fwhm=fwhm_factor * sigma_env,
         envelope_fwhm_sigma=fwhm_sigma,
         phase=_wrap_phase(phi),

@@ -73,11 +73,11 @@ def noiseless_record(config, pump_offset=0.0, span=2e-6, points=401):
     """Signal-axis scan of envelope-modulated rates at a fixed pump delay."""
     grid = np.linspace(-span, span, points)
     cc = calibrate(config.detectors, phase_averaged_rates(config))
-    predicted = []
+    detected = []
     for x in grid:
         rates = modulated_rates(config, DelaySetting(delta_x_p=pump_offset, delta_x_s=x))
-        predicted.append(RatePrediction(*cc.detected_rates(rates)))
-    return ScanRecord(axis="signal", delays=grid, predicted=predicted, config=config)
+        detected.append(cc.detected_rates(rates))
+    return ScanRecord(axis="signal", delays=grid, rates=np.array(detected).T, config=config)
 
 
 def test_criterion_01_singles_rate_cosine_law():

@@ -99,6 +99,22 @@ def test_simulate_then_fit_pump_axis(tmp_path):
     assert abs(summary["period_m"] - 355e-9) < 1e-9
 
 
+def test_unresolved_envelope_has_no_center_uncertainty(tmp_path):
+    # a 4 um pump scan sits far inside the pump coherence length
+    config = write_config(
+        tmp_path, "[scan]\naxis = pump\nstart_um = -2\nstop_um = 2\nstep_nm = 50\n"
+    )
+    scan = tmp_path / "pump.csv"
+    assert main(["simulate", "--config", config, "--out", str(scan), "--quiet"]) == EXIT_OK
+    fit_out = tmp_path / "pump_fit.json"
+    assert main(["fit", str(scan), "--config", config, "--out", str(fit_out), "--quiet"]) == EXIT_OK
+    summary = json.loads(fit_out.read_text(), parse_constant=_reject_constant)
+    assert summary["envelope_resolved"] is False
+    assert summary["envelope_fwhm_sigma_m"] is None
+    assert summary["envelope_center_sigma_m"] is None
+    assert abs(summary["period_m"] - 355e-9) < 1e-9
+
+
 def test_simulate_is_byte_deterministic(tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
@@ -155,7 +171,7 @@ def test_predict_writes_zero_counts_and_fit_rates_works(tmp_path):
     main(["predict", "--config", DEFAULT_CONFIG, "--out", str(out), "--quiet"])
     with open(out) as fh:
         record = read_scan_csv(fh)
-    assert all(s.counts_a == 0 for s in record.samples)
+    assert all(record.counts[0] == 0)
     fit_out = tmp_path / "fit.json"
     code = main(
         [
@@ -236,8 +252,8 @@ def test_round_trip_csv_reader(tmp_path):
     with open(out) as fh:
         record = read_scan_csv(fh)
     assert len(record.delays) == 401
-    assert record.samples[0].counts_a >= 0
-    assert record.predicted[0].p_b == pytest.approx(110e3, rel=1e-6)
+    assert record.counts[0, 0] >= 0
+    assert record.rates[1, 0] == pytest.approx(110e3, rel=1e-6)
 
 
 def test_bad_csv_header_rejected(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -7,11 +8,17 @@ from icohsim.counting import (
     CountingConfig,
     accidental_rate,
     calibrate,
+    count_means,
     double_pair_probability,
     point_rng,
     sample_counts,
+    sample_scan,
 )
 from icohsim.expectation import RatePrediction
+from icohsim.scan import run_scan
+from icohsim.spectral import compile_model
+
+from conftest import config_with
 
 
 def calibrated(seed=123, dwell=0.5, baseline=RatePrediction(1.0, 1.0, 1.0), **kw):
@@ -122,3 +129,48 @@ def test_counting_config_validation():
         CountingConfig(rate_a_cal=0.0)
     with pytest.raises(ValueError):
         CountingConfig(window=-1e-9)
+
+
+def _fresh_stream_counts(rates, cc, index):
+    """One point drawn the per-point way: scalar calibration, a fresh stream."""
+    r_a = cc.rate_a_cal * rates.p_a / cc.baseline_a
+    r_b = cc.rate_b_cal * rates.p_b / cc.baseline_b
+    r_true = cc.rate_a_cal * rates.p_ab / cc.baseline_a
+    rng = point_rng(cc.seed, index)
+    counts_a = int(rng.poisson(r_a * cc.dwell))
+    counts_b = int(rng.poisson(r_b * cc.dwell))
+    true_coinc = int(rng.poisson(r_true * cc.dwell))
+    accidentals = int(rng.poisson(accidental_rate(r_a, r_b, cc.window) * cc.dwell))
+    return (r_a, r_b, r_true), (counts_a, counts_b, true_coinc + accidentals)
+
+
+@pytest.mark.parametrize("axis", ["signal", "pump"])
+def test_scan_sampler_matches_fresh_point_streams(axis):
+    cfg = config_with(axis=axis, seed=99)
+    record = run_scan(cfg)
+    assert record.counts.shape == (3, 401)
+    model = compile_model(cfg)
+    cc = calibrate(cfg.detectors, model.baseline)
+    delays = {"delta_x_p" if axis == "pump" else "delta_x_s": record.delays}
+    points = [RatePrediction(*p) for p in zip(*model.rates(**delays).tolist())]
+
+    # the reference draws points in a shuffled order, each from its own stream
+    order = list(range(len(points)))
+    random.Random(3).shuffle(order)
+    reference = {i: _fresh_stream_counts(points[i], cc, i) for i in order}
+    rates = np.array([reference[i][0] for i in range(len(points))]).T
+    counts = np.array([reference[i][1] for i in range(len(points))]).T
+    assert np.array_equal(record.rates, rates)
+    assert np.array_equal(record.counts, counts)
+
+    one_by_one = [sample_counts(p, cc, i) for i, p in enumerate(points)]
+    assert [(s.counts_a, s.counts_b, s.coincidences) for s in one_by_one] == list(
+        zip(*counts.tolist())
+    )
+    # a tail of the scan sampled on its own draws the same counts
+    tail = sample_scan(count_means(record.rates[:, 150:], cc), cc.seed, 150)
+    assert np.array_equal(tail, record.counts[:, 150:])
+    # another seed: same rates, other counts
+    other = run_scan(config_with(axis=axis, seed=100))
+    assert np.array_equal(other.rates, record.rates)
+    assert np.mean(other.counts[:2] != record.counts[:2]) > 0.9

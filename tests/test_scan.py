@@ -3,8 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from icohsim.counting import CountSample
-from icohsim.expectation import RatePrediction
 from icohsim.scan import (
     NoFringeError,
     ScanRecord,
@@ -38,9 +36,9 @@ def synthetic_record(
         counts = model
     else:
         counts = np.random.default_rng(noise_seed).poisson(model)
-    samples = [CountSample(int(c), 0, int(c), 0.0) for c in counts]
-    predicted = [RatePrediction(m, m, m) for m in model]
-    return ScanRecord(axis="signal", delays=x, predicted=predicted, samples=samples)
+    counts = np.array([counts, np.zeros_like(counts), counts], dtype=np.int64)
+    rates = np.array([model, model, model])
+    return ScanRecord(axis="signal", delays=x, rates=rates, counts=counts)
 
 
 def test_run_scan_grid_and_record_shape(config):
@@ -48,17 +46,17 @@ def test_run_scan_grid_and_record_shape(config):
     assert len(record.delays) == 401
     assert record.delays[0] == pytest.approx(-2e-6)
     assert record.delays[-1] == pytest.approx(2e-6)
-    assert len(record.predicted) == 401
-    assert len(record.samples) == 401
+    assert record.rates.shape == (3, 401)
+    assert record.counts.shape == (3, 401)
     assert record.warnings == []
     assert record.axis == "signal"
 
 
 def test_run_scan_without_sampling(config):
     record = run_scan(config, sample=False)
-    assert record.samples is None
+    assert record.counts is None
     # rates are calibrated: baseline averages to the configured detector rate
-    mids = [p.p_a for p in record.predicted]
+    mids = record.rates[0]
     assert np.mean(mids) == pytest.approx(42_000.0, rel=0.05)
 
 
@@ -77,7 +75,7 @@ def test_scan_record_requires_monotone_grid():
         ScanRecord(
             axis="signal",
             delays=np.array([0.0, -1e-9, 1e-9]),
-            predicted=[RatePrediction(1, 1, 1)] * 3,
+            rates=np.ones((3, 3)),
         )
 
 
@@ -99,7 +97,7 @@ def test_estimate_period_needs_uniform_grid():
     record = ScanRecord(
         axis="signal",
         delays=x,
-        predicted=[RatePrediction(1, 1, 1)] * len(x),
+        rates=np.ones((3, len(x))),
     )
     with pytest.raises(ValueError, match="uniform"):
         estimate_period(record, source="rates")
@@ -164,15 +162,11 @@ def test_fit_monte_carlo_pump_periods():
 def test_fit_is_scale_free():
     record = synthetic_record(visibility=0.55, sigma=SIGMA_SIGNAL, noise_seed=3)
     fit = fit_fringe(record, dwell=0.5)
-    scaled_samples = [
-        CountSample(s.counts_a * 7, s.counts_b * 7, s.coincidences * 7, 0.0)
-        for s in record.samples
-    ]
     scaled = ScanRecord(
         axis="signal",
         delays=record.delays,
-        predicted=record.predicted,
-        samples=scaled_samples,
+        rates=record.rates,
+        counts=record.counts * 7,
     )
     refit = fit_fringe(scaled, dwell=0.5)
     assert refit.period == pytest.approx(fit.period, rel=1e-6)
@@ -245,3 +239,34 @@ def test_scan_grid_matches_settings(config):
     grid = scan_grid(config)
     assert len(grid) == 401
     assert np.allclose(np.diff(grid), 10e-9)
+
+
+# Fits recorded before the LM loop reused its linearization across rejected
+# steps: (axis, seed, channel, iterations, period, visibility, phase,
+# baseline).  The coincidence fits run into the envelope pin; the singles
+# fits converge with the envelope free.
+RECORDED_FITS = [
+    ("signal", 2, "singles", 24,
+     8.080752492858002e-07, 0.99999999999999, -4.54259792913352e-06, 41992.094765567286),
+    ("signal", 1, "coincidence", 139,
+     8.080403818094523e-07, 0.9999818456670098, 7.200236082789715e-05, 42023.651875307485),
+    ("pump", 0, "singles", 23,
+     3.5499095746394203e-07, 0.999897895400933, -0.00017919247936443853, 41986.53475326228),
+    ("pump", 0, "coincidence", 101,
+     3.5501383455682944e-07, 0.99999999999999, 0.0007610445063817253, 41996.30972658055),
+]
+
+
+@pytest.mark.parametrize("recorded", RECORDED_FITS, ids=lambda r: f"{r[0]}-{r[1]}-{r[2]}")
+def test_fit_decisions_match_recorded_fits(recorded):
+    axis, seed, channel, iterations, period, visibility, phase, baseline = recorded
+    scan = {} if axis == "signal" else dict(axis="pump", start=-1e-6, stop=1e-6)
+    fit = fit_fringe(run_scan(config_with(seed=seed, **scan)), channel=channel)
+    assert fit.iterations == iterations
+    for got, expected in (
+        (fit.period, period),
+        (fit.visibility, visibility),
+        (fit.phase, phase),
+        (fit.baseline, baseline),
+    ):
+        assert got == pytest.approx(expected, rel=1e-12, abs=0.0)

@@ -191,10 +191,10 @@ def test_run_scan_equals_per_point_path(axis):
     cc = calibrate(cfg.detectors, baseline)
     # relative to each channel's calibrated baseline: fringe minima reach ~1e-4 of it
     tolerance = 1e-12 * np.array(cc.detected_rates(baseline))
-    for x, got in zip(record.delays, record.predicted):
+    for x, got in zip(record.delays, record.rates.T):
         setting = DelaySetting(delta_x_p=x) if axis == "pump" else DelaySetting(delta_x_s=x)
         expected = cc.detected_rates(modulated_rates(cfg, setting))
-        assert np.all(np.abs(np.array([got.p_a, got.p_b, got.p_ab]) - expected) <= tolerance)
+        assert np.all(np.abs(got - expected) <= tolerance)
 
 
 def test_compile_model_makes_three_engine_calls_per_scan(monkeypatch):
@@ -213,5 +213,5 @@ def test_compile_model_makes_three_engine_calls_per_scan(monkeypatch):
         calls.clear()
         grid = np.linspace(-1e-6, 1e-6, points)
         record = run_scan(cfg, axis="pump", grid=grid)
-        assert len(record.predicted) == points
+        assert record.rates.shape[1] == points
         assert len(calls) == 3
