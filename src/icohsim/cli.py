@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -22,7 +23,7 @@ import numpy as np
 from . import fockoracle
 from .config import ConfigError, ExperimentConfig, load_config, with_overrides
 from .counting import accidental_rate, double_pair_probability
-from .expectation import RatePrediction, compose_setup
+from .expectation import RATE_FLOOR, RatePrediction, compose_setup
 from .operators import DelaySetting
 from .scan import (
     FitNonConvergenceError,
@@ -34,7 +35,7 @@ from .scan import (
     run_scan,
     undersampling_warning,
 )
-from .spectral import coherence_length, envelope, frequency_fwhm
+from .spectral import coherence_length, compile_model, envelope, frequency_fwhm
 
 EXIT_OK = 0
 EXIT_UNEXPECTED = 1
@@ -64,7 +65,7 @@ def write_scan_csv(record: ScanRecord, stream: io.TextIOBase) -> None:
 
 def _csv_cell(text: str, column: int, line: int) -> float | int:
     """Parse one CSV cell: the delay and rates are finite floats, the counts 64-bit integers."""
-    parse, kind = (float, "finite number") if column < 4 else (int, "integer")
+    parse, kind = (float, "a finite number") if column < 4 else (int, "an integer")
     try:
         value = parse(text)
     except ValueError:
@@ -77,7 +78,7 @@ def _csv_cell(text: str, column: int, line: int) -> float | int:
         )
     if not math.isfinite(value):
         raise ConfigError(
-            f"CSV line {line}, column {CSV_HEADER[column]}: not a {kind}: {text!r}"
+            f"CSV line {line}, column {CSV_HEADER[column]}: not {kind}: {text!r}"
         )
     return value
 
@@ -101,22 +102,9 @@ def _check_delay_grid(delays: np.ndarray, lines: list[int]) -> None:
         )
 
 
-def _read_cells(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
-    """Parse a scan CSV cell by cell with the csv module, naming the line of any bad cell.
-
-    Returns the delays, the (3, n) rates, the (3, n) counts and each row's line number.
-    """
-    reader = csv.reader(io.StringIO(text, newline=""))
-    header = next(reader, None)
-    if header != CSV_HEADER:
-        raise ConfigError(f"unexpected CSV header {header!r}; expected {CSV_HEADER!r}")
-    lines: list[int] = []
-    floats: list[list[float]] = []
-    ints: list[list[int]] = []
-    for row in reader:
-        if not row:
-            continue
-        line = reader.line_num
+def _raise_first_bad_row(rows: list[list[str]], lines: list[int]) -> None:
+    """Raise the error of the first bad row, in file order: its length, each cell, its rates."""
+    for row, line in zip(rows, lines):
         if len(row) != len(CSV_HEADER):
             raise ConfigError(
                 f"CSV line {line}: row has {len(row)} columns, expected {len(CSV_HEADER)}"
@@ -126,60 +114,42 @@ def _read_cells(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int
             RatePrediction(*values[1:4])
         except ValueError as exc:
             raise ConfigError(f"CSV line {line}: {exc}") from None
-        lines.append(line)
-        floats.append(values[:4])
-        ints.append(values[4:])
-    table = np.array(floats, dtype=float).reshape(-1, 4).T
-    counts = np.array(ints, dtype=np.int64).reshape(-1, 3).T
-    return table[0], table[1:], counts, lines
-
-
-def _read_fast(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, range] | None:
-    """The same parse as :func:`_read_cells` in a few whole-column passes.
-
-    Returns None, leaving the file to :func:`_read_cells`, whenever the
-    result or its error could differ: a carriage return (the csv module
-    ends a row there), a header other than the exact one, a line longer
-    than the csv field limit, a row without exactly seven cells (blank lines
-    included), or a cell that fails to parse, is not finite, is a negative
-    rate or an integer outside the 64-bit range.  Cells go through
-    ``float`` and ``int`` as in the cell-by-cell parse, so every accepted
-    value is the same; a quote or NUL never survives those conversions.
-    """
-    if "\r" in text:
-        return None
-    header, _, body = text.partition("\n")
-    if header != _HEADER_LINE:
-        return None
-    rows = body.split("\n")
-    if rows[-1] == "":
-        rows.pop()
-    limit = csv.field_size_limit()
-    if any(row.count(",") != 6 or len(row) > limit for row in rows):
-        return None
-    cells = ",".join(rows).split(",")
-    try:
-        table = np.array([list(map(float, cells[column::7])) for column in range(4)])
-        counts = np.array([list(map(int, cells[column::7])) for column in range(4, 7)], dtype=np.int64)
-    except (ValueError, OverflowError):
-        return None
-    if not np.all(np.isfinite(table)) or np.any(table[1:] < -1e-15):
-        return None
-    return table[0], table[1:], counts, range(2, len(rows) + 2)
 
 
 def read_scan_csv(stream: io.TextIOBase, axis: str = "signal") -> ScanRecord:
     """Parse a scan CSV; bad cells and a non-uniform delay grid name their line.
 
-    A well-formed file is parsed column-wise; anything else goes through the
-    csv module cell by cell, which gives the same values and raises the
-    error that names the offending line.
+    The csv module splits the rows, and whole columns go through ``float``
+    and ``int``.  When that fails, the rows are checked one by one in file
+    order, so the error names the first bad line (and column).
     """
-    text = stream.read()
-    parsed = _read_fast(text)
-    delays, rates, counts, lines = parsed if parsed is not None else _read_cells(text)
-    _check_delay_grid(delays, lines)
-    return ScanRecord(axis=axis, delays=delays, rates=rates, counts=counts)
+    reader = csv.reader(io.StringIO(stream.read(), newline=""))
+    rows: list[list[str]] = []
+    lines: list[int] = []
+    try:
+        header = next(reader, None)
+        if header != CSV_HEADER:
+            raise ConfigError(f"unexpected CSV header {header!r}; expected {CSV_HEADER!r}")
+        for row in reader:
+            if row:
+                rows.append(row)
+                lines.append(reader.line_num)
+    except csv.Error as exc:
+        _raise_first_bad_row(rows, lines)
+        raise ConfigError(f"CSV line {reader.line_num}: {exc}") from None
+    cells = [cell for row in rows for cell in row]
+    try:
+        if any(len(row) != len(CSV_HEADER) for row in rows):
+            raise ValueError("a row without seven cells")
+        table = np.array([list(map(float, cells[column::7])) for column in range(4)])
+        counts = np.array([list(map(int, cells[column::7])) for column in range(4, 7)], dtype=np.int64)
+        if not np.all(np.isfinite(table)) or np.any(table[1:] < RATE_FLOOR):
+            raise ValueError("a non-finite cell or a negative rate")
+    except (ValueError, OverflowError):
+        _raise_first_bad_row(rows, lines)
+        raise
+    _check_delay_grid(table[0], lines)
+    return ScanRecord(axis=axis, delays=table[0], rates=table[1:], counts=counts)
 
 
 def fit_summary(fit: FringeFit) -> dict:
@@ -257,24 +227,16 @@ def oracle_comparison(config: ExperimentConfig, points_per_axis: int = 16) -> di
     }
 
 
-def _fringe_visibility_prediction(config: ExperimentConfig) -> tuple[float, float]:
-    """Singles and coincidence visibility at zero delay, from the engine."""
-    top = compose_setup(config, DelaySetting())
-    bottom = compose_setup(config, DelaySetting(delta_x_p=config.pump_wavelength / 2.0))
-
-    def vis(hi: float, lo: float) -> float:
-        if hi + lo == 0:
-            return 0.0
-        return abs(hi - lo) / (hi + lo)
-
-    return vis(top.p_a, bottom.p_a), vis(top.p_ab, bottom.p_ab)
-
-
 def build_report(config: ExperimentConfig) -> str:
     pump = config.pump_profile()
     computed_lc = coherence_length(pump)
     signal_lc = coherence_length(config.signal_filter)
-    vis_singles, vis_coinc = _fringe_visibility_prediction(config)
+    # visibility at zero delay: |Re A| / B of the closed-form fringe model, 0 without pairs
+    model = compile_model(config)
+    vis_singles, vis_coinc = (
+        abs(model.amplitude[k].real) / base if base else 0.0
+        for k, base in ((0, model.baseline.p_a), (2, model.baseline.p_ab))
+    )
     acc = accidental_rate(config.detectors.rate_a_cal, config.detectors.rate_b_cal, config.detectors.window)
     double_pair = double_pair_probability(config.detectors.rate_b_cal, config.detectors.window)
 
@@ -356,7 +318,9 @@ def _add_common(parser: argparse.ArgumentParser, require_out: bool) -> None:
     parser.add_argument("--quiet", action="store_true", help="suppress progress messages")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared for the process."""
     parser = argparse.ArgumentParser(
         prog="icohsim",
         description="Two-crystal induced-coherence interferometer simulator",

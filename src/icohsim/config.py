@@ -10,8 +10,7 @@ A ``[scan]`` section must be present.
 Sections and keys::
 
     [pump]          wavelength_nm, bandwidth_ghz, splitter_ratio,
-                    stated_coherence_length_mm, coherence_length_override_mm,
-                    truncation_degree
+                    stated_coherence_length_mm, coherence_length_override_mm
     [crystal1]      gain
     [crystal2]      gain
     [idler_link]    eta
@@ -25,9 +24,6 @@ recombination splitter.  ``coherence_length_override_mm``, when set, rescales
 the pump bandwidth so the envelope half-maximum matches the given length;
 ``stated_coherence_length_mm`` is informational only and lets reports compare
 a quoted value against the one computed from the bandwidth.
-``truncation_degree = 0`` switches the parametric (gain) terms off, so every
-rate is zero; any value >= 1 gives the exact rates of the four-mode engine,
-the same for every such value.
 """
 
 from __future__ import annotations
@@ -82,7 +78,6 @@ class ExperimentConfig:
     splitter_ratio: float = 0.5
     stated_coherence_length: float | None = 1.4e-3
     coherence_length_override: float | None = None
-    truncation_degree: int = 1
     gain1: float = 1e-3
     gain2: float = 1e-3
     eta: float = 1.0
@@ -104,8 +99,6 @@ class ExperimentConfig:
             raise ConfigError("pump.splitter_ratio out of (0, 1)")
         if self.coherence_length_override is not None and self.coherence_length_override <= 0:
             raise ConfigError("pump.coherence_length_override out of range: must be positive")
-        if self.truncation_degree < 0:
-            raise ConfigError("pump.truncation_degree must be >= 0")
         for name, gain in (("crystal1.gain", self.gain1), ("crystal2.gain", self.gain2)):
             if not 0.0 <= gain < 0.1:
                 raise ConfigError(f"{name} out of [0, 0.1)")
@@ -137,7 +130,6 @@ _SCHEMA: dict[str, tuple[str, ...]] = {
         "splitter_ratio",
         "stated_coherence_length_mm",
         "coherence_length_override_mm",
-        "truncation_degree",
     ),
     "crystal1": ("gain",),
     "crystal2": ("gain",),
@@ -281,9 +273,6 @@ def parse_config(text: str) -> ExperimentConfig:
             ),
             stated_coherence_length=stated,
             coherence_length_override=override,
-            truncation_degree=_get_int(
-                sections, "pump", "truncation_degree", defaults.truncation_degree
-            ),
             gain1=_get_float(sections, "crystal1", "gain", defaults.gain1),
             gain2=_get_float(sections, "crystal2", "gain", defaults.gain2),
             eta=_get_float(sections, "idler_link", "eta", defaults.eta),

@@ -20,6 +20,9 @@ from .operators import attenuate, beam_splitter, free_mode, phase_delay, spdc
 if TYPE_CHECKING:  # pragma: no cover
     from .config import ExperimentConfig
 
+# Rates below zero by more than roundoff are an error.
+RATE_FLOOR = -1e-15
+
 
 @dataclass(frozen=True)
 class RatePrediction:
@@ -32,7 +35,7 @@ class RatePrediction:
     def __post_init__(self) -> None:
         for name in ("p_a", "p_b", "p_ab"):
             v = getattr(self, name)
-            if not math.isfinite(v) or v < -1e-15:
+            if not math.isfinite(v) or v < RATE_FLOOR:
                 raise ValueError(f"rate {name}={v!r} must be finite and non-negative")
 
 
@@ -59,13 +62,11 @@ def setup_operators(config: "ExperimentConfig", delays: DelaySetting) -> tuple[C
 
     SPDC in crystal 1, the idler link (amplitude eta), SPDC in crystal 2 with
     the pump phase on its gain, the signal delay on arm 1, and the output
-    splitter; exact, except that ``truncation_degree = 0`` zeroes the gains.
+    splitter.
     """
     pump_phase = delays.pump_phase(config.pump_wavelength)
     gain1 = complex(config.gain1)
     gain2 = complex(config.gain2) * complex(math.cos(pump_phase), math.sin(pump_phase))
-    if config.truncation_degree == 0:
-        gain1 = gain2 = 0j
     s1, i1 = spdc(free_mode(SO1), free_mode(IO1), gain1)
     link = attenuate(i1, config.eta)
     s2, i2 = spdc(free_mode(SO2), link, gain2)

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .counting import calibrate, count_means, sample_scan
-from .expectation import RatePrediction
+from .expectation import RATE_FLOOR, RatePrediction
 from .spectral import compile_model
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -157,7 +157,7 @@ def run_scan(
     model = compile_model(config)
     cc = calibrate(config.detectors, model.baseline)
     rates = model.rates(delta_x_p=delays) if axis == "pump" else model.rates(delta_x_s=delays)
-    bad = np.flatnonzero(~np.all(np.isfinite(rates) & (rates >= -1e-15), axis=0))
+    bad = np.flatnonzero(~np.all(np.isfinite(rates) & (rates >= RATE_FLOOR), axis=0))
     if len(bad):
         RatePrediction(*rates[:, bad[0]].tolist())  # raises, naming the channel
     detected = cc.detected(rates)

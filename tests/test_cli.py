@@ -246,6 +246,19 @@ def test_report_flags_low_gain_violation(tmp_path, capsys):
     assert "exceeds the 1e-2 low-gain bound" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("[idler_link]\neta = 0.7\n[scan]\n", "singles 0.7000, coincidence 0.9396"),
+        ("[crystal1]\ngain = 0\n[crystal2]\ngain = 0\n[scan]\n", "singles 0.0000, coincidence 0.0000"),
+    ],
+)
+def test_report_predicts_visibilities(tmp_path, capsys, text, line):
+    # eta and 2 eta / (1 + eta^2) at eta = 0.7; no pairs, no fringe
+    assert main(["report", "--config", write_config(tmp_path, text)]) == EXIT_OK
+    assert f"predicted visibility: {line}\n" in capsys.readouterr().out
+
+
 def test_round_trip_csv_reader(tmp_path):
     out = tmp_path / "scan.csv"
     main(["simulate", "--config", DEFAULT_CONFIG, "--out", str(out), "--quiet"])
@@ -279,6 +292,19 @@ def test_malformed_csv_cell_names_line_and_column(tmp_path, capsys, line, column
     assert main(["fit", str(scan), "--config", DEFAULT_CONFIG, "--quiet"]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert f"CSV line {line}, column {CSV_HEADER[column]}" in err
+
+
+def test_csv_cell_beyond_field_limit_names_line(tmp_path, capsys):
+    scan = tmp_path / "scan.csv"
+    assert main(["simulate", "--config", DEFAULT_CONFIG, "--out", str(scan), "--quiet"]) == EXIT_OK
+    lines = scan.read_text().splitlines()
+    row = lines[13].split(",")
+    row[2] = "1" + "0" * 140_000 + "e-140000"
+    lines[13] = ",".join(row)
+    scan.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["fit", str(scan), "--config", DEFAULT_CONFIG, "--quiet"]) == EXIT_CONFIG
+    assert "CSV line 14: field larger than field limit" in capsys.readouterr().err
 
 
 def _swap_rows(lines):

@@ -53,6 +53,9 @@ def test_unknown_sections_and_keys_rejected():
         parse_config("[lens]\nfocal_mm = 100\n[scan]\n")
     with pytest.raises(ConfigError, match=r"unknown key scan\.speed"):
         parse_config("[scan]\nspeed = 3\n")
+    # a removed key is unknown too
+    with pytest.raises(ConfigError, match=r"unknown key pump\.truncation_degree"):
+        parse_config("[pump]\ntruncation_degree = 1\n[scan]\n")
 
 
 def test_syntax_errors_carry_line_numbers():
@@ -142,8 +145,6 @@ def test_direct_construction_validates():
         ExperimentConfig(eta=-0.1)
     with pytest.raises(ConfigError):
         ExperimentConfig(splitter_ratio=0.0)
-    with pytest.raises(ConfigError):
-        ExperimentConfig(truncation_degree=-1)
 
 
 def test_comments_and_blank_lines_are_fine():

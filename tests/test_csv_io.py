@@ -1,6 +1,5 @@
-"""Scan CSV write/read: the column-wise fast path against the cell-by-cell parse."""
+"""Scan CSV write/read: a round trip, and edge cases pinned to the cell-by-cell outcome."""
 
-import csv
 import io
 
 import numpy as np
@@ -8,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from icohsim import cli
 from icohsim.cli import read_scan_csv, write_scan_csv
 from icohsim.config import ConfigError
 from icohsim.scan import ScanRecord
+
+_nine_digits = np.vectorize(lambda v: float(f"{v:.8e}"), otypes=[float])
 
 
 def _text(record):
@@ -20,19 +20,13 @@ def _text(record):
     return buffer.getvalue()
 
 
-def _outcome(parse, text):
-    """The parsed arrays, or the error and its message, after the delay-grid check."""
+def _outcome(text):
+    """The parsed arrays, or the error and its message."""
     try:
-        delays, rates, counts, lines = parse(text)
-        cli._check_delay_grid(delays, lines)
-    except (ConfigError, csv.Error) as exc:
+        record = read_scan_csv(io.StringIO(text))
+    except ConfigError as exc:
         return f"{type(exc).__name__}: {exc}"
-    return delays.tolist(), rates.tolist(), counts.tolist()
-
-
-def _read(text):
-    record = read_scan_csv(io.StringIO(text))
-    return record.delays, record.rates, record.counts, range(2, len(record.delays) + 2)
+    return record.delays.tolist(), record.rates.tolist(), record.counts.tolist()
 
 
 @st.composite
@@ -53,23 +47,24 @@ def scan_records(draw):
 @given(scan_records())
 def test_write_read_round_trip(record):
     text = _text(record)
-    # written files take the fast path; an empty body gives the same empty record either way
-    assert (cli._read_fast(text) is not None) == (len(record.delays) > 0)
     back = read_scan_csv(io.StringIO(text))
-    nine_digits = np.vectorize(lambda v: float(f"{v:.8e}"), otypes=[float])
     n = len(record.delays)
-    assert back.delays.tolist() == nine_digits(record.delays).tolist()
-    assert back.rates.tolist() == nine_digits(record.rates).reshape(3, n).tolist()
+    assert back.delays.tolist() == _nine_digits(record.delays).tolist()
+    assert back.rates.tolist() == _nine_digits(record.rates).reshape(3, n).tolist()
     expected_counts = record.counts if record.counts is not None else np.zeros((3, n), int)
     assert back.counts.tolist() == expected_counts.tolist()
-    assert _outcome(_read, text) == _outcome(cli._read_cells, text)
     assert _text(back) == text
 
 
-def _scan_text():
+def _scan_arrays():
     delays = np.linspace(-1e-6, 1e-6, 21)
     rates = np.vstack([4.2e4 + 1e3 * np.cos(delays / 1e-7), np.full(21, 1.1e5), np.full(21, 3e3)])
     counts = np.vstack([np.arange(21) + 100, np.arange(21) + 500, np.arange(21)])
+    return delays, rates, counts
+
+
+def _scan_text():
+    delays, rates, counts = _scan_arrays()
     return _text(ScanRecord(axis="signal", delays=delays, rates=rates, counts=counts))
 
 
@@ -115,6 +110,9 @@ EDGE_CASES = {
     "carriage return inside a row": _edit_cell(13, 4, "\r5"),
     "quoted cell": _quote_cell,
     "short row": _short_row,
+    "long row, then a short row of integers": lambda text: "\n".join(
+        [*text.split("\n")[:4], text.split("\n")[4] + ",0", "0,0,0,0,0,0", *text.split("\n")[6:]]
+    ),
     "blank line": lambda text: text.replace("\n", "\n\n", 3),
     "no final newline": lambda text: text.rstrip("\n"),
     "empty body": lambda text: text.split("\n", 1)[0] + "\n",
@@ -128,36 +126,89 @@ EDGE_CASES = {
 }
 
 
+_EXPECTED_HEADER = (
+    "expected ['delay_m', 'rate_a_hz', 'rate_b_hz', 'coinc_hz', 'counts_a', 'counts_b', 'coinc_counts']"
+)
+
+# Each case's outcome as the csv-module cell-by-cell parse gives it: the error
+# text, or the cells that differ from the unedited scan, as
+# {(array, row, point): value}, or None for a file without data rows.  A cell
+# beyond the csv field limit names its line like any other bad row.
+EDGE_OUTCOMES = {
+    "underscore in a count": {("counts", 0, 1): 10},
+    "underscore in a rate": {("rates", 0, 2): 42000.5},
+    "plus sign": {("counts", 1, 3): 5},
+    "leading space in a count": {("counts", 2, 4): 7},
+    "leading space in a delay": {},
+    "float in a count column": "ConfigError: CSV line 7, column counts_a: not an integer: '1.0'",
+    "nan rate": "ConfigError: CSV line 8, column rate_b_hz: not a finite number: 'nan'",
+    "inf rate": "ConfigError: CSV line 9, column coinc_hz: not a finite number: 'inf'",
+    "negative rate": "ConfigError: CSV line 10: rate p_a=-1.0 must be finite and non-negative",
+    "count beyond 64 bits": (
+        "ConfigError: CSV line 11, column counts_b: integer out of the 64-bit range: "
+        "'9223372036854775808'"
+    ),
+    "empty cell": "ConfigError: CSV line 12, column coinc_counts: not an integer: ''",
+    "cell beyond the csv field limit": (
+        "ConfigError: CSV line 14: field larger than field limit (131072)"
+    ),
+    "crlf line endings": {},
+    "carriage return inside a row": "ConfigError: CSV line 13: row has 5 columns, expected 7",
+    "quoted cell": {},
+    "short row": "ConfigError: CSV line 6: row has 6 columns, expected 7",
+    "long row, then a short row of integers": "ConfigError: CSV line 5: row has 8 columns, expected 7",
+    "blank line": {},
+    "no final newline": {},
+    "empty body": None,
+    "header only, no newline": None,
+    "empty file": f"ConfigError: unexpected CSV header None; {_EXPECTED_HEADER}",
+    "bad header": (
+        "ConfigError: unexpected CSV header "
+        "['delay', 'rate_a_hz', 'rate_b_hz', 'coinc_hz', 'counts_a', 'counts_b', 'coinc_counts']; "
+        f"{_EXPECTED_HEADER}"
+    ),
+    "quoted header": {},
+    "swapped rows": (
+        "ConfigError: CSV line 6: delay -7e-07 m is not greater than the previous delay -6e-07 m"
+    ),
+}
+
+
+def _expected_outcome(outcome):
+    if isinstance(outcome, str):
+        return outcome
+    if outcome is None:
+        return [], [[], [], []], [[], [], []]
+    delays, rates, counts = _scan_arrays()
+    arrays = {"delays": _nine_digits(delays)[None], "rates": _nine_digits(rates), "counts": counts}
+    for (name, row, point), value in outcome.items():
+        arrays[name][row, point] = value
+    return arrays["delays"][0].tolist(), arrays["rates"].tolist(), arrays["counts"].tolist()
+
+
 @pytest.mark.parametrize("name", sorted(EDGE_CASES))
 def test_fast_path_matches_cell_by_cell_parse(name):
+    """Whole-column parsing gives each edge case's recorded cell-by-cell outcome."""
+    assert sorted(EDGE_OUTCOMES) == sorted(EDGE_CASES)
     text = EDGE_CASES[name](_scan_text())
-    assert _outcome(_read, text) == _outcome(cli._read_cells, text)
-
-
-@pytest.mark.parametrize(
-    "name, fast",
-    [
-        ("underscore in a count", True),
-        ("plus sign", True),
-        ("leading space in a count", True),
-        ("float in a count column", False),
-        ("nan rate", False),
-        ("inf rate", False),
-        ("crlf line endings", False),
-        ("quoted cell", False),
-        ("short row", False),
-        ("empty body", False),
-    ],
-)
-def test_fast_path_takes_or_defers(name, fast):
-    text = EDGE_CASES[name](_scan_text())
-    assert (cli._read_fast(text) is not None) == fast
+    assert _outcome(text) == _expected_outcome(EDGE_OUTCOMES[name])
 
 
 def test_cell_by_cell_errors_name_line_and_column():
     text = EDGE_CASES["float in a count column"](_scan_text())
-    with pytest.raises(ConfigError, match="CSV line 7, column counts_a: not a integer: '1.0'"):
+    with pytest.raises(ConfigError, match="CSV line 7, column counts_a: not an integer: '1.0'"):
         read_scan_csv(io.StringIO(text))
     text = EDGE_CASES["count beyond 64 bits"](_scan_text())
     with pytest.raises(ConfigError, match="CSV line 11, column counts_b: integer out of the 64-bit"):
+        read_scan_csv(io.StringIO(text))
+    # with several bad rows the first in the file is named, and within a row its first bad cell
+    text = _scan_text()
+    for name in ("cell beyond the csv field limit", "short row", "nan rate", "negative rate"):
+        text = EDGE_CASES[name](text)
+    text = _edit_cell(8, 1, "x")(text)
+    with pytest.raises(ConfigError, match="CSV line 6: row has 6 columns"):
+        read_scan_csv(io.StringIO(text))
+    text = EDGE_CASES["cell beyond the csv field limit"](EDGE_CASES["nan rate"](_scan_text()))
+    text = _edit_cell(8, 1, "x")(text)
+    with pytest.raises(ConfigError, match="CSV line 8, column rate_a_hz: not a finite number: 'x'"):
         read_scan_csv(io.StringIO(text))

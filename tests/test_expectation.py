@@ -28,8 +28,7 @@ from conftest import config_with
 
 # Rates (p_a, p_b, p_ab) recorded from the engine this one replaced, a general
 # ladder-term algebra, at each of GOLDEN_DELAYS (delta_x_p, delta_x_s) for
-# configs spanning eta < 1, unequal splitters, gains up to 0.08 and a
-# truncation degree above 1.
+# configs spanning eta < 1, unequal splitters and gains up to 0.08.
 GOLDEN_DELAYS = [(0.0, 0.0), (1.3e-07, -2.9e-07), (-4.1e-07, 6.5e-07)]
 GOLDEN = [
     (
@@ -73,7 +72,7 @@ GOLDEN = [
         ],
     ),
     (
-        dict(gain1=0.0003, gain2=0.06, eta=0.25, splitter_ratio=0.05, truncation_degree=2),
+        dict(gain1=0.0003, gain2=0.06, eta=0.25, splitter_ratio=0.05),
         [
             (0.00018204700452459325, 0.003600005625, 0.0001826222185148962),
             (0.0001797799687209662, 0.003600005625, 0.00018034702136962403),
@@ -193,21 +192,13 @@ def test_idler_singles_independent_of_delays():
         assert compose_setup(cfg, delays).p_b == pytest.approx(expected, rel=1e-12)
 
 
-def test_truncation_degree_zero_removes_all_pairs():
-    cfg = config_with(gain1=1e-3, gain2=1e-3, truncation_degree=0)
-    p = compose_setup(cfg, DelaySetting())
-    assert p.p_a == 0.0
-    assert p.p_b == 0.0
-    assert p.p_ab == 0.0
-    # every degree >= 1 is the exact result
-    delays = DelaySetting(delta_x_p=1.1e-7, delta_x_s=-3.7e-7)
-    exact = [
-        compose_setup(config_with(gain1=0.03, gain2=0.07, eta=0.6, truncation_degree=d), delays)
-        for d in (1, 2, 3)
-    ]
-    for p in exact[1:]:
-        for field in ("p_a", "p_b", "p_ab"):
-            assert getattr(p, field) == pytest.approx(getattr(exact[0], field), rel=1e-15)
+def test_zero_gains_remove_all_pairs():
+    cfg = config_with(gain1=0.0, gain2=0.0)
+    for delays in (DelaySetting(), DelaySetting(delta_x_p=1.1e-7, delta_x_s=-3.7e-7)):
+        p = compose_setup(cfg, delays)
+        assert p.p_a == 0.0
+        assert p.p_b == 0.0
+        assert p.p_ab == 0.0
 
 
 def test_phase_averaged_rates_are_the_baseline():

@@ -156,7 +156,6 @@ def _random_config(rng):
         gain2=rng.uniform(1e-4, 0.08),
         eta=eta,
         splitter_ratio=rng.uniform(0.01, 0.99),
-        truncation_degree=int(rng.integers(0, 4)),
     )
 
 
