@@ -173,6 +173,7 @@ def fit_summary(fit: FringeFit) -> dict:
         "baseline_sigma_hz": fit.baseline_sigma,
         "channel": fit.channel,
         "source": fit.source,
+        "envelope_delta_chi2": fit.envelope_delta_chi2,
     }
     return {
         key: None if isinstance(value, float) and not math.isfinite(value) else value

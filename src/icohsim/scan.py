@@ -2,22 +2,25 @@
 
 A scan walks one delay axis (signal or pump), records envelope-modulated
 rate predictions plus Poisson-sampled counts, and the fitter recovers
-period, visibility, envelope, phase and baseline from either series by
-weighted damped least squares on the model
+period, visibility, envelope, phase and baseline from either series with
+the separable model
 
-    R(x) = B * (1 + V * exp(-(x - x0)^2 / (2 sigma^2)) * cos(2 pi x / L + phi)).
+    R(x) = a0 + exp(b1 t + b2 t^2) * (a1 cos(k x) + a2 sin(k x)),
 
-Visibility is kept inside [0, 1] by fitting V = sin^2(u); the envelope is
-fit through its inverse squared width (zero meaning exactly flat) and the
-period in log space, so both stay in range by construction.  The period
-seed comes from a zero-padded periodogram peak.
+where k = 2 pi / L and t runs from -1 to 1 across the scan.  The model is
+linear in the amplitudes (a0, a1, a2), so every Gauss-Newton step solves
+them by weighted linear least squares and iterates on k (and the envelope
+exponents b1, b2) alone: variable projection (Golub & Pereyra, SIAM J.
+Numer. Anal. 10, 413, 1973; Kaufman, BIT 15, 49, 1975).  The fit starts
+from a zero-padded periodogram peak with the envelope pinned flat
+(b1 = b2 = 0) and frees it only when a score test says the data resolve it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -31,10 +34,20 @@ if TYPE_CHECKING:  # pragma: no cover
 CHANNELS = ("singles", "coincidence", "idler")
 SOURCES = ("auto", "counts", "rates")
 
+# Gauss-Newton steps allowed to each of the pinned and the free fit.
 MAX_ITERATIONS = 200
-MAX_REWEIGHT_ROUNDS = 8
-MAX_WEIGHT_REFRESHES = 3
 PARAM_TOLERANCE = 1e-10
+# Halvings of a Gauss-Newton step before it is given up as not improving.
+MAX_HALVINGS = 30
+# The envelope is freed when one step into it drops chi^2 by more than this
+# (chi^2 with 2 degrees of freedom exceeds 25 with probability 4e-6).
+ENVELOPE_THRESHOLD = 25.0
+# Largest envelope exponent b1 t + b2 t^2 a fit may reach on the grid or at
+# its peak, so the envelope, the visibility and their sigmas stay finite.
+MAX_EXPONENT = 100.0
+# A pinned envelope is reported this many scan spans wide, as a lower bound.
+PINNED_SPANS = 50.0
+FWHM_FACTOR = 2.0 * math.sqrt(2.0 * math.log(2.0))
 # Largest relative deviation of a delay step from the median step on a uniform grid.
 GRID_TOLERANCE = 1e-6
 
@@ -44,7 +57,7 @@ class NoFringeError(RuntimeError):
 
 
 class FitNonConvergenceError(RuntimeError):
-    """Fit did not converge; carries the best parameters found so far."""
+    """Fit did not converge; carries the fit at its last step."""
 
     def __init__(self, message: str, fit: "FringeFit"):
         super().__init__(message)
@@ -103,6 +116,7 @@ class FringeFit:
     envelope_resolved: bool
     channel: str = "singles"
     source: str = "counts"
+    envelope_delta_chi2: float = math.nan
 
 
 def off_grid_step(delays: np.ndarray) -> int | None:
@@ -228,218 +242,117 @@ def estimate_period(
     return 1.0 / frequency
 
 
-@dataclass(frozen=True)
-class _FringeTerms:
-    """Fringe model at one parameter vector, with what its Jacobian reuses."""
+class _Solution(NamedTuple):
+    """A Gauss-Newton fit at nonlinear parameters p = (k,) or (k, b1, b2).
 
-    theta: np.ndarray
-    model: np.ndarray
-    envelope: np.ndarray
-    osc: np.ndarray
-    offset: np.ndarray
-    arg: np.ndarray
-
-
-def _fringe_model(theta: np.ndarray, xs: np.ndarray) -> _FringeTerms:
-    """Fringe model in internal parameters.
-
-    theta = (b, u, c, q, log_l, phi): baseline, visibility angle
-    (V = sin^2 u), envelope center, inverse squared envelope width
-    (q = 1/sigma^2, q = 0 meaning exactly flat), log period, phase.
+    ``residual`` and ``jacobian`` are weighted by ``sqrt_w``; the Jacobian
+    columns are (a0, a1, a2, k[, b1, b2]).
     """
-    b, u, c, q, log_l, phi = theta
-    lam = math.exp(log_l)
-    v = math.sin(u) ** 2
-    offset = xs - c
-    envelope = np.exp(-0.5 * q * offset**2)
-    arg = 2.0 * math.pi * xs / lam + phi
-    osc = envelope * np.cos(arg)
-    model = b * (1.0 + v * osc)
-    return _FringeTerms(theta, model, envelope, osc, offset, arg)
 
-
-def _fringe_jacobian(terms: _FringeTerms, xs: np.ndarray) -> np.ndarray:
-    """Analytic Jacobian of the fringe model in internal parameters."""
-    b, u, c, q, log_l, phi = terms.theta
-    lam = math.exp(log_l)
-    v = math.sin(u) ** 2
-    osc, offset, envelope = terms.osc, terms.offset, terms.envelope
-    sine = np.sin(terms.arg)
-    jac = np.empty((len(xs), 6))
-    jac[:, 0] = 1.0 + v * osc
-    jac[:, 1] = b * osc * math.sin(2.0 * u)
-    jac[:, 2] = b * v * osc * q * offset
-    jac[:, 3] = -0.5 * b * v * osc * offset**2
-    jac[:, 4] = b * v * envelope * sine * 2.0 * math.pi * xs / lam
-    jac[:, 5] = -b * v * envelope * sine
-    return jac
-
-
-@dataclass
-class _LMState:
-    theta: np.ndarray
-    converged: bool
+    p: np.ndarray
+    a: np.ndarray
+    sqrt_w: np.ndarray
+    residual: np.ndarray
+    jacobian: np.ndarray
     iterations: int
-    ssr: float
-    jacobian_weighted: np.ndarray
-    free: np.ndarray
-    damping: float
+    converged: bool
 
 
-def _lm_rounds(
-    theta0: np.ndarray,
-    xs: np.ndarray,
-    ys: np.ndarray,
-    weights_for,
-    bounds: np.ndarray,
-    free: np.ndarray,
-    use_poisson: bool,
-    budget: int,
-) -> _LMState:
-    """Damped least squares over the unmasked parameters, within box bounds.
+def _basis(p: np.ndarray, xs: np.ndarray, ts: np.ndarray) -> np.ndarray | None:
+    """Columns (1, env cos kx, env sin kx) of the model at p.
 
-    Model-based Poisson weights would make the objective drift under the
-    iteration, so minimization runs in rounds: weights are frozen (seeded
-    from the data on the first round), the damped iteration converges
-    against them, then weights are refreshed from the fitted model.  Full
-    convergence requires a whole reweighting round to move the parameters
-    by less than the tolerance.
-
-    Bound handling is active-set style: a parameter resting on a bound with
-    its descent direction pointing outward is dropped from the solve, so a
-    saturated direction (visibility at 1, flat envelope) cannot distort the
-    steps of the remaining parameters.
-
-    The linearization (weighted Jacobian, gradient, active set, column
-    scaling) depends only on the accepted parameters and the weights, so it
-    is built once per accepted step and reused while rejected trial steps
-    raise the damping; a trial step evaluates the model alone.
+    None when p lies outside the model's domain: k not positive, or an
+    envelope exponent b1 t + b2 t^2 above MAX_EXPONENT on the grid.
     """
+    if not p[0] > 0:
+        return None
+    arg = p[0] * xs
+    basis = np.column_stack([np.ones_like(xs), np.cos(arg), np.sin(arg)])
+    if len(p) == 3:
+        exponent = ts * (p[1] + p[2] * ts)
+        if not exponent.max() <= MAX_EXPONENT:
+            return None
+        basis[:, 1:] *= np.exp(exponent)[:, None]
+    return basis
 
-    def project(params: np.ndarray) -> np.ndarray:
-        return np.clip(params, bounds[:, 0], bounds[:, 1])
 
-    theta = project(np.asarray(theta0, dtype=float).copy())
-    terms = _fringe_model(theta, xs)
-    sqrt_w = np.sqrt(weights_for(ys))
-    damping = 1e-3
-    iterations = 0
-    converged = False
-    ssr = math.inf
-    for _round in range(MAX_REWEIGHT_ROUNDS):
-        round_start = theta.copy()
-        residual = (terms.model - ys) * sqrt_w
-        ssr = float(residual @ residual)
-        jac_w = None
-        inner_done = False
-        while iterations < budget and not inner_done:
-            iterations += 1
-            if jac_w is None:
-                jac_w = _fringe_jacobian(terms, xs) * sqrt_w[:, None]
-                gradient = jac_w.T @ residual
-                active = free.copy()
-                for k in range(6):
-                    if not active[k]:
-                        continue
-                    span_k = max(abs(theta[k]), 1.0)
-                    if theta[k] >= bounds[k, 1] - 1e-14 * span_k and gradient[k] < 0:
-                        active[k] = False
-                    elif theta[k] <= bounds[k, 0] + 1e-14 * span_k and gradient[k] > 0:
-                        active[k] = False
-                if not np.any(active):
-                    inner_done = True
-                    break
-                n_active = int(np.sum(active))
-                jw = jac_w[:, active]
-                col_norms = np.linalg.norm(jw, axis=0)
-                # Flat directions must stay damped, so the scaling diagonal
-                # never drops far below the leading column.
-                floor = 1e-6 * float(col_norms.max())
-                col_norms = np.maximum(col_norms, floor if floor > 0 else 1.0)
-                augmented = np.vstack([jw, np.zeros((n_active, n_active))])
-                rhs = np.concatenate([-residual, np.zeros(n_active)])
-                diagonal = np.arange(len(xs), len(xs) + n_active), np.arange(n_active)
+def _solve(basis: np.ndarray, ys: np.ndarray, sqrt_w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Amplitudes (a0, a1, a2) by weighted linear least squares, and the weighted residual."""
+    weighted = basis * sqrt_w[:, None]
+    target = ys * sqrt_w
+    a = np.linalg.lstsq(weighted, target, rcond=None)[0]
+    return a, target - weighted @ a
 
-            augmented[diagonal] = math.sqrt(damping) * col_norms
-            step_active, *_ = np.linalg.lstsq(augmented, rhs, rcond=None)
-            step = np.zeros(6)
-            step[active] = step_active
 
-            trial = project(theta + step)
-            effective = trial - theta
-            trial_terms = _fringe_model(trial, xs)
-            trial_residual = (trial_terms.model - ys) * sqrt_w
-            trial_ssr = float(trial_residual @ trial_residual)
-            relative = float(np.max(np.abs(effective) / np.maximum(np.abs(theta), 1.0)))
+def _linearize(
+    p: np.ndarray, xs: np.ndarray, ts: np.ndarray, ys: np.ndarray, sqrt_w: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Model, amplitudes, weighted residual and weighted Jacobian at a valid p."""
+    basis = _basis(p, xs, ts)
+    a, residual = _solve(basis, ys, sqrt_w)
+    columns = [basis, xs * (a[2] * basis[:, 1] - a[1] * basis[:, 2])]
+    if len(p) == 3:
+        osc = basis[:, 1:] @ a[1:]
+        columns += [ts * osc, ts * ts * osc]
+    return basis @ a, a, residual, np.column_stack(columns) * sqrt_w[:, None]
 
-            if trial_ssr < ssr:
-                theta = trial
-                terms = trial_terms
-                residual = trial_residual
-                ssr = trial_ssr
-                jac_w = None
-                damping = max(damping / 3.0, 1e-14)
-                if relative < PARAM_TOLERANCE:
-                    inner_done = True
-            elif relative < PARAM_TOLERANCE and trial_ssr <= ssr * (1.0 + 1e-9):
-                # Residual at its roundoff floor and parameters not moving.
-                inner_done = True
-            else:
-                damping *= 10.0
-                if damping > 1e14:
-                    break
-        if not inner_done:
-            break
-        round_shift = float(
-            np.max(np.abs(theta - round_start) / np.maximum(np.abs(round_start), 1.0))
+
+def _gauss_newton(p, xs, ts, ys, weights_for, sqrt_w) -> _Solution:
+    """Gauss-Newton on the nonlinear parameters p alone (variable projection).
+
+    Each step solves the amplitudes by weighted linear least squares at the
+    current p, takes the joint Gauss-Newton step in (a, p) and keeps its p
+    part, halved until the weighted chi^2 falls, then refreshes the weights
+    from the model.  With Poisson weights this is Fisher scoring, whose
+    fixed point is the Poisson maximum-likelihood fit.  Converged once a
+    whole step moves no parameter by more than PARAM_TOLERANCE (relative,
+    or absolute below one).
+    """
+    previous = None
+    steps = 0
+    while True:
+        model, a, residual, jacobian = _linearize(p, xs, ts, ys, sqrt_w)
+        theta = np.concatenate([a, p])
+        converged = previous is not None and bool(
+            np.max(np.abs(theta - previous) / np.maximum(np.abs(previous), 1.0)) < PARAM_TOLERANCE
         )
-        if not use_poisson or round_shift < PARAM_TOLERANCE:
-            converged = True
-            break
-        # Three model-based refreshes pin the weights to well below any
-        # quoted uncertainty; afterwards they stay frozen so the iteration
-        # has a fixed objective to settle on.
-        if _round < MAX_WEIGHT_REFRESHES:
-            sqrt_w = np.sqrt(weights_for(terms.model))
-    if jac_w is None:
-        jac_w = _fringe_jacobian(terms, xs) * sqrt_w[:, None]
-    return _LMState(
-        theta=theta,
-        converged=converged,
-        iterations=iterations,
-        ssr=ssr,
-        jacobian_weighted=jac_w,
-        free=free,
-        damping=damping,
-    )
+        if converged or steps == MAX_ITERATIONS:
+            return _Solution(p, a, sqrt_w, residual, jacobian, steps, converged)
+        previous = theta
+        steps += 1
+        step = np.linalg.lstsq(jacobian, residual, rcond=None)[0][3:]
+        ssr = float(residual @ residual)
+        for halving in range(MAX_HALVINGS):
+            trial = p + step * 0.5**halving
+            basis = _basis(trial, xs, ts)
+            if basis is None:
+                continue
+            trial_a, trial_residual = _solve(basis, ys, sqrt_w)
+            if float(trial_residual @ trial_residual) < ssr:
+                p, model = trial, basis @ trial_a
+                break
+        sqrt_w = np.sqrt(weights_for(model))
 
 
-def _initial_guess(xs: np.ndarray, ys: np.ndarray, lam0: float) -> np.ndarray:
-    baseline = float(np.mean(ys))
-    deviation = ys - baseline
-    amp = math.sqrt(2.0) * float(np.std(deviation))
-    vis = min(max(amp / baseline if baseline > 0 else 0.5, 0.02), 0.98)
-    u0 = math.asin(math.sqrt(vis))
+def _envelope_statistic(flat, xs, ts, ys, sqrt_w, use_poisson: bool) -> float:
+    """chi^2 drop of one Gauss-Newton step from the pinned fit into the free envelope.
 
-    weights = np.abs(deviation)
-    cut = 0.2 * weights.max() if weights.max() > 0 else 0.0
-    weights = np.where(weights > cut, weights - cut, 0.0)
-    total = weights.sum()
-    span = xs[-1] - xs[0]
-    if total > 0:
-        center = float(np.sum(weights * xs) / total)
-        spread = math.sqrt(float(np.sum(weights * (xs - center) ** 2) / total))
-    else:
-        center = float(xs.mean())
-        spread = span / 4.0
-    spread = min(max(spread, span / 50.0), 3.0 * span)
+    ``flat`` is the pinned fit's (k, 0, 0) and ``sqrt_w`` its weights.
 
-    phase = 0.0
-    if baseline > 0:
-        z = np.sum(deviation * np.exp(-2j * math.pi * xs / lam0))
-        if abs(z) > 0:
-            phase = float(np.angle(z))
-    return np.array([baseline, u0, center, 1.0 / spread**2, math.log(lam0), phase])
+    At the pinned optimum the residual is orthogonal to the pinned columns,
+    so this is the score test of b1 = b2 = 0: chi^2 with 2 degrees of
+    freedom under a flat envelope.  Noiseless rates carry no count variance,
+    so their drop is divided by the residual variance left after the step.
+    """
+    _, _, residual, jacobian = _linearize(flat, xs, ts, ys, sqrt_w)
+    explained = jacobian @ np.linalg.lstsq(jacobian, residual, rcond=None)[0]
+    drop = float(explained @ explained)
+    if use_poisson:
+        return drop
+    rest = float(residual @ residual) - drop
+    if rest > 0:
+        return drop * (len(xs) - jacobian.shape[1]) / rest
+    return math.inf if drop > 0 else 0.0
 
 
 def _wrap_phase(phi: float) -> float:
@@ -453,28 +366,30 @@ def fit_fringe(
     record: ScanRecord,
     channel: str = "singles",
     source: str = "auto",
-    period_seed: float | None = None,
     dwell: float | None = None,
 ) -> FringeFit:
-    """Weighted damped least-squares fit of the fringe model.
+    """Fit the separable fringe model, freeing the envelope only when it is resolved.
 
     Counts are weighted by Poisson variances (the model value, floored at
-    one count); noiseless rate fits are unweighted.  The damping factor is
-    raised whenever a step increases the residual and lowered on acceptance;
-    convergence requires the relative parameter change to drop below 1e-10
-    within 200 iterations, otherwise FitNonConvergenceError carries the best
-    parameters found.
+    one count) and refit to the Poisson maximum-likelihood point; noiseless
+    rate fits are unweighted.  The fit starts from the periodogram period
+    with the envelope pinned flat.  The envelope is freed when the chi^2 drop
+    of one step into it (``envelope_delta_chi2``) exceeds ENVELOPE_THRESHOLD,
+    and the free fit is reported when it converges to a peaked envelope
+    (b2 < 0) whose peak stays within exp(MAX_EXPONENT) of the mid-scan
+    value.  Otherwise the envelope stays pinned: its reported width is a
+    lower bound of PINNED_SPANS scan spans, and ``envelope_resolved`` is
+    False.
 
-    When the data cannot resolve the envelope (fitted width beyond the scan
-    span, typical for pump scans far inside the pump coherence length), the
-    envelope is pinned flat and refit; the reported width is then a lower
-    bound and ``envelope_resolved`` is False.  Parameter uncertainties come
-    from the local quadratic model of the weighted residual surface.
+    The visibility is taken at the envelope peak and is not clipped, so it
+    may exceed 1 within its uncertainty.  Every uncertainty comes by the
+    delta method from the covariance of the reported fit.  A fit that does
+    not converge in MAX_ITERATIONS Gauss-Newton steps raises
+    FitNonConvergenceError, carrying the last parameters.
     """
     y_raw, source = _series(record, channel, source)
     x_raw = record.delays
-    if period_seed is None:
-        period_seed = estimate_period(record, channel=channel, source=source)
+    period_seed = estimate_period(record, channel=channel, source=source)
 
     if dwell is None and record.config is not None:
         dwell = record.config.scan.dwell
@@ -487,30 +402,10 @@ def fit_fringe(
         raise NoFringeError("no fringe detected: record is empty")
     xs = x_raw / x_scale
     ys = y_raw / y_scale
-
-    # Box bounds keep degenerate directions from stalling the iteration.
-    # q = 1/sigma^2 may reach exactly 0 (a flat envelope, where the center
-    # column vanishes and freezes on its own) but not an envelope narrower
-    # than one grid step; the center may not wander further than one span
-    # beyond the data; and the visibility angle u stops a hair inside its
-    # boundaries, where V = sin^2(u) saturates with zero slope (noise can
-    # push the unconstrained optimum onto V = 1, which would otherwise be
-    # approached by an endless crawl).
-    span_scaled = float(xs[-1] - xs[0])
-    step_scaled = span_scaled / max(len(xs) - 1, 1)
-    inf = math.inf
-    bounds = np.array(
-        [
-            [-inf, inf],
-            [1e-7, math.pi / 2.0 - 1e-7],
-            [float(xs[0]) - span_scaled, float(xs[-1]) + span_scaled],
-            [0.0, 1.0 / step_scaled**2],
-            [-inf, inf],
-            [-inf, inf],
-        ]
-    )
-
-    theta = np.clip(_initial_guess(xs, ys, period_seed / x_scale), bounds[:, 0], bounds[:, 1])
+    # The envelope's coordinate t runs from -1 to 1 across the scan.
+    middle = 0.5 * float(x_raw[0] + x_raw[-1])
+    half_span = 0.5 * float(x_raw[-1] - x_raw[0])
+    ts = (x_raw - middle) / half_span
     use_poisson = source == "counts"
 
     def weights_for(model_scaled: np.ndarray) -> np.ndarray:
@@ -519,97 +414,87 @@ def fit_fringe(
         variance = np.maximum(model_scaled * y_scale, 1.0)
         return y_scale * y_scale / variance
 
-    # First attempt: all six parameters free.  If that stalls because the
-    # envelope is wider than the scan can resolve (its two parameters then
-    # span a noise-dominated flat valley), pin the envelope flat and fit
-    # the remaining four, which is the documented lower-bound behaviour.
-    free_all = np.ones(6, dtype=bool)
-    budget_full = (2 * MAX_ITERATIONS) // 5
-    state = _lm_rounds(
-        theta, xs, ys, weights_for, bounds, free_all, use_poisson, budget_full
-    )
-    iterations = state.iterations
-    envelope_pinned = False
-    if not state.converged and state.theta[3] < 1.0 / span_scaled**2:
-        envelope_pinned = True
-        pinned = state.theta.copy()
-        pinned[3] = 0.0
-        pinned[2] = float(xs.mean())
-        free_envelope = np.array([True, True, False, False, True, True])
-        state = _lm_rounds(
-            pinned,
-            xs,
-            ys,
-            weights_for,
-            bounds,
-            free_envelope,
-            use_poisson,
-            MAX_ITERATIONS - iterations,
-        )
-        iterations += state.iterations
-    theta = state.theta
-    converged = state.converged
-    ssr = state.ssr
+    k_seed = np.array([2.0 * math.pi * x_scale / period_seed])
+    solution = _gauss_newton(k_seed, xs, ts, ys, weights_for, np.sqrt(weights_for(ys)))
+    iterations = solution.iterations
+    flat = np.array([solution.p[0], 0.0, 0.0])
+    statistic = _envelope_statistic(flat, xs, ts, ys, solution.sqrt_w, use_poisson)
+    if statistic > ENVELOPE_THRESHOLD:
+        free = _gauss_newton(flat, xs, ts, ys, weights_for, solution.sqrt_w)
+        iterations += free.iterations
+        beta1, beta2 = float(free.p[1]), float(free.p[2])
+        if free.converged and beta2 < 0 and -beta1 * beta1 / (4.0 * beta2) <= MAX_EXPONENT:
+            solution = free
 
-    dof = max(len(xs) - int(np.sum(state.free)), 1)
-    jw = state.jacobian_weighted[:, state.free]
-    covariance_free = np.linalg.pinv(jw.T @ jw)
+    a0, a1, a2 = (float(v) for v in solution.a)
+    amplitude = math.hypot(a1, a2)
+    if not (a0 > 0 and amplitude > 0):
+        raise NoFringeError("no fringe detected: fitted baseline or amplitude is not positive")
+    k = float(solution.p[0])
+    ssr = float(solution.residual @ solution.residual)
+    dof = len(xs) - solution.jacobian.shape[1]
+    covariance = np.linalg.pinv(solution.jacobian.T @ solution.jacobian)
     if not use_poisson:
-        covariance_free = covariance_free * (ssr / dof)
-    sigmas = np.full(6, math.inf)
-    sigmas[state.free] = np.sqrt(np.maximum(np.diag(covariance_free), 0.0))
+        covariance *= ssr / dof
+    cov = covariance.tolist()
 
-    b, u, c, q, log_l, phi = theta
-    period = math.exp(log_l) * x_scale
-    fwhm_factor = 2.0 * math.sqrt(2.0 * math.log(2.0))
-    span = float(x_raw[-1] - x_raw[0])
+    def sigma(*gradient: float) -> float:
+        """Delta-method sigma from partials in (a0, a1, a2, k, b1, b2) order."""
+        n = min(len(gradient), len(cov))
+        variance = sum(gradient[i] * cov[i][j] * gradient[j] for i in range(n) for j in range(n))
+        return math.sqrt(max(variance, 0.0))
 
-    # A width beyond fifty spans is indistinguishable from flat; report the
-    # bound itself as a lower limit on the true width.  The center of such
-    # an envelope is not measured either, whatever the curvature says.
-    q_resolved = 1.0 / (50.0 * span_scaled) ** 2
-    if q > q_resolved:
-        sigma_env = x_scale / math.sqrt(q)
-        fwhm_sigma = fwhm_factor * sigma_env * sigmas[3] / (2.0 * q)
-        center_sigma = sigmas[2] * x_scale
+    # Envelope peak relative to mid-scan: exponent log_peak at t = center.
+    span = 2.0 * half_span
+    if len(solution.p) == 3:
+        beta1, beta2 = float(solution.p[1]), float(solution.p[2])
+        center = -beta1 / (2.0 * beta2)
+        width = 1.0 / math.sqrt(-2.0 * beta2)
+        log_peak = 0.5 * beta1 * center
+        envelope_center = middle + half_span * center
+        envelope_center_sigma = half_span * sigma(0, 0, 0, 0, -0.5 / beta2, -center / beta2)
+        envelope_fwhm = FWHM_FACTOR * half_span * width
+        envelope_fwhm_sigma = FWHM_FACTOR * half_span * sigma(0, 0, 0, 0, 0, width * width * width)
+        resolved = half_span * width < span
     else:
-        sigma_env = x_scale * 50.0 * span_scaled
-        fwhm_sigma = math.inf
-        center_sigma = math.inf
+        center = log_peak = 0.0
+        resolved = False
+        envelope_center, envelope_center_sigma = middle, math.inf
+        envelope_fwhm, envelope_fwhm_sigma = FWHM_FACTOR * PINNED_SPANS * span, math.inf
+    visibility = amplitude / a0 * math.exp(log_peak)
+    if not math.isfinite(visibility):
+        raise NoFringeError("no fringe detected: fitted visibility is not finite")
+    # d|a|/da1 / |a| and d|a|/da2 / |a|, ordered to neither overflow nor underflow.
+    da1, da2 = (a1 / amplitude) / amplitude, (a2 / amplitude) / amplitude
+    period = 2.0 * math.pi * x_scale / k
 
-    if source == "counts":
-        baseline = b * y_scale / dwell
-        baseline_sigma = sigmas[0] * y_scale / dwell
-        reduced_residual = ssr / dof
-    else:
-        baseline = b * y_scale
-        baseline_sigma = sigmas[0] * y_scale
-        reduced_residual = math.sqrt(ssr / dof)
-
+    rate_scale = y_scale / dwell if use_poisson else y_scale
+    reduced_residual = ssr / dof if use_poisson else math.sqrt(ssr / dof)
     fit = FringeFit(
         period=period,
-        period_sigma=period * sigmas[4],
-        visibility=math.sin(u) ** 2,
-        visibility_sigma=abs(math.sin(2.0 * u)) * sigmas[1],
-        envelope_center=c * x_scale,
-        envelope_center_sigma=center_sigma,
-        envelope_fwhm=fwhm_factor * sigma_env,
-        envelope_fwhm_sigma=fwhm_sigma,
-        phase=_wrap_phase(phi),
-        phase_sigma=sigmas[5],
-        baseline=baseline,
-        baseline_sigma=baseline_sigma,
+        period_sigma=sigma(0, 0, 0, period / k),
+        visibility=visibility,
+        visibility_sigma=visibility * sigma(-1.0 / a0, da1, da2, 0, center, center * center),
+        envelope_center=envelope_center,
+        envelope_center_sigma=envelope_center_sigma,
+        envelope_fwhm=envelope_fwhm,
+        envelope_fwhm_sigma=envelope_fwhm_sigma,
+        phase=_wrap_phase(math.atan2(-a2, a1)),
+        phase_sigma=sigma(0, da2, -da1),
+        baseline=a0 * rate_scale,
+        baseline_sigma=sigma(1.0) * rate_scale,
         reduced_residual=reduced_residual,
-        converged=converged,
+        converged=solution.converged,
         iterations=iterations,
-        envelope_resolved=not envelope_pinned and bool(sigma_env < span),
+        envelope_resolved=resolved,
         channel=channel,
         source=source,
+        envelope_delta_chi2=statistic,
     )
-    if not converged:
+    if not solution.converged:
         raise FitNonConvergenceError(
-            f"fit did not converge in {iterations} iterations "
-            f"(damping {state.damping:.2g}, reduced residual {reduced_residual:.3g})",
+            f"fit did not converge in {iterations} Gauss-Newton steps "
+            f"(reduced residual {reduced_residual:.3g})",
             fit,
         )
     return fit

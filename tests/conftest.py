@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from icohsim import default_config
+from icohsim.config import default_config
 
 _acceptance_outcomes = []
 

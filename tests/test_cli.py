@@ -34,6 +34,7 @@ FIT_KEYS = [
     "baseline_sigma_hz",
     "channel",
     "source",
+    "envelope_delta_chi2",
 ]
 
 
@@ -82,6 +83,28 @@ def test_fit_json_reports_diagnostics_as_strict_json(tmp_path):
     assert summary["baseline_sigma_hz"] > 0
     assert summary["channel"] == "singles"
     assert summary["source"] == "counts"
+
+
+def test_noisy_visibility_above_one_is_reported_unclipped(tmp_path):
+    # at eta = 1 noise puts the visibility estimate above 1 on about half the seeds
+    scan = tmp_path / "scan.csv"
+    args = ["--config", DEFAULT_CONFIG, "--seed", "2", "--quiet"]
+    assert main(["simulate", *args, "--out", str(scan)]) == EXIT_OK
+    fit_out = tmp_path / "fit.json"
+    assert main(["fit", str(scan), *args, "--out", str(fit_out)]) == EXIT_OK
+    summary = json.loads(fit_out.read_text(), parse_constant=_reject_constant)
+    assert summary["visibility"] > 1
+    assert 0 < summary["visibility_sigma"] < 1e-3
+    assert summary["visibility"] - 1 < 3 * summary["visibility_sigma"]
+
+
+def test_fit_is_byte_deterministic(tmp_path):
+    scan = tmp_path / "scan.csv"
+    assert main(["simulate", "--config", DEFAULT_CONFIG, "--out", str(scan), "--quiet"]) == EXIT_OK
+    outputs = [tmp_path / "a.json", tmp_path / "b.json"]
+    for out in outputs:
+        assert main(["fit", str(scan), "--config", DEFAULT_CONFIG, "--out", str(out), "--quiet"]) == EXIT_OK
+    assert outputs[0].read_bytes() == outputs[1].read_bytes()
 
 
 def test_simulate_then_fit_pump_axis(tmp_path):
