@@ -23,7 +23,7 @@ import numpy as np
 from . import fockoracle
 from .config import ConfigError, ExperimentConfig, load_config, with_overrides
 from .counting import accidental_rate, double_pair_probability
-from .expectation import RATE_FLOOR, RatePrediction, compose_setup
+from .expectation import RATE_FLOOR, RatePrediction, setup_rates
 from .operators import DelaySetting
 from .scan import (
     FitNonConvergenceError,
@@ -46,6 +46,8 @@ EXIT_FIT = 4
 CSV_HEADER = ["delay_m", "rate_a_hz", "rate_b_hz", "coinc_hz", "counts_a", "counts_b", "coinc_counts"]
 
 LOW_GAIN_BOUND = 1e-2
+# Upper limit of oracle-check --points, so one batch stays a few tens of MB.
+MAX_ORACLE_POINTS = 4096
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 
@@ -184,41 +186,29 @@ def fit_summary(fit: FringeFit) -> dict:
 def oracle_comparison(config: ExperimentConfig, points_per_axis: int = 16) -> dict:
     """Engine vs brute-force state check over one fringe period per axis.
 
-    Deviations are reported relative to each channel's full scale, so fringe
-    zeros do not blow up the statistic.
+    Both sides evaluate all 2 * ``points_per_axis`` delay settings in one
+    batched call.  Deviations are reported relative to each channel's full
+    scale, so fringe zeros do not blow up the statistic.
     """
-    rows = []
-    settings: list[DelaySetting] = []
-    for k in range(points_per_axis):
-        settings.append(
-            DelaySetting(delta_x_s=k * config.signal_filter.center_wavelength / points_per_axis)
-        )
-    for k in range(points_per_axis):
-        settings.append(DelaySetting(delta_x_p=k * config.pump_wavelength / points_per_axis))
+    lam_s, lam_p = config.signal_filter.center_wavelength, config.pump_wavelength
+    steps = range(points_per_axis)
+    settings = [DelaySetting(delta_x_s=k * lam_s / points_per_axis) for k in steps]
+    settings += [DelaySetting(delta_x_p=k * lam_p / points_per_axis) for k in steps]
+    engine = setup_rates(config, settings)
+    oracle = fockoracle.detection_moments(fockoracle.build_state(config, settings))
 
-    engine_values = {"p_a": [], "p_b": [], "p_ab": []}
-    oracle_values = {"p_a": [], "p_b": [], "p_ab": []}
-    for setting in settings:
-        engine = compose_setup(config, setting)
-        oracle = fockoracle.detection_moments(fockoracle.build_state(config, setting))
-        for name in engine_values:
-            engine_values[name].append(getattr(engine, name))
-            oracle_values[name].append(getattr(oracle, name))
-        rows.append(
-            {
-                "delay_xp_m": setting.delta_x_p,
-                "delay_xs_m": setting.delta_x_s,
-                "engine": {k: getattr(engine, k) for k in ("p_a", "p_b", "p_ab")},
-                "oracle": {k: getattr(oracle, k) for k in ("p_a", "p_b", "p_ab")},
-            }
-        )
-
-    per_channel = {}
-    for name in engine_values:
-        e = np.array(engine_values[name])
-        o = np.array(oracle_values[name])
-        scale = max(float(np.max(np.abs(e))), float(np.max(np.abs(o))), 1e-300)
-        per_channel[name] = float(np.max(np.abs(e - o)) / scale)
+    names = ("p_a", "p_b", "p_ab")
+    rows = [
+        {
+            "delay_xp_m": setting.delta_x_p,
+            "delay_xs_m": setting.delta_x_s,
+            "engine": dict(zip(names, e)),
+            "oracle": dict(zip(names, o)),
+        }
+        for setting, e, o in zip(settings, engine.T.tolist(), oracle.T.tolist())
+    ]
+    scale = np.maximum(np.maximum(np.abs(engine).max(axis=1), np.abs(oracle).max(axis=1)), 1e-300)
+    per_channel = dict(zip(names, (np.abs(engine - oracle).max(axis=1) / scale).tolist()))
     return {
         "gain_1": config.gain1,
         "gain_2": config.gain2,
@@ -354,7 +344,10 @@ def build_parser() -> argparse.ArgumentParser:
         "oracle-check", help="compare the engine against the brute-force state check"
     )
     p_oracle.add_argument(
-        "--points", type=int, default=16, help="grid points per delay axis"
+        "--points",
+        type=int,
+        default=16,
+        help=f"grid points per delay axis, 1 to {MAX_ORACLE_POINTS}",
     )
     _add_common(p_oracle, require_out=False)
 
@@ -418,6 +411,10 @@ def _run(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     if args.command == "oracle-check":
+        if not 1 <= args.points <= MAX_ORACLE_POINTS:
+            raise ConfigError(
+                f"--points must be between 1 and {MAX_ORACLE_POINTS}, got {args.points}"
+            )
         config = _load(args)
         comparison = oracle_comparison(config, points_per_axis=args.points)
         _emit(json.dumps(comparison, indent=2) + "\n", args.out)

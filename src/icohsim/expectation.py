@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -39,47 +39,61 @@ class RatePrediction:
                 raise ValueError(f"rate {name}={v!r} must be finite and non-negative")
 
 
-def singles_rate(x: Channel) -> float:
-    """<0| x^+ x |0>: the squared norm of x's creation row."""
-    return float(np.sum(np.abs(x[1]) ** 2))
+def singles_rate(x: Channel) -> np.ndarray:
+    """<0| x^+ x |0>: the squared norm of x's creation row, per batch entry."""
+    return np.sum(np.abs(x[..., 1, :]) ** 2, axis=-1)
 
 
-def coincidence_rate(s: Channel, i: Channel) -> float:
-    """|| i s |0> ||^2 by exact contraction.
+def coincidence_rate(s: Channel, i: Channel) -> np.ndarray:
+    """|| i s |0> ||^2 by exact contraction, per batch entry.
 
     s|0> is the photon in s's creation row.  i leaves a vacuum part (its
     annihilation row dotted into it: the usual coincidence rate) and the
     two-photon part M = outer(i's creation row, s's creation row), of norm^2
     ||M + M^T||^2 / 2 (the O(K^4) double-pair contribution).
     """
-    vacuum_amp = np.sum(i[0] * s[1])
-    pairs = np.outer(i[1], s[1])
-    return float(abs(vacuum_amp) ** 2 + 0.5 * np.sum(np.abs(pairs + pairs.T) ** 2))
+    vacuum_amp = np.sum(i[..., 0, :] * s[..., 1, :], axis=-1)
+    pairs = i[..., 1, :, None] * s[..., 1, None, :]
+    symmetric = (pairs + np.swapaxes(pairs, -1, -2)).reshape(pairs.shape[:-2] + (-1,))
+    return np.abs(vacuum_amp) ** 2 + 0.5 * np.sum(np.abs(symmetric) ** 2, axis=-1)
 
 
-def setup_operators(config: "ExperimentConfig", delays: DelaySetting) -> tuple[Channel, Channel]:
-    """Heisenberg channels (detected signal port, idler after both crystals).
+def setup_operators(
+    config: "ExperimentConfig", delays: Sequence[DelaySetting]
+) -> tuple[Channel, Channel]:
+    """Heisenberg channels (detected signal port, idler after both crystals),
+    each (m, 2, 4) for the m delay settings.
 
     SPDC in crystal 1, the idler link (amplitude eta), SPDC in crystal 2 with
     the pump phase on its gain, the signal delay on arm 1, and the output
-    splitter.
+    splitter.  Crystal 1 and the link do not depend on the delays and are
+    built once for the whole batch.
     """
-    pump_phase = delays.pump_phase(config.pump_wavelength)
-    gain1 = complex(config.gain1)
-    gain2 = complex(config.gain2) * complex(math.cos(pump_phase), math.sin(pump_phase))
-    s1, i1 = spdc(free_mode(SO1), free_mode(IO1), gain1)
+    pump_phase = np.array([d.pump_phase(config.pump_wavelength) for d in delays])
+    delta_x_s = np.array([d.delta_x_s for d in delays])
+    gain2 = complex(config.gain2) * np.exp(1j * pump_phase)
+    s1, i1 = spdc(free_mode(SO1), free_mode(IO1), complex(config.gain1))
     link = attenuate(i1, config.eta)
     s2, i2 = spdc(free_mode(SO2), link, gain2)
-    s1_delayed = phase_delay(s1, delays.delta_x_s, config.signal_filter.center_wavelength)
+    s1_delayed = phase_delay(s1, delta_x_s, config.signal_filter.center_wavelength)
     bs = BeamSplitterParams.from_transmitted_fraction(config.splitter_ratio)
     out_a, _camera = beam_splitter(s2, s1_delayed, bs)
     return out_a, i2
 
 
-def compose_setup(config: "ExperimentConfig", delays: DelaySetting) -> RatePrediction:
-    """Monochromatic rate prediction for one delay setting, in |K|^2 units."""
+def setup_rates(config: "ExperimentConfig", delays: Sequence[DelaySetting]) -> np.ndarray:
+    """Monochromatic rates of m delay settings in one pass, in |K|^2 units.
+
+    Returns shape (3, m), rows (p_a, p_b, p_ab).  Each column equals the
+    one-setting evaluation exactly: every operation acts per batch entry.
+    """
     out_a, i2 = setup_operators(config, delays)
-    return RatePrediction(singles_rate(out_a), singles_rate(i2), coincidence_rate(out_a, i2))
+    return np.array([singles_rate(out_a), singles_rate(i2), coincidence_rate(out_a, i2)])
+
+
+def compose_setup(config: "ExperimentConfig", delays: DelaySetting) -> RatePrediction:
+    """Monochromatic rates of one delay setting: :func:`setup_rates` on a batch of one."""
+    return RatePrediction(*setup_rates(config, [delays])[:, 0].tolist())
 
 
 def phase_averaged_rates(
@@ -91,9 +105,5 @@ def phase_averaged_rates(
     the prediction half a pump wavelength away removes the fringe exactly.
     """
     half = DelaySetting(delays.delta_x_p + config.pump_wavelength / 2.0, delays.delta_x_s)
-    here, flipped = compose_setup(config, delays), compose_setup(config, half)
-    return RatePrediction(
-        (here.p_a + flipped.p_a) / 2.0,
-        (here.p_b + flipped.p_b) / 2.0,
-        (here.p_ab + flipped.p_ab) / 2.0,
-    )
+    here, flipped = setup_rates(config, [delays, half]).T
+    return RatePrediction(*((here + flipped) / 2.0).tolist())

@@ -6,6 +6,10 @@ perturbative biphoton state is assembled in a truncated Fock basis (at most
 summation.  It deliberately shares no evaluation code with the
 Heisenberg-picture engine; the two implementations cross-check each other.
 
+A state holds a batch of m delay settings: each occupation's amplitude is an
+(m,) complex array, one entry per setting, and every step acts on the
+entries independently.
+
 Mode slots, in order: ("sig1", "sig2", "idler", "loss").  After the output
 beam splitter is applied, the "sig2" slot holds the monitored detector port
 and "sig1" the unused camera port.
@@ -13,10 +17,11 @@ and "sig1" the unused camera port.
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Sequence
+
+import numpy as np
 
 from .expectation import RatePrediction
 from .operators import DelaySetting
@@ -39,21 +44,27 @@ Occupation = tuple[int, int, int, int]
 
 @dataclass
 class FockState:
-    """Sparse amplitudes over photon-number occupation tuples."""
+    """Sparse amplitudes over photon-number occupation tuples, each an (m,)
+    array over the batch's delay settings."""
 
-    amplitudes: dict[Occupation, complex] = field(
-        default_factory=lambda: {(0, 0, 0, 0): 1.0 + 0j}
-    )
+    amplitudes: dict[Occupation, np.ndarray]
 
-    def norm_squared(self) -> float:
-        return sum(abs(a) ** 2 for a in self.amplitudes.values())
+    def norm_squared(self) -> np.ndarray:
+        return sum(np.abs(a) ** 2 for a in self.amplitudes.values())
+
+
+def _nonzero(amplitudes: dict[Occupation, np.ndarray]) -> FockState:
+    """Drop the occupations whose amplitude vanishes at every setting."""
+    return FockState({k: v for k, v in amplitudes.items() if np.any(v)})
 
 
 def _admissible(occ: Occupation) -> bool:
     return max(occ) <= MAX_PER_MODE and sum(occ) <= MAX_TOTAL
 
 
-def _pair_create(state: FockState, gain: complex, slot_a: int, slot_b: int) -> FockState:
+def _pair_create(
+    state: FockState, gain: complex | np.ndarray, slot_a: int, slot_b: int
+) -> FockState:
     """Apply (1 + i*gain*adag_a*adag_b), dropping anything outside truncation."""
     out = dict(state.amplitudes)
     for occ, amp in state.amplitudes.items():
@@ -65,7 +76,7 @@ def _pair_create(state: FockState, gain: complex, slot_a: int, slot_b: int) -> F
             continue
         boost = math.sqrt((occ[slot_a] + 1) * (occ[slot_b] + 1))
         out[new] = out.get(new, 0j) + 1j * gain * boost * amp
-    return FockState({k: v for k, v in out.items() if v != 0})
+    return _nonzero(out)
 
 
 def _two_mode_rotation(
@@ -79,7 +90,7 @@ def _two_mode_rotation(
     binomially over the occupations of the two slots.
     """
     m = heisenberg
-    out: dict[Occupation, complex] = {}
+    out: dict[Occupation, np.ndarray] = {}
     for occ, amp in state.amplitudes.items():
         na, nb = occ[slot_a], occ[slot_b]
         base = amp / math.sqrt(math.factorial(na) * math.factorial(nb))
@@ -105,17 +116,17 @@ def _two_mode_rotation(
                     continue
                 weight = math.sqrt(math.factorial(new_a) * math.factorial(new_b))
                 out[new] = out.get(new, 0j) + base * coef * weight
-    return FockState({k: v for k, v in out.items() if v != 0})
+    return _nonzero(out)
 
 
-def _mode_phase(state: FockState, slot: int, phase: float) -> FockState:
-    return FockState(
-        {occ: amp * cmath.exp(1j * phase * occ[slot]) for occ, amp in state.amplitudes.items()}
-    )
+def _mode_phase(state: FockState, slot: int, phase: np.ndarray) -> FockState:
+    """Multiply each amplitude by exp(i * phase * n), n the slot's occupation."""
+    factors = [np.exp(1j * phase * n) for n in range(MAX_PER_MODE + 1)]
+    return FockState({occ: amp * factors[occ[slot]] for occ, amp in state.amplitudes.items()})
 
 
-def build_state(config: "ExperimentConfig", delays: DelaySetting) -> FockState:
-    """Assemble the output state of the full two-crystal topology.
+def build_state(config: "ExperimentConfig", delays: Sequence[DelaySetting]) -> FockState:
+    """Assemble the output state of the full two-crystal topology for m delay settings.
 
     Steps: pair creation in crystal 1; the idler link as a two-mode rotation
     against a fresh loss mode; pair creation in crystal 2 with the pump
@@ -133,32 +144,40 @@ def build_state(config: "ExperimentConfig", delays: DelaySetting) -> FockState:
     t = math.sqrt(config.splitter_ratio)
     r = math.sqrt(1.0 - config.splitter_ratio)
 
-    gain2 = config.gain2 * cmath.exp(1j * delays.pump_phase(config.pump_wavelength))
+    pump_phase = np.array([d.pump_phase(config.pump_wavelength) for d in delays])
+    signal_phase = np.array(
+        [d.signal_phase(config.signal_filter.center_wavelength) for d in delays]
+    )
+    gain2 = config.gain2 * np.exp(1j * pump_phase)
 
-    state = FockState()
+    state = FockState({(0, 0, 0, 0): np.ones(len(pump_phase), dtype=complex)})
     state = _pair_create(state, config.gain1, CAMERA_SLOT, IDLER_SLOT)
     state = _two_mode_rotation(state, IDLER_SLOT, LOSS_SLOT, ((eta, leak), (-leak, eta)))
     state = _pair_create(state, gain2, MONITOR_SLOT, IDLER_SLOT)
-    state = _mode_phase(
-        state, CAMERA_SLOT, delays.signal_phase(config.signal_filter.center_wavelength)
-    )
+    state = _mode_phase(state, CAMERA_SLOT, signal_phase)
     # Output splitter: a_monitor <- t*a_sig2 + r*a_sig1, camera gets the rest.
     state = _two_mode_rotation(state, MONITOR_SLOT, CAMERA_SLOT, ((t, r), (-r, t)))
     return state
 
 
-def detection_moments(state: FockState) -> RatePrediction:
-    """First moments <n_A>, <n_B> and the correlator <n_A n_B>.
+def detection_moments(state: FockState) -> np.ndarray:
+    """First moments <n_A>, <n_B> and the correlator <n_A n_B> at each setting.
 
-    n_A counts photons at the monitored beam-splitter port, n_B photons in
-    the idler channel; photons in the loss slot are never detected.
+    Returns shape (3, m), rows (p_a, p_b, p_ab).  n_A counts photons at the
+    monitored beam-splitter port, n_B photons in the idler channel; photons
+    in the loss slot are never detected.
     """
     p_a = 0.0
     p_b = 0.0
     p_ab = 0.0
     for occ, amp in state.amplitudes.items():
-        w = abs(amp) ** 2
+        w = np.abs(amp) ** 2
         p_a += occ[MONITOR_SLOT] * w
         p_b += occ[IDLER_SLOT] * w
         p_ab += occ[MONITOR_SLOT] * occ[IDLER_SLOT] * w
-    return RatePrediction(p_a=p_a, p_b=p_b, p_ab=p_ab)
+    return np.array([p_a, p_b, p_ab])
+
+
+def oracle_rates(config: "ExperimentConfig", delays: DelaySetting) -> RatePrediction:
+    """The oracle's moments for one delay setting: a batch of one."""
+    return RatePrediction(*detection_moments(build_state(config, [delays]))[:, 0].tolist())

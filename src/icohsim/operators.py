@@ -3,11 +3,13 @@
 ``MODES`` are the crystals' signal modes so1 and so2, the first idler io1 and
 the ancilla anc that takes the idler link's loss.  A channel is a (2, 4)
 complex array of ladder-operator coefficients: row 0 for a, row 1 for a^+.
+A batch of m delay settings stacks its channels into an (m, 2, 4) array;
+every transform acts on the last two axes and broadcasts over the leading
+ones, so a gain or delay given as an (m,) array yields a batch.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -16,7 +18,7 @@ import numpy as np
 MAX_GAIN = 0.1
 MODES = ("so1", "so2", "io1", "anc")
 SO1, SO2, IO1, ANC = range(len(MODES))
-Channel = np.ndarray  # (2, 4) complex: rows (a, a^+), columns MODES
+Channel = np.ndarray  # (..., 2, 4) complex: rows (a, a^+), columns MODES
 
 
 def free_mode(index: int) -> Channel:
@@ -64,23 +66,35 @@ class DelaySetting:
         return 2.0 * math.pi * self.delta_x_s / signal_wavelength
 
 
-def spdc(signal_in: Channel, idler_in: Channel, gain: complex) -> tuple[Channel, Channel]:
+def spdc(
+    signal_in: Channel, idler_in: Channel, gain: complex | np.ndarray
+) -> tuple[Channel, Channel]:
     """Low-gain SPDC: signal_out = signal_in + i*gain*idler_in^+, and vice versa.
 
-    x^+ is x with its rows swapped and conjugated; the complex gain carries the pump phase.
+    x^+ is x with its rows swapped and conjugated; the complex gain carries the
+    pump phase, and an (m,) array of gains gives a batch.
     """
-    if abs(gain) >= MAX_GAIN:
-        raise ValueError(f"parametric gain |K|={abs(gain):.3g} outside perturbative range "
+    gain = np.asarray(gain)
+    largest = float(np.max(np.abs(gain), initial=0.0))
+    if largest >= MAX_GAIN:
+        raise ValueError(f"parametric gain |K|={largest:.3g} outside perturbative range "
                          f"(< {MAX_GAIN})")
-    pump = 1j * gain
-    return signal_in + pump * idler_in[::-1].conj(), idler_in + pump * signal_in[::-1].conj()
+    pump = 1j * gain[..., None, None]
+    return (
+        signal_in + pump * idler_in[..., ::-1, :].conj(),
+        idler_in + pump * signal_in[..., ::-1, :].conj(),
+    )
 
 
-def phase_delay(x: Channel, delta_x: float, wavelength: float) -> Channel:
-    """Propagation delay: multiply the whole channel by exp(i*2*pi*delta_x/wavelength)."""
+def phase_delay(x: Channel, delta_x: float | np.ndarray, wavelength: float) -> Channel:
+    """Propagation delay: multiply the whole channel by exp(i*2*pi*delta_x/wavelength).
+
+    An (m,) array of delays gives a batch.
+    """
     if wavelength <= 0:
         raise ValueError("wavelength must be positive")
-    return x * cmath.exp(2j * math.pi * delta_x / wavelength)
+    phase = 2.0 * math.pi * np.asarray(delta_x, dtype=float) / wavelength
+    return x * np.exp(1j * phase)[..., None, None]
 
 
 def beam_splitter(a: Channel, b: Channel, bs: BeamSplitterParams) -> tuple[Channel, Channel]:
@@ -92,8 +106,8 @@ def attenuate(x: Channel, transmission: float) -> Channel:
     """Link of amplitude transmission T: a beam splitter against the vacuum ancilla anc."""
     if not 0.0 <= transmission <= 1.0:
         raise ValueError(f"transmission T={transmission!r} out of [0, 1]")
-    if np.any(x[:, ANC]):
+    if np.any(x[..., ANC]):
         raise ValueError("ancilla mode 'anc' already present in channel")
     out = x * transmission
-    out[0, ANC] = math.sqrt(max(0.0, 1.0 - transmission * transmission))
+    out[..., 0, ANC] = math.sqrt(max(0.0, 1.0 - transmission * transmission))
     return out

@@ -14,9 +14,9 @@ the signal coherence scale.
 Every rate depends on the two delays only through the fringe phase
 dphi = 2 pi (dx_p / lambda_p - dx_s / lambda_s) and follows the
 induced-coherence law B + Re(A e^{i dphi}) of Zou, Wang and Mandel (PRL 67,
-318, 1991).  :func:`compile_model` reads B and A off three engine
-evaluations, once per config; :func:`modulated_rates` stays the per-point
-reference it is tested against.
+318, 1991).  :func:`compile_model` reads B and A off one engine
+pass over three delay settings, once per config; :func:`modulated_rates`
+stays the per-point reference it is tested against.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .expectation import RatePrediction, compose_setup, phase_averaged_rates
+from .expectation import RatePrediction, compose_setup, phase_averaged_rates, setup_rates
 from .operators import DelaySetting
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -141,21 +141,17 @@ class FringeModel:
 
 
 def compile_model(config: "ExperimentConfig") -> FringeModel:
-    """B and A of every channel from the engine at pump phase 0, pi/2 and pi.
+    """B and A of every channel from one engine pass at pump phase 0, pi/2 and pi.
 
-    With R(dphi) = B + Re(A e^{i dphi}): B = (R_0 + R_pi) / 2, the same two
+    With R(dphi) = B + Re(A e^{i dphi}): B = (R_0 + R_pi) / 2, the same
     evaluations and arithmetic as ``phase_averaged_rates(config)``, and
     A = (R_0 - R_pi) / 2 + i (B - R_pi/2).
     """
     lam_p = config.pump_wavelength
-    r0, r_quarter, r_pi = (
-        np.array([r.p_a, r.p_b, r.p_ab])
-        for r in (
-            compose_setup(config, DelaySetting()),
-            compose_setup(config, DelaySetting(delta_x_p=lam_p / 4.0)),
-            compose_setup(config, DelaySetting(delta_x_p=lam_p / 2.0)),
-        )
-    )
+    r0, r_quarter, r_pi = setup_rates(
+        config,
+        [DelaySetting(), DelaySetting(delta_x_p=lam_p / 4.0), DelaySetting(delta_x_p=lam_p / 2.0)],
+    ).T
     base = (r0 + r_pi) / 2.0
     return FringeModel(
         baseline=RatePrediction(*base.tolist()),

@@ -9,6 +9,7 @@ from icohsim.cli import (
     EXIT_FIT,
     EXIT_IO,
     EXIT_OK,
+    MAX_ORACLE_POINTS,
     main,
     read_scan_csv,
 )
@@ -248,6 +249,108 @@ def test_oracle_check_command(tmp_path):
     # the state check keeps double-pair terms the low-gain engine drops,
     # so the other channels sit at twice the |K|^2 scale
     assert data["max_relative_deviation"] <= 2.05e-6
+
+
+@pytest.mark.parametrize("points", [0, -3, MAX_ORACLE_POINTS + 1])
+def test_oracle_check_rejects_points_out_of_range(tmp_path, capsys, points):
+    out = tmp_path / "oracle.json"
+    argv = ["oracle-check", "--config", DEFAULT_CONFIG, "--points", str(points), "--out", str(out)]
+    assert main(argv) == EXIT_CONFIG
+    assert "--points" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# Engine and oracle (p_a, p_b, p_ab, p_a, p_b, p_ab) of `oracle-check --points 4`,
+# recorded from the one-setting-at-a-time implementation: rows 0-3 step the
+# signal delay by a quarter signal wavelength, rows 4-7 the pump delay by a
+# quarter pump wavelength.
+RECORDED_ORACLE_CHECK = [
+    (
+        dict(gain=1.2e-4, eta=0.35, splitter_ratio=0.62),
+        [
+            (1.929269535532308e-08, 1.6164e-08, 1.4491015667170203e-08,
+             1.9292695588084677e-08, 1.61640002835648e-08, 1.4491015638887875e-08),
+            (1.4400000000000003e-08, 1.6164e-08, 9.5983202327616e-09,
+             1.4400000232761602e-08, 1.6164000283564805e-08, 9.5983202835648e-09),
+            (9.507304644676926e-09, 1.6164e-08, 4.705624798352998e-09,
+             9.507304877438526e-09, 1.6164000283564805e-08, 4.705624928241724e-09),
+            (1.4400000000000003e-08, 1.6164e-08, 9.5983202327616e-09,
+             1.4400000232761602e-08, 1.6164000283564805e-08, 9.5983202835648e-09),
+            (1.929269535532308e-08, 1.6164e-08, 1.4491015667170203e-08,
+             1.9292695588084677e-08, 1.61640002835648e-08, 1.4491015638887875e-08),
+            (1.4400000000000003e-08, 1.6164e-08, 9.5983202327616e-09,
+             1.4400000232761602e-08, 1.61640002835648e-08, 9.5983202835648e-09),
+            (9.507304644676926e-09, 1.6164e-08, 4.705624798352998e-09,
+             9.507304877438526e-09, 1.6164000283564805e-08, 4.705624928241724e-09),
+            (1.4400000000000003e-08, 1.6164e-08, 9.5983202327616e-09,
+             1.4400000232761602e-08, 1.6164000283564805e-08, 9.5983202835648e-09),
+        ],
+    ),
+    (
+        dict(gain=3.3e-4, eta=0.9, splitter_ratio=0.3),
+        [
+            (1.9872764877252435e-07, 1.9710900000000002e-07, 1.842439879435325e-07,
+             1.9872767023769446e-07, 1.9710904067709027e-07, 1.842439894496147e-07),
+            (1.0890000000000002e-07, 1.9710900000000002e-07, 9.441632146517012e-08,
+             1.089000214651701e-07, 1.9710904067709025e-07, 9.441634067709028e-08),
+            (1.9072351227475618e-08, 1.9710900000000002e-07, 4.588654986807703e-09,
+             1.9072372692645724e-08, 1.9710904067709027e-07, 4.5886919045659294e-09),
+            (1.0889999999999995e-07, 1.9710900000000002e-07, 9.441632146517005e-08,
+             1.0890002146517006e-07, 1.9710904067709025e-07, 9.441634067709024e-08),
+            (1.9872764877252435e-07, 1.9710900000000002e-07, 1.842439879435325e-07,
+             1.9872767023769446e-07, 1.9710904067709027e-07, 1.842439894496147e-07),
+            (1.0890000000000002e-07, 1.9710900000000002e-07, 9.441632146517009e-08,
+             1.089000214651701e-07, 1.9710904067709025e-07, 9.441634067709028e-08),
+            (1.9072351227475618e-08, 1.9710900000000002e-07, 4.588654986807703e-09,
+             1.9072372692645724e-08, 1.9710904067709027e-07, 4.5886919045659294e-09),
+            (1.0889999999999995e-07, 1.9710900000000002e-07, 9.441632146517005e-08,
+             1.0890002146517006e-07, 1.9710904067709025e-07, 9.441634067709024e-08),
+        ],
+    ),
+    (
+        dict(gain=5.8e-4, eta=0.55, splitter_ratio=0.71),
+        [
+            (5.04310109789256e-07, 4.3816100000000003e-07, 4.362650207582779e-07,
+             5.043102571866165e-07, 4.381612158621613e-07, 4.3626501565141725e-07),
+            (3.364e-07, 4.3816100000000003e-07, 2.6835483739736043e-07,
+             3.364001473973604e-07, 4.381612158621613e-07, 2.683549058621612e-07),
+            (1.68489890210744e-07, 4.3816100000000003e-07, 1.0044465403644272e-07,
+             1.684900376081044e-07, 4.3816121586216123e-07, 1.0044479607290517e-07),
+            (3.3639999999999997e-07, 4.3816100000000003e-07, 2.683548373973603e-07,
+             3.364001473973604e-07, 4.381612158621613e-07, 2.683549058621612e-07),
+            (5.04310109789256e-07, 4.3816100000000003e-07, 4.362650207582779e-07,
+             5.043102571866165e-07, 4.381612158621613e-07, 4.3626501565141725e-07),
+            (3.364e-07, 4.3816100000000003e-07, 2.6835483739736043e-07,
+             3.364001473973604e-07, 4.381612158621613e-07, 2.683549058621612e-07),
+            (1.68489890210744e-07, 4.3816100000000003e-07, 1.0044465403644272e-07,
+             1.684900376081044e-07, 4.3816121586216123e-07, 1.0044479607290517e-07),
+            (3.3639999999999997e-07, 4.3816100000000003e-07, 2.683548373973603e-07,
+             3.364001473973603e-07, 4.381612158621612e-07, 2.683549058621611e-07),
+        ],
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "params, rows",
+    RECORDED_ORACLE_CHECK,
+    ids=[f"config{n}" for n in range(len(RECORDED_ORACLE_CHECK))],
+)
+def test_oracle_check_matches_recorded_values(tmp_path, params, rows):
+    config = tmp_path / "oracle.ini"
+    config.write_text(
+        f"[pump]\nsplitter_ratio = {params['splitter_ratio']!r}\n"
+        f"[crystal1]\ngain = {params['gain']!r}\n[crystal2]\ngain = {params['gain']!r}\n"
+        f"[idler_link]\neta = {params['eta']!r}\n[scan]\n"
+    )
+    out = tmp_path / "oracle.json"
+    argv = ["oracle-check", "--config", str(config), "--points", "4", "--out", str(out), "--quiet"]
+    assert main(argv) == EXIT_OK
+    points = json.loads(out.read_text())["points"]
+    assert len(points) == len(rows)
+    for point, want in zip(points, rows):
+        got = [point[side][field] for side in ("engine", "oracle") for field in ("p_a", "p_b", "p_ab")]
+        assert got == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 def test_report_mentions_both_coherence_lengths(tmp_path, capsys):

@@ -11,8 +11,9 @@ from icohsim.expectation import (
     phase_averaged_rates,
     singles_rate,
     setup_operators,
+    setup_rates,
 )
-from icohsim.fockoracle import build_state, detection_moments
+from icohsim.fockoracle import oracle_rates
 from icohsim.operators import (
     IO1,
     SO1,
@@ -222,7 +223,7 @@ def test_agrees_with_fock_oracle_on_default_grid():
     for frac in np.linspace(0, 1, 16, endpoint=False):
         delays = DelaySetting(delta_x_s=frac * lam_s)
         engine.append(compose_setup(cfg, delays))
-        oracle.append(detection_moments(build_state(cfg, delays)))
+        oracle.append(oracle_rates(cfg, delays))
     for field in ("p_a", "p_b", "p_ab"):
         e = np.array([getattr(p, field) for p in engine])
         o = np.array([getattr(p, field) for p in oracle])
@@ -246,7 +247,7 @@ def test_oracle_agreement_over_randomized_configs():
             delta_x_s=rng.uniform(-2e-6, 2e-6),
         )
         e = compose_setup(cfg, delays)
-        o = detection_moments(build_state(cfg, delays))
+        o = oracle_rates(cfg, delays)
         for field in ("p_a", "p_b", "p_ab"):
             ev, ov = getattr(e, field), getattr(o, field)
             scale = max(abs(ev), abs(ov), phase_averaged_rates(cfg).p_a)
@@ -255,10 +256,34 @@ def test_oracle_agreement_over_randomized_configs():
 
 def test_setup_operators_expose_detected_channels():
     cfg = config_with(gain1=1e-3, gain2=1e-3)
-    out_a, i2 = setup_operators(cfg, DelaySetting())
-    assert out_a.shape == i2.shape == (2, 4)
-    assert singles_rate(out_a) == pytest.approx(compose_setup(cfg, DelaySetting()).p_a)
-    assert i2[0, IO1] == 1.0
+    out_a, i2 = setup_operators(cfg, [DelaySetting()])
+    assert out_a.shape == i2.shape == (1, 2, 4)
+    assert singles_rate(out_a[0]) == pytest.approx(compose_setup(cfg, DelaySetting()).p_a)
+    assert i2[0, 0, IO1] == 1.0
+
+
+def random_batch(rng, m):
+    return [
+        DelaySetting(delta_x_p=rng.uniform(-1e-3, 1e-3), delta_x_s=rng.uniform(-1e-4, 1e-4))
+        for _ in range(m)
+    ]
+
+
+def test_batch_equals_one_setting_calls_exactly():
+    rng = random.Random(1402)
+    for _ in range(60):
+        cfg = config_with(
+            gain1=10 ** rng.uniform(-5, math.log10(0.08)),
+            gain2=10 ** rng.uniform(-5, math.log10(0.08)),
+            eta=rng.choice((0.0, 1.0, rng.uniform(0.0, 1.0))),
+            splitter_ratio=rng.uniform(0.01, 0.99),
+        )
+        delays = random_batch(rng, rng.randint(1, 40))
+        batch = setup_rates(cfg, delays)
+        assert batch.shape == (3, len(delays))
+        for column, setting in zip(batch.T.tolist(), delays):
+            one = compose_setup(cfg, setting)
+            assert column == [one.p_a, one.p_b, one.p_ab]
 
 
 def test_rate_prediction_rejects_negative():

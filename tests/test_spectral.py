@@ -4,7 +4,7 @@ import pytest
 import icohsim.expectation
 import icohsim.spectral
 from icohsim.counting import calibrate
-from icohsim.expectation import compose_setup, phase_averaged_rates
+from icohsim.expectation import compose_setup, phase_averaged_rates, setup_rates
 from icohsim.operators import DelaySetting
 from icohsim.scan import run_scan
 from icohsim.spectral import (
@@ -196,21 +196,28 @@ def test_run_scan_equals_per_point_path(axis):
         assert np.all(np.abs(got - expected) <= tolerance)
 
 
-def test_compile_model_makes_three_engine_calls_per_scan(monkeypatch):
-    calls = []
+def test_compile_model_makes_one_engine_pass_of_three_settings_per_scan(monkeypatch):
+    batches = []
+    points = []
 
-    def counted(config, delays):
-        calls.append(delays)
+    def counted_batch(config, delays):
+        batches.append(len(delays))
+        return setup_rates(config, delays)
+
+    def counted_point(config, delays):
+        points.append(delays)
         return compose_setup(config, delays)
 
-    monkeypatch.setattr(icohsim.spectral, "compose_setup", counted)
-    monkeypatch.setattr(icohsim.expectation, "compose_setup", counted)
+    for module in (icohsim.spectral, icohsim.expectation):
+        monkeypatch.setattr(module, "setup_rates", counted_batch)
+        monkeypatch.setattr(module, "compose_setup", counted_point)
     cfg = config_with()
     compile_model(cfg)
-    assert len(calls) == 3
-    for points in (9, 401, 4001):
-        calls.clear()
-        grid = np.linspace(-1e-6, 1e-6, points)
+    assert batches == [3]
+    for n in (9, 401, 4001):
+        batches.clear()
+        grid = np.linspace(-1e-6, 1e-6, n)
         record = run_scan(cfg, axis="pump", grid=grid)
-        assert record.rates.shape[1] == points
-        assert len(calls) == 3
+        assert record.rates.shape[1] == n
+        assert batches == [3]
+    assert points == []
