@@ -23,8 +23,7 @@ import numpy as np
 from . import fockoracle
 from .config import ConfigError, ExperimentConfig, load_config, with_overrides
 from .counting import accidental_rate, double_pair_probability
-from .expectation import RATE_FLOOR, RatePrediction, setup_rates
-from .operators import DelaySetting
+from .expectation import RATE_NAMES, check_rates, setup_rates
 from .scan import (
     FitNonConvergenceError,
     FringeFit,
@@ -113,7 +112,7 @@ def _raise_first_bad_row(rows: list[list[str]], lines: list[int]) -> None:
             )
         values = [_csv_cell(cell, column, line) for column, cell in enumerate(row)]
         try:
-            RatePrediction(*values[1:4])
+            check_rates(np.array(values[1:4]).reshape(3, 1))
         except ValueError as exc:
             raise ConfigError(f"CSV line {line}: {exc}") from None
 
@@ -145,8 +144,9 @@ def read_scan_csv(stream: io.TextIOBase, axis: str = "signal") -> ScanRecord:
             raise ValueError("a row without seven cells")
         table = np.array([list(map(float, cells[column::7])) for column in range(4)])
         counts = np.array([list(map(int, cells[column::7])) for column in range(4, 7)], dtype=np.int64)
-        if not np.all(np.isfinite(table)) or np.any(table[1:] < RATE_FLOOR):
-            raise ValueError("a non-finite cell or a negative rate")
+        if not np.all(np.isfinite(table[0])):
+            raise ValueError("a non-finite delay")
+        check_rates(table[1:])
     except (ValueError, OverflowError):
         _raise_first_bad_row(rows, lines)
         raise
@@ -191,24 +191,26 @@ def oracle_comparison(config: ExperimentConfig, points_per_axis: int = 16) -> di
     scale, so fringe zeros do not blow up the statistic.
     """
     lam_s, lam_p = config.signal_filter.center_wavelength, config.pump_wavelength
-    steps = range(points_per_axis)
-    settings = [DelaySetting(delta_x_s=k * lam_s / points_per_axis) for k in steps]
-    settings += [DelaySetting(delta_x_p=k * lam_p / points_per_axis) for k in steps]
-    engine = setup_rates(config, settings)
-    oracle = fockoracle.detection_moments(fockoracle.build_state(config, settings))
+    steps = np.arange(points_per_axis)
+    zeros = np.zeros(points_per_axis)
+    delta_x_p = np.concatenate([zeros, steps * lam_p / points_per_axis])
+    delta_x_s = np.concatenate([steps * lam_s / points_per_axis, zeros])
+    engine = setup_rates(config, delta_x_p, delta_x_s)
+    oracle = fockoracle.detection_moments(fockoracle.build_state(config, delta_x_p, delta_x_s))
 
-    names = ("p_a", "p_b", "p_ab")
     rows = [
         {
-            "delay_xp_m": setting.delta_x_p,
-            "delay_xs_m": setting.delta_x_s,
-            "engine": dict(zip(names, e)),
-            "oracle": dict(zip(names, o)),
+            "delay_xp_m": xp,
+            "delay_xs_m": xs,
+            "engine": dict(zip(RATE_NAMES, e)),
+            "oracle": dict(zip(RATE_NAMES, o)),
         }
-        for setting, e, o in zip(settings, engine.T.tolist(), oracle.T.tolist())
+        for xp, xs, e, o in zip(
+            delta_x_p.tolist(), delta_x_s.tolist(), engine.T.tolist(), oracle.T.tolist()
+        )
     ]
     scale = np.maximum(np.maximum(np.abs(engine).max(axis=1), np.abs(oracle).max(axis=1)), 1e-300)
-    per_channel = dict(zip(names, (np.abs(engine - oracle).max(axis=1) / scale).tolist()))
+    per_channel = dict(zip(RATE_NAMES, (np.abs(engine - oracle).max(axis=1) / scale).tolist()))
     return {
         "gain_1": config.gain1,
         "gain_2": config.gain2,
@@ -225,8 +227,8 @@ def build_report(config: ExperimentConfig) -> str:
     # visibility at zero delay: |Re A| / B of the closed-form fringe model, 0 without pairs
     model = compile_model(config)
     vis_singles, vis_coinc = (
-        abs(model.amplitude[k].real) / base if base else 0.0
-        for k, base in ((0, model.baseline.p_a), (2, model.baseline.p_ab))
+        abs(model.amplitude[k].real) / model.baseline[k] if model.baseline[k] else 0.0
+        for k in (0, 2)
     )
     acc = accidental_rate(config.detectors.rate_a_cal, config.detectors.rate_b_cal, config.detectors.window)
     double_pair = double_pair_probability(config.detectors.rate_b_cal, config.detectors.window)
@@ -378,7 +380,12 @@ def _say(args: argparse.Namespace, message: str) -> None:
 def _run(args: argparse.Namespace) -> int:
     if args.command in ("predict", "simulate"):
         config = _load(args)
-        record = run_scan(config, sample=args.command == "simulate")
+        try:
+            record = run_scan(config, sample=args.command == "simulate")
+        except OverflowError as exc:
+            raise ConfigError(
+                f"{exc}; lower detectors.rate_a_hz, detectors.rate_b_hz or scan.dwell_s"
+            ) from None
         for warning in record.warnings:
             print(f"warning: {warning}", file=sys.stderr)
         buffer = io.StringIO()

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 from dataclasses import dataclass, field, replace
 
 from .counting import CountingConfig
@@ -149,7 +150,7 @@ def _get_float(
     mul: float = 1.0,
     div: float = 1.0,
 ) -> float | None:
-    """Fetch a numeric key, converting file units to SI as value * mul / div.
+    """Fetch a finite numeric key, converting file units to SI as value * mul / div.
 
     Defaults are already SI and pass through untouched, so omitting a key
     reproduces the built-in value bit for bit.  Conversions divide by exact
@@ -160,9 +161,22 @@ def _get_float(
     if raw is None:
         return default
     try:
-        return float(raw) * mul / div
+        value = float(raw) * mul / div
     except ValueError:
         raise ConfigError(f"{section}.{key}: not a number: {raw!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{section}.{key}: not a finite number: {raw!r}")
+    return value
+
+
+def _get_filter(sections, section: str, center: float, fwhm: float) -> SpectralProfile:
+    """A filter's profile from its center_nm and bandwidth_nm keys."""
+    center = _get_float(sections, section, "center_nm", center, div=1e9)
+    fwhm = _get_float(sections, section, "bandwidth_nm", fwhm, div=1e9)
+    try:
+        return SpectralProfile(center, fwhm_wavelength=fwhm)
+    except ValueError as exc:
+        raise ConfigError(f"{section}: {exc}") from None
 
 
 def _get_int(sections, section: str, key: str, default: int) -> int:
@@ -222,20 +236,8 @@ def parse_config(text: str) -> ExperimentConfig:
     )
     override = _get_float(sections, "pump", "coherence_length_override_mm", None, div=1e3)
 
-    try:
-        signal_filter = SpectralProfile(
-            _get_float(sections, "signal_filter", "center_nm", 808e-9, div=1e9),
-            fwhm_wavelength=_get_float(sections, "signal_filter", "bandwidth_nm", 2e-9, div=1e9),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"signal_filter: {exc}") from None
-    try:
-        idler_filter = SpectralProfile(
-            _get_float(sections, "idler_filter", "center_nm", 632e-9, div=1e9),
-            fwhm_wavelength=_get_float(sections, "idler_filter", "bandwidth_nm", 3e-9, div=1e9),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"idler_filter: {exc}") from None
+    signal_filter = _get_filter(sections, "signal_filter", 808e-9, 2e-9)
+    idler_filter = _get_filter(sections, "idler_filter", 632e-9, 3e-9)
 
     scan = ScanSettings(
         axis=sections.get("scan", {}).get("axis", defaults.scan.axis),

@@ -16,8 +16,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .expectation import RatePrediction
-
 _U64 = 0xFFFFFFFFFFFFFFFF
 _MAX_MEAN = float(2**62)
 
@@ -48,11 +46,6 @@ class CountingConfig:
     def calibrated(self) -> bool:
         return self.baseline_a is not None and self.baseline_b is not None
 
-    def detected_rates(self, rates: RatePrediction) -> tuple[float, float, float]:
-        """Counts/s at detector A, detector B, and true coincidences for one point."""
-        r_a, r_b, r_ab = self.detected(_column(rates))[:, 0].tolist()
-        return r_a, r_b, r_ab
-
     def detected(self, rates: np.ndarray) -> np.ndarray:
         """Counts/s rows (detector A, detector B, true coincidences) for model
         rate rows (p_a, p_b, p_ab) of shape (3, n).
@@ -79,24 +72,9 @@ class CountingConfig:
         return out
 
 
-def _column(rates: RatePrediction) -> np.ndarray:
-    """One point's rates as a (3, 1) column."""
-    return np.array([[rates.p_a], [rates.p_b], [rates.p_ab]])
-
-
-def calibrate(cc: CountingConfig, baseline: RatePrediction) -> CountingConfig:
-    """Record the model-unit fringe baselines the calibration rates map to."""
-    return replace(cc, baseline_a=baseline.p_a, baseline_b=baseline.p_b)
-
-
-@dataclass(frozen=True)
-class CountSample:
-    """Counts collected at one scan point; coincidences include accidentals."""
-
-    counts_a: int
-    counts_b: int
-    coincidences: int
-    accidentals_expected: float
+def calibrate(cc: CountingConfig, baseline: np.ndarray) -> CountingConfig:
+    """Record the model-unit fringe baselines (p_a, p_b, p_ab) the calibration rates map to."""
+    return replace(cc, baseline_a=float(baseline[0]), baseline_b=float(baseline[1]))
 
 
 def accidental_rate(r_a: float, r_b: float, window: float) -> float:
@@ -129,12 +107,14 @@ def count_means(detected: np.ndarray, cc: CountingConfig) -> np.ndarray:
     """Expected counts per dwell, rows (A, B, true coincidences, accidentals).
 
     ``detected`` holds the (3, n) counts/s rows of :meth:`CountingConfig.detected`;
-    accidentals follow :func:`accidental_rate`.
+    accidentals follow :func:`accidental_rate`.  A mean beyond the float range
+    comes out inf, which :func:`sample_scan` rejects.
     """
     r_a, r_b, _ = detected
     if np.any(r_a < 0) or np.any(r_b < 0):
         raise ValueError("rates and window must be non-negative")
-    return np.vstack([detected * cc.dwell, r_a * r_b * cc.window * cc.dwell])
+    with np.errstate(over="ignore"):
+        return np.vstack([detected * cc.dwell, r_a * r_b * cc.window * cc.dwell])
 
 
 def sample_scan(means: np.ndarray, seed: int, first_index: int = 0) -> np.ndarray:
@@ -162,18 +142,3 @@ def sample_scan(means: np.ndarray, seed: int, first_index: int = 0) -> np.ndarra
         bits.state = fresh
         counts.append((poisson(m_a), poisson(m_b), poisson(m_true) + poisson(m_acc)))
     return np.array(counts, dtype=np.int64).reshape(-1, 3).T
-
-
-def sample_counts(rates: RatePrediction, cc: CountingConfig, point_index: int) -> CountSample:
-    """Draw one scan point's counts: :func:`sample_scan` on a single point.
-
-    Deterministic in (seed, point_index) regardless of evaluation order.
-    """
-    means = count_means(cc.detected(_column(rates)), cc)
-    counts_a, counts_b, coincidences = sample_scan(means, cc.seed, point_index)[:, 0].tolist()
-    return CountSample(
-        counts_a=counts_a,
-        counts_b=counts_b,
-        coincidences=coincidences,
-        accidentals_expected=float(means[3, 0]),
-    )

@@ -3,40 +3,36 @@
 Signal singles <a_s^+ a_s>, idler singles, and coincidences
 <a_s^+ a_i^+ a_i a_s>, exact on the vacuum for the channels of ``operators``,
 in units of |K|^2; calibration to count rates is the counting module's job.
+A batch of m delay settings is a pair of (m,) delay arrays, and its rates
+are a (3, m) array with rows (p_a, p_b, p_ab).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 # Imported by name so a tracer can wrap them in this namespace (benchmarks/tracing.py).
-from .operators import IO1, SO1, SO2, BeamSplitterParams, Channel, DelaySetting
+from .operators import IO1, SO1, SO2, BeamSplitterParams, Channel
 from .operators import attenuate, beam_splitter, free_mode, phase_delay, spdc
 
 if TYPE_CHECKING:  # pragma: no cover
     from .config import ExperimentConfig
 
+RATE_NAMES = ("p_a", "p_b", "p_ab")
 # Rates below zero by more than roundoff are an error.
 RATE_FLOOR = -1e-15
 
 
-@dataclass(frozen=True)
-class RatePrediction:
-    """Signal singles, idler singles, and coincidence rate for one setting."""
-
-    p_a: float
-    p_b: float
-    p_ab: float
-
-    def __post_init__(self) -> None:
-        for name in ("p_a", "p_b", "p_ab"):
-            v = getattr(self, name)
-            if not math.isfinite(v) or v < RATE_FLOOR:
-                raise ValueError(f"rate {name}={v!r} must be finite and non-negative")
+def check_rates(rates: np.ndarray) -> None:
+    """Raise ValueError naming the first bad rate, in column order, of (3, m) rate rows."""
+    bad = np.argwhere(~(np.isfinite(rates) & (rates >= RATE_FLOOR)).T)
+    if len(bad):
+        column, row = bad[0]
+        value = rates[row, column].item()
+        raise ValueError(f"rate {RATE_NAMES[row]}={value!r} must be finite and non-negative")
 
 
 def singles_rate(x: Channel) -> np.ndarray:
@@ -59,18 +55,20 @@ def coincidence_rate(s: Channel, i: Channel) -> np.ndarray:
 
 
 def setup_operators(
-    config: "ExperimentConfig", delays: Sequence[DelaySetting]
+    config: "ExperimentConfig",
+    delta_x_p: float | np.ndarray = 0.0,
+    delta_x_s: float | np.ndarray = 0.0,
 ) -> tuple[Channel, Channel]:
     """Heisenberg channels (detected signal port, idler after both crystals),
-    each (m, 2, 4) for the m delay settings.
+    each (m, 2, 4) for the pump and signal delays (meters) broadcast to (m,).
 
     SPDC in crystal 1, the idler link (amplitude eta), SPDC in crystal 2 with
     the pump phase on its gain, the signal delay on arm 1, and the output
     splitter.  Crystal 1 and the link do not depend on the delays and are
     built once for the whole batch.
     """
-    pump_phase = np.array([d.pump_phase(config.pump_wavelength) for d in delays])
-    delta_x_s = np.array([d.delta_x_s for d in delays])
+    delta_x_p, delta_x_s = np.broadcast_arrays(np.atleast_1d(delta_x_p), np.atleast_1d(delta_x_s))
+    pump_phase = 2.0 * math.pi * delta_x_p / config.pump_wavelength
     gain2 = complex(config.gain2) * np.exp(1j * pump_phase)
     s1, i1 = spdc(free_mode(SO1), free_mode(IO1), complex(config.gain1))
     link = attenuate(i1, config.eta)
@@ -81,29 +79,15 @@ def setup_operators(
     return out_a, i2
 
 
-def setup_rates(config: "ExperimentConfig", delays: Sequence[DelaySetting]) -> np.ndarray:
+def setup_rates(
+    config: "ExperimentConfig",
+    delta_x_p: float | np.ndarray = 0.0,
+    delta_x_s: float | np.ndarray = 0.0,
+) -> np.ndarray:
     """Monochromatic rates of m delay settings in one pass, in |K|^2 units.
 
     Returns shape (3, m), rows (p_a, p_b, p_ab).  Each column equals the
     one-setting evaluation exactly: every operation acts per batch entry.
     """
-    out_a, i2 = setup_operators(config, delays)
+    out_a, i2 = setup_operators(config, delta_x_p, delta_x_s)
     return np.array([singles_rate(out_a), singles_rate(i2), coincidence_rate(out_a, i2)])
-
-
-def compose_setup(config: "ExperimentConfig", delays: DelaySetting) -> RatePrediction:
-    """Monochromatic rates of one delay setting: :func:`setup_rates` on a batch of one."""
-    return RatePrediction(*setup_rates(config, [delays])[:, 0].tolist())
-
-
-def phase_averaged_rates(
-    config: "ExperimentConfig", delays: DelaySetting = DelaySetting()
-) -> RatePrediction:
-    """Fringe baseline: rates averaged over the relative pump/signal phase.
-
-    The rates are sinusoidal in (pump phase - signal phase), so the mean with
-    the prediction half a pump wavelength away removes the fringe exactly.
-    """
-    half = DelaySetting(delays.delta_x_p + config.pump_wavelength / 2.0, delays.delta_x_s)
-    here, flipped = setup_rates(config, [delays, half]).T
-    return RatePrediction(*((here + flipped) / 2.0).tolist())

@@ -19,12 +19,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
-
-from .expectation import RatePrediction
-from .operators import DelaySetting
 
 if TYPE_CHECKING:  # pragma: no cover
     from .config import ExperimentConfig
@@ -125,8 +122,13 @@ def _mode_phase(state: FockState, slot: int, phase: np.ndarray) -> FockState:
     return FockState({occ: amp * factors[occ[slot]] for occ, amp in state.amplitudes.items()})
 
 
-def build_state(config: "ExperimentConfig", delays: Sequence[DelaySetting]) -> FockState:
-    """Assemble the output state of the full two-crystal topology for m delay settings.
+def build_state(
+    config: "ExperimentConfig",
+    delta_x_p: float | np.ndarray = 0.0,
+    delta_x_s: float | np.ndarray = 0.0,
+) -> FockState:
+    """Assemble the output state of the full two-crystal topology for the pump
+    and signal delays (meters) broadcast to m settings.
 
     Steps: pair creation in crystal 1; the idler link as a two-mode rotation
     against a fresh loss mode; pair creation in crystal 2 with the pump
@@ -144,10 +146,9 @@ def build_state(config: "ExperimentConfig", delays: Sequence[DelaySetting]) -> F
     t = math.sqrt(config.splitter_ratio)
     r = math.sqrt(1.0 - config.splitter_ratio)
 
-    pump_phase = np.array([d.pump_phase(config.pump_wavelength) for d in delays])
-    signal_phase = np.array(
-        [d.signal_phase(config.signal_filter.center_wavelength) for d in delays]
-    )
+    delta_x_p, delta_x_s = np.broadcast_arrays(np.atleast_1d(delta_x_p), np.atleast_1d(delta_x_s))
+    pump_phase = 2.0 * math.pi * delta_x_p / config.pump_wavelength
+    signal_phase = 2.0 * math.pi * delta_x_s / config.signal_filter.center_wavelength
     gain2 = config.gain2 * np.exp(1j * pump_phase)
 
     state = FockState({(0, 0, 0, 0): np.ones(len(pump_phase), dtype=complex)})
@@ -176,8 +177,3 @@ def detection_moments(state: FockState) -> np.ndarray:
         p_b += occ[IDLER_SLOT] * w
         p_ab += occ[MONITOR_SLOT] * occ[IDLER_SLOT] * w
     return np.array([p_a, p_b, p_ab])
-
-
-def oracle_rates(config: "ExperimentConfig", delays: DelaySetting) -> RatePrediction:
-    """The oracle's moments for one delay setting: a batch of one."""
-    return RatePrediction(*detection_moments(build_state(config, [delays]))[:, 0].tolist())

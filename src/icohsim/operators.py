@@ -48,24 +48,6 @@ class BeamSplitterParams:
         return cls(math.sqrt(fraction), math.sqrt(1.0 - fraction))
 
 
-@dataclass(frozen=True)
-class DelaySetting:
-    """Pump and signal path length differences (meters)."""
-
-    delta_x_p: float = 0.0
-    delta_x_s: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.delta_x_p) and math.isfinite(self.delta_x_s)):
-            raise ValueError("delays must be finite")
-
-    def pump_phase(self, pump_wavelength: float) -> float:
-        return 2.0 * math.pi * self.delta_x_p / pump_wavelength
-
-    def signal_phase(self, signal_wavelength: float) -> float:
-        return 2.0 * math.pi * self.delta_x_s / signal_wavelength
-
-
 def spdc(
     signal_in: Channel, idler_in: Channel, gain: complex | np.ndarray
 ) -> tuple[Channel, Channel]:

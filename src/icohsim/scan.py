@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from .counting import calibrate, count_means, sample_scan
-from .expectation import RATE_FLOOR, RatePrediction
+from .expectation import check_rates
 from .spectral import compile_model
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -171,10 +171,11 @@ def run_scan(
     model = compile_model(config)
     cc = calibrate(config.detectors, model.baseline)
     rates = model.rates(delta_x_p=delays) if axis == "pump" else model.rates(delta_x_s=delays)
-    bad = np.flatnonzero(~np.all(np.isfinite(rates) & (rates >= RATE_FLOOR), axis=0))
-    if len(bad):
-        RatePrediction(*rates[:, bad[0]].tolist())  # raises, naming the channel
-    detected = cc.detected(rates)
+    check_rates(rates)
+    with np.errstate(over="ignore"):
+        detected = cc.detected(rates)
+    if not np.all(np.isfinite(detected)):
+        raise OverflowError("calibrated rates exceed the float range")
     return ScanRecord(
         axis=axis,
         delays=delays,

@@ -16,7 +16,7 @@ dphi = 2 pi (dx_p / lambda_p - dx_s / lambda_s) and follows the
 induced-coherence law B + Re(A e^{i dphi}) of Zou, Wang and Mandel (PRL 67,
 318, 1991).  :func:`compile_model` reads B and A off one engine
 pass over three delay settings, once per config; :func:`modulated_rates`
-stays the per-point reference it is tested against.
+stays the engine-per-setting reference it is tested against.
 """
 
 from __future__ import annotations
@@ -27,8 +27,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .expectation import RatePrediction, compose_setup, phase_averaged_rates, setup_rates
-from .operators import DelaySetting
+from .expectation import setup_rates
 
 if TYPE_CHECKING:  # pragma: no cover
     from .config import ExperimentConfig
@@ -91,23 +90,29 @@ def profile_for_coherence_length(profile: SpectralProfile, target: float) -> Spe
     return replace(profile, fwhm_wavelength=None, fwhm_frequency=dnu)
 
 
-def modulated_rates(config: "ExperimentConfig", delays: DelaySetting) -> RatePrediction:
+def modulated_rates(
+    config: "ExperimentConfig",
+    delta_x_p: float | np.ndarray = 0.0,
+    delta_x_s: float | np.ndarray = 0.0,
+) -> np.ndarray:
     """Monochromatic rates with the fringe term damped by both envelopes.
 
     The oscillatory part of each rate (the deviation from its phase-averaged
     baseline) is multiplied by env_signal(dx_s) * env_pump(dx_p); the baseline
     itself, which comes from incoherent pair generation, is left untouched.
+    The rates are sinusoidal in the fringe phase, so the baseline is the mean
+    with the same settings half a pump wavelength away.  One engine pass
+    covers both; returns shape (3, m) for the delays broadcast to (m,).
     """
-    mono = compose_setup(config, delays)
-    base = phase_averaged_rates(config, delays)
-    env = envelope(config.signal_filter, delays.delta_x_s) * envelope(
-        config.pump_profile(), delays.delta_x_p
+    delta_x_p, delta_x_s = np.broadcast_arrays(np.atleast_1d(delta_x_p), np.atleast_1d(delta_x_s))
+    shifted = delta_x_p + config.pump_wavelength / 2.0
+    both = setup_rates(
+        config, np.concatenate([delta_x_p, shifted]), np.concatenate([delta_x_s, delta_x_s])
     )
-    return RatePrediction(
-        p_a=base.p_a + (mono.p_a - base.p_a) * env,
-        p_b=base.p_b + (mono.p_b - base.p_b) * env,
-        p_ab=base.p_ab + (mono.p_ab - base.p_ab) * env,
-    )
+    mono, flipped = np.split(both, 2, axis=1)
+    base = (mono + flipped) / 2.0
+    env = envelope(config.signal_filter, delta_x_s) * envelope(config.pump_profile(), delta_x_p)
+    return base + (mono - base) * env
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,7 +120,7 @@ class FringeModel:
     """Closed-form rates of one config: per channel (p_a, p_b, p_ab) a
     phase-averaged baseline B and a complex fringe amplitude A."""
 
-    baseline: RatePrediction
+    baseline: np.ndarray  # (3,) float, channels (p_a, p_b, p_ab)
     amplitude: np.ndarray  # (3,) complex, channels (p_a, p_b, p_ab)
     pump_profile: SpectralProfile
     signal_filter: SpectralProfile
@@ -135,26 +140,22 @@ class FringeModel:
         )
         env = envelope(self.signal_filter, delta_x_s) * envelope(self.pump_profile, delta_x_p)
         channels = (3,) + (1,) * phase.ndim
-        base = np.array([self.baseline.p_a, self.baseline.p_b, self.baseline.p_ab])
         fringe = self.amplitude.reshape(channels) * np.exp(1j * phase)
-        return base.reshape(channels) + env * fringe.real
+        return self.baseline.reshape(channels) + env * fringe.real
 
 
 def compile_model(config: "ExperimentConfig") -> FringeModel:
     """B and A of every channel from one engine pass at pump phase 0, pi/2 and pi.
 
     With R(dphi) = B + Re(A e^{i dphi}): B = (R_0 + R_pi) / 2, the same
-    evaluations and arithmetic as ``phase_averaged_rates(config)``, and
-    A = (R_0 - R_pi) / 2 + i (B - R_pi/2).
+    evaluations and arithmetic as the baseline in :func:`modulated_rates`,
+    and A = (R_0 - R_pi) / 2 + i (B - R_pi/2).
     """
     lam_p = config.pump_wavelength
-    r0, r_quarter, r_pi = setup_rates(
-        config,
-        [DelaySetting(), DelaySetting(delta_x_p=lam_p / 4.0), DelaySetting(delta_x_p=lam_p / 2.0)],
-    ).T
+    r0, r_quarter, r_pi = setup_rates(config, np.array([0.0, lam_p / 4.0, lam_p / 2.0])).T
     base = (r0 + r_pi) / 2.0
     return FringeModel(
-        baseline=RatePrediction(*base.tolist()),
+        baseline=base,
         amplitude=(r0 - r_pi) / 2.0 + 1j * (base - r_quarter),
         pump_profile=config.pump_profile(),
         signal_filter=config.signal_filter,

@@ -16,14 +16,14 @@ from icohsim.counting import (
     CountingConfig,
     accidental_rate,
     calibrate,
+    count_means,
     double_pair_probability,
-    sample_counts,
+    sample_scan,
 )
-from icohsim.expectation import RatePrediction, compose_setup, phase_averaged_rates
-from icohsim.fockoracle import oracle_rates
-from icohsim.operators import DelaySetting
+from icohsim.expectation import setup_rates
+from icohsim.fockoracle import build_state, detection_moments
 from icohsim.scan import ScanRecord, fit_fringe, run_scan
-from icohsim.spectral import SpectralProfile, envelope, modulated_rates
+from icohsim.spectral import SpectralProfile, compile_model, envelope, modulated_rates
 
 from conftest import config_with
 
@@ -72,12 +72,9 @@ def wrapped_difference(a, b):
 def noiseless_record(config, pump_offset=0.0, span=2e-6, points=401):
     """Signal-axis scan of envelope-modulated rates at a fixed pump delay."""
     grid = np.linspace(-span, span, points)
-    cc = calibrate(config.detectors, phase_averaged_rates(config))
-    detected = []
-    for x in grid:
-        rates = modulated_rates(config, DelaySetting(delta_x_p=pump_offset, delta_x_s=x))
-        detected.append(cc.detected_rates(rates))
-    return ScanRecord(axis="signal", delays=grid, rates=np.array(detected).T, config=config)
+    cc = calibrate(config.detectors, compile_model(config).baseline)
+    detected = cc.detected(modulated_rates(config, pump_offset, grid))
+    return ScanRecord(axis="signal", delays=grid, rates=detected, config=config)
 
 
 def test_criterion_01_singles_rate_cosine_law():
@@ -86,17 +83,14 @@ def test_criterion_01_singles_rate_cosine_law():
     lam_p, lam_s = cfg.pump_wavelength, cfg.signal_filter.center_wavelength
     phases_p = np.linspace(0.0, 2 * math.pi, 10, endpoint=False)
     phases_s = np.linspace(0.0, 2 * math.pi, 10, endpoint=False)
-    rates = []
+    delta_x_p, delta_x_s = [], []
     shapes = []
     for pp in phases_p:
         for ps in phases_s:
-            delays = DelaySetting(
-                delta_x_p=pp * lam_p / (2 * math.pi),
-                delta_x_s=ps * lam_s / (2 * math.pi),
-            )
-            rates.append(compose_setup(cfg, delays).p_a)
+            delta_x_p.append(pp * lam_p / (2 * math.pi))
+            delta_x_s.append(ps * lam_s / (2 * math.pi))
             shapes.append(1.0 + math.cos(pp - ps))
-    rates = np.array(rates)
+    rates = setup_rates(cfg, np.array(delta_x_p), np.array(delta_x_s))[0]
     shapes = np.array(shapes)
     scale = float(np.sum(rates * shapes) / np.sum(shapes * shapes))
     worst = float(np.max(np.abs(rates - scale * shapes)) / (2.0 * scale))
@@ -148,9 +142,7 @@ def test_criterion_07_signal_envelope_width():
 
     def window_amplitude(center):
         xs = center + np.linspace(0.0, 2 * lam_s, 64)
-        values = [
-            modulated_rates(cfg, DelaySetting(delta_x_s=x)).p_a for x in xs
-        ]
+        values = modulated_rates(cfg, delta_x_s=xs)[0]
         return (max(values) - min(values)) / 2.0
 
     peak = window_amplitude(0.0)
@@ -172,15 +164,12 @@ def test_criterion_08_oracle_equivalence_on_randomized_configs():
             eta=rng.uniform(0.0, 1.0),
             splitter_ratio=rng.uniform(0.25, 0.75),
         )
-        delays = DelaySetting(
-            delta_x_p=rng.uniform(-2 * cfg.pump_wavelength, 2 * cfg.pump_wavelength),
-            delta_x_s=rng.uniform(-1.6e-6, 1.6e-6),
-        )
-        engine = compose_setup(cfg, delays)
-        oracle = oracle_rates(cfg, delays)
-        for field in ("p_a", "p_b", "p_ab"):
-            e, o = getattr(engine, field), getattr(oracle, field)
-            scale = max(abs(e), abs(o), phase_averaged_rates(cfg).p_a)
+        delta_x_p = rng.uniform(-2 * cfg.pump_wavelength, 2 * cfg.pump_wavelength)
+        delta_x_s = rng.uniform(-1.6e-6, 1.6e-6)
+        engine = setup_rates(cfg, delta_x_p, delta_x_s)[:, 0].tolist()
+        oracle = detection_moments(build_state(cfg, delta_x_p, delta_x_s))[:, 0].tolist()
+        for e, o in zip(engine, oracle):
+            scale = max(abs(e), abs(o), compile_model(cfg).baseline[0])
             worst = max(worst, abs(e - o) / scale)
     assert worst <= low_gain_bound**2
 
@@ -206,11 +195,10 @@ def test_criterion_10_counting_statistics():
 
     cc = calibrate(
         CountingConfig(rate_a_cal=2000.0, dwell=0.5, seed=424242),
-        RatePrediction(1.0, 1.0, 1.0),
+        np.ones(3),
     )
-    draws = np.array(
-        [sample_counts(RatePrediction(1.0, 1.0, 1.0), cc, i).counts_a for i in range(10_000)]
-    )
+    # point i draws from stream i, as it would in a 10 000-point scan
+    draws = sample_scan(count_means(cc.detected(np.ones((3, 10_000))), cc), cc.seed)[0]
     mu = 1000.0
     n = len(draws)
     assert abs(draws.mean() - mu) < 5 * math.sqrt(mu / n)

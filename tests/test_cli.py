@@ -231,6 +231,43 @@ def test_invalid_config_exits_with_config_code(tmp_path):
     assert main(["report", "--config", config]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("command", ["simulate", "report", "oracle-check"])
+def test_non_finite_config_value_exits_with_config_code(tmp_path, capsys, command):
+    config = write_config(tmp_path, "[pump]\nwavelength_nm = nan\n[scan]\n")
+    argv = [command, "--config", config, "--out", str(tmp_path / "out"), "--quiet"]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == "config error: pump.wavelength_nm: not a finite number: 'nan'\n"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "command, text, reason",
+    [
+        ("simulate", "[detectors]\nrate_a_hz = 1e30\n[scan]\n", "expected counts 6.1e+27"),
+        ("simulate", "[scan]\ndwell_s = 1e300\n", "expected counts 1.1e+305"),
+        (
+            "simulate",
+            "[detectors]\nrate_a_hz = 1e200\nrate_b_hz = 1e200\n[scan]\n",
+            "expected counts inf",
+        ),
+        ("simulate", "[detectors]\nrate_a_hz = 1.7e308\n[scan]\n", "calibrated rates exceed"),
+        ("predict", "[detectors]\nrate_a_hz = 1.7e308\n[scan]\n", "calibrated rates exceed"),
+    ],
+    ids=["rate_a_1e30", "dwell_1e300", "rates_1e200", "simulate_rate_1.7e308", "predict_rate_1.7e308"],
+)
+def test_counts_beyond_the_sampler_limit_exit_with_config_code(
+    tmp_path, capsys, command, text, reason
+):
+    out = tmp_path / "scan.csv"
+    argv = [command, "--config", write_config(tmp_path, text), "--out", str(out), "--quiet"]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {reason}")
+    assert err.rstrip().endswith("lower detectors.rate_a_hz, detectors.rate_b_hz or scan.dwell_s")
+    assert not out.exists()
+
+
 def test_unwritable_output_exits_with_io_code(tmp_path):
     target = tmp_path / "no" / "such" / "dir" / "out.csv"
     code = main(["predict", "--config", DEFAULT_CONFIG, "--out", str(target), "--quiet"])

@@ -3,6 +3,7 @@ from pathlib import Path
 import pytest
 
 from icohsim.config import (
+    _SCHEMA,
     MAX_SCAN_POINTS,
     ConfigError,
     ExperimentConfig,
@@ -70,6 +71,27 @@ def test_number_parse_errors_name_the_key():
         parse_config("[crystal1]\ngain = tiny\n[scan]\n")
     with pytest.raises(ConfigError, match=r"detectors\.seed"):
         parse_config("[detectors]\nseed = 1.5\n[scan]\n")
+
+
+FLOAT_KEYS = [
+    (section, key)
+    for section, keys in _SCHEMA.items()
+    for key in keys
+    if (section, key) not in {("detectors", "seed"), ("scan", "axis")}
+]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("section, key", FLOAT_KEYS, ids=[f"{s}.{k}" for s, k in FLOAT_KEYS])
+def test_non_finite_values_name_the_key(section, key, value):
+    text = f"[{section}]\n{key} = {value}\n" + ("" if section == "scan" else "[scan]\n")
+    with pytest.raises(ConfigError, match=rf"^{section}\.{key}: not a finite number: '{value}'$"):
+        parse_config(text)
+
+
+def test_unit_conversion_beyond_the_float_range_names_the_key():
+    with pytest.raises(ConfigError, match=r"^pump\.bandwidth_ghz: not a finite number: '1e300'$"):
+        parse_config("[pump]\nbandwidth_ghz = 1e300\n[scan]\n")
 
 
 def test_scan_validation():

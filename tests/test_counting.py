@@ -11,19 +11,29 @@ from icohsim.counting import (
     count_means,
     double_pair_probability,
     point_rng,
-    sample_counts,
     sample_scan,
 )
-from icohsim.expectation import RatePrediction
 from icohsim.scan import run_scan
 from icohsim.spectral import compile_model
 
 from conftest import config_with
 
+ONES = np.ones(3)
 
-def calibrated(seed=123, dwell=0.5, baseline=RatePrediction(1.0, 1.0, 1.0), **kw):
+
+def calibrated(seed=123, dwell=0.5, baseline=ONES, **kw):
     cc = CountingConfig(seed=seed, dwell=dwell, **kw)
     return calibrate(cc, baseline)
+
+
+def point_means(rates, cc):
+    """Expected counts (4, 1) of one point with model rates (p_a, p_b, p_ab)."""
+    return count_means(cc.detected(np.reshape(rates, (3, 1))), cc)
+
+
+def sample_point(rates, cc, index):
+    """Counts [A, B, coincidences] of scan point ``index``: a one-column scan."""
+    return sample_scan(point_means(rates, cc), cc.seed, index)[:, 0].tolist()
 
 
 def test_accidental_rate_values():
@@ -56,41 +66,39 @@ def test_double_pair_probability_monotone():
 def test_sampling_requires_calibration():
     cc = CountingConfig(seed=1)
     with pytest.raises(ValueError, match="calibrat"):
-        sample_counts(RatePrediction(1.0, 1.0, 1.0), cc, 0)
+        sample_point(ONES, cc, 0)
 
 
 def test_sampling_is_deterministic_and_order_free():
     cc = calibrated(seed=99)
-    rates = RatePrediction(1.0, 1.0, 0.9)
-    forward = [sample_counts(rates, cc, i) for i in range(10)]
-    backward = [sample_counts(rates, cc, i) for i in reversed(range(10))]
+    rates = [1.0, 1.0, 0.9]
+    forward = [sample_point(rates, cc, i) for i in range(10)]
+    backward = [sample_point(rates, cc, i) for i in reversed(range(10))]
     assert forward == backward[::-1]
-    again = [sample_counts(rates, cc, i) for i in range(10)]
+    again = [sample_point(rates, cc, i) for i in range(10)]
     assert forward == again
 
 
 def test_different_points_and_seeds_differ():
     cc = calibrated(seed=7)
-    rates = RatePrediction(1.0, 1.0, 1.0)
-    a = sample_counts(rates, cc, 0)
-    b = sample_counts(rates, cc, 1)
-    other = sample_counts(rates, calibrated(seed=8), 0)
-    assert (a.counts_a, a.counts_b) != (b.counts_a, b.counts_b) or a != other
+    a = sample_point(ONES, cc, 0)
+    b = sample_point(ONES, cc, 1)
+    other = sample_point(ONES, calibrated(seed=8), 0)
+    assert a[:2] != b[:2] or a != other
 
 
 def test_zero_model_baseline_degenerates_to_flat_calibrated_rates():
-    cc = calibrated(baseline=RatePrediction(0.0, 0.0, 0.0))
-    s = sample_counts(RatePrediction(0.0, 0.0, 0.0), cc, 3)
+    cc = calibrated(baseline=np.zeros(3))
+    counts_a, _, coincidences = sample_point(np.zeros(3), cc, 3)
     # degenerate calibration keeps the detectors at their calibrated
     # baselines but produces no true coincidences
-    assert s.counts_a > 0
-    assert s.coincidences <= 20  # accidentals only, rate 9.24/s * 0.5 s
+    assert counts_a > 0
+    assert coincidences <= 20  # accidentals only, rate 9.24/s * 0.5 s
 
 
 def test_mean_within_three_sigma_over_1000_draws():
     cc = calibrated(seed=2024)
-    rates = RatePrediction(1.0, 1.0, 1.0)
-    draws = np.array([sample_counts(rates, cc, i).counts_a for i in range(1000)])
+    draws = np.array([sample_point(ONES, cc, i)[0] for i in range(1000)])
     mean = 42000 * 0.5
     bound = 3 * math.sqrt(mean) / math.sqrt(1000)
     assert abs(draws.mean() - mean) < bound
@@ -98,8 +106,7 @@ def test_mean_within_three_sigma_over_1000_draws():
 
 def test_mean_and_variance_at_five_sigma_over_1e4_draws():
     cc = calibrated(seed=31337, rate_a_cal=2000.0)
-    rates = RatePrediction(1.0, 1.0, 1.0)
-    draws = np.array([sample_counts(rates, cc, i).counts_a for i in range(10_000)])
+    draws = np.array([sample_point(ONES, cc, i)[0] for i in range(10_000)])
     mu = 2000.0 * 0.5
     n = len(draws)
     assert abs(draws.mean() - mu) < 5 * math.sqrt(mu / n)
@@ -109,14 +116,14 @@ def test_mean_and_variance_at_five_sigma_over_1e4_draws():
 
 def test_accidentals_expected_value():
     cc = calibrated(seed=5, rate_a_cal=42e3, rate_b_cal=110e3, window=2e-9)
-    s = sample_counts(RatePrediction(1.0, 1.0, 1.0), cc, 0)
-    assert s.accidentals_expected == pytest.approx(9.24 * 0.5, rel=1e-9)
+    accidentals_expected = point_means(ONES, cc)[3, 0]
+    assert accidentals_expected == pytest.approx(9.24 * 0.5, rel=1e-9)
 
 
 def test_overflow_guard():
     cc = calibrated(rate_a_cal=1e30)
     with pytest.raises(OverflowError):
-        sample_counts(RatePrediction(1.0, 1.0, 1.0), cc, 0)
+        sample_point(ONES, cc, 0)
 
 
 def test_point_rng_rejects_negative_index():
@@ -133,9 +140,10 @@ def test_counting_config_validation():
 
 def _fresh_stream_counts(rates, cc, index):
     """One point drawn the per-point way: scalar calibration, a fresh stream."""
-    r_a = cc.rate_a_cal * rates.p_a / cc.baseline_a
-    r_b = cc.rate_b_cal * rates.p_b / cc.baseline_b
-    r_true = cc.rate_a_cal * rates.p_ab / cc.baseline_a
+    p_a, p_b, p_ab = rates
+    r_a = cc.rate_a_cal * p_a / cc.baseline_a
+    r_b = cc.rate_b_cal * p_b / cc.baseline_b
+    r_true = cc.rate_a_cal * p_ab / cc.baseline_a
     rng = point_rng(cc.seed, index)
     counts_a = int(rng.poisson(r_a * cc.dwell))
     counts_b = int(rng.poisson(r_b * cc.dwell))
@@ -152,7 +160,7 @@ def test_scan_sampler_matches_fresh_point_streams(axis):
     model = compile_model(cfg)
     cc = calibrate(cfg.detectors, model.baseline)
     delays = {"delta_x_p" if axis == "pump" else "delta_x_s": record.delays}
-    points = [RatePrediction(*p) for p in zip(*model.rates(**delays).tolist())]
+    points = list(zip(*model.rates(**delays).tolist()))
 
     # the reference draws points in a shuffled order, each from its own stream
     order = list(range(len(points)))
@@ -163,10 +171,8 @@ def test_scan_sampler_matches_fresh_point_streams(axis):
     assert np.array_equal(record.rates, rates)
     assert np.array_equal(record.counts, counts)
 
-    one_by_one = [sample_counts(p, cc, i) for i, p in enumerate(points)]
-    assert [(s.counts_a, s.counts_b, s.coincidences) for s in one_by_one] == list(
-        zip(*counts.tolist())
-    )
+    one_by_one = [tuple(sample_point(p, cc, i)) for i, p in enumerate(points)]
+    assert one_by_one == list(zip(*counts.tolist()))
     # a tail of the scan sampled on its own draws the same counts
     tail = sample_scan(count_means(record.rates[:, 150:], cc), cc.seed, 150)
     assert np.array_equal(tail, record.counts[:, 150:])

@@ -5,25 +5,23 @@ import numpy as np
 import pytest
 
 from icohsim.expectation import (
-    RatePrediction,
+    check_rates,
     coincidence_rate,
-    compose_setup,
-    phase_averaged_rates,
     singles_rate,
     setup_operators,
     setup_rates,
 )
-from icohsim.fockoracle import oracle_rates
+from icohsim.fockoracle import build_state, detection_moments
 from icohsim.operators import (
     IO1,
     SO1,
     SO2,
     BeamSplitterParams,
-    DelaySetting,
     beam_splitter,
     free_mode,
     spdc,
 )
+from icohsim.spectral import compile_model
 
 from conftest import config_with
 
@@ -87,8 +85,8 @@ GOLDEN = [
 def test_rates_match_recorded_engine_outputs(overrides, rates):
     cfg = config_with(**overrides)
     for delays, want in zip(GOLDEN_DELAYS, rates):
-        got = compose_setup(cfg, DelaySetting(*delays))
-        assert (got.p_a, got.p_b, got.p_ab) == pytest.approx(want, rel=1e-12, abs=0.0)
+        got = setup_rates(cfg, *delays)[:, 0].tolist()
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_singles_rate_of_pure_annihilator_is_zero():
@@ -110,10 +108,9 @@ def test_singles_rate_counts_creation_amplitudes_coherently():
 def test_ideal_singles_rate_extremes():
     k = 1e-3
     cfg = config_with(gain1=k, gain2=k)
-    top = compose_setup(cfg, DelaySetting())
-    assert top.p_a == pytest.approx(2 * k * k, rel=1e-12)
-    bottom = compose_setup(cfg, DelaySetting(delta_x_p=cfg.pump_wavelength / 2))
-    assert bottom.p_a <= 1e-12 * top.p_a
+    top, bottom = setup_rates(cfg, np.array([0.0, cfg.pump_wavelength / 2]))[0]
+    assert top == pytest.approx(2 * k * k, rel=1e-12)
+    assert bottom <= 1e-12 * top
 
 
 def test_phase_grid_matches_cosine_law():
@@ -124,11 +121,11 @@ def test_phase_grid_matches_cosine_law():
     for _ in range(50):
         phi_p = rng.uniform(0, 2 * math.pi)
         phi_s = rng.uniform(0, 2 * math.pi)
-        delays = DelaySetting(
+        got = setup_rates(
+            cfg,
             delta_x_p=phi_p * lam_p / (2 * math.pi),
             delta_x_s=phi_s * lam_s / (2 * math.pi),
-        )
-        got = compose_setup(cfg, delays).p_a
+        )[0, 0]
         want = k * k * (1 + math.cos(phi_p - phi_s))
         assert got == pytest.approx(want, abs=2 * k * k * 1e-12)
 
@@ -142,12 +139,7 @@ def test_coincidence_shares_phase_dependence_with_singles():
     cfg = config_with(gain1=k, gain2=k, eta=0.8)
     lam_p = cfg.pump_wavelength
     phases = np.linspace(0, 2 * math.pi, 37)
-    singles = []
-    coinc = []
-    for phi in phases:
-        p = compose_setup(cfg, DelaySetting(delta_x_p=phi * lam_p / (2 * math.pi)))
-        singles.append(p.p_a)
-        coinc.append(p.p_ab)
+    singles, _, coinc = setup_rates(cfg, phases * lam_p / (2 * math.pi))
     assert int(np.argmax(singles)) == int(np.argmax(coinc))
     assert int(np.argmin(singles)) == int(np.argmin(coinc))
 
@@ -156,11 +148,10 @@ def test_visibility_pairing_closed_forms():
     k = 1e-3
     for eta in (1.0, 0.9, 0.7, 0.4, 0.0):
         cfg = config_with(gain1=k, gain2=k, eta=eta)
-        hi = compose_setup(cfg, DelaySetting())
-        lo = compose_setup(cfg, DelaySetting(delta_x_p=cfg.pump_wavelength / 2))
-        vis_singles = (hi.p_a - lo.p_a) / (hi.p_a + lo.p_a)
+        hi, lo = setup_rates(cfg, np.array([0.0, cfg.pump_wavelength / 2])).T
+        vis_singles = (hi[0] - lo[0]) / (hi[0] + lo[0])
         assert vis_singles == pytest.approx(eta, abs=1e-12)
-        vis_coinc = (hi.p_ab - lo.p_ab) / (hi.p_ab + lo.p_ab)
+        vis_coinc = (hi[2] - lo[2]) / (hi[2] + lo[2])
         expected = 2 * eta / (1 + eta * eta) if eta > 0 else 0.0
         # O(K^2) shift from the double-pair term in the exact contraction
         assert vis_coinc == pytest.approx(expected, abs=5 * k * k)
@@ -170,14 +161,13 @@ def test_fringe_period_follows_the_scanned_axis():
     cfg = config_with(gain1=1e-3, gain2=1e-3)
     lam_p = cfg.pump_wavelength
     lam_s = cfg.signal_filter.center_wavelength
-    probe = compose_setup(cfg, DelaySetting(delta_x_p=0.31 * lam_p)).p_a
-    shifted = compose_setup(cfg, DelaySetting(delta_x_p=1.31 * lam_p)).p_a
+    probe, shifted, mismatched = setup_rates(
+        cfg, np.array([0.31 * lam_p, 1.31 * lam_p, 0.31 * lam_p + lam_s])
+    )[0]
     assert shifted == pytest.approx(probe, rel=1e-9)
-    probe_s = compose_setup(cfg, DelaySetting(delta_x_s=0.2 * lam_s)).p_a
-    shifted_s = compose_setup(cfg, DelaySetting(delta_x_s=1.2 * lam_s)).p_a
+    probe_s, shifted_s = setup_rates(cfg, delta_x_s=np.array([0.2 * lam_s, 1.2 * lam_s]))[0]
     assert shifted_s == pytest.approx(probe_s, rel=1e-9)
     # and the pump-axis period is NOT the signal wavelength
-    mismatched = compose_setup(cfg, DelaySetting(delta_x_p=0.31 * lam_p + lam_s)).p_a
     assert abs(mismatched - probe) > 0.1 * probe
 
 
@@ -187,46 +177,39 @@ def test_idler_singles_independent_of_delays():
     rng = random.Random(9)
     expected = k1 * k1 + k2 * k2
     for _ in range(20):
-        delays = DelaySetting(
-            delta_x_p=rng.uniform(-1e-6, 1e-6), delta_x_s=rng.uniform(-1e-6, 1e-6)
-        )
-        assert compose_setup(cfg, delays).p_b == pytest.approx(expected, rel=1e-12)
+        p_b = setup_rates(cfg, rng.uniform(-1e-6, 1e-6), rng.uniform(-1e-6, 1e-6))[1, 0]
+        assert p_b == pytest.approx(expected, rel=1e-12)
 
 
 def test_zero_gains_remove_all_pairs():
     cfg = config_with(gain1=0.0, gain2=0.0)
-    for delays in (DelaySetting(), DelaySetting(delta_x_p=1.1e-7, delta_x_s=-3.7e-7)):
-        p = compose_setup(cfg, delays)
-        assert p.p_a == 0.0
-        assert p.p_b == 0.0
-        assert p.p_ab == 0.0
+    for delays in ((0.0, 0.0), (1.1e-7, -3.7e-7)):
+        p_a, p_b, p_ab = setup_rates(cfg, *delays)[:, 0]
+        assert p_a == 0.0
+        assert p_b == 0.0
+        assert p_ab == 0.0
 
 
 def test_phase_averaged_rates_are_the_baseline():
     cfg = config_with(gain1=1e-3, gain2=1e-3, eta=0.8)
-    base = phase_averaged_rates(cfg)
+    base = compile_model(cfg).baseline
     k = 1e-3
-    assert base.p_a == pytest.approx(k * k, rel=1e-9)  # (t^2 + r^2) |K|^2
+    assert base[0] == pytest.approx(k * k, rel=1e-9)  # (t^2 + r^2) |K|^2
     rng = random.Random(17)
     for _ in range(5):
-        delays = DelaySetting(delta_x_p=rng.uniform(0, 1e-6))
-        again = phase_averaged_rates(cfg, delays)
-        assert again.p_a == pytest.approx(base.p_a, rel=1e-9)
+        x = rng.uniform(0, 1e-6)
+        here, flipped = setup_rates(cfg, np.array([x, x + cfg.pump_wavelength / 2.0]))[0]
+        assert (here + flipped) / 2.0 == pytest.approx(base[0], rel=1e-9)
 
 
 def test_agrees_with_fock_oracle_on_default_grid():
     k = 1e-3
     cfg = config_with(gain1=k, gain2=k)
     lam_s = cfg.signal_filter.center_wavelength
-    engine = []
-    oracle = []
-    for frac in np.linspace(0, 1, 16, endpoint=False):
-        delays = DelaySetting(delta_x_s=frac * lam_s)
-        engine.append(compose_setup(cfg, delays))
-        oracle.append(oracle_rates(cfg, delays))
-    for field in ("p_a", "p_b", "p_ab"):
-        e = np.array([getattr(p, field) for p in engine])
-        o = np.array([getattr(p, field) for p in oracle])
+    delta_x_s = np.linspace(0, 1, 16, endpoint=False) * lam_s
+    engine = setup_rates(cfg, delta_x_s=delta_x_s)
+    oracle = detection_moments(build_state(cfg, delta_x_s=delta_x_s))
+    for e, o in zip(engine, oracle):
         scale = max(e.max(), o.max())
         # leading orders agree; the two truncation schemes differ at O(K^4)
         assert np.max(np.abs(e - o)) <= 2.05 * k * k * scale
@@ -242,31 +225,28 @@ def test_oracle_agreement_over_randomized_configs():
             eta=rng.uniform(0.0, 1.0),
             splitter_ratio=rng.uniform(0.25, 0.75),
         )
-        delays = DelaySetting(
-            delta_x_p=rng.uniform(-2 * cfg.pump_wavelength, 2 * cfg.pump_wavelength),
-            delta_x_s=rng.uniform(-2e-6, 2e-6),
-        )
-        e = compose_setup(cfg, delays)
-        o = oracle_rates(cfg, delays)
-        for field in ("p_a", "p_b", "p_ab"):
-            ev, ov = getattr(e, field), getattr(o, field)
-            scale = max(abs(ev), abs(ov), phase_averaged_rates(cfg).p_a)
+        delta_x_p = rng.uniform(-2 * cfg.pump_wavelength, 2 * cfg.pump_wavelength)
+        delta_x_s = rng.uniform(-2e-6, 2e-6)
+        e = setup_rates(cfg, delta_x_p, delta_x_s)[:, 0].tolist()
+        o = detection_moments(build_state(cfg, delta_x_p, delta_x_s))[:, 0].tolist()
+        for ev, ov in zip(e, o):
+            scale = max(abs(ev), abs(ov), compile_model(cfg).baseline[0])
             assert abs(ev - ov) <= 1e-6 * scale
 
 
 def test_setup_operators_expose_detected_channels():
     cfg = config_with(gain1=1e-3, gain2=1e-3)
-    out_a, i2 = setup_operators(cfg, [DelaySetting()])
+    out_a, i2 = setup_operators(cfg)
     assert out_a.shape == i2.shape == (1, 2, 4)
-    assert singles_rate(out_a[0]) == pytest.approx(compose_setup(cfg, DelaySetting()).p_a)
+    assert singles_rate(out_a[0]) == pytest.approx(setup_rates(cfg)[0, 0])
     assert i2[0, 0, IO1] == 1.0
 
 
 def random_batch(rng, m):
-    return [
-        DelaySetting(delta_x_p=rng.uniform(-1e-3, 1e-3), delta_x_s=rng.uniform(-1e-4, 1e-4))
-        for _ in range(m)
-    ]
+    """Pump and signal delay arrays of m random settings."""
+    return np.array(
+        [(rng.uniform(-1e-3, 1e-3), rng.uniform(-1e-4, 1e-4)) for _ in range(m)]
+    ).T
 
 
 def test_batch_equals_one_setting_calls_exactly():
@@ -278,14 +258,37 @@ def test_batch_equals_one_setting_calls_exactly():
             eta=rng.choice((0.0, 1.0, rng.uniform(0.0, 1.0))),
             splitter_ratio=rng.uniform(0.01, 0.99),
         )
-        delays = random_batch(rng, rng.randint(1, 40))
-        batch = setup_rates(cfg, delays)
-        assert batch.shape == (3, len(delays))
-        for column, setting in zip(batch.T.tolist(), delays):
-            one = compose_setup(cfg, setting)
-            assert column == [one.p_a, one.p_b, one.p_ab]
+        delta_x_p, delta_x_s = random_batch(rng, rng.randint(1, 40))
+        batch = setup_rates(cfg, delta_x_p, delta_x_s)
+        assert batch.shape == (3, len(delta_x_p))
+        for column, xp, xs in zip(batch.T.tolist(), delta_x_p.tolist(), delta_x_s.tolist()):
+            assert column == setup_rates(cfg, xp, xs)[:, 0].tolist()
 
 
-def test_rate_prediction_rejects_negative():
+def test_scalar_delays_broadcast_against_an_array():
+    cfg = config_with(gain1=1e-3, gain2=1e-3, eta=0.6)
+    delta_x_s = np.linspace(-1e-6, 1e-6, 7)
+    batch = setup_rates(cfg, 1e-7, delta_x_s)
+    assert batch.shape == (3, 7)
+    assert np.array_equal(batch, setup_rates(cfg, np.full(7, 1e-7), delta_x_s))
+
+
+def test_check_rates_rejects_negative():
     with pytest.raises(ValueError):
-        RatePrediction(-1.0, 0.0, 0.0)
+        check_rates(np.array([[-1.0], [0.0], [0.0]]))
+
+
+def test_check_rates_names_the_first_bad_column():
+    check_rates(np.array([[1.0, 0.0], [0.0, -1e-16], [2.0, 0.0]]))  # roundoff passes
+    rates = np.ones((3, 4))
+    rates[2, 1] = -1.0
+    rates[1, 2] = math.nan
+    rates[0, 3] = -2.0
+    with pytest.raises(ValueError, match=r"^rate p_ab=-1\.0 must be finite and non-negative$"):
+        check_rates(rates)
+    rates[1, 1] = math.inf
+    with pytest.raises(ValueError, match=r"^rate p_b=inf must be finite and non-negative$"):
+        check_rates(rates)
+    rates[:, 1] = 1.0
+    with pytest.raises(ValueError, match=r"^rate p_b=nan must be finite and non-negative$"):
+        check_rates(rates)

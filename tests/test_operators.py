@@ -11,7 +11,6 @@ from icohsim.operators import (
     SO1,
     SO2,
     BeamSplitterParams,
-    DelaySetting,
     attenuate,
     beam_splitter,
     free_mode,
@@ -199,10 +198,3 @@ def test_operations_are_linear():
     rhs = phase_delay(a, 55e-9, 808e-9) + scale * phase_delay(b, 55e-9, 808e-9)
     np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-15)
 
-
-def test_delay_setting_phases():
-    d = DelaySetting(delta_x_p=355e-9 / 4, delta_x_s=808e-9 / 2)
-    assert d.pump_phase(355e-9) == pytest.approx(math.pi / 2)
-    assert d.signal_phase(808e-9) == pytest.approx(math.pi)
-    with pytest.raises(ValueError):
-        DelaySetting(delta_x_p=math.nan)

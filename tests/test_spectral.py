@@ -4,8 +4,7 @@ import pytest
 import icohsim.expectation
 import icohsim.spectral
 from icohsim.counting import calibrate
-from icohsim.expectation import compose_setup, phase_averaged_rates, setup_rates
-from icohsim.operators import DelaySetting
+from icohsim.expectation import setup_rates
 from icohsim.scan import run_scan
 from icohsim.spectral import (
     SPEED_OF_LIGHT,
@@ -88,19 +87,15 @@ def test_profile_rescaling_hits_requested_coherence_length():
 
 def test_modulated_rates_reduce_to_monochromatic_at_zero_delay():
     cfg = config_with(gain1=1e-3, gain2=1e-3, eta=0.8)
-    zero = DelaySetting()
-    assert modulated_rates(cfg, zero) == compose_setup(cfg, zero)
+    assert np.array_equal(modulated_rates(cfg), setup_rates(cfg))
 
 
 def test_modulated_signal_scan_flattens_far_out():
     cfg = config_with(gain1=1e-3, gain2=1e-3)
-    base = modulated_rates(cfg, DelaySetting()).p_a / 2.0
+    base = modulated_rates(cfg)[0, 0] / 2.0
     lam_s = cfg.signal_filter.center_wavelength
     far = 1e-3
-    values = [
-        modulated_rates(cfg, DelaySetting(delta_x_s=far + f * lam_s)).p_a
-        for f in np.linspace(0, 1, 9)
-    ]
+    values = modulated_rates(cfg, delta_x_s=far + np.linspace(0, 1, 9) * lam_s)[0]
     ripple = (max(values) - min(values)) / 2
     assert ripple < 1e-10 * base
 
@@ -110,10 +105,7 @@ def test_modulated_pump_scan_keeps_contrast_at_one_millimeter():
     lam_p = cfg.pump_wavelength
 
     def local_visibility(x0):
-        values = [
-            modulated_rates(cfg, DelaySetting(delta_x_p=x0 + f * lam_p)).p_a
-            for f in np.linspace(0, 1, 33)
-        ]
+        values = modulated_rates(cfg, x0 + np.linspace(0, 1, 33) * lam_p)[0]
         return (max(values) - min(values)) / (max(values) + min(values))
 
     assert local_visibility(1e-3) >= 0.89 * local_visibility(0.0)
@@ -125,10 +117,7 @@ def test_envelopes_separate_by_axis():
     # fringe contrast at a signal offset against the signal envelope alone
     lam_s = cfg.signal_filter.center_wavelength
     x0 = 5e-5
-    values = [
-        modulated_rates(cfg, DelaySetting(delta_x_s=x0 + f * lam_s)).p_a
-        for f in np.linspace(0, 1, 65)
-    ]
+    values = modulated_rates(cfg, delta_x_s=x0 + np.linspace(0, 1, 65) * lam_s)[0]
     vis = (max(values) - min(values)) / (max(values) + min(values))
     # the envelope drifts slightly across the one-period window, so compare
     # at the percent level only
@@ -137,8 +126,8 @@ def test_envelopes_separate_by_axis():
 
 def test_idler_channel_untouched_by_envelopes():
     cfg = config_with(gain1=1e-3, gain2=1e-3)
-    a = modulated_rates(cfg, DelaySetting()).p_b
-    b = modulated_rates(cfg, DelaySetting(delta_x_s=3e-4, delta_x_p=1e-3)).p_b
+    a = modulated_rates(cfg)[1, 0]
+    b = modulated_rates(cfg, delta_x_s=3e-4, delta_x_p=1e-3)[1, 0]
     assert a == pytest.approx(b, rel=1e-12)
 
 
@@ -168,49 +157,42 @@ def test_compiled_model_matches_per_point_rates_on_random_configs():
         model = compile_model(cfg)
         compiled = model.rates(dxp, dxs)
         assert compiled.shape == (3, 5)
-        base = np.array([model.baseline.p_a, model.baseline.p_b, model.baseline.p_ab])
+        reference = modulated_rates(cfg, dxp, dxs)
         for k in range(5):
-            ref = modulated_rates(cfg, DelaySetting(delta_x_p=dxp[k], delta_x_s=dxs[k]))
-            reference = np.array([ref.p_a, ref.p_b, ref.p_ab])
-            assert np.all(np.abs(compiled[:, k] - reference) <= 1e-10 * base), cfg
+            assert np.all(np.abs(compiled[:, k] - reference[:, k]) <= 1e-10 * model.baseline), cfg
 
 
 def test_compiled_baseline_is_the_phase_averaged_baseline():
     rng = np.random.default_rng(7)
     for _ in range(20):
         cfg = _random_config(rng)
-        assert compile_model(cfg).baseline == phase_averaged_rates(cfg)
+        r0, r_pi = setup_rates(cfg, np.array([0.0, cfg.pump_wavelength / 2.0])).T
+        assert np.array_equal(compile_model(cfg).baseline, (r0 + r_pi) / 2.0)
 
 
 @pytest.mark.parametrize("axis", ["signal", "pump"])
 def test_run_scan_equals_per_point_path(axis):
     cfg = config_with()
     record = run_scan(cfg, axis=axis, sample=False)
-    baseline = phase_averaged_rates(cfg)
+    baseline = compile_model(cfg).baseline
     cc = calibrate(cfg.detectors, baseline)
     # relative to each channel's calibrated baseline: fringe minima reach ~1e-4 of it
-    tolerance = 1e-12 * np.array(cc.detected_rates(baseline))
-    for x, got in zip(record.delays, record.rates.T):
-        setting = DelaySetting(delta_x_p=x) if axis == "pump" else DelaySetting(delta_x_s=x)
-        expected = cc.detected_rates(modulated_rates(cfg, setting))
-        assert np.all(np.abs(got - expected) <= tolerance)
+    tolerance = 1e-12 * cc.detected(baseline.reshape(3, 1))
+    delays = {"delta_x_p" if axis == "pump" else "delta_x_s": record.delays}
+    expected = cc.detected(modulated_rates(cfg, **delays))
+    assert np.all(np.abs(record.rates - expected) <= tolerance)
 
 
 def test_compile_model_makes_one_engine_pass_of_three_settings_per_scan(monkeypatch):
     batches = []
-    points = []
 
-    def counted_batch(config, delays):
-        batches.append(len(delays))
-        return setup_rates(config, delays)
-
-    def counted_point(config, delays):
-        points.append(delays)
-        return compose_setup(config, delays)
+    def counted_batch(config, delta_x_p=0.0, delta_x_s=0.0):
+        rates = setup_rates(config, delta_x_p, delta_x_s)
+        batches.append(rates.shape[1])
+        return rates
 
     for module in (icohsim.spectral, icohsim.expectation):
         monkeypatch.setattr(module, "setup_rates", counted_batch)
-        monkeypatch.setattr(module, "compose_setup", counted_point)
     cfg = config_with()
     compile_model(cfg)
     assert batches == [3]
@@ -220,4 +202,3 @@ def test_compile_model_makes_one_engine_pass_of_three_settings_per_scan(monkeypa
         record = run_scan(cfg, axis="pump", grid=grid)
         assert record.rates.shape[1] == n
         assert batches == [3]
-    assert points == []
