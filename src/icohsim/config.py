@@ -22,8 +22,10 @@ Sections and keys::
 ``splitter_ratio`` is the transmitted intensity fraction of the output
 recombination splitter.  ``coherence_length_override_mm``, when set, rescales
 the pump bandwidth so the envelope half-maximum matches the given length;
-``stated_coherence_length_mm`` is informational only and lets reports compare
-a quoted value against the one computed from the bandwidth.
+either way the pump's frequency FWHM must be below its carrier frequency.
+``stated_coherence_length_mm`` is informational only (it must be positive)
+and lets reports compare a quoted value against the one computed from the
+bandwidth.
 """
 
 from __future__ import annotations
@@ -34,7 +36,12 @@ import math
 from dataclasses import dataclass, field, replace
 
 from .counting import CountingConfig
-from .spectral import SpectralProfile, profile_for_coherence_length
+from .spectral import (
+    SPEED_OF_LIGHT,
+    SpectralProfile,
+    frequency_fwhm,
+    profile_for_coherence_length,
+)
 
 SCAN_AXES = ("signal", "pump")
 MAX_SCAN_POINTS = 1_000_000
@@ -100,6 +107,17 @@ class ExperimentConfig:
             raise ConfigError("pump.splitter_ratio out of (0, 1)")
         if self.coherence_length_override is not None and self.coherence_length_override <= 0:
             raise ConfigError("pump.coherence_length_override out of range: must be positive")
+        if self.stated_coherence_length is not None and not self.stated_coherence_length > 0:
+            raise ConfigError("pump.stated_coherence_length_mm out of range: must be positive")
+        # The frequency-domain twin of SpectralProfile's narrowband check.
+        pump_fwhm = frequency_fwhm(self.pump_profile())
+        carrier = SPEED_OF_LIGHT / self.pump_wavelength
+        if not pump_fwhm < carrier:
+            key = "bandwidth_ghz" if self.coherence_length_override is None else "coherence_length_override_mm"
+            raise ConfigError(
+                f"pump.{key} gives a pump frequency FWHM of {pump_fwhm:.3g} Hz, "
+                f"not below the carrier frequency {carrier:.3g} Hz"
+            )
         for name, gain in (("crystal1.gain", self.gain1), ("crystal2.gain", self.gain2)):
             if not 0.0 <= gain < 0.1:
                 raise ConfigError(f"{name} out of [0, 0.1)")

@@ -1,18 +1,25 @@
 import json
+import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from icohsim import cli
 from icohsim.cli import (
     CSV_HEADER,
     EXIT_CONFIG,
     EXIT_FIT,
     EXIT_IO,
     EXIT_OK,
+    EXIT_UNEXPECTED,
     MAX_ORACLE_POINTS,
     main,
+    oracle_comparison,
     read_scan_csv,
 )
+from icohsim.config import load_config
+from icohsim.fockoracle import MAX_ORACLE_GAIN
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_CONFIG = str(REPO_ROOT / "configs" / "default.ini")
 
@@ -294,6 +301,99 @@ def test_oracle_check_rejects_points_out_of_range(tmp_path, capsys, points):
     argv = ["oracle-check", "--config", DEFAULT_CONFIG, "--points", str(points), "--out", str(out)]
     assert main(argv) == EXIT_CONFIG
     assert "--points" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+@pytest.mark.parametrize("points", [1, 2, 16, MAX_ORACLE_POINTS])
+def test_oracle_check_json_equals_the_reference_encoder(tmp_path, points):
+    out = tmp_path / "oracle.json"
+    argv = ["oracle-check", "--config", DEFAULT_CONFIG, "--points", str(points), "--out", str(out), "--quiet"]
+    assert main(argv) == EXIT_OK
+    comparison = oracle_comparison(load_config(DEFAULT_CONFIG), points_per_axis=points)
+    rows = zip(
+        comparison.delta_x_p.tolist(),
+        comparison.delta_x_s.tolist(),
+        comparison.engine.T.tolist(),
+        comparison.oracle.T.tolist(),
+    )
+    reference = {
+        **comparison.header,
+        "points": [
+            {
+                "delay_xp_m": xp,
+                "delay_xs_m": xs,
+                "engine": dict(zip(("p_a", "p_b", "p_ab"), engine)),
+                "oracle": dict(zip(("p_a", "p_b", "p_ab"), oracle)),
+            }
+            for xp, xs, engine, oracle in rows
+        ],
+    }
+    text, expected = out.read_bytes().decode("utf-8"), json.dumps(reference, indent=2) + "\n"
+    # compared without pytest's diff, which is slow on the 2.8 MB files of 4096 points
+    same = text == expected
+    k = len(os.path.commonprefix([text, expected]))
+    assert same, f"first difference at character {k}: {text[max(k - 40, 0):k + 40]!r}"
+    assert len(json.loads(text, parse_constant=_reject_constant)["points"]) == 2 * points
+
+
+def test_oracle_check_rejects_a_non_finite_rate(tmp_path, capsys, monkeypatch):
+    def nan_rates(config, delta_x_p, delta_x_s):
+        return np.full((3, len(delta_x_p)), np.nan)
+
+    monkeypatch.setattr(cli, "setup_rates", nan_rates)
+    out = tmp_path / "oracle.json"
+    argv = ["oracle-check", "--config", DEFAULT_CONFIG, "--points", "4", "--out", str(out), "--quiet"]
+    assert main(argv) == EXIT_UNEXPECTED
+    assert "rate p_a=nan must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "command, text, key",
+    [
+        ("report", "[pump]\nstated_coherence_length_mm = 0\n[scan]\n", "pump.stated_coherence_length_mm"),
+        ("report", "[pump]\nstated_coherence_length_mm = -3\n[scan]\n", "pump.stated_coherence_length_mm"),
+        (
+            "simulate",
+            "[pump]\ncoherence_length_override_mm = 1e-300\n[scan]\n",
+            "pump.coherence_length_override_mm",
+        ),
+        (
+            "simulate",
+            "[pump]\ncoherence_length_override_mm = 1e-290\n[scan]\naxis = pump\n",
+            "pump.coherence_length_override_mm",
+        ),
+        ("simulate", "[pump]\nbandwidth_ghz = 1e299\n[scan]\n", "pump.bandwidth_ghz"),
+        ("simulate", "[pump]\nbandwidth_ghz = 1e299\n[scan]\naxis = pump\n", "pump.bandwidth_ghz"),
+        ("oracle-check", "[crystal1]\ngain = 0.05\n[scan]\n", "crystal1.gain"),
+        ("oracle-check", "[crystal2]\ngain = 0.02\n[scan]\n", "crystal2.gain"),
+    ],
+    ids=[
+        "stated_0",
+        "stated_-3",
+        "override_1e-300",
+        "override_1e-290_pump",
+        "bandwidth_1e299",
+        "bandwidth_1e299_pump",
+        "oracle_gain1",
+        "oracle_gain2",
+    ],
+)
+def test_out_of_range_pump_and_oracle_values_exit_with_config_code(
+    tmp_path, capsys, command, text, key
+):
+    out = tmp_path / "out"
+    argv = [command, "--config", write_config(tmp_path, text), "--out", str(out), "--quiet"]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key} ")
+    if command == "oracle-check":
+        assert repr(MAX_ORACLE_GAIN) in err
     assert not out.exists()
 
 
