@@ -25,7 +25,9 @@ the pump bandwidth so the envelope half-maximum matches the given length;
 either way the pump's frequency FWHM must be below its carrier frequency.
 ``stated_coherence_length_mm`` is informational only (it must be positive)
 and lets reports compare a quoted value against the one computed from the
-bandwidth.
+bandwidth.  Each filter's frequency FWHM c * bandwidth / center^2 must come
+out finite and positive, and a scan may reach at most MAX_SCAN_DELAY (1 m)
+from zero delay.
 """
 
 from __future__ import annotations
@@ -45,6 +47,8 @@ from .spectral import (
 
 SCAN_AXES = ("signal", "pump")
 MAX_SCAN_POINTS = 1_000_000
+# Largest delay a scan may reach, in meters; a bench delay line is far shorter.
+MAX_SCAN_DELAY = 1.0
 
 
 class ConfigError(ValueError):
@@ -75,6 +79,11 @@ class ScanSettings:
             raise ConfigError(
                 f"scan.step_nm gives {span + 1:.3g} grid points; at most {MAX_SCAN_POINTS} allowed"
             )
+        for key, delay in (("start_um", self.start), ("stop_um", self.stop)):
+            if not abs(delay) <= MAX_SCAN_DELAY:
+                raise ConfigError(
+                    f"scan.{key} out of range: a delay of {delay:.3g} m exceeds {MAX_SCAN_DELAY:g} m"
+                )
 
 
 @dataclass(frozen=True)
@@ -192,9 +201,19 @@ def _get_filter(sections, section: str, center: float, fwhm: float) -> SpectralP
     center = _get_float(sections, section, "center_nm", center, div=1e9)
     fwhm = _get_float(sections, section, "bandwidth_nm", fwhm, div=1e9)
     try:
-        return SpectralProfile(center, fwhm_wavelength=fwhm)
+        profile = SpectralProfile(center, fwhm_wavelength=fwhm)
     except ValueError as exc:
         raise ConfigError(f"{section}: {exc}") from None
+    try:
+        dnu = frequency_fwhm(profile)
+    except (ZeroDivisionError, OverflowError):
+        dnu = math.nan
+    if not 0.0 < dnu < math.inf:
+        raise ConfigError(
+            f"{section}.center_nm out of range: the filter's frequency FWHM "
+            f"c * bandwidth / center^2 is not a finite positive number"
+        )
+    return profile
 
 
 def _get_int(sections, section: str, key: str, default: int) -> int:

@@ -2,11 +2,11 @@
 
 Model rates come out of the expectation engine in arbitrary |K|^2 units;
 calibration pins the fringe-baseline singles rates of both detectors to
-configured counts/s and everything else scales along.  Sampling is
-counter-based: each scan point draws from its own Philox stream keyed by
-(seed, point index), so results are bit-identical no matter how points are
-scheduled.  A scan reuses one Philox generator and resets its key at each
-point, which gives the same draws as a fresh stream per point.
+configured counts/s and everything else scales along.  A scan's counts are
+drawn in one vectorized call from one Philox stream keyed by the seed, so
+identical means and seed give identical counts.  Poisson draws consume a
+variable number of uniforms, so a change in one mean can shift every later
+draw of the stream.
 """
 
 from __future__ import annotations
@@ -95,14 +95,6 @@ def double_pair_probability(pair_rate: float, window: float) -> float:
     return -math.expm1(-mu) - mu * math.exp(-mu)
 
 
-def point_rng(seed: int, point_index: int) -> np.random.Generator:
-    """Independent counter-based stream for one scan point."""
-    if point_index < 0:
-        raise ValueError("point_index must be >= 0")
-    key = np.array([seed & _U64, point_index & _U64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
 def count_means(detected: np.ndarray, cc: CountingConfig) -> np.ndarray:
     """Expected counts per dwell, rows (A, B, true coincidences, accidentals).
 
@@ -117,28 +109,20 @@ def count_means(detected: np.ndarray, cc: CountingConfig) -> np.ndarray:
         return np.vstack([detected * cc.dwell, r_a * r_b * cc.window * cc.dwell])
 
 
-def sample_scan(means: np.ndarray, seed: int, first_index: int = 0) -> np.ndarray:
+def sample_scan(means: np.ndarray, seed: int) -> np.ndarray:
     """Counts rows (A, B, coincidences including accidentals) for (4, n) means.
 
     Detector counts, true coincidences and accidentals are independent
-    Poisson variates, drawn in that order from point k's stream
-    ``point_rng(seed, first_index + k)``.  One generator serves the whole
-    scan: before each point its state is reset to that of a fresh stream
-    with the point's key.
+    Poisson variates, drawn by one ``poisson`` call on the whole (4, n)
+    array (row by row, each row in point order) from one Philox stream
+    keyed by the seed.
     """
     over = np.flatnonzero(np.any(means > _MAX_MEAN, axis=0))
     if len(over):
         raise OverflowError(
             f"expected counts {max(means[:, over[0]].tolist()):.3g} exceed representable integers"
         )
-    rng = point_rng(seed, first_index)
-    bits = rng.bit_generator
-    fresh = bits.state
-    key = fresh["state"]["key"]
-    poisson = rng.poisson
-    counts = []
-    for index, (m_a, m_b, m_true, m_acc) in enumerate(zip(*means.tolist()), first_index):
-        key[1] = index & _U64
-        bits.state = fresh
-        counts.append((poisson(m_a), poisson(m_b), poisson(m_true) + poisson(m_acc)))
-    return np.array(counts, dtype=np.int64).reshape(-1, 3).T
+    rng = np.random.Generator(np.random.Philox(key=seed & _U64))
+    draws = rng.poisson(means)
+    draws[2] += draws[3]
+    return draws[:3]

@@ -246,13 +246,14 @@ def estimate_period(
 class _Solution(NamedTuple):
     """A Gauss-Newton fit at nonlinear parameters p = (k,) or (k, b1, b2).
 
-    ``residual`` and ``jacobian`` are weighted by ``sqrt_w``; the Jacobian
-    columns are (a0, a1, a2, k[, b1, b2]).
+    ``basis`` holds the model columns at p; ``residual`` and ``jacobian`` are
+    weighted by ``sqrt_w``, and the Jacobian columns are (a0, a1, a2, k[, b1, b2]).
     """
 
     p: np.ndarray
     a: np.ndarray
     sqrt_w: np.ndarray
+    basis: np.ndarray
     residual: np.ndarray
     jacobian: np.ndarray
     iterations: int
@@ -285,74 +286,85 @@ def _solve(basis: np.ndarray, ys: np.ndarray, sqrt_w: np.ndarray) -> tuple[np.nd
     return a, target - weighted @ a
 
 
+def _envelope_columns(basis: np.ndarray, a: np.ndarray, ts: np.ndarray) -> list[np.ndarray]:
+    """Unweighted Jacobian columns of the envelope exponents (b1, b2)."""
+    osc = basis[:, 1:] @ a[1:]
+    return [ts * osc, ts * ts * osc]
+
+
 def _linearize(
-    p: np.ndarray, xs: np.ndarray, ts: np.ndarray, ys: np.ndarray, sqrt_w: np.ndarray
+    p: np.ndarray,
+    basis: np.ndarray,
+    xs: np.ndarray,
+    ts: np.ndarray,
+    ys: np.ndarray,
+    sqrt_w: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Model, amplitudes, weighted residual and weighted Jacobian at a valid p."""
-    basis = _basis(p, xs, ts)
+    """Model, amplitudes, weighted residual and weighted Jacobian at p, whose basis is given."""
     a, residual = _solve(basis, ys, sqrt_w)
     columns = [basis, xs * (a[2] * basis[:, 1] - a[1] * basis[:, 2])]
     if len(p) == 3:
-        osc = basis[:, 1:] @ a[1:]
-        columns += [ts * osc, ts * ts * osc]
+        columns += _envelope_columns(basis, a, ts)
     return basis @ a, a, residual, np.column_stack(columns) * sqrt_w[:, None]
 
 
-def _gauss_newton(p, xs, ts, ys, weights_for, sqrt_w) -> _Solution:
+def _gauss_newton(p, basis, xs, ts, ys, weights_for, sqrt_w) -> _Solution:
     """Gauss-Newton on the nonlinear parameters p alone (variable projection).
 
-    Each step solves the amplitudes by weighted linear least squares at the
-    current p, takes the joint Gauss-Newton step in (a, p) and keeps its p
-    part, halved until the weighted chi^2 falls, then refreshes the weights
-    from the model.  With Poisson weights this is Fisher scoring, whose
-    fixed point is the Poisson maximum-likelihood fit.  Converged once a
-    whole step moves no parameter by more than PARAM_TOLERANCE (relative,
-    or absolute below one).
+    ``basis`` is the model's basis at the starting p.  Each step solves the
+    amplitudes by weighted linear least squares at the current p, takes the
+    joint Gauss-Newton step in (a, p) and keeps its p part, halved until the
+    weighted chi^2 falls, then refreshes the weights from the model.  With
+    Poisson weights this is Fisher scoring, whose fixed point is the Poisson
+    maximum-likelihood fit.  Converged once a whole step moves no parameter
+    by more than PARAM_TOLERANCE (relative, or absolute below one).
     """
     previous = None
     steps = 0
     while True:
-        model, a, residual, jacobian = _linearize(p, xs, ts, ys, sqrt_w)
+        model, a, residual, jacobian = _linearize(p, basis, xs, ts, ys, sqrt_w)
         theta = np.concatenate([a, p])
         converged = previous is not None and bool(
             np.max(np.abs(theta - previous) / np.maximum(np.abs(previous), 1.0)) < PARAM_TOLERANCE
         )
         if converged or steps == MAX_ITERATIONS:
-            return _Solution(p, a, sqrt_w, residual, jacobian, steps, converged)
+            return _Solution(p, a, sqrt_w, basis, residual, jacobian, steps, converged)
         previous = theta
         steps += 1
         step = np.linalg.lstsq(jacobian, residual, rcond=None)[0][3:]
         ssr = float(residual @ residual)
         for halving in range(MAX_HALVINGS):
             trial = p + step * 0.5**halving
-            basis = _basis(trial, xs, ts)
-            if basis is None:
+            trial_basis = _basis(trial, xs, ts)
+            if trial_basis is None:
                 continue
-            trial_a, trial_residual = _solve(basis, ys, sqrt_w)
+            trial_a, trial_residual = _solve(trial_basis, ys, sqrt_w)
             if float(trial_residual @ trial_residual) < ssr:
-                p, model = trial, basis @ trial_a
+                p, basis, model = trial, trial_basis, trial_basis @ trial_a
                 break
         sqrt_w = np.sqrt(weights_for(model))
 
 
-def _envelope_statistic(flat, xs, ts, ys, sqrt_w, use_poisson: bool) -> float:
+def _envelope_statistic(pinned: _Solution, ts: np.ndarray, use_poisson: bool) -> float:
     """chi^2 drop of one Gauss-Newton step from the pinned fit into the free envelope.
 
-    ``flat`` is the pinned fit's (k, 0, 0) and ``sqrt_w`` its weights.
-
-    At the pinned optimum the residual is orthogonal to the pinned columns,
-    so this is the score test of b1 = b2 = 0: chi^2 with 2 degrees of
-    freedom under a flat envelope.  Noiseless rates carry no count variance,
-    so their drop is divided by the residual variance left after the step.
+    The step's Jacobian is the pinned fit's, at its weights, with the two
+    envelope columns at b1 = b2 = 0 appended.  At the pinned optimum the
+    residual is orthogonal to the pinned columns, so this is the score test
+    of b1 = b2 = 0: chi^2 with 2 degrees of freedom under a flat envelope.
+    Noiseless rates carry no count variance, so their drop is divided by the
+    residual variance left after the step.
     """
-    _, _, residual, jacobian = _linearize(flat, xs, ts, ys, sqrt_w)
+    envelope = np.column_stack(_envelope_columns(pinned.basis, pinned.a, ts))
+    jacobian = np.hstack([pinned.jacobian, envelope * pinned.sqrt_w[:, None]])
+    residual = pinned.residual
     explained = jacobian @ np.linalg.lstsq(jacobian, residual, rcond=None)[0]
     drop = float(explained @ explained)
     if use_poisson:
         return drop
     rest = float(residual @ residual) - drop
     if rest > 0:
-        return drop * (len(xs) - jacobian.shape[1]) / rest
+        return drop * (len(ts) - jacobian.shape[1]) / rest
     return math.inf if drop > 0 else 0.0
 
 
@@ -416,12 +428,15 @@ def fit_fringe(
         return y_scale * y_scale / variance
 
     k_seed = np.array([2.0 * math.pi * x_scale / period_seed])
-    solution = _gauss_newton(k_seed, xs, ts, ys, weights_for, np.sqrt(weights_for(ys)))
+    solution = _gauss_newton(
+        k_seed, _basis(k_seed, xs, ts), xs, ts, ys, weights_for, np.sqrt(weights_for(ys))
+    )
     iterations = solution.iterations
-    flat = np.array([solution.p[0], 0.0, 0.0])
-    statistic = _envelope_statistic(flat, xs, ts, ys, solution.sqrt_w, use_poisson)
+    statistic = _envelope_statistic(solution, ts, use_poisson)
     if statistic > ENVELOPE_THRESHOLD:
-        free = _gauss_newton(flat, xs, ts, ys, weights_for, solution.sqrt_w)
+        # A flat envelope leaves the pinned basis as it is.
+        flat = np.array([solution.p[0], 0.0, 0.0])
+        free = _gauss_newton(flat, solution.basis, xs, ts, ys, weights_for, solution.sqrt_w)
         iterations += free.iterations
         beta1, beta2 = float(free.p[1]), float(free.p[2])
         if free.converged and beta2 < 0 and -beta1 * beta1 / (4.0 * beta2) <= MAX_EXPONENT:

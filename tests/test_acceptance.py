@@ -197,7 +197,7 @@ def test_criterion_10_counting_statistics():
         CountingConfig(rate_a_cal=2000.0, dwell=0.5, seed=424242),
         np.ones(3),
     )
-    # point i draws from stream i, as it would in a 10 000-point scan
+    # one 10 000-point scan, drawn in one call
     draws = sample_scan(count_means(cc.detected(np.ones((3, 10_000))), cc), cc.seed)[0]
     mu = 1000.0
     n = len(draws)

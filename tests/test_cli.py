@@ -397,6 +397,39 @@ def test_out_of_range_pump_and_oracle_values_exit_with_config_code(
     assert not out.exists()
 
 
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["report", "simulate", "predict"])
+@pytest.mark.parametrize("section", ["signal_filter", "idler_filter"])
+def test_filter_without_a_finite_frequency_width_exits_with_config_code(
+    tmp_path, capsys, command, section
+):
+    # center^2 underflows to zero, so c * bandwidth / center^2 has no value
+    text = f"[{section}]\ncenter_nm = 1e-300\nbandwidth_nm = 1e-301\n[scan]\n"
+    out = tmp_path / "out"
+    argv = [command, "--config", write_config(tmp_path, text), "--out", str(out), "--quiet"]
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error: {section}.center_nm out of range")
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["simulate", "predict"])
+@pytest.mark.parametrize(
+    "scan, key",
+    [
+        ("start_um = 1e200\nstop_um = 1.0000001e200\nstep_nm = 1e196\n", "scan.start_um"),
+        ("start_um = -2\nstop_um = 1e7\nstep_nm = 1e9\n", "scan.stop_um"),
+    ],
+    ids=["start_1e200", "stop_10m"],
+)
+def test_scan_delays_beyond_the_bound_exit_with_config_code(tmp_path, capsys, command, scan, key):
+    out = tmp_path / "scan.csv"
+    argv = [command, "--config", write_config(tmp_path, "[scan]\n" + scan), "--out", str(out), "--quiet"]
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error: {key} out of range")
+    assert not out.exists()
+
 # Engine and oracle (p_a, p_b, p_ab, p_a, p_b, p_ab) of `oracle-check --points 4`,
 # recorded from the one-setting-at-a-time implementation: rows 0-3 step the
 # signal delay by a quarter signal wavelength, rows 4-7 the pump delay by a

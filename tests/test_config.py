@@ -4,6 +4,7 @@ import pytest
 
 from icohsim.config import (
     _SCHEMA,
+    MAX_SCAN_DELAY,
     MAX_SCAN_POINTS,
     ConfigError,
     ExperimentConfig,
@@ -113,6 +114,27 @@ def test_scan_size_is_capped():
     largest = ScanSettings(start=0.0, stop=(MAX_SCAN_POINTS - 1) * 1e-9, step=1e-9)
     assert round((largest.stop - largest.start) / largest.step) + 1 == MAX_SCAN_POINTS
 
+
+
+def test_scan_delays_are_bounded():
+    # the bound itself is allowed on both ends
+    ScanSettings(start=-MAX_SCAN_DELAY, stop=MAX_SCAN_DELAY, step=0.01)
+    with pytest.raises(ConfigError, match=r"scan\.start_um out of range"):
+        ScanSettings(start=-1.0000001 * MAX_SCAN_DELAY, stop=0.0, step=0.01)
+    with pytest.raises(ConfigError, match=r"scan\.stop_um out of range"):
+        parse_config("[scan]\nstart_um = 0\nstop_um = 1.0000001e6\nstep_nm = 1e7\n")
+
+
+@pytest.mark.parametrize("section", ["signal_filter", "idler_filter"])
+@pytest.mark.parametrize(
+    "center, bandwidth",
+    [("1e-300", "1e-301"), ("1e300", "1")],
+    ids=["center_squared_underflows", "center_squared_overflows"],
+)
+def test_filter_frequency_width_must_be_finite_and_positive(section, center, bandwidth):
+    text = f"[{section}]\ncenter_nm = {center}\nbandwidth_nm = {bandwidth}\n[scan]\n"
+    with pytest.raises(ConfigError, match=rf"^{section}\.center_nm out of range"):
+        parse_config(text)
 
 def test_detector_validation():
     with pytest.raises(ConfigError, match=r"detectors\.rate_a_hz"):

@@ -1,5 +1,4 @@
 import math
-import random
 
 import numpy as np
 import pytest
@@ -10,7 +9,6 @@ from icohsim.counting import (
     calibrate,
     count_means,
     double_pair_probability,
-    point_rng,
     sample_scan,
 )
 from icohsim.scan import run_scan
@@ -26,14 +24,14 @@ def calibrated(seed=123, dwell=0.5, baseline=ONES, **kw):
     return calibrate(cc, baseline)
 
 
-def point_means(rates, cc):
-    """Expected counts (4, 1) of one point with model rates (p_a, p_b, p_ab)."""
-    return count_means(cc.detected(np.reshape(rates, (3, 1))), cc)
+def scan_means(rates, cc, points=1):
+    """Expected counts (4, points) of a scan whose points all have model rates (p_a, p_b, p_ab)."""
+    return count_means(cc.detected(np.tile(np.reshape(rates, (3, 1)), points)), cc)
 
 
-def sample_point(rates, cc, index):
-    """Counts [A, B, coincidences] of scan point ``index``: a one-column scan."""
-    return sample_scan(point_means(rates, cc), cc.seed, index)[:, 0].tolist()
+def sample_point(rates, cc):
+    """Counts [A, B, coincidences] of a one-point scan."""
+    return sample_scan(scan_means(rates, cc), cc.seed)[:, 0].tolist()
 
 
 def test_accidental_rate_values():
@@ -66,30 +64,26 @@ def test_double_pair_probability_monotone():
 def test_sampling_requires_calibration():
     cc = CountingConfig(seed=1)
     with pytest.raises(ValueError, match="calibrat"):
-        sample_point(ONES, cc, 0)
+        sample_point(ONES, cc)
 
 
-def test_sampling_is_deterministic_and_order_free():
+def test_sampling_is_deterministic():
     cc = calibrated(seed=99)
-    rates = [1.0, 1.0, 0.9]
-    forward = [sample_point(rates, cc, i) for i in range(10)]
-    backward = [sample_point(rates, cc, i) for i in reversed(range(10))]
-    assert forward == backward[::-1]
-    again = [sample_point(rates, cc, i) for i in range(10)]
-    assert forward == again
+    means = scan_means([1.0, 1.0, 0.9], cc, 10)
+    first = sample_scan(means, cc.seed)
+    assert np.array_equal(sample_scan(means, cc.seed), first)
 
 
 def test_different_points_and_seeds_differ():
     cc = calibrated(seed=7)
-    a = sample_point(ONES, cc, 0)
-    b = sample_point(ONES, cc, 1)
-    other = sample_point(ONES, calibrated(seed=8), 0)
+    a, b = sample_scan(scan_means(ONES, cc, 2), cc.seed).T.tolist()
+    other = sample_point(ONES, calibrated(seed=8))
     assert a[:2] != b[:2] or a != other
 
 
 def test_zero_model_baseline_degenerates_to_flat_calibrated_rates():
     cc = calibrated(baseline=np.zeros(3))
-    counts_a, _, coincidences = sample_point(np.zeros(3), cc, 3)
+    counts_a, _, coincidences = sample_point(np.zeros(3), cc)
     # degenerate calibration keeps the detectors at their calibrated
     # baselines but produces no true coincidences
     assert counts_a > 0
@@ -98,7 +92,7 @@ def test_zero_model_baseline_degenerates_to_flat_calibrated_rates():
 
 def test_mean_within_three_sigma_over_1000_draws():
     cc = calibrated(seed=2024)
-    draws = np.array([sample_point(ONES, cc, i)[0] for i in range(1000)])
+    draws = sample_scan(scan_means(ONES, cc, 1000), cc.seed)[0]
     mean = 42000 * 0.5
     bound = 3 * math.sqrt(mean) / math.sqrt(1000)
     assert abs(draws.mean() - mean) < bound
@@ -106,7 +100,7 @@ def test_mean_within_three_sigma_over_1000_draws():
 
 def test_mean_and_variance_at_five_sigma_over_1e4_draws():
     cc = calibrated(seed=31337, rate_a_cal=2000.0)
-    draws = np.array([sample_point(ONES, cc, i)[0] for i in range(10_000)])
+    draws = sample_scan(scan_means(ONES, cc, 10_000), cc.seed)[0]
     mu = 2000.0 * 0.5
     n = len(draws)
     assert abs(draws.mean() - mu) < 5 * math.sqrt(mu / n)
@@ -116,19 +110,14 @@ def test_mean_and_variance_at_five_sigma_over_1e4_draws():
 
 def test_accidentals_expected_value():
     cc = calibrated(seed=5, rate_a_cal=42e3, rate_b_cal=110e3, window=2e-9)
-    accidentals_expected = point_means(ONES, cc)[3, 0]
+    accidentals_expected = scan_means(ONES, cc)[3, 0]
     assert accidentals_expected == pytest.approx(9.24 * 0.5, rel=1e-9)
 
 
 def test_overflow_guard():
     cc = calibrated(rate_a_cal=1e30)
     with pytest.raises(OverflowError):
-        sample_point(ONES, cc, 0)
-
-
-def test_point_rng_rejects_negative_index():
-    with pytest.raises(ValueError):
-        point_rng(1, -1)
+        sample_point(ONES, cc)
 
 
 def test_counting_config_validation():
@@ -138,22 +127,18 @@ def test_counting_config_validation():
         CountingConfig(window=-1e-9)
 
 
-def _fresh_stream_counts(rates, cc, index):
-    """One point drawn the per-point way: scalar calibration, a fresh stream."""
+def _scalar_rates(rates, cc):
+    """Counts/s (A, B, true coincidences) of one point by scalar calibration."""
     p_a, p_b, p_ab = rates
-    r_a = cc.rate_a_cal * p_a / cc.baseline_a
-    r_b = cc.rate_b_cal * p_b / cc.baseline_b
-    r_true = cc.rate_a_cal * p_ab / cc.baseline_a
-    rng = point_rng(cc.seed, index)
-    counts_a = int(rng.poisson(r_a * cc.dwell))
-    counts_b = int(rng.poisson(r_b * cc.dwell))
-    true_coinc = int(rng.poisson(r_true * cc.dwell))
-    accidentals = int(rng.poisson(accidental_rate(r_a, r_b, cc.window) * cc.dwell))
-    return (r_a, r_b, r_true), (counts_a, counts_b, true_coinc + accidentals)
+    return (
+        cc.rate_a_cal * p_a / cc.baseline_a,
+        cc.rate_b_cal * p_b / cc.baseline_b,
+        cc.rate_a_cal * p_ab / cc.baseline_a,
+    )
 
 
 @pytest.mark.parametrize("axis", ["signal", "pump"])
-def test_scan_sampler_matches_fresh_point_streams(axis):
+def test_scan_sampler_matches_one_philox_stream(axis):
     cfg = config_with(axis=axis, seed=99)
     record = run_scan(cfg)
     assert record.counts.shape == (3, 401)
@@ -161,21 +146,18 @@ def test_scan_sampler_matches_fresh_point_streams(axis):
     cc = calibrate(cfg.detectors, model.baseline)
     delays = {"delta_x_p" if axis == "pump" else "delta_x_s": record.delays}
     points = list(zip(*model.rates(**delays).tolist()))
-
-    # the reference draws points in a shuffled order, each from its own stream
-    order = list(range(len(points)))
-    random.Random(3).shuffle(order)
-    reference = {i: _fresh_stream_counts(points[i], cc, i) for i in order}
-    rates = np.array([reference[i][0] for i in range(len(points))]).T
-    counts = np.array([reference[i][1] for i in range(len(points))]).T
+    rates = np.array([_scalar_rates(p, cc) for p in points]).T
     assert np.array_equal(record.rates, rates)
-    assert np.array_equal(record.counts, counts)
 
-    one_by_one = [tuple(sample_point(p, cc, i)) for i, p in enumerate(points)]
-    assert one_by_one == list(zip(*counts.tolist()))
-    # a tail of the scan sampled on its own draws the same counts
-    tail = sample_scan(count_means(record.rates[:, 150:], cc), cc.seed, 150)
-    assert np.array_equal(tail, record.counts[:, 150:])
+    # the reference draws the same means, rows A, B, true coincidences and
+    # accidentals, from a Philox generator keyed (seed, 0)
+    means = np.array([
+        (r_a * cc.dwell, r_b * cc.dwell, r_true * cc.dwell, accidental_rate(r_a, r_b, cc.window) * cc.dwell)
+        for r_a, r_b, r_true in zip(*rates.tolist())
+    ]).T
+    key = np.array([cfg.detectors.seed, 0], dtype=np.uint64)
+    draws = np.random.Generator(np.random.Philox(key=key)).poisson(means)
+    assert np.array_equal(record.counts, [draws[0], draws[1], draws[2] + draws[3]])
     # another seed: same rates, other counts
     other = run_scan(config_with(axis=axis, seed=100))
     assert np.array_equal(other.rates, record.rates)

@@ -248,16 +248,16 @@ def test_scan_grid_matches_settings(config):
 
 # Fits recorded from the variable-projection fitter: (axis, seed, channel,
 # iterations, period, visibility, phase, baseline).  All four keep the
-# envelope pinned; the signal singles fit reports a visibility above 1.
+# envelope pinned; both signal fits report a visibility above 1.
 RECORDED_FITS = [
-    ("signal", 2, "singles", 16,
-     8.080775758140477e-07, 1.0000514961369238, -1.739380524545997e-05, 41991.95844290404),
-    ("signal", 1, "coincidence", 6,
-     8.080403814977462e-07, 0.9999818494084601, 7.201273671765436e-05, 42023.65189031916),
+    ("signal", 2, "singles", 7,
+     8.079768877808419e-07, 1.0000348720557146, 0.00015371374981681049, 41977.03783316524),
+    ("signal", 1, "coincidence", 8,
+     8.080345589870285e-07, 1.0000685941502279, 0.00010239843389725185, 42001.02023750094),
     ("pump", 0, "singles", 6,
-     3.5499095714926135e-07, 0.9998978917283419, -0.0001791892213641378, 41986.53472426742),
-    ("pump", 0, "coincidence", 5,
-     3.5501371431604406e-07, 1.000010164794051, 0.0007595097262290471, 41996.3237862385),
+     3.550187902212367e-07, 0.9999312583860829, -0.00015056349727594993, 42024.37023366968),
+    ("pump", 0, "coincidence", 6,
+     3.5501015010882744e-07, 0.9998975738054152, 8.989845830490206e-05, 42004.308056514885),
 ]
 
 
@@ -276,6 +276,47 @@ def test_fit_decisions_match_recorded_fits(recorded):
         assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
     assert not fit.envelope_resolved
 
+
+def two_channel_record(noise_seed, visibility, fwhm=None):
+    """Counts drawn by numpy's default generator, independent of icohsim's sampler.
+
+    Singles (baseline 21000, ``visibility``) and coincidences (baseline 2000,
+    visibility 0.94) share one fringe and, unless ``fwhm`` is None, one
+    Gaussian envelope centered 0.2 um off the middle of the 4 um scan; detector
+    B is flat.  The rates rows are the counts per 0.5 s dwell.
+    """
+    x = np.linspace(-2e-6, 2e-6, 401)
+    envelope = 1.0 if fwhm is None else np.exp(-((x - 0.2e-6) ** 2) / (2 * (fwhm / FWHM_FACTOR) ** 2))
+    fringe = envelope * np.cos(2 * np.pi * x / 808e-9 + 0.3)
+    means = [21000.0 * (1 + visibility * fringe), np.full(401, 55000.0), 2000.0 * (1 + 0.94 * fringe)]
+    counts = np.random.default_rng(noise_seed).poisson(means)
+    return ScanRecord(axis="signal", delays=x, rates=counts / 0.5, counts=counts)
+
+
+# Fits of two_channel_record: (noise seed, visibility, envelope FWHM, channel,
+# source, iterations, period, visibility, phase, baseline, envelope_delta_chi2).
+# The first two keep the envelope pinned, the last two resolve it.
+SYNTHETIC_FITS = [
+    (20, 1.0, None, "singles", "counts", 12,
+     8.080300421794489e-07, 0.9999986509017582, 0.30009881303026975, 41977.992194166945, 4.85543482941442),
+    (12, 0.7, None, "coincidence", "counts", 5,
+     8.081397441349677e-07, 0.9394054288546518, 0.3002455003311168, 3990.038364613773, 1.454188673728477),
+    (13, 0.7, 1.6e-06, "singles", "counts", 37,
+     8.080697951794232e-07, 0.699850704656935, 0.2990129098887726, 42013.22072983939, 210817.79660716586),
+    (14, 0.7, 2e-06, "coincidence", "rates", 31,
+     8.073216356535816e-07, 0.938118075595891, 0.2952346426571507, 4000.605801814321, 3026.025512696482),
+]
+
+
+@pytest.mark.parametrize("recorded", SYNTHETIC_FITS, ids=lambda r: f"{r[0]}-{r[3]}-{r[4]}")
+def test_fit_matches_recorded_fits_of_synthetic_records(recorded):
+    noise_seed, true_visibility, fwhm, channel, source, iterations, *expected = recorded
+    fit = fit_fringe(two_channel_record(noise_seed, true_visibility, fwhm), channel, source, dwell=0.5)
+    assert fit.iterations == iterations
+    assert fit.envelope_resolved == (fwhm is not None)
+    got = (fit.period, fit.visibility, fit.phase, fit.baseline, fit.envelope_delta_chi2)
+    for value, recorded_value in zip(got, expected):
+        assert value == pytest.approx(recorded_value, rel=1e-12, abs=0.0)
 
 # A record of arbitrary finite values, or a Poisson-noisy fringe of arbitrary
 # shape (visibility above 1 clips the rate at zero; the envelope may be far
