@@ -35,7 +35,7 @@ from .scan import (
     run_scan,
     undersampling_warning,
 )
-from .spectral import coherence_length, compile_model, envelope, frequency_fwhm
+from .spectral import coherence_length, compile_model, envelope
 
 EXIT_OK = 0
 EXIT_UNEXPECTED = 1
@@ -283,7 +283,7 @@ def build_report(config: ExperimentConfig) -> str:
     lines.append("=" * 40)
     lines.append(
         f"pump: {config.pump_wavelength * 1e9:.1f} nm, "
-        f"frequency FWHM {frequency_fwhm(pump):.4g} Hz"
+        f"frequency FWHM {pump.fwhm_frequency:.4g} Hz"
     )
     lines.append(f"  coherence length computed from bandwidth: {computed_lc * 1e3:.3f} mm")
     if config.stated_coherence_length is not None:
@@ -302,12 +302,8 @@ def build_report(config: ExperimentConfig) -> str:
         )
     lines.append(
         f"signal filter: {config.signal_filter.center_wavelength * 1e9:.1f} nm, "
-        f"{frequency_fwhm(config.signal_filter):.4g} Hz FWHM, "
+        f"{config.signal_filter.fwhm_frequency:.4g} Hz FWHM, "
         f"coherence length {signal_lc * 1e6:.1f} um"
-    )
-    lines.append(
-        f"idler filter: {config.idler_filter.center_wavelength * 1e9:.1f} nm "
-        "(affects absolute rates only)"
     )
     lines.append(
         f"gains: K1 = {config.gain1:.3g}, K2 = {config.gain2:.3g}; "

@@ -2,9 +2,9 @@
 
 The on-disk format is a diff-friendly sectioned key=value file; keys carry
 unit suffixes.  All values default to the reference bench parameters
-(355 nm pump with 45 GHz bandwidth, 808 nm / 2 nm signal filter,
-632 nm / 3 nm idler filter, 42 kHz and 110 kHz detector rates, 2 ns
-coincidence window), so a config file only needs to state what differs.
+(355 nm pump with 45 GHz bandwidth, 808 nm / 2 nm signal filter, 42 kHz
+and 110 kHz detector rates, 2 ns coincidence window), so a config file only
+needs to state what differs.
 A ``[scan]`` section must be present.
 
 Sections and keys::
@@ -15,7 +15,6 @@ Sections and keys::
     [crystal2]      gain
     [idler_link]    eta
     [signal_filter] center_nm, bandwidth_nm
-    [idler_filter]  center_nm, bandwidth_nm
     [detectors]     rate_a_hz, rate_b_hz, window_ns, seed
     [scan]          axis, start_um, stop_um, step_nm, dwell_s
 
@@ -25,9 +24,10 @@ the pump bandwidth so the envelope half-maximum matches the given length;
 either way the pump's frequency FWHM must be below its carrier frequency.
 ``stated_coherence_length_mm`` is informational only (it must be positive)
 and lets reports compare a quoted value against the one computed from the
-bandwidth.  Each filter's frequency FWHM c * bandwidth / center^2 must come
-out finite and positive, and a scan may reach at most MAX_SCAN_DELAY (1 m)
-from zero delay.
+bandwidth.  The signal filter must be narrowband (bandwidth below center)
+and its frequency FWHM c * bandwidth / center^2, the only width the model
+reads, must come out finite and positive.  A scan may reach at most
+MAX_SCAN_DELAY (1 m) from zero delay.
 """
 
 from __future__ import annotations
@@ -38,12 +38,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 from .counting import CountingConfig
-from .spectral import (
-    SPEED_OF_LIGHT,
-    SpectralProfile,
-    frequency_fwhm,
-    profile_for_coherence_length,
-)
+from .spectral import SPEED_OF_LIGHT, SpectralProfile, profile_for_coherence_length
 
 SCAN_AXES = ("signal", "pump")
 MAX_SCAN_POINTS = 1_000_000
@@ -99,10 +94,7 @@ class ExperimentConfig:
     gain2: float = 1e-3
     eta: float = 1.0
     signal_filter: SpectralProfile = field(
-        default_factory=lambda: SpectralProfile(808e-9, fwhm_wavelength=2e-9)
-    )
-    idler_filter: SpectralProfile = field(
-        default_factory=lambda: SpectralProfile(632e-9, fwhm_wavelength=3e-9)
+        default_factory=lambda: _signal_filter_profile(808e-9, 2e-9)
     )
     detectors: CountingConfig = field(default_factory=CountingConfig)
     scan: ScanSettings = field(default_factory=ScanSettings)
@@ -118,8 +110,8 @@ class ExperimentConfig:
             raise ConfigError("pump.coherence_length_override out of range: must be positive")
         if self.stated_coherence_length is not None and not self.stated_coherence_length > 0:
             raise ConfigError("pump.stated_coherence_length_mm out of range: must be positive")
-        # The frequency-domain twin of SpectralProfile's narrowband check.
-        pump_fwhm = frequency_fwhm(self.pump_profile())
+        # The frequency-domain twin of the signal filter's narrowband check.
+        pump_fwhm = self.pump_profile().fwhm_frequency
         carrier = SPEED_OF_LIGHT / self.pump_wavelength
         if not pump_fwhm < carrier:
             key = "bandwidth_ghz" if self.coherence_length_override is None else "coherence_length_override_mm"
@@ -135,7 +127,7 @@ class ExperimentConfig:
 
     def pump_profile(self) -> SpectralProfile:
         """Pump spectrum; honors the coherence-length override if set."""
-        profile = SpectralProfile(self.pump_wavelength, fwhm_frequency=self.pump_bandwidth)
+        profile = SpectralProfile(self.pump_wavelength, self.pump_bandwidth)
         if self.coherence_length_override is not None:
             profile = profile_for_coherence_length(profile, self.coherence_length_override)
         return profile
@@ -163,7 +155,6 @@ _SCHEMA: dict[str, tuple[str, ...]] = {
     "crystal2": ("gain",),
     "idler_link": ("eta",),
     "signal_filter": ("center_nm", "bandwidth_nm"),
-    "idler_filter": ("center_nm", "bandwidth_nm"),
     "detectors": ("rate_a_hz", "rate_b_hz", "window_ns", "seed"),
     "scan": ("axis", "start_um", "stop_um", "step_nm", "dwell_s"),
 }
@@ -196,24 +187,28 @@ def _get_float(
     return value
 
 
-def _get_filter(sections, section: str, center: float, fwhm: float) -> SpectralProfile:
-    """A filter's profile from its center_nm and bandwidth_nm keys."""
-    center = _get_float(sections, section, "center_nm", center, div=1e9)
-    fwhm = _get_float(sections, section, "bandwidth_nm", fwhm, div=1e9)
+def _signal_filter_profile(center: float, bandwidth: float) -> SpectralProfile:
+    """The signal filter's profile from its center and wavelength FWHM (meters).
+
+    The frequency FWHM is c * bandwidth / center^2; it must come out finite
+    and positive, and the filter must be narrowband.
+    """
+    if center <= 0:
+        raise ConfigError("signal_filter.center_nm out of range: must be positive")
+    if bandwidth <= 0:
+        raise ConfigError("signal_filter.bandwidth_nm out of range: must be positive")
+    if bandwidth >= center:
+        raise ConfigError("signal_filter: profile is not narrowband: FWHM >= center wavelength")
     try:
-        profile = SpectralProfile(center, fwhm_wavelength=fwhm)
-    except ValueError as exc:
-        raise ConfigError(f"{section}: {exc}") from None
-    try:
-        dnu = frequency_fwhm(profile)
+        dnu = SPEED_OF_LIGHT * bandwidth / center**2
     except (ZeroDivisionError, OverflowError):
         dnu = math.nan
     if not 0.0 < dnu < math.inf:
         raise ConfigError(
-            f"{section}.center_nm out of range: the filter's frequency FWHM "
-            f"c * bandwidth / center^2 is not a finite positive number"
+            "signal_filter.center_nm out of range: the filter's frequency FWHM "
+            "c * bandwidth / center^2 is not a finite positive number"
         )
-    return profile
+    return SpectralProfile(center, dnu)
 
 
 def _get_int(sections, section: str, key: str, default: int) -> int:
@@ -273,8 +268,10 @@ def parse_config(text: str) -> ExperimentConfig:
     )
     override = _get_float(sections, "pump", "coherence_length_override_mm", None, div=1e3)
 
-    signal_filter = _get_filter(sections, "signal_filter", 808e-9, 2e-9)
-    idler_filter = _get_filter(sections, "idler_filter", 632e-9, 3e-9)
+    signal_filter = _signal_filter_profile(
+        _get_float(sections, "signal_filter", "center_nm", 808e-9, div=1e9),
+        _get_float(sections, "signal_filter", "bandwidth_nm", 2e-9, div=1e9),
+    )
 
     scan = ScanSettings(
         axis=sections.get("scan", {}).get("axis", defaults.scan.axis),
@@ -299,7 +296,6 @@ def parse_config(text: str) -> ExperimentConfig:
         rate_a_cal=rate_a,
         rate_b_cal=rate_b,
         window=window,
-        dwell=scan.dwell,
         seed=_get_int(sections, "detectors", "seed", defaults.detectors.seed),
     )
 
@@ -316,7 +312,6 @@ def parse_config(text: str) -> ExperimentConfig:
             gain2=_get_float(sections, "crystal2", "gain", defaults.gain2),
             eta=_get_float(sections, "idler_link", "eta", defaults.eta),
             signal_filter=signal_filter,
-            idler_filter=idler_filter,
             detectors=detectors,
             scan=scan,
         )

@@ -22,7 +22,7 @@ _MAX_MEAN = float(2**62)
 
 @dataclass(frozen=True)
 class CountingConfig:
-    """Detector calibration rates, coincidence window, dwell time, RNG seed.
+    """Detector calibration rates, coincidence window, RNG seed.
 
     ``baseline_a``/``baseline_b`` hold the model-unit fringe baselines once
     :func:`calibrate` has run; sampling requires them.
@@ -31,7 +31,6 @@ class CountingConfig:
     rate_a_cal: float = 42_000.0
     rate_b_cal: float = 110_000.0
     window: float = 2e-9
-    dwell: float = 0.5
     seed: int = 20260810
     baseline_a: float | None = None
     baseline_b: float | None = None
@@ -39,8 +38,8 @@ class CountingConfig:
     def __post_init__(self) -> None:
         if self.rate_a_cal <= 0 or self.rate_b_cal <= 0:
             raise ValueError("calibration rates must be positive")
-        if self.window <= 0 or self.dwell <= 0:
-            raise ValueError("window and dwell must be positive")
+        if self.window <= 0:
+            raise ValueError("window must be positive")
 
     @property
     def calibrated(self) -> bool:
@@ -95,8 +94,8 @@ def double_pair_probability(pair_rate: float, window: float) -> float:
     return -math.expm1(-mu) - mu * math.exp(-mu)
 
 
-def count_means(detected: np.ndarray, cc: CountingConfig) -> np.ndarray:
-    """Expected counts per dwell, rows (A, B, true coincidences, accidentals).
+def count_means(detected: np.ndarray, cc: CountingConfig, dwell: float) -> np.ndarray:
+    """Expected counts per dwell (seconds), rows (A, B, true coincidences, accidentals).
 
     ``detected`` holds the (3, n) counts/s rows of :meth:`CountingConfig.detected`;
     accidentals follow :func:`accidental_rate`.  A mean beyond the float range
@@ -106,7 +105,7 @@ def count_means(detected: np.ndarray, cc: CountingConfig) -> np.ndarray:
     if np.any(r_a < 0) or np.any(r_b < 0):
         raise ValueError("rates and window must be non-negative")
     with np.errstate(over="ignore"):
-        return np.vstack([detected * cc.dwell, r_a * r_b * cc.window * cc.dwell])
+        return np.vstack([detected * dwell, r_a * r_b * cc.window * dwell])
 
 
 def sample_scan(means: np.ndarray, seed: int) -> np.ndarray:

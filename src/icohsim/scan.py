@@ -176,11 +176,12 @@ def run_scan(
         detected = cc.detected(rates)
     if not np.all(np.isfinite(detected)):
         raise OverflowError("calibrated rates exceed the float range")
+    counts = sample_scan(count_means(detected, cc, config.scan.dwell), cc.seed) if sample else None
     return ScanRecord(
         axis=axis,
         delays=delays,
         rates=detected,
-        counts=sample_scan(count_means(detected, cc), cc.seed) if sample else None,
+        counts=counts,
         config=config,
         warnings=[warning] if warning else [],
     )

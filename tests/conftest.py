@@ -31,8 +31,8 @@ def config():
 def config_with(**overrides):
     """Default config with top-level and detector/scan overrides applied."""
     cfg = default_config()
-    detector_keys = {"rate_a_cal", "rate_b_cal", "window", "dwell", "seed"}
-    scan_keys = {"axis", "start", "stop", "step"}
+    detector_keys = {"rate_a_cal", "rate_b_cal", "window", "seed"}
+    scan_keys = {"axis", "start", "stop", "step", "dwell"}
     det = {k: overrides.pop(k) for k in list(overrides) if k in detector_keys}
     scn = {k: overrides.pop(k) for k in list(overrides) if k in scan_keys}
     if det:

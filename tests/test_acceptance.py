@@ -23,7 +23,7 @@ from icohsim.counting import (
 from icohsim.expectation import setup_rates
 from icohsim.fockoracle import build_state, detection_moments
 from icohsim.scan import ScanRecord, fit_fringe, run_scan
-from icohsim.spectral import SpectralProfile, compile_model, envelope, modulated_rates
+from icohsim.spectral import SpectralProfile, compile_model, envelope
 
 from conftest import config_with
 
@@ -72,8 +72,9 @@ def wrapped_difference(a, b):
 def noiseless_record(config, pump_offset=0.0, span=2e-6, points=401):
     """Signal-axis scan of envelope-modulated rates at a fixed pump delay."""
     grid = np.linspace(-span, span, points)
-    cc = calibrate(config.detectors, compile_model(config).baseline)
-    detected = cc.detected(modulated_rates(config, pump_offset, grid))
+    model = compile_model(config)
+    cc = calibrate(config.detectors, model.baseline)
+    detected = cc.detected(model.rates(pump_offset, grid))
     return ScanRecord(axis="signal", delays=grid, rates=detected, config=config)
 
 
@@ -142,7 +143,7 @@ def test_criterion_07_signal_envelope_width():
 
     def window_amplitude(center):
         xs = center + np.linspace(0.0, 2 * lam_s, 64)
-        values = modulated_rates(cfg, delta_x_s=xs)[0]
+        values = compile_model(cfg).rates(delta_x_s=xs)[0]
         return (max(values) - min(values)) / 2.0
 
     peak = window_amplitude(0.0)
@@ -194,11 +195,11 @@ def test_criterion_10_counting_statistics():
     assert accidental_rate(42e3, 110e3, 2e-9) == pytest.approx(9.24, rel=1e-12)
 
     cc = calibrate(
-        CountingConfig(rate_a_cal=2000.0, dwell=0.5, seed=424242),
+        CountingConfig(rate_a_cal=2000.0, seed=424242),
         np.ones(3),
     )
-    # one 10 000-point scan, drawn in one call
-    draws = sample_scan(count_means(cc.detected(np.ones((3, 10_000))), cc), cc.seed)[0]
+    # one 10 000-point scan with a 0.5 s dwell, drawn in one call
+    draws = sample_scan(count_means(cc.detected(np.ones((3, 10_000))), cc, 0.5), cc.seed)[0]
     mu = 1000.0
     n = len(draws)
     assert abs(draws.mean() - mu) < 5 * math.sqrt(mu / n)

@@ -400,7 +400,7 @@ def test_out_of_range_pump_and_oracle_values_exit_with_config_code(
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("command", ["report", "simulate", "predict"])
-@pytest.mark.parametrize("section", ["signal_filter", "idler_filter"])
+@pytest.mark.parametrize("section", ["signal_filter"])
 def test_filter_without_a_finite_frequency_width_exits_with_config_code(
     tmp_path, capsys, command, section
 ):
@@ -411,6 +411,28 @@ def test_filter_without_a_finite_frequency_width_exits_with_config_code(
     assert main(argv) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith(f"config error: {section}.center_nm out of range")
     assert not out.exists()
+
+
+def test_removed_idler_filter_section_exits_with_config_code(tmp_path, capsys):
+    config = write_config(tmp_path, "[idler_filter]\ncenter_nm = 632\nbandwidth_nm = 3\n[scan]\n")
+    assert main(["report", "--config", config]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: unknown section [idler_filter]")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["report", "simulate", "predict"])
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[signal_filter]\ncenter_nm = 1e-152\nbandwidth_nm = 1e-153\n[scan]\n",
+        "[pump]\nwavelength_nm = 1e-200\nbandwidth_ghz = 1e199\n[scan]\naxis = pump\n",
+    ],
+    ids=["signal_filter_fwhm_3e168_hz", "pump_fwhm_1e208_hz"],
+)
+def test_huge_spectral_widths_give_zero_envelopes_without_overflow(tmp_path, command, text):
+    # the envelope argument reaches 6e154 (signal) and 2e194 (pump); clamped, its square stays finite
+    out = tmp_path / "out"
+    assert main([command, "--config", write_config(tmp_path, text), "--out", str(out), "--quiet"]) == EXIT_OK
 
 
 @pytest.mark.filterwarnings("error")

@@ -125,7 +125,7 @@ def test_scan_delays_are_bounded():
         parse_config("[scan]\nstart_um = 0\nstop_um = 1.0000001e6\nstep_nm = 1e7\n")
 
 
-@pytest.mark.parametrize("section", ["signal_filter", "idler_filter"])
+@pytest.mark.parametrize("section", ["signal_filter"])
 @pytest.mark.parametrize(
     "center, bandwidth",
     [("1e-300", "1e-301"), ("1e300", "1")],
@@ -135,6 +135,13 @@ def test_filter_frequency_width_must_be_finite_and_positive(section, center, ban
     text = f"[{section}]\ncenter_nm = {center}\nbandwidth_nm = {bandwidth}\n[scan]\n"
     with pytest.raises(ConfigError, match=rf"^{section}\.center_nm out of range"):
         parse_config(text)
+
+
+@pytest.mark.parametrize("key", ["center_nm", "bandwidth_nm"])
+def test_signal_filter_keys_must_be_positive(key):
+    with pytest.raises(ConfigError, match=rf"^signal_filter\.{key} out of range: must be positive"):
+        parse_config(f"[signal_filter]\n{key} = 0\n[scan]\n")
+
 
 def test_detector_validation():
     with pytest.raises(ConfigError, match=r"detectors\.rate_a_hz"):
@@ -159,7 +166,7 @@ def test_unit_suffixes_convert_to_si():
     assert cfg.detectors.window == pytest.approx(4e-9)
     assert cfg.scan.start == pytest.approx(-1e-6)
     assert cfg.scan.step == pytest.approx(20e-9)
-    assert cfg.detectors.dwell == 0.25
+    assert cfg.scan.dwell == 0.25
 
 
 def test_coherence_override_rescales_pump_profile():

@@ -19,14 +19,16 @@ from conftest import config_with
 ONES = np.ones(3)
 
 
-def calibrated(seed=123, dwell=0.5, baseline=ONES, **kw):
-    cc = CountingConfig(seed=seed, dwell=dwell, **kw)
-    return calibrate(cc, baseline)
+DWELL = 0.5
+
+
+def calibrated(seed=123, baseline=ONES, **kw):
+    return calibrate(CountingConfig(seed=seed, **kw), baseline)
 
 
 def scan_means(rates, cc, points=1):
-    """Expected counts (4, points) of a scan whose points all have model rates (p_a, p_b, p_ab)."""
-    return count_means(cc.detected(np.tile(np.reshape(rates, (3, 1)), points)), cc)
+    """Expected counts (4, points) in DWELL of a scan whose points all have rates (p_a, p_b, p_ab)."""
+    return count_means(cc.detected(np.tile(np.reshape(rates, (3, 1)), points)), cc, DWELL)
 
 
 def sample_point(rates, cc):
@@ -151,8 +153,9 @@ def test_scan_sampler_matches_one_philox_stream(axis):
 
     # the reference draws the same means, rows A, B, true coincidences and
     # accidentals, from a Philox generator keyed (seed, 0)
+    dwell = cfg.scan.dwell
     means = np.array([
-        (r_a * cc.dwell, r_b * cc.dwell, r_true * cc.dwell, accidental_rate(r_a, r_b, cc.window) * cc.dwell)
+        (r_a * dwell, r_b * dwell, r_true * dwell, accidental_rate(r_a, r_b, cc.window) * dwell)
         for r_a, r_b, r_true in zip(*rates.tolist())
     ]).T
     key = np.array([cfg.detectors.seed, 0], dtype=np.uint64)

@@ -65,6 +65,12 @@ def test_run_scan_without_sampling(config):
     assert np.mean(mids) == pytest.approx(42_000.0, rel=0.05)
 
 
+def test_fit_divides_counts_by_the_dwell_they_were_sampled_with():
+    # one dwell setting: the scan's, read by both the sampler and the fit
+    fit = fit_fringe(run_scan(config_with(dwell=2.0)))
+    assert fit.baseline == pytest.approx(42_000.0, rel=0.01)
+
+
 def test_run_scan_warns_on_coarse_grid(config):
     record = run_scan(config, grid=np.linspace(-2e-6, 2e-6, 12), sample=False)
     assert any("8 points" in w for w in record.warnings)
