@@ -4,6 +4,12 @@ CSV is the scan interchange format (one row per delay point, rates plus
 sampled counts); fits are summarized as JSON.  Identical config and seed
 always produce byte-identical outputs.
 
+``fit`` reads the CSV grammar ``write_scan_csv`` writes (see
+``read_scan_csv``): ``np.loadtxt`` parses all rows in one pass, and a
+row-by-row walk that rejects exactly what it rejects names the first bad
+line and column.  A bad CSV, like a bad config, is a configuration problem,
+and so is a CSV or config file that is not UTF-8.
+
 Exit codes: 0 success, 2 configuration problem, 3 I/O failure, 4 fit did
 not converge or found no fringe, 1 unexpected failure.
 """
@@ -16,13 +22,15 @@ import functools
 import io
 import json
 import math
+import re
 import sys
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import fockoracle
-from .config import ConfigError, ExperimentConfig, load_config, with_overrides
+from .config import ConfigError, ExperimentConfig, load_config, utf8_error, with_overrides
 from .counting import accidental_rate, double_pair_probability
 from .expectation import RATE_NAMES, check_rates, setup_rates
 from .scan import (
@@ -65,11 +73,23 @@ def write_scan_csv(record: ScanRecord, stream: io.TextIOBase) -> None:
     stream.write(_HEADER_LINE + "\n" + "".join(_ROW_FORMAT % row for row in columns))
 
 
+# Leading zeros of a count: loadtxt takes any number of them, while int counts
+# them toward its limit of sys.get_int_max_str_digits() digits.
+_LEADING_ZEROS = re.compile(r"^(\s*[+-]?)0+(?=\d)")
+
+
+def _count(text: str) -> int:
+    return int(_LEADING_ZEROS.sub(r"\1", text))
+
+
 def _csv_cell(text: str, column: int, line: int) -> float | int:
-    """Parse one CSV cell: the delay and rates are finite floats, the counts 64-bit integers."""
-    parse, kind = (float, "a finite number") if column < 4 else (int, "an integer")
+    """Parse one CSV cell as ``np.loadtxt`` does: the delay and rates are finite
+    floats, the counts 64-bit integers.  Inside its surrounding whitespace a cell
+    is ASCII without underscores; ``float`` and ``int`` alone would also take
+    ``1_0`` and non-ASCII digits."""
+    parse, kind = (float, "a finite number") if column < 4 else (_count, "an integer")
     try:
-        value = parse(text)
+        value = parse(text) if "_" not in text and text.strip().isascii() else math.nan
     except ValueError:
         value = math.nan
     if isinstance(value, int):
@@ -85,73 +105,138 @@ def _csv_cell(text: str, column: int, line: int) -> float | int:
     return value
 
 
-def _check_delay_grid(delays: np.ndarray, lines: list[int]) -> None:
-    """Reject a delay column that is not strictly increasing on a uniform grid."""
+def _delay_grid_error(delays: np.ndarray) -> tuple[int, str] | None:
+    """The row index and the reason of the first delay off a strictly increasing uniform grid."""
     if len(delays) < 2:
-        return
+        return None
     down = np.flatnonzero(np.diff(delays) <= 0)
     if len(down):
         k = int(down[0]) + 1
-        raise ConfigError(
-            f"CSV line {lines[k]}: delay {delays[k]:.9g} m is not greater than "
+        return k, (
+            f"delay {delays[k]:.9g} m is not greater than "
             f"the previous delay {delays[k - 1]:.9g} m"
         )
     off = off_grid_step(delays)
     if off is not None:
-        raise ConfigError(
-            f"CSV line {lines[off + 1]}: delay step {delays[off + 1] - delays[off]:.6g} m "
+        return off + 1, (
+            f"delay step {delays[off + 1] - delays[off]:.6g} m "
             f"is off the grid's median step; delays must be uniformly spaced"
         )
+    return None
 
 
-def _raise_first_bad_row(rows: list[list[str]], lines: list[int]) -> None:
-    """Raise the error of the first bad row, in file order: its length, each cell, its rates."""
-    for row, line in zip(rows, lines):
-        if len(row) != len(CSV_HEADER):
-            raise ConfigError(
-                f"CSV line {line}: row has {len(row)} columns, expected {len(CSV_HEADER)}"
-            )
-        values = [_csv_cell(cell, column, line) for column, cell in enumerate(row)]
-        try:
-            check_rates(np.array(values[1:4]).reshape(3, 1))
-        except ValueError as exc:
-            raise ConfigError(f"CSV line {line}: {exc}") from None
+# A line that ends in a lone carriage return: loadtxt takes it for a line break
+# inside a row, and allows it only as the file's last character.
+_BARE_CR = "ends in a bare carriage return; lines end in \\n or \\r\\n"
+
+
+def _walk_rows(body: str) -> list[int]:
+    """Check the rows after the header one by one; return each data row's line number.
+
+    Raises the error of the first bad row in file order: a line the csv module
+    cannot split, a row without seven cells, a row that ends in a bare carriage
+    return, a cell ``_csv_cell`` rejects, or a bad rate.  The walk accepts what
+    ``loadtxt`` accepts, so it names the line ``loadtxt`` failed on, and it
+    lifts the csv module's field limit, which ``loadtxt`` does not have.
+    """
+    physical = io.StringIO(body, newline="").readlines()
+    reader = csv.reader(physical)
+    lines: list[int] = []
+    limit = csv.field_size_limit(max(csv.field_size_limit(), len(body) + 1))
+    try:
+        for row in reader:
+            line = reader.line_num + 1
+            if row and len(row) != len(CSV_HEADER):
+                raise ConfigError(
+                    f"CSV line {line}: row has {len(row)} columns, expected {len(CSV_HEADER)}"
+                )
+            if reader.line_num < len(physical) and physical[reader.line_num - 1].endswith("\r"):
+                raise ConfigError(f"CSV line {line}: {_BARE_CR}")
+            if not row:
+                continue
+            values = [_csv_cell(cell, column, line) for column, cell in enumerate(row)]
+            try:
+                check_rates(np.array(values[1:4]).reshape(3, 1))
+            except ValueError as exc:
+                raise ConfigError(f"CSV line {line}: {exc}") from None
+            lines.append(line)
+    except csv.Error as exc:
+        raise ConfigError(f"CSV line {reader.line_num + 1}: {exc}") from None
+    finally:
+        csv.field_size_limit(limit)
+    return lines
+
+
+# One CSV data row as np.loadtxt parses it: delay and three rates, then three counts.
+_ROW_DTYPE = np.dtype([("floats", "f8", (4,)), ("counts", "i8", (3,))])
+# loadtxt strips these around a number as whitespace; float and int do not.
+_SEPARATORS = "\x1c\x1d\x1e\x1f"
+
+
+def _load_rows(body: str) -> np.ndarray:
+    """Parse the rows after the header in one ``loadtxt`` pass; ValueError on any bad value."""
+    if any(separator in body for separator in _SEPARATORS):
+        raise ValueError("an information separator, \\x1c to \\x1f")
+    # numpy 1.x parses "1.0" as an integer with a DeprecationWarning: make it an error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = np.loadtxt(
+            io.StringIO(body),
+            dtype=_ROW_DTYPE,
+            delimiter=",",
+            comments=None,
+            quotechar='"',
+            ndmin=1,
+        )
+    if not np.all(np.isfinite(rows["floats"][:, 0])):
+        raise ValueError("a non-finite delay")
+    check_rates(rows["floats"][:, 1:].T)
+    return rows
 
 
 def read_scan_csv(stream: io.TextIOBase, axis: str = "signal") -> ScanRecord:
-    """Parse a scan CSV; bad cells and a non-uniform delay grid name their line.
+    """Parse a scan CSV; a bad header, row, cell or delay grid is a ConfigError.
 
-    The csv module splits the rows, and whole columns go through ``float``
-    and ``int``.  When that fails, the rows are checked one by one in file
-    order, so the error names the first bad line (and column).
+    The grammar is what ``write_scan_csv`` writes: the header line, then rows
+    of seven comma-separated cells, the delay and three rates as decimal
+    floats and three counts as decimal integers.  A cell may be quoted with
+    ``"`` and padded with whitespace; inside that it is ASCII, without
+    underscores.  Delays are finite, rates finite and non-negative, counts
+    within 64 bits.  Lines end in ``\\n`` or ``\\r\\n`` (a lone ``\\r`` only at
+    the end of the file), and blank lines are skipped.
+
+    The csv module reads the header line.  ``np.loadtxt`` then parses the rows
+    in one pass, and only it accepts them.  When it fails, or a value is out
+    of range, ``_walk_rows`` checks the rows one by one in file order, so the
+    error names the first bad line (and column), as it does for a delay that
+    is not strictly increasing on a uniform grid.
     """
-    reader = csv.reader(io.StringIO(stream.read(), newline=""))
-    rows: list[list[str]] = []
-    lines: list[int] = []
+    text = stream.read()
+    head, newline, body = text.partition("\n")
+    if "\r" in head[:-1]:
+        raise ConfigError(f"CSV line 1: {_BARE_CR}")
     try:
-        header = next(reader, None)
-        if header != CSV_HEADER:
-            raise ConfigError(f"unexpected CSV header {header!r}; expected {CSV_HEADER!r}")
-        for row in reader:
-            if row:
-                rows.append(row)
-                lines.append(reader.line_num)
+        header = next(csv.reader([head + newline] if text else []), None)
     except csv.Error as exc:
-        _raise_first_bad_row(rows, lines)
-        raise ConfigError(f"CSV line {reader.line_num}: {exc}") from None
-    cells = [cell for row in rows for cell in row]
-    try:
-        if any(len(row) != len(CSV_HEADER) for row in rows):
-            raise ValueError("a row without seven cells")
-        table = np.array([list(map(float, cells[column::7])) for column in range(4)])
-        counts = np.array([list(map(int, cells[column::7])) for column in range(4, 7)], dtype=np.int64)
-        if not np.all(np.isfinite(table[0])):
-            raise ValueError("a non-finite delay")
-        check_rates(table[1:])
-    except (ValueError, OverflowError):
-        _raise_first_bad_row(rows, lines)
-        raise
-    _check_delay_grid(table[0], lines)
+        raise ConfigError(f"CSV line 1: {exc}") from None
+    if header != CSV_HEADER:
+        raise ConfigError(f"unexpected CSV header {header!r}; expected {CSV_HEADER!r}")
+    if not body.strip("\r\n"):
+        # no data rows, which loadtxt would warn about
+        _walk_rows(body)
+        rows = np.zeros(0, _ROW_DTYPE)
+    else:
+        try:
+            rows = _load_rows(body)
+        except (ValueError, Warning) as exc:
+            _walk_rows(body)
+            raise ConfigError(f"CSV rows rejected by np.loadtxt: {exc}") from None
+    table = np.ascontiguousarray(rows["floats"].T)
+    counts = np.ascontiguousarray(rows["counts"].T)
+    grid_error = _delay_grid_error(table[0])
+    if grid_error is not None:
+        row, reason = grid_error
+        raise ConfigError(f"CSV line {_walk_rows(body)[row]}: {reason}")
     return ScanRecord(axis=axis, delays=table[0], rates=table[1:], counts=counts)
 
 
@@ -437,8 +522,11 @@ def _run(args: argparse.Namespace) -> int:
 
     if args.command == "fit":
         config = _load(args)
-        with open(args.input, "r", encoding="utf-8", newline="") as fh:
-            record = read_scan_csv(fh, axis=config.scan.axis)
+        try:
+            with open(args.input, "r", encoding="utf-8", newline="") as fh:
+                record = read_scan_csv(fh, axis=config.scan.axis)
+        except UnicodeDecodeError as exc:
+            raise utf8_error(args.input, exc) from None
         warning = undersampling_warning(config, record.axis, record.delays)
         if warning:
             print(f"warning: {warning}", file=sys.stderr)

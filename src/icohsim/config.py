@@ -321,9 +321,24 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError(str(exc)) from exc
 
 
+def utf8_error(path: str, exc: UnicodeDecodeError) -> ConfigError:
+    """The error for a file that is not UTF-8 text, naming its first bad byte and offset.
+
+    ``exc`` comes from one ``read()`` of the whole file, so its offsets are the file's.
+    """
+    return ConfigError(
+        f"{path}: not UTF-8 text: byte 0x{exc.object[exc.start]:02x} "
+        f"at offset {exc.start} ({exc.reason})"
+    )
+
+
 def load_config(path: str) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise utf8_error(path, exc) from None
+    return parse_config(text)
 
 
 def with_overrides(

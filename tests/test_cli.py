@@ -596,7 +596,16 @@ def test_bad_csv_header_rejected(tmp_path):
 
 @pytest.mark.parametrize(
     "line, column, cell",
-    [(2, 0, "abc"), (4, 1, "nan"), (5, 3, "inf"), (7, 6, "1.5"), (9, 4, "")],
+    [
+        (2, 0, "abc"),
+        (4, 1, "nan"),
+        (5, 3, "inf"),
+        (7, 6, "1.5"),
+        (9, 4, ""),
+        (10, 5, "1_0"),
+        (11, 2, "1_1.0"),
+        (12, 6, "\u0661"),
+    ],
 )
 def test_malformed_csv_cell_names_line_and_column(tmp_path, capsys, line, column, cell):
     scan = tmp_path / "scan.csv"
@@ -612,7 +621,7 @@ def test_malformed_csv_cell_names_line_and_column(tmp_path, capsys, line, column
     assert f"CSV line {line}, column {CSV_HEADER[column]}" in err
 
 
-def test_csv_cell_beyond_field_limit_names_line(tmp_path, capsys):
+def test_csv_cell_beyond_field_limit_is_accepted(tmp_path):
     scan = tmp_path / "scan.csv"
     assert main(["simulate", "--config", DEFAULT_CONFIG, "--out", str(scan), "--quiet"]) == EXIT_OK
     lines = scan.read_text().splitlines()
@@ -620,9 +629,33 @@ def test_csv_cell_beyond_field_limit_names_line(tmp_path, capsys):
     row[2] = "1" + "0" * 140_000 + "e-140000"
     lines[13] = ",".join(row)
     scan.write_text("\n".join(lines) + "\n")
+    with open(scan, encoding="utf-8", newline="") as fh:
+        assert read_scan_csv(fh).rates[1, 12] == 1.0
+    assert main(["fit", str(scan), "--config", DEFAULT_CONFIG, "--quiet"]) == EXIT_OK
+
+
+def test_fit_rejects_a_csv_that_is_not_utf8(tmp_path, capsys):
+    scan = tmp_path / "scan.csv"
+    assert main(["simulate", "--config", DEFAULT_CONFIG, "--out", str(scan), "--quiet"]) == EXIT_OK
+    data = bytearray(scan.read_bytes())
+    offset = len(data) - 100  # beyond the first 8 KiB a text reader decodes
+    data[offset] = 0xFF
+    scan.write_bytes(bytes(data))
     capsys.readouterr()
     assert main(["fit", str(scan), "--config", DEFAULT_CONFIG, "--quiet"]) == EXIT_CONFIG
-    assert "CSV line 14: field larger than field limit" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"{scan}: not UTF-8 text: byte 0xff at offset {offset} (invalid start byte)" in err
+
+
+@pytest.mark.parametrize("command", ["report", "simulate", "predict", "oracle-check"])
+def test_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys, command):
+    config = tmp_path / "exp.ini"
+    config.write_bytes(b"[scan]\n# caf\xe9\n")
+    out = tmp_path / "out.txt"
+    assert main([command, "--config", str(config), "--out", str(out), "--quiet"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"{config}: not UTF-8 text: byte 0xe9 at offset 12 (invalid continuation byte)" in err
+    assert not out.exists()
 
 
 def _swap_rows(lines):

@@ -1,5 +1,6 @@
-"""Scan CSV write/read: a round trip, and edge cases pinned to the cell-by-cell outcome."""
+"""Scan CSV write/read: a round trip, edge cases pinned to their outcome, and edited scans."""
 
+import csv
 import io
 
 import numpy as np
@@ -10,6 +11,9 @@ from hypothesis import strategies as st
 from icohsim.cli import read_scan_csv, write_scan_csv
 from icohsim.config import ConfigError
 from icohsim.scan import ScanRecord
+
+# A numpy warning here is a parse the grammar does not state.
+pytestmark = pytest.mark.filterwarnings("error")
 
 _nine_digits = np.vectorize(lambda v: float(f"{v:.8e}"), otypes=[float])
 
@@ -123,6 +127,17 @@ EDGE_CASES = {
     "swapped rows": lambda text: "\n".join(
         text.split("\n")[:4] + text.split("\n")[5:6] + text.split("\n")[4:5] + text.split("\n")[6:]
     ),
+    "rows swapped after a blank line": lambda text: "\n".join(
+        text.split("\n")[:2] + [""] + text.split("\n")[2:4]
+        + text.split("\n")[5:6] + text.split("\n")[4:5] + text.split("\n")[6:]
+    ),
+    "non-ASCII digit in a count": _edit_cell(15, 6, "\u0661\u0663"),
+    "information separator around a count": _edit_cell(16, 5, "\x1c516"),
+    "bare carriage return line endings": lambda text: text.replace("\n", "\r"),
+    "bare carriage return after a row": _edit_cell(17, 6, "15\r\r"),
+    "bare carriage return at the end of the file": lambda text: text.rstrip("\n") + "\r",
+    "quoted cell with a line break": _edit_cell(18, 2, '"1.10000000e+05\r\n"'),
+    "count padded beyond int's digit limit": _edit_cell(19, 4, " +" + "0" * 5000 + "117"),
 }
 
 
@@ -130,13 +145,15 @@ _EXPECTED_HEADER = (
     "expected ['delay_m', 'rate_a_hz', 'rate_b_hz', 'coinc_hz', 'counts_a', 'counts_b', 'coinc_counts']"
 )
 
-# Each case's outcome as the csv-module cell-by-cell parse gives it: the error
-# text, or the cells that differ from the unedited scan, as
-# {(array, row, point): value}, or None for a file without data rows.  A cell
-# beyond the csv field limit names its line like any other bad row.
+# Each case's outcome: the error text, or the cells that differ from the
+# unedited scan, as {(array, row, point): value}, or None for a file without
+# data rows.  A cell beyond the csv module's field limit is no error, as
+# np.loadtxt has no such limit.
 EDGE_OUTCOMES = {
-    "underscore in a count": {("counts", 0, 1): 10},
-    "underscore in a rate": {("rates", 0, 2): 42000.5},
+    "underscore in a count": "ConfigError: CSV line 3, column counts_a: not an integer: '1_0'",
+    "underscore in a rate": (
+        "ConfigError: CSV line 4, column rate_a_hz: not a finite number: '4_2000.5'"
+    ),
     "plus sign": {("counts", 1, 3): 5},
     "leading space in a count": {("counts", 2, 4): 7},
     "leading space in a delay": {},
@@ -149,9 +166,7 @@ EDGE_OUTCOMES = {
         "'9223372036854775808'"
     ),
     "empty cell": "ConfigError: CSV line 12, column coinc_counts: not an integer: ''",
-    "cell beyond the csv field limit": (
-        "ConfigError: CSV line 14: field larger than field limit (131072)"
-    ),
+    "cell beyond the csv field limit": {("rates", 1, 12): 1.0},
     "crlf line endings": {},
     "carriage return inside a row": "ConfigError: CSV line 13: row has 5 columns, expected 7",
     "quoted cell": {},
@@ -171,6 +186,24 @@ EDGE_OUTCOMES = {
     "swapped rows": (
         "ConfigError: CSV line 6: delay -7e-07 m is not greater than the previous delay -6e-07 m"
     ),
+    "rows swapped after a blank line": (
+        "ConfigError: CSV line 7: delay -7e-07 m is not greater than the previous delay -6e-07 m"
+    ),
+    "non-ASCII digit in a count": (
+        "ConfigError: CSV line 15, column coinc_counts: not an integer: '\u0661\u0663'"
+    ),
+    "information separator around a count": (
+        "ConfigError: CSV line 16, column counts_b: not an integer: '\\x1c516'"
+    ),
+    "bare carriage return line endings": (
+        "ConfigError: CSV line 1: ends in a bare carriage return; lines end in \\n or \\r\\n"
+    ),
+    "bare carriage return after a row": (
+        "ConfigError: CSV line 17: ends in a bare carriage return; lines end in \\n or \\r\\n"
+    ),
+    "bare carriage return at the end of the file": {},
+    "quoted cell with a line break": {},
+    "count padded beyond int's digit limit": {},
 }
 
 
@@ -188,7 +221,7 @@ def _expected_outcome(outcome):
 
 @pytest.mark.parametrize("name", sorted(EDGE_CASES))
 def test_fast_path_matches_cell_by_cell_parse(name):
-    """Whole-column parsing gives each edge case's recorded cell-by-cell outcome."""
+    """The one-pass parse gives each edge case's recorded outcome."""
     assert sorted(EDGE_OUTCOMES) == sorted(EDGE_CASES)
     text = EDGE_CASES[name](_scan_text())
     assert _outcome(text) == _expected_outcome(EDGE_OUTCOMES[name])
@@ -212,3 +245,47 @@ def test_cell_by_cell_errors_name_line_and_column():
     text = _edit_cell(8, 1, "x")(text)
     with pytest.raises(ConfigError, match="CSV line 8, column rate_a_hz: not a finite number: 'x'"):
         read_scan_csv(io.StringIO(text))
+    # neither a cell beyond the csv module's field limit nor a count padded
+    # beyond int's digit limit hides a later bad row
+    for name in ("cell beyond the csv field limit", "count padded beyond int's digit limit"):
+        text = EDGE_CASES[name](_edit_cell(20, 5, "5x")(_scan_text()))
+        with pytest.raises(ConfigError, match="CSV line 20, column counts_b: not an integer: '5x'"):
+            read_scan_csv(io.StringIO(text))
+
+
+# Characters an edit puts into a cell: digits and the characters Python's
+# float and int treat differently from np.loadtxt, or that split the row.
+CELL_EDITS = [*"0123456789", "_", "+", " ", '"', "\r", "e", ".", "\u0661", ""]
+
+
+@st.composite
+def edited_scans(draw):
+    lines = _scan_text().split("\n")
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        line = draw(st.integers(min_value=2, max_value=len(lines) - 1))
+        row = lines[line - 1].split(",")
+        column = draw(st.integers(min_value=0, max_value=len(row) - 1))
+        edit = "".join(draw(st.lists(st.sampled_from(CELL_EDITS), max_size=4)))
+        if draw(st.booleans()):
+            row[column] = edit
+        else:
+            at = draw(st.integers(min_value=0, max_value=len(row[column])))
+            row[column] = row[column][:at] + edit + row[column][at:]
+        lines[line - 1] = ",".join(row)
+    return "\n".join(lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(edited_scans())
+def test_accepted_values_are_python_values_and_errors_name_a_line(text):
+    """Accepted values are float and int of their cells, bit for bit; a rejection names a line."""
+    try:
+        record = read_scan_csv(io.StringIO(text))
+    except ConfigError as exc:
+        assert "CSV line" in str(exc)
+        return
+    rows = [row for row in csv.reader(io.StringIO(text, newline="")) if row][1:]
+    floats = np.array([[float(cell) for cell in row[:4]] for row in rows])
+    counts = [[int(cell) for cell in row[4:]] for row in rows]
+    assert np.vstack([record.delays, record.rates]).T.tobytes() == floats.tobytes()
+    assert record.counts.T.tolist() == counts
