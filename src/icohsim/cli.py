@@ -135,7 +135,7 @@ def _walk_rows(body: str) -> list[int]:
 
     Raises the error of the first bad row in file order: a line the csv module
     cannot split, a row without seven cells, a row that ends in a bare carriage
-    return, a cell ``_csv_cell`` rejects, or a bad rate.  The walk accepts what
+    return before the end of the file, a cell ``_csv_cell`` rejects, or a bad rate.  The walk accepts what
     ``loadtxt`` accepts, so it names the line ``loadtxt`` failed on, and it
     lifts the csv module's field limit, which ``loadtxt`` does not have.
     """
