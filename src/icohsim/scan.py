@@ -14,6 +14,14 @@ exponents b1, b2) alone: variable projection (Golub & Pereyra, SIAM J.
 Numer. Anal. 10, 413, 1973; Kaufman, BIT 15, 49, 1975).  The fit starts
 from a zero-padded periodogram peak with the envelope pinned flat
 (b1 = b2 = 0) and frees it only when a score test says the data resolve it.
+
+Every least-squares system of the fit (the amplitudes, the Gauss-Newton
+step and the score test) has 3 to 6 columns and is solved from its Gram
+matrix A^T A.  np.linalg.lstsq's minimum-norm solution is taken instead
+where the Gram matrix is singular, a column's squared norm is at or below
+COLUMN_FLOOR of the largest one, or the columns' variance inflation factors
+sum to INFLATION_LIMIT or more.  A step is halved until chi^2 falls, but
+never below PARAM_TOLERANCE, where it could not change the converged fit.
 """
 
 from __future__ import annotations
@@ -39,6 +47,18 @@ MAX_ITERATIONS = 200
 PARAM_TOLERANCE = 1e-10
 # Halvings of a Gauss-Newton step before it is given up as not improving.
 MAX_HALVINGS = 30
+# Least-squares systems are solved from their Gram matrix A^T A unless
+# np.linalg.lstsq's rank cut decides the answer: when the Gram matrix is
+# singular, when a column's squared norm is at or below COLUMN_FLOOR of the
+# largest one, or when the columns' variance inflation factors (each the
+# inverse of the share of a column's squared norm outside the span of the
+# others) sum to INFLATION_LIMIT or more.  That sum bounds the condition number
+# of the column-normalized Gram matrix: below the limit a Gram solve adds at
+# most about 6 * INFLATION_LIMIT * 2.2e-16 = 1.3e-11 relative error, under
+# PARAM_TOLERANCE, so the convergence test stays within reach.  The fallback
+# is lstsq's minimum-norm solution.
+COLUMN_FLOOR = 1e-20
+INFLATION_LIMIT = 1e4
 # The envelope is freed when one step into it drops chi^2 by more than this
 # (chi^2 with 2 degrees of freedom exceeds 25 with probability 4e-6).
 ENVELOPE_THRESHOLD = 25.0
@@ -209,7 +229,9 @@ def estimate_period(
     """Seed period from the zero-padded periodogram peak of the chosen series.
 
     Accurate to a few percent, which is all the fitter needs.  Raises
-    NoFringeError when no peak stands out of the background (flat data).
+    NoFringeError when no peak stands out of the background (flat data), or
+    when the peak sits in the last bin, at a period of 2 grid steps: there
+    the model's cos and sin columns coincide on the grid.
     """
     y, _ = _series(record, channel, source)
     x = record.delays
@@ -232,14 +254,16 @@ def estimate_period(
     background = float(np.median(power[1:]))
     if peak == 0 or power[peak] < 20.0 * max(background, 1e-300):
         raise NoFringeError("no fringe detected: periodogram peak not significant")
+    if peak == len(power) - 1:
+        raise NoFringeError(
+            f"no fringe detected: periodogram peak at the Nyquist limit, "
+            f"a period of 2 grid steps of {step:.6g} m"
+        )
 
-    # Parabolic refinement of the peak bin.
-    if 1 <= peak < len(power) - 1:
-        p_lo, p_mid, p_hi = power[peak - 1], power[peak], power[peak + 1]
-        denom = p_lo - 2.0 * p_mid + p_hi
-        shift = 0.5 * (p_lo - p_hi) / denom if denom != 0 else 0.0
-    else:
-        shift = 0.0
+    # Parabolic refinement of the peak bin, which is neither the first nor the last.
+    p_lo, p_mid, p_hi = power[peak - 1], power[peak], power[peak + 1]
+    denom = p_lo - 2.0 * p_mid + p_hi
+    shift = 0.5 * (p_lo - p_hi) / denom if denom != 0 else 0.0
     frequency = (peak + shift) * (freqs[1] - freqs[0])
     return 1.0 / frequency
 
@@ -279,11 +303,33 @@ def _basis(p: np.ndarray, xs: np.ndarray, ts: np.ndarray) -> np.ndarray | None:
     return basis
 
 
+def _least_squares(matrix: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """x minimizing |matrix x - target|, by the normal equations where they are well conditioned.
+
+    Falls back to np.linalg.lstsq's minimum-norm solution by the rule stated
+    at COLUMN_FLOOR and INFLATION_LIMIT.
+    """
+    gram = matrix.T @ matrix
+    norms = gram.diagonal()
+    listed = norms.tolist()
+    if min(listed) > COLUMN_FLOOR * max(listed):
+        try:
+            inverse = np.linalg.inv(gram)
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            # Rounding can give a nearly singular Gram matrix an inverse with a
+            # huge negative trace; a non-finite one fails the test as well.
+            if 0.0 < inverse.diagonal() @ norms < INFLATION_LIMIT:
+                return inverse @ (matrix.T @ target)
+    return np.linalg.lstsq(matrix, target, rcond=None)[0]
+
+
 def _solve(basis: np.ndarray, ys: np.ndarray, sqrt_w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Amplitudes (a0, a1, a2) by weighted linear least squares, and the weighted residual."""
     weighted = basis * sqrt_w[:, None]
     target = ys * sqrt_w
-    a = np.linalg.lstsq(weighted, target, rcond=None)[0]
+    a = _least_squares(weighted, target)
     return a, target - weighted @ a
 
 
@@ -319,6 +365,12 @@ def _gauss_newton(p, basis, xs, ts, ys, weights_for, sqrt_w) -> _Solution:
     Poisson weights this is Fisher scoring, whose fixed point is the Poisson
     maximum-likelihood fit.  Converged once a whole step moves no parameter
     by more than PARAM_TOLERANCE (relative, or absolute below one).
+
+    Both least-squares solves go through :func:`_least_squares`: the Gram
+    matrix A^T A, or lstsq's minimum-norm solution by the rule stated at
+    COLUMN_FLOOR and INFLATION_LIMIT.  Halving stops, and p stays where it
+    is, once a trial would move no parameter by more than PARAM_TOLERANCE;
+    the weights are then refreshed as after any step.
     """
     previous = None
     steps = 0
@@ -332,9 +384,12 @@ def _gauss_newton(p, basis, xs, ts, ys, weights_for, sqrt_w) -> _Solution:
             return _Solution(p, a, sqrt_w, basis, residual, jacobian, steps, converged)
         previous = theta
         steps += 1
-        step = np.linalg.lstsq(jacobian, residual, rcond=None)[0][3:]
+        step = _least_squares(jacobian, residual)[3:]
         ssr = float(residual @ residual)
+        size = float(np.max(np.abs(step) / np.maximum(np.abs(p), 1.0)))
         for halving in range(MAX_HALVINGS):
+            if size * 0.5**halving <= PARAM_TOLERANCE:
+                break
             trial = p + step * 0.5**halving
             trial_basis = _basis(trial, xs, ts)
             if trial_basis is None:
@@ -359,7 +414,7 @@ def _envelope_statistic(pinned: _Solution, ts: np.ndarray, use_poisson: bool) ->
     envelope = np.column_stack(_envelope_columns(pinned.basis, pinned.a, ts))
     jacobian = np.hstack([pinned.jacobian, envelope * pinned.sqrt_w[:, None]])
     residual = pinned.residual
-    explained = jacobian @ np.linalg.lstsq(jacobian, residual, rcond=None)[0]
+    explained = jacobian @ _least_squares(jacobian, residual)
     drop = float(explained @ explained)
     if use_poisson:
         return drop

@@ -229,6 +229,19 @@ def test_fit_on_flat_counts_exits_with_fit_code(tmp_path, capsys):
     assert code == EXIT_FIT
 
 
+def test_fit_at_two_grid_steps_per_period_exits_with_fit_code(tmp_path, capsys):
+    # The periodogram peaks at the Nyquist limit, where cos and sin coincide on the grid.
+    rows = [
+        f"{5.960464477539063e-08 * i!r},{c}.0,{c}.0,{c}.0,{c},{c},{c}\n"
+        for i, c in enumerate([1, 1, 2, 0, 2, 0, 2, 0])
+    ]
+    path = tmp_path / "nyquist.csv"
+    path.write_text(",".join(CSV_HEADER) + "\n" + "".join(rows))
+    code = main(["fit", str(path), "--config", DEFAULT_CONFIG, "--quiet"])
+    assert code == EXIT_FIT
+    assert "fit error: no fringe detected: periodogram peak at the Nyquist limit" in capsys.readouterr().err
+
+
 def test_missing_config_exits_with_io_code(tmp_path):
     assert main(["report", "--config", str(tmp_path / "nope.ini")]) == EXIT_IO
 

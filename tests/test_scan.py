@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from icohsim.scan import (
@@ -11,6 +11,8 @@ from icohsim.scan import (
     FitNonConvergenceError,
     NoFringeError,
     ScanRecord,
+    _basis,
+    _least_squares,
     estimate_period,
     fit_fringe,
     run_scan,
@@ -257,13 +259,13 @@ def test_scan_grid_matches_settings(config):
 # envelope pinned; both signal fits report a visibility above 1.
 RECORDED_FITS = [
     ("signal", 2, "singles", 7,
-     8.079768877808419e-07, 1.0000348720557146, 0.00015371374981681049, 41977.03783316524),
+     8.079768878166037e-07, 1.0000348720617294, 0.0001537137486129589, 41977.037831319016),
     ("signal", 1, "coincidence", 8,
-     8.080345589870285e-07, 1.0000685941502279, 0.00010239843389725185, 42001.02023750094),
+     8.080345589890399e-07, 1.0000685941505933, 0.00010239843395824329, 42001.02023739689),
     ("pump", 0, "singles", 6,
-     3.550187902212367e-07, 0.9999312583860829, -0.00015056349727594993, 42024.37023366968),
+     3.550187902221237e-07, 0.9999312583856735, -0.00015056349736782787, 42024.37023372673),
     ("pump", 0, "coincidence", 6,
-     3.5501015010882744e-07, 0.9998975738054152, 8.989845830490206e-05, 42004.308056514885),
+     3.5501015012407605e-07, 0.9998975737990379, 8.989845810803736e-05, 42004.30805751724),
 ]
 
 
@@ -304,13 +306,13 @@ def two_channel_record(noise_seed, visibility, fwhm=None):
 # The first two keep the envelope pinned, the last two resolve it.
 SYNTHETIC_FITS = [
     (20, 1.0, None, "singles", "counts", 12,
-     8.080300421794489e-07, 0.9999986509017582, 0.30009881303026975, 41977.992194166945, 4.85543482941442),
+     8.080300422306295e-07, 0.9999986509088494, 0.30009881304849306, 41977.99219163794, 4.855434858034167),
     (12, 0.7, None, "coincidence", "counts", 5,
-     8.081397441349677e-07, 0.9394054288546518, 0.3002455003311168, 3990.038364613773, 1.454188673728477),
-    (13, 0.7, 1.6e-06, "singles", "counts", 37,
-     8.080697951794232e-07, 0.699850704656935, 0.2990129098887726, 42013.22072983939, 210817.79660716586),
-    (14, 0.7, 2e-06, "coincidence", "rates", 31,
-     8.073216356535816e-07, 0.938118075595891, 0.2952346426571507, 4000.605801814321, 3026.025512696482),
+     8.081397441354638e-07, 0.9394054288549613, 0.3002455003310192, 3990.0383646115815, 1.4541886737521488),
+    (13, 0.7, 1.6e-06, "singles", "counts", 38,
+     8.080697951784586e-07, 0.6998507046533791, 0.2990129098870258, 42013.22072983896, 210817.79661991974),
+    (14, 0.7, 2e-06, "coincidence", "rates", 32,
+     8.073216356534394e-07, 0.938118075594841, 0.29523464265687765, 4000.605801814326, 3026.0255137587374),
 ]
 
 
@@ -348,6 +350,25 @@ def _fringe_values(shape):
     return np.random.default_rng(noise_seed).poisson(np.maximum(rate, 0.0))
 
 
+def values_record(values, source, start, step):
+    """A record holding ``values`` in every channel, as counts or as noiseless rates."""
+    y = np.asarray(values, dtype=float)
+    if source == "counts":
+        y = np.floor(y)
+    rows = np.vstack([y, y, y])
+    return ScanRecord(
+        axis="signal",
+        delays=start + step * np.arange(len(y)),
+        rates=rows,
+        counts=rows.astype(np.int64) if source == "counts" else None,
+    )
+
+
+# 8 counts at 2 grid steps per period, where the model's cos and sin columns
+# nearly coincide on the grid.
+NYQUIST_RECORD = dict(values=[1, 1, 2, 0, 2, 0, 2, 0], source="counts", start=0.0, step=5.960464477539063e-08)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(
     values=st.one_of(_ARBITRARY, _FRINGE.map(_fringe_values)),
@@ -355,25 +376,91 @@ def _fringe_values(shape):
     start=st.floats(-1e-5, 1e-5),
     step=st.floats(1e-9, 1e-7),
 )
+@example(**NYQUIST_RECORD)
 def test_fit_fails_only_with_fit_errors(values, source, start, step):
     # Anything but NoFringeError or FitNonConvergenceError would reach the
     # command line's catch-all exit 1 (numeric warnings are errors here).
-    y = np.asarray(values, dtype=float)
-    if source == "counts":
-        y = np.floor(y)
-    rows = np.vstack([y, y, y])
-    record = ScanRecord(
-        axis="signal",
-        delays=start + step * np.arange(len(y)),
-        rates=rows,
-        counts=rows.astype(np.int64) if source == "counts" else None,
-    )
+    record = values_record(values, source, start, step)
     try:
         fit = fit_fringe(record, source=source, dwell=0.5)
     except (NoFringeError, FitNonConvergenceError):
         return
     for value in (fit.period, fit.visibility, fit.phase, fit.baseline):
         assert math.isfinite(value)
+
+
+def two_step_fringe(phase):
+    """64 counts of a fringe at exactly 2 grid steps per period: cos(pi i + phase) = cos(phase) (-1)^i."""
+    values = np.round(1000 * (1 + 0.5 * np.cos(np.pi * np.arange(64) + phase)))
+    return dict(values=values, source="counts", start=0.0, step=10e-9)
+
+
+@pytest.mark.parametrize(
+    "record",
+    [two_step_fringe(0.0), two_step_fringe(0.3), NYQUIST_RECORD],
+    ids=["phase-0", "phase-0.3", "eight-points"],
+)
+def test_fringe_at_two_grid_steps_is_no_fringe(record):
+    # The visibility and the phase are not separable on the grid, so no fit is reported.
+    message = f"Nyquist limit, a period of 2 grid steps of {record['step']:.6g} m"
+    with pytest.raises(NoFringeError, match=message):
+        fit_fringe(values_record(**record), dwell=0.5)
+
+
+_COLUMN_EXPONENTS = st.lists(st.floats(-3.0, 3.0), min_size=6, max_size=6)
+
+
+def _matrix(rows, columns, exponents, seed):
+    rng = np.random.default_rng(seed)
+    scales = 10.0 ** np.array(exponents[:columns])
+    return rng.standard_normal((rows, columns)) * scales, rng.standard_normal(rows), scales
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    rows=st.integers(8, 4001),
+    columns=st.integers(3, 6),
+    exponents=_COLUMN_EXPONENTS,
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_least_squares_matches_lstsq_on_full_rank_matrices(rows, columns, exponents, seed):
+    # Column scales 1e-3 to 1e3 stay above COLUMN_FLOOR.  Compared in units of
+    # each column's scale, the solutions agree to 1e-8 (2.6e-10 is the largest seen).
+    matrix, target, scales = _matrix(rows, columns, exponents, seed)
+    expected = np.linalg.lstsq(matrix, target, rcond=None)[0]
+    error = np.linalg.norm((_least_squares(matrix, target) - expected) * scales)
+    assert error <= 1e-8 * np.linalg.norm(expected * scales)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    rows=st.integers(8, 4001),
+    columns=st.integers(3, 6),
+    exponents=_COLUMN_EXPONENTS,
+    seed=st.integers(0, 2**32 - 1),
+    defect=st.sampled_from(["duplicate", "zero", "tiny"]),
+)
+def test_least_squares_is_lstsq_on_rank_deficient_matrices(rows, columns, exponents, seed, defect):
+    matrix, target, scales = _matrix(rows, columns, exponents, seed)
+    if defect == "duplicate":
+        matrix[:, -1] = matrix[:, 0]
+    else:
+        matrix[:, -1] *= {"zero": 0.0, "tiny": 1e-18}[defect] / scales[-1]
+    expected = np.linalg.lstsq(matrix, target, rcond=None)[0]
+    assert np.array_equal(_least_squares(matrix, target), expected)
+
+
+def test_campaign_steps_are_not_halved_below_the_tolerance(monkeypatch):
+    # Each Gauss-Newton step of these fits is taken whole; a step that would move
+    # no parameter by more than PARAM_TOLERANCE is not tried at all.
+    calls = []
+    monkeypatch.setattr("icohsim.scan._basis", lambda *args: calls.append(args) or _basis(*args))
+    for seed in (1001, 1006, 1009):
+        record = run_scan(config_with(seed=seed))
+        for channel in ("singles", "coincidence"):
+            calls.clear()
+            fit = fit_fringe(record, channel)
+            assert len(calls) <= fit.iterations + 1
 
 
 # The two scan shapes of the benchmark's campaign: axis -> (period, overrides).
