@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from icohsim.scan import (
+    COLUMN_FLOOR,
     ENVELOPE_THRESHOLD,
     FWHM_FACTOR,
     FitNonConvergenceError,
@@ -259,13 +260,13 @@ def test_scan_grid_matches_settings(config):
 # envelope pinned; both signal fits report a visibility above 1.
 RECORDED_FITS = [
     ("signal", 2, "singles", 7,
-     8.079768878166037e-07, 1.0000348720617294, 0.0001537137486129589, 41977.037831319016),
+     8.079768877848547e-07, 1.0000348720563894, 0.00015371374968094732, 41977.037832962604),
     ("signal", 1, "coincidence", 8,
-     8.080345589890399e-07, 1.0000685941505933, 0.00010239843395824329, 42001.02023739689),
+     8.080345589747459e-07, 1.0000685941480068, 0.00010239843337669292, 42001.0202381365),
     ("pump", 0, "singles", 6,
      3.550187902221237e-07, 0.9999312583856735, -0.00015056349736782787, 42024.37023372673),
     ("pump", 0, "coincidence", 6,
-     3.5501015012407605e-07, 0.9998975737990379, 8.989845810803736e-05, 42004.30805751724),
+     3.5501015010882744e-07, 0.9998975738054157, 8.989845831473451e-05, 42004.30805651678),
 ]
 
 
@@ -306,13 +307,13 @@ def two_channel_record(noise_seed, visibility, fwhm=None):
 # The first two keep the envelope pinned, the last two resolve it.
 SYNTHETIC_FITS = [
     (20, 1.0, None, "singles", "counts", 12,
-     8.080300422306295e-07, 0.9999986509088494, 0.30009881304849306, 41977.99219163794, 4.855434858034167),
+     8.080300421708195e-07, 0.9999986509004544, 0.30009881302691904, 41977.99219459642, 4.855434836858152),
     (12, 0.7, None, "coincidence", "counts", 5,
      8.081397441354638e-07, 0.9394054288549613, 0.3002455003310192, 3990.0383646115815, 1.4541886737521488),
     (13, 0.7, 1.6e-06, "singles", "counts", 38,
      8.080697951784586e-07, 0.6998507046533791, 0.2990129098870258, 42013.22072983896, 210817.79661991974),
     (14, 0.7, 2e-06, "coincidence", "rates", 32,
-     8.073216356534394e-07, 0.938118075594841, 0.29523464265687765, 4000.605801814326, 3026.0255137587374),
+     8.073216356535816e-07, 0.9381180755958897, 0.29523464265715077, 4000.605801814323, 3026.0255137587374),
 ]
 
 
@@ -438,21 +439,29 @@ def test_least_squares_matches_lstsq_on_full_rank_matrices(rows, columns, expone
     columns=st.integers(3, 6),
     exponents=_COLUMN_EXPONENTS,
     seed=st.integers(0, 2**32 - 1),
-    defect=st.sampled_from(["duplicate", "zero", "tiny"]),
+    defect=st.sampled_from(["duplicate", "zero", "tiny", "half-floor"]),
 )
 def test_least_squares_is_lstsq_on_rank_deficient_matrices(rows, columns, exponents, seed, defect):
     matrix, target, scales = _matrix(rows, columns, exponents, seed)
     if defect == "duplicate":
         matrix[:, -1] = matrix[:, 0]
+    elif defect == "half-floor":
+        # A column at half the floor, COLUMN_FLOOR * rows times the longest other one.
+        norms = np.linalg.norm(matrix, axis=0)
+        matrix[:, -1] *= 0.5 * COLUMN_FLOOR * rows * norms[:-1].max() / norms[-1]
     else:
-        matrix[:, -1] *= {"zero": 0.0, "tiny": 1e-18}[defect] / scales[-1]
-    expected = np.linalg.lstsq(matrix, target, rcond=None)[0]
+        # A zero column, or one at 1e-18 of the largest column's scale.
+        matrix[:, -1] *= {"zero": 0.0, "tiny": 1e-18}[defect] * scales.max() / scales[-1]
+    expected, _, rank, _ = np.linalg.lstsq(matrix, target, rcond=None)
+    # Every defect costs lstsq's rank cut a singular value.
+    assert rank < columns
     assert np.array_equal(_least_squares(matrix, target), expected)
 
 
 def test_campaign_steps_are_not_halved_below_the_tolerance(monkeypatch):
-    # Each Gauss-Newton step of these fits is taken whole; a step that would move
-    # no parameter by more than PARAM_TOLERANCE is not tried at all.
+    # Each Gauss-Newton step of these fits is tried whole, the last one too,
+    # though it moves no parameter by more than PARAM_TOLERANCE; no halved
+    # step that small is tried.  So there is one trial basis per step.
     calls = []
     monkeypatch.setattr("icohsim.scan._basis", lambda *args: calls.append(args) or _basis(*args))
     for seed in (1001, 1006, 1009):
@@ -460,7 +469,7 @@ def test_campaign_steps_are_not_halved_below_the_tolerance(monkeypatch):
         for channel in ("singles", "coincidence"):
             calls.clear()
             fit = fit_fringe(record, channel)
-            assert len(calls) <= fit.iterations + 1
+            assert len(calls) == fit.iterations + 1
 
 
 # The two scan shapes of the benchmark's campaign: axis -> (period, overrides).
