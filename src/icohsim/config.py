@@ -1,4 +1,4 @@
-"""Declarative experiment configuration and its text format.
+r"""Declarative experiment configuration and its text format.
 
 The on-disk format is a diff-friendly sectioned key=value file; keys carry
 unit suffixes.  All values default to the reference bench parameters
@@ -27,23 +27,44 @@ and lets reports compare a quoted value against the one computed from the
 bandwidth.  The signal filter must be narrowband (bandwidth below center)
 and its frequency FWHM c * bandwidth / center^2, the only width the model
 reads, must come out finite and positive.  A scan may reach at most
-MAX_SCAN_DELAY (1 m) from zero delay.
+MAX_SCAN_DELAY (1 m) from zero delay.  ``detectors.seed`` lies in
+[0, 2**64).
+
+Line grammar.  :func:`parse_config` splits the text at ``\n`` (a file is
+read with universal newlines, so ``\r\n`` and a lone ``\r`` end its lines
+too) and reads each line in one pass.  With surrounding whitespace stripped,
+a line is one of:
+
+* blank;
+* a comment: it starts with ``#`` or ``;``;
+* a section header: ``[name]`` as the whole line, the name taken as it
+  stands (case and inner spaces count);
+* a key line ``key = value``: split at the first ``=``, the key stripped and
+  lowercased, the value stripped.  A ``#`` or ``;`` after the ``=`` is part
+  of the value.
+
+A key line must follow a section header.  A line indented deeper than the
+key line before it in its section is a continuation line, and values do not
+span lines, so it is an error; blank and comment lines are exempt.
+Unknown sections (``[DEFAULT]`` among them), unknown keys, and a section or
+key given twice are errors too.  Every one of these errors names its line.
 """
 
 from __future__ import annotations
 
-import configparser
-import io
 import math
 from dataclasses import dataclass, field, replace
 
-from .counting import CountingConfig
+from .counting import SEED_LIMIT, CountingConfig
 from .spectral import SPEED_OF_LIGHT, SpectralProfile, profile_for_coherence_length
 
 SCAN_AXES = ("signal", "pump")
 MAX_SCAN_POINTS = 1_000_000
 # Largest delay a scan may reach, in meters; a bench delay line is far shorter.
 MAX_SCAN_DELAY = 1.0
+# Default signal filter: center wavelength and wavelength FWHM, in meters.
+SIGNAL_FILTER_CENTER = 808e-9
+SIGNAL_FILTER_BANDWIDTH = 2e-9
 
 
 class ConfigError(ValueError):
@@ -94,7 +115,7 @@ class ExperimentConfig:
     gain2: float = 1e-3
     eta: float = 1.0
     signal_filter: SpectralProfile = field(
-        default_factory=lambda: _signal_filter_profile(808e-9, 2e-9)
+        default_factory=lambda: _signal_filter_profile(SIGNAL_FILTER_CENTER, SIGNAL_FILTER_BANDWIDTH)
     )
     detectors: CountingConfig = field(default_factory=CountingConfig)
     scan: ScanSettings = field(default_factory=ScanSettings)
@@ -211,6 +232,13 @@ def _signal_filter_profile(center: float, bandwidth: float) -> SpectralProfile:
     return SpectralProfile(center, dnu)
 
 
+def _check_seed(seed: int, name: str) -> int:
+    """The seed, if it lies in [0, SEED_LIMIT); each seed keys its own stream."""
+    if not 0 <= seed < SEED_LIMIT:
+        raise ConfigError(f"{name} out of range: must lie in [0, 2**64), got {seed}")
+    return seed
+
+
 def _get_int(sections, section: str, key: str, default: int) -> int:
     raw = sections.get(section, {}).get(key)
     if raw is None:
@@ -221,69 +249,98 @@ def _get_int(sections, section: str, key: str, default: int) -> int:
         raise ConfigError(f"{section}.{key}: not an integer: {raw!r}") from None
 
 
+def _syntax_error(lineno: int, reason: str) -> ConfigError:
+    return ConfigError(f"config syntax error at line {lineno}: {reason}")
+
+
+def _read_sections(text: str) -> dict[str, dict[str, str]]:
+    """Split config text into {section: {key: raw value}} by the line grammar.
+
+    One pass over the lines; the first line that breaks the grammar, names an
+    unknown section or key, or repeats a section or key raises ConfigError
+    naming it and its line number.
+    """
+    sections: dict[str, dict[str, str]] = {}
+    name = ""
+    body: dict[str, str] | None = None
+    key_indent = -1  # indentation of the section's last key line; -1 before one
+    for lineno, line in enumerate(text.split("\n"), 1):
+        stripped = line.strip()
+        if not stripped or stripped[0] in "#;":
+            continue
+        indent = len(line) - len(line.lstrip())
+        if 0 <= key_indent < indent:
+            raise _syntax_error(
+                lineno, f"continuation line under a {name} key; a value must fit on its key's line"
+            )
+        if stripped[0] == "[":
+            if stripped[-1] != "]":
+                raise _syntax_error(lineno, "a section header must be the whole line")
+            name = stripped[1:-1]
+            if name not in _SCHEMA:
+                raise ConfigError(f"unknown section [{name}] at line {lineno}")
+            if name in sections:
+                raise _syntax_error(lineno, f"duplicate section [{name}]")
+            body = sections[name] = {}
+            key_indent = -1
+            continue
+        key, equals, value = stripped.partition("=")
+        key = key.rstrip().lower()
+        if not equals or not key:
+            raise _syntax_error(lineno, "expected [section], key = value, a comment or a blank line")
+        if body is None:
+            raise _syntax_error(lineno, "a key line before any [section] header")
+        if key not in _SCHEMA[name]:
+            raise ConfigError(f"unknown key {name}.{key} at line {lineno}")
+        if key in body:
+            raise _syntax_error(lineno, f"duplicate key {name}.{key}")
+        body[key] = value.strip()
+        key_indent = indent
+    return sections
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate config text, filling defaults for absent keys.
 
-    Raises ConfigError for syntax problems (with line numbers), unknown
-    sections or keys, a missing [scan] section, and any value outside its
-    physical range (named by field).
+    Raises ConfigError for syntax problems, unknown sections or keys and
+    repeated ones (each with its line number), a missing [scan] section, and
+    any value outside its physical range (named by field).
     """
-    parser = configparser.ConfigParser(
-        delimiters=("=",),
-        comment_prefixes=("#", ";"),
-        interpolation=None,
-        strict=True,
-    )
-    try:
-        parser.read_file(io.StringIO(text))
-    except configparser.ParsingError as exc:
-        lineno = getattr(exc, "lineno", None)
-        if lineno is None:
-            errors = getattr(exc, "errors", [])
-            lines = ", ".join(f"line {n}" for n, _ in errors) or "unknown line"
-        else:
-            lines = f"line {lineno}"
-        raise ConfigError(f"config syntax error at {lines}") from exc
-    except configparser.Error as exc:
-        raise ConfigError(f"config syntax error: {exc}") from exc
+    return _config_from_sections(_read_sections(text))
 
-    sections: dict[str, dict[str, str]] = {}
-    for name in parser.sections():
-        if name not in _SCHEMA:
-            raise ConfigError(f"unknown section [{name}]")
-        body = dict(parser.items(name))
-        for key in body:
-            if key not in _SCHEMA[name]:
-                raise ConfigError(f"unknown key {name}.{key}")
-        sections[name] = body
 
+def _config_from_sections(sections: dict[str, dict[str, str]]) -> ExperimentConfig:
+    """Validate raw section values, convert them to SI and fill the defaults.
+
+    A default is read from its dataclass field (the signal filter's from
+    ``SIGNAL_FILTER_CENTER`` and ``SIGNAL_FILTER_BANDWIDTH``), so omitting a
+    key reproduces the built-in value bit for bit.
+    """
     if "scan" not in sections:
         raise ConfigError("missing section [scan]")
 
-    defaults = default_config()
-
     stated = _get_float(
         sections, "pump", "stated_coherence_length_mm",
-        defaults.stated_coherence_length, div=1e3,
+        ExperimentConfig.stated_coherence_length, div=1e3,
     )
     override = _get_float(sections, "pump", "coherence_length_override_mm", None, div=1e3)
 
     signal_filter = _signal_filter_profile(
-        _get_float(sections, "signal_filter", "center_nm", 808e-9, div=1e9),
-        _get_float(sections, "signal_filter", "bandwidth_nm", 2e-9, div=1e9),
+        _get_float(sections, "signal_filter", "center_nm", SIGNAL_FILTER_CENTER, div=1e9),
+        _get_float(sections, "signal_filter", "bandwidth_nm", SIGNAL_FILTER_BANDWIDTH, div=1e9),
     )
 
     scan = ScanSettings(
-        axis=sections.get("scan", {}).get("axis", defaults.scan.axis),
-        start=_get_float(sections, "scan", "start_um", defaults.scan.start, div=1e6),
-        stop=_get_float(sections, "scan", "stop_um", defaults.scan.stop, div=1e6),
-        step=_get_float(sections, "scan", "step_nm", defaults.scan.step, div=1e9),
-        dwell=_get_float(sections, "scan", "dwell_s", defaults.scan.dwell),
+        axis=sections["scan"].get("axis", ScanSettings.axis),
+        start=_get_float(sections, "scan", "start_um", ScanSettings.start, div=1e6),
+        stop=_get_float(sections, "scan", "stop_um", ScanSettings.stop, div=1e6),
+        step=_get_float(sections, "scan", "step_nm", ScanSettings.step, div=1e9),
+        dwell=_get_float(sections, "scan", "dwell_s", ScanSettings.dwell),
     )
 
-    window = _get_float(sections, "detectors", "window_ns", defaults.detectors.window, div=1e9)
-    rate_a = _get_float(sections, "detectors", "rate_a_hz", defaults.detectors.rate_a_cal)
-    rate_b = _get_float(sections, "detectors", "rate_b_hz", defaults.detectors.rate_b_cal)
+    window = _get_float(sections, "detectors", "window_ns", CountingConfig.window, div=1e9)
+    rate_a = _get_float(sections, "detectors", "rate_a_hz", CountingConfig.rate_a_cal)
+    rate_b = _get_float(sections, "detectors", "rate_b_hz", CountingConfig.rate_b_cal)
     if not rate_a > 0:
         raise ConfigError("detectors.rate_a_hz out of range: must be positive")
     if not rate_b > 0:
@@ -296,21 +353,27 @@ def parse_config(text: str) -> ExperimentConfig:
         rate_a_cal=rate_a,
         rate_b_cal=rate_b,
         window=window,
-        seed=_get_int(sections, "detectors", "seed", defaults.detectors.seed),
+        seed=_check_seed(
+            _get_int(sections, "detectors", "seed", CountingConfig.seed), "detectors.seed"
+        ),
     )
 
     try:
         return ExperimentConfig(
-            pump_wavelength=_get_float(sections, "pump", "wavelength_nm", 355e-9, div=1e9),
-            pump_bandwidth=_get_float(sections, "pump", "bandwidth_ghz", 45e9, mul=1e9),
+            pump_wavelength=_get_float(
+                sections, "pump", "wavelength_nm", ExperimentConfig.pump_wavelength, div=1e9
+            ),
+            pump_bandwidth=_get_float(
+                sections, "pump", "bandwidth_ghz", ExperimentConfig.pump_bandwidth, mul=1e9
+            ),
             splitter_ratio=_get_float(
-                sections, "pump", "splitter_ratio", defaults.splitter_ratio
+                sections, "pump", "splitter_ratio", ExperimentConfig.splitter_ratio
             ),
             stated_coherence_length=stated,
             coherence_length_override=override,
-            gain1=_get_float(sections, "crystal1", "gain", defaults.gain1),
-            gain2=_get_float(sections, "crystal2", "gain", defaults.gain2),
-            eta=_get_float(sections, "idler_link", "eta", defaults.eta),
+            gain1=_get_float(sections, "crystal1", "gain", ExperimentConfig.gain1),
+            gain2=_get_float(sections, "crystal2", "gain", ExperimentConfig.gain2),
+            eta=_get_float(sections, "idler_link", "eta", ExperimentConfig.eta),
             signal_filter=signal_filter,
             detectors=detectors,
             scan=scan,
@@ -348,6 +411,7 @@ def with_overrides(
 ) -> ExperimentConfig:
     """Apply command-line style overrides for the RNG seed and scan axis."""
     if seed is not None:
+        _check_seed(seed, "--seed")
         config = replace(config, detectors=replace(config.detectors, seed=seed))
     if axis is not None:
         config = replace(config, scan=replace(config.scan, axis=axis))

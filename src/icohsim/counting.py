@@ -16,7 +16,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-_U64 = 0xFFFFFFFFFFFFFFFF
+# Seeds are 64-bit words: the config rejects others, so no two seeds share a stream.
+SEED_LIMIT = 2**64
 _MAX_MEAN = float(2**62)
 
 
@@ -121,7 +122,7 @@ def sample_scan(means: np.ndarray, seed: int) -> np.ndarray:
         raise OverflowError(
             f"expected counts {max(means[:, over[0]].tolist()):.3g} exceed representable integers"
         )
-    rng = np.random.Generator(np.random.Philox(key=seed & _U64))
+    rng = np.random.Generator(np.random.Philox(key=seed))
     draws = rng.poisson(means)
     draws[2] += draws[3]
     return draws[:3]

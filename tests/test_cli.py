@@ -162,6 +162,18 @@ def test_seed_override_changes_counts(tmp_path):
     assert a.read_bytes() != b.read_bytes()
 
 
+@pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+def test_seed_outside_64_bits_exits_with_config_code(tmp_path, capsys, seed):
+    out = tmp_path / "scan.csv"
+    argv = ["simulate", "--config", DEFAULT_CONFIG, "--out", str(out), "--seed", seed, "--quiet"]
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: --seed out of range")
+    config = write_config(tmp_path, f"[detectors]\nseed = {seed}\n[scan]\n")
+    assert main(["simulate", "--config", config, "--out", str(out), "--quiet"]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: detectors.seed out of range")
+    assert not out.exists()
+
+
 def test_axis_override(tmp_path):
     out = tmp_path / "x.csv"
     main(["predict", "--config", DEFAULT_CONFIG, "--out", str(out), "--axis", "pump", "--quiet"])

@@ -1,9 +1,15 @@
+import configparser
+import io
+import re
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from icohsim.config import (
     _SCHEMA,
+    _config_from_sections,
     MAX_SCAN_DELAY,
     MAX_SCAN_POINTS,
     ConfigError,
@@ -65,6 +71,215 @@ def test_syntax_errors_carry_line_numbers():
         parse_config("what is this\n[scan]\n")
     with pytest.raises(ConfigError, match="line 2"):
         parse_config("[scan]\naxis signal\n")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[scan]\n\n[lens]\nfocal_mm = 100\n", "unknown section [lens] at line 3"),
+        ("[scan]\naxis = pump\n# note\nspeed = 3\n", "unknown key scan.speed at line 4"),
+        ("[scan]\n[pump]\n[scan]\n", "config syntax error at line 3: duplicate section [scan]"),
+        ("[scan]\naxis = pump\nAxis = signal\n", "config syntax error at line 3: duplicate key scan.axis"),
+        ("gain = 0.001\n[scan]\n", "config syntax error at line 1: a key line before any [section]"),
+        ("[scan]\n= 1\n", "config syntax error at line 2: expected [section], key = value"),
+    ],
+    ids=["unknown_section", "unknown_key", "duplicate_section", "duplicate_key", "no_section", "no_key"],
+)
+def test_errors_name_their_line(text, message):
+    with pytest.raises(ConfigError) as info:
+        parse_config(text)
+    assert str(info.value).startswith(message)
+    # the same line numbers with \r\n line ends
+    with pytest.raises(ConfigError) as info:
+        parse_config(text.replace("\n", "\r\n"))
+    assert str(info.value).startswith(message)
+
+
+def is_listed_new_rejection(text: str, message: str) -> bool:
+    """Whether the line grammar's error on text configparser accepted is a listed new rejection.
+
+    These are a continuation line, text after a header's ``]``, and ``[DEFAULT]``;
+    each is checked on the line the message names.
+    """
+    lineno = int(re.search(r"line (\d+)", message).group(1))
+    line = text.split("\n")[lineno - 1].strip()
+    if "continuation line" in message:
+        # configparser joined this line onto a value
+        return any(
+            line in value.split("\n")[1:]
+            for body in configparser_sections(text).values()
+            for value in body.values()
+        )
+    if "a section header must be the whole line" in message:
+        return line.startswith("[") and "]" in line
+    return message.startswith("unknown section [DEFAULT]") and line == "[DEFAULT]"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[crystal1]\ngain =\n    0.002\n[scan]\n",
+        "[scan]\nstep_nm =\n\n  20\n",
+        "[DEFAULT]\n[scan]\n",
+        "[DEFAULT]\naxis = pump\n[scan]\n",
+        "[scan] axis = pump\n",
+        "[scan] ; signal axis\n",
+    ],
+    ids=["continuation", "continuation_after_blank", "default", "default_key", "trailing_key", "trailing_comment"],
+)
+def test_new_rejections_name_their_line(text):
+    configparser_config(text)  # configparser accepts it
+    with pytest.raises(ConfigError) as info:
+        parse_config(text)
+    assert is_listed_new_rejection(text, str(info.value)), info.value
+
+
+def configparser_sections(text: str) -> dict[str, dict[str, str]]:
+    """Reference front half: {section: {key: raw value}} as configparser reads it.
+
+    configparser is set up strict, with ``=`` as the only delimiter and
+    full-line ``#`` and ``;`` comments.  Raises ConfigError on anything it
+    rejects and on unknown sections or keys, as ``config._read_sections`` does.
+    """
+    parser = configparser.ConfigParser(
+        delimiters=("=",), comment_prefixes=("#", ";"), interpolation=None, strict=True
+    )
+    try:
+        parser.read_file(io.StringIO(text))
+    except configparser.Error as exc:
+        raise ConfigError(f"config syntax error: {exc}") from exc
+    sections = {}
+    for name in parser.sections():
+        if name not in _SCHEMA:
+            raise ConfigError(f"unknown section [{name}]")
+        body = dict(parser.items(name))
+        for key in body:
+            if key not in _SCHEMA[name]:
+                raise ConfigError(f"unknown key {name}.{key}")
+        sections[name] = body
+    return sections
+
+
+def configparser_config(text: str) -> ExperimentConfig:
+    return _config_from_sections(configparser_sections(text))
+
+
+# Raw values, in file units, that pass validation for each key name.
+GOOD_VALUES = {
+    "wavelength_nm": ["355", "400.5"],
+    "bandwidth_ghz": ["45", "1e1"],
+    "splitter_ratio": ["0.5", "0.3"],
+    "stated_coherence_length_mm": ["1.4", "2"],
+    "coherence_length_override_mm": ["1.4", "0.5"],
+    "gain": ["0.001", "1e-4"],
+    "eta": ["1.0", "0.7"],
+    "center_nm": ["808", "810"],
+    "bandwidth_nm": ["2", "1"],
+    "rate_a_hz": ["42000", "5e3"],
+    "rate_b_hz": ["110000", "1e5"],
+    "window_ns": ["2", "4"],
+    "seed": ["20260810", "0x10"],
+    "axis": ["signal", "pump"],
+    "start_um": ["-2", "-1"],
+    "stop_um": ["2", "1.5"],
+    "step_nm": ["10", "20"],
+    "dwell_s": ["0.5", "1"],
+}
+BAD_VALUES = st.sampled_from(["", "abc", "nan", "-1", "0.001 # note"])
+GOOD = {key: st.sampled_from(values) for key, values in GOOD_VALUES.items()}
+ODD_SECTIONS = ["DEFAULT", "lens", "Scan", " scan "]
+INDENTS = st.sampled_from(["", " ", "\t", "    "])
+NOTES = st.sampled_from(["", "  ", "# note", "; note", "#[scan]", ";gain = 1"])
+ODD_NOTES = st.sampled_from(["0.001", "what is this", "= 1", "[scan"])
+TRAILING = st.sampled_from([" x", " ; note", "]"])
+CASES = st.sampled_from([str.lower, str.lower, str.upper, str.title])
+EQUALS = st.sampled_from(["=", " = ", " =  ", "\t=\t"])
+FLAWS = st.sampled_from([None, "section", "note", "header", "key", "value", "indent", "continuation"])
+
+
+@st.composite
+def config_lines(draw):
+    """A config as a list of lines from a small alphabet.
+
+    Each config draws at most one kind of flaw, so that the rest of it is
+    well formed, and the flaw strikes at about half of the places it can: an
+    odd, repeated or missing section, a line of no kind, trailing text after
+    a header, an unknown or repeated key, a bad value, a deeper indent, or an
+    empty value continued on the next line.
+    """
+    flaw = draw(FLAWS)
+
+    def odd(kind: str) -> bool:
+        return flaw == kind and draw(st.booleans())
+
+    names = draw(st.lists(st.sampled_from(list(_SCHEMA)), unique=True, min_size=1, max_size=5))
+    if "scan" not in names and not odd("section"):
+        names.append("scan")
+    if odd("section"):
+        names.insert(draw(st.integers(0, len(names))), draw(st.sampled_from([*ODD_SECTIONS, *names])))
+    lines = []
+    for name in names:
+        indent = draw(INDENTS)
+        if draw(st.integers(0, 3)) == 0:
+            lines.append(draw(INDENTS) + draw(NOTES))
+        if odd("note"):
+            lines.append(draw(ODD_NOTES))
+        lines.append(f"{indent}[{name}]{draw(TRAILING) if odd('header') else ''}")
+        known = list(_SCHEMA.get(name, ("gain", "axis")))
+        keys = draw(st.lists(st.sampled_from(known), unique=True, max_size=4))
+        if odd("key"):
+            keys.append(draw(st.sampled_from([*keys, "speed"])))
+        for key in keys:
+            value = draw(BAD_VALUES if odd("value") else GOOD.get(key, st.just("3")))
+            line = draw(INDENTS) if odd("indent") else indent
+            line += draw(CASES)(key) + draw(EQUALS)
+            if odd("continuation"):
+                lines += [line, f"{line[:len(line) - len(line.lstrip())]}  {value}"]
+            else:
+                lines.append(line + value)
+            if draw(st.integers(0, 4)) == 0:
+                lines.append(draw(INDENTS) + draw(NOTES))
+    return lines
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(config_lines(), st.sampled_from(["\n", "\r\n"]), st.booleans())
+@example(["[crystal1]", "gain =", "  0.002", "[scan]"], "\n", True)
+@example(["[DEFAULT]", "axis = pump", "[scan]"], "\r\n", True)
+@example(["[scan] axis = pump"], "\n", False)
+@example(
+    ["  [crystal1]", "  gain = 0.002", "\t[scan]", "\taxis = pump", "\t  # note", "\tdwell_s = 1"],
+    "\n",
+    True,
+)
+@example(["[pump]", "wavelength_nm = 355", "[scan]", "    axis = pump"], "\n", True)
+@example(["[ scan ]", "axis = pump"], "\n", True)
+def test_line_grammar_agrees_with_configparser(lines, newline, final_newline):
+    text = newline.join(lines) + (newline if final_newline else "")
+    try:
+        expected = configparser_config(text)
+    except ConfigError:
+        expected = None
+    try:
+        got = parse_config(text)
+    except ConfigError as exc:
+        assert expected is None or is_listed_new_rejection(text, str(exc)), (text, exc)
+        return
+    assert got == expected, text
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64), "0x10000000000000000"])
+def test_seeds_outside_64_bits_are_rejected(seed):
+    with pytest.raises(ConfigError, match=r"^detectors\.seed out of range: must lie in \[0, 2\*\*64\)"):
+        parse_config(f"[detectors]\nseed = {seed}\n[scan]\n")
+    with pytest.raises(ConfigError, match=r"^--seed out of range"):
+        with_overrides(default_config(), seed=int(seed, 0))
+
+
+def test_seed_range_ends_are_accepted():
+    for seed in (0, 2**64 - 1):
+        assert parse_config(f"[detectors]\nseed = {seed}\n[scan]\n").detectors.seed == seed
+        assert with_overrides(default_config(), seed=seed).detectors.seed == seed
 
 
 def test_number_parse_errors_name_the_key():
