@@ -22,7 +22,9 @@ import functools
 import io
 import json
 import math
+import os
 import re
+import stat
 import sys
 import warnings
 from dataclasses import dataclass
@@ -486,11 +488,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(text: str, out_path: str | None) -> None:
+    """Write ``text`` to stdout, or as UTF-8 over ``out_path`` in place.
+
+    The path is opened without truncation, so a rerun onto an existing file
+    overwrites its blocks instead of freeing them first.  A regular file is
+    then cut to the bytes written, also when a write fails partway, so it
+    never holds old output after new output; a device, FIFO or
+    ``/dev/stdout`` is written through as it stands.
+    """
     if out_path is None:
         sys.stdout.write(text)
-    else:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        return
+    data = text.encode("utf-8")
+    fd = os.open(out_path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        regular = stat.S_ISREG(os.fstat(fd).st_mode)
+        written = 0
+        try:
+            while written < len(data):
+                written += os.write(fd, data[written:])
+        finally:
+            if regular:
+                os.ftruncate(fd, written)
+    finally:
+        os.close(fd)
 
 
 def _load(args: argparse.Namespace) -> ExperimentConfig:

@@ -48,6 +48,11 @@ key line before it in its section is a continuation line, and values do not
 span lines, so it is an error; blank and comment lines are exempt.
 Unknown sections (``[DEFAULT]`` among them), unknown keys, and a section or
 key given twice are errors too.  Every one of these errors names its line.
+
+Numbers are ASCII, without underscores.  A float value is what ``float``
+reads, and ``detectors.seed`` what ``int(value, 0)`` reads: decimal, or with
+a ``0x``, ``0o`` or ``0b`` prefix.  Anything else, ``1_0`` or ``١٠`` among
+them, is an error naming its ``section.key``.
 """
 
 from __future__ import annotations
@@ -181,6 +186,14 @@ _SCHEMA: dict[str, tuple[str, ...]] = {
 }
 
 
+def _ascii_number(raw: str) -> str:
+    """``raw`` if it is ASCII without underscores, which ``float`` and ``int``
+    would otherwise also take (``1_0``, non-ASCII digits); else ValueError."""
+    if "_" in raw or not raw.isascii():
+        raise ValueError(raw)
+    return raw
+
+
 def _get_float(
     sections,
     section: str,
@@ -200,7 +213,7 @@ def _get_float(
     if raw is None:
         return default
     try:
-        value = float(raw) * mul / div
+        value = float(_ascii_number(raw)) * mul / div
     except ValueError:
         raise ConfigError(f"{section}.{key}: not a number: {raw!r}") from None
     if not math.isfinite(value):
@@ -244,7 +257,7 @@ def _get_int(sections, section: str, key: str, default: int) -> int:
     if raw is None:
         return default
     try:
-        return int(raw, 0)
+        return int(_ascii_number(raw), 0)
     except ValueError:
         raise ConfigError(f"{section}.{key}: not an integer: {raw!r}") from None
 

@@ -257,7 +257,6 @@ def estimate_period(
 
     nfft = 1 << max(8, int(math.ceil(math.log2(16 * len(x)))))
     power = np.abs(np.fft.rfft(centered, nfft)) ** 2
-    freqs = np.fft.rfftfreq(nfft, d=step)
 
     power[0] = 0.0
     peak = int(np.argmax(power))
@@ -274,7 +273,8 @@ def estimate_period(
     p_lo, p_mid, p_hi = power[peak - 1], power[peak], power[peak + 1]
     denom = p_lo - 2.0 * p_mid + p_hi
     shift = 0.5 * (p_lo - p_hi) / denom if denom != 0 else 0.0
-    frequency = (peak + shift) * (freqs[1] - freqs[0])
+    bin_width = 1.0 / (nfft * step)
+    frequency = (peak + shift) * bin_width
     return 1.0 / frequency
 
 

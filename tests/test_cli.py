@@ -272,6 +272,19 @@ def test_non_finite_config_value_exits_with_config_code(tmp_path, capsys, comman
     assert err == "config error: pump.wavelength_nm: not a finite number: 'nan'\n"
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [("rate_a_hz", "1_0", "not a number"), ("seed", "٣", "not an integer")],
+)
+def test_non_ascii_or_underscored_number_exits_with_config_code(
+    tmp_path, capsys, key, value, message
+):
+    config = tmp_path / "exp.ini"
+    config.write_text(f"[detectors]\n{key} = {value}\n[scan]\n", encoding="utf-8")
+    assert main(["report", "--config", str(config)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: detectors.{key}: {message}: {value!r}\n"
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "command, text, reason",
@@ -304,6 +317,80 @@ def test_unwritable_output_exits_with_io_code(tmp_path):
     target = tmp_path / "no" / "such" / "dir" / "out.csv"
     code = main(["predict", "--config", DEFAULT_CONFIG, "--out", str(target), "--quiet"])
     assert code == EXIT_IO
+
+
+OUTPUT_COMMANDS = {
+    "predict": ["predict", "--config", DEFAULT_CONFIG, "--quiet"],
+    "simulate": ["simulate", "--config", DEFAULT_CONFIG, "--quiet"],
+    "oracle-check": ["oracle-check", "--config", DEFAULT_CONFIG, "--points", "4", "--quiet"],
+    "report": ["report", "--config", DEFAULT_CONFIG],
+}
+
+
+def fresh_output(tmp_path, command):
+    out = tmp_path / f"fresh-{command}"
+    assert main([*OUTPUT_COMMANDS[command], "--out", str(out)]) == EXIT_OK
+    return out.read_bytes()
+
+
+@pytest.mark.parametrize("command", list(OUTPUT_COMMANDS))
+@pytest.mark.parametrize("old_size", [10, 200_000])
+def test_rerun_onto_an_existing_file_writes_a_fresh_output(tmp_path, command, old_size):
+    expected = fresh_output(tmp_path, command)
+    out = tmp_path / "out"
+    out.write_bytes(b"x" * old_size)
+    assert main([*OUTPUT_COMMANDS[command], "--out", str(out)]) == EXIT_OK
+    assert out.read_bytes() == expected
+
+
+def test_rerun_of_fit_onto_a_longer_file_writes_a_fresh_output(tmp_path):
+    scan = tmp_path / "scan.csv"
+    assert main([*OUTPUT_COMMANDS["simulate"], "--out", str(scan)]) == EXIT_OK
+    fit = ["fit", str(scan), "--config", DEFAULT_CONFIG, "--quiet", "--out"]
+    assert main([*fit, str(tmp_path / "fresh.json")]) == EXIT_OK
+    out = tmp_path / "fit.json"
+    out.write_bytes(b"x" * 100_000)
+    assert main([*fit, str(out)]) == EXIT_OK
+    assert out.read_bytes() == (tmp_path / "fresh.json").read_bytes()
+
+
+def test_hard_link_to_the_output_sees_the_new_content(tmp_path):
+    expected = fresh_output(tmp_path, "simulate")
+    out, link = tmp_path / "scan.csv", tmp_path / "link.csv"
+    out.write_bytes(b"old\n" * 50_000)
+    os.link(out, link)
+    assert main([*OUTPUT_COMMANDS["simulate"], "--out", str(out)]) == EXIT_OK
+    assert link.read_bytes() == expected
+
+
+def test_output_to_the_null_device_is_written_through():
+    assert main([*OUTPUT_COMMANDS["report"], "--out", os.devnull]) == EXIT_OK
+
+
+def test_output_to_a_directory_exits_with_io_code(tmp_path, capsys):
+    assert main([*OUTPUT_COMMANDS["report"], "--out", str(tmp_path)]) == EXIT_IO
+    assert capsys.readouterr().err.startswith("i/o error: ")
+
+
+def test_failed_write_leaves_only_the_bytes_written(tmp_path, monkeypatch, capsys):
+    expected = fresh_output(tmp_path, "predict")
+    out = tmp_path / "scan.csv"
+    out.write_bytes(b"x" * 2 * len(expected))
+    real_write = os.write
+    calls = []
+
+    def write_then_fail(fd, data):
+        calls.append(fd)
+        if len(calls) > 1:
+            raise OSError(28, "No space left on device")
+        return real_write(fd, data[:1000])
+
+    monkeypatch.setattr(cli.os, "write", write_then_fail)
+    assert main([*OUTPUT_COMMANDS["predict"], "--out", str(out)]) == EXIT_IO
+    monkeypatch.undo()
+    assert len(calls) == 2
+    assert out.read_bytes() == expected[:1000]
+    assert capsys.readouterr().err == "i/o error: [Errno 28] No space left on device\n"
 
 
 def test_oracle_check_command(tmp_path):

@@ -289,6 +289,25 @@ def test_number_parse_errors_name_the_key():
         parse_config("[detectors]\nseed = 1.5\n[scan]\n")
 
 
+# float() and int(x, 0) take these: 10, 10 (Arabic-Indic digits), 1e10, 10
+# (fullwidth digits); the config grammar, like the CSV grammar, does not.
+@pytest.mark.parametrize("value", ["1_0", "١٠", "1e1_0", "１０"])
+def test_float_values_are_ascii_without_underscores(value):
+    with pytest.raises(ConfigError, match=rf"^detectors\.rate_a_hz: not a number: '{value}'$"):
+        parse_config(f"[detectors]\nrate_a_hz = {value}\n[scan]\n")
+
+
+@pytest.mark.parametrize("value", ["٣", "1_0", "0x_10"])
+def test_seeds_are_ascii_without_underscores(value):
+    with pytest.raises(ConfigError, match=rf"^detectors\.seed: not an integer: '{value}'$"):
+        parse_config(f"[detectors]\nseed = {value}\n[scan]\n")
+
+
+@pytest.mark.parametrize("value, seed", [("0x10", 16), ("0o17", 15), ("0b101", 5), ("+7", 7)])
+def test_seeds_keep_base_prefixes(value, seed):
+    assert parse_config(f"[detectors]\nseed = {value}\n[scan]\n").detectors.seed == seed
+
+
 FLOAT_KEYS = [
     (section, key)
     for section, keys in _SCHEMA.items()
