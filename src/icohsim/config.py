@@ -7,28 +7,16 @@ and 110 kHz detector rates, 2 ns coincidence window), so a config file only
 needs to state what differs.
 A ``[scan]`` section must be present.
 
-Sections and keys::
-
-    [pump]          wavelength_nm, bandwidth_ghz, splitter_ratio,
-                    stated_coherence_length_mm, coherence_length_override_mm
-    [crystal1]      gain
-    [crystal2]      gain
-    [idler_link]    eta
-    [signal_filter] center_nm, bandwidth_nm
-    [detectors]     rate_a_hz, rate_b_hz, window_ns, seed
-    [scan]          axis, start_um, stop_um, step_nm, dwell_s
+:data:`KEYS` has one row per key.  It drives the known-key check, the
+conversion from the unit the key's name ends in (:data:`UNITS`) to SI, and
+each key's range check, which parsing and direct construction of the
+dataclasses share.  The cross-field rules run after the range checks.
 
 ``splitter_ratio`` is the transmitted intensity fraction of the output
 recombination splitter.  ``coherence_length_override_mm``, when set, rescales
-the pump bandwidth so the envelope half-maximum matches the given length;
-either way the pump's frequency FWHM must be below its carrier frequency.
-``stated_coherence_length_mm`` is informational only (it must be positive)
-and lets reports compare a quoted value against the one computed from the
-bandwidth.  The signal filter must be narrowband (bandwidth below center)
-and its frequency FWHM c * bandwidth / center^2, the only width the model
-reads, must come out finite and positive.  A scan may reach at most
-MAX_SCAN_DELAY (1 m) from zero delay.  ``detectors.seed`` lies in
-[0, 2**64).
+the pump bandwidth so the envelope half-maximum matches the given length.
+``stated_coherence_length_mm`` is informational only and lets reports
+compare a quoted value against the one computed from the bandwidth.
 
 Line grammar.  :func:`parse_config` splits the text at ``\n`` (a file is
 read with universal newlines, so ``\r\n`` and a lone ``\r`` end its lines
@@ -52,15 +40,18 @@ key given twice are errors too.  Every one of these errors names its line.
 Numbers are ASCII, without underscores.  A float value is what ``float``
 reads, and ``detectors.seed`` what ``int(value, 0)`` reads: decimal, or with
 a ``0x``, ``0o`` or ``0b`` prefix.  Anything else, ``1_0`` or ``١٠`` among
-them, is an error naming its ``section.key``.
+them, is an error naming its ``section.key`` and line, as is a value that is
+not finite in SI units or lies outside its key's range.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from .counting import SEED_LIMIT, CountingConfig
+from .operators import MAX_GAIN
 from .spectral import SPEED_OF_LIGHT, SpectralProfile, profile_for_coherence_length
 
 SCAN_AXES = ("signal", "pump")
@@ -70,10 +61,156 @@ MAX_SCAN_DELAY = 1.0
 # Default signal filter: center wavelength and wavelength FWHM, in meters.
 SIGNAL_FILTER_CENTER = 808e-9
 SIGNAL_FILTER_BANDWIDTH = 2e-9
+# Key suffix -> (multiply by, divide by) from file units to SI.  Dividing by
+# an exact power of ten keeps 355 nm bit-identical to the literal 355e-9.
+UNITS = {"nm": (1.0, 1e9), "um": (1.0, 1e6), "mm": (1.0, 1e3), "ns": (1.0, 1e9),
+         "ghz": (1e9, 1.0), "hz": (1.0, 1.0), "s": (1.0, 1.0)}
 
 
 class ConfigError(ValueError):
     """Invalid configuration text or values."""
+
+
+@dataclass(frozen=True)
+class Interval:
+    """The numbers from ``low`` to ``high``; an open end excludes its endpoint."""
+
+    low: float
+    high: float
+    low_open: bool = False
+    high_open: bool = False
+
+    def __contains__(self, value) -> bool:
+        above = self.low < value if self.low_open else self.low <= value
+        return above and (value < self.high if self.high_open else value <= self.high)
+
+
+POSITIVE = Interval(0.0, math.inf, low_open=True, high_open=True)
+GAIN = Interval(0.0, MAX_GAIN, high_open=True)
+DELAY = Interval(-MAX_SCAN_DELAY, MAX_SCAN_DELAY)
+
+
+def _show(bound: float) -> str:
+    # The seed's bound reads better as a power than as 20 digits.
+    return f"2**{bound.bit_length() - 1}" if bound == SEED_LIMIT else f"{bound:g}"
+
+
+@dataclass(frozen=True)
+class Key:
+    """One config key: ``[section]`` ``name`` (as typed, unit suffix included)
+    is read as ``kind``, converted to SI, and must lie in ``allowed``.
+
+    ``field`` is where the SI value goes: an :class:`ExperimentConfig` field,
+    or ``owner.field`` for ``scan`` (:class:`ScanSettings`), ``detectors``
+    (:class:`CountingConfig`) and ``signal_filter`` (the arguments of
+    :func:`signal_filter_profile`).
+    """
+
+    section: str
+    name: str
+    field: str
+    allowed: Interval | tuple[str, ...]
+    kind: type = float
+
+    @property
+    def label(self) -> str:
+        return f"{self.section}.{self.name}"
+
+    def where(self, lineno: int = 0) -> str:
+        """``section.key``, and its line if ``lineno`` is given, to start an error message."""
+        return f"{self.label} at line {lineno}" if lineno else self.label
+
+    @cached_property
+    def unit(self) -> str:
+        suffix = self.name.rpartition("_")[2]
+        return suffix if suffix in UNITS else ""
+
+    @cached_property
+    def target(self) -> tuple[str, str]:
+        """``field`` split into its owner (blank for ExperimentConfig) and field name."""
+        owner, _, name = self.field.rpartition(".")
+        return owner, name
+
+    @property
+    def allowed_text(self) -> str:
+        """The allowed values in the key's file unit, as error messages state them."""
+        if isinstance(self.allowed, tuple):
+            return "{" + ", ".join(self.allowed) + "}"
+        low, high = self.allowed.low, self.allowed.high
+        if self.unit:
+            mul, div = UNITS[self.unit]
+            low, high = low * div / mul, high * div / mul
+        return (
+            f"{'(' if self.allowed.low_open else '['}{_show(low)}, "
+            f"{_show(high)}{')' if self.allowed.high_open else ']'}"
+        )
+
+    def check(self, value, lineno: int = 0, name: str = ""):
+        """``value`` (SI) if the key allows it; else a ConfigError naming ``name``,
+        by default the key and the line ``lineno`` if given."""
+        if value not in self.allowed:
+            raise ConfigError(f"{name or self.where(lineno)} out of range: must lie in {self.allowed_text}")
+        return value
+
+    def parse(self, raw: str, lineno: int):
+        """The SI value of ``raw``, typed on line ``lineno``, checked against the key's range."""
+        if self.kind is str:
+            return self.check(raw, lineno)
+        try:
+            # float and int would also take 1_0 and non-ASCII digits
+            if "_" in raw or not raw.isascii():
+                raise ValueError(raw)
+            value = float(raw) if self.kind is float else int(raw, 0)
+        except ValueError:
+            noun = "a number" if self.kind is float else "an integer"
+            raise ConfigError(f"{self.where(lineno)}: not {noun}: {raw!r}") from None
+        if self.kind is float:
+            mul, div = UNITS.get(self.unit, (1.0, 1.0))
+            value = value * mul / div
+            if not math.isfinite(value):
+                raise ConfigError(f"{self.where(lineno)}: not a finite number: {raw!r}")
+        return self.check(value, lineno)
+
+
+KEYS = {
+    (key.section, key.name): key
+    for key in (
+        Key("pump", "wavelength_nm", "pump_wavelength", POSITIVE),
+        Key("pump", "bandwidth_ghz", "pump_bandwidth", POSITIVE),
+        Key("pump", "splitter_ratio", "splitter_ratio", Interval(0.0, 1.0, low_open=True, high_open=True)),
+        Key("pump", "stated_coherence_length_mm", "stated_coherence_length", POSITIVE),
+        Key("pump", "coherence_length_override_mm", "coherence_length_override", POSITIVE),
+        Key("crystal1", "gain", "gain1", GAIN),
+        Key("crystal2", "gain", "gain2", GAIN),
+        Key("idler_link", "eta", "eta", Interval(0.0, 1.0)),
+        Key("signal_filter", "center_nm", "signal_filter.center", POSITIVE),
+        Key("signal_filter", "bandwidth_nm", "signal_filter.bandwidth", POSITIVE),
+        Key("detectors", "rate_a_hz", "detectors.rate_a_cal", POSITIVE),
+        Key("detectors", "rate_b_hz", "detectors.rate_b_cal", POSITIVE),
+        Key("detectors", "window_ns", "detectors.window", POSITIVE),
+        Key("detectors", "seed", "detectors.seed", Interval(0, SEED_LIMIT, high_open=True), int),
+        Key("scan", "axis", "scan.axis", SCAN_AXES, str),
+        Key("scan", "start_um", "scan.start", DELAY),
+        Key("scan", "stop_um", "scan.stop", DELAY),
+        Key("scan", "step_nm", "scan.step", POSITIVE),
+        Key("scan", "dwell_s", "scan.dwell", POSITIVE),
+    )
+}
+_SECTIONS = {section for section, _ in KEYS}
+# Owner (see Key.field) -> the keys whose SI values go to it.
+_OWNED = {
+    owner: [key for key in KEYS.values() if key.target[0] == owner]
+    for owner in {key.target[0] for key in KEYS.values()}
+}
+
+
+def _check_fields(owner: str, values: dict) -> None:
+    """Range-check ``values[field]`` for every key whose SI value goes to ``owner``
+    (blank for ExperimentConfig); None stands for an unset optional field."""
+    for key in _OWNED[owner]:
+        value = values[key.target[1]]
+        if value is not None:
+            key.check(value)
 
 
 @dataclass(frozen=True)
@@ -87,24 +224,37 @@ class ScanSettings:
     dwell: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.axis not in SCAN_AXES:
-            raise ConfigError(f"scan.axis must be one of {SCAN_AXES}, got {self.axis!r}")
-        if not self.step > 0:
-            raise ConfigError("scan.step must be positive")
+        _check_fields("scan", vars(self))
         if not self.stop > self.start:
-            raise ConfigError("scan.stop must exceed scan.start")
-        if not self.dwell > 0:
-            raise ConfigError("scan.dwell must be positive")
+            raise ConfigError("scan.stop_um must exceed scan.start_um")
         span = (self.stop - self.start) / self.step
         if not span < MAX_SCAN_POINTS or round(span) + 1 > MAX_SCAN_POINTS:
             raise ConfigError(
                 f"scan.step_nm gives {span + 1:.3g} grid points; at most {MAX_SCAN_POINTS} allowed"
             )
-        for key, delay in (("start_um", self.start), ("stop_um", self.stop)):
-            if not abs(delay) <= MAX_SCAN_DELAY:
-                raise ConfigError(
-                    f"scan.{key} out of range: a delay of {delay:.3g} m exceeds {MAX_SCAN_DELAY:g} m"
-                )
+
+
+def signal_filter_profile(
+    center: float = SIGNAL_FILTER_CENTER, bandwidth: float = SIGNAL_FILTER_BANDWIDTH
+) -> SpectralProfile:
+    """The signal filter's profile from its center and wavelength FWHM (meters).
+
+    The frequency FWHM is c * bandwidth / center^2; it must come out finite
+    and positive, and the filter must be narrowband.
+    """
+    _check_fields("signal_filter", {"center": center, "bandwidth": bandwidth})
+    if bandwidth >= center:
+        raise ConfigError("signal_filter: profile is not narrowband: FWHM >= center wavelength")
+    try:
+        dnu = SPEED_OF_LIGHT * bandwidth / center**2
+    except (ZeroDivisionError, OverflowError):
+        dnu = math.nan
+    if not 0.0 < dnu < math.inf:
+        raise ConfigError(
+            "signal_filter.center_nm out of range: the filter's frequency FWHM "
+            "c * bandwidth / center^2 is not a finite positive number"
+        )
+    return SpectralProfile(center, dnu)
 
 
 @dataclass(frozen=True)
@@ -119,23 +269,15 @@ class ExperimentConfig:
     gain1: float = 1e-3
     gain2: float = 1e-3
     eta: float = 1.0
-    signal_filter: SpectralProfile = field(
-        default_factory=lambda: _signal_filter_profile(SIGNAL_FILTER_CENTER, SIGNAL_FILTER_BANDWIDTH)
-    )
+    signal_filter: SpectralProfile = field(default_factory=signal_filter_profile)
     detectors: CountingConfig = field(default_factory=CountingConfig)
     scan: ScanSettings = field(default_factory=ScanSettings)
 
     def __post_init__(self) -> None:
-        if self.pump_wavelength <= 0:
-            raise ConfigError("pump.wavelength out of range: must be positive")
-        if self.pump_bandwidth <= 0:
-            raise ConfigError("pump.bandwidth out of range: must be positive")
-        if not 0.0 < self.splitter_ratio < 1.0:
-            raise ConfigError("pump.splitter_ratio out of (0, 1)")
-        if self.coherence_length_override is not None and self.coherence_length_override <= 0:
-            raise ConfigError("pump.coherence_length_override out of range: must be positive")
-        if self.stated_coherence_length is not None and not self.stated_coherence_length > 0:
-            raise ConfigError("pump.stated_coherence_length_mm out of range: must be positive")
+        _check_fields("", vars(self))
+        _check_fields("detectors", vars(self.detectors))
+        if not self.detectors.window < self.scan.dwell:
+            raise ConfigError("detectors.window_ns must be far below scan.dwell_s")
         # The frequency-domain twin of the signal filter's narrowband check.
         pump_fwhm = self.pump_profile().fwhm_frequency
         carrier = SPEED_OF_LIGHT / self.pump_wavelength
@@ -145,11 +287,6 @@ class ExperimentConfig:
                 f"pump.{key} gives a pump frequency FWHM of {pump_fwhm:.3g} Hz, "
                 f"not below the carrier frequency {carrier:.3g} Hz"
             )
-        for name, gain in (("crystal1.gain", self.gain1), ("crystal2.gain", self.gain2)):
-            if not 0.0 <= gain < 0.1:
-                raise ConfigError(f"{name} out of [0, 0.1)")
-        if not 0.0 <= self.eta <= 1.0:
-            raise ConfigError("idler_link.eta out of [0,1]")
 
     def pump_profile(self) -> SpectralProfile:
         """Pump spectrum; honors the coherence-length override if set."""
@@ -169,113 +306,20 @@ def default_config() -> ExperimentConfig:
     return ExperimentConfig()
 
 
-_SCHEMA: dict[str, tuple[str, ...]] = {
-    "pump": (
-        "wavelength_nm",
-        "bandwidth_ghz",
-        "splitter_ratio",
-        "stated_coherence_length_mm",
-        "coherence_length_override_mm",
-    ),
-    "crystal1": ("gain",),
-    "crystal2": ("gain",),
-    "idler_link": ("eta",),
-    "signal_filter": ("center_nm", "bandwidth_nm"),
-    "detectors": ("rate_a_hz", "rate_b_hz", "window_ns", "seed"),
-    "scan": ("axis", "start_um", "stop_um", "step_nm", "dwell_s"),
-}
-
-
-def _ascii_number(raw: str) -> str:
-    """``raw`` if it is ASCII without underscores, which ``float`` and ``int``
-    would otherwise also take (``1_0``, non-ASCII digits); else ValueError."""
-    if "_" in raw or not raw.isascii():
-        raise ValueError(raw)
-    return raw
-
-
-def _get_float(
-    sections,
-    section: str,
-    key: str,
-    default: float | None,
-    mul: float = 1.0,
-    div: float = 1.0,
-) -> float | None:
-    """Fetch a finite numeric key, converting file units to SI as value * mul / div.
-
-    Defaults are already SI and pass through untouched, so omitting a key
-    reproduces the built-in value bit for bit.  Conversions divide by exact
-    powers of ten where possible to keep parsed values identical to SI
-    literals.
-    """
-    raw = sections.get(section, {}).get(key)
-    if raw is None:
-        return default
-    try:
-        value = float(_ascii_number(raw)) * mul / div
-    except ValueError:
-        raise ConfigError(f"{section}.{key}: not a number: {raw!r}") from None
-    if not math.isfinite(value):
-        raise ConfigError(f"{section}.{key}: not a finite number: {raw!r}")
-    return value
-
-
-def _signal_filter_profile(center: float, bandwidth: float) -> SpectralProfile:
-    """The signal filter's profile from its center and wavelength FWHM (meters).
-
-    The frequency FWHM is c * bandwidth / center^2; it must come out finite
-    and positive, and the filter must be narrowband.
-    """
-    if center <= 0:
-        raise ConfigError("signal_filter.center_nm out of range: must be positive")
-    if bandwidth <= 0:
-        raise ConfigError("signal_filter.bandwidth_nm out of range: must be positive")
-    if bandwidth >= center:
-        raise ConfigError("signal_filter: profile is not narrowband: FWHM >= center wavelength")
-    try:
-        dnu = SPEED_OF_LIGHT * bandwidth / center**2
-    except (ZeroDivisionError, OverflowError):
-        dnu = math.nan
-    if not 0.0 < dnu < math.inf:
-        raise ConfigError(
-            "signal_filter.center_nm out of range: the filter's frequency FWHM "
-            "c * bandwidth / center^2 is not a finite positive number"
-        )
-    return SpectralProfile(center, dnu)
-
-
-def _check_seed(seed: int, name: str) -> int:
-    """The seed, if it lies in [0, SEED_LIMIT); each seed keys its own stream."""
-    if not 0 <= seed < SEED_LIMIT:
-        raise ConfigError(f"{name} out of range: must lie in [0, 2**64), got {seed}")
-    return seed
-
-
-def _get_int(sections, section: str, key: str, default: int) -> int:
-    raw = sections.get(section, {}).get(key)
-    if raw is None:
-        return default
-    try:
-        return int(_ascii_number(raw), 0)
-    except ValueError:
-        raise ConfigError(f"{section}.{key}: not an integer: {raw!r}") from None
-
-
 def _syntax_error(lineno: int, reason: str) -> ConfigError:
     return ConfigError(f"config syntax error at line {lineno}: {reason}")
 
 
-def _read_sections(text: str) -> dict[str, dict[str, str]]:
-    """Split config text into {section: {key: raw value}} by the line grammar.
+def _read_sections(text: str) -> dict[str, dict[str, tuple[int, str]]]:
+    """Split config text into {section: {key: (line number, raw value)}} by the line grammar.
 
     One pass over the lines; the first line that breaks the grammar, names an
     unknown section or key, or repeats a section or key raises ConfigError
     naming it and its line number.
     """
-    sections: dict[str, dict[str, str]] = {}
+    sections: dict[str, dict[str, tuple[int, str]]] = {}
     name = ""
-    body: dict[str, str] | None = None
+    body: dict[str, tuple[int, str]] | None = None
     key_indent = -1  # indentation of the section's last key line; -1 before one
     for lineno, line in enumerate(text.split("\n"), 1):
         stripped = line.strip()
@@ -290,7 +334,7 @@ def _read_sections(text: str) -> dict[str, dict[str, str]]:
             if stripped[-1] != "]":
                 raise _syntax_error(lineno, "a section header must be the whole line")
             name = stripped[1:-1]
-            if name not in _SCHEMA:
+            if name not in _SECTIONS:
                 raise ConfigError(f"unknown section [{name}] at line {lineno}")
             if name in sections:
                 raise _syntax_error(lineno, f"duplicate section [{name}]")
@@ -303,11 +347,11 @@ def _read_sections(text: str) -> dict[str, dict[str, str]]:
             raise _syntax_error(lineno, "expected [section], key = value, a comment or a blank line")
         if body is None:
             raise _syntax_error(lineno, "a key line before any [section] header")
-        if key not in _SCHEMA[name]:
+        if (name, key) not in KEYS:
             raise ConfigError(f"unknown key {name}.{key} at line {lineno}")
         if key in body:
             raise _syntax_error(lineno, f"duplicate key {name}.{key}")
-        body[key] = value.strip()
+        body[key] = (lineno, value.strip())
         key_indent = indent
     return sections
 
@@ -316,85 +360,33 @@ def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate config text, filling defaults for absent keys.
 
     Raises ConfigError for syntax problems, unknown sections or keys and
-    repeated ones (each with its line number), a missing [scan] section, and
-    any value outside its physical range (named by field).
+    repeated ones, a missing [scan] section, any value that is not a finite
+    number in its key's range (each with its line number), and then a broken
+    cross-field rule.
     """
     return _config_from_sections(_read_sections(text))
 
 
-def _config_from_sections(sections: dict[str, dict[str, str]]) -> ExperimentConfig:
-    """Validate raw section values, convert them to SI and fill the defaults.
+def _config_from_sections(sections: dict[str, dict[str, tuple[int, str]]]) -> ExperimentConfig:
+    """Convert and range-check raw values in file order, then build the config.
 
-    A default is read from its dataclass field (the signal filter's from
-    ``SIGNAL_FILTER_CENTER`` and ``SIGNAL_FILTER_BANDWIDTH``), so omitting a
-    key reproduces the built-in value bit for bit.
+    Only the keys given reach the constructors, so an absent key takes its
+    dataclass default (the signal filter's from :func:`signal_filter_profile`).
     """
     if "scan" not in sections:
         raise ConfigError("missing section [scan]")
-
-    stated = _get_float(
-        sections, "pump", "stated_coherence_length_mm",
-        ExperimentConfig.stated_coherence_length, div=1e3,
+    values: dict[str, dict[str, object]] = {owner: {} for owner in _OWNED}
+    for section, body in sections.items():
+        for name, (lineno, raw) in body.items():
+            key = KEYS[section, name]
+            owner, target = key.target
+            values[owner][target] = key.parse(raw, lineno)
+    return ExperimentConfig(
+        **values[""],
+        signal_filter=signal_filter_profile(**values["signal_filter"]),
+        detectors=CountingConfig(**values["detectors"]),
+        scan=ScanSettings(**values["scan"]),
     )
-    override = _get_float(sections, "pump", "coherence_length_override_mm", None, div=1e3)
-
-    signal_filter = _signal_filter_profile(
-        _get_float(sections, "signal_filter", "center_nm", SIGNAL_FILTER_CENTER, div=1e9),
-        _get_float(sections, "signal_filter", "bandwidth_nm", SIGNAL_FILTER_BANDWIDTH, div=1e9),
-    )
-
-    scan = ScanSettings(
-        axis=sections["scan"].get("axis", ScanSettings.axis),
-        start=_get_float(sections, "scan", "start_um", ScanSettings.start, div=1e6),
-        stop=_get_float(sections, "scan", "stop_um", ScanSettings.stop, div=1e6),
-        step=_get_float(sections, "scan", "step_nm", ScanSettings.step, div=1e9),
-        dwell=_get_float(sections, "scan", "dwell_s", ScanSettings.dwell),
-    )
-
-    window = _get_float(sections, "detectors", "window_ns", CountingConfig.window, div=1e9)
-    rate_a = _get_float(sections, "detectors", "rate_a_hz", CountingConfig.rate_a_cal)
-    rate_b = _get_float(sections, "detectors", "rate_b_hz", CountingConfig.rate_b_cal)
-    if not rate_a > 0:
-        raise ConfigError("detectors.rate_a_hz out of range: must be positive")
-    if not rate_b > 0:
-        raise ConfigError("detectors.rate_b_hz out of range: must be positive")
-    if not window > 0:
-        raise ConfigError("detectors.window_ns out of range: must be positive")
-    if not window < scan.dwell:
-        raise ConfigError("detectors.window_ns must be far below scan.dwell_s")
-    detectors = CountingConfig(
-        rate_a_cal=rate_a,
-        rate_b_cal=rate_b,
-        window=window,
-        seed=_check_seed(
-            _get_int(sections, "detectors", "seed", CountingConfig.seed), "detectors.seed"
-        ),
-    )
-
-    try:
-        return ExperimentConfig(
-            pump_wavelength=_get_float(
-                sections, "pump", "wavelength_nm", ExperimentConfig.pump_wavelength, div=1e9
-            ),
-            pump_bandwidth=_get_float(
-                sections, "pump", "bandwidth_ghz", ExperimentConfig.pump_bandwidth, mul=1e9
-            ),
-            splitter_ratio=_get_float(
-                sections, "pump", "splitter_ratio", ExperimentConfig.splitter_ratio
-            ),
-            stated_coherence_length=stated,
-            coherence_length_override=override,
-            gain1=_get_float(sections, "crystal1", "gain", ExperimentConfig.gain1),
-            gain2=_get_float(sections, "crystal2", "gain", ExperimentConfig.gain2),
-            eta=_get_float(sections, "idler_link", "eta", ExperimentConfig.eta),
-            signal_filter=signal_filter,
-            detectors=detectors,
-            scan=scan,
-        )
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(str(exc)) from exc
 
 
 def utf8_error(path: str, exc: UnicodeDecodeError) -> ConfigError:
@@ -424,7 +416,7 @@ def with_overrides(
 ) -> ExperimentConfig:
     """Apply command-line style overrides for the RNG seed and scan axis."""
     if seed is not None:
-        _check_seed(seed, "--seed")
+        KEYS["detectors", "seed"].check(seed, name="--seed")
         config = replace(config, detectors=replace(config.detectors, seed=seed))
     if axis is not None:
         config = replace(config, scan=replace(config.scan, axis=axis))

@@ -167,10 +167,12 @@ def test_seed_outside_64_bits_exits_with_config_code(tmp_path, capsys, seed):
     out = tmp_path / "scan.csv"
     argv = ["simulate", "--config", DEFAULT_CONFIG, "--out", str(out), "--seed", seed, "--quiet"]
     assert main(argv) == EXIT_CONFIG
-    assert capsys.readouterr().err.startswith("config error: --seed out of range")
+    assert capsys.readouterr().err == "config error: --seed out of range: must lie in [0, 2**64)\n"
     config = write_config(tmp_path, f"[detectors]\nseed = {seed}\n[scan]\n")
     assert main(["simulate", "--config", config, "--out", str(out), "--quiet"]) == EXIT_CONFIG
-    assert capsys.readouterr().err.startswith("config error: detectors.seed out of range")
+    assert capsys.readouterr().err == (
+        "config error: detectors.seed at line 2 out of range: must lie in [0, 2**64)\n"
+    )
     assert not out.exists()
 
 
@@ -269,7 +271,7 @@ def test_non_finite_config_value_exits_with_config_code(tmp_path, capsys, comman
     argv = [command, "--config", config, "--out", str(tmp_path / "out"), "--quiet"]
     assert main(argv) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert err == "config error: pump.wavelength_nm: not a finite number: 'nan'\n"
+    assert err == "config error: pump.wavelength_nm at line 2: not a finite number: 'nan'\n"
 
 
 @pytest.mark.parametrize(
@@ -282,7 +284,7 @@ def test_non_ascii_or_underscored_number_exits_with_config_code(
     config = tmp_path / "exp.ini"
     config.write_text(f"[detectors]\n{key} = {value}\n[scan]\n", encoding="utf-8")
     assert main(["report", "--config", str(config)]) == EXIT_CONFIG
-    assert capsys.readouterr().err == f"config error: detectors.{key}: {message}: {value!r}\n"
+    assert capsys.readouterr().err == f"config error: detectors.{key} at line 2: {message}: {value!r}\n"
 
 
 @pytest.mark.filterwarnings("error")
@@ -552,8 +554,8 @@ def test_huge_spectral_widths_give_zero_envelopes_without_overflow(tmp_path, com
 @pytest.mark.parametrize(
     "scan, key",
     [
-        ("start_um = 1e200\nstop_um = 1.0000001e200\nstep_nm = 1e196\n", "scan.start_um"),
-        ("start_um = -2\nstop_um = 1e7\nstep_nm = 1e9\n", "scan.stop_um"),
+        ("start_um = 1e200\nstop_um = 1.0000001e200\nstep_nm = 1e196\n", "scan.start_um at line 2"),
+        ("start_um = -2\nstop_um = 1e7\nstep_nm = 1e9\n", "scan.stop_um at line 3"),
     ],
     ids=["start_1e200", "stop_10m"],
 )
@@ -561,7 +563,7 @@ def test_scan_delays_beyond_the_bound_exit_with_config_code(tmp_path, capsys, co
     out = tmp_path / "scan.csv"
     argv = [command, "--config", write_config(tmp_path, "[scan]\n" + scan), "--out", str(out), "--quiet"]
     assert main(argv) == EXIT_CONFIG
-    assert capsys.readouterr().err.startswith(f"config error: {key} out of range")
+    assert capsys.readouterr().err == f"config error: {key} out of range: must lie in [-1e+06, 1e+06]\n"
     assert not out.exists()
 
 # Engine and oracle (p_a, p_b, p_ab, p_a, p_b, p_ab) of `oracle-check --points 4`,

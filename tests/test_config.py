@@ -1,5 +1,6 @@
 import configparser
 import io
+import math
 import re
 from pathlib import Path
 
@@ -8,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from icohsim.config import (
-    _SCHEMA,
+    KEYS,
     _config_from_sections,
     MAX_SCAN_DELAY,
     MAX_SCAN_POINTS,
@@ -18,12 +19,15 @@ from icohsim.config import (
     default_config,
     load_config,
     parse_config,
+    signal_filter_profile,
     with_overrides,
 )
+from icohsim.counting import CountingConfig
 from icohsim.spectral import coherence_length
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_FILE = REPO_ROOT / "configs" / "default.ini"
+SECTIONS = list(dict.fromkeys(section for section, _ in KEYS))
 
 
 def test_shipped_default_file_equals_builtin_defaults():
@@ -45,15 +49,20 @@ def test_missing_scan_section_is_an_error():
 
 
 def test_eta_out_of_range_message():
-    with pytest.raises(ConfigError, match=r"idler_link\.eta out of \[0,1\]"):
+    with pytest.raises(ConfigError) as info:
         parse_config("[idler_link]\neta = 1.3\n[scan]\n")
+    assert str(info.value) == "idler_link.eta at line 2 out of range: must lie in [0, 1]"
 
 
 def test_gain_out_of_range():
-    with pytest.raises(ConfigError, match=r"crystal1\.gain"):
-        parse_config("[crystal1]\ngain = 0.5\n[scan]\n")
-    with pytest.raises(ConfigError, match=r"crystal2\.gain"):
-        parse_config("[crystal2]\ngain = -0.1\n[scan]\n")
+    # the bound is the engine's operators.MAX_GAIN, itself excluded
+    for section, gain in [("crystal1", "0.5"), ("crystal2", "-0.1"), ("crystal1", "0.1"), ("crystal2", "0.1")]:
+        with pytest.raises(ConfigError) as info:
+            parse_config(f"[{section}]\ngain = {gain}\n[scan]\n")
+        assert str(info.value) == f"{section}.gain at line 2 out of range: must lie in [0, 0.1)"
+    below = math.nextafter(0.1, 0.0)
+    cfg = parse_config(f"[crystal1]\ngain = {below!r}\n[crystal2]\ngain = {below!r}\n[scan]\n")
+    assert cfg.gain1 == cfg.gain2 == below
 
 
 def test_unknown_sections_and_keys_rejected():
@@ -150,18 +159,22 @@ def configparser_sections(text: str) -> dict[str, dict[str, str]]:
         raise ConfigError(f"config syntax error: {exc}") from exc
     sections = {}
     for name in parser.sections():
-        if name not in _SCHEMA:
+        if name not in SECTIONS:
             raise ConfigError(f"unknown section [{name}]")
         body = dict(parser.items(name))
         for key in body:
-            if key not in _SCHEMA[name]:
+            if (name, key) not in KEYS:
                 raise ConfigError(f"unknown key {name}.{key}")
         sections[name] = body
     return sections
 
 
 def configparser_config(text: str) -> ExperimentConfig:
-    return _config_from_sections(configparser_sections(text))
+    # configparser keeps no line numbers; they only ever appear in messages
+    sections = configparser_sections(text)
+    return _config_from_sections(
+        {name: {key: (0, raw) for key, raw in body.items()} for name, body in sections.items()}
+    )
 
 
 # Raw values, in file units, that pass validation for each key name.
@@ -212,7 +225,7 @@ def config_lines(draw):
     def odd(kind: str) -> bool:
         return flaw == kind and draw(st.booleans())
 
-    names = draw(st.lists(st.sampled_from(list(_SCHEMA)), unique=True, min_size=1, max_size=5))
+    names = draw(st.lists(st.sampled_from(SECTIONS), unique=True, min_size=1, max_size=5))
     if "scan" not in names and not odd("section"):
         names.append("scan")
     if odd("section"):
@@ -225,7 +238,7 @@ def config_lines(draw):
         if odd("note"):
             lines.append(draw(ODD_NOTES))
         lines.append(f"{indent}[{name}]{draw(TRAILING) if odd('header') else ''}")
-        known = list(_SCHEMA.get(name, ("gain", "axis")))
+        known = [key for section, key in KEYS if section == name] or ["gain", "axis"]
         keys = draw(st.lists(st.sampled_from(known), unique=True, max_size=4))
         if odd("key"):
             keys.append(draw(st.sampled_from([*keys, "speed"])))
@@ -270,10 +283,12 @@ def test_line_grammar_agrees_with_configparser(lines, newline, final_newline):
 
 @pytest.mark.parametrize("seed", ["-1", str(2**64), "0x10000000000000000"])
 def test_seeds_outside_64_bits_are_rejected(seed):
-    with pytest.raises(ConfigError, match=r"^detectors\.seed out of range: must lie in \[0, 2\*\*64\)"):
+    with pytest.raises(ConfigError) as info:
         parse_config(f"[detectors]\nseed = {seed}\n[scan]\n")
-    with pytest.raises(ConfigError, match=r"^--seed out of range"):
+    assert str(info.value) == "detectors.seed at line 2 out of range: must lie in [0, 2**64)"
+    with pytest.raises(ConfigError) as info:
         with_overrides(default_config(), seed=int(seed, 0))
+    assert str(info.value) == "--seed out of range: must lie in [0, 2**64)"
 
 
 def test_seed_range_ends_are_accepted():
@@ -293,13 +308,13 @@ def test_number_parse_errors_name_the_key():
 # (fullwidth digits); the config grammar, like the CSV grammar, does not.
 @pytest.mark.parametrize("value", ["1_0", "١٠", "1e1_0", "１０"])
 def test_float_values_are_ascii_without_underscores(value):
-    with pytest.raises(ConfigError, match=rf"^detectors\.rate_a_hz: not a number: '{value}'$"):
+    with pytest.raises(ConfigError, match=rf"^detectors\.rate_a_hz at line 2: not a number: '{value}'$"):
         parse_config(f"[detectors]\nrate_a_hz = {value}\n[scan]\n")
 
 
 @pytest.mark.parametrize("value", ["٣", "1_0", "0x_10"])
 def test_seeds_are_ascii_without_underscores(value):
-    with pytest.raises(ConfigError, match=rf"^detectors\.seed: not an integer: '{value}'$"):
+    with pytest.raises(ConfigError, match=rf"^detectors\.seed at line 2: not an integer: '{value}'$"):
         parse_config(f"[detectors]\nseed = {value}\n[scan]\n")
 
 
@@ -308,55 +323,65 @@ def test_seeds_keep_base_prefixes(value, seed):
     assert parse_config(f"[detectors]\nseed = {value}\n[scan]\n").detectors.seed == seed
 
 
-FLOAT_KEYS = [
-    (section, key)
-    for section, keys in _SCHEMA.items()
-    for key in keys
-    if (section, key) not in {("detectors", "seed"), ("scan", "axis")}
-]
+FLOAT_KEYS = [(section, name) for (section, name), key in KEYS.items() if key.kind is float]
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("section, key", FLOAT_KEYS, ids=[f"{s}.{k}" for s, k in FLOAT_KEYS])
 def test_non_finite_values_name_the_key(section, key, value):
     text = f"[{section}]\n{key} = {value}\n" + ("" if section == "scan" else "[scan]\n")
-    with pytest.raises(ConfigError, match=rf"^{section}\.{key}: not a finite number: '{value}'$"):
+    with pytest.raises(ConfigError, match=rf"^{section}\.{key} at line 2: not a finite number: '{value}'$"):
         parse_config(text)
 
 
 def test_unit_conversion_beyond_the_float_range_names_the_key():
-    with pytest.raises(ConfigError, match=r"^pump\.bandwidth_ghz: not a finite number: '1e300'$"):
+    with pytest.raises(ConfigError, match=r"^pump\.bandwidth_ghz at line 2: not a finite number: '1e300'$"):
         parse_config("[pump]\nbandwidth_ghz = 1e300\n[scan]\n")
 
 
 def test_scan_validation():
-    with pytest.raises(ConfigError, match=r"scan\.axis"):
-        parse_config("[scan]\naxis = diagonal\n")
-    with pytest.raises(ConfigError, match=r"scan\.step"):
-        parse_config("[scan]\nstep_nm = 0\n")
-    with pytest.raises(ConfigError, match=r"scan\.stop"):
-        parse_config("[scan]\nstart_um = 2\nstop_um = -2\n")
+    for text, message in [
+        ("[scan]\naxis = diagonal\n", "scan.axis at line 2 out of range: must lie in {signal, pump}"),
+        ("[scan]\nstep_nm = 0\n", "scan.step_nm at line 2 out of range: must lie in (0, inf)"),
+        ("[scan]\nstart_um = 2\nstop_um = -2\n", "scan.stop_um must exceed scan.start_um"),
+    ]:
+        with pytest.raises(ConfigError) as info:
+            parse_config(text)
+        assert str(info.value) == message
 
 
 def test_scan_size_is_capped():
     for step_nm in ("1e-30", "1e-6", "0.003"):
         with pytest.raises(ConfigError, match=r"scan\.step_nm"):
             parse_config(f"[scan]\nstep_nm = {step_nm}\n")
-    with pytest.raises(ConfigError, match=r"scan\.step_nm"):
+    # a grid too fine for its span to be a float
+    with pytest.raises(ConfigError, match=r"^scan\.step_nm gives inf grid points"):
+        ScanSettings(start=0.0, stop=1.0, step=5e-324)
+    # an infinite stop is out of its own range first
+    with pytest.raises(ConfigError) as info:
         ScanSettings(start=0.0, stop=float("inf"), step=1e-9)
+    assert str(info.value) == "scan.stop_um out of range: must lie in [-1e+06, 1e+06]"
     # the largest allowed grid still constructs
     largest = ScanSettings(start=0.0, stop=(MAX_SCAN_POINTS - 1) * 1e-9, step=1e-9)
     assert round((largest.stop - largest.start) / largest.step) + 1 == MAX_SCAN_POINTS
 
 
-
 def test_scan_delays_are_bounded():
     # the bound itself is allowed on both ends
     ScanSettings(start=-MAX_SCAN_DELAY, stop=MAX_SCAN_DELAY, step=0.01)
-    with pytest.raises(ConfigError, match=r"scan\.start_um out of range"):
+    with pytest.raises(ConfigError) as info:
         ScanSettings(start=-1.0000001 * MAX_SCAN_DELAY, stop=0.0, step=0.01)
-    with pytest.raises(ConfigError, match=r"scan\.stop_um out of range"):
+    assert str(info.value) == "scan.start_um out of range: must lie in [-1e+06, 1e+06]"
+    with pytest.raises(ConfigError) as info:
         parse_config("[scan]\nstart_um = 0\nstop_um = 1.0000001e6\nstep_nm = 1e7\n")
+    assert str(info.value) == "scan.stop_um at line 3 out of range: must lie in [-1e+06, 1e+06]"
+
+
+def test_single_key_bounds_run_before_cross_field_rules():
+    # a start beyond the delay bound would also give 2e+08 grid points at the default step
+    with pytest.raises(ConfigError) as info:
+        parse_config("[scan]\nstart_um = -2e6\n")
+    assert str(info.value) == "scan.start_um at line 2 out of range: must lie in [-1e+06, 1e+06]"
 
 
 @pytest.mark.parametrize("section", ["signal_filter"])
@@ -373,8 +398,9 @@ def test_filter_frequency_width_must_be_finite_and_positive(section, center, ban
 
 @pytest.mark.parametrize("key", ["center_nm", "bandwidth_nm"])
 def test_signal_filter_keys_must_be_positive(key):
-    with pytest.raises(ConfigError, match=rf"^signal_filter\.{key} out of range: must be positive"):
+    with pytest.raises(ConfigError) as info:
         parse_config(f"[signal_filter]\n{key} = 0\n[scan]\n")
+    assert str(info.value) == f"signal_filter.{key} at line 2 out of range: must lie in (0, inf)"
 
 
 def test_detector_validation():
@@ -430,6 +456,89 @@ def test_direct_construction_validates():
         ExperimentConfig(eta=-0.1)
     with pytest.raises(ConfigError):
         ExperimentConfig(splitter_ratio=0.0)
+
+
+# Per key: a value it refuses as typed, the same value in SI units, and the
+# allowed range the message states.
+OUT_OF_RANGE = {
+    "pump.wavelength_nm": ("0", 0.0, "(0, inf)"),
+    "pump.bandwidth_ghz": ("-45", -45e9, "(0, inf)"),
+    "pump.splitter_ratio": ("1", 1.0, "(0, 1)"),
+    "pump.stated_coherence_length_mm": ("0", 0.0, "(0, inf)"),
+    "pump.coherence_length_override_mm": ("-1.4", -1.4e-3, "(0, inf)"),
+    "crystal1.gain": ("0.1", 0.1, "[0, 0.1)"),
+    "crystal2.gain": ("-1e-3", -1e-3, "[0, 0.1)"),
+    "idler_link.eta": ("1.3", 1.3, "[0, 1]"),
+    "signal_filter.center_nm": ("0", 0.0, "(0, inf)"),
+    "signal_filter.bandwidth_nm": ("-2", -2e-9, "(0, inf)"),
+    "detectors.rate_a_hz": ("0", 0.0, "(0, inf)"),
+    "detectors.rate_b_hz": ("-1", -1.0, "(0, inf)"),
+    "detectors.window_ns": ("0", 0.0, "(0, inf)"),
+    "detectors.seed": ("-1", -1, "[0, 2**64)"),
+    "scan.axis": ("diagonal", "diagonal", "{signal, pump}"),
+    "scan.start_um": ("-2e6", -2.0, "[-1e+06, 1e+06]"),
+    "scan.stop_um": ("1.0000001e6", 1.0000001, "[-1e+06, 1e+06]"),
+    "scan.step_nm": ("0", 0.0, "(0, inf)"),
+    "scan.dwell_s": ("-0.5", -0.5, "(0, inf)"),
+}
+
+
+def construct(key, value):
+    """Build what the key's SI value goes to, with ``value`` in place of its default."""
+    owner, name = key.target
+    if owner == "scan":
+        return ScanSettings(**{name: value})
+    if owner == "signal_filter":
+        return signal_filter_profile(**{name: value})
+    if owner == "detectors":
+        return ExperimentConfig(detectors=CountingConfig(**{name: value}))
+    return ExperimentConfig(**{name: value})
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+@pytest.mark.parametrize("key", KEYS.values(), ids=lambda key: key.label)
+def test_each_key_range_is_checked_in_files_and_on_construction(key, newline):
+    raw, si, allowed = OUT_OF_RANGE[key.label]
+    assert key.allowed_text == allowed
+    lines = ["# a value out of range", "", f"[{key.section}]", f"{key.name} = {raw}"]
+    if key.section != "scan":
+        lines.append("[scan]")
+    with pytest.raises(ConfigError) as info:
+        parse_config(newline.join(lines) + newline)
+    message = f"{key.label} out of range: must lie in {allowed}"
+    assert str(info.value) == message.replace(" out of range", " at line 4 out of range", 1)
+    if key.field in ("detectors.rate_a_cal", "detectors.rate_b_cal", "detectors.window"):
+        # CountingConfig refuses these itself before ExperimentConfig sees them, and
+        # ExperimentConfig refuses the infinite value that CountingConfig lets through.
+        with pytest.raises(ValueError, match="must be positive") as info:
+            construct(key, si)
+        assert not isinstance(info.value, ConfigError)
+        si = math.inf
+    with pytest.raises(ConfigError) as info:
+        construct(key, si)
+    assert str(info.value) == message
+
+
+def test_readme_key_table_matches_the_code():
+    """README's "Config keys" table lists the table's keys in order, with their
+    units, allowed ranges, and defaults that parse to the built-in ones."""
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    after = readme.split("### Config keys\n", 1)[1]
+    table = after[after.index("\n|") + 1 :].split("\n\n", 1)[0].splitlines()
+    rows = [[cell.strip(" `") for cell in line.strip("|").split("|")] for line in table]
+    assert rows[0] == ["Section", "Key", "Unit", "Default", "Allowed"]
+    assert set(rows[1][0]) <= set("-: ")
+    listed = {(section, name): (unit, default, allowed) for section, name, unit, default, allowed in rows[2:]}
+    assert list(listed) == list(KEYS)
+    for (section, name), (unit, default, allowed) in listed.items():
+        key = KEYS[section, name]
+        assert unit.lower().replace("µ", "u") == key.unit, key.label
+        assert allowed == key.allowed_text, key.label
+        if default == "unset":
+            assert getattr(default_config(), key.field) is None, key.label
+            continue
+        text = f"[{section}]\n{name} = {default}\n" + ("" if section == "scan" else "[scan]\n")
+        assert parse_config(text) == default_config(), key.label
 
 
 def test_comments_and_blank_lines_are_fine():
