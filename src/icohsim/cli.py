@@ -41,7 +41,6 @@ from .scan import (
     NoFringeError,
     ScanRecord,
     fit_fringe,
-    off_grid_step,
     run_scan,
     undersampling_warning,
 )
@@ -107,24 +106,19 @@ def _csv_cell(text: str, column: int, line: int) -> float | int:
     return value
 
 
-def _delay_grid_error(delays: np.ndarray) -> tuple[int, str] | None:
-    """The row index and the reason of the first delay off a strictly increasing uniform grid."""
-    if len(delays) < 2:
-        return None
-    down = np.flatnonzero(np.diff(delays) <= 0)
-    if len(down):
-        k = int(down[0]) + 1
+def _delay_grid_error(delays: np.ndarray, off: int | None) -> tuple[int, str]:
+    """Row index and reason of the grid's off-grid step ``off``, or if None, of the first delay
+    not above the one before."""
+    if off is None:
+        k = int(np.flatnonzero(np.diff(delays) <= 0)[0]) + 1
         return k, (
             f"delay {delays[k]:.9g} m is not greater than "
             f"the previous delay {delays[k - 1]:.9g} m"
         )
-    off = off_grid_step(delays)
-    if off is not None:
-        return off + 1, (
-            f"delay step {delays[off + 1] - delays[off]:.6g} m "
-            f"is off the grid's median step; delays must be uniformly spaced"
-        )
-    return None
+    return off + 1, (
+        f"delay step {delays[off + 1] - delays[off]:.6g} m "
+        f"is off the grid's median step; delays must be uniformly spaced"
+    )
 
 
 # A line that ends in a lone carriage return: loadtxt takes it for a line break
@@ -235,11 +229,14 @@ def read_scan_csv(stream: io.TextIOBase, axis: str = "signal") -> ScanRecord:
             raise ConfigError(f"CSV rows rejected by np.loadtxt: {exc}") from None
     table = np.ascontiguousarray(rows["floats"].T)
     counts = np.ascontiguousarray(rows["counts"].T)
-    grid_error = _delay_grid_error(table[0])
-    if grid_error is not None:
-        row, reason = grid_error
+    try:
+        record = ScanRecord(axis=axis, delays=table[0], rates=table[1:], counts=counts)
+    except ValueError:  # the shapes match, so a delay is not above the one before
+        record = None
+    if record is None or record.off_grid is not None:
+        row, reason = _delay_grid_error(table[0], record.off_grid if record else None)
         raise ConfigError(f"CSV line {_walk_rows(body)[row]}: {reason}")
-    return ScanRecord(axis=axis, delays=table[0], rates=table[1:], counts=counts)
+    return record
 
 
 def fit_summary(fit: FringeFit) -> dict:
@@ -548,7 +545,7 @@ def _run(args: argparse.Namespace) -> int:
                 record = read_scan_csv(fh, axis=config.scan.axis)
         except UnicodeDecodeError as exc:
             raise utf8_error(args.input, exc) from None
-        warning = undersampling_warning(config, record.axis, record.delays)
+        warning = undersampling_warning(config, record)
         if warning:
             print(f"warning: {warning}", file=sys.stderr)
         try:

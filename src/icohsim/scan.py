@@ -101,7 +101,9 @@ class ScanRecord:
     ``rates`` holds counts/s rows (detector A, detector B, true
     coincidences) and ``counts`` the sampled count rows (detector A,
     detector B, coincidences including accidentals), each of shape (3, n);
-    ``counts`` is None for a noiseless record.
+    ``counts`` is None for a noiseless record.  ``step`` is the median delay
+    step (nan below two delays) and ``off_grid`` the index i of the first step
+    delays[i] -> delays[i+1] off it by more than GRID_TOLERANCE, or None.
     """
 
     axis: str
@@ -110,6 +112,8 @@ class ScanRecord:
     counts: np.ndarray | None = None
     config: "ExperimentConfig | None" = None
     warnings: list[str] = field(default_factory=list)
+    step: float = field(init=False)
+    off_grid: int | None = field(init=False)
 
     def __post_init__(self) -> None:
         self.delays = np.asarray(self.delays, dtype=float)
@@ -120,8 +124,12 @@ class ScanRecord:
             self.counts = np.asarray(self.counts, dtype=np.int64)
             if self.counts.shape != self.rates.shape:
                 raise ValueError("counts must have shape (3, number of delays)")
-        if len(self.delays) >= 2 and not np.all(np.diff(self.delays) > 0):
+        dx = np.diff(self.delays)
+        if not np.all(dx > 0):
             raise ValueError("delay grid must be strictly increasing")
+        self.step = float(np.median(dx)) if len(dx) else math.nan
+        off = np.flatnonzero(np.abs(dx - self.step) > GRID_TOLERANCE * self.step)
+        self.off_grid = int(off[0]) if len(off) else None
 
 
 @dataclass(frozen=True)
@@ -149,30 +157,20 @@ class FringeFit:
     envelope_delta_chi2: float = math.nan
 
 
-def off_grid_step(delays: np.ndarray) -> int | None:
-    """Index i of the first step delays[i] -> delays[i+1] off the median step, or None."""
-    dx = np.diff(delays)
-    step = float(np.median(dx))
-    off = np.flatnonzero(np.abs(dx - step) > GRID_TOLERANCE * step)
-    return int(off[0]) if len(off) else None
-
-
 def scan_grid(config: "ExperimentConfig") -> np.ndarray:
     scan = config.scan
     n = int(round((scan.stop - scan.start) / scan.step)) + 1
     return np.linspace(scan.start, scan.stop, n)
 
 
-def undersampling_warning(config: "ExperimentConfig", axis: str, delays: np.ndarray) -> str | None:
-    """Warning text when the grid has fewer than 8 points per expected fringe period."""
-    if len(delays) < 2:
-        return None
-    step = float(np.median(np.diff(delays)))
-    wavelength = config.scan_wavelength(axis)
-    if step <= wavelength / 8.0:
+def undersampling_warning(config: "ExperimentConfig", record: ScanRecord) -> str | None:
+    """Warning text when the record's grid has fewer than 8 points per expected fringe period."""
+    wavelength = config.scan_wavelength(record.axis)
+    # A record of fewer than two delays has a nan step, and no warning.
+    if not record.step > wavelength / 8.0:
         return None
     return (
-        f"grid step {step:.3g} m gives fewer than 8 points per expected "
+        f"grid step {record.step:.3g} m gives fewer than 8 points per expected "
         f"{wavelength:.3g} m fringe period; fits may be unreliable"
     )
 
@@ -196,7 +194,6 @@ def run_scan(
     if axis not in ("signal", "pump"):
         raise ValueError(f"scan axis must be 'signal' or 'pump', got {axis!r}")
     delays = scan_grid(config) if grid is None else np.asarray(grid, dtype=float)
-    warning = undersampling_warning(config, axis, delays)
 
     model = compile_model(config)
     cc = calibrate(config.detectors, model.baseline)
@@ -207,14 +204,11 @@ def run_scan(
     if not np.all(np.isfinite(detected)):
         raise OverflowError("calibrated rates exceed the float range")
     counts = sample_scan(count_means(detected, cc, config.scan.dwell), cc.seed) if sample else None
-    return ScanRecord(
-        axis=axis,
-        delays=delays,
-        rates=detected,
-        counts=counts,
-        config=config,
-        warnings=[warning] if warning else [],
-    )
+    record = ScanRecord(axis=axis, delays=delays, rates=detected, counts=counts, config=config)
+    warning = undersampling_warning(config, record)
+    if warning:
+        record.warnings.append(warning)
+    return record
 
 
 def _series(record: ScanRecord, channel: str, source: str) -> tuple[np.ndarray, str]:
@@ -244,18 +238,17 @@ def estimate_period(
     the model's cos and sin columns coincide on the grid.
     """
     y, _ = _series(record, channel, source)
-    x = record.delays
-    if len(x) < 8:
+    if len(y) < 8:
         raise NoFringeError("record too short for period estimation")
-    if off_grid_step(x) is not None:
+    if record.off_grid is not None:
         raise ValueError("period estimation requires a uniform delay grid")
-    step = float(np.median(np.diff(x)))
+    step = record.step
 
     centered = y - y.mean()
     if not np.any(np.abs(centered) > 0):
         raise NoFringeError("no fringe detected: record is flat")
 
-    nfft = 1 << max(8, int(math.ceil(math.log2(16 * len(x)))))
+    nfft = 1 << max(8, int(math.ceil(math.log2(16 * len(y)))))
     power = np.abs(np.fft.rfft(centered, nfft)) ** 2
 
     power[0] = 0.0
@@ -304,7 +297,8 @@ def _basis(p: np.ndarray, xs: np.ndarray, ts: np.ndarray) -> np.ndarray | None:
     if not p[0] > 0:
         return None
     arg = p[0] * xs
-    basis = np.column_stack([np.ones_like(xs), np.cos(arg), np.sin(arg)])
+    basis = np.empty((len(xs), 3))
+    basis[:, 0], basis[:, 1], basis[:, 2] = 1.0, np.cos(arg), np.sin(arg)
     if len(p) == 3:
         exponent = ts * (p[1] + p[2] * ts)
         if not exponent.max() <= MAX_EXPONENT:
@@ -335,10 +329,8 @@ def _least_squares(matrix: np.ndarray, target: np.ndarray) -> np.ndarray:
     return np.linalg.lstsq(matrix, target, rcond=None)[0]
 
 
-def _solve(basis: np.ndarray, ys: np.ndarray, sqrt_w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Amplitudes (a0, a1, a2) by weighted linear least squares, and the weighted residual."""
-    weighted = basis * sqrt_w[:, None]
-    target = ys * sqrt_w
+def _solve(weighted: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Amplitudes (a0, a1, a2) of the weighted basis by linear least squares, and the residual."""
     a = _least_squares(weighted, target)
     return a, target - weighted @ a
 
@@ -354,15 +346,19 @@ def _linearize(
     basis: np.ndarray,
     xs: np.ndarray,
     ts: np.ndarray,
-    ys: np.ndarray,
+    target: np.ndarray,
     sqrt_w: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Model, amplitudes, weighted residual and weighted Jacobian at p, whose basis is given."""
-    a, residual = _solve(basis, ys, sqrt_w)
-    columns = [basis, xs * (a[2] * basis[:, 1] - a[1] * basis[:, 2])]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Amplitudes, weighted residual and weighted Jacobian at p, whose basis is given."""
+    weighted = basis * sqrt_w[:, None]
+    a, residual = _solve(weighted, target)
+    columns = [xs * (a[2] * basis[:, 1] - a[1] * basis[:, 2])]
     if len(p) == 3:
         columns += _envelope_columns(basis, a, ts)
-    return basis @ a, a, residual, np.column_stack(columns) * sqrt_w[:, None]
+    jacobian = np.empty((len(xs), 3 + len(columns)))
+    jacobian[:, :3] = weighted
+    jacobian[:, 3:] = np.column_stack(columns) * sqrt_w[:, None]
+    return a, residual, jacobian
 
 
 def _gauss_newton(p, basis, xs, ts, ys, weights_for, sqrt_w) -> _Solution:
@@ -376,23 +372,21 @@ def _gauss_newton(p, basis, xs, ts, ys, weights_for, sqrt_w) -> _Solution:
     maximum-likelihood fit.  Converged once a whole step moves no parameter
     by more than PARAM_TOLERANCE (relative, or absolute below one).
 
-    Both least-squares solves go through :func:`_least_squares`: the Gram
-    matrix A^T A, or lstsq's minimum-norm solution by the rule stated at
-    COLUMN_FLOOR and INFLATION_LIMIT.  Halving stops, and p stays where it
-    is, once a halved trial would move no parameter by more than
-    PARAM_TOLERANCE; the weights are then refreshed as after any step.  The
-    whole step is always tried: the last one of a converging fit is below
-    PARAM_TOLERANCE, and skipping it would leave the reported p up to
-    PARAM_TOLERANCE short of the optimum, 1e-4 of its sigma on a 4001-point
-    scan.
+    Halving stops, and p stays where it is, once a halved trial would move
+    no parameter by more than PARAM_TOLERANCE; the weights are then
+    refreshed as after any step.  The whole step is always tried: the last
+    one of a converging fit is below PARAM_TOLERANCE, and skipping it would
+    leave the reported p up to PARAM_TOLERANCE short of the optimum, 1e-4 of
+    its sigma on a 4001-point scan.
     """
     previous = None
     steps = 0
     while True:
-        model, a, residual, jacobian = _linearize(p, basis, xs, ts, ys, sqrt_w)
-        theta = np.concatenate([a, p])
-        converged = previous is not None and bool(
-            np.max(np.abs(theta - previous) / np.maximum(np.abs(previous), 1.0)) < PARAM_TOLERANCE
+        target = ys * sqrt_w
+        a, residual, jacobian = _linearize(p, basis, xs, ts, target, sqrt_w)
+        theta = a.tolist() + p.tolist()
+        converged = previous is not None and all(
+            abs(t - q) / max(abs(q), 1.0) < PARAM_TOLERANCE for t, q in zip(theta, previous)
         )
         if converged or steps == MAX_ITERATIONS:
             return _Solution(p, a, sqrt_w, basis, residual, jacobian, steps, converged)
@@ -400,7 +394,9 @@ def _gauss_newton(p, basis, xs, ts, ys, weights_for, sqrt_w) -> _Solution:
         steps += 1
         step = _least_squares(jacobian, residual)[3:]
         ssr = float(residual @ residual)
-        size = float(np.max(np.abs(step) / np.maximum(np.abs(p), 1.0)))
+        # A nan step gives trials that _basis rejects, whatever size it gives.
+        size = max(abs(s) / max(abs(q), 1.0) for s, q in zip(step.tolist(), theta[3:]))
+        model = None
         for halving in range(MAX_HALVINGS):
             if halving and size * 0.5**halving <= PARAM_TOLERANCE:
                 break
@@ -408,11 +404,11 @@ def _gauss_newton(p, basis, xs, ts, ys, weights_for, sqrt_w) -> _Solution:
             trial_basis = _basis(trial, xs, ts)
             if trial_basis is None:
                 continue
-            trial_a, trial_residual = _solve(trial_basis, ys, sqrt_w)
+            trial_a, trial_residual = _solve(trial_basis * sqrt_w[:, None], target)
             if float(trial_residual @ trial_residual) < ssr:
                 p, basis, model = trial, trial_basis, trial_basis @ trial_a
                 break
-        sqrt_w = np.sqrt(weights_for(model))
+        sqrt_w = np.sqrt(weights_for(basis @ a if model is None else model))
 
 
 def _envelope_statistic(pinned: _Solution, ts: np.ndarray, use_poisson: bool) -> float:
