@@ -12,8 +12,9 @@ linear in the amplitudes (a0, a1, a2), so every Gauss-Newton step solves
 them by weighted linear least squares and iterates on k (and the envelope
 exponents b1, b2) alone: variable projection (Golub & Pereyra, SIAM J.
 Numer. Anal. 10, 413, 1973; Kaufman, BIT 15, 49, 1975).  The fit starts
-from a zero-padded periodogram peak with the envelope pinned flat
-(b1 = b2 = 0) and frees it only when a score test says the data resolve it.
+from the peak of a periodogram zero-padded to 4 times the record's length
+(at least 256 bins) with the envelope pinned flat (b1 = b2 = 0) and frees it
+only when a score test says the data resolve it.
 
 Every least-squares system of the fit (the amplitudes, the Gauss-Newton
 step and the score test) has 3 to 6 columns and is solved from its Gram
@@ -232,10 +233,15 @@ def estimate_period(
 ) -> float:
     """Seed period from the zero-padded periodogram peak of the chosen series.
 
-    Accurate to a few percent, which is all the fitter needs.  Raises
-    NoFringeError when no peak stands out of the background (flat data), or
-    when the peak sits in the last bin, at a period of 2 grid steps: there
-    the model's cos and sin columns coincide on the grid.
+    The series is zero-padded to the power of two at or above 4 times its
+    length, and at least 256 bins.  A bin is then at most a quarter of the
+    record's frequency resolution 1 / span, so the peak bin is within an
+    eighth of it of the true peak, well inside the fit's main lobe of
+    half-width 1 / span; a parabola through the peak bin and its neighbours
+    refines it.  Raises NoFringeError when no peak stands out of the
+    background (flat data), or when the peak sits in the last bin, at a
+    period of 2 grid steps: there the model's cos and sin columns coincide
+    on the grid.
     """
     y, _ = _series(record, channel, source)
     if len(y) < 8:
@@ -248,7 +254,7 @@ def estimate_period(
     if not np.any(np.abs(centered) > 0):
         raise NoFringeError("no fringe detected: record is flat")
 
-    nfft = 1 << max(8, int(math.ceil(math.log2(16 * len(y)))))
+    nfft = 1 << max(8, int(math.ceil(math.log2(4 * len(y)))))
     power = np.abs(np.fft.rfft(centered, nfft)) ** 2
 
     power[0] = 0.0

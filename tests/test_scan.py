@@ -107,14 +107,50 @@ def test_estimate_period_flat_record_raises():
 
 
 def test_estimate_period_needs_uniform_grid():
-    x = np.array([0.0, 1e-9, 3e-9, 7e-9, 15e-9, 31e-9, 63e-9, 127e-9])
-    record = ScanRecord(
-        axis="signal",
-        delays=x,
-        rates=np.ones((3, len(x))),
-    )
-    with pytest.raises(ValueError, match="uniform"):
-        estimate_period(record, source="rates")
+    geometric = np.array([0.0, 1e-9, 3e-9, 7e-9, 15e-9, 31e-9, 63e-9, 127e-9])
+    # 16 delays 1 nm apart but for one step of 1.5 nm: first, in the middle or last.
+    steps = [np.where(np.arange(15) == off, 1.5e-9, 1e-9) for off in (0, 7, 14)]
+    grids = [geometric] + [np.concatenate([[0.0], np.cumsum(dx)]) for dx in steps]
+    for x, off in zip(grids, (0, 0, 7, 14)):
+        record = ScanRecord(axis="signal", delays=x, rates=np.ones((3, len(x))))
+        assert record.off_grid == off
+        with pytest.raises(ValueError, match="uniform"):
+            estimate_period(record, source="rates")
+        with pytest.raises(ValueError, match="uniform"):
+            fit_fringe(record, source="rates")
+
+
+def refit_shaped_records(count=48):
+    """Seeded count records shaped like the benchmark's refit workload, with their periods.
+
+    201 to 4001 points 10 nm apart; periods within 2 % of 808 or 355 nm; an
+    envelope 0.3-0.6 spans wide (resolved) or 20-100 spans (unresolved); 5 s
+    dwell at 42 kHz.  Every row holds the same series.
+    """
+    rng = np.random.default_rng(2014)
+    for i in range(count):
+        points = 201 + 3800 * (i // 4) // ((count - 1) // 4)
+        period = (808e-9, 355e-9)[i % 2] * rng.uniform(0.98, 1.02)
+        x = (np.arange(points) - (points - 1) // 2) * 10e-9
+        span = float(x[-1] - x[0])
+        fwhm = span * rng.uniform(*((0.3, 0.6) if i % 4 < 2 else (20.0, 100.0)))
+        center = span * rng.uniform(-0.1, 0.1)
+        envelope = np.exp(-4.0 * math.log(2.0) * ((x - center) / fwhm) ** 2)
+        phase = rng.uniform(0.0, 2.0 * math.pi)
+        rate = 42e3 * (1.0 + rng.uniform(0.5, 0.95) * envelope * np.cos(2 * np.pi * x / period + phase))
+        counts = rng.poisson(5.0 * rate)
+        rows = dict(rates=np.array([rate] * 3), counts=np.array([counts] * 3))
+        yield period, ScanRecord(axis="signal", delays=x, **rows)
+
+
+def test_estimate_period_is_within_three_percent_of_the_fit():
+    # The largest error is 2.3e-2, on a 201-point scan of 2.5 periods near 808 nm.
+    errors = []
+    for _, record in refit_shaped_records():
+        fit = fit_fringe(record, dwell=5.0)
+        errors.append(abs(estimate_period(record) / fit.period - 1.0))
+    assert len(errors) == 48
+    assert max(errors) < 0.03
 
 
 def test_fit_noiseless_exact_round_trip():
@@ -260,13 +296,13 @@ def test_scan_grid_matches_settings(config):
 # envelope pinned; both signal fits report a visibility above 1.
 RECORDED_FITS = [
     ("signal", 2, "singles", 7,
-     8.079768877848547e-07, 1.0000348720563894, 0.00015371374968094732, 41977.037832962604),
+     8.079768877848482e-07, 1.000034872056394, 0.00015371374968793164, 41977.037832958835),
     ("signal", 1, "coincidence", 8,
-     8.080345589747459e-07, 1.0000685941480068, 0.00010239843337669292, 42001.0202381365),
+     8.080345589747419e-07, 1.0000685941479976, 0.00010239843343571899, 42001.02023813745),
     ("pump", 0, "singles", 6,
-     3.550187902221237e-07, 0.9999312583856735, -0.00015056349736782787, 42024.37023372673),
+     3.5501879022123825e-07, 0.9999312583860784, -0.00015056349722544172, 42024.370233672234),
     ("pump", 0, "coincidence", 6,
-     3.5501015010882744e-07, 0.9998975738054157, 8.989845831473451e-05, 42004.30805651678),
+     3.550101501235473e-07, 0.9998975737992483, 8.989845811421496e-05, 42004.30805748551),
 ]
 
 
@@ -307,13 +343,13 @@ def two_channel_record(noise_seed, visibility, fwhm=None):
 # The first two keep the envelope pinned, the last two resolve it.
 SYNTHETIC_FITS = [
     (20, 1.0, None, "singles", "counts", 12,
-     8.080300421708195e-07, 0.9999986509004544, 0.30009881302691904, 41977.99219459642, 4.855434836858152),
+     8.080300421709192e-07, 0.9999986509004125, 0.30009881302685343, 41977.99219458708, 4.855434843095776),
     (12, 0.7, None, "coincidence", "counts", 5,
      8.081397441354638e-07, 0.9394054288549613, 0.3002455003310192, 3990.0383646115815, 1.4541886737521488),
-    (13, 0.7, 1.6e-06, "singles", "counts", 38,
-     8.080697951784586e-07, 0.6998507046533791, 0.2990129098870258, 42013.22072983896, 210817.79661991974),
+    (13, 0.7, 1.6e-06, "singles", "counts", 39,
+     8.080697951784586e-07, 0.699850704653379, 0.2990129098870257, 42013.22072983895, 210817.7966236481),
     (14, 0.7, 2e-06, "coincidence", "rates", 32,
-     8.073216356535816e-07, 0.9381180755958897, 0.29523464265715077, 4000.605801814323, 3026.0255137587374),
+     8.073216356535816e-07, 0.9381180755958897, 0.29523464265715077, 4000.605801814323, 3026.0255152200684),
 ]
 
 
