@@ -107,8 +107,8 @@ def _csv_cell(text: str, column: int, line: int) -> float | int:
 
 
 def _delay_grid_error(delays: np.ndarray, off: int | None) -> tuple[int, str]:
-    """Row index and reason of the grid's off-grid step ``off``, or if None, of the first delay
-    not above the one before."""
+    """Row index and reason of the first bad delay: at the off-grid step ``off``, or, when
+    it is None, at the first delay not above the one before."""
     if off is None:
         k = int(np.flatnonzero(np.diff(delays) <= 0)[0]) + 1
         return k, (

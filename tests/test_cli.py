@@ -202,6 +202,18 @@ def test_fit_warns_on_undersampled_pump_csv(tmp_path, capsys):
     assert "3.55e-07 m fringe period" in err
 
 
+def test_simulate_and_fit_give_the_same_undersampling_warning(tmp_path, capsys):
+    # Both read the grid's step from its ScanRecord: simulate's record, then fit's from the CSV.
+    config = write_config(tmp_path, "[scan]\naxis = pump\nstart_um = -2\nstop_um = 2\nstep_nm = 50\n")
+    scan = str(tmp_path / "scan.csv")
+    assert main(["simulate", "--config", config, "--out", scan, "--quiet"]) == EXIT_OK
+    simulated = capsys.readouterr().err
+    assert main(["fit", scan, "--config", config, "--quiet"]) == EXIT_OK
+    fitted = capsys.readouterr().err
+    assert simulated.startswith("warning: grid step 5e-08 m gives fewer than 8 points")
+    assert fitted == simulated
+
+
 def test_csv_floats_have_nine_significant_digits(tmp_path):
     out = tmp_path / "scan.csv"
     main(["predict", "--config", DEFAULT_CONFIG, "--out", str(out), "--quiet"])
