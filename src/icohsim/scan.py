@@ -16,14 +16,21 @@ from the peak of a periodogram zero-padded to 4 times the record's length
 (at least 256 bins) with the envelope pinned flat (b1 = b2 = 0) and frees it
 only when a score test says the data resolve it.
 
-Every least-squares system of the fit (the amplitudes, the Gauss-Newton
-step and the score test) has 3 to 6 columns and is solved from its Gram
-matrix A^T A.  np.linalg.lstsq's minimum-norm solution is taken instead
-where the Gram matrix is singular, a column is so short beside the longest
-one that lstsq's own rank cut (COLUMN_FLOOR, its default rcond) must drop a
-singular value, or the columns' variance inflation factors sum to
-INFLATION_LIMIT or more.  Each Gauss-Newton step is tried whole, then
-halved until chi^2 falls, but never below PARAM_TOLERANCE.
+Every least-squares system of the fit is solved from its Gram matrix A^T A.
+The amplitudes' 3x3 Gram matrix G is inverted in closed form, from its
+cofactors in Python floats, for each linearization and each trial step.
+The Gauss-Newton step in the nonlinear parameters comes from that inverse
+by the Schur complement of G in the Gram matrix of the joint (a, p)
+Jacobian: a scalar for the pinned fit and a 3x3 matrix, inverted by the
+same closed form, for the free fit.  The joint Jacobian itself is built only
+at a returned fit, for the score test (6 columns, inverted by
+np.linalg.inv) and the covariance.  np.linalg.lstsq's minimum-norm solution
+is taken instead where a Gram matrix is singular, a column is so short
+beside the longest one that lstsq's own rank cut (COLUMN_FLOOR, its default
+rcond) must drop a singular value, or the columns' variance inflation
+factors sum to INFLATION_LIMIT or more; for the step this rule is judged on
+the joint Gram matrix, from its blocks.  Each Gauss-Newton step is tried
+whole, then halved until chi^2 falls, but never below PARAM_TOLERANCE.
 """
 
 from __future__ import annotations
@@ -49,9 +56,12 @@ MAX_ITERATIONS = 200
 PARAM_TOLERANCE = 1e-10
 # Halvings of a Gauss-Newton step before it is given up as not improving.
 MAX_HALVINGS = 30
-# Least-squares systems are solved from their Gram matrix A^T A.  The
-# fallback, np.linalg.lstsq's minimum-norm solution, is taken when:
-# - the Gram matrix is singular to np.linalg.inv;
+# Least-squares systems are solved from their Gram matrix A^T A: a 3x3 one,
+# and the Schur complement of the step, in closed form (_inverse), a wider one
+# by np.linalg.inv.  The fallback, np.linalg.lstsq's minimum-norm solution, is
+# taken when:
+# - the Gram matrix is singular: a closed-form block has a zero or non-finite
+#   determinant, or np.linalg.inv fails;
 # - a column's norm is at or below COLUMN_FLOOR * max(M, N) times the largest
 #   column norm of the M x N matrix.  COLUMN_FLOOR is lstsq's default rcond:
 #   it cuts singular values below COLUMN_FLOOR * max(M, N) * sigma_max, and
@@ -63,11 +73,17 @@ MAX_HALVINGS = 30
 #   INFLATION_LIMIT or more.  That sum bounds the condition number of the
 #   column-normalized Gram matrix; for a solve of that column-scaled system it
 #   gives an error estimate of 6 * INFLATION_LIMIT * 2.2e-16 = 1.3e-11.  The
-#   unscaled Gram matrix is inverted here, so the estimate is not a bound.
-#   Measured instead: 2.6e-10 at most, in units of each column's scale, on
-#   random full-rank matrices with column scales 1e-3 to 1e3; and fitted
-#   values within 1.8e-6 of their sigma of an lstsq fitter's on the
-#   benchmark's campaign and refit scans.
+#   cofactor formulas scale consistently per column, so their error is that of
+#   the column-scaled system; np.linalg.inv works on the unscaled matrix, so
+#   for it the estimate is not a bound.  Measured in units of each column's
+#   scale against lstsq of the column-scaled matrix, on 30,000 random
+#   full-rank matrices of 8 to 4001 rows with column scales 1e-3 to 1e3: at
+#   most 4.1e-14 for a closed-form 3-column solve, 1.1e-14 for the Schur step
+#   and 2.9e-12 for np.linalg.inv on 4 to 6 columns.  lstsq of the unscaled
+#   matrix, which the tests compare against, itself errs by up to 6.7e-9
+#   there; on the tests' 200 matrices the solves differ from it by 1.8e-10
+#   at most.  Fitted values are within 1.7e-6 of their sigma of an lstsq
+#   fitter's on 496 campaign- and refit-shaped scans of the benchmark.
 COLUMN_FLOOR = float(np.finfo(float).eps)
 INFLATION_LIMIT = 1e4
 # The envelope is freed when one step into it drops chi^2 by more than this
@@ -93,6 +109,19 @@ class FitNonConvergenceError(RuntimeError):
     def __init__(self, message: str, fit: "FringeFit"):
         super().__init__(message)
         self.fit = fit
+
+
+def _median(values: np.ndarray) -> float:
+    """np.median of a non-empty array without nan, from one np.partition.
+
+    The middle value, or for an even count the two middle values summed and
+    halved, as np.median takes them; the two agree bit for bit.
+    """
+    half = len(values) // 2
+    if len(values) % 2:
+        return float(np.partition(values, half)[half])
+    low, high = np.partition(values, (half - 1, half))[half - 1 : half + 1].tolist()
+    return (low + high) / 2.0
 
 
 @dataclass
@@ -128,7 +157,7 @@ class ScanRecord:
         dx = np.diff(self.delays)
         if not np.all(dx > 0):
             raise ValueError("delay grid must be strictly increasing")
-        self.step = float(np.median(dx)) if len(dx) else math.nan
+        self.step = _median(dx) if len(dx) else math.nan
         off = np.flatnonzero(np.abs(dx - self.step) > GRID_TOLERANCE * self.step)
         self.off_grid = int(off[0]) if len(off) else None
 
@@ -259,7 +288,7 @@ def estimate_period(
 
     power[0] = 0.0
     peak = int(np.argmax(power))
-    background = float(np.median(power[1:]))
+    background = _median(power[1:])
     if peak == 0 or power[peak] < 20.0 * max(background, 1e-300):
         raise NoFringeError("no fringe detected: periodogram peak not significant")
     if peak == len(power) - 1:
@@ -278,13 +307,14 @@ def estimate_period(
 
 
 class _Solution(NamedTuple):
-    """A Gauss-Newton fit at nonlinear parameters p = (k,) or (k, b1, b2).
+    """A Gauss-Newton fit at nonlinear parameters p = [k] or [k, b1, b2].
 
-    ``basis`` holds the model columns at p; ``residual`` and ``jacobian`` are
-    weighted by ``sqrt_w``, and the Jacobian columns are (a0, a1, a2, k[, b1, b2]).
+    ``basis`` holds the model's basis rows at p; ``residual`` and ``jacobian``
+    are weighted by ``sqrt_w``, and the Jacobian columns are
+    (a0, a1, a2, k[, b1, b2]).
     """
 
-    p: np.ndarray
+    p: list[float]
     a: np.ndarray
     sqrt_w: np.ndarray
     basis: np.ndarray
@@ -294,8 +324,11 @@ class _Solution(NamedTuple):
     converged: bool
 
 
-def _basis(p: np.ndarray, xs: np.ndarray, ts: np.ndarray) -> np.ndarray | None:
-    """Columns (1, env cos kx, env sin kx) of the model at p.
+def _basis(p: list[float], xs: np.ndarray, ts: np.ndarray) -> np.ndarray | None:
+    """Basis rows (1, env cos kx, env sin kx) of the model at p, shape (3, n).
+
+    Rows, not columns, so that weighting the basis point by point and its
+    Gram products run along contiguous memory.
 
     None when p lies outside the model's domain: k not positive, or an
     envelope exponent b1 t + b2 t^2 above MAX_EXPONENT on the grid.
@@ -303,68 +336,148 @@ def _basis(p: np.ndarray, xs: np.ndarray, ts: np.ndarray) -> np.ndarray | None:
     if not p[0] > 0:
         return None
     arg = p[0] * xs
-    basis = np.empty((len(xs), 3))
-    basis[:, 0], basis[:, 1], basis[:, 2] = 1.0, np.cos(arg), np.sin(arg)
+    basis = np.empty((3, len(xs)))
+    basis[0] = 1.0
+    np.cos(arg, out=basis[1])
+    np.sin(arg, out=basis[2])
     if len(p) == 3:
         exponent = ts * (p[1] + p[2] * ts)
         if not exponent.max() <= MAX_EXPONENT:
             return None
-        basis[:, 1:] *= np.exp(exponent)[:, None]
+        basis[1:] *= np.exp(exponent)
     return basis
+
+
+def _inverse(gram: list[list[float]]) -> list[list[float]] | None:
+    """Inverse of the leading 1x1 or 3x3 block of a symmetric matrix, from its cofactors.
+
+    The block is as wide as ``gram`` has rows, and only its upper triangle is
+    read.  None if its determinant is 0 or not finite.  Scaling row and
+    column j by s_j scales every product in cofactor (i, j) and in the
+    determinant alike, so entry (i, j) of the inverse scales by
+    1 / (s_i s_j) and its rounding depends on the column-scaled matrix alone.
+    """
+    if len(gram) == 1:
+        g = gram[0][0]
+        return [[1.0 / g]] if g != 0 and math.isfinite(g) else None
+    (g00, g01, g02), (g11, g12), g22 = gram[0][:3], gram[1][1:3], gram[2][2]
+    c00, c01, c02 = g11 * g22 - g12 * g12, g02 * g12 - g01 * g22, g01 * g12 - g02 * g11
+    c11, c12, c22 = g00 * g22 - g02 * g02, g01 * g02 - g00 * g12, g00 * g11 - g01 * g01
+    det = g00 * c00 + g01 * c01 + g02 * c02
+    if not (det != 0 and math.isfinite(det)):
+        return None
+    return [
+        [c00 / det, c01 / det, c02 / det],
+        [c01 / det, c11 / det, c12 / det],
+        [c02 / det, c12 / det, c22 / det],
+    ]
+
+
+def _floor_holds(norms: list[float], rows: int) -> bool:
+    """No squared column norm is at or below (COLUMN_FLOOR * rows)^2 times the largest."""
+    return min(norms) > (COLUMN_FLOOR * rows) ** 2 * max(norms)
+
+
+def _solve(
+    weighted: np.ndarray, target: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, list[list[float]], list[list[float]] | None]:
+    """Least squares of target on the rows of the 3 x n matrix ``weighted``.
+
+    Returns the solution, the residual, the rows' Gram matrix G and G^-1.  G
+    is inverted in closed form, and G^-1 is None where the rule at
+    COLUMN_FLOOR and INFLATION_LIMIT takes np.linalg.lstsq instead.
+    """
+    gram = (weighted @ weighted.T).tolist()
+    norms = [gram[0][0], gram[1][1], gram[2][2]]
+    inverse = _inverse(gram) if _floor_holds(norms, max(weighted.shape)) else None
+    # Rounding can give a nearly singular Gram matrix an inverse with a huge
+    # negative trace; a non-finite one fails the test as well.
+    if inverse is not None and 0.0 < (
+        norms[0] * inverse[0][0] + norms[1] * inverse[1][1] + norms[2] * inverse[2][2]
+    ) < INFLATION_LIMIT:
+        b0, b1, b2 = (weighted @ target).tolist()
+        a = np.array([i0 * b0 + i1 * b1 + i2 * b2 for i0, i1, i2 in inverse])
+    else:
+        inverse = None
+        a = np.linalg.lstsq(weighted.T, target, rcond=None)[0]
+    return a, target - a @ weighted, gram, inverse
 
 
 def _least_squares(matrix: np.ndarray, target: np.ndarray) -> np.ndarray:
     """x minimizing |matrix x - target|, by the normal equations where they are well conditioned.
 
-    Falls back to np.linalg.lstsq's minimum-norm solution by the rule stated
-    at COLUMN_FLOOR and INFLATION_LIMIT.
+    A 3-column Gram matrix is inverted in closed form (_solve), a wider one by
+    np.linalg.inv.  Falls back to np.linalg.lstsq's minimum-norm solution by
+    the rule stated at COLUMN_FLOOR and INFLATION_LIMIT.
     """
+    if matrix.shape[1] == 3:
+        return _solve(matrix.T, target)[0]
     gram = matrix.T @ matrix
     norms = gram.diagonal()
-    listed = norms.tolist()
-    if min(listed) > (COLUMN_FLOOR * max(matrix.shape)) ** 2 * max(listed):
+    if _floor_holds(norms.tolist(), max(matrix.shape)):
         try:
             inverse = np.linalg.inv(gram)
         except np.linalg.LinAlgError:
             pass
         else:
-            # Rounding can give a nearly singular Gram matrix an inverse with a
-            # huge negative trace; a non-finite one fails the test as well.
             if 0.0 < inverse.diagonal() @ norms < INFLATION_LIMIT:
                 return inverse @ (matrix.T @ target)
     return np.linalg.lstsq(matrix, target, rcond=None)[0]
 
 
-def _solve(weighted: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Amplitudes (a0, a1, a2) of the weighted basis by linear least squares, and the residual."""
-    a = _least_squares(weighted, target)
-    return a, target - weighted @ a
+def _step(
+    weighted: np.ndarray,
+    gram: list[list[float]],
+    inverse: list[list[float]] | None,
+    extended: np.ndarray,
+) -> list[float]:
+    """p part of the least-squares solution of the joint matrix [W, D] on r.
+
+    ``weighted`` holds the columns of W as rows, and ``extended`` those of
+    [D, r]: the q weighted Jacobian columns D of p, then the residual r.
+    ``gram`` and ``inverse`` are W's Gram matrix G and its inverse from
+    _solve.  With U = W^T D and E = G^-1 U, the Schur complement of G in the
+    Gram matrix of [W, D, r] holds S = D^T D - U^T E beside
+    D^T r - E^T W^T r, and S^-1 times the latter is the step.  S is 1x1 or
+    3x3, inverted in closed form.  The rule at COLUMN_FLOOR and
+    INFLATION_LIMIT is evaluated on the joint Gram matrix of [W, D] from
+    these blocks: its diagonal is G's and D^T D's, and its inverse's diagonal
+    is that of G^-1 + E S^-1 E^T and of S^-1.  Where G^-1 or S^-1 is missing
+    or the rule fails, the step is np.linalg.lstsq's on the joint matrix.
+    """
+    q = len(extended) - 1
+    if inverse is not None:
+        c0, c1, c2 = (weighted @ extended.T).tolist()
+        # G^-1 W^T [D, r] by rows: E, then G^-1 W^T r.
+        e0, e1, e2 = [
+            [i0 * u0 + i1 * u1 + i2 * u2 for u0, u1, u2 in zip(c0, c1, c2)] for i0, i1, i2 in inverse
+        ]
+        own = (extended[:q] @ extended.T).tolist()
+        # q rows of the Schur complement: S, then D^T r - E^T W^T r.
+        schur = [
+            [v - (c0[k] * e0[l] + c1[k] * e1[l] + c2[k] * e2[l]) for l, v in enumerate(row)]
+            for k, row in enumerate(own)
+        ]
+        schur_inverse = _inverse(schur)
+        g0, g1, g2 = gram[0][0], gram[1][1], gram[2][2]
+        norms = [g0, g1, g2] + [own[k][k] for k in range(q)]
+        if schur_inverse is not None and _floor_holds(norms, max(extended.shape[1], 3 + q)):
+            inflation = g0 * inverse[0][0] + g1 * inverse[1][1] + g2 * inverse[2][2]
+            for k, row in enumerate(schur_inverse):
+                inflation += own[k][k] * row[k]
+                for l, s in enumerate(row):
+                    inflation += s * (g0 * e0[k] * e0[l] + g1 * e1[k] * e1[l] + g2 * e2[k] * e2[l])
+            if 0.0 < inflation < INFLATION_LIMIT:
+                rhs = [row[q] for row in schur]
+                return [sum(s * d for s, d in zip(row, rhs)) for row in schur_inverse]
+    joint = np.vstack([weighted, extended[:q]]).T
+    return np.linalg.lstsq(joint, extended[q], rcond=None)[0][3:].tolist()
 
 
 def _envelope_columns(basis: np.ndarray, a: np.ndarray, ts: np.ndarray) -> list[np.ndarray]:
-    """Unweighted Jacobian columns of the envelope exponents (b1, b2)."""
-    osc = basis[:, 1:] @ a[1:]
+    """Jacobian columns of the envelope exponents (b1, b2), weighted as the basis rows are."""
+    osc = a[1:] @ basis[1:]
     return [ts * osc, ts * ts * osc]
-
-
-def _linearize(
-    p: np.ndarray,
-    basis: np.ndarray,
-    xs: np.ndarray,
-    ts: np.ndarray,
-    target: np.ndarray,
-    sqrt_w: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Amplitudes, weighted residual and weighted Jacobian at p, whose basis is given."""
-    weighted = basis * sqrt_w[:, None]
-    a, residual = _solve(weighted, target)
-    columns = [xs * (a[2] * basis[:, 1] - a[1] * basis[:, 2])]
-    if len(p) == 3:
-        columns += _envelope_columns(basis, a, ts)
-    jacobian = np.empty((len(xs), 3 + len(columns)))
-    jacobian[:, :3] = weighted
-    jacobian[:, 3:] = np.column_stack(columns) * sqrt_w[:, None]
-    return a, residual, jacobian
 
 
 def _gauss_newton(p, basis, xs, ts, ys, weights_for, sqrt_w) -> _Solution:
@@ -372,11 +485,13 @@ def _gauss_newton(p, basis, xs, ts, ys, weights_for, sqrt_w) -> _Solution:
 
     ``basis`` is the model's basis at the starting p.  Each step solves the
     amplitudes by weighted linear least squares at the current p, takes the
-    joint Gauss-Newton step in (a, p) and keeps its p part, halved until the
-    weighted chi^2 falls, then refreshes the weights from the model.  With
-    Poisson weights this is Fisher scoring, whose fixed point is the Poisson
-    maximum-likelihood fit.  Converged once a whole step moves no parameter
-    by more than PARAM_TOLERANCE (relative, or absolute below one).
+    p part of the joint Gauss-Newton step in (a, p) from the amplitudes' Gram
+    inverse (_step), halved until the weighted chi^2 falls, then refreshes
+    the weights from the model.  With Poisson weights this is Fisher scoring,
+    whose fixed point is the Poisson maximum-likelihood fit.  Converged once
+    a whole step moves no parameter by more than PARAM_TOLERANCE (relative,
+    or absolute below one); the joint Jacobian is built only then, for the
+    score test and the covariance.
 
     Halving stops, and p stays where it is, once a halved trial would move
     no parameter by more than PARAM_TOLERANCE; the weights are then
@@ -389,32 +504,41 @@ def _gauss_newton(p, basis, xs, ts, ys, weights_for, sqrt_w) -> _Solution:
     steps = 0
     while True:
         target = ys * sqrt_w
-        a, residual, jacobian = _linearize(p, basis, xs, ts, target, sqrt_w)
-        theta = a.tolist() + p.tolist()
+        weighted = basis * sqrt_w
+        a, residual, gram, inverse = _solve(weighted, target)
+        theta = a.tolist() + p
+        # The weighted Jacobian columns of p, then the residual, as rows.
+        extended = np.empty((len(p) + 1, len(xs)))
+        extended[0] = xs * ((theta[2], -theta[1]) @ weighted[1:])
+        if len(p) == 3:
+            extended[1], extended[2] = _envelope_columns(weighted, a, ts)
+        extended[-1] = residual
         converged = previous is not None and all(
             abs(t - q) / max(abs(q), 1.0) < PARAM_TOLERANCE for t, q in zip(theta, previous)
         )
         if converged or steps == MAX_ITERATIONS:
+            jacobian = np.vstack([weighted, extended[:-1]]).T
             return _Solution(p, a, sqrt_w, basis, residual, jacobian, steps, converged)
         previous = theta
         steps += 1
-        step = _least_squares(jacobian, residual)[3:]
+        step = _step(weighted, gram, inverse, extended)
         ssr = float(residual @ residual)
         # A nan step gives trials that _basis rejects, whatever size it gives.
-        size = max(abs(s) / max(abs(q), 1.0) for s, q in zip(step.tolist(), theta[3:]))
+        size = max(abs(s) / max(abs(q), 1.0) for s, q in zip(step, p))
         model = None
         for halving in range(MAX_HALVINGS):
-            if halving and size * 0.5**halving <= PARAM_TOLERANCE:
+            scale = 0.5**halving
+            if halving and size * scale <= PARAM_TOLERANCE:
                 break
-            trial = p + step * 0.5**halving
+            trial = [q + s * scale for q, s in zip(p, step)]
             trial_basis = _basis(trial, xs, ts)
             if trial_basis is None:
                 continue
-            trial_a, trial_residual = _solve(trial_basis * sqrt_w[:, None], target)
+            trial_a, trial_residual, _, _ = _solve(trial_basis * sqrt_w, target)
             if float(trial_residual @ trial_residual) < ssr:
-                p, basis, model = trial, trial_basis, trial_basis @ trial_a
+                p, basis, model = trial, trial_basis, trial_a @ trial_basis
                 break
-        sqrt_w = np.sqrt(weights_for(basis @ a if model is None else model))
+        sqrt_w = np.sqrt(weights_for(a @ basis if model is None else model))
 
 
 def _envelope_statistic(pinned: _Solution, ts: np.ndarray, use_poisson: bool) -> float:
@@ -466,6 +590,9 @@ def fit_fringe(
     lower bound of PINNED_SPANS scan spans, and ``envelope_resolved`` is
     False.
 
+    A fitted period longer than the scan's span, less than one full fringe
+    in the record, is a trend rather than a fringe and raises NoFringeError.
+
     The visibility is taken at the envelope peak and is not clipped, so it
     may exceed 1 within its uncertainty.  Every uncertainty comes by the
     delta method from the covariance of the reported fit.  A fit that does
@@ -499,7 +626,7 @@ def fit_fringe(
         variance = np.maximum(model_scaled * y_scale, 1.0)
         return y_scale * y_scale / variance
 
-    k_seed = np.array([2.0 * math.pi * x_scale / period_seed])
+    k_seed = [2.0 * math.pi * x_scale / period_seed]
     solution = _gauss_newton(
         k_seed, _basis(k_seed, xs, ts), xs, ts, ys, weights_for, np.sqrt(weights_for(ys))
     )
@@ -507,7 +634,7 @@ def fit_fringe(
     statistic = _envelope_statistic(solution, ts, use_poisson)
     if statistic > ENVELOPE_THRESHOLD:
         # A flat envelope leaves the pinned basis as it is.
-        flat = np.array([solution.p[0], 0.0, 0.0])
+        flat = [solution.p[0], 0.0, 0.0]
         free = _gauss_newton(flat, solution.basis, xs, ts, ys, weights_for, solution.sqrt_w)
         iterations += free.iterations
         beta1, beta2 = float(free.p[1]), float(free.p[2])
@@ -519,6 +646,13 @@ def fit_fringe(
     if not (a0 > 0 and amplitude > 0):
         raise NoFringeError("no fringe detected: fitted baseline or amplitude is not positive")
     k = float(solution.p[0])
+    period = 2.0 * math.pi * x_scale / k
+    span = 2.0 * half_span
+    if period > span:
+        raise NoFringeError(
+            f"no fringe detected: fitted period {period:.6g} m is longer than "
+            f"the scan's span of {span:.6g} m"
+        )
     ssr = float(solution.residual @ solution.residual)
     dof = len(xs) - solution.jacobian.shape[1]
     covariance = np.linalg.pinv(solution.jacobian.T @ solution.jacobian)
@@ -533,7 +667,6 @@ def fit_fringe(
         return math.sqrt(max(variance, 0.0))
 
     # Envelope peak relative to mid-scan: exponent log_peak at t = center.
-    span = 2.0 * half_span
     if len(solution.p) == 3:
         beta1, beta2 = float(solution.p[1]), float(solution.p[2])
         center = -beta1 / (2.0 * beta2)
@@ -554,7 +687,6 @@ def fit_fringe(
         raise NoFringeError("no fringe detected: fitted visibility is not finite")
     # d|a|/da1 / |a| and d|a|/da2 / |a|, ordered to neither overflow nor underflow.
     da1, da2 = (a1 / amplitude) / amplitude, (a2 / amplitude) / amplitude
-    period = 2.0 * math.pi * x_scale / k
 
     rate_scale = y_scale / dwell if use_poisson else y_scale
     reduced_residual = ssr / dof if use_poisson else math.sqrt(ssr / dof)

@@ -268,6 +268,18 @@ def test_fit_at_two_grid_steps_per_period_exits_with_fit_code(tmp_path, capsys):
     assert "fit error: no fringe detected: periodogram peak at the Nyquist limit" in capsys.readouterr().err
 
 
+def test_fit_of_a_ramp_without_a_full_fringe_exits_with_fit_code(tmp_path, capsys):
+    # 16 Poisson counts of a rising ramp converge at a period of about 1.8 scan spans.
+    counts = [110, 107, 90, 117, 132, 131, 158, 143, 160, 162, 184, 180, 198, 195, 193, 187]
+    rows = [f"{1e-08 * i!r},{c}.0,{c}.0,{c}.0,{c},{c},{c}\n" for i, c in enumerate(counts)]
+    path = tmp_path / "ramp.csv"
+    path.write_text(",".join(CSV_HEADER) + "\n" + "".join(rows))
+    code = main(["fit", str(path), "--config", DEFAULT_CONFIG, "--quiet"])
+    assert code == EXIT_FIT
+    message = "fit error: no fringe detected: fitted period 2.66213e-07 m is longer than the scan's span"
+    assert message in capsys.readouterr().err
+
+
 def test_missing_config_exits_with_io_code(tmp_path):
     assert main(["report", "--config", str(tmp_path / "nope.ini")]) == EXIT_IO
 

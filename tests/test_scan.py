@@ -14,6 +14,9 @@ from icohsim.scan import (
     ScanRecord,
     _basis,
     _least_squares,
+    _median,
+    _solve,
+    _step,
     estimate_period,
     fit_fringe,
     run_scan,
@@ -91,6 +94,31 @@ def test_scan_record_requires_monotone_grid():
             delays=np.array([0.0, -1e-9, 1e-9]),
             rates=np.ones((3, 3)),
         )
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 4, 5, 8, 255, 256, 1000, 1001])
+def test_median_is_np_median_bit_for_bit(length):
+    rng = np.random.default_rng(length)
+    for values in (
+        rng.standard_normal(length),
+        rng.integers(0, 4, length).astype(float),  # ties
+        np.exp(rng.uniform(-700.0, 700.0, length)),  # middle pairs that overflow or are subnormal
+    ):
+        assert np.float64(_median(values)).tobytes() == np.float64(np.median(values)).tobytes()
+
+
+def test_scan_record_step_is_the_median_step():
+    rng = np.random.default_rng(7)
+    grids = [
+        np.linspace(-2e-6, 2e-6, 401),
+        np.linspace(-1e-6, 1e-6, 201),
+        np.array([0.0, 1e-8]),
+        np.array([0.0, 1e-8, 3e-8]),
+        np.cumsum(rng.uniform(0.5, 1.5, 100)) * 1e-9,
+    ]
+    for delays in grids:
+        record = ScanRecord(axis="signal", delays=delays, rates=np.ones((3, len(delays))))
+        assert record.step == float(np.median(np.diff(delays)))
 
 
 def test_estimate_period_noiseless_round_trips():
@@ -296,13 +324,13 @@ def test_scan_grid_matches_settings(config):
 # envelope pinned; both signal fits report a visibility above 1.
 RECORDED_FITS = [
     ("signal", 2, "singles", 7,
-     8.079768877848482e-07, 1.000034872056394, 0.00015371374968793164, 41977.037832958835),
+     8.079768877848482e-07, 1.000034872056394, 0.00015371374968811284, 41977.037832958835),
     ("signal", 1, "coincidence", 8,
-     8.080345589747419e-07, 1.0000685941479976, 0.00010239843343571899, 42001.02023813745),
+     8.080345589747419e-07, 1.0000685941479976, 0.00010239843337859694, 42001.02023813745),
     ("pump", 0, "singles", 6,
-     3.5501879022123825e-07, 0.9999312583860784, -0.00015056349722544172, 42024.370233672234),
+     3.5501879022123825e-07, 0.9999312583860784, -0.00015056349722525466, 42024.370233672234),
     ("pump", 0, "coincidence", 6,
-     3.550101501235473e-07, 0.9998975737992483, 8.989845811421496e-05, 42004.30805748551),
+     3.550101501235473e-07, 0.9998975737992483, 8.98984581139427e-05, 42004.30805748551),
 ]
 
 
@@ -343,11 +371,11 @@ def two_channel_record(noise_seed, visibility, fwhm=None):
 # The first two keep the envelope pinned, the last two resolve it.
 SYNTHETIC_FITS = [
     (20, 1.0, None, "singles", "counts", 12,
-     8.080300421709192e-07, 0.9999986509004125, 0.30009881302685343, 41977.99219458708, 4.855434843095776),
+     8.080300421880494e-07, 0.9999986509030024, 0.30009881303348407, 41977.99219375077, 4.855434828400132),
     (12, 0.7, None, "coincidence", "counts", 5,
      8.081397441354638e-07, 0.9394054288549613, 0.3002455003310192, 3990.0383646115815, 1.4541886737521488),
     (13, 0.7, 1.6e-06, "singles", "counts", 39,
-     8.080697951784586e-07, 0.699850704653379, 0.2990129098870257, 42013.22072983895, 210817.7966236481),
+     8.080697951803879e-07, 0.6998507046604912, 0.29901290989051915, 42013.22072983895, 210817.7966236481),
     (14, 0.7, 2e-06, "coincidence", "rates", 32,
      8.073216356535816e-07, 0.9381180755958897, 0.29523464265715077, 4000.605801814323, 3026.0255152200684),
 ]
@@ -426,6 +454,18 @@ def test_fit_fails_only_with_fit_errors(values, source, start, step):
         assert math.isfinite(value)
 
 
+# 16 Poisson counts of a rising ramp, 10 nm apart: no fringe, yet the fit
+# converges at a period of about 1.8 scan spans.
+RAMP_COUNTS = [110, 107, 90, 117, 132, 131, 158, 143, 160, 162, 184, 180, 198, 195, 193, 187]
+
+
+def test_fitted_period_longer_than_the_span_is_no_fringe():
+    record = values_record(RAMP_COUNTS, "counts", 0.0, 10e-9)
+    message = r"fitted period 2\.\d+e-07 m is longer than the scan's span of 1\.5e-07 m"
+    with pytest.raises(NoFringeError, match=message):
+        fit_fringe(record, dwell=0.5)
+
+
 def two_step_fringe(phase):
     """64 counts of a fringe at exactly 2 grid steps per period: cos(pi i + phase) = cos(phase) (-1)^i."""
     values = np.round(1000 * (1 + 0.5 * np.cos(np.pi * np.arange(64) + phase)))
@@ -492,6 +532,57 @@ def test_least_squares_is_lstsq_on_rank_deficient_matrices(rows, columns, expone
     # Every defect costs lstsq's rank cut a singular value.
     assert rank < columns
     assert np.array_equal(_least_squares(matrix, target), expected)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    rows=st.integers(8, 4001),
+    free=st.booleans(),
+    exponents=_COLUMN_EXPONENTS,
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_step_is_the_joint_least_squares_step(rows, free, exponents, seed):
+    # 3 amplitude columns, then 1 (pinned) or 3 (free) step columns.  The
+    # Schur-complement step is the p part of _least_squares on the joint
+    # matrix to 1e-8 in units of each column's scale.
+    matrix, target, scales = _matrix(rows, 6 if free else 4, exponents, seed)
+    weighted = matrix[:, :3].T
+    _, _, gram, inverse = _solve(weighted, target)
+    step = _step(weighted, gram, inverse, np.vstack([matrix[:, 3:].T, target]))
+    expected = _least_squares(matrix, target)
+    error = np.linalg.norm((np.array(step) - expected[3:]) * scales[3:])
+    assert error <= 1e-8 * np.linalg.norm(expected * scales)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    rows=st.integers(8, 4001),
+    free=st.booleans(),
+    exponents=_COLUMN_EXPONENTS,
+    seed=st.integers(0, 2**32 - 1),
+    defect=st.sampled_from(["near-duplicate", "zero", "half-floor", "singular-basis"]),
+)
+def test_step_is_lstsq_where_the_joint_rule_fails(rows, free, exponents, seed, defect):
+    # 3 amplitude columns, then 1 (pinned) or 3 (free) step columns.
+    matrix, target, scales = _matrix(rows, 6 if free else 4, exponents, seed)
+    if defect == "near-duplicate":
+        # A step column within 1e-9 of a basis column, relative, point by point.
+        wobble = np.random.default_rng(seed).standard_normal(rows)
+        matrix[:, 3] = matrix[:, 0] * (1.0 + 1e-9 * wobble)
+    elif defect == "singular-basis":
+        matrix[:, 2] = matrix[:, 1]
+    else:
+        # A zero last step column, or one at half the floor beside the longest other column.
+        norms = np.linalg.norm(matrix, axis=0)
+        factor = 0.0 if defect == "zero" else 0.5 * COLUMN_FLOOR * rows * norms[:-1].max() / norms[-1]
+        matrix[:, -1] *= factor
+    weighted = matrix[:, :3].T
+    _, _, gram, inverse = _solve(weighted, target)
+    step = _step(weighted, gram, inverse, np.vstack([matrix[:, 3:].T, target]))
+    expected = np.linalg.lstsq(matrix, target, rcond=None)[0]
+    # The rule fails on the joint matrix, so _least_squares takes lstsq as well.
+    assert np.array_equal(_least_squares(matrix, target), expected)
+    assert step == expected[3:].tolist()
 
 
 def test_campaign_steps_are_not_halved_below_the_tolerance(monkeypatch):
