@@ -302,10 +302,6 @@ class ExperimentConfig:
         return self.signal_filter.center_wavelength
 
 
-def default_config() -> ExperimentConfig:
-    return ExperimentConfig()
-
-
 def _syntax_error(lineno: int, reason: str) -> ConfigError:
     return ConfigError(f"config syntax error at line {lineno}: {reason}")
 

@@ -22,15 +22,16 @@ cofactors in Python floats, for each linearization and each trial step.
 The Gauss-Newton step in the nonlinear parameters comes from that inverse
 by the Schur complement of G in the Gram matrix of the joint (a, p)
 Jacobian: a scalar for the pinned fit and a 3x3 matrix, inverted by the
-same closed form, for the free fit.  The joint Jacobian itself is built only
-at a returned fit, for the score test (6 columns, inverted by
-np.linalg.inv) and the covariance.  np.linalg.lstsq's minimum-norm solution
-is taken instead where a Gram matrix is singular, a column is so short
-beside the longest one that lstsq's own rank cut (COLUMN_FLOOR, its default
-rcond) must drop a singular value, or the columns' variance inflation
-factors sum to INFLATION_LIMIT or more; for the step this rule is judged on
-the joint Gram matrix, from its blocks.  Each Gauss-Newton step is tried
-whole, then halved until chi^2 falls, but never below PARAM_TOLERANCE.
+same closed form, for the free fit.  The envelope's score test is the free
+fit's first such step, taken from the pinned fit.  The joint Jacobian itself
+is built only at a returned fit, for the score test and the covariance.
+np.linalg.lstsq's minimum-norm solution is taken instead where a Gram matrix
+is singular, a column is so short beside the longest one that lstsq's own
+rank cut (COLUMN_FLOOR, its default rcond) must drop a singular value, or
+the columns' variance inflation factors sum to INFLATION_LIMIT or more; for
+the step this rule is judged on the joint Gram matrix, from its blocks.
+Each Gauss-Newton step is tried whole, then halved until chi^2 falls, but
+never below PARAM_TOLERANCE.
 """
 
 from __future__ import annotations
@@ -56,12 +57,12 @@ MAX_ITERATIONS = 200
 PARAM_TOLERANCE = 1e-10
 # Halvings of a Gauss-Newton step before it is given up as not improving.
 MAX_HALVINGS = 30
-# Least-squares systems are solved from their Gram matrix A^T A: a 3x3 one,
-# and the Schur complement of the step, in closed form (_inverse), a wider one
-# by np.linalg.inv.  The fallback, np.linalg.lstsq's minimum-norm solution, is
-# taken when:
+# Least-squares systems are solved from their Gram matrix A^T A: the 3x3 one
+# of the amplitudes, and the Schur complement of the step, in closed form
+# (_inverse).  The fallback, np.linalg.lstsq's minimum-norm solution, is taken
+# when:
 # - the Gram matrix is singular: a closed-form block has a zero or non-finite
-#   determinant, or np.linalg.inv fails;
+#   determinant;
 # - a column's norm is at or below COLUMN_FLOOR * max(M, N) times the largest
 #   column norm of the M x N matrix.  COLUMN_FLOOR is lstsq's default rcond:
 #   it cuts singular values below COLUMN_FLOOR * max(M, N) * sigma_max, and
@@ -74,16 +75,15 @@ MAX_HALVINGS = 30
 #   column-normalized Gram matrix; for a solve of that column-scaled system it
 #   gives an error estimate of 6 * INFLATION_LIMIT * 2.2e-16 = 1.3e-11.  The
 #   cofactor formulas scale consistently per column, so their error is that of
-#   the column-scaled system; np.linalg.inv works on the unscaled matrix, so
-#   for it the estimate is not a bound.  Measured in units of each column's
-#   scale against lstsq of the column-scaled matrix, on 30,000 random
-#   full-rank matrices of 8 to 4001 rows with column scales 1e-3 to 1e3: at
-#   most 4.1e-14 for a closed-form 3-column solve, 1.1e-14 for the Schur step
-#   and 2.9e-12 for np.linalg.inv on 4 to 6 columns.  lstsq of the unscaled
-#   matrix, which the tests compare against, itself errs by up to 6.7e-9
-#   there; on the tests' 200 matrices the solves differ from it by 1.8e-10
-#   at most.  Fitted values are within 1.7e-6 of their sigma of an lstsq
-#   fitter's on 496 campaign- and refit-shaped scans of the benchmark.
+#   the column-scaled system.  Measured in units of each column's scale
+#   against lstsq of the column-scaled matrix, on 6000 random full-rank
+#   matrices of 8 to 4001 rows with column scales 1e-3 to 1e3, weighted to
+#   the extremes: at most 1.9e-14 for a 3-column solve, 1.0e-14 for the Schur
+#   step and 1.9e-14 relative for its chi^2 drop.  lstsq of the unscaled
+#   matrix errs by up to 7.6e-9 on the same matrices, so the tests compare
+#   against the column-scaled one.  Fitted values are within 1.7e-6 of their
+#   sigma of an lstsq fitter's on 496 campaign- and refit-shaped scans of the
+#   benchmark.
 COLUMN_FLOOR = float(np.finfo(float).eps)
 INFLATION_LIMIT = 1e4
 # The envelope is freed when one step into it drops chi^2 by more than this
@@ -311,7 +311,8 @@ class _Solution(NamedTuple):
 
     ``basis`` holds the model's basis rows at p; ``residual`` and ``jacobian``
     are weighted by ``sqrt_w``, and the Jacobian columns are
-    (a0, a1, a2, k[, b1, b2]).
+    (a0, a1, a2, k[, b1, b2]).  ``gram`` and ``inverse`` are _solve's Gram
+    matrix of the weighted basis rows and its inverse.
     """
 
     p: list[float]
@@ -320,6 +321,8 @@ class _Solution(NamedTuple):
     basis: np.ndarray
     residual: np.ndarray
     jacobian: np.ndarray
+    gram: list[list[float]]
+    inverse: list[list[float]] | None
     iterations: int
     converged: bool
 
@@ -403,35 +406,13 @@ def _solve(
     return a, target - a @ weighted, gram, inverse
 
 
-def _least_squares(matrix: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """x minimizing |matrix x - target|, by the normal equations where they are well conditioned.
-
-    A 3-column Gram matrix is inverted in closed form (_solve), a wider one by
-    np.linalg.inv.  Falls back to np.linalg.lstsq's minimum-norm solution by
-    the rule stated at COLUMN_FLOOR and INFLATION_LIMIT.
-    """
-    if matrix.shape[1] == 3:
-        return _solve(matrix.T, target)[0]
-    gram = matrix.T @ matrix
-    norms = gram.diagonal()
-    if _floor_holds(norms.tolist(), max(matrix.shape)):
-        try:
-            inverse = np.linalg.inv(gram)
-        except np.linalg.LinAlgError:
-            pass
-        else:
-            if 0.0 < inverse.diagonal() @ norms < INFLATION_LIMIT:
-                return inverse @ (matrix.T @ target)
-    return np.linalg.lstsq(matrix, target, rcond=None)[0]
-
-
 def _step(
     weighted: np.ndarray,
     gram: list[list[float]],
     inverse: list[list[float]] | None,
     extended: np.ndarray,
-) -> list[float]:
-    """p part of the least-squares solution of the joint matrix [W, D] on r.
+) -> tuple[list[float], float]:
+    """p part of the least-squares solution of the joint matrix [W, D] on r, and its chi^2 drop.
 
     ``weighted`` holds the columns of W as rows, and ``extended`` those of
     [D, r]: the q weighted Jacobian columns D of p, then the residual r.
@@ -439,11 +420,13 @@ def _step(
     _solve.  With U = W^T D and E = G^-1 U, the Schur complement of G in the
     Gram matrix of [W, D, r] holds S = D^T D - U^T E beside
     D^T r - E^T W^T r, and S^-1 times the latter is the step.  S is 1x1 or
-    3x3, inverted in closed form.  The rule at COLUMN_FLOOR and
-    INFLATION_LIMIT is evaluated on the joint Gram matrix of [W, D] from
-    these blocks: its diagonal is G's and D^T D's, and its inverse's diagonal
-    is that of G^-1 + E S^-1 E^T and of S^-1.  Where G^-1 or S^-1 is missing
-    or the rule fails, the step is np.linalg.lstsq's on the joint matrix.
+    3x3, inverted in closed form.  The drop is the squared norm of r's
+    projection on [W, D]: r^T W G^-1 W^T r, plus the step's dot product with
+    D^T r - E^T W^T r.  The rule at COLUMN_FLOOR and INFLATION_LIMIT is evaluated on the
+    joint Gram matrix of [W, D] from these blocks: its diagonal is G's and
+    D^T D's, and its inverse's diagonal is that of G^-1 + E S^-1 E^T and of
+    S^-1.  Where G^-1 or S^-1 is missing or the rule fails, the step and the
+    drop are np.linalg.lstsq's on the joint matrix.
     """
     q = len(extended) - 1
     if inverse is not None:
@@ -469,9 +452,13 @@ def _step(
                     inflation += s * (g0 * e0[k] * e0[l] + g1 * e1[k] * e1[l] + g2 * e2[k] * e2[l])
             if 0.0 < inflation < INFLATION_LIMIT:
                 rhs = [row[q] for row in schur]
-                return [sum(s * d for s, d in zip(row, rhs)) for row in schur_inverse]
+                step = [sum(s * d for s, d in zip(row, rhs)) for row in schur_inverse]
+                drop = c0[q] * e0[q] + c1[q] * e1[q] + c2[q] * e2[q]
+                return step, drop + sum(s * d for s, d in zip(step, rhs))
     joint = np.vstack([weighted, extended[:q]]).T
-    return np.linalg.lstsq(joint, extended[q], rcond=None)[0][3:].tolist()
+    solution = np.linalg.lstsq(joint, extended[q], rcond=None)[0]
+    explained = joint @ solution
+    return solution[3:].tolist(), float(explained @ explained)
 
 
 def _envelope_columns(basis: np.ndarray, a: np.ndarray, ts: np.ndarray) -> list[np.ndarray]:
@@ -518,10 +505,10 @@ def _gauss_newton(p, basis, xs, ts, ys, weights_for, sqrt_w) -> _Solution:
         )
         if converged or steps == MAX_ITERATIONS:
             jacobian = np.vstack([weighted, extended[:-1]]).T
-            return _Solution(p, a, sqrt_w, basis, residual, jacobian, steps, converged)
+            return _Solution(p, a, sqrt_w, basis, residual, jacobian, gram, inverse, steps, converged)
         previous = theta
         steps += 1
-        step = _step(weighted, gram, inverse, extended)
+        step, _ = _step(weighted, gram, inverse, extended)
         ssr = float(residual @ residual)
         # A nan step gives trials that _basis rejects, whatever size it gives.
         size = max(abs(s) / max(abs(q), 1.0) for s, q in zip(step, p))
@@ -544,23 +531,24 @@ def _gauss_newton(p, basis, xs, ts, ys, weights_for, sqrt_w) -> _Solution:
 def _envelope_statistic(pinned: _Solution, ts: np.ndarray, use_poisson: bool) -> float:
     """chi^2 drop of one Gauss-Newton step from the pinned fit into the free envelope.
 
-    The step's Jacobian is the pinned fit's, at its weights, with the two
-    envelope columns at b1 = b2 = 0 appended.  At the pinned optimum the
-    residual is orthogonal to the pinned columns, so this is the score test
-    of b1 = b2 = 0: chi^2 with 2 degrees of freedom under a flat envelope.
-    Noiseless rates carry no count variance, so their drop is divided by the
-    residual variance left after the step.
+    The step is the free fit's first Schur step (_step): the pinned fit's
+    weighted basis and Gram inverse, with the k column, the two envelope
+    columns at b1 = b2 = 0 and the residual that the free fit's first
+    iteration builds, and the statistic is the chi^2 that step explains.  At
+    the pinned optimum the residual is orthogonal to the pinned columns, so
+    this is the score test of b1 = b2 = 0: chi^2 with 2 degrees of freedom
+    under a flat envelope.  Noiseless rates carry no count variance, so their
+    drop is divided by the residual variance left after the step.
     """
-    envelope = np.column_stack(_envelope_columns(pinned.basis, pinned.a, ts))
-    jacobian = np.hstack([pinned.jacobian, envelope * pinned.sqrt_w[:, None]])
+    weighted = pinned.basis * pinned.sqrt_w
     residual = pinned.residual
-    explained = jacobian @ _least_squares(jacobian, residual)
-    drop = float(explained @ explained)
+    extended = np.vstack([pinned.jacobian[:, 3], *_envelope_columns(weighted, pinned.a, ts), residual])
+    _, drop = _step(weighted, pinned.gram, pinned.inverse, extended)
     if use_poisson:
         return drop
     rest = float(residual @ residual) - drop
     if rest > 0:
-        return drop * (len(ts) - jacobian.shape[1]) / rest
+        return drop * (len(ts) - 6) / rest
     return math.inf if drop > 0 else 0.0
 
 

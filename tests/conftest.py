@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from icohsim.config import default_config
+from icohsim.config import ExperimentConfig
 
 _acceptance_outcomes = []
 
@@ -25,12 +25,12 @@ def pytest_terminal_summary(terminalreporter):
 
 @pytest.fixture
 def config():
-    return default_config()
+    return ExperimentConfig()
 
 
 def config_with(**overrides):
     """Default config with top-level and detector/scan overrides applied."""
-    cfg = default_config()
+    cfg = ExperimentConfig()
     detector_keys = {"rate_a_cal", "rate_b_cal", "window", "seed"}
     scan_keys = {"axis", "start", "stop", "step", "dwell"}
     det = {k: overrides.pop(k) for k in list(overrides) if k in detector_keys}

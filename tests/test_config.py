@@ -16,7 +16,6 @@ from icohsim.config import (
     ConfigError,
     ExperimentConfig,
     ScanSettings,
-    default_config,
     load_config,
     parse_config,
     signal_filter_profile,
@@ -31,12 +30,12 @@ SECTIONS = list(dict.fromkeys(section for section, _ in KEYS))
 
 
 def test_shipped_default_file_equals_builtin_defaults():
-    assert load_config(str(DEFAULT_FILE)) == default_config()
+    assert load_config(str(DEFAULT_FILE)) == ExperimentConfig()
 
 
 def test_minimal_config_fills_defaults():
     cfg = parse_config("[scan]\n")
-    assert cfg == default_config()
+    assert cfg == ExperimentConfig()
     assert cfg.pump_wavelength == 355e-9
     assert cfg.detectors.rate_a_cal == 42_000.0
     assert cfg.detectors.window == 2e-9
@@ -287,14 +286,14 @@ def test_seeds_outside_64_bits_are_rejected(seed):
         parse_config(f"[detectors]\nseed = {seed}\n[scan]\n")
     assert str(info.value) == "detectors.seed at line 2 out of range: must lie in [0, 2**64)"
     with pytest.raises(ConfigError) as info:
-        with_overrides(default_config(), seed=int(seed, 0))
+        with_overrides(ExperimentConfig(), seed=int(seed, 0))
     assert str(info.value) == "--seed out of range: must lie in [0, 2**64)"
 
 
 def test_seed_range_ends_are_accepted():
     for seed in (0, 2**64 - 1):
         assert parse_config(f"[detectors]\nseed = {seed}\n[scan]\n").detectors.seed == seed
-        assert with_overrides(default_config(), seed=seed).detectors.seed == seed
+        assert with_overrides(ExperimentConfig(), seed=seed).detectors.seed == seed
 
 
 def test_number_parse_errors_name_the_key():
@@ -444,7 +443,7 @@ def test_stated_coherence_length_is_informational():
 
 
 def test_overrides_helper():
-    cfg = default_config()
+    cfg = ExperimentConfig()
     changed = with_overrides(cfg, seed=42, axis="pump")
     assert changed.detectors.seed == 42
     assert changed.scan.axis == "pump"
@@ -535,10 +534,10 @@ def test_readme_key_table_matches_the_code():
         assert unit.lower().replace("µ", "u") == key.unit, key.label
         assert allowed == key.allowed_text, key.label
         if default == "unset":
-            assert getattr(default_config(), key.field) is None, key.label
+            assert getattr(ExperimentConfig(), key.field) is None, key.label
             continue
         text = f"[{section}]\n{name} = {default}\n" + ("" if section == "scan" else "[scan]\n")
-        assert parse_config(text) == default_config(), key.label
+        assert parse_config(text) == ExperimentConfig(), key.label
 
 
 def test_comments_and_blank_lines_are_fine():
