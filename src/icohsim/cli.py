@@ -32,10 +32,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fockoracle
-from .config import ConfigError, ExperimentConfig, load_config, utf8_error, with_overrides
+from .config import SCAN_AXES, ConfigError, ExperimentConfig, load_config, utf8_error, with_overrides
 from .counting import accidental_rate, double_pair_probability
 from .expectation import RATE_NAMES, check_rates, setup_rates
 from .scan import (
+    CHANNELS,
+    SOURCES,
     FitNonConvergenceError,
     FringeFit,
     NoFringeError,
@@ -431,7 +433,7 @@ def _add_common(parser: argparse.ArgumentParser, require_out: bool) -> None:
     parser.add_argument("--out", required=require_out, default=None, help="output path")
     parser.add_argument("--seed", type=int, default=None, help="override the RNG seed")
     parser.add_argument(
-        "--axis", choices=("signal", "pump"), default=None, help="override the scan axis"
+        "--axis", choices=SCAN_AXES, default=None, help="override the scan axis"
     )
     parser.add_argument("--quiet", action="store_true", help="suppress progress messages")
 
@@ -455,13 +457,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("input", help="scan CSV produced by predict or simulate")
     p_fit.add_argument(
         "--channel",
-        choices=("singles", "coincidence", "idler"),
+        choices=CHANNELS,
         default="singles",
         help="which series to fit",
     )
     p_fit.add_argument(
         "--source",
-        choices=("auto", "counts", "rates"),
+        choices=SOURCES,
         default="auto",
         help="fit sampled counts or noiseless rates",
     )
@@ -570,12 +572,6 @@ def _run(args: argparse.Namespace) -> int:
                 f"--points must be between 1 and {MAX_ORACLE_POINTS}, got {args.points}"
             )
         config = _load(args)
-        for key, gain in (("crystal1.gain", config.gain1), ("crystal2.gain", config.gain2)):
-            if gain > fockoracle.MAX_ORACLE_GAIN:
-                raise ConfigError(
-                    f"{key} = {gain!r} is above the oracle's truncation limit "
-                    f"fockoracle.MAX_ORACLE_GAIN = {fockoracle.MAX_ORACLE_GAIN!r}"
-                )
         comparison = oracle_comparison(config, points_per_axis=args.points)
         buffer = io.StringIO()
         write_oracle_json(comparison, buffer)

@@ -12,6 +12,10 @@ conversion from the unit the key's name ends in (:data:`UNITS`) to SI, and
 each key's range check, which parsing and direct construction of the
 dataclasses share.  The cross-field rules run after the range checks.
 
+Values are checked here and only here: the modules below trust a built
+:class:`ExperimentConfig`, whose ``signal_filter`` profile is checked where
+:func:`signal_filter_profile` makes it.
+
 ``splitter_ratio`` is the transmitted intensity fraction of the output
 recombination splitter.  ``coherence_length_override_mm``, when set, rescales
 the pump bandwidth so the envelope half-maximum matches the given length.
@@ -47,11 +51,11 @@ not finite in SI units or lies outside its key's range.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 from .counting import SEED_LIMIT, CountingConfig
-from .operators import MAX_GAIN
 from .spectral import SPEED_OF_LIGHT, SpectralProfile, profile_for_coherence_length
 
 SCAN_AXES = ("signal", "pump")
@@ -86,6 +90,8 @@ class Interval:
 
 
 POSITIVE = Interval(0.0, math.inf, low_open=True, high_open=True)
+# The engine is first order in K, so a gain must stay well below 1.
+MAX_GAIN = 0.1
 GAIN = Interval(0.0, MAX_GAIN, high_open=True)
 DELAY = Interval(-MAX_SCAN_DELAY, MAX_SCAN_DELAY)
 
@@ -145,10 +151,16 @@ class Key:
             f"{_show(high)}{')' if self.allowed.high_open else ']'}"
         )
 
+    @cached_property
+    def largest(self) -> float:
+        """The largest magnitude (SI) a file can state: the largest float in the key's unit."""
+        mul, div = UNITS.get(self.unit, (1.0, 1.0))
+        return sys.float_info.max * mul / div
+
     def check(self, value, lineno: int = 0, name: str = ""):
-        """``value`` (SI) if the key allows it; else a ConfigError naming ``name``,
-        by default the key and the line ``lineno`` if given."""
-        if value not in self.allowed:
+        """``value`` (SI) if the key allows it and, for a float, a file can state it;
+        else a ConfigError naming ``name``, by default the key and the line ``lineno`` if given."""
+        if value not in self.allowed or (self.kind is float and not abs(value) <= self.largest):
             raise ConfigError(f"{name or self.where(lineno)} out of range: must lie in {self.allowed_text}")
         return value
 
@@ -278,9 +290,12 @@ class ExperimentConfig:
         _check_fields("detectors", vars(self.detectors))
         if not self.detectors.window < self.scan.dwell:
             raise ConfigError("detectors.window_ns must be far below scan.dwell_s")
-        # The frequency-domain twin of the signal filter's narrowband check.
-        pump_fwhm = self.pump_profile().fwhm_frequency
+        # The pump twins of the signal filter's finite-frequency and narrowband checks.
         carrier = SPEED_OF_LIGHT / self.pump_wavelength
+        if not carrier < math.inf:
+            raise ConfigError("pump.wavelength_nm out of range: the pump carrier frequency "
+                              "c / wavelength is not a finite number")
+        pump_fwhm = self.pump_profile().fwhm_frequency
         if not pump_fwhm < carrier:
             key = "bandwidth_ghz" if self.coherence_length_override is None else "coherence_length_override_mm"
             raise ConfigError(

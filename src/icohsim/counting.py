@@ -36,12 +36,6 @@ class CountingConfig:
     baseline_a: float | None = None
     baseline_b: float | None = None
 
-    def __post_init__(self) -> None:
-        if self.rate_a_cal <= 0 or self.rate_b_cal <= 0:
-            raise ValueError("calibration rates must be positive")
-        if self.window <= 0:
-            raise ValueError("window must be positive")
-
     @property
     def calibrated(self) -> bool:
         return self.baseline_a is not None and self.baseline_b is not None
@@ -79,8 +73,6 @@ def calibrate(cc: CountingConfig, baseline: np.ndarray) -> CountingConfig:
 
 def accidental_rate(r_a: float, r_b: float, window: float) -> float:
     """Uncorrelated coincidence rate r_a * r_b * window."""
-    if r_a < 0 or r_b < 0 or window < 0:
-        raise ValueError("rates and window must be non-negative")
     return r_a * r_b * window
 
 
@@ -89,8 +81,6 @@ def double_pair_probability(pair_rate: float, window: float) -> float:
 
     With mu = pair_rate * window this is 1 - exp(-mu)(1 + mu).
     """
-    if pair_rate < 0 or window < 0:
-        raise ValueError("pair rate and window must be non-negative")
     mu = pair_rate * window
     return -math.expm1(-mu) - mu * math.exp(-mu)
 

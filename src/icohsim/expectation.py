@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 # Imported by name so a tracer can wrap them in this namespace (benchmarks/tracing.py).
-from .operators import IO1, SO1, SO2, BeamSplitterParams, Channel
+from .operators import IO1, SO1, SO2, Channel
 from .operators import attenuate, beam_splitter, free_mode, phase_delay, spdc
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -74,8 +74,7 @@ def setup_operators(
     link = attenuate(i1, config.eta)
     s2, i2 = spdc(free_mode(SO2), link, gain2)
     s1_delayed = phase_delay(s1, delta_x_s, config.signal_filter.center_wavelength)
-    bs = BeamSplitterParams.from_transmitted_fraction(config.splitter_ratio)
-    out_a, _camera = beam_splitter(s2, s1_delayed, bs)
+    out_a, _camera = beam_splitter(s2, s1_delayed, config.splitter_ratio)
     return out_a, i2
 
 

@@ -13,18 +13,19 @@ entries independently.
 Mode slots, in order: ("sig1", "sig2", "idler", "loss").  After the output
 beam splitter is applied, the "sig2" slot holds the monitored detector port
 and "sig1" the unused camera port.
+
+The truncation holds at low gain only: :func:`build_state`, the oracle's one
+gain guard, refuses a gain above :data:`MAX_ORACLE_GAIN` with a ConfigError.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-if TYPE_CHECKING:  # pragma: no cover
-    from .config import ExperimentConfig
+from .config import ConfigError, ExperimentConfig
 
 MODES = ("sig1", "sig2", "idler", "loss")
 MAX_PER_MODE = 2
@@ -135,14 +136,13 @@ def build_state(
     phase on its gain; signal delay phase on the crystal-1 signal; output
     beam splitter as a rotation of the two signal slots.
     """
-    if abs(config.gain1) > MAX_ORACLE_GAIN or abs(config.gain2) > MAX_ORACLE_GAIN:
-        raise ValueError(
-            f"oracle truncation requires |K| <= {MAX_ORACLE_GAIN}; "
-            f"got {abs(config.gain1):.3g}, {abs(config.gain2):.3g}"
-        )
+    for key, gain in (("crystal1.gain", config.gain1), ("crystal2.gain", config.gain2)):
+        if gain > MAX_ORACLE_GAIN:
+            raise ConfigError(f"{key} = {gain!r} is above the oracle's truncation limit "
+                              f"fockoracle.MAX_ORACLE_GAIN = {MAX_ORACLE_GAIN!r}")
 
     eta = config.eta
-    leak = math.sqrt(max(0.0, 1.0 - eta * eta))
+    leak = math.sqrt(1.0 - eta * eta)
     t = math.sqrt(config.splitter_ratio)
     r = math.sqrt(1.0 - config.splitter_ratio)
 

@@ -38,16 +38,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
+from .config import SCAN_AXES, ExperimentConfig
 from .counting import calibrate, count_means, sample_scan
 from .expectation import check_rates
 from .spectral import compile_model
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .config import ExperimentConfig
 
 CHANNELS = ("singles", "coincidence", "idler")
 SOURCES = ("auto", "counts", "rates")
@@ -221,7 +219,7 @@ def run_scan(
     is recorded when the grid undersamples the expected fringe period.
     """
     axis = axis or config.scan.axis
-    if axis not in ("signal", "pump"):
+    if axis not in SCAN_AXES:
         raise ValueError(f"scan axis must be 'signal' or 'pump', got {axis!r}")
     delays = scan_grid(config) if grid is None else np.asarray(grid, dtype=float)
 

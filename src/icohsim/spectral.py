@@ -47,12 +47,6 @@ class SpectralProfile:
     center_wavelength: float
     fwhm_frequency: float
 
-    def __post_init__(self) -> None:
-        if self.center_wavelength <= 0:
-            raise ValueError("center_wavelength must be positive")
-        if self.fwhm_frequency <= 0:
-            raise ValueError("fwhm_frequency must be positive")
-
 
 def envelope(profile: SpectralProfile, delta_x: float | np.ndarray) -> float | np.ndarray:
     """Fringe envelope at path delay ``delta_x`` (meters, scalar or array); 1 at zero delay."""
@@ -69,8 +63,6 @@ def coherence_length(profile: SpectralProfile) -> float:
 
 def profile_for_coherence_length(profile: SpectralProfile, target: float) -> SpectralProfile:
     """Rescale a profile's width so its half-maximum delay equals ``target``."""
-    if target <= 0:
-        raise ValueError("coherence length must be positive")
     dnu = 2.0 * math.log(2.0) * SPEED_OF_LIGHT / (math.pi * target)
     return replace(profile, fwhm_frequency=dnu)
 

@@ -508,6 +508,8 @@ def test_oracle_check_rejects_a_non_finite_rate(tmp_path, capsys, monkeypatch):
         ),
         ("simulate", "[pump]\nbandwidth_ghz = 1e299\n[scan]\n", "pump.bandwidth_ghz"),
         ("simulate", "[pump]\nbandwidth_ghz = 1e299\n[scan]\naxis = pump\n", "pump.bandwidth_ghz"),
+        ("report", "[pump]\nwavelength_nm = 4.94065646e-315\n[scan]\n", "pump.wavelength_nm"),
+        ("predict", "[pump]\nwavelength_nm = 4.94065646e-315\n[scan]\n", "pump.wavelength_nm"),
         ("oracle-check", "[crystal1]\ngain = 0.05\n[scan]\n", "crystal1.gain"),
         ("oracle-check", "[crystal2]\ngain = 0.02\n[scan]\n", "crystal2.gain"),
     ],
@@ -518,6 +520,8 @@ def test_oracle_check_rejects_a_non_finite_rate(tmp_path, capsys, monkeypatch):
         "override_1e-290_pump",
         "bandwidth_1e299",
         "bandwidth_1e299_pump",
+        "carrier_inf",
+        "carrier_inf_predict",
         "oracle_gain1",
         "oracle_gain2",
     ],

@@ -2,12 +2,15 @@ import configparser
 import io
 import math
 import re
+import sys
+import warnings
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from icohsim.cli import build_report, oracle_comparison
 from icohsim.config import (
     KEYS,
     _config_from_sections,
@@ -22,7 +25,9 @@ from icohsim.config import (
     with_overrides,
 )
 from icohsim.counting import CountingConfig
-from icohsim.spectral import coherence_length
+from icohsim.fockoracle import MAX_ORACLE_GAIN
+from icohsim.scan import run_scan, scan_grid
+from icohsim.spectral import coherence_length, compile_model
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_FILE = REPO_ROOT / "configs" / "default.ini"
@@ -54,7 +59,7 @@ def test_eta_out_of_range_message():
 
 
 def test_gain_out_of_range():
-    # the bound is the engine's operators.MAX_GAIN, itself excluded
+    # the bound is config.MAX_GAIN, itself excluded
     for section, gain in [("crystal1", "0.5"), ("crystal2", "-0.1"), ("crystal1", "0.1"), ("crystal2", "0.1")]:
         with pytest.raises(ConfigError) as info:
             parse_config(f"[{section}]\ngain = {gain}\n[scan]\n")
@@ -457,6 +462,31 @@ def test_direct_construction_validates():
         ExperimentConfig(splitter_ratio=0.0)
 
 
+def test_pump_carrier_frequency_must_be_finite():
+    # 4.94065646e-315 nm is the smallest subnormal in meters: in range, but c / wavelength is inf
+    message = (
+        "pump.wavelength_nm out of range: the pump carrier frequency "
+        "c / wavelength is not a finite number"
+    )
+    with pytest.raises(ConfigError) as info:
+        parse_config("[pump]\nwavelength_nm = 4.94065646e-315\n[scan]\n")
+    assert str(info.value) == message
+    with pytest.raises(ConfigError) as info:
+        ExperimentConfig(pump_wavelength=5e-324)
+    assert str(info.value) == message
+
+
+def test_values_built_in_code_must_be_statable_in_the_file_unit():
+    largest = sys.float_info.max
+    cfg = parse_config(f"[pump]\nstated_coherence_length_mm = {largest!r}\n[scan]\n")
+    assert cfg.stated_coherence_length == largest / 1e3
+    assert ExperimentConfig(stated_coherence_length=largest / 1e3) == cfg
+    # one step above what the file unit can state is out of range, as inf mm would be
+    with pytest.raises(ConfigError) as info:
+        ExperimentConfig(stated_coherence_length=math.nextafter(largest / 1e3, math.inf))
+    assert str(info.value) == "pump.stated_coherence_length_mm out of range: must lie in (0, inf)"
+
+
 # Per key: a value it refuses as typed, the same value in SI units, and the
 # allowed range the message states.
 OUT_OF_RANGE = {
@@ -482,18 +512,6 @@ OUT_OF_RANGE = {
 }
 
 
-def construct(key, value):
-    """Build what the key's SI value goes to, with ``value`` in place of its default."""
-    owner, name = key.target
-    if owner == "scan":
-        return ScanSettings(**{name: value})
-    if owner == "signal_filter":
-        return signal_filter_profile(**{name: value})
-    if owner == "detectors":
-        return ExperimentConfig(detectors=CountingConfig(**{name: value}))
-    return ExperimentConfig(**{name: value})
-
-
 @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
 @pytest.mark.parametrize("key", KEYS.values(), ids=lambda key: key.label)
 def test_each_key_range_is_checked_in_files_and_on_construction(key, newline):
@@ -506,15 +524,8 @@ def test_each_key_range_is_checked_in_files_and_on_construction(key, newline):
         parse_config(newline.join(lines) + newline)
     message = f"{key.label} out of range: must lie in {allowed}"
     assert str(info.value) == message.replace(" out of range", " at line 4 out of range", 1)
-    if key.field in ("detectors.rate_a_cal", "detectors.rate_b_cal", "detectors.window"):
-        # CountingConfig refuses these itself before ExperimentConfig sees them, and
-        # ExperimentConfig refuses the infinite value that CountingConfig lets through.
-        with pytest.raises(ValueError, match="must be positive") as info:
-            construct(key, si)
-        assert not isinstance(info.value, ConfigError)
-        si = math.inf
     with pytest.raises(ConfigError) as info:
-        construct(key, si)
+        built({key.label: si})
     assert str(info.value) == message
 
 
@@ -545,3 +556,69 @@ def test_comments_and_blank_lines_are_fine():
         "# a comment\n\n[scan]\n; another comment style\naxis = pump\n"
     )
     assert cfg.scan.axis == "pump"
+
+
+BY_LABEL = {key.label: key for key in KEYS.values()}
+
+
+def in_range(key):
+    """Values of ``key`` (SI) from its whole range, up to the largest value a file can
+    state: its ends, that largest value, 5e-324 and 1.7e308 when allowed, draws in
+    between, and the bench values of GOOD_VALUES."""
+    if isinstance(key.allowed, tuple):
+        return st.sampled_from(key.allowed)
+    bench = st.sampled_from([key.parse(raw, 0) for raw in GOOD_VALUES[key.name]])
+    low, high = key.allowed.low, key.allowed.high
+    if key.kind is int:
+        return bench | st.integers(low, high - 1 if key.allowed.high_open else high)
+    ends = [
+        math.nextafter(low, high) if key.allowed.low_open else low,
+        math.nextafter(high, low) if key.allowed.high_open else high,
+        key.largest,
+        5e-324,
+        1.7e308,
+    ]
+    between = st.floats(
+        low, min(high, key.largest), exclude_min=key.allowed.low_open,
+        exclude_max=key.allowed.high_open and high <= key.largest,
+    )
+    ends = [end for end in dict.fromkeys(ends) if end in key.allowed and end <= key.largest]
+    return bench | st.sampled_from(ends) | between
+
+
+def built(values: dict) -> ExperimentConfig:
+    """The config with the SI ``values`` (by ``section.key``) in place of its defaults."""
+    owners = {owner: {} for owner in ("", "signal_filter", "detectors", "scan")}
+    for label, value in values.items():
+        owner, name = BY_LABEL[label].target
+        owners[owner][name] = value
+    return ExperimentConfig(
+        **owners[""],
+        signal_filter=signal_filter_profile(**owners["signal_filter"]),
+        detectors=CountingConfig(**owners["detectors"]),
+        scan=ScanSettings(**owners["scan"]),
+    )
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.fixed_dictionaries({}, optional={key.label: in_range(key) for key in KEYS.values()}))
+@example({"pump.wavelength_nm": 5e-324})
+def test_a_built_config_runs_every_stage_without_a_warning(values):
+    """What a built config guarantees is all the modules below it need: a config of
+    in-range values is refused with a ConfigError, or every stage runs it cleanly."""
+    try:
+        config = built(values)
+    except ConfigError:
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        compile_model(config)
+        grid = scan_grid(config)[:2001]
+        for sample in (False, True):
+            try:
+                run_scan(config, grid=grid, sample=sample)
+            except OverflowError:
+                pass  # documented: counts or calibrated rates beyond the representable range
+        build_report(config)
+        if max(config.gain1, config.gain2) <= MAX_ORACLE_GAIN:
+            oracle_comparison(config, 4)

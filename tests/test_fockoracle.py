@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from icohsim.config import ConfigError
 from icohsim.fockoracle import (
     IDLER_SLOT,
     LOSS_SLOT,
@@ -112,7 +113,7 @@ def test_truncation_bounds_hold():
 
 def test_gain_guard():
     cfg = config_with(gain1=0.05, gain2=0.001)
-    with pytest.raises(ValueError, match="truncation"):
+    with pytest.raises(ConfigError, match=r"^crystal1\.gain = 0\.05 is above the oracle's truncation limit"):
         build_state(cfg)
 
 

@@ -10,7 +10,6 @@ from icohsim.operators import (
     IO1,
     SO1,
     SO2,
-    BeamSplitterParams,
     attenuate,
     beam_splitter,
     free_mode,
@@ -69,13 +68,6 @@ def test_spdc_cascade_reproduces_second_crystal_form():
     np.testing.assert_allclose(i2[1], [1j * k1, 1j * gain2, 0.0, 0.0], rtol=1e-15)
 
 
-def test_spdc_rejects_large_gain():
-    with pytest.raises(ValueError, match="perturbative"):
-        spdc(free_mode(SO1), free_mode(IO1), 0.2)
-    with pytest.raises(ValueError, match="perturbative"):
-        spdc(free_mode(SO1), free_mode(IO1), 0.1j)
-
-
 @pytest.mark.parametrize(
     "delta_x, factor",
     [
@@ -98,26 +90,21 @@ def test_phase_delay_preserves_moduli_and_commutator():
     np.testing.assert_allclose(np.abs(delayed), np.abs(x), rtol=1e-12)
 
 
-def test_phase_delay_rejects_bad_wavelength():
-    with pytest.raises(ValueError):
-        phase_delay(free_mode(SO1), 1e-9, 0.0)
-
-
 def test_beam_splitter_matches_output_port_form():
     # out1 = t*a_s2 + r*a_s1*exp(i phi_s): the recombined signal port.
     k = 0.009
     phi_s = 0.41
     s1, _ = spdc(free_mode(SO1), free_mode(IO1), k)
     s2, _ = spdc(free_mode(SO2), free_mode(IO1), k)
-    bs = BeamSplitterParams.from_transmitted_fraction(0.5)
-    out1, _ = beam_splitter(s2, phase_delay(s1, phi_s / (2 * math.pi) * 808e-9, 808e-9), bs)
-    expected = 1j * k * (bs.t + bs.r * cmath.exp(1j * phi_s))
+    out1, _ = beam_splitter(s2, phase_delay(s1, phi_s / (2 * math.pi) * 808e-9, 808e-9), 0.5)
+    t = r = math.sqrt(0.5)
+    expected = 1j * k * (t + r * cmath.exp(1j * phi_s))
     assert out1[1, IO1] == pytest.approx(expected)
 
 
 def test_beam_splitter_transparent():
     x = free_mode(SO1)
-    out1, out2 = beam_splitter(x, np.zeros_like(x), BeamSplitterParams(1.0, 0.0))
+    out1, out2 = beam_splitter(x, np.zeros_like(x), 1.0)
     np.testing.assert_array_equal(out1, x)
     assert not np.any(out2)
 
@@ -127,16 +114,10 @@ def test_beam_splitter_conserves_commutator_norm():
     for _ in range(25):
         a = random_channel(rng, modes=(SO1, IO1))
         b = random_channel(rng, modes=(SO2, ANC))
-        bs = BeamSplitterParams.from_transmitted_fraction(rng.uniform(0.05, 0.95))
-        out1, out2 = beam_splitter(a, b, bs)
+        out1, out2 = beam_splitter(a, b, rng.uniform(0.05, 0.95))
         assert commutator_norm(out1) + commutator_norm(out2) == pytest.approx(
             commutator_norm(a) + commutator_norm(b), abs=1e-12
         )
-
-
-def test_beam_splitter_rejects_non_unitary():
-    with pytest.raises(ValueError, match="unitary"):
-        BeamSplitterParams(0.9, 0.9)
 
 
 def test_attenuate_limits():
@@ -157,14 +138,6 @@ def test_attenuate_preserves_canonical_commutator():
     for t in (0.0, 0.3, 0.777, 1.0):
         out = attenuate(free_mode(IO1), t)
         assert commutator_norm(out) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_attenuate_rejects_bad_input():
-    with pytest.raises(ValueError, match="out of"):
-        attenuate(free_mode(IO1), 1.2)
-    mixed = attenuate(free_mode(IO1), 0.5)
-    with pytest.raises(ValueError, match="already present"):
-        attenuate(mixed, 0.5)
 
 
 def test_commutator_norm_of_spdc_output():
