@@ -290,6 +290,13 @@ class ExperimentConfig:
         _check_fields("detectors", vars(self.detectors))
         if not self.detectors.window < self.scan.dwell:
             raise ConfigError("detectors.window_ns must be far below scan.dwell_s")
+        # A profile built in code has not passed through signal_filter_profile.
+        center, fwhm = self.signal_filter.center_wavelength, self.signal_filter.fwhm_frequency
+        if not (0.0 < center < math.inf and 0.0 < fwhm < SPEED_OF_LIGHT / center):
+            raise ConfigError(
+                f"signal_filter: profile with center {center!r} m and frequency FWHM {fwhm!r} Hz: "
+                "both must be finite and positive, and the FWHM below the carrier frequency c / center"
+            )
         # The pump twins of the signal filter's finite-frequency and narrowband checks.
         carrier = SPEED_OF_LIGHT / self.pump_wavelength
         if not carrier < math.inf:

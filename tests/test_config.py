@@ -27,7 +27,7 @@ from icohsim.config import (
 from icohsim.counting import CountingConfig
 from icohsim.fockoracle import MAX_ORACLE_GAIN
 from icohsim.scan import run_scan, scan_grid
-from icohsim.spectral import coherence_length, compile_model
+from icohsim.spectral import SpectralProfile, coherence_length, compile_model
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_FILE = REPO_ROOT / "configs" / "default.ini"
@@ -474,6 +474,34 @@ def test_pump_carrier_frequency_must_be_finite():
     with pytest.raises(ConfigError) as info:
         ExperimentConfig(pump_wavelength=5e-324)
     assert str(info.value) == message
+
+
+# (center m, frequency FWHM Hz) of hand-built signal filters; c / 808 nm is 3.7e14 Hz.
+BAD_FILTER_PROFILES = {
+    "zero_center": (0.0, 1e9),
+    "negative_center": (-808e-9, 4.6e11),
+    "inf_center": (math.inf, 4.6e11),
+    "nan_center": (math.nan, 4.6e11),
+    "zero_fwhm": (808e-9, 0.0),
+    "negative_fwhm": (808e-9, -4.6e11),
+    "inf_fwhm": (808e-9, math.inf),
+    "nan_fwhm": (808e-9, math.nan),
+    "broadband": (808e-9, 4e14),
+}
+
+
+@pytest.mark.parametrize("center, fwhm", BAD_FILTER_PROFILES.values(), ids=BAD_FILTER_PROFILES)
+def test_hand_built_signal_filter_profile_is_checked(center, fwhm):
+    # A profile built in code skips signal_filter_profile; the config checks it.
+    with pytest.raises(ConfigError, match=r"^signal_filter: profile with center "):
+        ExperimentConfig(signal_filter=SpectralProfile(center, fwhm))
+
+
+def test_file_made_signal_filter_profiles_pass_the_profile_check():
+    # The narrowest and widest filters a file can state near the default center.
+    for bandwidth in (1e-300, 807.9):
+        cfg = parse_config(f"[signal_filter]\ncenter_nm = 808\nbandwidth_nm = {bandwidth!r}\n[scan]\n")
+        assert ExperimentConfig(signal_filter=cfg.signal_filter) == cfg
 
 
 def test_values_built_in_code_must_be_statable_in_the_file_unit():
