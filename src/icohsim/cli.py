@@ -294,7 +294,7 @@ def oracle_comparison(config: ExperimentConfig, points_per_axis: int = 16) -> Or
     scale, so fringe zeros do not blow up the statistic.  A rate that is not
     finite and non-negative raises ValueError rather than reach the output.
     """
-    lam_s, lam_p = config.signal_filter.center_wavelength, config.pump_wavelength
+    lam_s, lam_p = config.signal_filter_center, config.pump_wavelength
     steps = np.arange(points_per_axis)
     zeros = np.zeros(points_per_axis)
     delta_x_p = np.concatenate([zeros, steps * lam_p / points_per_axis])
@@ -354,7 +354,8 @@ def write_oracle_json(comparison: OracleComparison, stream: io.TextIOBase) -> No
 def build_report(config: ExperimentConfig) -> str:
     pump = config.pump_profile()
     computed_lc = coherence_length(pump)
-    signal_lc = coherence_length(config.signal_filter)
+    signal = config.signal_filter_profile()
+    signal_lc = coherence_length(signal)
     # visibility at zero delay: |Re A| / B of the closed-form fringe model, 0 without pairs
     model = compile_model(config)
     vis_singles, vis_coinc = (
@@ -387,8 +388,8 @@ def build_report(config: ExperimentConfig) -> str:
             f"{config.coherence_length_override * 1e3:.3f} mm coherence length"
         )
     lines.append(
-        f"signal filter: {config.signal_filter.center_wavelength * 1e9:.1f} nm, "
-        f"{config.signal_filter.fwhm_frequency:.4g} Hz FWHM, "
+        f"signal filter: {config.signal_filter_center * 1e9:.1f} nm, "
+        f"{signal.fwhm_frequency:.4g} Hz FWHM, "
         f"coherence length {signal_lc * 1e6:.1f} um"
     )
     lines.append(
@@ -399,7 +400,7 @@ def build_report(config: ExperimentConfig) -> str:
         f"predicted visibility: singles {vis_singles:.4f}, coincidence {vis_coinc:.4f}"
     )
     lines.append(
-        f"fringe periods: signal axis {config.signal_filter.center_wavelength * 1e9:.1f} nm, "
+        f"fringe periods: signal axis {config.signal_filter_center * 1e9:.1f} nm, "
         f"pump axis {config.pump_wavelength * 1e9:.1f} nm"
     )
     lines.append(

@@ -13,8 +13,8 @@ each key's range check, which parsing and direct construction of the
 dataclasses share.  The cross-field rules run after the range checks.
 
 Values are checked here and only here: the modules below trust a built
-:class:`ExperimentConfig`, whose ``signal_filter`` profile is checked where
-:func:`signal_filter_profile` makes it.
+:class:`ExperimentConfig`.  Each field holds one key's SI value, as the file
+states it; the spectral profiles are derived from them on demand.
 
 ``splitter_ratio`` is the transmitted intensity fraction of the output
 recombination splitter.  ``coherence_length_override_mm``, when set, rescales
@@ -62,9 +62,6 @@ SCAN_AXES = ("signal", "pump")
 MAX_SCAN_POINTS = 1_000_000
 # Largest delay a scan may reach, in meters; a bench delay line is far shorter.
 MAX_SCAN_DELAY = 1.0
-# Default signal filter: center wavelength and wavelength FWHM, in meters.
-SIGNAL_FILTER_CENTER = 808e-9
-SIGNAL_FILTER_BANDWIDTH = 2e-9
 # Key suffix -> (multiply by, divide by) from file units to SI.  Dividing by
 # an exact power of ten keeps 355 nm bit-identical to the literal 355e-9.
 UNITS = {"nm": (1.0, 1e9), "um": (1.0, 1e6), "mm": (1.0, 1e3), "ns": (1.0, 1e9),
@@ -107,9 +104,8 @@ class Key:
     is read as ``kind``, converted to SI, and must lie in ``allowed``.
 
     ``field`` is where the SI value goes: an :class:`ExperimentConfig` field,
-    or ``owner.field`` for ``scan`` (:class:`ScanSettings`), ``detectors``
-    (:class:`CountingConfig`) and ``signal_filter`` (the arguments of
-    :func:`signal_filter_profile`).
+    or ``owner.field`` for ``scan`` (:class:`ScanSettings`) and ``detectors``
+    (:class:`CountingConfig`).
     """
 
     section: str
@@ -195,8 +191,8 @@ KEYS = {
         Key("crystal1", "gain", "gain1", GAIN),
         Key("crystal2", "gain", "gain2", GAIN),
         Key("idler_link", "eta", "eta", Interval(0.0, 1.0)),
-        Key("signal_filter", "center_nm", "signal_filter.center", POSITIVE),
-        Key("signal_filter", "bandwidth_nm", "signal_filter.bandwidth", POSITIVE),
+        Key("signal_filter", "center_nm", "signal_filter_center", POSITIVE),
+        Key("signal_filter", "bandwidth_nm", "signal_filter_bandwidth", POSITIVE),
         Key("detectors", "rate_a_hz", "detectors.rate_a_cal", POSITIVE),
         Key("detectors", "rate_b_hz", "detectors.rate_b_cal", POSITIVE),
         Key("detectors", "window_ns", "detectors.window", POSITIVE),
@@ -246,29 +242,6 @@ class ScanSettings:
             )
 
 
-def signal_filter_profile(
-    center: float = SIGNAL_FILTER_CENTER, bandwidth: float = SIGNAL_FILTER_BANDWIDTH
-) -> SpectralProfile:
-    """The signal filter's profile from its center and wavelength FWHM (meters).
-
-    The frequency FWHM is c * bandwidth / center^2; it must come out finite
-    and positive, and the filter must be narrowband.
-    """
-    _check_fields("signal_filter", {"center": center, "bandwidth": bandwidth})
-    if bandwidth >= center:
-        raise ConfigError("signal_filter: profile is not narrowband: FWHM >= center wavelength")
-    try:
-        dnu = SPEED_OF_LIGHT * bandwidth / center**2
-    except (ZeroDivisionError, OverflowError):
-        dnu = math.nan
-    if not 0.0 < dnu < math.inf:
-        raise ConfigError(
-            "signal_filter.center_nm out of range: the filter's frequency FWHM "
-            "c * bandwidth / center^2 is not a finite positive number"
-        )
-    return SpectralProfile(center, dnu)
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Full description of the two-crystal setup, in SI units."""
@@ -281,7 +254,8 @@ class ExperimentConfig:
     gain1: float = 1e-3
     gain2: float = 1e-3
     eta: float = 1.0
-    signal_filter: SpectralProfile = field(default_factory=signal_filter_profile)
+    signal_filter_center: float = 808e-9
+    signal_filter_bandwidth: float = 2e-9  # wavelength FWHM
     detectors: CountingConfig = field(default_factory=CountingConfig)
     scan: ScanSettings = field(default_factory=ScanSettings)
 
@@ -290,14 +264,19 @@ class ExperimentConfig:
         _check_fields("detectors", vars(self.detectors))
         if not self.detectors.window < self.scan.dwell:
             raise ConfigError("detectors.window_ns must be far below scan.dwell_s")
-        # A profile built in code has not passed through signal_filter_profile.
-        center, fwhm = self.signal_filter.center_wavelength, self.signal_filter.fwhm_frequency
-        if not (0.0 < center < math.inf and 0.0 < fwhm < SPEED_OF_LIGHT / center):
+        if not self.signal_filter_bandwidth < self.signal_filter_center:
+            raise ConfigError("signal_filter.bandwidth_nm must lie below signal_filter.center_nm: "
+                              "the filter is not narrowband")
+        try:
+            signal_fwhm = self.signal_filter_profile().fwhm_frequency
+        except (ZeroDivisionError, OverflowError):
+            signal_fwhm = math.nan
+        if not 0.0 < signal_fwhm < math.inf:
             raise ConfigError(
-                f"signal_filter: profile with center {center!r} m and frequency FWHM {fwhm!r} Hz: "
-                "both must be finite and positive, and the FWHM below the carrier frequency c / center"
+                "signal_filter.center_nm out of range: the filter's frequency FWHM "
+                "c * bandwidth / center^2 is not a finite positive number"
             )
-        # The pump twins of the signal filter's finite-frequency and narrowband checks.
+        # The pump twins of the signal filter's narrowband and finite-frequency checks.
         carrier = SPEED_OF_LIGHT / self.pump_wavelength
         if not carrier < math.inf:
             raise ConfigError("pump.wavelength_nm out of range: the pump carrier frequency "
@@ -317,11 +296,16 @@ class ExperimentConfig:
             profile = profile_for_coherence_length(profile, self.coherence_length_override)
         return profile
 
+    def signal_filter_profile(self) -> SpectralProfile:
+        """Signal filter spectrum; its frequency FWHM is c * bandwidth / center^2."""
+        center = self.signal_filter_center
+        return SpectralProfile(center, SPEED_OF_LIGHT * self.signal_filter_bandwidth / center**2)
+
     def scan_wavelength(self, axis: str | None = None) -> float:
         axis = axis or self.scan.axis
         if axis == "pump":
             return self.pump_wavelength
-        return self.signal_filter.center_wavelength
+        return self.signal_filter_center
 
 
 def _syntax_error(lineno: int, reason: str) -> ConfigError:
@@ -389,7 +373,7 @@ def _config_from_sections(sections: dict[str, dict[str, tuple[int, str]]]) -> Ex
     """Convert and range-check raw values in file order, then build the config.
 
     Only the keys given reach the constructors, so an absent key takes its
-    dataclass default (the signal filter's from :func:`signal_filter_profile`).
+    dataclass default.
     """
     if "scan" not in sections:
         raise ConfigError("missing section [scan]")
@@ -401,7 +385,6 @@ def _config_from_sections(sections: dict[str, dict[str, tuple[int, str]]]) -> Ex
             values[owner][target] = key.parse(raw, lineno)
     return ExperimentConfig(
         **values[""],
-        signal_filter=signal_filter_profile(**values["signal_filter"]),
         detectors=CountingConfig(**values["detectors"]),
         scan=ScanSettings(**values["scan"]),
     )

@@ -1,18 +1,18 @@
 """Photon counting: calibration, Poisson sampling, coincidence accidentals.
 
 Model rates come out of the expectation engine in arbitrary |K|^2 units;
-calibration pins the fringe-baseline singles rates of both detectors to
-configured counts/s and everything else scales along.  A scan's counts are
-drawn in one vectorized call from one Philox stream keyed by the seed, so
-identical means and seed give identical counts.  Poisson draws consume a
-variable number of uniforms, so a change in one mean can shift every later
-draw of the stream.
+calibration pins the fringe-baseline singles rates of both detectors, which
+the scan passes in as the model's (3,) baseline, to configured counts/s and
+everything else scales along.  A scan's counts are drawn in one vectorized
+call from one Philox stream keyed by the seed, so identical means and seed
+give identical counts.  Poisson draws consume a variable number of uniforms,
+so a change in one mean can shift every later draw of the stream.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,26 +23,17 @@ _MAX_MEAN = float(2**62)
 
 @dataclass(frozen=True)
 class CountingConfig:
-    """Detector calibration rates, coincidence window, RNG seed.
-
-    ``baseline_a``/``baseline_b`` hold the model-unit fringe baselines once
-    :func:`calibrate` has run; sampling requires them.
-    """
+    """Detector calibration rates, coincidence window, RNG seed."""
 
     rate_a_cal: float = 42_000.0
     rate_b_cal: float = 110_000.0
     window: float = 2e-9
     seed: int = 20260810
-    baseline_a: float | None = None
-    baseline_b: float | None = None
 
-    @property
-    def calibrated(self) -> bool:
-        return self.baseline_a is not None and self.baseline_b is not None
-
-    def detected(self, rates: np.ndarray) -> np.ndarray:
+    def detected(self, rates: np.ndarray, baseline: np.ndarray) -> np.ndarray:
         """Counts/s rows (detector A, detector B, true coincidences) for model
-        rate rows (p_a, p_b, p_ab) of shape (3, n).
+        rate rows (p_a, p_b, p_ab) of shape (3, n), calibrated on the model's
+        (3,) fringe baseline (p_a, p_b, p_ab).
 
         Coincidences share detector A's scale: every detected signal photon
         belongs to a pair whose idler feeds the detected-idler pool, so the
@@ -50,25 +41,18 @@ class CountingConfig:
         coincidence-to-singles ratio.  A zero model baseline (zero gain)
         degenerates to flat calibrated singles with no true coincidences.
         """
-        if not self.calibrated:
-            raise ValueError("counting config not calibrated; call calibrate() first")
-        assert self.baseline_a is not None and self.baseline_b is not None
+        base_a, base_b, _ = baseline
         out = np.empty_like(rates, dtype=float)
-        if self.baseline_a > 0:
-            out[0] = self.rate_a_cal * rates[0] / self.baseline_a
-            out[2] = self.rate_a_cal * rates[2] / self.baseline_a
+        if base_a > 0:
+            out[0] = self.rate_a_cal * rates[0] / base_a
+            out[2] = self.rate_a_cal * rates[2] / base_a
         else:
             out[0], out[2] = self.rate_a_cal, 0.0
-        if self.baseline_b > 0:
-            out[1] = self.rate_b_cal * rates[1] / self.baseline_b
+        if base_b > 0:
+            out[1] = self.rate_b_cal * rates[1] / base_b
         else:
             out[1] = self.rate_b_cal
         return out
-
-
-def calibrate(cc: CountingConfig, baseline: np.ndarray) -> CountingConfig:
-    """Record the model-unit fringe baselines (p_a, p_b, p_ab) the calibration rates map to."""
-    return replace(cc, baseline_a=float(baseline[0]), baseline_b=float(baseline[1]))
 
 
 def accidental_rate(r_a: float, r_b: float, window: float) -> float:

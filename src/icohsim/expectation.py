@@ -73,7 +73,7 @@ def setup_operators(
     s1, i1 = spdc(free_mode(SO1), free_mode(IO1), complex(config.gain1))
     link = attenuate(i1, config.eta)
     s2, i2 = spdc(free_mode(SO2), link, gain2)
-    s1_delayed = phase_delay(s1, delta_x_s, config.signal_filter.center_wavelength)
+    s1_delayed = phase_delay(s1, delta_x_s, config.signal_filter_center)
     out_a, _camera = beam_splitter(s2, s1_delayed, config.splitter_ratio)
     return out_a, i2
 

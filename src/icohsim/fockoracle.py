@@ -148,7 +148,7 @@ def build_state(
 
     delta_x_p, delta_x_s = np.broadcast_arrays(np.atleast_1d(delta_x_p), np.atleast_1d(delta_x_s))
     pump_phase = 2.0 * math.pi * delta_x_p / config.pump_wavelength
-    signal_phase = 2.0 * math.pi * delta_x_s / config.signal_filter.center_wavelength
+    signal_phase = 2.0 * math.pi * delta_x_s / config.signal_filter_center
     gain2 = config.gain2 * np.exp(1j * pump_phase)
 
     state = FockState({(0, 0, 0, 0): np.ones(len(pump_phase), dtype=complex)})

@@ -53,7 +53,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import SCAN_AXES, ExperimentConfig
-from .counting import calibrate, count_means, sample_scan
+from .counting import count_means, sample_scan
 from .expectation import check_rates
 from .spectral import compile_model
 
@@ -246,11 +246,11 @@ def run_scan(
     delays = scan_grid(config) if grid is None else np.asarray(grid, dtype=float)
 
     model = compile_model(config)
-    cc = calibrate(config.detectors, model.baseline)
+    cc = config.detectors
     rates = model.rates(delta_x_p=delays) if axis == "pump" else model.rates(delta_x_s=delays)
     check_rates(rates)
     with np.errstate(over="ignore"):
-        detected = cc.detected(rates)
+        detected = cc.detected(rates, model.baseline)
     if not np.all(np.isfinite(detected)):
         raise OverflowError("calibrated rates exceed the float range")
     counts = sample_scan(count_means(detected, cc, config.scan.dwell), cc.seed) if sample else None

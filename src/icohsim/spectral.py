@@ -109,5 +109,5 @@ def compile_model(config: "ExperimentConfig") -> FringeModel:
         baseline=base,
         amplitude=(r0 - r_pi) / 2.0 + 1j * (base - r_quarter),
         pump_profile=config.pump_profile(),
-        signal_filter=config.signal_filter,
+        signal_filter=config.signal_filter_profile(),
     )

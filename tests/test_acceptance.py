@@ -15,7 +15,6 @@ from icohsim.cli import main
 from icohsim.counting import (
     CountingConfig,
     accidental_rate,
-    calibrate,
     count_means,
     double_pair_probability,
     sample_scan,
@@ -73,15 +72,14 @@ def noiseless_record(config, pump_offset=0.0, span=2e-6, points=401):
     """Signal-axis scan of envelope-modulated rates at a fixed pump delay."""
     grid = np.linspace(-span, span, points)
     model = compile_model(config)
-    cc = calibrate(config.detectors, model.baseline)
-    detected = cc.detected(model.rates(pump_offset, grid))
+    detected = config.detectors.detected(model.rates(pump_offset, grid), model.baseline)
     return ScanRecord(axis="signal", delays=grid, rates=detected, config=config)
 
 
 def test_criterion_01_singles_rate_cosine_law():
     k = 1e-3
     cfg = config_with(gain1=k, gain2=k)
-    lam_p, lam_s = cfg.pump_wavelength, cfg.signal_filter.center_wavelength
+    lam_p, lam_s = cfg.pump_wavelength, cfg.signal_filter_center
     phases_p = np.linspace(0.0, 2 * math.pi, 10, endpoint=False)
     phases_s = np.linspace(0.0, 2 * math.pi, 10, endpoint=False)
     delta_x_p, delta_x_s = [], []
@@ -139,7 +137,7 @@ def test_criterion_06_pump_envelope_plateau():
 
 def test_criterion_07_signal_envelope_width():
     cfg = config_with(gain1=1e-3, gain2=1e-3)
-    lam_s = cfg.signal_filter.center_wavelength
+    lam_s = cfg.signal_filter_center
 
     def window_amplitude(center):
         xs = center + np.linspace(0.0, 2 * lam_s, 64)
@@ -194,12 +192,9 @@ def test_criterion_10_counting_statistics():
     assert accidental_rate(42e3, 110e3, 2e-9) == 42000.0 * 110000.0 * 2e-9
     assert accidental_rate(42e3, 110e3, 2e-9) == pytest.approx(9.24, rel=1e-12)
 
-    cc = calibrate(
-        CountingConfig(rate_a_cal=2000.0, seed=424242),
-        np.ones(3),
-    )
+    cc = CountingConfig(rate_a_cal=2000.0, seed=424242)
     # one 10 000-point scan with a 0.5 s dwell, drawn in one call
-    draws = sample_scan(count_means(cc.detected(np.ones((3, 10_000))), cc, 0.5), cc.seed)[0]
+    draws = sample_scan(count_means(cc.detected(np.ones((3, 10_000)), np.ones(3)), cc, 0.5), cc.seed)[0]
     mu = 1000.0
     n = len(draws)
     assert abs(draws.mean() - mu) < 5 * math.sqrt(mu / n)

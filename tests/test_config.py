@@ -1,6 +1,8 @@
 import configparser
+import dataclasses
 import io
 import math
+import random
 import re
 import sys
 import warnings
@@ -21,13 +23,12 @@ from icohsim.config import (
     ScanSettings,
     load_config,
     parse_config,
-    signal_filter_profile,
     with_overrides,
 )
 from icohsim.counting import CountingConfig
 from icohsim.fockoracle import MAX_ORACLE_GAIN
 from icohsim.scan import run_scan, scan_grid
-from icohsim.spectral import SpectralProfile, coherence_length, compile_model
+from icohsim.spectral import coherence_length, compile_model
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_FILE = REPO_ROOT / "configs" / "default.ini"
@@ -426,7 +427,7 @@ def test_unit_suffixes_convert_to_si():
     )
     assert cfg.pump_wavelength == pytest.approx(400e-9)
     assert cfg.pump_bandwidth == pytest.approx(10e9)
-    assert cfg.signal_filter.center_wavelength == pytest.approx(810e-9)
+    assert cfg.signal_filter_center == pytest.approx(810e-9)
     assert cfg.detectors.window == pytest.approx(4e-9)
     assert cfg.scan.start == pytest.approx(-1e-6)
     assert cfg.scan.step == pytest.approx(20e-9)
@@ -476,32 +477,86 @@ def test_pump_carrier_frequency_must_be_finite():
     assert str(info.value) == message
 
 
-# (center m, frequency FWHM Hz) of hand-built signal filters; c / 808 nm is 3.7e14 Hz.
-BAD_FILTER_PROFILES = {
-    "zero_center": (0.0, 1e9),
-    "negative_center": (-808e-9, 4.6e11),
-    "inf_center": (math.inf, 4.6e11),
-    "nan_center": (math.nan, 4.6e11),
-    "zero_fwhm": (808e-9, 0.0),
-    "negative_fwhm": (808e-9, -4.6e11),
-    "inf_fwhm": (808e-9, math.inf),
-    "nan_fwhm": (808e-9, math.nan),
-    "broadband": (808e-9, 4e14),
+# (center m, wavelength FWHM m, the key the error names) of hand-built signal filters.
+BAD_FILTERS = {
+    "zero_center": (0.0, 2e-9, "center_nm"),
+    "negative_center": (-808e-9, 2e-9, "center_nm"),
+    "inf_center": (math.inf, 2e-9, "center_nm"),
+    "nan_center": (math.nan, 2e-9, "center_nm"),
+    "zero_fwhm": (808e-9, 0.0, "bandwidth_nm"),
+    "negative_fwhm": (808e-9, -2e-9, "bandwidth_nm"),
+    "inf_fwhm": (808e-9, math.inf, "bandwidth_nm"),
+    "nan_fwhm": (808e-9, math.nan, "bandwidth_nm"),
+    "broadband": (808e-9, 900e-9, "bandwidth_nm"),
 }
 
 
-@pytest.mark.parametrize("center, fwhm", BAD_FILTER_PROFILES.values(), ids=BAD_FILTER_PROFILES)
-def test_hand_built_signal_filter_profile_is_checked(center, fwhm):
-    # A profile built in code skips signal_filter_profile; the config checks it.
-    with pytest.raises(ConfigError, match=r"^signal_filter: profile with center "):
-        ExperimentConfig(signal_filter=SpectralProfile(center, fwhm))
+@pytest.mark.parametrize("center, bandwidth, key", BAD_FILTERS.values(), ids=BAD_FILTERS)
+def test_hand_built_signal_filter_profile_is_checked(center, bandwidth, key):
+    with pytest.raises(ConfigError, match=rf"^signal_filter\.{key} "):
+        ExperimentConfig(signal_filter_center=center, signal_filter_bandwidth=bandwidth)
 
 
-def test_file_made_signal_filter_profiles_pass_the_profile_check():
+def test_file_made_signal_filters_equal_direct_construction():
     # The narrowest and widest filters a file can state near the default center.
     for bandwidth in (1e-300, 807.9):
         cfg = parse_config(f"[signal_filter]\ncenter_nm = 808\nbandwidth_nm = {bandwidth!r}\n[scan]\n")
-        assert ExperimentConfig(signal_filter=cfg.signal_filter) == cfg
+        assert ExperimentConfig(signal_filter_center=808e-9, signal_filter_bandwidth=bandwidth / 1e9) == cfg
+
+
+def _filter_decision(center_nm: float, bandwidth_nm: float):
+    """The config a file stating the filter (nm) gives, or its error message, checking that
+    direct construction from the same SI values decides the same."""
+    text = f"[signal_filter]\ncenter_nm = {center_nm!r}\nbandwidth_nm = {bandwidth_nm!r}\n[scan]\n"
+    decisions = []
+    for build in (
+        lambda: parse_config(text),
+        lambda: ExperimentConfig(signal_filter_center=center_nm / 1e9, signal_filter_bandwidth=bandwidth_nm / 1e9),
+    ):
+        try:
+            decisions.append(build())
+        except ConfigError as exc:
+            decisions.append(str(exc))
+    assert decisions[0] == decisions[1], text
+    return decisions[0]
+
+
+# Filters (nm) whose bandwidth lies a rounding below the center.  The narrowband rule
+# stated on frequencies instead, c * bandwidth / center^2 < c / center, refuses them.
+NARROWBAND_EDGE = [
+    (1080.8710009051863, 1080.871000905186),
+    (1703.329282769045, 1703.3292827690448),
+    (516.9551670433184, 516.9551670433183),
+    (334.2905947017477, 334.29059470174764),
+]
+
+
+def test_narrowband_rule_is_bandwidth_below_center():
+    rng = random.Random(20261019)
+    # bandwidths within 1e-15 relative below centers of 300-2000 nm
+    draws = []
+    for _ in range(300):
+        center = rng.uniform(300.0, 2000.0)
+        draws.append((center, center * (1.0 - rng.random() * 1e-15)))
+    for center in (808.0, 300.0, 2000.0, 1e-150, 1e150):
+        draws += [(center, math.nextafter(center, 0.0)), (center, center)]
+    for center, bandwidth in draws + NARROWBAND_EDGE:
+        decision = _filter_decision(center, bandwidth)
+        narrowband = bandwidth / 1e9 < center / 1e9
+        assert isinstance(decision, ExperimentConfig) is narrowband, (center, bandwidth)
+        assert narrowband or decision == (
+            "signal_filter.bandwidth_nm must lie below signal_filter.center_nm: the filter is not narrowband"
+        )
+    for center in (808e-9, 300e-9, 2e-6, 1e-159, 1e141):
+        ExperimentConfig(signal_filter_center=center, signal_filter_bandwidth=math.nextafter(center, 0.0))
+    for center, bandwidth in NARROWBAND_EDGE:
+        config = _filter_decision(center, bandwidth)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for sample in (False, True):
+                run_scan(config, sample=sample)
+            build_report(config)
+            oracle_comparison(config, 4)
 
 
 def test_values_built_in_code_must_be_statable_in_the_file_unit():
@@ -587,6 +642,24 @@ def test_comments_and_blank_lines_are_fine():
 
 
 BY_LABEL = {key.label: key for key in KEYS.values()}
+# Key.field owner -> the dataclass whose fields it names.
+OWNERS = {"": ExperimentConfig, "detectors": CountingConfig, "scan": ScanSettings}
+
+
+def test_every_config_field_is_the_target_of_one_key():
+    fields = [
+        f"{owner}.{field.name}".lstrip(".")
+        for owner, cls in OWNERS.items()
+        for field in dataclasses.fields(cls)
+        if field.name not in OWNERS
+    ]
+    assert sorted(key.field for key in KEYS.values()) == sorted(fields)
+
+
+def read_back(config: ExperimentConfig, key):
+    """The value of ``key``'s target field in ``config``."""
+    owner, name = key.target
+    return getattr(getattr(config, owner) if owner else config, name)
 
 
 def in_range(key):
@@ -616,13 +689,12 @@ def in_range(key):
 
 def built(values: dict) -> ExperimentConfig:
     """The config with the SI ``values`` (by ``section.key``) in place of its defaults."""
-    owners = {owner: {} for owner in ("", "signal_filter", "detectors", "scan")}
+    owners = {owner: {} for owner in OWNERS}
     for label, value in values.items():
         owner, name = BY_LABEL[label].target
         owners[owner][name] = value
     return ExperimentConfig(
         **owners[""],
-        signal_filter=signal_filter_profile(**owners["signal_filter"]),
         detectors=CountingConfig(**owners["detectors"]),
         scan=ScanSettings(**owners["scan"]),
     )
@@ -638,6 +710,8 @@ def test_a_built_config_runs_every_stage_without_a_warning(values):
         config = built(values)
     except ConfigError:
         return
+    for label, value in values.items():
+        assert repr(read_back(config, BY_LABEL[label])) == repr(value), label
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         compile_model(config)

@@ -6,7 +6,6 @@ import pytest
 from icohsim.counting import (
     CountingConfig,
     accidental_rate,
-    calibrate,
     count_means,
     double_pair_probability,
     sample_scan,
@@ -22,18 +21,15 @@ ONES = np.ones(3)
 DWELL = 0.5
 
 
-def calibrated(seed=123, baseline=ONES, **kw):
-    return calibrate(CountingConfig(seed=seed, **kw), baseline)
+def scan_means(rates, cc, points=1, baseline=ONES):
+    """Expected counts (4, points) in DWELL of a scan whose points all have rates (p_a, p_b, p_ab),
+    calibrated on the model baseline ``baseline``."""
+    return count_means(cc.detected(np.tile(np.reshape(rates, (3, 1)), points), baseline), cc, DWELL)
 
 
-def scan_means(rates, cc, points=1):
-    """Expected counts (4, points) in DWELL of a scan whose points all have rates (p_a, p_b, p_ab)."""
-    return count_means(cc.detected(np.tile(np.reshape(rates, (3, 1)), points)), cc, DWELL)
-
-
-def sample_point(rates, cc):
+def sample_point(rates, cc, baseline=ONES):
     """Counts [A, B, coincidences] of a one-point scan."""
-    return sample_scan(scan_means(rates, cc), cc.seed)[:, 0].tolist()
+    return sample_scan(scan_means(rates, cc, baseline=baseline), cc.seed)[:, 0].tolist()
 
 
 def test_accidental_rate_values():
@@ -61,29 +57,22 @@ def test_double_pair_probability_monotone():
     assert values[-1] < 1e-2
 
 
-def test_sampling_requires_calibration():
-    cc = CountingConfig(seed=1)
-    with pytest.raises(ValueError, match="calibrat"):
-        sample_point(ONES, cc)
-
-
 def test_sampling_is_deterministic():
-    cc = calibrated(seed=99)
+    cc = CountingConfig(seed=99)
     means = scan_means([1.0, 1.0, 0.9], cc, 10)
     first = sample_scan(means, cc.seed)
     assert np.array_equal(sample_scan(means, cc.seed), first)
 
 
 def test_different_points_and_seeds_differ():
-    cc = calibrated(seed=7)
+    cc = CountingConfig(seed=7)
     a, b = sample_scan(scan_means(ONES, cc, 2), cc.seed).T.tolist()
-    other = sample_point(ONES, calibrated(seed=8))
+    other = sample_point(ONES, CountingConfig(seed=8))
     assert a[:2] != b[:2] or a != other
 
 
 def test_zero_model_baseline_degenerates_to_flat_calibrated_rates():
-    cc = calibrated(baseline=np.zeros(3))
-    counts_a, _, coincidences = sample_point(np.zeros(3), cc)
+    counts_a, _, coincidences = sample_point(np.zeros(3), CountingConfig(seed=123), baseline=np.zeros(3))
     # degenerate calibration keeps the detectors at their calibrated
     # baselines but produces no true coincidences
     assert counts_a > 0
@@ -91,7 +80,7 @@ def test_zero_model_baseline_degenerates_to_flat_calibrated_rates():
 
 
 def test_mean_within_three_sigma_over_1000_draws():
-    cc = calibrated(seed=2024)
+    cc = CountingConfig(seed=2024)
     draws = sample_scan(scan_means(ONES, cc, 1000), cc.seed)[0]
     mean = 42000 * 0.5
     bound = 3 * math.sqrt(mean) / math.sqrt(1000)
@@ -99,7 +88,7 @@ def test_mean_within_three_sigma_over_1000_draws():
 
 
 def test_mean_and_variance_at_five_sigma_over_1e4_draws():
-    cc = calibrated(seed=31337, rate_a_cal=2000.0)
+    cc = CountingConfig(seed=31337, rate_a_cal=2000.0)
     draws = sample_scan(scan_means(ONES, cc, 10_000), cc.seed)[0]
     mu = 2000.0 * 0.5
     n = len(draws)
@@ -109,24 +98,25 @@ def test_mean_and_variance_at_five_sigma_over_1e4_draws():
 
 
 def test_accidentals_expected_value():
-    cc = calibrated(seed=5, rate_a_cal=42e3, rate_b_cal=110e3, window=2e-9)
+    cc = CountingConfig(seed=5, rate_a_cal=42e3, rate_b_cal=110e3, window=2e-9)
     accidentals_expected = scan_means(ONES, cc)[3, 0]
     assert accidentals_expected == pytest.approx(9.24 * 0.5, rel=1e-9)
 
 
 def test_overflow_guard():
-    cc = calibrated(rate_a_cal=1e30)
+    cc = CountingConfig(seed=123, rate_a_cal=1e30)
     with pytest.raises(OverflowError):
         sample_point(ONES, cc)
 
 
-def _scalar_rates(rates, cc):
+def _scalar_rates(rates, cc, baseline):
     """Counts/s (A, B, true coincidences) of one point by scalar calibration."""
     p_a, p_b, p_ab = rates
+    base_a, base_b = baseline[:2].tolist()
     return (
-        cc.rate_a_cal * p_a / cc.baseline_a,
-        cc.rate_b_cal * p_b / cc.baseline_b,
-        cc.rate_a_cal * p_ab / cc.baseline_a,
+        cc.rate_a_cal * p_a / base_a,
+        cc.rate_b_cal * p_b / base_b,
+        cc.rate_a_cal * p_ab / base_a,
     )
 
 
@@ -136,10 +126,10 @@ def test_scan_sampler_matches_one_philox_stream(axis):
     record = run_scan(cfg)
     assert record.counts.shape == (3, 401)
     model = compile_model(cfg)
-    cc = calibrate(cfg.detectors, model.baseline)
+    cc = cfg.detectors
     delays = {"delta_x_p" if axis == "pump" else "delta_x_s": record.delays}
     points = list(zip(*model.rates(**delays).tolist()))
-    rates = np.array([_scalar_rates(p, cc) for p in points]).T
+    rates = np.array([_scalar_rates(p, cc, model.baseline) for p in points]).T
     assert np.array_equal(record.rates, rates)
 
     # the reference draws the same means, rows A, B, true coincidences and

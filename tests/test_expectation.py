@@ -114,7 +114,7 @@ def test_ideal_singles_rate_extremes():
 def test_phase_grid_matches_cosine_law():
     k = 1e-3
     cfg = config_with(gain1=k, gain2=k)
-    lam_p, lam_s = cfg.pump_wavelength, cfg.signal_filter.center_wavelength
+    lam_p, lam_s = cfg.pump_wavelength, cfg.signal_filter_center
     rng = random.Random(3)
     for _ in range(50):
         phi_p = rng.uniform(0, 2 * math.pi)
@@ -158,7 +158,7 @@ def test_visibility_pairing_closed_forms():
 def test_fringe_period_follows_the_scanned_axis():
     cfg = config_with(gain1=1e-3, gain2=1e-3)
     lam_p = cfg.pump_wavelength
-    lam_s = cfg.signal_filter.center_wavelength
+    lam_s = cfg.signal_filter_center
     probe, shifted, mismatched = setup_rates(
         cfg, np.array([0.31 * lam_p, 1.31 * lam_p, 0.31 * lam_p + lam_s])
     )[0]
@@ -203,7 +203,7 @@ def test_phase_averaged_rates_are_the_baseline():
 def test_agrees_with_fock_oracle_on_default_grid():
     k = 1e-3
     cfg = config_with(gain1=k, gain2=k)
-    lam_s = cfg.signal_filter.center_wavelength
+    lam_s = cfg.signal_filter_center
     delta_x_s = np.linspace(0, 1, 16, endpoint=False) * lam_s
     engine = setup_rates(cfg, delta_x_s=delta_x_s)
     oracle = detection_moments(build_state(cfg, delta_x_s=delta_x_s))

@@ -7,7 +7,6 @@ from numpy.polynomial.hermite_e import hermegauss
 import icohsim.expectation
 import icohsim.spectral
 from icohsim.config import ConfigError, parse_config
-from icohsim.counting import calibrate
 from icohsim.expectation import setup_rates
 from icohsim.scan import run_scan
 from icohsim.spectral import (
@@ -22,7 +21,7 @@ from conftest import config_with
 
 C = 299_792_458.0  # m/s
 PUMP = SpectralProfile(355e-9, fwhm_frequency=45e9)
-SIGNAL = parse_config("[scan]\n").signal_filter
+SIGNAL = parse_config("[scan]\n").signal_filter_profile()
 WIDE = SpectralProfile(632e-9, fwhm_frequency=2.25e12)
 
 
@@ -46,7 +45,7 @@ def spectral_average(config, delta_x_p=0.0, delta_x_s=0.0, nodes=32):
 
     delta_x_p, delta_x_s = np.broadcast_arrays(np.atleast_1d(delta_x_p), np.atleast_1d(delta_x_s))
     pump_delays = delta_x_p[:, None, None] * frequency_ratios(config.pump_profile())[:, None]
-    signal_delays = delta_x_s[:, None, None] * frequency_ratios(config.signal_filter)
+    signal_delays = delta_x_s[:, None, None] * frequency_ratios(config.signal_filter_profile())
     pump_delays, signal_delays = np.broadcast_arrays(pump_delays, signal_delays)
     rates = setup_rates(config, pump_delays.ravel(), signal_delays.ravel())
     return np.einsum("cmij,i,j->cm", rates.reshape(3, -1, nodes, nodes), w, w)
@@ -64,7 +63,7 @@ def test_frequency_fwhm_conversions():
     assert SIGNAL.fwhm_frequency == pytest.approx(9.19e11, rel=1e-2)
     assert parse_config("[pump]\nbandwidth_ghz = 45\n[scan]\n").pump_profile() == PUMP
     wide = parse_config("[signal_filter]\ncenter_nm = 632\nbandwidth_nm = 3\n[scan]\n")
-    assert wide.signal_filter.fwhm_frequency == pytest.approx(WIDE.fwhm_frequency, rel=1e-2)
+    assert wide.signal_filter_profile().fwhm_frequency == pytest.approx(WIDE.fwhm_frequency, rel=1e-2)
 
 
 def test_profile_validation():
@@ -122,7 +121,7 @@ def test_modulated_signal_scan_flattens_far_out():
     cfg = config_with(gain1=1e-3, gain2=1e-3)
     model = compile_model(cfg)
     base = model.rates()[0] / 2.0
-    lam_s = cfg.signal_filter.center_wavelength
+    lam_s = cfg.signal_filter_center
     far = 1e-3
     values = model.rates(delta_x_s=far + np.linspace(0, 1, 9) * lam_s)[0]
     ripple = (max(values) - min(values)) / 2
@@ -145,13 +144,13 @@ def test_envelopes_separate_by_axis():
     cfg = config_with(gain1=1e-3, gain2=1e-3)
     # scanning the signal delay must not engage the pump envelope: compare
     # fringe contrast at a signal offset against the signal envelope alone
-    lam_s = cfg.signal_filter.center_wavelength
+    lam_s = cfg.signal_filter_center
     x0 = 5e-5
     values = compile_model(cfg).rates(delta_x_s=x0 + np.linspace(0, 1, 65) * lam_s)[0]
     vis = (max(values) - min(values)) / (max(values) + min(values))
     # the envelope drifts slightly across the one-period window, so compare
     # at the percent level only
-    assert vis == pytest.approx(envelope(cfg.signal_filter, x0), rel=1e-2)
+    assert vis == pytest.approx(envelope(cfg.signal_filter_profile(), x0), rel=1e-2)
 
 
 def test_idler_channel_untouched_by_envelopes():
@@ -179,7 +178,8 @@ def _random_config(rng):
         eta=eta,
         splitter_ratio=rng.uniform(0.01, 0.99),
         pump_bandwidth=rng.uniform(20e9, 100e9),
-        signal_filter=SpectralProfile(center, C * bandwidth / center**2),
+        signal_filter_center=center,
+        signal_filter_bandwidth=bandwidth,
     )
 
 
@@ -196,7 +196,7 @@ def test_compiled_model_matches_per_point_rates_on_random_configs():
     for _ in range(60):
         cfg = _random_config(rng)
         dxp = _coherence_lengths(rng, cfg.pump_profile(), 5)
-        dxs = _coherence_lengths(rng, cfg.signal_filter, 5)
+        dxs = _coherence_lengths(rng, cfg.signal_filter_profile(), 5)
         compiled = compile_model(cfg).rates(dxp, dxs)
         assert compiled.shape == (3, 5)
         reference = spectral_average(cfg, dxp, dxs)
@@ -217,12 +217,12 @@ def test_run_scan_equals_per_point_path(axis):
     cfg = config_with()
     record = run_scan(cfg, axis=axis, sample=False)
     baseline = phase_averaged_baseline(cfg)
-    cc = calibrate(cfg.detectors, baseline)
+    cc = cfg.detectors
     # relative to each channel's calibrated baseline: fringe minima reach ~1e-4 of it
-    tolerance = 1e-12 * cc.detected(baseline.reshape(3, 1))
+    tolerance = 1e-12 * cc.detected(baseline.reshape(3, 1), baseline)
     delays = {"delta_x_p" if axis == "pump" else "delta_x_s": record.delays}
     # far inside both coherence lengths, 8 nodes per spectrum are already exact
-    expected = cc.detected(spectral_average(cfg, **delays, nodes=8))
+    expected = cc.detected(spectral_average(cfg, **delays, nodes=8), baseline)
     assert np.all(np.abs(record.rates - expected) <= tolerance)
 
 
