@@ -362,8 +362,8 @@ def build_report(config: ExperimentConfig) -> str:
         abs(model.amplitude[k].real) / model.baseline[k] if model.baseline[k] else 0.0
         for k in (0, 2)
     )
-    acc = accidental_rate(config.detectors.rate_a_cal, config.detectors.rate_b_cal, config.detectors.window)
-    double_pair = double_pair_probability(config.detectors.rate_b_cal, config.detectors.window)
+    acc = accidental_rate(config.rate_a_cal, config.rate_b_cal, config.window)
+    double_pair = double_pair_probability(config.rate_b_cal, config.window)
 
     lines = []
     lines.append("induced-coherence interferometer report")
@@ -407,9 +407,9 @@ def build_report(config: ExperimentConfig) -> str:
         f"pump-scan envelope at 600 um delay: {envelope(pump, 600e-6):.4f} of peak"
     )
     lines.append(
-        f"detectors: D_A {config.detectors.rate_a_cal:.6g} /s, "
-        f"D_B {config.detectors.rate_b_cal:.6g} /s, "
-        f"window {config.detectors.window * 1e9:.2f} ns, dwell {config.scan.dwell:.3g} s"
+        f"detectors: D_A {config.rate_a_cal:.6g} /s, "
+        f"D_B {config.rate_b_cal:.6g} /s, "
+        f"window {config.window * 1e9:.2f} ns, dwell {config.dwell:.3g} s"
     )
     lines.append(f"  accidental coincidence rate: {acc:.4g} /s")
     verdict = (
@@ -423,8 +423,8 @@ def build_report(config: ExperimentConfig) -> str:
         f"{double_pair:.4g}  [{verdict}]"
     )
     lines.append(
-        f"scan: {config.scan.axis} axis, {config.scan.start * 1e6:.3g} um to "
-        f"{config.scan.stop * 1e6:.3g} um in {config.scan.step * 1e9:.3g} nm steps"
+        f"scan: {config.axis} axis, {config.start * 1e6:.3g} um to "
+        f"{config.stop * 1e6:.3g} um in {config.step * 1e9:.3g} nm steps"
     )
     return "\n".join(lines) + "\n"
 
@@ -545,7 +545,7 @@ def _run(args: argparse.Namespace) -> int:
         config = _load(args)
         try:
             with open(args.input, "r", encoding="utf-8", newline="") as fh:
-                record = read_scan_csv(fh, axis=config.scan.axis)
+                record = read_scan_csv(fh, axis=config.axis)
         except UnicodeDecodeError as exc:
             raise utf8_error(args.input, exc) from None
         warning = undersampling_warning(config, record)
@@ -553,7 +553,7 @@ def _run(args: argparse.Namespace) -> int:
             print(f"warning: {warning}", file=sys.stderr)
         try:
             fit = fit_fringe(
-                record, channel=args.channel, source=args.source, dwell=config.scan.dwell
+                record, channel=args.channel, source=args.source, dwell=config.dwell
             )
         except FitNonConvergenceError as exc:
             _emit(json.dumps(fit_summary(exc.fit), indent=2) + "\n", args.out)

@@ -9,12 +9,14 @@ A ``[scan]`` section must be present.
 
 :data:`KEYS` has one row per key.  It drives the known-key check, the
 conversion from the unit the key's name ends in (:data:`UNITS`) to SI, and
-each key's range check, which parsing and direct construction of the
-dataclasses share.  The cross-field rules run after the range checks.
+each key's range check, which parsing and direct construction of
+:class:`ExperimentConfig` share.  The cross-field rules, the scan grid's
+first, run after the range checks.
 
 Values are checked here and only here: the modules below trust a built
-:class:`ExperimentConfig`.  Each field holds one key's SI value, as the file
-states it; the spectral profiles are derived from them on demand.
+:class:`ExperimentConfig`.  It is one flat dataclass with one field per key,
+holding that key's SI value as the file states it; the spectral profiles are
+derived from them on demand.
 
 ``splitter_ratio`` is the transmitted intensity fraction of the output
 recombination splitter.  ``coherence_length_override_mm``, when set, rescales
@@ -52,10 +54,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 
-from .counting import SEED_LIMIT, CountingConfig
+from .counting import SEED_LIMIT
 from .spectral import SPEED_OF_LIGHT, SpectralProfile, profile_for_coherence_length
 
 SCAN_AXES = ("signal", "pump")
@@ -101,11 +103,8 @@ def _show(bound: float) -> str:
 @dataclass(frozen=True)
 class Key:
     """One config key: ``[section]`` ``name`` (as typed, unit suffix included)
-    is read as ``kind``, converted to SI, and must lie in ``allowed``.
-
-    ``field`` is where the SI value goes: an :class:`ExperimentConfig` field,
-    or ``owner.field`` for ``scan`` (:class:`ScanSettings`) and ``detectors``
-    (:class:`CountingConfig`).
+    is read as ``kind``, converted to SI, must lie in ``allowed``, and goes to
+    the :class:`ExperimentConfig` field ``field``.
     """
 
     section: str
@@ -126,12 +125,6 @@ class Key:
     def unit(self) -> str:
         suffix = self.name.rpartition("_")[2]
         return suffix if suffix in UNITS else ""
-
-    @cached_property
-    def target(self) -> tuple[str, str]:
-        """``field`` split into its owner (blank for ExperimentConfig) and field name."""
-        owner, _, name = self.field.rpartition(".")
-        return owner, name
 
     @property
     def allowed_text(self) -> str:
@@ -193,53 +186,18 @@ KEYS = {
         Key("idler_link", "eta", "eta", Interval(0.0, 1.0)),
         Key("signal_filter", "center_nm", "signal_filter_center", POSITIVE),
         Key("signal_filter", "bandwidth_nm", "signal_filter_bandwidth", POSITIVE),
-        Key("detectors", "rate_a_hz", "detectors.rate_a_cal", POSITIVE),
-        Key("detectors", "rate_b_hz", "detectors.rate_b_cal", POSITIVE),
-        Key("detectors", "window_ns", "detectors.window", POSITIVE),
-        Key("detectors", "seed", "detectors.seed", Interval(0, SEED_LIMIT, high_open=True), int),
-        Key("scan", "axis", "scan.axis", SCAN_AXES, str),
-        Key("scan", "start_um", "scan.start", DELAY),
-        Key("scan", "stop_um", "scan.stop", DELAY),
-        Key("scan", "step_nm", "scan.step", POSITIVE),
-        Key("scan", "dwell_s", "scan.dwell", POSITIVE),
+        Key("detectors", "rate_a_hz", "rate_a_cal", POSITIVE),
+        Key("detectors", "rate_b_hz", "rate_b_cal", POSITIVE),
+        Key("detectors", "window_ns", "window", POSITIVE),
+        Key("detectors", "seed", "seed", Interval(0, SEED_LIMIT, high_open=True), int),
+        Key("scan", "axis", "axis", SCAN_AXES, str),
+        Key("scan", "start_um", "start", DELAY),
+        Key("scan", "stop_um", "stop", DELAY),
+        Key("scan", "step_nm", "step", POSITIVE),
+        Key("scan", "dwell_s", "dwell", POSITIVE),
     )
 }
 _SECTIONS = {section for section, _ in KEYS}
-# Owner (see Key.field) -> the keys whose SI values go to it.
-_OWNED = {
-    owner: [key for key in KEYS.values() if key.target[0] == owner]
-    for owner in {key.target[0] for key in KEYS.values()}
-}
-
-
-def _check_fields(owner: str, values: dict) -> None:
-    """Range-check ``values[field]`` for every key whose SI value goes to ``owner``
-    (blank for ExperimentConfig); None stands for an unset optional field."""
-    for key in _OWNED[owner]:
-        value = values[key.target[1]]
-        if value is not None:
-            key.check(value)
-
-
-@dataclass(frozen=True)
-class ScanSettings:
-    """Delay scan definition: axis plus a uniform grid (meters, seconds)."""
-
-    axis: str = "signal"
-    start: float = -2e-6
-    stop: float = 2e-6
-    step: float = 10e-9
-    dwell: float = 0.5
-
-    def __post_init__(self) -> None:
-        _check_fields("scan", vars(self))
-        if not self.stop > self.start:
-            raise ConfigError("scan.stop_um must exceed scan.start_um")
-        span = (self.stop - self.start) / self.step
-        if not span < MAX_SCAN_POINTS or round(span) + 1 > MAX_SCAN_POINTS:
-            raise ConfigError(
-                f"scan.step_nm gives {span + 1:.3g} grid points; at most {MAX_SCAN_POINTS} allowed"
-            )
 
 
 @dataclass(frozen=True)
@@ -256,13 +214,32 @@ class ExperimentConfig:
     eta: float = 1.0
     signal_filter_center: float = 808e-9
     signal_filter_bandwidth: float = 2e-9  # wavelength FWHM
-    detectors: CountingConfig = field(default_factory=CountingConfig)
-    scan: ScanSettings = field(default_factory=ScanSettings)
+    # Detectors: fringe-baseline singles rates, coincidence window, RNG seed.
+    rate_a_cal: float = 42_000.0
+    rate_b_cal: float = 110_000.0
+    window: float = 2e-9
+    seed: int = 20260810
+    # Scan: axis, a uniform delay grid (meters) and the dwell per point (seconds).
+    axis: str = "signal"
+    start: float = -2e-6
+    stop: float = 2e-6
+    step: float = 10e-9
+    dwell: float = 0.5
 
     def __post_init__(self) -> None:
-        _check_fields("", vars(self))
-        _check_fields("detectors", vars(self.detectors))
-        if not self.detectors.window < self.scan.dwell:
+        values = vars(self)
+        for key in KEYS.values():
+            value = values[key.field]
+            if value is not None:  # None stands for an unset optional field
+                key.check(value)
+        if not self.stop > self.start:
+            raise ConfigError("scan.stop_um must exceed scan.start_um")
+        span = (self.stop - self.start) / self.step
+        if not span < MAX_SCAN_POINTS or round(span) + 1 > MAX_SCAN_POINTS:
+            raise ConfigError(
+                f"scan.step_nm gives {span + 1:.3g} grid points; at most {MAX_SCAN_POINTS} allowed"
+            )
+        if not self.window < self.dwell:
             raise ConfigError("detectors.window_ns must be far below scan.dwell_s")
         if not self.signal_filter_bandwidth < self.signal_filter_center:
             raise ConfigError("signal_filter.bandwidth_nm must lie below signal_filter.center_nm: "
@@ -302,7 +279,7 @@ class ExperimentConfig:
         return SpectralProfile(center, SPEED_OF_LIGHT * self.signal_filter_bandwidth / center**2)
 
     def scan_wavelength(self, axis: str | None = None) -> float:
-        axis = axis or self.scan.axis
+        axis = axis or self.axis
         if axis == "pump":
             return self.pump_wavelength
         return self.signal_filter_center
@@ -372,22 +349,17 @@ def parse_config(text: str) -> ExperimentConfig:
 def _config_from_sections(sections: dict[str, dict[str, tuple[int, str]]]) -> ExperimentConfig:
     """Convert and range-check raw values in file order, then build the config.
 
-    Only the keys given reach the constructors, so an absent key takes its
+    Only the keys given reach the constructor, so an absent key takes its
     dataclass default.
     """
     if "scan" not in sections:
         raise ConfigError("missing section [scan]")
-    values: dict[str, dict[str, object]] = {owner: {} for owner in _OWNED}
+    values = {}
     for section, body in sections.items():
         for name, (lineno, raw) in body.items():
             key = KEYS[section, name]
-            owner, target = key.target
-            values[owner][target] = key.parse(raw, lineno)
-    return ExperimentConfig(
-        **values[""],
-        detectors=CountingConfig(**values["detectors"]),
-        scan=ScanSettings(**values["scan"]),
-    )
+            values[key.field] = key.parse(raw, lineno)
+    return ExperimentConfig(**values)
 
 
 def utf8_error(path: str, exc: UnicodeDecodeError) -> ConfigError:
@@ -416,9 +388,9 @@ def with_overrides(
     axis: str | None = None,
 ) -> ExperimentConfig:
     """Apply command-line style overrides for the RNG seed and scan axis."""
+    changes = {}
     if seed is not None:
-        KEYS["detectors", "seed"].check(seed, name="--seed")
-        config = replace(config, detectors=replace(config.detectors, seed=seed))
+        changes["seed"] = KEYS["detectors", "seed"].check(seed, name="--seed")
     if axis is not None:
-        config = replace(config, scan=replace(config.scan, axis=axis))
-    return config
+        changes["axis"] = axis
+    return replace(config, **changes) if changes else config

@@ -12,7 +12,6 @@ so a change in one mean can shift every later draw of the stream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,38 +20,30 @@ SEED_LIMIT = 2**64
 _MAX_MEAN = float(2**62)
 
 
-@dataclass(frozen=True)
-class CountingConfig:
-    """Detector calibration rates, coincidence window, RNG seed."""
+def detected(rates: np.ndarray, baseline: np.ndarray, rate_a: float, rate_b: float) -> np.ndarray:
+    """Counts/s rows (detector A, detector B, true coincidences) for model
+    rate rows (p_a, p_b, p_ab) of shape (3, n), calibrated so that the model's
+    (3,) fringe baseline (p_a, p_b, p_ab) gives the singles rates ``rate_a``
+    and ``rate_b``.
 
-    rate_a_cal: float = 42_000.0
-    rate_b_cal: float = 110_000.0
-    window: float = 2e-9
-    seed: int = 20260810
-
-    def detected(self, rates: np.ndarray, baseline: np.ndarray) -> np.ndarray:
-        """Counts/s rows (detector A, detector B, true coincidences) for model
-        rate rows (p_a, p_b, p_ab) of shape (3, n), calibrated on the model's
-        (3,) fringe baseline (p_a, p_b, p_ab).
-
-        Coincidences share detector A's scale: every detected signal photon
-        belongs to a pair whose idler feeds the detected-idler pool, so the
-        coincidence baseline is the A rate reduced by the model's own
-        coincidence-to-singles ratio.  A zero model baseline (zero gain)
-        degenerates to flat calibrated singles with no true coincidences.
-        """
-        base_a, base_b, _ = baseline
-        out = np.empty_like(rates, dtype=float)
-        if base_a > 0:
-            out[0] = self.rate_a_cal * rates[0] / base_a
-            out[2] = self.rate_a_cal * rates[2] / base_a
-        else:
-            out[0], out[2] = self.rate_a_cal, 0.0
-        if base_b > 0:
-            out[1] = self.rate_b_cal * rates[1] / base_b
-        else:
-            out[1] = self.rate_b_cal
-        return out
+    Coincidences share detector A's scale: every detected signal photon
+    belongs to a pair whose idler feeds the detected-idler pool, so the
+    coincidence baseline is the A rate reduced by the model's own
+    coincidence-to-singles ratio.  A zero model baseline (zero gain)
+    degenerates to flat calibrated singles with no true coincidences.
+    """
+    base_a, base_b, _ = baseline
+    out = np.empty_like(rates, dtype=float)
+    if base_a > 0:
+        out[0] = rate_a * rates[0] / base_a
+        out[2] = rate_a * rates[2] / base_a
+    else:
+        out[0], out[2] = rate_a, 0.0
+    if base_b > 0:
+        out[1] = rate_b * rates[1] / base_b
+    else:
+        out[1] = rate_b
+    return out
 
 
 def accidental_rate(r_a: float, r_b: float, window: float) -> float:
@@ -69,18 +60,19 @@ def double_pair_probability(pair_rate: float, window: float) -> float:
     return -math.expm1(-mu) - mu * math.exp(-mu)
 
 
-def count_means(detected: np.ndarray, cc: CountingConfig, dwell: float) -> np.ndarray:
+def count_means(detected: np.ndarray, window: float, dwell: float) -> np.ndarray:
     """Expected counts per dwell (seconds), rows (A, B, true coincidences, accidentals).
 
-    ``detected`` holds the (3, n) counts/s rows of :meth:`CountingConfig.detected`;
-    accidentals follow :func:`accidental_rate`.  A mean beyond the float range
-    comes out inf, which :func:`sample_scan` rejects.
+    ``detected`` holds the (3, n) counts/s rows of :func:`detected`;
+    accidentals follow :func:`accidental_rate` in the coincidence ``window``.
+    A mean beyond the float range comes out inf, which :func:`sample_scan`
+    rejects.
     """
     r_a, r_b, _ = detected
     if np.any(r_a < 0) or np.any(r_b < 0):
         raise ValueError("rates and window must be non-negative")
     with np.errstate(over="ignore"):
-        return np.vstack([detected * dwell, r_a * r_b * cc.window * dwell])
+        return np.vstack([detected * dwell, r_a * r_b * window * dwell])
 
 
 def sample_scan(means: np.ndarray, seed: int) -> np.ndarray:

@@ -53,7 +53,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import SCAN_AXES, ExperimentConfig
-from .counting import count_means, sample_scan
+from .counting import count_means, detected, sample_scan
 from .expectation import check_rates
 from .spectral import compile_model
 
@@ -208,9 +208,16 @@ class FringeFit:
 
 
 def scan_grid(config: "ExperimentConfig") -> np.ndarray:
-    scan = config.scan
-    n = int(round((scan.stop - scan.start) / scan.step)) + 1
-    return np.linspace(scan.start, scan.stop, n)
+    """The scan's delays: ``round((stop - start) / step) + 1`` points spanning
+    ``start`` to ``stop`` exactly.
+
+    A step that does not divide the span is rounded to one that does: 300 nm
+    over 0 to 1 um gives 4 points 333.3 nm apart, and 3 nm over -2 to 2 um
+    gives 1334 points 3.00075 nm apart.  The report states the configured
+    step.
+    """
+    n = int(round((config.stop - config.start) / config.step)) + 1
+    return np.linspace(config.start, config.stop, n)
 
 
 def undersampling_warning(config: "ExperimentConfig", record: ScanRecord) -> str | None:
@@ -240,21 +247,20 @@ def run_scan(
     The non-scanned delay axis is held at zero.  A warning (not an error)
     is recorded when the grid undersamples the expected fringe period.
     """
-    axis = axis or config.scan.axis
+    axis = axis or config.axis
     if axis not in SCAN_AXES:
         raise ValueError(f"scan axis must be 'signal' or 'pump', got {axis!r}")
     delays = scan_grid(config) if grid is None else np.asarray(grid, dtype=float)
 
     model = compile_model(config)
-    cc = config.detectors
     rates = model.rates(delta_x_p=delays) if axis == "pump" else model.rates(delta_x_s=delays)
     check_rates(rates)
     with np.errstate(over="ignore"):
-        detected = cc.detected(rates, model.baseline)
-    if not np.all(np.isfinite(detected)):
+        calibrated = detected(rates, model.baseline, config.rate_a_cal, config.rate_b_cal)
+    if not np.all(np.isfinite(calibrated)):
         raise OverflowError("calibrated rates exceed the float range")
-    counts = sample_scan(count_means(detected, cc, config.scan.dwell), cc.seed) if sample else None
-    record = ScanRecord(axis=axis, delays=delays, rates=detected, counts=counts, config=config)
+    counts = sample_scan(count_means(calibrated, config.window, config.dwell), config.seed) if sample else None
+    record = ScanRecord(axis=axis, delays=delays, rates=calibrated, counts=counts, config=config)
     warning = undersampling_warning(config, record)
     if warning:
         record.warnings.append(warning)
@@ -681,7 +687,7 @@ def fit_fringe(
     period_seed = estimate_period(record, channel=channel, source=source)
 
     if dwell is None and record.config is not None:
-        dwell = record.config.scan.dwell
+        dwell = record.config.dwell
     if source == "counts" and dwell is None:
         raise ValueError("counts fits need the dwell time to report rate units")
 

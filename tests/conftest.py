@@ -29,14 +29,5 @@ def config():
 
 
 def config_with(**overrides):
-    """Default config with top-level and detector/scan overrides applied."""
-    cfg = ExperimentConfig()
-    detector_keys = {"rate_a_cal", "rate_b_cal", "window", "seed"}
-    scan_keys = {"axis", "start", "stop", "step", "dwell"}
-    det = {k: overrides.pop(k) for k in list(overrides) if k in detector_keys}
-    scn = {k: overrides.pop(k) for k in list(overrides) if k in scan_keys}
-    if det:
-        cfg = dataclasses.replace(cfg, detectors=dataclasses.replace(cfg.detectors, **det))
-    if scn:
-        cfg = dataclasses.replace(cfg, scan=dataclasses.replace(cfg.scan, **scn))
-    return dataclasses.replace(cfg, **overrides)
+    """Default config with the given fields replaced."""
+    return dataclasses.replace(ExperimentConfig(), **overrides)

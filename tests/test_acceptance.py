@@ -13,9 +13,9 @@ import pytest
 
 from icohsim.cli import main
 from icohsim.counting import (
-    CountingConfig,
     accidental_rate,
     count_means,
+    detected,
     double_pair_probability,
     sample_scan,
 )
@@ -72,8 +72,8 @@ def noiseless_record(config, pump_offset=0.0, span=2e-6, points=401):
     """Signal-axis scan of envelope-modulated rates at a fixed pump delay."""
     grid = np.linspace(-span, span, points)
     model = compile_model(config)
-    detected = config.detectors.detected(model.rates(pump_offset, grid), model.baseline)
-    return ScanRecord(axis="signal", delays=grid, rates=detected, config=config)
+    rates = detected(model.rates(pump_offset, grid), model.baseline, config.rate_a_cal, config.rate_b_cal)
+    return ScanRecord(axis="signal", delays=grid, rates=rates, config=config)
 
 
 def test_criterion_01_singles_rate_cosine_law():
@@ -192,9 +192,10 @@ def test_criterion_10_counting_statistics():
     assert accidental_rate(42e3, 110e3, 2e-9) == 42000.0 * 110000.0 * 2e-9
     assert accidental_rate(42e3, 110e3, 2e-9) == pytest.approx(9.24, rel=1e-12)
 
-    cc = CountingConfig(rate_a_cal=2000.0, seed=424242)
+    cfg = config_with(rate_a_cal=2000.0, seed=424242)
     # one 10 000-point scan with a 0.5 s dwell, drawn in one call
-    draws = sample_scan(count_means(cc.detected(np.ones((3, 10_000)), np.ones(3)), cc, 0.5), cc.seed)[0]
+    rates = detected(np.ones((3, 10_000)), np.ones(3), cfg.rate_a_cal, cfg.rate_b_cal)
+    draws = sample_scan(count_means(rates, cfg.window, 0.5), cfg.seed)[0]
     mu = 1000.0
     n = len(draws)
     assert abs(draws.mean() - mu) < 5 * math.sqrt(mu / n)

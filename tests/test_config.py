@@ -20,15 +20,15 @@ from icohsim.config import (
     MAX_SCAN_POINTS,
     ConfigError,
     ExperimentConfig,
-    ScanSettings,
     load_config,
     parse_config,
     with_overrides,
 )
-from icohsim.counting import CountingConfig
 from icohsim.fockoracle import MAX_ORACLE_GAIN
 from icohsim.scan import run_scan, scan_grid
 from icohsim.spectral import coherence_length, compile_model
+
+from conftest import config_with
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_FILE = REPO_ROOT / "configs" / "default.ini"
@@ -43,9 +43,9 @@ def test_minimal_config_fills_defaults():
     cfg = parse_config("[scan]\n")
     assert cfg == ExperimentConfig()
     assert cfg.pump_wavelength == 355e-9
-    assert cfg.detectors.rate_a_cal == 42_000.0
-    assert cfg.detectors.window == 2e-9
-    assert cfg.scan.dwell == 0.5
+    assert cfg.rate_a_cal == 42_000.0
+    assert cfg.window == 2e-9
+    assert cfg.dwell == 0.5
 
 
 def test_missing_scan_section_is_an_error():
@@ -298,8 +298,8 @@ def test_seeds_outside_64_bits_are_rejected(seed):
 
 def test_seed_range_ends_are_accepted():
     for seed in (0, 2**64 - 1):
-        assert parse_config(f"[detectors]\nseed = {seed}\n[scan]\n").detectors.seed == seed
-        assert with_overrides(ExperimentConfig(), seed=seed).detectors.seed == seed
+        assert parse_config(f"[detectors]\nseed = {seed}\n[scan]\n").seed == seed
+        assert with_overrides(ExperimentConfig(), seed=seed).seed == seed
 
 
 def test_number_parse_errors_name_the_key():
@@ -325,7 +325,7 @@ def test_seeds_are_ascii_without_underscores(value):
 
 @pytest.mark.parametrize("value, seed", [("0x10", 16), ("0o17", 15), ("0b101", 5), ("+7", 7)])
 def test_seeds_keep_base_prefixes(value, seed):
-    assert parse_config(f"[detectors]\nseed = {value}\n[scan]\n").detectors.seed == seed
+    assert parse_config(f"[detectors]\nseed = {value}\n[scan]\n").seed == seed
 
 
 FLOAT_KEYS = [(section, name) for (section, name), key in KEYS.items() if key.kind is float]
@@ -361,21 +361,21 @@ def test_scan_size_is_capped():
             parse_config(f"[scan]\nstep_nm = {step_nm}\n")
     # a grid too fine for its span to be a float
     with pytest.raises(ConfigError, match=r"^scan\.step_nm gives inf grid points"):
-        ScanSettings(start=0.0, stop=1.0, step=5e-324)
+        config_with(start=0.0, stop=1.0, step=5e-324)
     # an infinite stop is out of its own range first
     with pytest.raises(ConfigError) as info:
-        ScanSettings(start=0.0, stop=float("inf"), step=1e-9)
+        config_with(start=0.0, stop=float("inf"), step=1e-9)
     assert str(info.value) == "scan.stop_um out of range: must lie in [-1e+06, 1e+06]"
     # the largest allowed grid still constructs
-    largest = ScanSettings(start=0.0, stop=(MAX_SCAN_POINTS - 1) * 1e-9, step=1e-9)
+    largest = config_with(start=0.0, stop=(MAX_SCAN_POINTS - 1) * 1e-9, step=1e-9)
     assert round((largest.stop - largest.start) / largest.step) + 1 == MAX_SCAN_POINTS
 
 
 def test_scan_delays_are_bounded():
     # the bound itself is allowed on both ends
-    ScanSettings(start=-MAX_SCAN_DELAY, stop=MAX_SCAN_DELAY, step=0.01)
+    config_with(start=-MAX_SCAN_DELAY, stop=MAX_SCAN_DELAY, step=0.01)
     with pytest.raises(ConfigError) as info:
-        ScanSettings(start=-1.0000001 * MAX_SCAN_DELAY, stop=0.0, step=0.01)
+        config_with(start=-1.0000001 * MAX_SCAN_DELAY, stop=0.0, step=0.01)
     assert str(info.value) == "scan.start_um out of range: must lie in [-1e+06, 1e+06]"
     with pytest.raises(ConfigError) as info:
         parse_config("[scan]\nstart_um = 0\nstop_um = 1.0000001e6\nstep_nm = 1e7\n")
@@ -428,10 +428,10 @@ def test_unit_suffixes_convert_to_si():
     assert cfg.pump_wavelength == pytest.approx(400e-9)
     assert cfg.pump_bandwidth == pytest.approx(10e9)
     assert cfg.signal_filter_center == pytest.approx(810e-9)
-    assert cfg.detectors.window == pytest.approx(4e-9)
-    assert cfg.scan.start == pytest.approx(-1e-6)
-    assert cfg.scan.step == pytest.approx(20e-9)
-    assert cfg.scan.dwell == 0.25
+    assert cfg.window == pytest.approx(4e-9)
+    assert cfg.start == pytest.approx(-1e-6)
+    assert cfg.step == pytest.approx(20e-9)
+    assert cfg.dwell == 0.25
 
 
 def test_coherence_override_rescales_pump_profile():
@@ -451,8 +451,8 @@ def test_stated_coherence_length_is_informational():
 def test_overrides_helper():
     cfg = ExperimentConfig()
     changed = with_overrides(cfg, seed=42, axis="pump")
-    assert changed.detectors.seed == 42
-    assert changed.scan.axis == "pump"
+    assert changed.seed == 42
+    assert changed.axis == "pump"
     assert with_overrides(cfg) == cfg
 
 
@@ -638,28 +638,21 @@ def test_comments_and_blank_lines_are_fine():
     cfg = parse_config(
         "# a comment\n\n[scan]\n; another comment style\naxis = pump\n"
     )
-    assert cfg.scan.axis == "pump"
+    assert cfg.axis == "pump"
 
 
 BY_LABEL = {key.label: key for key in KEYS.values()}
-# Key.field owner -> the dataclass whose fields it names.
-OWNERS = {"": ExperimentConfig, "detectors": CountingConfig, "scan": ScanSettings}
 
 
 def test_every_config_field_is_the_target_of_one_key():
-    fields = [
-        f"{owner}.{field.name}".lstrip(".")
-        for owner, cls in OWNERS.items()
-        for field in dataclasses.fields(cls)
-        if field.name not in OWNERS
-    ]
-    assert sorted(key.field for key in KEYS.values()) == sorted(fields)
-
-
-def read_back(config: ExperimentConfig, key):
-    """The value of ``key``'s target field in ``config``."""
-    owner, name = key.target
-    return getattr(getattr(config, owner) if owner else config, name)
+    """The config is flat: its fields are the keys' fields, one each, and each
+    default (but the unset override's None) passes its key's range check."""
+    fields = dataclasses.fields(ExperimentConfig)
+    assert sorted(key.field for key in KEYS.values()) == sorted(field.name for field in fields)
+    defaults = {field.name: field.default for field in fields}
+    for key in KEYS.values():
+        default = defaults[key.field]
+        assert default is None or key.check(default) == default, key.label
 
 
 def in_range(key):
@@ -689,15 +682,7 @@ def in_range(key):
 
 def built(values: dict) -> ExperimentConfig:
     """The config with the SI ``values`` (by ``section.key``) in place of its defaults."""
-    owners = {owner: {} for owner in OWNERS}
-    for label, value in values.items():
-        owner, name = BY_LABEL[label].target
-        owners[owner][name] = value
-    return ExperimentConfig(
-        **owners[""],
-        detectors=CountingConfig(**owners["detectors"]),
-        scan=ScanSettings(**owners["scan"]),
-    )
+    return ExperimentConfig(**{BY_LABEL[label].field: value for label, value in values.items()})
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -711,7 +696,7 @@ def test_a_built_config_runs_every_stage_without_a_warning(values):
     except ConfigError:
         return
     for label, value in values.items():
-        assert repr(read_back(config, BY_LABEL[label])) == repr(value), label
+        assert repr(getattr(config, BY_LABEL[label].field)) == repr(value), label
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         compile_model(config)

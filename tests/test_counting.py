@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from icohsim.counting import (
-    CountingConfig,
     accidental_rate,
     count_means,
+    detected,
     double_pair_probability,
     sample_scan,
 )
@@ -21,15 +21,16 @@ ONES = np.ones(3)
 DWELL = 0.5
 
 
-def scan_means(rates, cc, points=1, baseline=ONES):
+def scan_means(rates, cfg, points=1, baseline=ONES):
     """Expected counts (4, points) in DWELL of a scan whose points all have rates (p_a, p_b, p_ab),
     calibrated on the model baseline ``baseline``."""
-    return count_means(cc.detected(np.tile(np.reshape(rates, (3, 1)), points), baseline), cc, DWELL)
+    calibrated = detected(np.tile(np.reshape(rates, (3, 1)), points), baseline, cfg.rate_a_cal, cfg.rate_b_cal)
+    return count_means(calibrated, cfg.window, DWELL)
 
 
-def sample_point(rates, cc, baseline=ONES):
+def sample_point(rates, cfg, baseline=ONES):
     """Counts [A, B, coincidences] of a one-point scan."""
-    return sample_scan(scan_means(rates, cc, baseline=baseline), cc.seed)[:, 0].tolist()
+    return sample_scan(scan_means(rates, cfg, baseline=baseline), cfg.seed)[:, 0].tolist()
 
 
 def test_accidental_rate_values():
@@ -58,21 +59,21 @@ def test_double_pair_probability_monotone():
 
 
 def test_sampling_is_deterministic():
-    cc = CountingConfig(seed=99)
-    means = scan_means([1.0, 1.0, 0.9], cc, 10)
-    first = sample_scan(means, cc.seed)
-    assert np.array_equal(sample_scan(means, cc.seed), first)
+    cfg = config_with(seed=99)
+    means = scan_means([1.0, 1.0, 0.9], cfg, 10)
+    first = sample_scan(means, cfg.seed)
+    assert np.array_equal(sample_scan(means, cfg.seed), first)
 
 
 def test_different_points_and_seeds_differ():
-    cc = CountingConfig(seed=7)
-    a, b = sample_scan(scan_means(ONES, cc, 2), cc.seed).T.tolist()
-    other = sample_point(ONES, CountingConfig(seed=8))
+    cfg = config_with(seed=7)
+    a, b = sample_scan(scan_means(ONES, cfg, 2), cfg.seed).T.tolist()
+    other = sample_point(ONES, config_with(seed=8))
     assert a[:2] != b[:2] or a != other
 
 
 def test_zero_model_baseline_degenerates_to_flat_calibrated_rates():
-    counts_a, _, coincidences = sample_point(np.zeros(3), CountingConfig(seed=123), baseline=np.zeros(3))
+    counts_a, _, coincidences = sample_point(np.zeros(3), config_with(seed=123), baseline=np.zeros(3))
     # degenerate calibration keeps the detectors at their calibrated
     # baselines but produces no true coincidences
     assert counts_a > 0
@@ -80,16 +81,16 @@ def test_zero_model_baseline_degenerates_to_flat_calibrated_rates():
 
 
 def test_mean_within_three_sigma_over_1000_draws():
-    cc = CountingConfig(seed=2024)
-    draws = sample_scan(scan_means(ONES, cc, 1000), cc.seed)[0]
+    cfg = config_with(seed=2024)
+    draws = sample_scan(scan_means(ONES, cfg, 1000), cfg.seed)[0]
     mean = 42000 * 0.5
     bound = 3 * math.sqrt(mean) / math.sqrt(1000)
     assert abs(draws.mean() - mean) < bound
 
 
 def test_mean_and_variance_at_five_sigma_over_1e4_draws():
-    cc = CountingConfig(seed=31337, rate_a_cal=2000.0)
-    draws = sample_scan(scan_means(ONES, cc, 10_000), cc.seed)[0]
+    cfg = config_with(seed=31337, rate_a_cal=2000.0)
+    draws = sample_scan(scan_means(ONES, cfg, 10_000), cfg.seed)[0]
     mu = 2000.0 * 0.5
     n = len(draws)
     assert abs(draws.mean() - mu) < 5 * math.sqrt(mu / n)
@@ -98,25 +99,25 @@ def test_mean_and_variance_at_five_sigma_over_1e4_draws():
 
 
 def test_accidentals_expected_value():
-    cc = CountingConfig(seed=5, rate_a_cal=42e3, rate_b_cal=110e3, window=2e-9)
-    accidentals_expected = scan_means(ONES, cc)[3, 0]
+    cfg = config_with(seed=5, rate_a_cal=42e3, rate_b_cal=110e3, window=2e-9)
+    accidentals_expected = scan_means(ONES, cfg)[3, 0]
     assert accidentals_expected == pytest.approx(9.24 * 0.5, rel=1e-9)
 
 
 def test_overflow_guard():
-    cc = CountingConfig(seed=123, rate_a_cal=1e30)
+    cfg = config_with(seed=123, rate_a_cal=1e30)
     with pytest.raises(OverflowError):
-        sample_point(ONES, cc)
+        sample_point(ONES, cfg)
 
 
-def _scalar_rates(rates, cc, baseline):
+def _scalar_rates(rates, cfg, baseline):
     """Counts/s (A, B, true coincidences) of one point by scalar calibration."""
     p_a, p_b, p_ab = rates
     base_a, base_b = baseline[:2].tolist()
     return (
-        cc.rate_a_cal * p_a / base_a,
-        cc.rate_b_cal * p_b / base_b,
-        cc.rate_a_cal * p_ab / base_a,
+        cfg.rate_a_cal * p_a / base_a,
+        cfg.rate_b_cal * p_b / base_b,
+        cfg.rate_a_cal * p_ab / base_a,
     )
 
 
@@ -126,20 +127,19 @@ def test_scan_sampler_matches_one_philox_stream(axis):
     record = run_scan(cfg)
     assert record.counts.shape == (3, 401)
     model = compile_model(cfg)
-    cc = cfg.detectors
     delays = {"delta_x_p" if axis == "pump" else "delta_x_s": record.delays}
     points = list(zip(*model.rates(**delays).tolist()))
-    rates = np.array([_scalar_rates(p, cc, model.baseline) for p in points]).T
+    rates = np.array([_scalar_rates(p, cfg, model.baseline) for p in points]).T
     assert np.array_equal(record.rates, rates)
 
     # the reference draws the same means, rows A, B, true coincidences and
     # accidentals, from a Philox generator keyed (seed, 0)
-    dwell = cfg.scan.dwell
+    dwell = cfg.dwell
     means = np.array([
-        (r_a * dwell, r_b * dwell, r_true * dwell, accidental_rate(r_a, r_b, cc.window) * dwell)
+        (r_a * dwell, r_b * dwell, r_true * dwell, accidental_rate(r_a, r_b, cfg.window) * dwell)
         for r_a, r_b, r_true in zip(*rates.tolist())
     ]).T
-    key = np.array([cfg.detectors.seed, 0], dtype=np.uint64)
+    key = np.array([cfg.seed, 0], dtype=np.uint64)
     draws = np.random.Generator(np.random.Philox(key=key)).poisson(means)
     assert np.array_equal(record.counts, [draws[0], draws[1], draws[2] + draws[3]])
     # another seed: same rates, other counts

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from icohsim.cli import build_report
 from icohsim.scan import (
     COLUMN_FLOOR,
     ENVELOPE_THRESHOLD,
@@ -317,6 +318,24 @@ def test_scan_grid_matches_settings(config):
     grid = scan_grid(config)
     assert len(grid) == 401
     assert np.allclose(np.diff(grid), 10e-9)
+
+
+@pytest.mark.parametrize(
+    "start, stop, step, points, spacing",
+    # 333.3 nm and 3.00075 nm steps
+    [(0.0, 1e-6, 300e-9, 4, 1e-6 / 3), (-2e-6, 2e-6, 3e-9, 1334, 4e-6 / 1333)],
+    ids=["300nm_over_1um", "3nm_over_4um"],
+)
+def test_scan_grid_spans_start_to_stop_and_rounds_the_step(start, stop, step, points, spacing):
+    """A step that does not divide the span is rounded: the grid runs from start
+    to stop exactly in round(span / step) + 1 points, and the report states the
+    configured step."""
+    cfg = config_with(start=start, stop=stop, step=step)
+    grid = scan_grid(cfg)
+    assert len(grid) == points == round((stop - start) / step) + 1
+    assert grid[0] == start and grid[-1] == stop
+    assert np.allclose(np.diff(grid), spacing, rtol=1e-12, atol=0.0)
+    assert f"um in {step * 1e9:.3g} nm steps\n" in build_report(cfg)
 
 
 # Fits recorded from the variable-projection fitter: (axis, seed, channel,
@@ -742,7 +761,7 @@ def test_counts_fits_are_at_the_poisson_maximum_likelihood_point(axis):
         record = run_scan(config_with(seed=seed, **scan))
         for channel, row in (("singles", 0), ("coincidence", 2)):
             fit = fit_fringe(record, channel)
-            assert max(poisson_score(fit, record, row, record.config.scan.dwell)) <= SCORE_TOLERANCE
+            assert max(poisson_score(fit, record, row, record.config.dwell)) <= SCORE_TOLERANCE
 
 
 def test_refit_shaped_fits_are_at_the_poisson_maximum_likelihood_point():

@@ -7,6 +7,7 @@ from numpy.polynomial.hermite_e import hermegauss
 import icohsim.expectation
 import icohsim.spectral
 from icohsim.config import ConfigError, parse_config
+from icohsim.counting import detected
 from icohsim.expectation import setup_rates
 from icohsim.scan import run_scan
 from icohsim.spectral import (
@@ -217,12 +218,12 @@ def test_run_scan_equals_per_point_path(axis):
     cfg = config_with()
     record = run_scan(cfg, axis=axis, sample=False)
     baseline = phase_averaged_baseline(cfg)
-    cc = cfg.detectors
+    rates = (cfg.rate_a_cal, cfg.rate_b_cal)
     # relative to each channel's calibrated baseline: fringe minima reach ~1e-4 of it
-    tolerance = 1e-12 * cc.detected(baseline.reshape(3, 1), baseline)
+    tolerance = 1e-12 * detected(baseline.reshape(3, 1), baseline, *rates)
     delays = {"delta_x_p" if axis == "pump" else "delta_x_s": record.delays}
     # far inside both coherence lengths, 8 nodes per spectrum are already exact
-    expected = cc.detected(spectral_average(cfg, **delays, nodes=8), baseline)
+    expected = detected(spectral_average(cfg, **delays, nodes=8), baseline, *rates)
     assert np.all(np.abs(record.rates - expected) <= tolerance)
 
 
