@@ -62,8 +62,9 @@ MAX_ORACLE_POINTS = 4096
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 
-# One CSV row: delay and rates with nine significant digits, then the counts.
-_ROW_FORMAT = "%.8e,%.8e,%.8e,%.8e,%d,%d,%d\n"
+# One CSV row: the delay with 17 significant digits, which holds a float64
+# exactly, the rates with nine, then the counts.
+_ROW_FORMAT = "%.16e,%.8e,%.8e,%.8e,%d,%d,%d\n"
 _HEADER_LINE = ",".join(CSV_HEADER)
 
 

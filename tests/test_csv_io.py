@@ -53,7 +53,7 @@ def test_write_read_round_trip(record):
     text = _text(record)
     back = read_scan_csv(io.StringIO(text))
     n = len(record.delays)
-    assert back.delays.tolist() == _nine_digits(record.delays).tolist()
+    assert back.delays.tolist() == record.delays.tolist()
     assert back.rates.tolist() == _nine_digits(record.rates).reshape(3, n).tolist()
     expected_counts = record.counts if record.counts is not None else np.zeros((3, n), int)
     assert back.counts.tolist() == expected_counts.tolist()
@@ -213,7 +213,7 @@ def _expected_outcome(outcome):
     if outcome is None:
         return [], [[], [], []], [[], [], []]
     delays, rates, counts = _scan_arrays()
-    arrays = {"delays": _nine_digits(delays)[None], "rates": _nine_digits(rates), "counts": counts}
+    arrays = {"delays": delays[None], "rates": _nine_digits(rates), "counts": counts}
     for (name, row, point), value in outcome.items():
         arrays[name][row, point] = value
     return arrays["delays"][0].tolist(), arrays["rates"].tolist(), arrays["counts"].tolist()
