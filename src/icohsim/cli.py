@@ -40,6 +40,7 @@ from .scan import (
     SOURCES,
     FitNonConvergenceError,
     FringeFit,
+    GridError,
     NoFringeError,
     ScanRecord,
     fit_fringe,
@@ -107,21 +108,6 @@ def _csv_cell(text: str, column: int, line: int) -> float | int:
             f"CSV line {line}, column {CSV_HEADER[column]}: not {kind}: {text!r}"
         )
     return value
-
-
-def _delay_grid_error(delays: np.ndarray, off: int | None) -> tuple[int, str]:
-    """Row index and reason of the first bad delay: at the off-grid step ``off``, or, when
-    it is None, at the first delay not above the one before."""
-    if off is None:
-        k = int(np.flatnonzero(np.diff(delays) <= 0)[0]) + 1
-        return k, (
-            f"delay {delays[k]:.9g} m is not greater than "
-            f"the previous delay {delays[k - 1]:.9g} m"
-        )
-    return off + 1, (
-        f"delay step {delays[off + 1] - delays[off]:.6g} m "
-        f"is off the grid's median step; delays must be uniformly spaced"
-    )
 
 
 # A line that ends in a lone carriage return: loadtxt takes it for a line break
@@ -193,7 +179,7 @@ def _load_rows(body: str) -> np.ndarray:
     return rows
 
 
-def read_scan_csv(stream: io.TextIOBase, axis: str = "signal") -> ScanRecord:
+def read_scan_csv(stream: io.TextIOBase) -> ScanRecord:
     """Parse a scan CSV; a bad header, row, cell or delay grid is a ConfigError.
 
     The grammar is what ``write_scan_csv`` writes: the header line, then rows
@@ -207,8 +193,8 @@ def read_scan_csv(stream: io.TextIOBase, axis: str = "signal") -> ScanRecord:
     The csv module reads the header line.  ``np.loadtxt`` then parses the rows
     in one pass, and only it accepts them.  When it fails, or a value is out
     of range, ``_walk_rows`` checks the rows one by one in file order, so the
-    error names the first bad line (and column), as it does for a delay that
-    is not strictly increasing on a uniform grid.
+    error names the first bad line (and column).  A delay grid that
+    ScanRecord rejects is named by the line of its first bad delay.
     """
     text = stream.read()
     head, newline, body = text.partition("\n")
@@ -233,13 +219,9 @@ def read_scan_csv(stream: io.TextIOBase, axis: str = "signal") -> ScanRecord:
     table = np.ascontiguousarray(rows["floats"].T)
     counts = np.ascontiguousarray(rows["counts"].T)
     try:
-        record = ScanRecord(axis=axis, delays=table[0], rates=table[1:], counts=counts)
-    except ValueError:  # the shapes match, so a delay is not above the one before
-        record = None
-    if record is None or record.off_grid is not None:
-        row, reason = _delay_grid_error(table[0], record.off_grid if record else None)
-        raise ConfigError(f"CSV line {_walk_rows(body)[row]}: {reason}")
-    return record
+        return ScanRecord(table[0], table[1:], counts)
+    except GridError as exc:
+        raise ConfigError(f"CSV line {_walk_rows(body)[exc.row]}: {exc}") from None
 
 
 def fit_summary(fit: FringeFit) -> dict:
@@ -525,33 +507,35 @@ def _say(args: argparse.Namespace, message: str) -> None:
         print(message)
 
 
-def _run(args: argparse.Namespace) -> int:
-    if args.command in ("predict", "simulate"):
-        config = _load(args)
-        try:
-            record = run_scan(config, sample=args.command == "simulate")
-        except OverflowError as exc:
-            raise ConfigError(
-                f"{exc}; lower detectors.rate_a_hz, detectors.rate_b_hz or scan.dwell_s"
-            ) from None
-        for warning in record.warnings:
-            print(f"warning: {warning}", file=sys.stderr)
-        buffer = io.StringIO()
-        write_scan_csv(record, buffer)
-        _emit(buffer.getvalue(), args.out)
-        _say(args, f"wrote {len(record.delays)} scan points to {args.out}")
-        return EXIT_OK
-
+def _scan(args: argparse.Namespace, config: ExperimentConfig) -> ScanRecord:
+    """The scan record of a scan command: run from the config, or for ``fit`` read from its CSV."""
     if args.command == "fit":
-        config = _load(args)
         try:
             with open(args.input, "r", encoding="utf-8", newline="") as fh:
-                record = read_scan_csv(fh, axis=config.axis)
+                return read_scan_csv(fh)
         except UnicodeDecodeError as exc:
             raise utf8_error(args.input, exc) from None
+    try:
+        return run_scan(config, sample=args.command == "simulate")
+    except OverflowError as exc:
+        raise ConfigError(
+            f"{exc}; lower detectors.rate_a_hz, detectors.rate_b_hz or scan.dwell_s"
+        ) from None
+
+
+def _run(args: argparse.Namespace) -> int:
+    if args.command in ("predict", "simulate", "fit"):
+        config = _load(args)
+        record = _scan(args, config)
         warning = undersampling_warning(config, record)
         if warning:
             print(f"warning: {warning}", file=sys.stderr)
+        if args.command != "fit":
+            buffer = io.StringIO()
+            write_scan_csv(record, buffer)
+            _emit(buffer.getvalue(), args.out)
+            _say(args, f"wrote {len(record.delays)} scan points to {args.out}")
+            return EXIT_OK
         try:
             fit = fit_fringe(
                 record, channel=args.channel, source=args.source, dwell=config.dwell

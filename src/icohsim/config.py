@@ -278,11 +278,9 @@ class ExperimentConfig:
         center = self.signal_filter_center
         return SpectralProfile(center, SPEED_OF_LIGHT * self.signal_filter_bandwidth / center**2)
 
-    def scan_wavelength(self, axis: str | None = None) -> float:
-        axis = axis or self.axis
-        if axis == "pump":
-            return self.pump_wavelength
-        return self.signal_filter_center
+    def scan_wavelength(self) -> float:
+        """The expected fringe period of the scan axis."""
+        return self.pump_wavelength if self.axis == "pump" else self.signal_filter_center
 
 
 def _syntax_error(lineno: int, reason: str) -> ConfigError:

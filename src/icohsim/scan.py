@@ -52,7 +52,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import SCAN_AXES, ExperimentConfig
+from .config import ConfigError, ExperimentConfig
 from .counting import count_means, detected, sample_scan
 from .expectation import check_rates
 from .spectral import compile_model
@@ -119,6 +119,14 @@ FWHM_FACTOR = 2.0 * math.sqrt(2.0 * math.log(2.0))
 GRID_TOLERANCE = 1e-6
 
 
+class GridError(ValueError):
+    """A delay grid not strictly increasing in uniform steps; ``row`` is its first bad delay's index."""
+
+    def __init__(self, message: str, row: int):
+        super().__init__(message)
+        self.row = row
+
+
 class NoFringeError(RuntimeError):
     """Raised when no significant fringe is found in a record."""
 
@@ -146,24 +154,22 @@ def _median(values: np.ndarray) -> float:
 
 @dataclass
 class ScanRecord:
-    """One delay scan: grid, calibrated rates, sampled counts.
+    """One delay scan on a uniform grid: delays, calibrated rates, sampled counts.
 
     ``rates`` holds counts/s rows (detector A, detector B, true
     coincidences) and ``counts`` the sampled count rows (detector A,
     detector B, coincidences including accidentals), each of shape (3, n);
     ``counts`` is None for a noiseless record.  ``step`` is the median delay
-    step (nan below two delays) and ``off_grid`` the index i of the first step
-    delays[i] -> delays[i+1] off it by more than GRID_TOLERANCE, or None.
+    step (nan below two delays).  The delays are strictly increasing, and no
+    step is off the median step by more than GRID_TOLERANCE of it; a grid
+    that breaks either rule raises GridError at its first bad delay.  The
+    scan axis and the dwell come from the config.
     """
 
-    axis: str
     delays: np.ndarray
     rates: np.ndarray
     counts: np.ndarray | None = None
-    config: "ExperimentConfig | None" = None
-    warnings: list[str] = field(default_factory=list)
     step: float = field(init=False)
-    off_grid: int | None = field(init=False)
 
     def __post_init__(self) -> None:
         self.delays = np.asarray(self.delays, dtype=float)
@@ -175,11 +181,19 @@ class ScanRecord:
             if self.counts.shape != self.rates.shape:
                 raise ValueError("counts must have shape (3, number of delays)")
         dx = np.diff(self.delays)
-        if not np.all(dx > 0):
-            raise ValueError("delay grid must be strictly increasing")
+        bad = np.flatnonzero(~(dx > 0))
+        if len(bad):
+            k = int(bad[0]) + 1
+            previous, delay = self.delays[k - 1 : k + 1]
+            raise GridError(f"delay {delay:.9g} m is not greater than the previous delay {previous:.9g} m", k)
         self.step = _median(dx) if len(dx) else math.nan
         off = np.flatnonzero(np.abs(dx - self.step) > GRID_TOLERANCE * self.step)
-        self.off_grid = int(off[0]) if len(off) else None
+        if len(off):
+            raise GridError(
+                f"delay step {dx[off[0]]:.6g} m is off the grid's median step; "
+                f"delays must be uniformly spaced",
+                int(off[0]) + 1,
+            )
 
 
 @dataclass(frozen=True)
@@ -221,8 +235,8 @@ def scan_grid(config: "ExperimentConfig") -> np.ndarray:
 
 
 def undersampling_warning(config: "ExperimentConfig", record: ScanRecord) -> str | None:
-    """Warning text when the record's grid has fewer than 8 points per expected fringe period."""
-    wavelength = config.scan_wavelength(record.axis)
+    """Warning text when the record's step gives fewer than 8 points per fringe period of the config's axis."""
+    wavelength = config.scan_wavelength()
     # A record of fewer than two delays has a nan step, and no warning.
     if not record.step > wavelength / 8.0:
         return None
@@ -234,37 +248,33 @@ def undersampling_warning(config: "ExperimentConfig", record: ScanRecord) -> str
 
 def run_scan(
     config: "ExperimentConfig",
-    axis: str | None = None,
     grid: np.ndarray | None = None,
     sample: bool = True,
 ) -> ScanRecord:
-    """Evaluate the scan: calibrated envelope-modulated rates, then counts.
+    """Evaluate the scan along ``config.axis``: calibrated envelope-modulated rates, then counts.
 
     The config is compiled once into its closed-form fringe model, which
     gives the whole grid's rates in one pass and the calibration baseline;
     the grid is calibrated as one array and sampled by one
-    :func:`~icohsim.counting.sample_scan` call.
-    The non-scanned delay axis is held at zero.  A warning (not an error)
-    is recorded when the grid undersamples the expected fringe period.
+    :func:`~icohsim.counting.sample_scan` call.  The non-scanned delay axis
+    is held at zero.  The grid is ``grid`` if given, else the config's
+    (scan_grid).  A grid that float64 cannot hold uniform, a step too fine
+    for the size of its delays, raises a ConfigError naming scan.step_nm.
     """
-    axis = axis or config.axis
-    if axis not in SCAN_AXES:
-        raise ValueError(f"scan axis must be 'signal' or 'pump', got {axis!r}")
     delays = scan_grid(config) if grid is None else np.asarray(grid, dtype=float)
 
     model = compile_model(config)
-    rates = model.rates(delta_x_p=delays) if axis == "pump" else model.rates(delta_x_s=delays)
+    rates = model.rates(delta_x_p=delays) if config.axis == "pump" else model.rates(delta_x_s=delays)
     check_rates(rates)
     with np.errstate(over="ignore"):
         calibrated = detected(rates, model.baseline, config.rate_a_cal, config.rate_b_cal)
     if not np.all(np.isfinite(calibrated)):
         raise OverflowError("calibrated rates exceed the float range")
     counts = sample_scan(count_means(calibrated, config.window, config.dwell), config.seed) if sample else None
-    record = ScanRecord(axis=axis, delays=delays, rates=calibrated, counts=counts, config=config)
-    warning = undersampling_warning(config, record)
-    if warning:
-        record.warnings.append(warning)
-    return record
+    try:
+        return ScanRecord(delays, calibrated, counts)
+    except GridError as exc:
+        raise ConfigError(f"scan.step_nm is too fine for float64 delays on this scan: {exc}") from None
 
 
 def _series(record: ScanRecord, channel: str, source: str) -> tuple[np.ndarray, str]:
@@ -296,13 +306,12 @@ def estimate_period(
     refines it.  Raises NoFringeError when no peak stands out of the
     background (flat data), or when the peak sits in the last bin, at a
     period of 2 grid steps: there the model's cos and sin columns coincide
-    on the grid.
+    on the grid.  A record's grid is uniform (see ScanRecord), so its median
+    step is the step of the whole series.
     """
     y, _ = _series(record, channel, source)
     if len(y) < 8:
         raise NoFringeError("record too short for period estimation")
-    if record.off_grid is not None:
-        raise ValueError("period estimation requires a uniform delay grid")
     step = record.step
 
     centered = y - y.mean()
@@ -681,13 +690,13 @@ def fit_fringe(
     Gauss-Newton steps of both fits, of both kinds.  A fit that does
     not converge in MAX_ITERATIONS Gauss-Newton steps raises
     FitNonConvergenceError, carrying the last parameters.
+    A counts fit needs ``dwell``, the config's seconds per point, to report
+    counts/s; without it it raises ValueError.
     """
     y_raw, source = _series(record, channel, source)
     x_raw = record.delays
     period_seed = estimate_period(record, channel=channel, source=source)
 
-    if dwell is None and record.config is not None:
-        dwell = record.config.dwell
     if source == "counts" and dwell is None:
         raise ValueError("counts fits need the dwell time to report rate units")
 

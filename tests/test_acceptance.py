@@ -73,7 +73,7 @@ def noiseless_record(config, pump_offset=0.0, span=2e-6, points=401):
     grid = np.linspace(-span, span, points)
     model = compile_model(config)
     rates = detected(model.rates(pump_offset, grid), model.baseline, config.rate_a_cal, config.rate_b_cal)
-    return ScanRecord(axis="signal", delays=grid, rates=rates, config=config)
+    return ScanRecord(delays=grid, rates=rates)
 
 
 def test_criterion_01_singles_rate_cosine_law():
@@ -106,17 +106,15 @@ def test_criterion_02_coincidence_shares_the_fringe_phase():
 
 def test_criterion_03_signal_scan_period_recovery():
     for seed in range(20):
-        record = run_scan(config_with(seed=seed))
-        fit = fit_fringe(record)
+        cfg = config_with(seed=seed)
+        fit = fit_fringe(run_scan(cfg), dwell=cfg.dwell)
         assert abs(fit.period - 808e-9) <= 1e-9, f"seed {seed}: {fit.period}"
 
 
 def test_criterion_04_pump_scan_period_recovery():
     for seed in range(20):
-        record = run_scan(
-            config_with(axis="pump", start=-1e-6, stop=1e-6, seed=seed)
-        )
-        fit = fit_fringe(record)
+        cfg = config_with(axis="pump", start=-1e-6, stop=1e-6, seed=seed)
+        fit = fit_fringe(run_scan(cfg), dwell=cfg.dwell)
         assert abs(fit.period - 355e-9) <= 1e-9, f"seed {seed}: {fit.period}"
 
 

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from icohsim import cli
 from icohsim.cli import (
@@ -18,8 +20,11 @@ from icohsim.cli import (
     oracle_comparison,
     read_scan_csv,
 )
-from icohsim.config import load_config
+from icohsim.config import ConfigError, load_config
 from icohsim.fockoracle import MAX_ORACLE_GAIN
+from icohsim.scan import run_scan
+
+from conftest import config_with
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_CONFIG = str(REPO_ROOT / "configs" / "default.ini")
 
@@ -176,14 +181,32 @@ def test_seed_outside_64_bits_exits_with_config_code(tmp_path, capsys, seed):
     assert not out.exists()
 
 
-def test_axis_override(tmp_path):
+def test_axis_override(tmp_path, capsys):
+    # --axis pump scans the pump delay and takes the warning's period from the pump wavelength
+    config = write_config(tmp_path, "[scan]\nstep_nm = 50\n")
     out = tmp_path / "x.csv"
-    main(["predict", "--config", DEFAULT_CONFIG, "--out", str(out), "--axis", "pump", "--quiet"])
+    predict = ["predict", "--config", config, "--out", str(out), "--quiet"]
+    assert main(predict) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    assert main([*predict, "--axis", "pump"]) == EXIT_OK
+    assert capsys.readouterr().err == (
+        "warning: grid step 5e-08 m gives fewer than 8 points per expected "
+        "3.55e-07 m fringe period; fits may be unreliable\n"
+    )
     with open(out) as fh:
-        record = read_scan_csv(fh, axis="pump")
-    # pump fringes: a 355 nm shift leaves the rate unchanged
-    assert len(record.delays) == 401
-    assert record.axis == "pump"
+        record = read_scan_csv(fh)
+    expected = run_scan(config_with(axis="pump", step=50e-9), sample=False)
+    assert record.delays.tolist() == expected.delays.tolist()
+    assert np.allclose(record.rates, expected.rates, rtol=1e-8, atol=0.0)
+
+
+def test_fit_divides_counts_by_the_dwell_they_were_sampled_with(tmp_path):
+    # one dwell setting, scan.dwell_s: the sampler's and the fit's
+    config = write_config(tmp_path, "[scan]\ndwell_s = 2\n")
+    scan, fit = tmp_path / "scan.csv", tmp_path / "fit.json"
+    assert main(["simulate", "--config", config, "--out", str(scan), "--quiet"]) == EXIT_OK
+    assert main(["fit", str(scan), "--config", config, "--out", str(fit), "--quiet"]) == EXIT_OK
+    assert json.loads(fit.read_text())["baseline_hz"] == pytest.approx(42_000.0, rel=0.01)
 
 
 def test_fit_warns_on_undersampled_pump_csv(tmp_path, capsys):
@@ -727,6 +750,41 @@ def test_round_trip_csv_reader(tmp_path):
     assert len(record.delays) == 401
     assert record.counts[0, 0] >= 0
     assert record.rates[1, 0] == pytest.approx(110e3, rel=1e-6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    axis=st.sampled_from(["signal", "pump"]),
+    start_um=st.floats(-1000.0, 1000.0),
+    step_nm=st.floats(0.5, 50.0),
+    steps=st.integers(1, 2000),
+)
+def test_predict_csv_reads_back_the_scanned_delays(tmp_path_factory, axis, start_um, step_nm, steps):
+    # In-range scans up to 1 mm from zero delay: the delays fit reads are run_scan's, bit for bit.
+    tmp_path = tmp_path_factory.mktemp("scan")
+    stop_um = start_um + steps * step_nm / 1e3
+    text = f"[scan]\naxis = {axis}\nstart_um = {start_um!r}\nstop_um = {stop_um!r}\nstep_nm = {step_nm!r}\n"
+    config = write_config(tmp_path, text)
+    out = tmp_path / "scan.csv"
+    assert main(["predict", "--config", config, "--out", str(out), "--quiet"]) == EXIT_OK
+    with open(out) as fh:
+        record = read_scan_csv(fh)
+    assert record.delays.tobytes() == run_scan(load_config(config), sample=False).delays.tobytes()
+
+
+# A pump scan half a metre out in 0.1 nm steps: float64 delays there are
+# 1.1e-16 m apart, so the grid's steps vary by 1e-6 of the step and more.
+FLOAT_LIMITED_SCAN = "[scan]\naxis = pump\nstart_um = 500000\nstop_um = 500010\nstep_nm = 0.1\n"
+
+
+def test_a_step_too_fine_for_float64_exits_with_config_code(tmp_path, capsys):
+    config = write_config(tmp_path, FLOAT_LIMITED_SCAN)
+    with pytest.raises(ConfigError, match=r"^scan\.step_nm "):
+        run_scan(load_config(config), sample=False)
+    out = tmp_path / "scan.csv"
+    assert main(["predict", "--config", config, "--out", str(out), "--quiet"]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: scan.step_nm ")
+    assert not out.exists()
 
 
 def test_bad_csv_header_rejected(tmp_path):

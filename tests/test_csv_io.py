@@ -44,7 +44,7 @@ def scan_records(draw):
     if draw(st.booleans()):
         counts = np.array([[draw(count) for _ in range(points)] for _ in range(3)], dtype=np.int64)
     delays = np.linspace(-span, span, points)
-    return ScanRecord(axis="signal", delays=delays, rates=rates.reshape(3, points), counts=counts)
+    return ScanRecord(delays=delays, rates=rates.reshape(3, points), counts=counts)
 
 
 @settings(max_examples=80, deadline=None)
@@ -69,7 +69,7 @@ def _scan_arrays():
 
 def _scan_text():
     delays, rates, counts = _scan_arrays()
-    return _text(ScanRecord(axis="signal", delays=delays, rates=rates, counts=counts))
+    return _text(ScanRecord(delays=delays, rates=rates, counts=counts))
 
 
 def _edit_cell(line, column, cell):

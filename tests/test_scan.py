@@ -11,6 +11,7 @@ from icohsim.scan import (
     ENVELOPE_THRESHOLD,
     FWHM_FACTOR,
     FitNonConvergenceError,
+    GridError,
     NoFringeError,
     ScanRecord,
     _basis,
@@ -22,6 +23,7 @@ from icohsim.scan import (
     fit_fringe,
     run_scan,
     scan_grid,
+    undersampling_warning,
 )
 
 from conftest import config_with
@@ -50,7 +52,7 @@ def synthetic_record(
         counts = np.random.default_rng(noise_seed).poisson(model)
     counts = np.array([counts, np.zeros_like(counts), counts], dtype=np.int64)
     rates = np.array([model, model, model])
-    return ScanRecord(axis="signal", delays=x, rates=rates, counts=counts)
+    return ScanRecord(delays=x, rates=rates, counts=counts)
 
 
 def test_run_scan_grid_and_record_shape(config):
@@ -60,8 +62,7 @@ def test_run_scan_grid_and_record_shape(config):
     assert record.delays[-1] == pytest.approx(2e-6)
     assert record.rates.shape == (3, 401)
     assert record.counts.shape == (3, 401)
-    assert record.warnings == []
-    assert record.axis == "signal"
+    assert undersampling_warning(config, record) is None
 
 
 def test_run_scan_without_sampling(config):
@@ -72,29 +73,15 @@ def test_run_scan_without_sampling(config):
     assert np.mean(mids) == pytest.approx(42_000.0, rel=0.05)
 
 
-def test_fit_divides_counts_by_the_dwell_they_were_sampled_with():
-    # one dwell setting: the scan's, read by both the sampler and the fit
-    fit = fit_fringe(run_scan(config_with(dwell=2.0)))
-    assert fit.baseline == pytest.approx(42_000.0, rel=0.01)
-
-
 def test_run_scan_warns_on_coarse_grid(config):
     record = run_scan(config, grid=np.linspace(-2e-6, 2e-6, 12), sample=False)
-    assert any("8 points" in w for w in record.warnings)
-
-
-def test_run_scan_rejects_bad_axis(config):
-    with pytest.raises(ValueError, match="axis"):
-        run_scan(config, axis="diagonal")
+    assert "8 points" in undersampling_warning(config, record)
 
 
 def test_scan_record_requires_monotone_grid():
-    with pytest.raises(ValueError, match="increasing"):
-        ScanRecord(
-            axis="signal",
-            delays=np.array([0.0, -1e-9, 1e-9]),
-            rates=np.ones((3, 3)),
-        )
+    with pytest.raises(GridError, match="delay -1e-09 m is not greater than the previous delay 0 m") as error:
+        ScanRecord(delays=np.array([0.0, -1e-9, 1e-9]), rates=np.ones((3, 3)))
+    assert error.value.row == 1
 
 
 @pytest.mark.parametrize("length", [1, 2, 3, 4, 5, 8, 255, 256, 1000, 1001])
@@ -114,11 +101,12 @@ def test_scan_record_step_is_the_median_step():
         np.linspace(-2e-6, 2e-6, 401),
         np.linspace(-1e-6, 1e-6, 201),
         np.array([0.0, 1e-8]),
-        np.array([0.0, 1e-8, 3e-8]),
-        np.cumsum(rng.uniform(0.5, 1.5, 100)) * 1e-9,
+        # an odd and an even number of steps, each within the grid tolerance of 1 nm
+        np.cumsum(1.0 + rng.uniform(-5e-7, 5e-7, 100)) * 1e-9,
+        np.cumsum(1.0 + rng.uniform(-5e-7, 5e-7, 101)) * 1e-9,
     ]
     for delays in grids:
-        record = ScanRecord(axis="signal", delays=delays, rates=np.ones((3, len(delays))))
+        record = ScanRecord(delays=delays, rates=np.ones((3, len(delays))))
         assert record.step == float(np.median(np.diff(delays)))
 
 
@@ -135,18 +123,15 @@ def test_estimate_period_flat_record_raises():
         estimate_period(record)
 
 
-def test_estimate_period_needs_uniform_grid():
+def test_scan_record_rejects_a_non_uniform_grid():
     geometric = np.array([0.0, 1e-9, 3e-9, 7e-9, 15e-9, 31e-9, 63e-9, 127e-9])
     # 16 delays 1 nm apart but for one step of 1.5 nm: first, in the middle or last.
     steps = [np.where(np.arange(15) == off, 1.5e-9, 1e-9) for off in (0, 7, 14)]
     grids = [geometric] + [np.concatenate([[0.0], np.cumsum(dx)]) for dx in steps]
     for x, off in zip(grids, (0, 0, 7, 14)):
-        record = ScanRecord(axis="signal", delays=x, rates=np.ones((3, len(x))))
-        assert record.off_grid == off
-        with pytest.raises(ValueError, match="uniform"):
-            estimate_period(record, source="rates")
-        with pytest.raises(ValueError, match="uniform"):
-            fit_fringe(record, source="rates")
+        with pytest.raises(GridError, match="is off the grid's median step; delays must be uniformly spaced") as error:
+            ScanRecord(delays=x, rates=np.ones((3, len(x))))
+        assert error.value.row == off + 1
 
 
 def refit_shaped_records(count=48):
@@ -169,7 +154,7 @@ def refit_shaped_records(count=48):
         rate = 42e3 * (1.0 + rng.uniform(0.5, 0.95) * envelope * np.cos(2 * np.pi * x / period + phase))
         counts = rng.poisson(5.0 * rate)
         rows = dict(rates=np.array([rate] * 3), counts=np.array([counts] * 3))
-        yield period, ScanRecord(axis="signal", delays=x, **rows)
+        yield period, ScanRecord(delays=x, **rows)
 
 
 def test_estimate_period_is_within_three_percent_of_the_fit():
@@ -221,7 +206,7 @@ def test_fit_monte_carlo_signal_periods(config):
     errors = []
     for seed in range(5):
         record = run_scan(config_with(seed=seed))
-        fit = fit_fringe(record)
+        fit = fit_fringe(record, dwell=0.5)
         errors.append(abs(fit.period - 808e-9))
         assert fit.period_sigma > 0
     assert max(errors) < 1e-9
@@ -231,7 +216,7 @@ def test_fit_monte_carlo_pump_periods():
     base = config_with(axis="pump", start=-1e-6, stop=1e-6)
     for seed in range(5):
         record = run_scan(config_with(axis="pump", start=-1e-6, stop=1e-6, seed=seed))
-        fit = fit_fringe(record)
+        fit = fit_fringe(record, dwell=0.5)
         assert abs(fit.period - 355e-9) < 1e-9
         # scan range is far inside the pump coherence length: the envelope
         # is reported as a lower bound only
@@ -242,7 +227,6 @@ def test_fit_is_scale_free():
     record = synthetic_record(visibility=0.55, sigma=SIGMA_SIGNAL, noise_seed=3)
     fit = fit_fringe(record, dwell=0.5)
     scaled = ScanRecord(
-        axis="signal",
         delays=record.delays,
         rates=record.rates,
         counts=record.counts * 7,
@@ -276,7 +260,7 @@ def test_fit_flat_record_raises_no_fringe():
 def test_fit_coincidence_channel(config):
     cfg = config_with(eta=0.7, seed=11)
     record = run_scan(cfg)
-    fit = fit_fringe(record, channel="coincidence")
+    fit = fit_fringe(record, channel="coincidence", dwell=cfg.dwell)
     assert abs(fit.period - 808e-9) < 1e-9
     assert fit.visibility == pytest.approx(0.9395973, abs=0.01)
 
@@ -357,7 +341,7 @@ RECORDED_FITS = [
 def test_fit_decisions_match_recorded_fits(recorded):
     axis, seed, channel, iterations, period, visibility, phase, baseline = recorded
     scan = {} if axis == "signal" else dict(axis="pump", start=-1e-6, stop=1e-6)
-    fit = fit_fringe(run_scan(config_with(seed=seed, **scan)), channel=channel)
+    fit = fit_fringe(run_scan(config_with(seed=seed, **scan)), channel=channel, dwell=0.5)
     assert fit.iterations == iterations
     for got, expected in (
         (fit.period, period),
@@ -382,7 +366,7 @@ def two_channel_record(noise_seed, visibility, fwhm=None):
     fringe = envelope * np.cos(2 * np.pi * x / 808e-9 + 0.3)
     means = [21000.0 * (1 + visibility * fringe), np.full(401, 55000.0), 2000.0 * (1 + 0.94 * fringe)]
     counts = np.random.default_rng(noise_seed).poisson(means)
-    return ScanRecord(axis="signal", delays=x, rates=counts / 0.5, counts=counts)
+    return ScanRecord(delays=x, rates=counts / 0.5, counts=counts)
 
 
 # Fits of two_channel_record: (noise seed, visibility, envelope FWHM, channel,
@@ -441,7 +425,6 @@ def values_record(values, source, start, step):
         y = np.floor(y)
     rows = np.vstack([y, y, y])
     return ScanRecord(
-        axis="signal",
         delays=start + step * np.arange(len(y)),
         rates=rows,
         counts=rows.astype(np.int64) if source == "counts" else None,
@@ -655,7 +638,7 @@ def test_campaign_steps_are_not_halved_below_the_tolerance(monkeypatch):
         record = run_scan(config_with(seed=seed))
         for channel in ("singles", "coincidence"):
             calls.clear()
-            fit = fit_fringe(record, channel)
+            fit = fit_fringe(record, channel, dwell=0.5)
             assert len(calls) == fit.iterations + 1
 
 
@@ -676,7 +659,7 @@ def test_pulls_cover_truth_at_eta_070(axis, channel):
     seeds = range(2000, 2060)
     n = len(seeds)
     truth = fit_fringe(run_scan(config_with(eta=0.7, **scan), sample=False), channel, "rates")
-    fits = [fit_fringe(run_scan(config_with(eta=0.7, seed=s, **scan)), channel) for s in seeds]
+    fits = [fit_fringe(run_scan(config_with(eta=0.7, seed=s, **scan)), channel, dwell=0.5) for s in seeds]
     for pulls in (
         [(f.visibility - truth.visibility) / f.visibility_sigma for f in fits],
         [(f.period - period) / f.period_sigma for f in fits],
@@ -692,7 +675,7 @@ def test_envelope_stays_pinned_on_campaign_scans(axis):
     for seed in range(1000, 1020):
         record = run_scan(config_with(seed=seed, **scan))
         for channel in ("singles", "coincidence"):
-            fit = fit_fringe(record, channel)
+            fit = fit_fringe(record, channel, dwell=0.5)
             assert fit.envelope_delta_chi2 <= ENVELOPE_THRESHOLD
             assert not fit.envelope_resolved
             assert fit.envelope_fwhm_sigma == math.inf
@@ -760,8 +743,8 @@ def test_counts_fits_are_at_the_poisson_maximum_likelihood_point(axis):
     for seed in range(3000, 3010):
         record = run_scan(config_with(seed=seed, **scan))
         for channel, row in (("singles", 0), ("coincidence", 2)):
-            fit = fit_fringe(record, channel)
-            assert max(poisson_score(fit, record, row, record.config.dwell)) <= SCORE_TOLERANCE
+            fit = fit_fringe(record, channel, dwell=0.5)
+            assert max(poisson_score(fit, record, row, 0.5)) <= SCORE_TOLERANCE
 
 
 def test_refit_shaped_fits_are_at_the_poisson_maximum_likelihood_point():
@@ -791,5 +774,5 @@ def test_campaign_fits_make_no_linalg_call(monkeypatch):
             monkeypatch.setattr(np.linalg, name, counted(name, routine))
     for record in records:
         for channel in ("singles", "coincidence"):
-            fit_fringe(record, channel)
+            fit_fringe(record, channel, dwell=0.5)
     assert calls == []

@@ -215,8 +215,8 @@ def test_compiled_baseline_is_the_phase_averaged_baseline():
 
 @pytest.mark.parametrize("axis", ["signal", "pump"])
 def test_run_scan_equals_per_point_path(axis):
-    cfg = config_with()
-    record = run_scan(cfg, axis=axis, sample=False)
+    cfg = config_with(axis=axis)
+    record = run_scan(cfg, sample=False)
     baseline = phase_averaged_baseline(cfg)
     rates = (cfg.rate_a_cal, cfg.rate_b_cal)
     # relative to each channel's calibrated baseline: fringe minima reach ~1e-4 of it
@@ -237,12 +237,12 @@ def test_compile_model_makes_one_engine_pass_of_three_settings_per_scan(monkeypa
 
     for module in (icohsim.spectral, icohsim.expectation):
         monkeypatch.setattr(module, "setup_rates", counted_batch)
-    cfg = config_with()
+    cfg = config_with(axis="pump")
     compile_model(cfg)
     assert batches == [3]
     for n in (9, 401, 4001):
         batches.clear()
         grid = np.linspace(-1e-6, 1e-6, n)
-        record = run_scan(cfg, axis="pump", grid=grid)
+        record = run_scan(cfg, grid=grid)
         assert record.rates.shape[1] == n
         assert batches == [3]
