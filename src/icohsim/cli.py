@@ -356,19 +356,13 @@ def build_report(config: ExperimentConfig) -> str:
         f"frequency FWHM {pump.fwhm_frequency:.4g} Hz"
     )
     lines.append(f"  coherence length computed from bandwidth: {computed_lc * 1e3:.3f} mm")
-    if config.stated_coherence_length is not None:
-        stated = config.stated_coherence_length
-        ratio = computed_lc / stated
-        lines.append(f"  coherence length stated in config:        {stated * 1e3:.3f} mm")
-        if abs(ratio - 1.0) > 0.1:
-            lines.append(
-                f"  NOTE: stated and computed values disagree by a factor {ratio:.2f}; "
-                "both are reported, neither is adjusted"
-            )
-    if config.coherence_length_override is not None:
+    stated = config.stated_coherence_length
+    ratio = computed_lc / stated
+    lines.append(f"  coherence length stated in config:        {stated * 1e3:.3f} mm")
+    if abs(ratio - 1.0) > 0.1:
         lines.append(
-            f"  override active: pump bandwidth rescaled for a "
-            f"{config.coherence_length_override * 1e3:.3f} mm coherence length"
+            f"  NOTE: stated and computed values disagree by a factor {ratio:.2f}; "
+            "both are reported, neither is adjusted"
         )
     lines.append(
         f"signal filter: {config.signal_filter_center * 1e9:.1f} nm, "
@@ -515,12 +509,7 @@ def _scan(args: argparse.Namespace, config: ExperimentConfig) -> ScanRecord:
                 return read_scan_csv(fh)
         except UnicodeDecodeError as exc:
             raise utf8_error(args.input, exc) from None
-    try:
-        return run_scan(config, sample=args.command == "simulate")
-    except OverflowError as exc:
-        raise ConfigError(
-            f"{exc}; lower detectors.rate_a_hz, detectors.rate_b_hz or scan.dwell_s"
-        ) from None
+    return run_scan(config, sample=args.command == "simulate")
 
 
 def _run(args: argparse.Namespace) -> int:

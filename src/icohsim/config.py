@@ -19,10 +19,9 @@ holding that key's SI value as the file states it; the spectral profiles are
 derived from them on demand.
 
 ``splitter_ratio`` is the transmitted intensity fraction of the output
-recombination splitter.  ``coherence_length_override_mm``, when set, rescales
-the pump bandwidth so the envelope half-maximum matches the given length.
-``stated_coherence_length_mm`` is informational only and lets reports
-compare a quoted value against the one computed from the bandwidth.
+recombination splitter.  ``pump.bandwidth_ghz`` alone sets the pump
+spectrum; ``stated_coherence_length_mm`` is informational only and lets
+reports compare a quoted value against the one computed from the bandwidth.
 
 Line grammar.  :func:`parse_config` splits the text at ``\n`` (a file is
 read with universal newlines, so ``\r\n`` and a lone ``\r`` end its lines
@@ -58,7 +57,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .counting import SEED_LIMIT
-from .spectral import SPEED_OF_LIGHT, SpectralProfile, profile_for_coherence_length
+from .spectral import SPEED_OF_LIGHT, SpectralProfile
 
 SCAN_AXES = ("signal", "pump")
 MAX_SCAN_POINTS = 1_000_000
@@ -180,7 +179,6 @@ KEYS = {
         Key("pump", "bandwidth_ghz", "pump_bandwidth", POSITIVE),
         Key("pump", "splitter_ratio", "splitter_ratio", Interval(0.0, 1.0, low_open=True, high_open=True)),
         Key("pump", "stated_coherence_length_mm", "stated_coherence_length", POSITIVE),
-        Key("pump", "coherence_length_override_mm", "coherence_length_override", POSITIVE),
         Key("crystal1", "gain", "gain1", GAIN),
         Key("crystal2", "gain", "gain2", GAIN),
         Key("idler_link", "eta", "eta", Interval(0.0, 1.0)),
@@ -207,8 +205,7 @@ class ExperimentConfig:
     pump_wavelength: float = 355e-9
     pump_bandwidth: float = 45e9
     splitter_ratio: float = 0.5
-    stated_coherence_length: float | None = 1.4e-3
-    coherence_length_override: float | None = None
+    stated_coherence_length: float = 1.4e-3
     gain1: float = 1e-3
     gain2: float = 1e-3
     eta: float = 1.0
@@ -229,9 +226,7 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         values = vars(self)
         for key in KEYS.values():
-            value = values[key.field]
-            if value is not None:  # None stands for an unset optional field
-                key.check(value)
+            key.check(values[key.field])
         if not self.stop > self.start:
             raise ConfigError("scan.stop_um must exceed scan.start_um")
         span = (self.stop - self.start) / self.step
@@ -260,18 +255,14 @@ class ExperimentConfig:
                               "c / wavelength is not a finite number")
         pump_fwhm = self.pump_profile().fwhm_frequency
         if not pump_fwhm < carrier:
-            key = "bandwidth_ghz" if self.coherence_length_override is None else "coherence_length_override_mm"
             raise ConfigError(
-                f"pump.{key} gives a pump frequency FWHM of {pump_fwhm:.3g} Hz, "
+                f"pump.bandwidth_ghz gives a pump frequency FWHM of {pump_fwhm:.3g} Hz, "
                 f"not below the carrier frequency {carrier:.3g} Hz"
             )
 
     def pump_profile(self) -> SpectralProfile:
-        """Pump spectrum; honors the coherence-length override if set."""
-        profile = SpectralProfile(self.pump_wavelength, self.pump_bandwidth)
-        if self.coherence_length_override is not None:
-            profile = profile_for_coherence_length(profile, self.coherence_length_override)
-        return profile
+        """Pump spectrum: the pump wavelength and frequency FWHM as the file states them."""
+        return SpectralProfile(self.pump_wavelength, self.pump_bandwidth)
 
     def signal_filter_profile(self) -> SpectralProfile:
         """Signal filter spectrum; its frequency FWHM is c * bandwidth / center^2."""

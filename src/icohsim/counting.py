@@ -17,7 +17,9 @@ import numpy as np
 
 # Seeds are 64-bit words: the config rejects others, so no two seeds share a stream.
 SEED_LIMIT = 2**64
-_MAX_MEAN = float(2**62)
+# Largest expected count per point the sampler takes: its int64 draws stay
+# representable.  The scan checks its means against it before sampling.
+MAX_MEAN = float(2**62)
 
 
 def detected(rates: np.ndarray, baseline: np.ndarray, rate_a: float, rate_b: float) -> np.ndarray:
@@ -65,8 +67,8 @@ def count_means(detected: np.ndarray, window: float, dwell: float) -> np.ndarray
 
     ``detected`` holds the (3, n) counts/s rows of :func:`detected`;
     accidentals follow :func:`accidental_rate` in the coincidence ``window``.
-    A mean beyond the float range comes out inf, which :func:`sample_scan`
-    rejects.
+    A mean beyond the float range comes out inf, which the scan rejects
+    against :data:`MAX_MEAN`.
     """
     r_a, r_b, _ = detected
     if np.any(r_a < 0) or np.any(r_b < 0):
@@ -81,13 +83,8 @@ def sample_scan(means: np.ndarray, seed: int) -> np.ndarray:
     Detector counts, true coincidences and accidentals are independent
     Poisson variates, drawn by one ``poisson`` call on the whole (4, n)
     array (row by row, each row in point order) from one Philox stream
-    keyed by the seed.
+    keyed by the seed.  Every mean must lie at or below :data:`MAX_MEAN`.
     """
-    over = np.flatnonzero(np.any(means > _MAX_MEAN, axis=0))
-    if len(over):
-        raise OverflowError(
-            f"expected counts {max(means[:, over[0]].tolist()):.3g} exceed representable integers"
-        )
     rng = np.random.Generator(np.random.Philox(key=seed))
     draws = rng.poisson(means)
     draws[2] += draws[3]

@@ -53,7 +53,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig
-from .counting import count_means, detected, sample_scan
+from .counting import MAX_MEAN, count_means, detected, sample_scan
 from .expectation import check_rates
 from .spectral import compile_model
 
@@ -246,6 +246,10 @@ def undersampling_warning(config: "ExperimentConfig", record: ScanRecord) -> str
     )
 
 
+# What a user can lower when a scan's rates or counts leave the number range.
+_LOWER_RATES = "; lower detectors.rate_a_hz, detectors.rate_b_hz or scan.dwell_s"
+
+
 def run_scan(
     config: "ExperimentConfig",
     grid: np.ndarray | None = None,
@@ -259,7 +263,10 @@ def run_scan(
     :func:`~icohsim.counting.sample_scan` call.  The non-scanned delay axis
     is held at zero.  The grid is ``grid`` if given, else the config's
     (scan_grid).  A grid that float64 cannot hold uniform, a step too fine
-    for the size of its delays, raises a ConfigError naming scan.step_nm.
+    for the size of its delays, raises a ConfigError naming scan.step_nm;
+    calibrated rates beyond the float range, or when sampling an expected
+    count above :data:`~icohsim.counting.MAX_MEAN`, raise one naming the
+    keys that set them.
     """
     delays = scan_grid(config) if grid is None else np.asarray(grid, dtype=float)
 
@@ -269,8 +276,17 @@ def run_scan(
     with np.errstate(over="ignore"):
         calibrated = detected(rates, model.baseline, config.rate_a_cal, config.rate_b_cal)
     if not np.all(np.isfinite(calibrated)):
-        raise OverflowError("calibrated rates exceed the float range")
-    counts = sample_scan(count_means(calibrated, config.window, config.dwell), config.seed) if sample else None
+        raise ConfigError(f"calibrated rates exceed the float range{_LOWER_RATES}")
+    counts = None
+    if sample:
+        means = count_means(calibrated, config.window, config.dwell)
+        over = np.flatnonzero(np.any(means > MAX_MEAN, axis=0))
+        if len(over):
+            raise ConfigError(
+                f"expected counts {max(means[:, over[0]].tolist()):.3g} "
+                f"exceed representable integers{_LOWER_RATES}"
+            )
+        counts = sample_scan(means, config.seed)
     try:
         return ScanRecord(delays, calibrated, counts)
     except GridError as exc:
@@ -314,6 +330,9 @@ def estimate_period(
         raise NoFringeError("record too short for period estimation")
     step = record.step
 
+    # A power of two scales every sum and product exactly, so the seed does not
+    # move, and with the largest magnitude in [0.5, 1) no square overflows.
+    y = np.ldexp(y, -math.frexp(float(np.max(np.abs(y))))[1])
     centered = y - y.mean()
     if not np.any(np.abs(centered) > 0):
         raise NoFringeError("no fringe detected: record is flat")
@@ -712,9 +731,10 @@ def fit_fringe(
     ts = (x_raw - middle) / half_span
     use_poisson = source == "counts"
 
-    # Counts weights and targets are in count units: Fisher's sqrt_w * ys is y / sqrt(max(mu, 1)).
-    root_y = np.sqrt(np.maximum(y_raw, 1.0))
-    scaled_root_y = y_scale * root_y
+    if use_poisson:
+        # Counts weights and targets are in count units: Fisher's sqrt_w * ys is y / sqrt(max(mu, 1)).
+        root_y = np.sqrt(np.maximum(y_raw, 1.0))
+        scaled_root_y = y_scale * root_y
 
     def reweight(model: np.ndarray, observed: bool) -> tuple[np.ndarray, np.ndarray]:
         """Roots of the Poisson weights at the model values, and the weighted target.

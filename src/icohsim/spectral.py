@@ -6,10 +6,12 @@ that density:
 
     env(dx) = exp(-(pi * dnu * dx / c)^2 / (4 ln 2))
 
-with dnu the frequency FWHM.  Scanning the signal delay probes the detection
-filter's envelope; scanning the pump delay probes the pump spectrum's much
-wider envelope, which is what makes the pump-axis fringes survive far beyond
-the signal coherence scale.
+with dnu the frequency FWHM; it falls to one half at the coherence length
+2 ln2 c / (pi dnu) (:func:`coherence_length`).  The pump's dnu is the
+config's ``pump.bandwidth_ghz`` as the file states it.  Scanning the signal
+delay probes the detection filter's envelope; scanning the pump delay probes
+the pump spectrum's much wider envelope, which is what makes the pump-axis
+fringes survive far beyond the signal coherence scale.
 
 Every rate depends on the two delays only through the fringe phase
 dphi = 2 pi (dx_p / lambda_p - dx_s / lambda_s) and follows the
@@ -24,7 +26,7 @@ engine over the pump and signal spectra.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -59,12 +61,6 @@ def envelope(profile: SpectralProfile, delta_x: float | np.ndarray) -> float | n
 def coherence_length(profile: SpectralProfile) -> float:
     """Delay at which the envelope drops to one half: 2 ln2 c / (pi dnu)."""
     return 2.0 * math.log(2.0) * SPEED_OF_LIGHT / (math.pi * profile.fwhm_frequency)
-
-
-def profile_for_coherence_length(profile: SpectralProfile, target: float) -> SpectralProfile:
-    """Rescale a profile's width so its half-maximum delay equals ``target``."""
-    dnu = 2.0 * math.log(2.0) * SPEED_OF_LIGHT / (math.pi * target)
-    return replace(profile, fwhm_frequency=dnu)
 
 
 @dataclass(frozen=True, eq=False)

@@ -25,7 +25,7 @@ from icohsim.config import (
     with_overrides,
 )
 from icohsim.fockoracle import MAX_ORACLE_GAIN
-from icohsim.scan import run_scan, scan_grid
+from icohsim.scan import FitNonConvergenceError, NoFringeError, fit_fringe, run_scan, scan_grid
 from icohsim.spectral import coherence_length, compile_model
 
 from conftest import config_with
@@ -75,9 +75,11 @@ def test_unknown_sections_and_keys_rejected():
         parse_config("[lens]\nfocal_mm = 100\n[scan]\n")
     with pytest.raises(ConfigError, match=r"unknown key scan\.speed"):
         parse_config("[scan]\nspeed = 3\n")
-    # a removed key is unknown too
+    # removed keys are unknown too
     with pytest.raises(ConfigError, match=r"unknown key pump\.truncation_degree"):
         parse_config("[pump]\ntruncation_degree = 1\n[scan]\n")
+    with pytest.raises(ConfigError, match=r"^unknown key pump\.coherence_length_override_mm at line 2$"):
+        parse_config("[pump]\ncoherence_length_override_mm = 1.4\n[scan]\n")
 
 
 def test_syntax_errors_carry_line_numbers():
@@ -188,7 +190,6 @@ GOOD_VALUES = {
     "bandwidth_ghz": ["45", "1e1"],
     "splitter_ratio": ["0.5", "0.3"],
     "stated_coherence_length_mm": ["1.4", "2"],
-    "coherence_length_override_mm": ["1.4", "0.5"],
     "gain": ["0.001", "1e-4"],
     "eta": ["1.0", "0.7"],
     "center_nm": ["808", "810"],
@@ -434,13 +435,6 @@ def test_unit_suffixes_convert_to_si():
     assert cfg.dwell == 0.25
 
 
-def test_coherence_override_rescales_pump_profile():
-    cfg = parse_config("[pump]\ncoherence_length_override_mm = 1.4\n[scan]\n")
-    assert coherence_length(cfg.pump_profile()) == pytest.approx(1.4e-3, rel=1e-12)
-    plain = parse_config("[scan]\n")
-    assert coherence_length(plain.pump_profile()) == pytest.approx(2.94e-3, rel=1e-3)
-
-
 def test_stated_coherence_length_is_informational():
     cfg = parse_config("[scan]\n")
     assert cfg.stated_coherence_length == pytest.approx(1.4e-3)
@@ -461,6 +455,10 @@ def test_direct_construction_validates():
         ExperimentConfig(eta=-0.1)
     with pytest.raises(ConfigError):
         ExperimentConfig(splitter_ratio=0.0)
+    # no field is optional: None is refused for a float, an int and a choice
+    for field in ("gain1", "stated_coherence_length", "seed", "axis"):
+        with pytest.raises((TypeError, ConfigError)):
+            ExperimentConfig(**{field: None})
 
 
 def test_pump_carrier_frequency_must_be_finite():
@@ -577,7 +575,6 @@ OUT_OF_RANGE = {
     "pump.bandwidth_ghz": ("-45", -45e9, "(0, inf)"),
     "pump.splitter_ratio": ("1", 1.0, "(0, 1)"),
     "pump.stated_coherence_length_mm": ("0", 0.0, "(0, inf)"),
-    "pump.coherence_length_override_mm": ("-1.4", -1.4e-3, "(0, inf)"),
     "crystal1.gain": ("0.1", 0.1, "[0, 0.1)"),
     "crystal2.gain": ("-1e-3", -1e-3, "[0, 0.1)"),
     "idler_link.eta": ("1.3", 1.3, "[0, 1]"),
@@ -627,9 +624,6 @@ def test_readme_key_table_matches_the_code():
         key = KEYS[section, name]
         assert unit.lower().replace("µ", "u") == key.unit, key.label
         assert allowed == key.allowed_text, key.label
-        if default == "unset":
-            assert getattr(ExperimentConfig(), key.field) is None, key.label
-            continue
         text = f"[{section}]\n{name} = {default}\n" + ("" if section == "scan" else "[scan]\n")
         assert parse_config(text) == ExperimentConfig(), key.label
 
@@ -646,13 +640,13 @@ BY_LABEL = {key.label: key for key in KEYS.values()}
 
 def test_every_config_field_is_the_target_of_one_key():
     """The config is flat: its fields are the keys' fields, one each, and each
-    default (but the unset override's None) passes its key's range check."""
+    default passes its key's range check."""
     fields = dataclasses.fields(ExperimentConfig)
     assert sorted(key.field for key in KEYS.values()) == sorted(field.name for field in fields)
     defaults = {field.name: field.default for field in fields}
     for key in KEYS.values():
         default = defaults[key.field]
-        assert default is None or key.check(default) == default, key.label
+        assert key.check(default) == default, key.label
 
 
 def in_range(key):
@@ -688,9 +682,12 @@ def built(values: dict) -> ExperimentConfig:
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(st.fixed_dictionaries({}, optional={key.label: in_range(key) for key in KEYS.values()}))
 @example({"pump.wavelength_nm": 5e-324})
+@example({"detectors.rate_a_hz": 1e300})
+@example({"detectors.rate_a_hz": 8e307})
 def test_a_built_config_runs_every_stage_without_a_warning(values):
     """What a built config guarantees is all the modules below it need: a config of
-    in-range values is refused with a ConfigError, or every stage runs it cleanly."""
+    in-range values is refused with a ConfigError, or every stage runs it cleanly.
+    A record's rates fit, or the fit says it found no fringe or did not converge."""
     try:
         config = built(values)
     except ConfigError:
@@ -703,9 +700,14 @@ def test_a_built_config_runs_every_stage_without_a_warning(values):
         grid = scan_grid(config)[:2001]
         for sample in (False, True):
             try:
-                run_scan(config, grid=grid, sample=sample)
-            except OverflowError:
-                pass  # documented: counts or calibrated rates beyond the representable range
+                record = run_scan(config, grid=grid, sample=sample)
+            except ConfigError:
+                continue  # documented: counts or calibrated rates beyond the representable range
+            for channel in ("singles", "coincidence"):
+                try:
+                    fit_fringe(record, channel, source="rates")
+                except (NoFringeError, FitNonConvergenceError):
+                    pass
         build_report(config)
         if max(config.gain1, config.gain2) <= MAX_ORACLE_GAIN:
             oracle_comparison(config, 4)

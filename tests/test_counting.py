@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from icohsim.config import ConfigError
 from icohsim.counting import (
     accidental_rate,
     count_means,
@@ -106,8 +107,14 @@ def test_accidentals_expected_value():
 
 def test_overflow_guard():
     cfg = config_with(seed=123, rate_a_cal=1e30)
-    with pytest.raises(OverflowError):
-        sample_point(ONES, cfg)
+    message = (
+        r"^expected counts 6\.1e\+27 exceed representable integers; "
+        r"lower detectors\.rate_a_hz, detectors\.rate_b_hz or scan\.dwell_s$"
+    )
+    with pytest.raises(ConfigError, match=message):
+        run_scan(cfg)
+    # only sampling needs integer counts
+    assert run_scan(cfg, sample=False).counts is None
 
 
 def _scalar_rates(rates, cfg, baseline):

@@ -138,6 +138,8 @@ EDGE_CASES = {
     "bare carriage return at the end of the file": lambda text: text.rstrip("\n") + "\r",
     "quoted cell with a line break": _edit_cell(18, 2, '"1.10000000e+05\r\n"'),
     "count padded beyond int's digit limit": _edit_cell(19, 4, " +" + "0" * 5000 + "117"),
+    "nan delay": _edit_cell(21, 0, "nan"),
+    "inf delay": _edit_cell(22, 0, "inf"),
 }
 
 
@@ -204,6 +206,8 @@ EDGE_OUTCOMES = {
     "bare carriage return at the end of the file": {},
     "quoted cell with a line break": {},
     "count padded beyond int's digit limit": {},
+    "nan delay": "ConfigError: CSV line 21, column delay_m: not a finite number: 'nan'",
+    "inf delay": "ConfigError: CSV line 22, column delay_m: not a finite number: 'inf'",
 }
 
 

@@ -758,11 +758,8 @@ def test_refit_shaped_fits_are_at_the_poisson_maximum_likelihood_point():
     assert set(components) == {4, 6}
 
 
-def test_campaign_fits_make_no_linalg_call(monkeypatch):
-    # Every solve of these fits is closed form, and the covariance comes from
-    # the Schur blocks, so no lstsq, pinv or other np.linalg routine runs.
-    scans = [scan for _, scan in CAMPAIGN_SCANS.values()]
-    records = [run_scan(config_with(seed=seed, **scan)) for scan in scans for seed in (1001, 1006)]
+def count_linalg_calls(monkeypatch) -> list[str]:
+    """The list that, from now on, gets the name of each np.linalg routine called."""
     calls = []
 
     def counted(name, routine):
@@ -772,7 +769,31 @@ def test_campaign_fits_make_no_linalg_call(monkeypatch):
         routine = getattr(np.linalg, name)
         if callable(routine) and not isinstance(routine, type):
             monkeypatch.setattr(np.linalg, name, counted(name, routine))
+    return calls
+
+
+def test_campaign_fits_make_no_linalg_call(monkeypatch):
+    # Every solve of these fits is closed form, and the covariance comes from
+    # the Schur blocks, so no lstsq, pinv or other np.linalg routine runs.
+    scans = [scan for _, scan in CAMPAIGN_SCANS.values()]
+    records = [run_scan(config_with(seed=seed, **scan)) for scan in scans for seed in (1001, 1006)]
+    calls = count_linalg_calls(monkeypatch)
     for record in records:
         for channel in ("singles", "coincidence"):
             fit_fringe(record, channel, dwell=0.5)
     assert calls == []
+
+
+def test_covariance_falls_back_to_pinv_on_a_near_nyquist_record(monkeypatch):
+    # 16 counts at 10 nm steps of a 21.25 nm fringe: the reported fit's Schur
+    # step takes lstsq, so its covariance comes from pinv.
+    x = 10e-9 * np.arange(16)
+    mean = 1000.0 * (1.0 + 0.8 * np.cos(2.0 * np.pi * x / 21.25e-9 + 0.3))
+    counts = np.random.Generator(np.random.Philox(key=16)).poisson(mean)
+    record = ScanRecord(x, np.vstack([mean] * 3), np.vstack([counts] * 3))
+    calls = count_linalg_calls(monkeypatch)
+    fit = fit_fringe(record, dwell=1.0)
+    assert calls.count("pinv") == 1
+    assert abs(fit.period - 21.25e-9) <= 3.0 * fit.period_sigma
+    assert abs(fit.visibility - 0.8) <= 3.0 * fit.visibility_sigma
+    assert abs(fit.phase - 0.3) <= 3.0 * fit.phase_sigma

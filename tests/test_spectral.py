@@ -15,7 +15,6 @@ from icohsim.spectral import (
     coherence_length,
     compile_model,
     envelope,
-    profile_for_coherence_length,
 )
 
 from conftest import config_with
@@ -108,11 +107,6 @@ def test_pump_to_signal_coherence_ratio_exceeds_five():
     assert coherence_length(PUMP) / coherence_length(SIGNAL) > 5.0
 
 
-def test_profile_rescaling_hits_requested_coherence_length():
-    rescaled = profile_for_coherence_length(PUMP, 1.4e-3)
-    assert coherence_length(rescaled) == pytest.approx(1.4e-3, rel=1e-12)
-
-
 def test_modulated_rates_reduce_to_monochromatic_at_zero_delay():
     cfg = config_with(gain1=1e-3, gain2=1e-3, eta=0.8)
     assert np.array_equal(compile_model(cfg).rates(), setup_rates(cfg)[:, 0])
@@ -160,13 +154,6 @@ def test_idler_channel_untouched_by_envelopes():
     a = model.rates()[1]
     b = model.rates(delta_x_s=3e-4, delta_x_p=1e-3)[1]
     assert a == pytest.approx(b, rel=1e-12)
-
-
-def test_coherence_override_changes_pump_envelope():
-    cfg = config_with(gain1=1e-3, gain2=1e-3, coherence_length_override=1.4e-3)
-    profile = cfg.pump_profile()
-    assert coherence_length(profile) == pytest.approx(1.4e-3, rel=1e-12)
-    assert envelope(profile, 600e-6) < envelope(PUMP, 600e-6)
 
 
 def _random_config(rng):
