@@ -32,10 +32,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fockoracle
-from .config import SCAN_AXES, ConfigError, ExperimentConfig, load_config, utf8_error, with_overrides
+from .config import SCAN_AXES, ConfigError, ExperimentConfig, load_config, utf8_error
 from .counting import accidental_rate, double_pair_probability
 from .expectation import RATE_NAMES, check_rates, setup_rates
 from .scan import (
+    CHANNEL_ROWS,
     CHANNELS,
     SOURCES,
     FitNonConvergenceError,
@@ -60,7 +61,7 @@ CSV_HEADER = ["delay_m", "rate_a_hz", "rate_b_hz", "coinc_hz", "counts_a", "coun
 LOW_GAIN_BOUND = 1e-2
 # Upper limit of oracle-check --points: at 4096 a run peaks near 46 MB resident.
 MAX_ORACLE_POINTS = 4096
-_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+_INT64_MAX = 2**63 - 1
 
 
 # One CSV row: the delay with 17 significant digits, which holds a float64
@@ -89,25 +90,21 @@ def _count(text: str) -> int:
 
 def _csv_cell(text: str, column: int, line: int) -> float | int:
     """Parse one CSV cell as ``np.loadtxt`` does: the delay and rates are finite
-    floats, the counts 64-bit integers.  Inside its surrounding whitespace a cell
-    is ASCII without underscores; ``float`` and ``int`` alone would also take
-    ``1_0`` and non-ASCII digits."""
-    parse, kind = (float, "a finite number") if column < 4 else (_count, "an integer")
+    floats, the counts 64-bit integers, here also non-negative.  Inside its
+    surrounding whitespace a cell is ASCII without underscores; ``float`` and
+    ``int`` alone would also take ``1_0`` and non-ASCII digits."""
+    parse, reason = (float, "not a finite number") if column < 4 else (_count, "not an integer")
     try:
         value = parse(text) if "_" not in text and text.strip().isascii() else math.nan
     except ValueError:
         value = math.nan
     if isinstance(value, int):
-        if _INT64_MIN <= value <= _INT64_MAX:
+        if 0 <= value <= _INT64_MAX:
             return value
-        raise ConfigError(
-            f"CSV line {line}, column {CSV_HEADER[column]}: integer out of the 64-bit range: {text!r}"
-        )
-    if not math.isfinite(value):
-        raise ConfigError(
-            f"CSV line {line}, column {CSV_HEADER[column]}: not {kind}: {text!r}"
-        )
-    return value
+        reason = "not a non-negative count" if value < 0 else "integer out of the 64-bit range"
+    elif math.isfinite(value):
+        return value
+    raise ConfigError(f"CSV line {line}, column {CSV_HEADER[column]}: {reason}: {text!r}")
 
 
 # A line that ends in a lone carriage return: loadtxt takes it for a line break
@@ -175,6 +172,8 @@ def _load_rows(body: str) -> np.ndarray:
         )
     if not np.all(np.isfinite(rows["floats"][:, 0])):
         raise ValueError("a non-finite delay")
+    if np.any(rows["counts"] < 0):
+        raise ValueError("a negative count")
     check_rates(rows["floats"][:, 1:].T)
     return rows
 
@@ -186,9 +185,10 @@ def read_scan_csv(stream: io.TextIOBase) -> ScanRecord:
     of seven comma-separated cells, the delay and three rates as decimal
     floats and three counts as decimal integers.  A cell may be quoted with
     ``"`` and padded with whitespace; inside that it is ASCII, without
-    underscores.  Delays are finite, rates finite and non-negative, counts
-    within 64 bits.  Lines end in ``\\n`` or ``\\r\\n`` (a lone ``\\r`` only at
-    the end of the file), and blank lines are skipped.
+    underscores.  Delays are finite, rates finite and non-negative, and
+    counts non-negative 64-bit integers, as a detector records them.  Lines
+    end in ``\\n`` or ``\\r\\n`` (a lone ``\\r`` only at the end of the file),
+    and blank lines are skipped.
 
     The csv module reads the header line.  ``np.loadtxt`` then parses the rows
     in one pass, and only it accepts them.  When it fails, or a value is out
@@ -491,11 +491,6 @@ def _emit(text: str, out_path: str | None) -> None:
         os.close(fd)
 
 
-def _load(args: argparse.Namespace) -> ExperimentConfig:
-    config = load_config(args.config)
-    return with_overrides(config, seed=args.seed, axis=args.axis)
-
-
 def _say(args: argparse.Namespace, message: str) -> None:
     if not args.quiet:
         print(message)
@@ -513,40 +508,13 @@ def _scan(args: argparse.Namespace, config: ExperimentConfig) -> ScanRecord:
 
 
 def _run(args: argparse.Namespace) -> int:
-    if args.command in ("predict", "simulate", "fit"):
-        config = _load(args)
-        record = _scan(args, config)
-        warning = undersampling_warning(config, record)
-        if warning:
-            print(f"warning: {warning}", file=sys.stderr)
-        if args.command != "fit":
-            buffer = io.StringIO()
-            write_scan_csv(record, buffer)
-            _emit(buffer.getvalue(), args.out)
-            _say(args, f"wrote {len(record.delays)} scan points to {args.out}")
-            return EXIT_OK
-        try:
-            fit = fit_fringe(
-                record, channel=args.channel, source=args.source, dwell=config.dwell
-            )
-        except FitNonConvergenceError as exc:
-            _emit(json.dumps(fit_summary(exc.fit), indent=2) + "\n", args.out)
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_FIT
-        _emit(json.dumps(fit_summary(fit), indent=2) + "\n", args.out)
-        _say(
-            args,
-            f"fitted {args.channel}: period {fit.period * 1e9:.2f} nm, "
-            f"visibility {fit.visibility:.4f}",
-        )
+    if args.command == "oracle-check" and not 1 <= args.points <= MAX_ORACLE_POINTS:
+        raise ConfigError(f"--points must be between 1 and {MAX_ORACLE_POINTS}, got {args.points}")
+    config = load_config(args.config, args.seed, args.axis)
+    if args.command == "report":
+        _emit(build_report(config), args.out)
         return EXIT_OK
-
     if args.command == "oracle-check":
-        if not 1 <= args.points <= MAX_ORACLE_POINTS:
-            raise ConfigError(
-                f"--points must be between 1 and {MAX_ORACLE_POINTS}, got {args.points}"
-            )
-        config = _load(args)
         comparison = oracle_comparison(config, points_per_axis=args.points)
         buffer = io.StringIO()
         write_oracle_json(comparison, buffer)
@@ -557,12 +525,35 @@ def _run(args: argparse.Namespace) -> int:
         )
         return EXIT_OK
 
-    if args.command == "report":
-        config = _load(args)
-        _emit(build_report(config), args.out)
+    record = _scan(args, config)
+    warning = undersampling_warning(config, record)
+    if warning:
+        print(f"warning: {warning}", file=sys.stderr)
+    if args.command != "fit":
+        buffer = io.StringIO()
+        write_scan_csv(record, buffer)
+        _emit(buffer.getvalue(), args.out)
+        _say(args, f"wrote {len(record.delays)} scan points to {args.out}")
         return EXIT_OK
-
-    raise AssertionError(f"unhandled command {args.command!r}")
+    row = CHANNEL_ROWS[args.channel]
+    if args.source != "rates" and not record.counts[row].any():
+        raise NoFringeError(f"no fringe detected: every {CSV_HEADER[4 + row]} count is zero, as in "
+                            "a predict CSV; fit its rates with --source rates")
+    try:
+        fit = fit_fringe(
+            record, channel=args.channel, source=args.source, dwell=config.dwell
+        )
+    except FitNonConvergenceError as exc:
+        _emit(json.dumps(fit_summary(exc.fit), indent=2) + "\n", args.out)
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FIT
+    _emit(json.dumps(fit_summary(fit), indent=2) + "\n", args.out)
+    _say(
+        args,
+        f"fitted {args.channel}: period {fit.period * 1e9:.2f} nm, "
+        f"visibility {fit.visibility:.4f}",
+    )
+    return EXIT_OK
 
 
 def main(argv: list[str] | None = None) -> int:

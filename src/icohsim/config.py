@@ -9,14 +9,14 @@ A ``[scan]`` section must be present.
 
 :data:`KEYS` has one row per key.  It drives the known-key check, the
 conversion from the unit the key's name ends in (:data:`UNITS`) to SI, and
-each key's range check, which parsing and direct construction of
-:class:`ExperimentConfig` share.  The cross-field rules, the scan grid's
-first, run after the range checks.
-
-Values are checked here and only here: the modules below trust a built
-:class:`ExperimentConfig`.  It is one flat dataclass with one field per key,
-holding that key's SI value as the file states it; the spectral profiles are
-derived from them on demand.
+each key's range check.  :meth:`Key.parse` only converts text to SI, and
+:class:`ExperimentConfig`'s construction is the one place values are
+checked: each key's range, then the cross-field rules, the scan grid's
+first.  A load joins the ``--seed`` and ``--axis`` values to the file's
+before it, so each value is checked once.  The modules below trust a built
+config.  It is one flat dataclass with one field per key, holding that
+key's SI value as the file states it; the spectral profiles are derived
+from them on demand.
 
 ``splitter_ratio`` is the transmitted intensity fraction of the output
 recombination splitter.  ``pump.bandwidth_ghz`` alone sets the pump
@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 from .counting import SEED_LIMIT
@@ -145,17 +145,17 @@ class Key:
         mul, div = UNITS.get(self.unit, (1.0, 1.0))
         return sys.float_info.max * mul / div
 
-    def check(self, value, lineno: int = 0, name: str = ""):
+    def check(self, value, name: str = ""):
         """``value`` (SI) if the key allows it and, for a float, a file can state it;
-        else a ConfigError naming ``name``, by default the key and the line ``lineno`` if given."""
+        else a ConfigError naming ``name``, by default the key."""
         if value not in self.allowed or (self.kind is float and not abs(value) <= self.largest):
-            raise ConfigError(f"{name or self.where(lineno)} out of range: must lie in {self.allowed_text}")
+            raise ConfigError(f"{name or self.label} out of range: must lie in {self.allowed_text}")
         return value
 
     def parse(self, raw: str, lineno: int):
-        """The SI value of ``raw``, typed on line ``lineno``, checked against the key's range."""
+        """The SI value of ``raw``, typed on line ``lineno``; its range is not checked here."""
         if self.kind is str:
-            return self.check(raw, lineno)
+            return raw
         try:
             # float and int would also take 1_0 and non-ASCII digits
             if "_" in raw or not raw.isascii():
@@ -169,7 +169,7 @@ class Key:
             value = value * mul / div
             if not math.isfinite(value):
                 raise ConfigError(f"{self.where(lineno)}: not a finite number: {raw!r}")
-        return self.check(value, lineno)
+        return value
 
 
 KEYS = {
@@ -324,31 +324,52 @@ def _read_sections(text: str) -> dict[str, dict[str, tuple[int, str]]]:
     return sections
 
 
-def parse_config(text: str) -> ExperimentConfig:
-    """Parse and validate config text, filling defaults for absent keys.
+def parse_config(text: str, seed: int | None = None, axis: str | None = None) -> ExperimentConfig:
+    """Parse and validate config text, filling defaults for absent keys; ``seed``
+    and ``axis``, if given, replace the file's values, as ``--seed`` and ``--axis`` do.
 
     Raises ConfigError for syntax problems, unknown sections or keys and
-    repeated ones, a missing [scan] section, any value that is not a finite
-    number in its key's range (each with its line number), and then a broken
-    cross-field rule.
+    repeated ones, a missing [scan] section, the first value in line order that
+    is not a finite number in its key's range (naming its line), then a broken
+    cross-field rule, and last a flag out of its key's range.
     """
-    return _config_from_sections(_read_sections(text))
+    return _config_from_sections(_read_sections(text), seed, axis)
 
 
-def _config_from_sections(sections: dict[str, dict[str, tuple[int, str]]]) -> ExperimentConfig:
-    """Convert and range-check raw values in file order, then build the config.
+def _config_from_sections(sections: dict, seed: int | None = None, axis: str | None = None) -> ExperimentConfig:
+    """Convert raw values in file order, join the flags' values, then build the config once.
 
-    Only the keys given reach the constructor, so an absent key takes its
-    dataclass default.
+    Only the keys given reach the constructor, so an absent key takes its dataclass
+    default.  Only a failed load checks again, for the first error in parse_config's order.
     """
     if "scan" not in sections:
         raise ConfigError("missing section [scan]")
-    values = {}
+    given = []  # (key, line, SI value) in file order
     for section, body in sections.items():
         for name, (lineno, raw) in body.items():
             key = KEYS[section, name]
-            values[key.field] = key.parse(raw, lineno)
-    return ExperimentConfig(**values)
+            try:
+                given.append((key, lineno, key.parse(raw, lineno)))
+            except ConfigError:
+                _check_in_file_order(given)
+                raise
+    values = {key.field: value for key, _, value in given}
+    flags = {KEYS["detectors", "seed"]: seed, KEYS["scan", "axis"]: axis}
+    flags = {key: value for key, value in flags.items() if value is not None}
+    try:
+        return ExperimentConfig(**{**values, **{key.field: value for key, value in flags.items()}})
+    except ConfigError:
+        _check_in_file_order(given)
+        ExperimentConfig(**values)  # the file's cross-field errors come before a flag's
+        for key, value in flags.items():
+            key.check(value, f"--{key.name}")
+        raise
+
+
+def _check_in_file_order(given: list) -> None:
+    """Raise the range error of the first of the file's values out of range, naming its line."""
+    for key, lineno, value in given:
+        key.check(value, key.where(lineno))
 
 
 def utf8_error(path: str, exc: UnicodeDecodeError) -> ConfigError:
@@ -362,24 +383,10 @@ def utf8_error(path: str, exc: UnicodeDecodeError) -> ConfigError:
     )
 
 
-def load_config(path: str) -> ExperimentConfig:
+def load_config(path: str, seed: int | None = None, axis: str | None = None) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise utf8_error(path, exc) from None
-    return parse_config(text)
-
-
-def with_overrides(
-    config: ExperimentConfig,
-    seed: int | None = None,
-    axis: str | None = None,
-) -> ExperimentConfig:
-    """Apply command-line style overrides for the RNG seed and scan axis."""
-    changes = {}
-    if seed is not None:
-        changes["seed"] = KEYS["detectors", "seed"].check(seed, name="--seed")
-    if axis is not None:
-        changes["axis"] = axis
-    return replace(config, **changes) if changes else config
+    return parse_config(text, seed, axis)

@@ -58,6 +58,8 @@ from .expectation import check_rates
 from .spectral import compile_model
 
 CHANNELS = ("singles", "coincidence", "idler")
+# Row of each channel in a record's rates and counts: detector A, detector B, coincidences.
+CHANNEL_ROWS = {"singles": 0, "idler": 1, "coincidence": 2}
 SOURCES = ("auto", "counts", "rates")
 
 # Gauss-Newton steps allowed to each of the pinned and the free fit.
@@ -300,8 +302,7 @@ def _series(record: ScanRecord, channel: str, source: str) -> tuple[np.ndarray, 
         raise ValueError(f"source must be one of {SOURCES}, got {source!r}")
     if source == "auto":
         source = "counts" if record.counts is not None else "rates"
-    # Row of each channel in both arrays: detector A, detector B, coincidences.
-    row = {"singles": 0, "idler": 1, "coincidence": 2}[channel]
+    row = CHANNEL_ROWS[channel]
     if source == "counts":
         if record.counts is None:
             raise ValueError("record has no sampled counts; use source='rates'")

@@ -182,6 +182,24 @@ def test_seed_outside_64_bits_exits_with_config_code(tmp_path, capsys, seed):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[idler_link]\neta = 1.3\n[scan]\n", "idler_link.eta at line 2 out of range: must lie in [0, 1]"),
+        ("[detectors]\nseed = -1\n[scan]\n", "detectors.seed at line 2 out of range: must lie in [0, 2**64)"),
+        ("[scan]\nstart_um = 1\nstop_um = -1\n", "scan.stop_um must exceed scan.start_um"),
+        ("[scan]\ndwell_s = 0\n[crystal1]\ngain = nan\n", "scan.dwell_s at line 2 out of range: must lie in (0, inf)"),
+        ("[scan]\nstep_nm = tiny\n", "scan.step_nm at line 2: not a number: 'tiny'"),
+    ],
+)
+def test_a_bad_seed_flag_is_reported_after_the_file_errors(tmp_path, capsys, text, message):
+    out = tmp_path / "scan.csv"
+    argv = ["simulate", "--config", write_config(tmp_path, text), "--out", str(out), "--seed", "-1", "--quiet"]
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
 def test_axis_override(tmp_path, capsys):
     # --axis pump scans the pump delay and takes the warning's period from the pump wavelength
     config = write_config(tmp_path, "[scan]\nstep_nm = 50\n")
@@ -275,8 +293,16 @@ def test_predict_writes_zero_counts_and_fit_rates_works(tmp_path):
 def test_fit_on_flat_counts_exits_with_fit_code(tmp_path, capsys):
     out = tmp_path / "pred.csv"
     main(["predict", "--config", DEFAULT_CONFIG, "--out", str(out), "--quiet"])
-    code = main(["fit", str(out), "--config", DEFAULT_CONFIG, "--source", "counts", "--quiet"])
-    assert code == EXIT_FIT
+    # a CSV always holds counts, so the default source fits predict's zeros too
+    for channel, column in [("singles", "counts_a"), ("coincidence", "coinc_counts")]:
+        for source in ([], ["--source", "counts"]):
+            capsys.readouterr()
+            code = main(["fit", str(out), "--config", DEFAULT_CONFIG, "--channel", channel, *source, "--quiet"])
+            assert code == EXIT_FIT
+            assert capsys.readouterr().err == (
+                f"fit error: no fringe detected: every {column} count is zero, as in a predict CSV; "
+                "fit its rates with --source rates\n"
+            )
 
 
 def test_fit_at_two_grid_steps_per_period_exits_with_fit_code(tmp_path, capsys):
@@ -813,6 +839,7 @@ def test_bad_csv_header_rejected(tmp_path):
         (10, 5, "1_0"),
         (11, 2, "1_1.0"),
         (12, 6, "\u0661"),
+        (13, 4, "-3"),
     ],
 )
 def test_malformed_csv_cell_names_line_and_column(tmp_path, capsys, line, column, cell):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from icohsim.cli import build_report, oracle_comparison
+from icohsim.cli import build_report, main, oracle_comparison
 from icohsim.config import (
     KEYS,
     _config_from_sections,
@@ -21,8 +21,8 @@ from icohsim.config import (
     ConfigError,
     ExperimentConfig,
     load_config,
+    Key,
     parse_config,
-    with_overrides,
 )
 from icohsim.fockoracle import MAX_ORACLE_GAIN
 from icohsim.scan import FitNonConvergenceError, NoFringeError, fit_fringe, run_scan, scan_grid
@@ -292,15 +292,16 @@ def test_seeds_outside_64_bits_are_rejected(seed):
     with pytest.raises(ConfigError) as info:
         parse_config(f"[detectors]\nseed = {seed}\n[scan]\n")
     assert str(info.value) == "detectors.seed at line 2 out of range: must lie in [0, 2**64)"
-    with pytest.raises(ConfigError) as info:
-        with_overrides(ExperimentConfig(), seed=int(seed, 0))
-    assert str(info.value) == "--seed out of range: must lie in [0, 2**64)"
+    for text in ("[scan]\n", DEFAULT_FILE.read_text()):
+        with pytest.raises(ConfigError) as info:
+            parse_config(text, seed=int(seed, 0))
+        assert str(info.value) == "--seed out of range: must lie in [0, 2**64)"
 
 
 def test_seed_range_ends_are_accepted():
     for seed in (0, 2**64 - 1):
         assert parse_config(f"[detectors]\nseed = {seed}\n[scan]\n").seed == seed
-        assert with_overrides(ExperimentConfig(), seed=seed).seed == seed
+        assert parse_config("[scan]\n", seed=seed).seed == seed
 
 
 def test_number_parse_errors_name_the_key():
@@ -383,6 +384,25 @@ def test_scan_delays_are_bounded():
     assert str(info.value) == "scan.stop_um at line 3 out of range: must lie in [-1e+06, 1e+06]"
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[idler_link]\neta = 1.3\n[scan]\nstep_nm = abc\n", "idler_link.eta at line 2 out of range: must lie in [0, 1]"),
+        ("[crystal1]\ngain = 0.5\n[pump]\nwavelength_nm = nan\n[scan]\n", "crystal1.gain at line 2 out of range"),
+        ("[scan]\nstep_nm = abc\n[idler_link]\neta = 1.3\n", "scan.step_nm at line 2: not a number: 'abc'"),
+        # sections opposite to the table's order: the first line still wins
+        ("[scan]\nstep_nm = 0\n[pump]\nwavelength_nm = 0\n", "scan.step_nm at line 2 out of range"),
+        ("[scan]\ndwell_s = -1\n[detectors]\nseed = -1\n[crystal1]\ngain = 1\n", "scan.dwell_s at line 2 out of range"),
+        # a range error comes before a cross-field break on an earlier line
+        ("[scan]\nstart_um = 1\nstop_um = -1\n[pump]\nwavelength_nm = 0\n", "pump.wavelength_nm at line 5 out of range"),
+    ],
+)
+def test_the_first_bad_line_is_reported(text, message):
+    with pytest.raises(ConfigError) as info:
+        parse_config(text)
+    assert str(info.value).startswith(message)
+
+
 def test_single_key_bounds_run_before_cross_field_rules():
     # a start beyond the delay bound would also give 2e+08 grid points at the default step
     with pytest.raises(ConfigError) as info:
@@ -443,11 +463,30 @@ def test_stated_coherence_length_is_informational():
 
 
 def test_overrides_helper():
-    cfg = ExperimentConfig()
-    changed = with_overrides(cfg, seed=42, axis="pump")
+    # the flags' values replace the file's; without them the file's stand
+    changed = load_config(str(DEFAULT_FILE), seed=42, axis="pump")
     assert changed.seed == 42
     assert changed.axis == "pump"
-    assert with_overrides(cfg) == cfg
+    assert changed == dataclasses.replace(ExperimentConfig(), seed=42, axis="pump")
+    assert parse_config("[scan]\naxis = pump\n", axis="signal") == ExperimentConfig()
+    assert load_config(str(DEFAULT_FILE), seed=None, axis=None) == load_config(str(DEFAULT_FILE)) == ExperimentConfig()
+    # a file value a flag replaces is not used; it is reported only when the load fails anyway
+    assert parse_config("[detectors]\nseed = -1\n[scan]\n", seed=5).seed == 5
+    with pytest.raises(ConfigError, match=r"^detectors\.seed at line 2 out of range"):
+        parse_config("[detectors]\nseed = -1\n[scan]\nstart_um = 1\nstop_um = -1\n", seed=5)
+
+
+@pytest.mark.parametrize("flags", [[], ["--seed", "42"], ["--axis", "pump"], ["--seed", "42", "--axis", "pump"]])
+def test_a_load_checks_each_key_once_and_builds_one_config(tmp_path, monkeypatch, flags):
+    # the file states every key, so each flag replaces one of its values
+    checks, builds = [], []
+    check, post_init = Key.check, ExperimentConfig.__post_init__
+    monkeypatch.setattr(Key, "check", lambda key, *args: checks.append(key.label) or check(key, *args))
+    monkeypatch.setattr(ExperimentConfig, "__post_init__", lambda config: builds.append(config) or post_init(config))
+    out = tmp_path / "report.txt"
+    assert main(["report", "--config", str(DEFAULT_FILE), "--out", str(out), *flags]) == 0
+    assert sorted(checks) == sorted(key.label for key in KEYS.values())
+    assert len(builds) == 1
 
 
 def test_direct_construction_validates():

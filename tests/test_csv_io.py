@@ -108,6 +108,7 @@ EDGE_CASES = {
     "inf rate": _edit_cell(9, 3, "inf"),
     "negative rate": _edit_cell(10, 1, "-1.0"),
     "count beyond 64 bits": _edit_cell(11, 5, str(2**63)),
+    "negative count": _edit_cell(5, 4, "-3"),
     "empty cell": _edit_cell(12, 6, ""),
     "cell beyond the csv field limit": _edit_cell(14, 2, "1" + "0" * 140_000 + "e-140000"),
     "crlf line endings": lambda text: text.replace("\n", "\r\n"),
@@ -167,6 +168,7 @@ EDGE_OUTCOMES = {
         "ConfigError: CSV line 11, column counts_b: integer out of the 64-bit range: "
         "'9223372036854775808'"
     ),
+    "negative count": "ConfigError: CSV line 5, column counts_a: not a non-negative count: '-3'",
     "empty cell": "ConfigError: CSV line 12, column coinc_counts: not an integer: ''",
     "cell beyond the csv field limit": {("rates", 1, 12): 1.0},
     "crlf line endings": {},
