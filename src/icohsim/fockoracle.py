@@ -8,7 +8,18 @@ Heisenberg-picture engine; the two implementations cross-check each other.
 
 A state holds a batch of m delay settings: each occupation's amplitude is an
 (m,) complex array, one entry per setting, and every step acts on the
-entries independently.
+entries independently.  No step sums over the settings, so each column of a
+batch equals its one-setting call bit for bit.
+
+Each per-term factor stays a Python scalar until it meets an amplitude array:
+the pair creation's ``1j * gain * boost``, and a rotation's binomial, matrix
+power and factorial weights, which are summed into one real coefficient per
+source and destination occupation.  Every term then costs one array multiply
+and at most one add.  A term whose coefficient is exactly 0 is never formed,
+the camera phase multiplies only occupations that hold camera photons, and one
+pass at the end drops the amplitudes that cancel at every setting.
+:func:`detection_moments` takes |amplitude|^2 of the whole state in one
+stacked pass.
 
 Mode slots, in order: ("sig1", "sig2", "idler", "loss").  After the output
 beam splitter is applied, the "sig2" slot holds the monitored detector port
@@ -53,19 +64,33 @@ class FockState:
 
 def _nonzero(amplitudes: dict[Occupation, np.ndarray]) -> FockState:
     """Drop the occupations whose amplitude vanishes at every setting."""
-    return FockState({k: v for k, v in amplitudes.items() if np.any(v)})
+    live = np.array(list(amplitudes.values())).any(axis=1).tolist()
+    return FockState({occ: amp for (occ, amp), keep in zip(amplitudes.items(), live) if keep})
 
 
 def _admissible(occ: Occupation) -> bool:
     return max(occ) <= MAX_PER_MODE and sum(occ) <= MAX_TOTAL
 
 
+def _add(out: dict[Occupation, np.ndarray], occ: Occupation, term: np.ndarray) -> None:
+    """Add ``term`` to the amplitude of ``occ``; never writes into an array in place."""
+    out[occ] = out[occ] + term if occ in out else term
+
+
 def _pair_create(
-    state: FockState, gain: complex | np.ndarray, slot_a: int, slot_b: int
-) -> FockState:
-    """Apply (1 + i*gain*adag_a*adag_b), dropping anything outside truncation."""
-    out = dict(state.amplitudes)
-    for occ, amp in state.amplitudes.items():
+    amplitudes: dict[Occupation, np.ndarray],
+    gain: float,
+    slot_a: int,
+    slot_b: int,
+    phase_factor: np.ndarray | None = None,
+) -> dict[Occupation, np.ndarray]:
+    """Apply (1 + i*gain*phase_factor*adag_a*adag_b), dropping anything outside
+    truncation.  A zero gain creates no term."""
+    out = dict(amplitudes)
+    if gain == 0:
+        return out
+    lift = 1j * gain if phase_factor is None else 1j * (gain * phase_factor)
+    for occ, amp in amplitudes.items():
         lifted = list(occ)
         lifted[slot_a] += 1
         lifted[slot_b] += 1
@@ -73,54 +98,75 @@ def _pair_create(
         if not _admissible(new):
             continue
         boost = math.sqrt((occ[slot_a] + 1) * (occ[slot_b] + 1))
-        out[new] = out.get(new, 0j) + 1j * gain * boost * amp
-    return _nonzero(out)
+        _add(out, new, (lift if boost == 1.0 else lift * boost) * amp)
+    return out
+
+
+def _rotation_coefficients(
+    na: int, nb: int, m: tuple[tuple[float, float], tuple[float, float]]
+) -> list[tuple[int, int, float]]:
+    """The destinations (new_a, new_b) of occupations (na, nb) under the
+    rotation ``m``, each with its one real coefficient: the binomial (k, l)
+    terms landing there, summed, times the factorial weights.  Destinations
+    past MAX_PER_MODE and coefficients of exactly 0 are left out; the total
+    photon number is conserved, so MAX_TOTAL cannot be exceeded."""
+    (m00, m01), (m10, m11) = m
+    sums: dict[int, float] = {}
+    for k in range(na + 1):
+        for l in range(nb + 1):
+            coef = math.comb(na, k) * math.comb(nb, l) * m00**k * m10 ** (na - k) * m01**l * m11 ** (nb - l)
+            sums[k + l] = sums.get(k + l, 0) + coef
+    norm = math.sqrt(math.factorial(na) * math.factorial(nb))
+    out = []
+    for new_a, total in sums.items():
+        new_b = na + nb - new_a
+        if max(new_a, new_b) > MAX_PER_MODE:
+            continue
+        coefficient = total * math.sqrt(math.factorial(new_a) * math.factorial(new_b)) / norm
+        if coefficient != 0:
+            out.append((new_a, new_b, coefficient))
+    return out
 
 
 def _two_mode_rotation(
-    state: FockState, slot_a: int, slot_b: int, heisenberg: tuple[tuple[complex, complex], tuple[complex, complex]]
-) -> FockState:
+    amplitudes: dict[Occupation, np.ndarray],
+    slot_a: int,
+    slot_b: int,
+    heisenberg: tuple[tuple[float, float], tuple[float, float]],
+) -> dict[Occupation, np.ndarray]:
     """Passive rotation of two mode slots.
 
-    ``heisenberg`` is the matrix M of the annihilation-operator map
+    ``heisenberg`` is the real matrix M of the annihilation-operator map
     (a_a, a_b) -> (M00 a_a + M01 a_b, M10 a_a + M11 a_b).  On states the
     corresponding substitution is adag_k -> sum_j M[j][k] adag_j, expanded
-    binomially over the occupations of the two slots.
+    binomially over the occupations of the two slots.  Each source
+    occupation sends one scalar multiple of its amplitude to each destination.
     """
-    m = heisenberg
     out: dict[Occupation, np.ndarray] = {}
-    for occ, amp in state.amplitudes.items():
-        na, nb = occ[slot_a], occ[slot_b]
-        base = amp / math.sqrt(math.factorial(na) * math.factorial(nb))
-        for k in range(na + 1):
-            for l in range(nb + 1):
-                coef = (
-                    math.comb(na, k)
-                    * math.comb(nb, l)
-                    * m[0][0] ** k
-                    * m[1][0] ** (na - k)
-                    * m[0][1] ** l
-                    * m[1][1] ** (nb - l)
-                )
-                if coef == 0:
-                    continue
-                new_a = k + l
-                new_b = na + nb - k - l
-                lifted = list(occ)
-                lifted[slot_a] = new_a
-                lifted[slot_b] = new_b
-                new = tuple(lifted)
-                if not _admissible(new):
-                    continue
-                weight = math.sqrt(math.factorial(new_a) * math.factorial(new_b))
-                out[new] = out.get(new, 0j) + base * coef * weight
-    return _nonzero(out)
+    for occ, amp in amplitudes.items():
+        for new_a, new_b, coefficient in _rotation_coefficients(occ[slot_a], occ[slot_b], heisenberg):
+            lifted = list(occ)
+            lifted[slot_a] = new_a
+            lifted[slot_b] = new_b
+            _add(out, tuple(lifted), amp if coefficient == 1.0 else amp * coefficient)
+    return out
 
 
-def _mode_phase(state: FockState, slot: int, phase: np.ndarray) -> FockState:
-    """Multiply each amplitude by exp(i * phase * n), n the slot's occupation."""
-    factors = [np.exp(1j * phase * n) for n in range(MAX_PER_MODE + 1)]
-    return FockState({occ: amp * factors[occ[slot]] for occ, amp in state.amplitudes.items()})
+def _mode_phase(
+    amplitudes: dict[Occupation, np.ndarray], slot: int, phase: np.ndarray
+) -> dict[Occupation, np.ndarray]:
+    """Multiply each amplitude by exp(i * phase * n), n the slot's occupation.
+    An empty slot's factor is exactly 1, so its amplitude is kept as it is."""
+    factors: dict[int, np.ndarray] = {}
+    out = {}
+    for occ, amp in amplitudes.items():
+        n = occ[slot]
+        if n:
+            if n not in factors:
+                factors[n] = np.exp(1j * phase * n)
+            amp = amp * factors[n]
+        out[occ] = amp
+    return out
 
 
 def build_state(
@@ -149,16 +195,15 @@ def build_state(
     delta_x_p, delta_x_s = np.broadcast_arrays(np.atleast_1d(delta_x_p), np.atleast_1d(delta_x_s))
     pump_phase = 2.0 * math.pi * delta_x_p / config.pump_wavelength
     signal_phase = 2.0 * math.pi * delta_x_s / config.signal_filter_center
-    gain2 = config.gain2 * np.exp(1j * pump_phase)
 
-    state = FockState({(0, 0, 0, 0): np.ones(len(pump_phase), dtype=complex)})
-    state = _pair_create(state, config.gain1, CAMERA_SLOT, IDLER_SLOT)
-    state = _two_mode_rotation(state, IDLER_SLOT, LOSS_SLOT, ((eta, leak), (-leak, eta)))
-    state = _pair_create(state, gain2, MONITOR_SLOT, IDLER_SLOT)
-    state = _mode_phase(state, CAMERA_SLOT, signal_phase)
+    amplitudes = {(0, 0, 0, 0): np.ones(len(pump_phase), dtype=complex)}
+    amplitudes = _pair_create(amplitudes, config.gain1, CAMERA_SLOT, IDLER_SLOT)
+    amplitudes = _two_mode_rotation(amplitudes, IDLER_SLOT, LOSS_SLOT, ((eta, leak), (-leak, eta)))
+    amplitudes = _pair_create(amplitudes, config.gain2, MONITOR_SLOT, IDLER_SLOT, np.exp(1j * pump_phase))
+    amplitudes = _mode_phase(amplitudes, CAMERA_SLOT, signal_phase)
     # Output splitter: a_monitor <- t*a_sig2 + r*a_sig1, camera gets the rest.
-    state = _two_mode_rotation(state, MONITOR_SLOT, CAMERA_SLOT, ((t, r), (-r, t)))
-    return state
+    amplitudes = _two_mode_rotation(amplitudes, MONITOR_SLOT, CAMERA_SLOT, ((t, r), (-r, t)))
+    return _nonzero(amplitudes)
 
 
 def detection_moments(state: FockState) -> np.ndarray:
@@ -168,12 +213,15 @@ def detection_moments(state: FockState) -> np.ndarray:
     monitored beam-splitter port, n_B photons in the idler channel; photons
     in the loss slot are never detected.
     """
-    p_a = 0.0
-    p_b = 0.0
-    p_ab = 0.0
-    for occ, amp in state.amplitudes.items():
-        w = np.abs(amp) ** 2
-        p_a += occ[MONITOR_SLOT] * w
-        p_b += occ[IDLER_SLOT] * w
-        p_ab += occ[MONITOR_SLOT] * occ[IDLER_SLOT] * w
-    return np.array([p_a, p_b, p_ab])
+    weights = np.abs(np.array(list(state.amplitudes.values()))) ** 2
+    moments = np.zeros((3, weights.shape[1]))
+    p_a, p_b, p_ab = moments
+    for occ, w in zip(state.amplitudes, weights):
+        n_a, n_b = occ[MONITOR_SLOT], occ[IDLER_SLOT]
+        if n_a:
+            p_a += n_a * w
+        if n_b:
+            p_b += n_b * w
+            if n_a:
+                p_ab += n_a * n_b * w
+    return moments

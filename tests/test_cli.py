@@ -1,5 +1,9 @@
+import contextlib
+import io
 import json
+import math
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -134,6 +138,27 @@ def test_simulate_then_fit_pump_axis(tmp_path):
     )
     summary = json.loads(fit_out.read_text())
     assert abs(summary["period_m"] - 355e-9) < 1e-9
+
+
+# The default pump's fringe envelope at 600 um of pump delay; V0 = 1 at eta = 1.
+PUMP_ENVELOPE_AT_600_UM = 0.97154
+
+
+def test_phase_memory_far_beyond_the_signal_coherence_length(tmp_path):
+    # The paper's claim: pump scans centred 600 um out, four signal coherence
+    # lengths beyond zero delay, keep a visibility above 0.9 on both channels,
+    # equal to the model's pump envelope within 3 sigma.  About 0.1 s.
+    config = write_config(tmp_path, "[scan]\naxis = pump\nstart_um = 599\nstop_um = 601\nstep_nm = 5\n")
+    scan, fit_out = tmp_path / "scan.csv", tmp_path / "fit.json"
+    for seed in range(1, 7):
+        args = ["--config", config, "--seed", str(seed), "--quiet"]
+        assert main(["simulate", *args, "--out", str(scan)]) == EXIT_OK
+        for channel in ("singles", "coincidence"):
+            assert main(["fit", str(scan), *args, "--channel", channel, "--out", str(fit_out)]) == EXIT_OK
+            summary = json.loads(fit_out.read_text())
+            assert summary["visibility"] > 0.9, (seed, channel)
+            pull = (summary["visibility"] - PUMP_ENVELOPE_AT_600_UM) / summary["visibility_sigma"]
+            assert abs(pull) < 3, (seed, channel, pull)
 
 
 def test_unresolved_envelope_has_no_center_uncertainty(tmp_path):
@@ -925,3 +950,80 @@ def test_bad_delay_grid_names_line(tmp_path, capsys, edit, line, reason):
     err = capsys.readouterr().err
     assert f"CSV line {line}: delay" in err
     assert reason in err
+
+
+# Count families for the fit contract: what a CSV that follows the grammar can hold.
+COUNT_FAMILIES = (
+    "fringe", "sparse", "spike", "near 2**62", "alternating", "heavy tail", "zeros", "negative",
+)
+
+
+def _family_counts(family, rng, n):
+    """One row of n counts from a family; "negative" may hold negative counts."""
+    index = np.arange(n)
+    if family in ("fringe", "negative"):
+        period = rng.uniform(3.0, max(n / 4, 3.0))
+        visibility = rng.uniform(0.1, 1.0)
+        mean = 10 ** rng.uniform(1, 6) * (1 + visibility * np.cos(2 * np.pi * index / period + rng.uniform(0, 2 * np.pi)))
+        counts = rng.poisson(mean)
+        if family == "negative":
+            hit = rng.random(n) < rng.uniform(0, 0.2)
+            counts[hit] = -counts[hit] - 1
+        return counts
+    if family == "sparse":
+        return rng.poisson(rng.uniform(0.01, 0.3), n)
+    if family == "spike":
+        counts = np.zeros(n, dtype=np.int64)
+        counts[rng.integers(n)] = rng.integers(1, 10**9)
+        return counts
+    if family == "near 2**62":
+        return 2**62 - rng.integers(0, 1000, n)
+    if family == "alternating":
+        return np.where(index % 2, rng.integers(0, 10**6), rng.integers(0, 10**6))
+    if family == "heavy tail":
+        return np.minimum(rng.zipf(1.5, n), 2**62)
+    return np.zeros(n, dtype=np.int64)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    family=st.sampled_from(COUNT_FAMILIES),
+    rows=st.integers(8, 2001),
+    step_exponent=st.floats(-12.0, -3.0),
+    first=st.integers(-3000, 3000),
+    seed=st.integers(0, 2**32 - 1),
+    channel=st.sampled_from(["singles", "coincidence"]),
+    source=st.sampled_from(["counts", "rates"]),
+)
+def test_fit_of_any_grammar_valid_csv_keeps_its_contract(
+    tmp_path_factory, family, rows, step_exponent, first, seed, channel, source
+):
+    # fit exits 0, 2 or 4 and raises no warning; a negative count exits 2
+    # naming its line and column; exit 0 writes strict JSON with a finite
+    # period, visibility and phase.
+    rng = np.random.default_rng(seed)
+    delays = (first + np.arange(rows)) * 10**step_exponent
+    counts = np.array([_family_counts(family, rng, rows) for _ in range(3)], dtype=np.int64)
+    rates = np.maximum(counts, 0) / 0.5  # over the default config's 0.5 s dwell
+    lines = [",".join(CSV_HEADER)]
+    lines += ["%.16e,%.8e,%.8e,%.8e,%d,%d,%d" % row for row in zip(delays, *rates, *counts)]
+    tmp_path = tmp_path_factory.mktemp("contract")
+    scan, fit_out = tmp_path / "scan.csv", tmp_path / "fit.json"
+    scan.write_text("\n".join(lines) + "\n")
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(["fit", str(scan), "--config", DEFAULT_CONFIG, "--channel", channel,
+                     "--source", source, "--out", str(fit_out), "--quiet"])
+    assert not caught, [str(w.message) for w in caught]
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_FIT), err.getvalue()
+    negative = np.argwhere(counts.T < 0)
+    if len(negative):
+        row, column = negative[0]
+        assert code == EXIT_CONFIG
+        assert err.getvalue() == (f"config error: CSV line {row + 2}, column {CSV_HEADER[4 + column]}: "
+                                  f"not a non-negative count: '{counts[column, row]}'\n")
+    if code == EXIT_OK:
+        summary = json.loads(fit_out.read_text(), parse_constant=_reject_constant)
+        for key in ("period_m", "visibility", "phase_rad"):
+            assert isinstance(summary[key], float) and math.isfinite(summary[key]), (key, summary[key])

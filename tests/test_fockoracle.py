@@ -8,6 +8,8 @@ from icohsim.config import ConfigError
 from icohsim.fockoracle import (
     IDLER_SLOT,
     LOSS_SLOT,
+    MAX_PER_MODE,
+    MAX_TOTAL,
     MONITOR_SLOT,
     build_state,
     detection_moments,
@@ -146,3 +148,28 @@ def test_batch_equals_one_setting_calls_exactly():
         assert np.all(np.isfinite(batch))
         for column, xp, xs in zip(batch.T.tolist(), delta_x_p.tolist(), delta_x_s.tolist()):
             assert column == detection_moments(build_state(cfg, xp, xs))[:, 0].tolist()
+
+
+def test_pruned_edge_configs_keep_admissible_live_amplitudes_and_exact_columns():
+    # Where terms are pruned: a zero gain, a blocked or lossless link, and the
+    # balanced splitter, whose |1,1> coefficient cancels exactly.  With equal
+    # gains through a lossless link, the camera port's one-pair amplitude also
+    # cancels at zero delay, so some settings are exactly zero.
+    rng = random.Random(27)
+    for gain1, gain2 in ((0.0, 3e-4), (3e-4, 0.0), (0.0, 0.0), (3e-4, 3e-4), (1e-4, 6e-4)):
+        for eta in (0.0, 1.0):
+            cfg = config_with(gain1=gain1, gain2=gain2, eta=eta, splitter_ratio=0.5)
+            for _ in range(3):
+                m = rng.randint(1, 40)
+                delta_x_p, delta_x_s = np.array(
+                    [(rng.choice((0.0, rng.uniform(-1e-6, 1e-6))), rng.choice((0.0, rng.uniform(-2e-6, 2e-6))))
+                     for _ in range(m)]
+                ).T
+                states = [build_state(cfg, delta_x_p, delta_x_s)]
+                states += [build_state(cfg, xp, xs) for xp, xs in zip(delta_x_p.tolist(), delta_x_s.tolist())]
+                for state in states:
+                    for occ, amp in state.amplitudes.items():
+                        assert max(occ) <= MAX_PER_MODE and sum(occ) <= MAX_TOTAL, occ
+                        assert np.any(amp), occ
+                batch, *singles = (detection_moments(state) for state in states)
+                assert batch.T.tolist() == [single[:, 0].tolist() for single in singles]
