@@ -27,7 +27,7 @@ import re
 import stat
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -71,11 +71,8 @@ _HEADER_LINE = ",".join(CSV_HEADER)
 
 
 def write_scan_csv(record: ScanRecord, stream: io.TextIOBase) -> None:
-    """One header line, then one row per delay; a noiseless record writes zero counts."""
-    counts = record.counts
-    if counts is None:
-        counts = np.zeros((3, len(record.delays)), dtype=np.int64)
-    columns = zip(record.delays.tolist(), *record.rates.tolist(), *counts.tolist())
+    """One header line, then one row per delay."""
+    columns = zip(record.delays.tolist(), *record.rates.tolist(), *record.counts.tolist())
     stream.write(_HEADER_LINE + "\n" + "".join(_ROW_FORMAT % row for row in columns))
 
 
@@ -225,31 +222,11 @@ def read_scan_csv(stream: io.TextIOBase) -> ScanRecord:
 
 
 def fit_summary(fit: FringeFit) -> dict:
-    """JSON-ready fit values; a non-finite number (an unbounded sigma) becomes None."""
-    summary = {
-        "period_m": fit.period,
-        "period_sigma_m": fit.period_sigma,
-        "visibility": fit.visibility,
-        "visibility_sigma": fit.visibility_sigma,
-        "envelope_center_m": fit.envelope_center,
-        "envelope_fwhm_m": fit.envelope_fwhm,
-        "phase_rad": fit.phase,
-        "baseline_hz": fit.baseline,
-        "reduced_residual": fit.reduced_residual,
-        "converged": fit.converged,
-        "iterations": fit.iterations,
-        "envelope_resolved": fit.envelope_resolved,
-        "envelope_center_sigma_m": fit.envelope_center_sigma,
-        "envelope_fwhm_sigma_m": fit.envelope_fwhm_sigma,
-        "phase_sigma_rad": fit.phase_sigma,
-        "baseline_sigma_hz": fit.baseline_sigma,
-        "channel": fit.channel,
-        "source": fit.source,
-        "envelope_delta_chi2": fit.envelope_delta_chi2,
-    }
+    """JSON-ready fit values under FringeFit's field names; a non-finite
+    number (an unbounded sigma) becomes None."""
     return {
         key: None if isinstance(value, float) and not math.isfinite(value) else value
-        for key, value in summary.items()
+        for key, value in asdict(fit).items()
     }
 
 
@@ -442,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument(
         "--source",
         choices=SOURCES,
-        default="auto",
+        default="counts",
         help="fit sampled counts or noiseless rates",
     )
     _add_common(p_fit, require_out=False)
@@ -536,7 +513,7 @@ def _run(args: argparse.Namespace) -> int:
         _say(args, f"wrote {len(record.delays)} scan points to {args.out}")
         return EXIT_OK
     row = CHANNEL_ROWS[args.channel]
-    if args.source != "rates" and not record.counts[row].any():
+    if args.source == "counts" and not record.counts[row].any():
         raise NoFringeError(f"no fringe detected: every {CSV_HEADER[4 + row]} count is zero, as in "
                             "a predict CSV; fit its rates with --source rates")
     try:
@@ -550,7 +527,7 @@ def _run(args: argparse.Namespace) -> int:
     _emit(json.dumps(fit_summary(fit), indent=2) + "\n", args.out)
     _say(
         args,
-        f"fitted {args.channel}: period {fit.period * 1e9:.2f} nm, "
+        f"fitted {args.channel}: period {fit.period_m * 1e9:.2f} nm, "
         f"visibility {fit.visibility:.4f}",
     )
     return EXIT_OK

@@ -72,9 +72,9 @@ def count_means(detected: np.ndarray, window: float, dwell: float) -> np.ndarray
     """
     r_a, r_b, _ = detected
     if np.any(r_a < 0) or np.any(r_b < 0):
-        raise ValueError("rates and window must be non-negative")
+        raise ValueError("detector rates must be non-negative")
     with np.errstate(over="ignore"):
-        return np.vstack([detected * dwell, r_a * r_b * window * dwell])
+        return np.vstack([detected * dwell, accidental_rate(r_a, r_b, window) * dwell])
 
 
 def sample_scan(means: np.ndarray, seed: int) -> np.ndarray:

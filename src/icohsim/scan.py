@@ -57,10 +57,10 @@ from .counting import MAX_MEAN, count_means, detected, sample_scan
 from .expectation import check_rates
 from .spectral import compile_model
 
-CHANNELS = ("singles", "coincidence", "idler")
 # Row of each channel in a record's rates and counts: detector A, detector B, coincidences.
-CHANNEL_ROWS = {"singles": 0, "idler": 1, "coincidence": 2}
-SOURCES = ("auto", "counts", "rates")
+CHANNEL_ROWS = {"singles": 0, "coincidence": 2, "idler": 1}
+CHANNELS = tuple(CHANNEL_ROWS)
+SOURCES = ("counts", "rates")
 
 # Gauss-Newton steps allowed to each of the pinned and the free fit.
 MAX_ITERATIONS = 200
@@ -160,12 +160,13 @@ class ScanRecord:
 
     ``rates`` holds counts/s rows (detector A, detector B, true
     coincidences) and ``counts`` the sampled count rows (detector A,
-    detector B, coincidences including accidentals), each of shape (3, n);
-    ``counts`` is None for a noiseless record.  ``step`` is the median delay
-    step (nan below two delays).  The delays are strictly increasing, and no
-    step is off the median step by more than GRID_TOLERANCE of it; a grid
-    that breaks either rule raises GridError at its first bad delay.  The
-    scan axis and the dwell come from the config.
+    detector B, coincidences including accidentals), each of shape (3, n).
+    A record built without counts, a noiseless one, holds zero counts, as its
+    CSV does.  ``step`` is the median delay step (nan below two delays).
+    The delays are strictly increasing, and no step is off the median step
+    by more than GRID_TOLERANCE of it; a grid that breaks either rule raises
+    GridError at its first bad delay.  The scan axis and the dwell come from
+    the config.
     """
 
     delays: np.ndarray
@@ -178,10 +179,10 @@ class ScanRecord:
         self.rates = np.asarray(self.rates, dtype=float)
         if self.rates.shape != (3, len(self.delays)):
             raise ValueError("rates must have shape (3, number of delays)")
-        if self.counts is not None:
-            self.counts = np.asarray(self.counts, dtype=np.int64)
-            if self.counts.shape != self.rates.shape:
-                raise ValueError("counts must have shape (3, number of delays)")
+        counts = np.zeros(self.rates.shape, dtype=np.int64) if self.counts is None else self.counts
+        self.counts = np.asarray(counts, dtype=np.int64)
+        if self.counts.shape != self.rates.shape:
+            raise ValueError("counts must have shape (3, number of delays)")
         dx = np.diff(self.delays)
         bad = np.flatnonzero(~(dx > 0))
         if len(bad):
@@ -200,24 +201,28 @@ class ScanRecord:
 
 @dataclass(frozen=True)
 class FringeFit:
-    """Fitted fringe parameters with per-parameter uncertainties."""
+    """Fitted fringe parameters with per-parameter uncertainties.
 
-    period: float
-    period_sigma: float
+    The fields are the fit JSON's keys, in its order, with their units in
+    their names: metres, radians and counts/s.
+    """
+
+    period_m: float
+    period_sigma_m: float
     visibility: float
     visibility_sigma: float
-    envelope_center: float
-    envelope_center_sigma: float
-    envelope_fwhm: float
-    envelope_fwhm_sigma: float
-    phase: float
-    phase_sigma: float
-    baseline: float
-    baseline_sigma: float
+    envelope_center_m: float
+    envelope_fwhm_m: float
+    phase_rad: float
+    baseline_hz: float
     reduced_residual: float
     converged: bool
     iterations: int
     envelope_resolved: bool
+    envelope_center_sigma_m: float
+    envelope_fwhm_sigma_m: float
+    phase_sigma_rad: float
+    baseline_sigma_hz: float
     channel: str = "singles"
     source: str = "counts"
     envelope_delta_chi2: float = math.nan
@@ -295,25 +300,8 @@ def run_scan(
         raise ConfigError(f"scan.step_nm is too fine for float64 delays on this scan: {exc}") from None
 
 
-def _series(record: ScanRecord, channel: str, source: str) -> tuple[np.ndarray, str]:
-    if channel not in CHANNELS:
-        raise ValueError(f"channel must be one of {CHANNELS}, got {channel!r}")
-    if source not in SOURCES:
-        raise ValueError(f"source must be one of {SOURCES}, got {source!r}")
-    if source == "auto":
-        source = "counts" if record.counts is not None else "rates"
-    row = CHANNEL_ROWS[channel]
-    if source == "counts":
-        if record.counts is None:
-            raise ValueError("record has no sampled counts; use source='rates'")
-        return record.counts[row].astype(float), source
-    return record.rates[row], source
-
-
-def estimate_period(
-    record: ScanRecord, channel: str = "singles", source: str = "auto"
-) -> float:
-    """Seed period from the zero-padded periodogram peak of the chosen series.
+def estimate_period(y: np.ndarray, step: float) -> float:
+    """Seed period from the zero-padded periodogram peak of the series ``y``, ``step`` apart.
 
     The series is zero-padded to the power of two at or above 4 times its
     length, and at least 256 bins.  A bin is then at most a quarter of the
@@ -323,13 +311,12 @@ def estimate_period(
     refines it.  Raises NoFringeError when no peak stands out of the
     background (flat data), or when the peak sits in the last bin, at a
     period of 2 grid steps: there the model's cos and sin columns coincide
-    on the grid.  A record's grid is uniform (see ScanRecord), so its median
-    step is the step of the whole series.
+    on the grid.  fit_fringe passes the record's median step: a record's
+    grid is uniform (see ScanRecord), so that is the step of the whole
+    series.
     """
-    y, _ = _series(record, channel, source)
     if len(y) < 8:
         raise NoFringeError("record too short for period estimation")
-    step = record.step
 
     # A power of two scales every sum and product exactly, so the seed does not
     # move, and with the largest magnitude in [0.5, 1) no square overflows.
@@ -682,10 +669,15 @@ def _wrap_phase(phi: float) -> float:
 def fit_fringe(
     record: ScanRecord,
     channel: str = "singles",
-    source: str = "auto",
+    source: str = "counts",
     dwell: float | None = None,
 ) -> FringeFit:
     """Fit the separable fringe model, freeing the envelope only when it is resolved.
+
+    ``channel`` picks the record's row (CHANNEL_ROWS) and ``source`` its
+    sampled counts or noiseless rates (SOURCES); anything else raises
+    ValueError.  The series is picked once, and its periodogram
+    (estimate_period) seeds the fit.
 
     Counts are fitted to the Poisson maximum-likelihood point, by
     Fisher-scoring steps (weights 1/max(mu, 1)) and then observed-information
@@ -713,9 +705,14 @@ def fit_fringe(
     A counts fit needs ``dwell``, the config's seconds per point, to report
     counts/s; without it it raises ValueError.
     """
-    y_raw, source = _series(record, channel, source)
+    if channel not in CHANNELS:
+        raise ValueError(f"channel must be one of {CHANNELS}, got {channel!r}")
+    if source not in SOURCES:
+        raise ValueError(f"source must be one of {SOURCES}, got {source!r}")
+    row = CHANNEL_ROWS[channel]
+    y_raw = record.counts[row].astype(float) if source == "counts" else record.rates[row]
     x_raw = record.delays
-    period_seed = estimate_period(record, channel=channel, source=source)
+    period_seed = estimate_period(y_raw, record.step)
 
     if source == "counts" and dwell is None:
         raise ValueError("counts fits need the dwell time to report rate units")
@@ -824,22 +821,22 @@ def fit_fringe(
     rate_scale = y_scale / dwell if use_poisson else y_scale
     reduced_residual = ssr / dof if use_poisson else math.sqrt(ssr / dof)
     fit = FringeFit(
-        period=period,
-        period_sigma=sigma(0, 0, 0, period / k),
+        period_m=period,
+        period_sigma_m=sigma(0, 0, 0, period / k),
         visibility=visibility,
         visibility_sigma=visibility * sigma(-1.0 / a0, da1, da2, 0, center, center * center),
-        envelope_center=envelope_center,
-        envelope_center_sigma=envelope_center_sigma,
-        envelope_fwhm=envelope_fwhm,
-        envelope_fwhm_sigma=envelope_fwhm_sigma,
-        phase=_wrap_phase(math.atan2(-a2, a1)),
-        phase_sigma=sigma(0, da2, -da1),
-        baseline=a0 * rate_scale,
-        baseline_sigma=sigma(1.0) * rate_scale,
+        envelope_center_m=envelope_center,
+        envelope_fwhm_m=envelope_fwhm,
+        phase_rad=_wrap_phase(math.atan2(-a2, a1)),
+        baseline_hz=a0 * rate_scale,
         reduced_residual=reduced_residual,
         converged=solution.converged,
         iterations=iterations,
         envelope_resolved=resolved,
+        envelope_center_sigma_m=envelope_center_sigma,
+        envelope_fwhm_sigma_m=envelope_fwhm_sigma,
+        phase_sigma_rad=sigma(0, da2, -da1),
+        baseline_sigma_hz=sigma(1.0) * rate_scale,
         channel=channel,
         source=source,
         envelope_delta_chi2=statistic,

@@ -101,21 +101,21 @@ def test_criterion_02_coincidence_shares_the_fringe_phase():
     record = noiseless_record(cfg, pump_offset=cfg.pump_wavelength / 4)
     fit_singles = fit_fringe(record, channel="singles", source="rates")
     fit_coinc = fit_fringe(record, channel="coincidence", source="rates")
-    assert wrapped_difference(fit_singles.phase, fit_coinc.phase) <= 1e-9
+    assert wrapped_difference(fit_singles.phase_rad, fit_coinc.phase_rad) <= 1e-9
 
 
 def test_criterion_03_signal_scan_period_recovery():
     for seed in range(20):
         cfg = config_with(seed=seed)
         fit = fit_fringe(run_scan(cfg), dwell=cfg.dwell)
-        assert abs(fit.period - 808e-9) <= 1e-9, f"seed {seed}: {fit.period}"
+        assert abs(fit.period_m - 808e-9) <= 1e-9, f"seed {seed}: {fit.period_m}"
 
 
 def test_criterion_04_pump_scan_period_recovery():
     for seed in range(20):
         cfg = config_with(axis="pump", start=-1e-6, stop=1e-6, seed=seed)
         fit = fit_fringe(run_scan(cfg), dwell=cfg.dwell)
-        assert abs(fit.period - 355e-9) <= 1e-9, f"seed {seed}: {fit.period}"
+        assert abs(fit.period_m - 355e-9) <= 1e-9, f"seed {seed}: {fit.period_m}"
 
 
 def test_criterion_05_visibility_pairing_at_eta_070():

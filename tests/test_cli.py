@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -27,7 +28,7 @@ from icohsim.cli import (
 )
 from icohsim.config import ConfigError, load_config
 from icohsim.fockoracle import MAX_ORACLE_GAIN
-from icohsim.scan import run_scan
+from icohsim.scan import FringeFit, fit_fringe, run_scan
 
 from conftest import config_with
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -328,6 +329,43 @@ def test_fit_on_flat_counts_exits_with_fit_code(tmp_path, capsys):
                 f"fit error: no fringe detected: every {column} count is zero, as in a predict CSV; "
                 "fit its rates with --source rates\n"
             )
+
+
+def test_fit_refuses_source_auto(tmp_path, capsys):
+    scan = tmp_path / "scan.csv"
+    assert main(["simulate", "--config", DEFAULT_CONFIG, "--out", str(scan), "--quiet"]) == EXIT_OK
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exit_info:
+        main(["fit", str(scan), "--config", DEFAULT_CONFIG, "--source", "auto", "--quiet"])
+    assert exit_info.value.code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "argument --source: invalid choice: 'auto'" in err
+    assert "counts" in err and "rates" in err
+
+
+def test_fit_source_defaults_to_counts(tmp_path, capsys):
+    scan = tmp_path / "scan.csv"
+    args = ["--config", DEFAULT_CONFIG, "--seed", "5", "--quiet"]
+    assert main(["simulate", *args, "--out", str(scan)]) == EXIT_OK
+    # the idler detector sees no fringe: both runs exit 4 and write no file
+    for channel, expected in [("singles", EXIT_OK), ("coincidence", EXIT_OK), ("idler", EXIT_FIT)]:
+        outputs = []
+        for source in ([], ["--source", "counts"]):
+            out = tmp_path / f"fit-{channel}-{len(source)}.json"
+            code = main(["fit", str(scan), *args, "--channel", channel, *source, "--out", str(out)])
+            outputs.append((code, capsys.readouterr(), out.read_bytes() if out.exists() else None))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] == expected
+
+
+def test_readme_fit_keys_are_the_fringe_fit_fields():
+    """README's "Fit JSON keys" list, FringeFit's fields and fit_summary's keys are one list."""
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    listed = readme.split("### Fit JSON keys\n", 1)[1].strip().split("\n\n", 1)[0]
+    keys = [key.strip() for key in listed.strip("`.").split(",")]
+    assert keys == [field.name for field in dataclasses.fields(FringeFit)]
+    cfg = load_config(DEFAULT_CONFIG)
+    assert list(cli.fit_summary(fit_fringe(run_scan(cfg), dwell=cfg.dwell))) == keys
 
 
 def test_fit_at_two_grid_steps_per_period_exits_with_fit_code(tmp_path, capsys):

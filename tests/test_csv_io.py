@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from icohsim.cli import read_scan_csv, write_scan_csv
-from icohsim.config import ConfigError
-from icohsim.scan import ScanRecord
+from icohsim.config import ConfigError, parse_config
+from icohsim.scan import ScanRecord, run_scan
 
 # A numpy warning here is a parse the grammar does not state.
 pytestmark = pytest.mark.filterwarnings("error")
@@ -55,9 +55,21 @@ def test_write_read_round_trip(record):
     n = len(record.delays)
     assert back.delays.tolist() == record.delays.tolist()
     assert back.rates.tolist() == _nine_digits(record.rates).reshape(3, n).tolist()
-    expected_counts = record.counts if record.counts is not None else np.zeros((3, n), int)
-    assert back.counts.tolist() == expected_counts.tolist()
+    assert back.counts.tolist() == record.counts.tolist()
     assert _text(back) == text
+
+
+@pytest.mark.parametrize("axis, span_um", [("signal", 2), ("pump", 1)])
+def test_a_noiseless_record_is_the_record_of_its_csv(axis, span_um):
+    """On the benchmark campaign's two scans, run_scan without sampling gives the
+    record that fit reads back from the predict CSV: zero counts, not None."""
+    text = f"[scan]\naxis = {axis}\nstart_um = -{span_um}\nstop_um = {span_um}\nstep_nm = 10\n"
+    record = run_scan(parse_config(text), sample=False)
+    back = read_scan_csv(io.StringIO(_text(record)))
+    assert back.delays.tobytes() == record.delays.tobytes()
+    assert back.counts.dtype == record.counts.dtype == np.int64
+    assert back.counts.tolist() == record.counts.tolist() == np.zeros((3, len(record.delays)), int).tolist()
+    assert back.rates.tolist() == _nine_digits(record.rates).tolist()
 
 
 def _scan_arrays():

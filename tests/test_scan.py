@@ -67,7 +67,8 @@ def test_run_scan_grid_and_record_shape(config):
 
 def test_run_scan_without_sampling(config):
     record = run_scan(config, sample=False)
-    assert record.counts is None
+    assert record.counts.dtype == np.int64 and record.counts.shape == (3, 401)
+    assert not record.counts.any()
     # rates are calibrated: baseline averages to the configured detector rate
     mids = record.rates[0]
     assert np.mean(mids) == pytest.approx(42_000.0, rel=0.05)
@@ -113,14 +114,14 @@ def test_scan_record_step_is_the_median_step():
 def test_estimate_period_noiseless_round_trips():
     for period in (808e-9, 355e-9):
         record = synthetic_record(period=period, visibility=1.0, phase=0.0)
-        estimate = estimate_period(record)
+        estimate = estimate_period(record.counts[0].astype(float), record.step)
         assert abs(estimate - period) / period < 0.05
 
 
 def test_estimate_period_flat_record_raises():
     record = synthetic_record(visibility=0.0)
     with pytest.raises(NoFringeError):
-        estimate_period(record)
+        estimate_period(record.counts[0].astype(float), record.step)
 
 
 def test_scan_record_rejects_a_non_uniform_grid():
@@ -162,7 +163,7 @@ def test_estimate_period_is_within_three_percent_of_the_fit():
     errors = []
     for _, record in refit_shaped_records():
         fit = fit_fringe(record, dwell=5.0)
-        errors.append(abs(estimate_period(record) / fit.period - 1.0))
+        errors.append(abs(estimate_period(record.counts[0].astype(float), record.step) / fit.period_m - 1.0))
     assert len(errors) == 48
     assert max(errors) < 0.03
 
@@ -170,7 +171,7 @@ def test_estimate_period_is_within_three_percent_of_the_fit():
 def test_fit_noiseless_exact_round_trip():
     record = synthetic_record(visibility=0.7, period=808e-9, sigma=SIGMA_SIGNAL)
     fit = fit_fringe(record, source="rates")
-    assert abs(fit.period - 808e-9) / 808e-9 < 1e-4  # 0.01 %
+    assert abs(fit.period_m - 808e-9) / 808e-9 < 1e-4  # 0.01 %
     assert abs(fit.visibility - 0.7) < 1e-4
     assert fit.reduced_residual < 1e-12
     assert fit.converged
@@ -185,9 +186,9 @@ def test_fit_recovers_phase_and_center():
         visibility=0.6, phase=-1.2, center=0.4e-6, sigma=1.5e-6, span=4e-6
     )
     fit = fit_fringe(record, source="rates")
-    assert fit.phase == pytest.approx(-1.2, abs=1e-6)
-    assert fit.envelope_center == pytest.approx(0.4e-6, rel=1e-3)
-    assert fit.envelope_fwhm == pytest.approx(
+    assert fit.phase_rad == pytest.approx(-1.2, abs=1e-6)
+    assert fit.envelope_center_m == pytest.approx(0.4e-6, rel=1e-3)
+    assert fit.envelope_fwhm_m == pytest.approx(
         2 * math.sqrt(2 * math.log(2)) * 1.5e-6, rel=1e-3
     )
     assert fit.envelope_resolved
@@ -196,10 +197,10 @@ def test_fit_recovers_phase_and_center():
 def test_fit_poisson_noisy_recovery():
     record = synthetic_record(visibility=0.7, sigma=SIGMA_SIGNAL, noise_seed=42)
     fit = fit_fringe(record, dwell=0.5)
-    assert abs(fit.period - 808e-9) < 1e-9
+    assert abs(fit.period_m - 808e-9) < 1e-9
     assert abs(fit.visibility - 0.7) < 0.02
     assert 0.5 < fit.reduced_residual < 2.0
-    assert fit.baseline == pytest.approx(21000.0 / 0.5, rel=0.02)
+    assert fit.baseline_hz == pytest.approx(21000.0 / 0.5, rel=0.02)
 
 
 def test_fit_monte_carlo_signal_periods(config):
@@ -207,8 +208,8 @@ def test_fit_monte_carlo_signal_periods(config):
     for seed in range(5):
         record = run_scan(config_with(seed=seed))
         fit = fit_fringe(record, dwell=0.5)
-        errors.append(abs(fit.period - 808e-9))
-        assert fit.period_sigma > 0
+        errors.append(abs(fit.period_m - 808e-9))
+        assert fit.period_sigma_m > 0
     assert max(errors) < 1e-9
 
 
@@ -217,7 +218,7 @@ def test_fit_monte_carlo_pump_periods():
     for seed in range(5):
         record = run_scan(config_with(axis="pump", start=-1e-6, stop=1e-6, seed=seed))
         fit = fit_fringe(record, dwell=0.5)
-        assert abs(fit.period - 355e-9) < 1e-9
+        assert abs(fit.period_m - 355e-9) < 1e-9
         # scan range is far inside the pump coherence length: the envelope
         # is reported as a lower bound only
         assert not fit.envelope_resolved
@@ -232,16 +233,16 @@ def test_fit_is_scale_free():
         counts=record.counts * 7,
     )
     refit = fit_fringe(scaled, dwell=0.5)
-    assert refit.period == pytest.approx(fit.period, rel=1e-6)
+    assert refit.period_m == pytest.approx(fit.period_m, rel=1e-6)
     assert refit.visibility == pytest.approx(fit.visibility, abs=1e-3)
-    assert refit.baseline == pytest.approx(7 * fit.baseline, rel=1e-3)
+    assert refit.baseline_hz == pytest.approx(7 * fit.baseline_hz, rel=1e-3)
 
 
 def test_fit_never_aliases_on_clean_scans():
     for seed in range(8):
         record = synthetic_record(visibility=0.9, sigma=None, noise_seed=seed)
         fit = fit_fringe(record, dwell=0.5)
-        ratio = fit.period / 808e-9
+        ratio = fit.period_m / 808e-9
         assert 0.99 < ratio < 1.01  # never 0.5x or 2x
 
 
@@ -249,6 +250,13 @@ def test_fit_on_counts_requires_dwell():
     record = synthetic_record(noise_seed=1)
     with pytest.raises(ValueError, match="dwell"):
         fit_fringe(record)
+
+
+def test_fit_takes_counts_or_rates_and_nothing_else():
+    record = synthetic_record(noise_seed=1)
+    with pytest.raises(ValueError, match=r"^source must be one of \('counts', 'rates'\), got 'auto'$"):
+        fit_fringe(record, source="auto", dwell=0.5)
+    assert fit_fringe(record, dwell=0.5) == fit_fringe(record, source="counts", dwell=0.5)
 
 
 def test_fit_flat_record_raises_no_fringe():
@@ -261,7 +269,7 @@ def test_fit_coincidence_channel(config):
     cfg = config_with(eta=0.7, seed=11)
     record = run_scan(cfg)
     fit = fit_fringe(record, channel="coincidence", dwell=cfg.dwell)
-    assert abs(fit.period - 808e-9) < 1e-9
+    assert abs(fit.period_m - 808e-9) < 1e-9
     assert fit.visibility == pytest.approx(0.9395973, abs=0.01)
 
 
@@ -288,12 +296,12 @@ def test_uncertainties_are_nonnegative():
     record = synthetic_record(visibility=0.7, sigma=SIGMA_SIGNAL, noise_seed=9)
     fit = fit_fringe(record, dwell=0.5)
     for name in (
-        "period_sigma",
+        "period_sigma_m",
         "visibility_sigma",
-        "envelope_center_sigma",
-        "envelope_fwhm_sigma",
-        "phase_sigma",
-        "baseline_sigma",
+        "envelope_center_sigma_m",
+        "envelope_fwhm_sigma_m",
+        "phase_sigma_rad",
+        "baseline_sigma_hz",
     ):
         assert getattr(fit, name) >= 0
 
@@ -344,10 +352,10 @@ def test_fit_decisions_match_recorded_fits(recorded):
     fit = fit_fringe(run_scan(config_with(seed=seed, **scan)), channel=channel, dwell=0.5)
     assert fit.iterations == iterations
     for got, expected in (
-        (fit.period, period),
+        (fit.period_m, period),
         (fit.visibility, visibility),
-        (fit.phase, phase),
-        (fit.baseline, baseline),
+        (fit.phase_rad, phase),
+        (fit.baseline_hz, baseline),
     ):
         assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
     assert not fit.envelope_resolved
@@ -390,7 +398,7 @@ def test_fit_matches_recorded_fits_of_synthetic_records(recorded):
     fit = fit_fringe(two_channel_record(noise_seed, true_visibility, fwhm), channel, source, dwell=0.5)
     assert fit.iterations == iterations
     assert fit.envelope_resolved == (fwhm is not None)
-    got = (fit.period, fit.visibility, fit.phase, fit.baseline, fit.envelope_delta_chi2)
+    got = (fit.period_m, fit.visibility, fit.phase_rad, fit.baseline_hz, fit.envelope_delta_chi2)
     for value, recorded_value in zip(got, expected):
         assert value == pytest.approx(recorded_value, rel=1e-12, abs=0.0)
 
@@ -452,7 +460,7 @@ def test_fit_fails_only_with_fit_errors(values, source, start, step):
         fit = fit_fringe(record, source=source, dwell=0.5)
     except (NoFringeError, FitNonConvergenceError):
         return
-    for value in (fit.period, fit.visibility, fit.phase, fit.baseline):
+    for value in (fit.period_m, fit.visibility, fit.phase_rad, fit.baseline_hz):
         assert math.isfinite(value)
 
 
@@ -662,7 +670,7 @@ def test_pulls_cover_truth_at_eta_070(axis, channel):
     fits = [fit_fringe(run_scan(config_with(eta=0.7, seed=s, **scan)), channel, dwell=0.5) for s in seeds]
     for pulls in (
         [(f.visibility - truth.visibility) / f.visibility_sigma for f in fits],
-        [(f.period - period) / f.period_sigma for f in fits],
+        [(f.period_m - period) / f.period_sigma_m for f in fits],
     ):
         assert abs(np.mean(pulls)) <= 3 / math.sqrt(n)
         assert abs(np.std(pulls, ddof=1) - 1) <= 3 / math.sqrt(2 * (n - 1))
@@ -678,7 +686,7 @@ def test_envelope_stays_pinned_on_campaign_scans(axis):
             fit = fit_fringe(record, channel, dwell=0.5)
             assert fit.envelope_delta_chi2 <= ENVELOPE_THRESHOLD
             assert not fit.envelope_resolved
-            assert fit.envelope_fwhm_sigma == math.inf
+            assert fit.envelope_fwhm_sigma_m == math.inf
 
 
 @pytest.mark.parametrize("fraction", [0.3, 0.4, 0.5, 0.6])
@@ -689,8 +697,8 @@ def test_envelope_resolved_when_narrower_than_the_scan(fraction):
         fit = fit_fringe(record, dwell=0.5)
         assert fit.envelope_delta_chi2 > ENVELOPE_THRESHOLD
         assert fit.envelope_resolved
-        assert abs(fit.envelope_fwhm - fwhm) <= 3 * fit.envelope_fwhm_sigma
-        assert abs(fit.envelope_center - 0.2e-6) <= 3 * fit.envelope_center_sigma
+        assert abs(fit.envelope_fwhm_m - fwhm) <= 3 * fit.envelope_fwhm_sigma_m
+        assert abs(fit.envelope_center_m - 0.2e-6) <= 3 * fit.envelope_center_sigma_m
 
 
 def poisson_score(fit, record, row, dwell):
@@ -703,14 +711,14 @@ def poisson_score(fit, record, row, dwell):
     """
     x = record.delays
     y = record.counts[row].astype(float)
-    a0 = fit.baseline * dwell
-    k = 2.0 * math.pi / fit.period
-    free = math.isfinite(fit.envelope_fwhm_sigma)
+    a0 = fit.baseline_hz * dwell
+    k = 2.0 * math.pi / fit.period_m
+    free = math.isfinite(fit.envelope_fwhm_sigma_m)
     if free:
         middle, half_span = 0.5 * (x[0] + x[-1]), 0.5 * (x[-1] - x[0])
         t = (x - middle) / half_span
-        center = (fit.envelope_center - middle) / half_span
-        width = fit.envelope_fwhm / (FWHM_FACTOR * half_span)
+        center = (fit.envelope_center_m - middle) / half_span
+        width = fit.envelope_fwhm_m / (FWHM_FACTOR * half_span)
         beta2 = -0.5 / (width * width)
         beta1 = -2.0 * beta2 * center
         envelope = np.exp(t * (beta1 + beta2 * t))
@@ -718,7 +726,7 @@ def poisson_score(fit, record, row, dwell):
     else:
         envelope = np.ones_like(x)
         amplitude = fit.visibility * a0
-    a1, a2 = amplitude * math.cos(fit.phase), -amplitude * math.sin(fit.phase)
+    a1, a2 = amplitude * math.cos(fit.phase_rad), -amplitude * math.sin(fit.phase_rad)
     cos, sin = np.cos(k * x), np.sin(k * x)
     oscillation = envelope * (a1 * cos + a2 * sin)
     mu = a0 + oscillation
@@ -794,6 +802,6 @@ def test_covariance_falls_back_to_pinv_on_a_near_nyquist_record(monkeypatch):
     calls = count_linalg_calls(monkeypatch)
     fit = fit_fringe(record, dwell=1.0)
     assert calls.count("pinv") == 1
-    assert abs(fit.period - 21.25e-9) <= 3.0 * fit.period_sigma
+    assert abs(fit.period_m - 21.25e-9) <= 3.0 * fit.period_sigma_m
     assert abs(fit.visibility - 0.8) <= 3.0 * fit.visibility_sigma
-    assert abs(fit.phase - 0.3) <= 3.0 * fit.phase_sigma
+    assert abs(fit.phase_rad - 0.3) <= 3.0 * fit.phase_sigma_rad
