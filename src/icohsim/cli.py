@@ -22,12 +22,13 @@ import functools
 import io
 import json
 import math
+import operator
 import os
 import re
 import stat
 import sys
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,7 +60,7 @@ EXIT_FIT = 4
 CSV_HEADER = ["delay_m", "rate_a_hz", "rate_b_hz", "coinc_hz", "counts_a", "counts_b", "coinc_counts"]
 
 LOW_GAIN_BOUND = 1e-2
-# Upper limit of oracle-check --points: at 4096 a run peaks near 46 MB resident.
+# Upper limit of oracle-check --points: at 4096 a run peaks near 50 MB resident.
 MAX_ORACLE_POINTS = 4096
 _INT64_MAX = 2**63 - 1
 
@@ -226,8 +227,18 @@ def fit_summary(fit: FringeFit) -> dict:
     number (an unbounded sigma) becomes None."""
     return {
         key: None if isinstance(value, float) and not math.isfinite(value) else value
-        for key, value in asdict(fit).items()
+        for key, value in vars(fit).items()
     }
+
+
+def fit_json(fit: FringeFit) -> str:
+    """The fit JSON: the bytes ``json.dumps(fit_summary(fit), indent=2) + "\\n"`` gives.
+
+    The summary is flat, so ``indent=2`` only puts each item on a line of its
+    own; these separators do the same through json's C encoder, which an
+    ``indent`` turns off.
+    """
+    return "{\n  " + json.dumps(fit_summary(fit), separators=(",\n  ", ": "))[1:-1] + "\n}\n"
 
 
 @dataclass(frozen=True)
@@ -275,40 +286,59 @@ def oracle_comparison(config: ExperimentConfig, points_per_axis: int = 16) -> Or
     return OracleComparison(header, delta_x_p, delta_x_s, engine, oracle)
 
 
-# One entry of the oracle JSON "points" list, laid out as json.dumps(..., indent=2)
-# lays it out; %r of a Python float is the text json writes for it.
+# The oracle JSON as json.dumps(..., indent=2) lays it out: the header, then
+# one entry of the "points" list per delay setting.  Every %s is a number,
+# filled with repr of a Python float, which is the text json writes for it.
+_ORACLE_HEAD = """\
+{
+  "gain_1": %s,
+  "gain_2": %s,
+  "relative_deviation_per_channel": {
+    "p_a": %s,
+    "p_b": %s,
+    "p_ab": %s
+  },
+  "max_relative_deviation": %s,
+  "points": [
+"""
 _ORACLE_POINT = """\
     {
-      "delay_xp_m": %r,
-      "delay_xs_m": %r,
+      "delay_xp_m": %s,
+      "delay_xs_m": %s,
       "engine": {
-        "p_a": %r,
-        "p_b": %r,
-        "p_ab": %r
+        "p_a": %s,
+        "p_b": %s,
+        "p_ab": %s
       },
       "oracle": {
-        "p_a": %r,
-        "p_b": %r,
-        "p_ab": %r
+        "p_a": %s,
+        "p_b": %s,
+        "p_ab": %s
       }
     }"""
+_ORACLE_TAIL = "\n  ]\n}\n"
 
 
 def write_oracle_json(comparison: OracleComparison, stream: io.TextIOBase) -> None:
     """Write the oracle-check JSON: the bytes ``json.dumps(..., indent=2) + "\\n"``
     gives for the header with a "points" list of the delays and rates appended.
 
-    Only the small header goes through ``json``; each point fills one fixed template.
+    One template holds the whole document, and each distinct float is
+    formatted once.  Floats are told apart by their bit patterns, because
+    0.0 and -0.0 are equal, and so one dict key, but print differently.
     """
-    header = json.dumps(comparison.header, indent=2)
-    columns = zip(
-        comparison.delta_x_p.tolist(),
-        comparison.delta_x_s.tolist(),
-        *comparison.engine.tolist(),
-        *comparison.oracle.tolist(),
-    )
-    points = ",\n".join(_ORACLE_POINT % row for row in columns)
-    stream.write(header[:-2] + ',\n  "points": [\n' + points + "\n  ]\n}\n")
+    header = comparison.header
+    columns = np.vstack([comparison.delta_x_p, comparison.delta_x_s, comparison.engine, comparison.oracle])
+    numbers = np.concatenate([
+        [header["gain_1"], header["gain_2"], *header["relative_deviation_per_channel"].values(),
+         header["max_relative_deviation"]],
+        columns.T.ravel(),
+    ])
+    keys = numbers.view(np.int64).tolist()
+    distinct = dict(zip(keys, numbers.tolist()))
+    texts = dict(zip(distinct, map(float.__repr__, distinct.values())))
+    template = _ORACLE_HEAD + ",\n".join([_ORACLE_POINT] * columns.shape[1]) + _ORACLE_TAIL
+    stream.write(template % operator.itemgetter(*keys)(texts))
 
 
 def build_report(config: ExperimentConfig) -> str:
@@ -414,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--channel",
         choices=CHANNELS,
         default="singles",
-        help="which series to fit",
+        help="which series to fit; idler is the no-fringe control: its rates carry no fringe",
     )
     p_fit.add_argument(
         "--source",
@@ -521,10 +551,10 @@ def _run(args: argparse.Namespace) -> int:
             record, channel=args.channel, source=args.source, dwell=config.dwell
         )
     except FitNonConvergenceError as exc:
-        _emit(json.dumps(fit_summary(exc.fit), indent=2) + "\n", args.out)
+        _emit(fit_json(exc.fit), args.out)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FIT
-    _emit(json.dumps(fit_summary(fit), indent=2) + "\n", args.out)
+    _emit(fit_json(fit), args.out)
     _say(
         args,
         f"fitted {args.channel}: period {fit.period_m * 1e9:.2f} nm, "

@@ -23,8 +23,8 @@ recombination splitter.  ``pump.bandwidth_ghz`` alone sets the pump
 spectrum; ``stated_coherence_length_mm`` is informational only and lets
 reports compare a quoted value against the one computed from the bandwidth.
 
-Line grammar.  :func:`parse_config` splits the text at ``\n`` (a file is
-read with universal newlines, so ``\r\n`` and a lone ``\r`` end its lines
+Line grammar.  :func:`parse_config` splits the text at ``\n`` (:func:`load_config`
+maps a file's ``\r\n`` and lone ``\r`` to ``\n``, so they end its lines
 too) and reads each line in one pass.  With surrounding whitespace stripped,
 a line is one of:
 
@@ -375,7 +375,7 @@ def _check_in_file_order(given: list) -> None:
 def utf8_error(path: str, exc: UnicodeDecodeError) -> ConfigError:
     """The error for a file that is not UTF-8 text, naming its first bad byte and offset.
 
-    ``exc`` comes from one ``read()`` of the whole file, so its offsets are the file's.
+    ``exc`` comes from decoding the whole file at once, so its offsets are the file's.
     """
     return ConfigError(
         f"{path}: not UTF-8 text: byte 0x{exc.object[exc.start]:02x} "
@@ -384,9 +384,12 @@ def utf8_error(path: str, exc: UnicodeDecodeError) -> ConfigError:
 
 
 def load_config(path: str, seed: int | None = None, axis: str | None = None) -> ExperimentConfig:
+    """Read a config file as UTF-8 with universal newlines (``\\r\\n`` and a
+    lone ``\\r`` become ``\\n``) and parse it as :func:`parse_config` does."""
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise utf8_error(path, exc) from None
-    return parse_config(text, seed, axis)
+    return parse_config(text.replace("\r\n", "\n").replace("\r", "\n"), seed, axis)

@@ -1,8 +1,9 @@
 """Vacuum expectation values for the two-crystal interferometer.
 
 Signal singles <a_s^+ a_s>, idler singles, and coincidences
-<a_s^+ a_i^+ a_i a_s>, exact on the vacuum for the channels of ``operators``,
-in units of |K|^2; calibration to count rates is the counting module's job.
+<a_s^+ a_i^+ a_i a_s>, exact on the vacuum for the channels of ``operators``
+as row norms and dot products of their (2, 4) coefficient arrays, in units
+of |K|^2; calibration to count rates is the counting module's job.
 A batch of m delay settings is a pair of (m,) delay arrays, and its rates
 are a (3, m) array with rows (p_a, p_b, p_ab).
 """
@@ -22,6 +23,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from .config import ExperimentConfig
 
 RATE_NAMES = ("p_a", "p_b", "p_ab")
+# Dot product over the last axis, batched over the leading ones.
+_DOT = "...j,...j->..."
 # Rates below zero by more than roundoff are an error.
 RATE_FLOOR = -1e-15
 
@@ -45,13 +48,15 @@ def coincidence_rate(s: Channel, i: Channel) -> np.ndarray:
 
     s|0> is the photon in s's creation row.  i leaves a vacuum part (its
     annihilation row dotted into it: the usual coincidence rate) and the
-    two-photon part M = outer(i's creation row, s's creation row), of norm^2
-    ||M + M^T||^2 / 2 (the O(K^4) double-pair contribution).
+    two-photon part M = outer(i's creation row, s's creation row), whose
+    norm^2 ||M + M^T||^2 / 2 (the O(K^4) double-pair contribution) equals
+    ||i||^2 ||s||^2 + |sum_j i_j conj(s_j)|^2 on those rows, so M is never formed.
     """
-    vacuum_amp = np.sum(i[..., 0, :] * s[..., 1, :], axis=-1)
-    pairs = i[..., 1, :, None] * s[..., 1, None, :]
-    symmetric = (pairs + np.swapaxes(pairs, -1, -2)).reshape(pairs.shape[:-2] + (-1,))
-    return np.abs(vacuum_amp) ** 2 + 0.5 * np.sum(np.abs(symmetric) ** 2, axis=-1)
+    s_row, i_row = s[..., 1, :], i[..., 1, :]
+    vacuum_amp = np.einsum(_DOT, i[..., 0, :], s_row)
+    overlap = np.einsum(_DOT, i_row, s_row.conj())
+    norms = np.einsum(_DOT, i_row, i_row.conj()).real * np.einsum(_DOT, s_row, s_row.conj()).real
+    return np.abs(vacuum_amp) ** 2 + norms + np.abs(overlap) ** 2
 
 
 def setup_operators(

@@ -406,6 +406,27 @@ def test_fit_that_does_not_converge_exits_with_fit_code(tmp_path, capsys, monkey
     assert summary["converged"] is False
 
 
+@pytest.mark.parametrize("max_iterations", [None, 1], ids=["converged", "not_converged"])
+def test_fit_json_equals_the_reference_encoder(tmp_path, monkeypatch, max_iterations):
+    scan = tmp_path / "scan.csv"
+    assert main(["simulate", "--config", DEFAULT_CONFIG, "--out", str(scan), "--quiet"]) == EXIT_OK
+    if max_iterations is not None:
+        monkeypatch.setattr(icohsim.scan, "MAX_ITERATIONS", max_iterations)
+    out = tmp_path / "fit.json"
+    code = main(["fit", str(scan), "--config", DEFAULT_CONFIG, "--out", str(out), "--quiet"])
+    assert code == (EXIT_OK if max_iterations is None else EXIT_FIT)
+    with open(scan, encoding="utf-8", newline="") as fh:
+        record = read_scan_csv(fh)
+    try:
+        fit = fit_fringe(record, dwell=load_config(DEFAULT_CONFIG).dwell)
+    except icohsim.scan.FitNonConvergenceError as exc:
+        fit = exc.fit
+    summary = cli.fit_summary(fit)
+    # the pinned envelope's sigmas are unbounded: the file holds nulls
+    assert summary["envelope_center_sigma_m"] is None and summary["envelope_fwhm_sigma_m"] is None
+    assert out.read_text(encoding="utf-8") == json.dumps(summary, indent=2) + "\n"
+
+
 def test_rates_fit_of_a_scan_at_huge_rates_succeeds(tmp_path):
     # rates near 1e300 would overflow the periodogram's squares unscaled
     config = write_config(tmp_path, "[detectors]\nrate_a_hz = 1e300\n[scan]\n")
@@ -578,12 +599,8 @@ def test_oracle_check_rejects_points_out_of_range(tmp_path, capsys, points):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("points", [1, 2, 16, MAX_ORACLE_POINTS])
-def test_oracle_check_json_equals_the_reference_encoder(tmp_path, points):
-    out = tmp_path / "oracle.json"
-    argv = ["oracle-check", "--config", DEFAULT_CONFIG, "--points", str(points), "--out", str(out), "--quiet"]
-    assert main(argv) == EXIT_OK
-    comparison = oracle_comparison(load_config(DEFAULT_CONFIG), points_per_axis=points)
+def reference_oracle_json(comparison) -> str:
+    """The oracle-check JSON as json.dumps writes it."""
     rows = zip(
         comparison.delta_x_p.tolist(),
         comparison.delta_x_s.tolist(),
@@ -602,12 +619,47 @@ def test_oracle_check_json_equals_the_reference_encoder(tmp_path, points):
             for xp, xs, engine, oracle in rows
         ],
     }
-    text, expected = out.read_bytes().decode("utf-8"), json.dumps(reference, indent=2) + "\n"
+    return json.dumps(reference, indent=2) + "\n"
+
+
+def assert_oracle_json_is_the_reference(tmp_path, config, points):
+    out = tmp_path / "oracle.json"
+    argv = ["oracle-check", "--config", config, "--points", str(points), "--out", str(out), "--quiet"]
+    assert main(argv) == EXIT_OK
+    comparison = oracle_comparison(load_config(config), points_per_axis=points)
+    text, expected = out.read_bytes().decode("utf-8"), reference_oracle_json(comparison)
     # compared without pytest's diff, which is slow on the 2.8 MB files of 4096 points
     same = text == expected
     k = len(os.path.commonprefix([text, expected]))
     assert same, f"first difference at character {k}: {text[max(k - 40, 0):k + 40]!r}"
     assert len(json.loads(text, parse_constant=_reject_constant)["points"]) == 2 * points
+
+
+@pytest.mark.parametrize("points", [1, 2, 16, MAX_ORACLE_POINTS])
+def test_oracle_check_json_equals_the_reference_encoder(tmp_path, points):
+    assert_oracle_json_is_the_reference(tmp_path, DEFAULT_CONFIG, points)
+
+
+@pytest.mark.parametrize("points", [1, 2, 16])
+@pytest.mark.parametrize("text", ["[crystal2]\ngain = 0\n[scan]\n", "[idler_link]\neta = 0\n[scan]\n"],
+                         ids=["no_crystal2", "blocked_idler"])
+def test_oracle_check_json_of_pruned_terms_equals_the_reference_encoder(tmp_path, text, points):
+    # most floats repeat here: whole rows of equal rates, zero rates and zero deviations
+    assert_oracle_json_is_the_reference(tmp_path, write_config(tmp_path, text), points)
+
+
+def test_oracle_json_tells_signed_zeros_apart():
+    # 0.0 and -0.0 are one dict key, but json writes them differently
+    rates = np.array([[0.0, -0.0, 0.0], [-0.0, 1.5, -0.0], [2.5, 0.0, 1.5]])
+    comparison = cli.OracleComparison(
+        {"gain_1": 0.0, "gain_2": -0.0,
+         "relative_deviation_per_channel": {"p_a": -0.0, "p_b": 0.0, "p_ab": 1.5},
+         "max_relative_deviation": 1.5},
+        np.array([0.0, -0.0, 1e-9]), np.array([-0.0, 0.0, -1e-9]), rates, -rates,
+    )
+    buffer = io.StringIO()
+    cli.write_oracle_json(comparison, buffer)
+    assert buffer.getvalue() == reference_oracle_json(comparison)
 
 
 def test_oracle_check_rejects_a_non_finite_rate(tmp_path, capsys, monkeypatch):

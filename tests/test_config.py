@@ -476,6 +476,24 @@ def test_overrides_helper():
         parse_config("[detectors]\nseed = -1\n[scan]\nstart_um = 1\nstop_um = -1\n", seed=5)
 
 
+def test_load_config_reads_every_line_end_alike(tmp_path):
+    # a blank line between two lone \r is one empty line, and \r\r\n is two line ends
+    good = DEFAULT_FILE.read_bytes()
+    bad = b"# a value out of range\n\n[scan]\nstep_nm = 10\n\nstart_um = -2e6\n"
+    loaded, errors = [], []
+    for name, newline in [("lf", b"\n"), ("crlf", b"\r\n"), ("cr", b"\r"), ("cr-crlf", b"\r\r\n")]:
+        path = tmp_path / f"{name}.ini"
+        path.write_bytes(good.replace(b"\n", newline))
+        loaded.append(load_config(str(path)))
+        path.write_bytes(bad.replace(b"\n", newline))
+        with pytest.raises(ConfigError) as info:
+            load_config(str(path))
+        errors.append(str(info.value))
+    assert loaded == [ExperimentConfig()] * 4
+    assert errors[:3] == ["scan.start_um at line 6 out of range: must lie in [-1e+06, 1e+06]"] * 3
+    assert errors[3] == "scan.start_um at line 11 out of range: must lie in [-1e+06, 1e+06]"
+
+
 @pytest.mark.parametrize("flags", [[], ["--seed", "42"], ["--axis", "pump"], ["--seed", "42", "--axis", "pump"]])
 def test_a_load_checks_each_key_once_and_builds_one_config(tmp_path, monkeypatch, flags):
     # the file states every key, so each flag replaces one of its values

@@ -132,6 +132,19 @@ def test_coincidence_trivial_zero():
     assert coincidence_rate(free_mode(SO1), free_mode(IO1)) == 0.0
 
 
+def test_coincidence_rate_equals_the_outer_product_contraction():
+    # The double-pair term ||M + M^T||^2 / 2 with M = outer(i's creation row, s's
+    # creation row), formed explicitly, on random channels where both terms matter.
+    rng = np.random.default_rng(29)
+    s, i = (rng.normal(size=(64, 2, 4)) + 1j * rng.normal(size=(64, 2, 4)) for _ in range(2))
+    vacuum_amp = np.sum(i[:, 0, :] * s[:, 1, :], axis=-1)
+    pairs = i[:, 1, :, None] * s[:, 1, None, :]
+    double_pair = 0.5 * np.sum(np.abs(pairs + np.swapaxes(pairs, -1, -2)) ** 2, axis=(-2, -1))
+    reference = np.abs(vacuum_amp) ** 2 + double_pair
+    assert coincidence_rate(s, i) == pytest.approx(reference, rel=1e-14)
+    assert coincidence_rate(s[0], i[0]) == pytest.approx(reference[0], rel=1e-14)
+
+
 def test_coincidence_shares_phase_dependence_with_singles():
     k = 1e-3
     cfg = config_with(gain1=k, gain2=k, eta=0.8)
