@@ -468,6 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_report = sub.add_parser("report", help="human-readable summary of a config")
     _add_common(p_report, require_out=False)
 
+    parser.commands = sub.choices  # each command's subparser, for main
     return parser
 
 
@@ -499,8 +500,9 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _say(args: argparse.Namespace, message: str) -> None:
+    """A progress line, on stderr, so that stdout holds only the output document."""
     if not args.quiet:
-        print(message)
+        print(message, file=sys.stderr)
 
 
 def _scan(args: argparse.Namespace, config: ExperimentConfig) -> ScanRecord:
@@ -564,8 +566,18 @@ def _run(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command line; return its exit code.  A command's arguments are
+    parsed by its subparser alone; the top-level parser handles help, a missing
+    or unknown command, an option before it, and arguments left over."""
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        args = parser.parse_args(argv)
+    else:
+        args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if extras:
+            parser.error("unrecognized arguments: " + " ".join(extras))
     try:
         return _run(args)
     except ConfigError as exc:

@@ -64,15 +64,17 @@ def setup_operators(
     delta_x_p: float | np.ndarray = 0.0,
     delta_x_s: float | np.ndarray = 0.0,
 ) -> tuple[Channel, Channel]:
-    """Heisenberg channels (detected signal port, idler after both crystals),
-    each (m, 2, 4) for the pump and signal delays (meters) broadcast to (m,).
+    """Heisenberg channels for scalar or (m,) pump and signal delays (meters):
+    the detected signal port (m, 2, 4), and the idler after both crystals at
+    the pump delays' batch size, (m, 2, 4) or (1, 2, 4) for a scalar.
 
     SPDC in crystal 1, the idler link (amplitude eta), SPDC in crystal 2 with
     the pump phase on its gain, the signal delay on arm 1, and the output
     splitter.  Crystal 1 and the link do not depend on the delays and are
     built once for the whole batch.
     """
-    delta_x_p, delta_x_s = np.broadcast_arrays(np.atleast_1d(delta_x_p), np.atleast_1d(delta_x_s))
+    delta_x_p = np.asarray(delta_x_p, dtype=float).reshape(-1)
+    delta_x_s = np.asarray(delta_x_s, dtype=float).reshape(-1)
     pump_phase = 2.0 * math.pi * delta_x_p / config.pump_wavelength
     gain2 = complex(config.gain2) * np.exp(1j * pump_phase)
     s1, i1 = spdc(free_mode(SO1), free_mode(IO1), complex(config.gain1))
@@ -91,7 +93,10 @@ def setup_rates(
     """Monochromatic rates of m delay settings in one pass, in |K|^2 units.
 
     Returns shape (3, m), rows (p_a, p_b, p_ab).  Each column equals the
-    one-setting evaluation exactly: every operation acts per batch entry.
+    one-setting evaluation exactly: every operation acts per batch entry, and
+    the idler's rows broadcast on assignment.
     """
     out_a, i2 = setup_operators(config, delta_x_p, delta_x_s)
-    return np.array([singles_rate(out_a), singles_rate(i2), coincidence_rate(out_a, i2)])
+    rates = np.empty((3, len(out_a)))
+    rates[0], rates[1], rates[2] = singles_rate(out_a), singles_rate(i2), coincidence_rate(out_a, i2)
+    return rates

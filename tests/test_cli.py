@@ -343,6 +343,85 @@ def test_fit_refuses_source_auto(tmp_path, capsys):
     assert "counts" in err and "rates" in err
 
 
+# argv that main parses with a command's subparser alone, or hands to the
+# full parser: each must come out as build_parser().parse_args makes it.
+PARSE_TABLE = [
+    ["predict", "--config", "c.ini", "--out", "p.csv"],
+    ["simulate", "--config", "c.ini", "--out", "s.csv", "--seed", "3", "--axis", "pump", "--quiet"],
+    ["fit", "s.csv", "--config", "c.ini", "--channel", "coincidence", "--source", "rates", "--out", "f.json"],
+    ["oracle-check", "--config", "c.ini", "--points", "4", "--out", "o.json"],
+    ["report", "--config", "c.ini"],
+    ["oracle-check", "--config=c.ini", "--points=2", "--seed=-0"],
+    ["fit", "s.csv", "--conf", "c.ini", "--chan", "idler"],
+    ["fit", "--config", "c.ini", "s.csv", "--quiet"],
+    ["fit", "--config", "c.ini", "--", "s.csv"],
+    ["fit", "--config", "c.ini", "--", "--s.csv"],
+    ["fit", "s.csv", "--s", "1", "--config", "c.ini"],
+    ["-h"],
+    ["--help", "report"],
+    ["fit", "-h"],
+    ["report", "--config", "c.ini", "--help"],
+    [],
+    ["frobnicate", "--config", "c.ini"],
+    ["--config", "c.ini", "report"],
+    ["fit", "s.csv", "--config", "c.ini", "extra"],
+    ["report", "--config", "c.ini", "extra", "--bogus=1"],
+    ["report", "--config", "c.ini", "--bogus"],
+    ["simulate", "--config", "c.ini", "--out", "s.csv", "--seed", "x"],
+    ["oracle-check", "--config", "c.ini", "--points", "1.5"],
+    ["report", "--config", "c.ini", "--axis", "idler"],
+    ["fit", "s.csv", "--config", "c.ini", "--channel", "both"],
+    ["fit", "s.csv", "--config", "c.ini", "--source", "auto"],
+    ["report"],
+    ["fit", "--config", "c.ini"],
+    ["simulate", "--config", "c.ini"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSE_TABLE, ids=lambda argv: " ".join(argv) or "no argv")
+def test_main_parses_argv_as_the_full_parser_does(monkeypatch, capsys, argv):
+    parsed = []
+    monkeypatch.setattr(cli, "_run", lambda args: parsed.append(vars(args)) or EXIT_OK)
+
+    def through_main(tokens):
+        assert main(tokens) == EXIT_OK
+        return parsed.pop()
+
+    def outcome(parse):
+        """The parsed values, or the exit code; then what was printed."""
+        try:
+            result = parse(list(argv))
+        except SystemExit as exc:
+            result = exc.code
+        return result, capsys.readouterr()
+
+    assert outcome(through_main) == outcome(lambda tokens: vars(cli.build_parser().parse_args(tokens)))
+
+
+def test_main_without_argv_parses_sys_argv(monkeypatch):
+    parsed = []
+    monkeypatch.setattr(cli, "_run", lambda args: parsed.append(args) or EXIT_OK)
+    monkeypatch.setattr("sys.argv", ["icohsim", "report", "--config", "c.ini"])
+    assert main() == EXIT_OK
+    assert parsed == [cli.build_parser().parse_args(["report", "--config", "c.ini"])]
+
+
+@pytest.mark.parametrize(
+    "command, progress",
+    [(["fit", "SCAN"], "fitted singles: period 807.9"), (["oracle-check", "--points", "2"], "max relative deviation ")],
+    ids=["fit", "oracle-check"],
+)
+def test_stdout_holds_only_the_json_and_progress_goes_to_stderr(tmp_path, capsys, command, progress):
+    scan = tmp_path / "scan.csv"
+    assert main(["simulate", "--config", DEFAULT_CONFIG, "--out", str(scan), "--quiet"]) == EXIT_OK
+    capsys.readouterr()
+    argv = [str(scan) if arg == "SCAN" else arg for arg in command]
+    assert main([*argv, "--config", DEFAULT_CONFIG]) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert isinstance(json.loads(out), dict)
+    assert err.startswith(progress) and err.endswith("\n") and err.count("\n") == 1
+
+
 def test_fit_source_defaults_to_counts(tmp_path, capsys):
     scan = tmp_path / "scan.csv"
     args = ["--config", DEFAULT_CONFIG, "--seed", "5", "--quiet"]

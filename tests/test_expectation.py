@@ -276,12 +276,28 @@ def test_batch_equals_one_setting_calls_exactly():
             assert column == setup_rates(cfg, xp, xs)[:, 0].tolist()
 
 
-def test_scalar_delays_broadcast_against_an_array():
+@pytest.mark.parametrize(
+    "pump_is_array, signal_is_array",
+    [(True, False), (False, True), (False, False), (True, True)],
+    ids=["array-scalar", "scalar-array", "scalar-scalar", "array-array"],
+)
+def test_scalar_delays_broadcast_against_an_array(pump_is_array, signal_is_array):
+    # array-scalar is compile_model's call.  Each batch is bit-equal to the
+    # rates of its delays broadcast to (m,) arrays by hand.
     cfg = config_with(gain1=1e-3, gain2=1e-3, eta=0.6)
-    delta_x_s = np.linspace(-1e-6, 1e-6, 7)
-    batch = setup_rates(cfg, 1e-7, delta_x_s)
-    assert batch.shape == (3, 7)
-    assert np.array_equal(batch, setup_rates(cfg, np.full(7, 1e-7), delta_x_s))
+    delta_x_p = np.linspace(-3e-7, 4e-7, 7) if pump_is_array else 1e-7
+    delta_x_s = np.linspace(-1e-6, 1e-6, 7) if signal_is_array else -2e-7
+    m = 7 if pump_is_array or signal_is_array else 1
+    batch = setup_rates(cfg, delta_x_p, delta_x_s)
+    assert batch.shape == (3, m)
+    expected = setup_rates(cfg, np.broadcast_to(delta_x_p, (m,)), np.broadcast_to(delta_x_s, (m,)))
+    assert batch.tobytes() == expected.tobytes()
+
+
+def test_delay_arrays_of_unequal_lengths_raise():
+    cfg = config_with(gain1=1e-3, gain2=1e-3)
+    with pytest.raises(ValueError):
+        setup_rates(cfg, np.zeros(3), np.zeros(2))
 
 
 def test_check_rates_rejects_negative():
