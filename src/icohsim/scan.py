@@ -5,13 +5,14 @@ rate predictions plus Poisson-sampled counts, and the fitter recovers
 period, visibility, envelope, phase and baseline from either series with
 the separable model
 
-    R(x) = a0 + exp(b1 t + b2 t^2) * (a1 cos(k x) + a2 sin(k x)),
+    R(t) = a0 + exp(b1 t + b2 t^2) * (a1 cos(k t) + a2 sin(k t)),
 
-where k = 2 pi / L and t runs from -1 to 1 across the scan.  The model is
-linear in the amplitudes (a0, a1, a2), so every Gauss-Newton step solves
-them by weighted linear least squares and iterates on k (and the envelope
-exponents b1, b2) alone: variable projection (Golub & Pereyra, SIAM J.
-Numer. Anal. 10, 413, 1973; Kaufman, BIT 15, 49, 1975).  The fit starts
+where t = (x - m) / h runs from -1 to 1 across the scan, m being its middle
+delay and h its half span: k = 2 pi h / L, and the phase is that at m.  The
+model is linear in the amplitudes (a0, a1, a2), so every Gauss-Newton step
+solves them by weighted linear least squares and iterates on k (and the
+envelope exponents b1, b2) alone: variable projection (Golub & Pereyra, SIAM
+J. Numer. Anal. 10, 413, 1973; Kaufman, BIT 15, 49, 1975).  The fit starts
 from the peak of a periodogram zero-padded to 4 times the record's length
 (at least 256 bins) with the envelope pinned flat (b1 = b2 = 0) and frees it
 only when a score test says the data resolve it.
@@ -204,7 +205,8 @@ class FringeFit:
     """Fitted fringe parameters with per-parameter uncertainties.
 
     The fields are the fit JSON's keys, in its order, with their units in
-    their names: metres, radians and counts/s.
+    their names: metres, radians and counts/s.  ``phase_rad`` is the
+    fringe's phase at the delay ``phase_reference_m``, the scan's middle.
     """
 
     period_m: float
@@ -223,9 +225,10 @@ class FringeFit:
     envelope_fwhm_sigma_m: float
     phase_sigma_rad: float
     baseline_sigma_hz: float
-    channel: str = "singles"
-    source: str = "counts"
-    envelope_delta_chi2: float = math.nan
+    channel: str
+    source: str
+    envelope_delta_chi2: float
+    phase_reference_m: float
 
 
 def scan_grid(config: "ExperimentConfig") -> np.ndarray:
@@ -369,8 +372,8 @@ class _Solution(NamedTuple):
     converged: bool
 
 
-def _basis(p: list[float], xs: np.ndarray, ts: np.ndarray) -> np.ndarray | None:
-    """Basis rows (1, env cos kx, env sin kx) of the model at p, shape (3, n).
+def _basis(p: list[float], ts: np.ndarray) -> np.ndarray | None:
+    """Basis rows (1, env cos kt, env sin kt) of the model at p, shape (3, n).
 
     Rows, not columns, so that weighting the basis point by point and its
     Gram products run along contiguous memory.
@@ -380,8 +383,8 @@ def _basis(p: list[float], xs: np.ndarray, ts: np.ndarray) -> np.ndarray | None:
     """
     if not p[0] > 0:
         return None
-    arg = p[0] * xs
-    basis = np.empty((3, len(xs)))
+    arg = p[0] * ts
+    basis = np.empty((3, len(ts)))
     basis[0] = 1.0
     np.cos(arg, out=basis[1])
     np.sin(arg, out=basis[2])
@@ -535,7 +538,7 @@ def _envelope_columns(basis: np.ndarray, a: np.ndarray, ts: np.ndarray) -> list[
     return [ts * osc, ts * ts * osc]
 
 
-def _linearize(p, basis, xs, ts, sqrt_w, target):
+def _linearize(p, basis, ts, sqrt_w, target):
     """Weighted basis rows, amplitudes, [D, r] rows and _solve's Gram blocks at p.
 
     The amplitudes solve the weighted least squares of ``target`` on the
@@ -544,15 +547,15 @@ def _linearize(p, basis, xs, ts, sqrt_w, target):
     """
     weighted = basis * sqrt_w
     a, residual, gram, inverse = _solve(weighted, target)
-    extended = np.empty((len(p) + 1, len(xs)))
-    extended[0] = xs * ((a[2], -a[1]) @ weighted[1:])
+    extended = np.empty((len(p) + 1, len(ts)))
+    extended[0] = ts * ((a[2], -a[1]) @ weighted[1:])
     if len(p) == 3:
         extended[1], extended[2] = _envelope_columns(weighted, a, ts)
     extended[-1] = residual
     return weighted, a, extended, gram, inverse
 
 
-def _gauss_newton(p, basis, xs, ts, sqrt_w, target, reweight) -> _Solution:
+def _gauss_newton(p, basis, ts, sqrt_w, target, reweight) -> _Solution:
     """Gauss-Newton on the nonlinear parameters p alone (variable projection).
 
     ``basis`` is the model's basis at the starting p, and ``sqrt_w`` and
@@ -588,7 +591,7 @@ def _gauss_newton(p, basis, xs, ts, sqrt_w, target, reweight) -> _Solution:
     previous = None
     steps = 0
     while True:
-        weighted, a, extended, gram, inverse = _linearize(p, basis, xs, ts, sqrt_w, target)
+        weighted, a, extended, gram, inverse = _linearize(p, basis, ts, sqrt_w, target)
         theta = a.tolist() + p
         converged = previous is not None and all(
             abs(t - q) / max(abs(q), 1.0) < PARAM_TOLERANCE for t, q in zip(theta, previous)
@@ -596,7 +599,7 @@ def _gauss_newton(p, basis, xs, ts, sqrt_w, target, reweight) -> _Solution:
         if converged or steps == MAX_ITERATIONS:
             if observed:
                 sqrt_w, target = reweight(a @ basis, False)
-                _, a, extended, gram, inverse = _linearize(p, basis, xs, ts, sqrt_w, target)
+                _, a, extended, gram, inverse = _linearize(p, basis, ts, sqrt_w, target)
             return _Solution(p, a, sqrt_w, basis, extended, gram, inverse, steps, converged)
         previous = theta
         steps += 1
@@ -612,7 +615,7 @@ def _gauss_newton(p, basis, xs, ts, sqrt_w, target, reweight) -> _Solution:
             if halving and size * scale <= PARAM_TOLERANCE:
                 break
             trial = [q + s * scale for q, s in zip(p, step)]
-            trial_basis = _basis(trial, xs, ts)
+            trial_basis = _basis(trial, ts)
             if trial_basis is None:
                 continue
             trial_a, trial_residual, _, _ = _solve(trial_basis * sqrt_w, target)
@@ -695,7 +698,8 @@ def fit_fringe(
     in the record, is a trend rather than a fringe and raises NoFringeError.
 
     The visibility is taken at the envelope peak and is not clipped, so it
-    may exceed 1 within its uncertainty.  Every uncertainty comes by the
+    may exceed 1 within its uncertainty.  The phase is taken at the scan's
+    middle delay, ``phase_reference_m``.  Every uncertainty comes by the
     delta method from the covariance of the reported fit: the inverse of the
     expected information there (Poisson weights 1/max(mu, 1) for counts;
     for rates scaled by the residual variance).  ``iterations`` counts the
@@ -709,21 +713,15 @@ def fit_fringe(
         raise ValueError(f"channel must be one of {CHANNELS}, got {channel!r}")
     if source not in SOURCES:
         raise ValueError(f"source must be one of {SOURCES}, got {source!r}")
+    if source == "counts" and dwell is None:
+        raise ValueError("counts fits need the dwell time to report rate units")
     row = CHANNEL_ROWS[channel]
     y_raw = record.counts[row].astype(float) if source == "counts" else record.rates[row]
     x_raw = record.delays
     period_seed = estimate_period(y_raw, record.step)
-
-    if source == "counts" and dwell is None:
-        raise ValueError("counts fits need the dwell time to report rate units")
-
-    x_scale = max(abs(float(x_raw[0])), abs(float(x_raw[-1])), 1e-30)
-    y_scale = float(np.max(np.abs(y_raw)))
-    if y_scale <= 0:
-        raise NoFringeError("no fringe detected: record is empty")
-    xs = x_raw / x_scale
+    y_scale = float(np.max(np.abs(y_raw)))  # positive: estimate_period rejects a flat series
     ys = y_raw / y_scale
-    # The envelope's coordinate t runs from -1 to 1 across the scan.
+    # The model's one coordinate t runs from -1 to 1 across the scan.
     middle = 0.5 * float(x_raw[0] + x_raw[-1])
     half_span = 0.5 * float(x_raw[-1] - x_raw[0])
     ts = (x_raw - middle) / half_span
@@ -751,15 +749,15 @@ def fit_fringe(
 
     rule = reweight if use_poisson else None
     sqrt_w, target = reweight(ys, False) if use_poisson else (np.ones_like(ys), ys)
-    k_seed = [2.0 * math.pi * x_scale / period_seed]
-    solution = _gauss_newton(k_seed, _basis(k_seed, xs, ts), xs, ts, sqrt_w, target, rule)
+    k_seed = [2.0 * math.pi * half_span / period_seed]
+    solution = _gauss_newton(k_seed, _basis(k_seed, ts), ts, sqrt_w, target, rule)
     iterations = solution.iterations
     statistic, blocks = _envelope_statistic(solution, ts, use_poisson)
     if statistic > ENVELOPE_THRESHOLD:
         # A flat envelope leaves the pinned basis and weights as they are.
         flat = [solution.p[0], 0.0, 0.0]
         sqrt_w = solution.sqrt_w
-        free = _gauss_newton(flat, solution.basis, xs, ts, sqrt_w, ys * sqrt_w, rule)
+        free = _gauss_newton(flat, solution.basis, ts, sqrt_w, ys * sqrt_w, rule)
         iterations += free.iterations
         beta1, beta2 = float(free.p[1]), float(free.p[2])
         if free.converged and beta2 < 0 and -beta1 * beta1 / (4.0 * beta2) <= MAX_EXPONENT:
@@ -771,7 +769,7 @@ def fit_fringe(
     if not (a0 > 0 and amplitude > 0):
         raise NoFringeError("no fringe detected: fitted baseline or amplitude is not positive")
     k = float(solution.p[0])
-    period = 2.0 * math.pi * x_scale / k
+    period = 2.0 * math.pi * half_span / k
     span = 2.0 * half_span
     if period > span:
         raise NoFringeError(
@@ -781,7 +779,7 @@ def fit_fringe(
     q = len(solution.p)
     residual = solution.extended[-1]
     ssr = float(residual @ residual)
-    dof = len(xs) - 3 - q
+    dof = len(ts) - 3 - q
     # The inverse of the joint (a, p) Gram matrix: from the blocks of the
     # reported fit's Schur step, or pinv where that step took lstsq.
     cov = None if blocks is None else _covariance(solution.inverse, blocks, q)
@@ -840,6 +838,7 @@ def fit_fringe(
         channel=channel,
         source=source,
         envelope_delta_chi2=statistic,
+        phase_reference_m=middle,
     )
     if not solution.converged:
         raise FitNonConvergenceError(

@@ -29,6 +29,7 @@ from icohsim.cli import (
 from icohsim.config import ConfigError, load_config
 from icohsim.fockoracle import MAX_ORACLE_GAIN
 from icohsim.scan import FringeFit, fit_fringe, run_scan
+from icohsim.spectral import compile_model
 
 from conftest import config_with
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -54,6 +55,7 @@ FIT_KEYS = [
     "channel",
     "source",
     "envelope_delta_chi2",
+    "phase_reference_m",
 ]
 
 
@@ -148,18 +150,26 @@ PUMP_ENVELOPE_AT_600_UM = 0.97154
 def test_phase_memory_far_beyond_the_signal_coherence_length(tmp_path):
     # The paper's claim: pump scans centred 600 um out, four signal coherence
     # lengths beyond zero delay, keep a visibility above 0.9 on both channels,
-    # equal to the model's pump envelope within 3 sigma.  About 0.1 s.
+    # equal to the model's pump envelope within 3 sigma.  The fringe's phase
+    # there, at the scan's middle, is the model's 2 pi x / lambda_p + arg A
+    # within 3 sigma, and sigma is below a milliradian.  About 0.1 s.
     config = write_config(tmp_path, "[scan]\naxis = pump\nstart_um = 599\nstop_um = 601\nstep_nm = 5\n")
+    cfg = load_config(config)
+    amplitude = compile_model(cfg).amplitude
     scan, fit_out = tmp_path / "scan.csv", tmp_path / "fit.json"
     for seed in range(1, 7):
         args = ["--config", config, "--seed", str(seed), "--quiet"]
         assert main(["simulate", *args, "--out", str(scan)]) == EXIT_OK
-        for channel in ("singles", "coincidence"):
+        for channel, row in (("singles", 0), ("coincidence", 2)):
             assert main(["fit", str(scan), *args, "--channel", channel, "--out", str(fit_out)]) == EXIT_OK
             summary = json.loads(fit_out.read_text())
             assert summary["visibility"] > 0.9, (seed, channel)
             pull = (summary["visibility"] - PUMP_ENVELOPE_AT_600_UM) / summary["visibility_sigma"]
             assert abs(pull) < 3, (seed, channel, pull)
+            assert summary["phase_sigma_rad"] < 1e-3, (seed, channel)
+            truth = 2 * math.pi * summary["phase_reference_m"] / cfg.pump_wavelength + np.angle(amplitude[row])
+            miss = math.remainder(summary["phase_rad"] - truth, 2 * math.pi)
+            assert abs(miss) <= 3 * summary["phase_sigma_rad"], (seed, channel, miss)
 
 
 def test_unresolved_envelope_has_no_center_uncertainty(tmp_path):

@@ -41,9 +41,10 @@ def synthetic_record(
     span=2e-6,
     points=401,
     noise_seed=None,
+    middle=0.0,
 ):
-    """Counts record generated directly from the fit's model family."""
-    x = np.linspace(-span, span, points)
+    """Counts record generated directly from the fit's model family, on a grid about ``middle``."""
+    x = middle + np.linspace(-span, span, points)
     envelope = 1.0 if sigma is None else np.exp(-((x - center) ** 2) / (2 * sigma**2))
     model = baseline * (1 + visibility * envelope * np.cos(2 * np.pi * x / period + phase))
     if noise_seed is None:
@@ -182,16 +183,21 @@ def test_fit_noiseless_exact_round_trip():
 
 
 def test_fit_recovers_phase_and_center():
-    record = synthetic_record(
-        visibility=0.6, phase=-1.2, center=0.4e-6, sigma=1.5e-6, span=4e-6
-    )
-    fit = fit_fringe(record, source="rates")
-    assert fit.phase_rad == pytest.approx(-1.2, abs=1e-6)
-    assert fit.envelope_center_m == pytest.approx(0.4e-6, rel=1e-3)
-    assert fit.envelope_fwhm_m == pytest.approx(
-        2 * math.sqrt(2 * math.log(2)) * 1.5e-6, rel=1e-3
-    )
-    assert fit.envelope_resolved
+    # The phase is reported at the scan's middle delay, on a grid about zero
+    # delay and on one 250 um out.
+    for middle in (0.0, 250e-6):
+        record = synthetic_record(
+            visibility=0.6, phase=-1.2, center=middle + 0.4e-6, sigma=1.5e-6, span=4e-6, middle=middle
+        )
+        fit = fit_fringe(record, source="rates")
+        assert fit.phase_reference_m == pytest.approx(middle, abs=1e-18)
+        truth = 2 * math.pi * fit.phase_reference_m / 808e-9 - 1.2
+        assert abs(math.remainder(fit.phase_rad - truth, 2 * math.pi)) < 1e-6
+        assert fit.envelope_center_m - middle == pytest.approx(0.4e-6, rel=1e-3)
+        assert fit.envelope_fwhm_m == pytest.approx(
+            2 * math.sqrt(2 * math.log(2)) * 1.5e-6, rel=1e-3
+        )
+        assert fit.envelope_resolved
 
 
 def test_fit_poisson_noisy_recovery():
@@ -247,9 +253,15 @@ def test_fit_never_aliases_on_clean_scans():
 
 
 def test_fit_on_counts_requires_dwell():
-    record = synthetic_record(noise_seed=1)
-    with pytest.raises(ValueError, match="dwell"):
-        fit_fringe(record)
+    # Before any other check of the record: a flat one and one too short to
+    # fit raise the same ValueError.
+    for record in (
+        synthetic_record(noise_seed=1),
+        values_record([100] * 16, "counts", 0.0, 10e-9),
+        values_record([1, 2, 3, 4, 5], "counts", 0.0, 10e-9),
+    ):
+        with pytest.raises(ValueError, match="dwell"):
+            fit_fringe(record)
 
 
 def test_fit_takes_counts_or_rates_and_nothing_else():
@@ -706,7 +718,8 @@ def poisson_score(fit, record, row, dwell):
 
     The fit's parameters theta, (a0, a1, a2, k) for a pinned envelope and
     (a0, a1, a2, k, b1, b2) for a free one, are rebuilt from the reported
-    values; component j is |sum (y - mu) / max(mu, 1) dmu/dtheta_j| over the
+    values, with the phase at the reported reference delay, the scan's
+    middle; component j is |sum (y - mu) / max(mu, 1) dmu/dtheta_j| over the
     largest |term| of that sum.
     """
     x = record.delays
@@ -727,10 +740,11 @@ def poisson_score(fit, record, row, dwell):
         envelope = np.ones_like(x)
         amplitude = fit.visibility * a0
     a1, a2 = amplitude * math.cos(fit.phase_rad), -amplitude * math.sin(fit.phase_rad)
-    cos, sin = np.cos(k * x), np.sin(k * x)
+    centred = x - fit.phase_reference_m
+    cos, sin = np.cos(k * centred), np.sin(k * centred)
     oscillation = envelope * (a1 * cos + a2 * sin)
     mu = a0 + oscillation
-    partials = [np.ones_like(x), envelope * cos, envelope * sin, envelope * x * (a2 * cos - a1 * sin)]
+    partials = [np.ones_like(x), envelope * cos, envelope * sin, envelope * centred * (a2 * cos - a1 * sin)]
     if free:
         partials += [t * oscillation, t * t * oscillation]
     weighted_residual = (y - mu) / np.maximum(mu, 1.0)
@@ -783,7 +797,10 @@ def count_linalg_calls(monkeypatch) -> list[str]:
 def test_campaign_fits_make_no_linalg_call(monkeypatch):
     # Every solve of these fits is closed form, and the covariance comes from
     # the Schur blocks, so no lstsq, pinv or other np.linalg routine runs.
-    scans = [scan for _, scan in CAMPAIGN_SCANS.values()]
+    # The same holds 600 um out on the pump axis, where the fit's coordinate,
+    # centred on the scan, keeps the k column apart from the phase columns.
+    far_pump = dict(axis="pump", start=599e-6, stop=601e-6, step=5e-9)
+    scans = [scan for _, scan in CAMPAIGN_SCANS.values()] + [far_pump]
     records = [run_scan(config_with(seed=seed, **scan)) for scan in scans for seed in (1001, 1006)]
     calls = count_linalg_calls(monkeypatch)
     for record in records:
@@ -793,15 +810,19 @@ def test_campaign_fits_make_no_linalg_call(monkeypatch):
 
 
 def test_covariance_falls_back_to_pinv_on_a_near_nyquist_record(monkeypatch):
-    # 16 counts at 10 nm steps of a 21.25 nm fringe: the reported fit's Schur
-    # step takes lstsq, so its covariance comes from pinv.
+    # 16 counts at 10 nm steps of a 21.25 nm fringe of unit visibility: its
+    # lowest points hold a few counts, so their Poisson weights outweigh the
+    # peaks' by hundreds, and the reported fit's Schur step takes lstsq.  Its
+    # covariance comes from pinv.
     x = 10e-9 * np.arange(16)
-    mean = 1000.0 * (1.0 + 0.8 * np.cos(2.0 * np.pi * x / 21.25e-9 + 0.3))
-    counts = np.random.Generator(np.random.Philox(key=16)).poisson(mean)
+    mean = 1000.0 * (1.0 + np.cos(2.0 * np.pi * x / 21.25e-9 + 0.3))
+    counts = np.random.Generator(np.random.Philox(key=1)).poisson(mean)
     record = ScanRecord(x, np.vstack([mean] * 3), np.vstack([counts] * 3))
     calls = count_linalg_calls(monkeypatch)
     fit = fit_fringe(record, dwell=1.0)
     assert calls.count("pinv") == 1
+    assert fit.phase_reference_m == 75e-9
     assert abs(fit.period_m - 21.25e-9) <= 3.0 * fit.period_sigma_m
-    assert abs(fit.visibility - 0.8) <= 3.0 * fit.visibility_sigma
-    assert abs(fit.phase_rad - 0.3) <= 3.0 * fit.phase_sigma_rad
+    assert abs(fit.visibility - 1.0) <= 3.0 * fit.visibility_sigma
+    truth = 2.0 * np.pi * fit.phase_reference_m / 21.25e-9 + 0.3
+    assert abs(math.remainder(fit.phase_rad - truth, 2.0 * math.pi)) <= 3.0 * fit.phase_sigma_rad
