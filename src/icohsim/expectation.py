@@ -1,11 +1,12 @@
 """Vacuum expectation values for the two-crystal interferometer.
 
 Signal singles <a_s^+ a_s>, idler singles, and coincidences
-<a_s^+ a_i^+ a_i a_s>, exact on the vacuum for the channels of ``operators``
-as row norms and dot products of their (2, 4) coefficient arrays, in units
-of |K|^2; calibration to count rates is the counting module's job.
-A batch of m delay settings is a pair of (m,) delay arrays, and its rates
-are a (3, m) array with rows (p_a, p_b, p_ab).
+<a_s^+ a_i^+ a_i a_s>, exact on the vacuum for the channels of ``operators``,
+in units of |K|^2; calibration to count rates is the counting module's job.
+The chain is composed once per config with the delays as the symbols u_p and
+u_s, so each detected row is a few fixed 4-vectors times 1, u_p or u_s.  The
+phasors of m delay settings make those rows (4, m) arrays, whose norms and
+dot products over the modes are the (3, m) rates, rows (p_a, p_b, p_ab).
 """
 
 from __future__ import annotations
@@ -16,15 +17,13 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 # Imported by name so a tracer can wrap them in this namespace (benchmarks/tracing.py).
-from .operators import IO1, SO1, SO2, Channel
-from .operators import attenuate, beam_splitter, free_mode, phase_delay, spdc
+from .operators import IO1, MODES, PUMP, SIGNAL, SO1, SO2, Channel
+from .operators import adjoint, attenuate, beam_splitter, free_mode, phase_delay, spdc
 
 if TYPE_CHECKING:  # pragma: no cover
     from .config import ExperimentConfig
 
 RATE_NAMES = ("p_a", "p_b", "p_ab")
-# Dot product over the last axis, batched over the leading ones.
-_DOT = "...j,...j->..."
 # Rates below zero by more than roundoff are an error.
 RATE_FLOOR = -1e-15
 
@@ -38,50 +37,35 @@ def check_rates(rates: np.ndarray) -> None:
         raise ValueError(f"rate {RATE_NAMES[row]}={value!r} must be finite and non-negative")
 
 
-def singles_rate(x: Channel) -> np.ndarray:
-    """<0| x^+ x |0>: the squared norm of x's creation row, per batch entry."""
-    return np.sum(np.abs(x[..., 1, :]) ** 2, axis=-1)
+def vacuum_rates(rows: np.ndarray) -> np.ndarray:
+    """(3, m) rates (p_a, p_b, p_ab) from the creation rows of s, i, i^+ and s, stacked to (16, m).
 
-
-def coincidence_rate(s: Channel, i: Channel) -> np.ndarray:
-    """|| i s |0> ||^2 by exact contraction, per batch entry.
-
-    s|0> is the photon in s's creation row.  i leaves a vacuum part (its
-    annihilation row dotted into it: the usual coincidence rate) and the
-    two-photon part M = outer(i's creation row, s's creation row), whose
-    norm^2 ||M + M^T||^2 / 2 (the O(K^4) double-pair contribution) equals
-    ||i||^2 ||s||^2 + |sum_j i_j conj(s_j)|^2 on those rows, so M is never formed.
+    i^+'s creation row conjugates i's annihilation row, so one product summed
+    over the modes gives <s, s>, <i, i>, <s, i^+> and <i, s> per setting: the
+    singles are the squared norms.  The coincidence rate || i s |0> ||^2 has
+    a vacuum part (i's annihilation row dotted into s's creation row: the
+    usual coincidence rate) and the two-photon part M = outer(i's creation
+    row, s's creation row), whose norm^2 ||M + M^T||^2 / 2 (the O(K^4)
+    double-pair contribution) is ||i||^2 ||s||^2 + |<i, s>|^2: M is never formed.
     """
-    s_row, i_row = s[..., 1, :], i[..., 1, :]
-    vacuum_amp = np.einsum(_DOT, i[..., 0, :], s_row)
-    overlap = np.einsum(_DOT, i_row, s_row.conj())
-    norms = np.einsum(_DOT, i_row, i_row.conj()).real * np.einsum(_DOT, s_row, s_row.conj()).real
-    return np.abs(vacuum_amp) ** 2 + norms + np.abs(overlap) ** 2
+    products = rows[: 2 * len(MODES)] * rows.reshape(2, 2 * len(MODES), -1).conj()
+    rates = np.abs(products.reshape(4, len(MODES), -1).sum(axis=1))  # <s, s>, <i, i> are real
+    rates[2:] **= 2
+    rates[2] += rates[0] * rates[1]
+    rates[2] += rates[3]
+    return rates[:3]
 
 
-def setup_operators(
-    config: "ExperimentConfig",
-    delta_x_p: float | np.ndarray = 0.0,
-    delta_x_s: float | np.ndarray = 0.0,
-) -> tuple[Channel, Channel]:
-    """Heisenberg channels for scalar or (m,) pump and signal delays (meters):
-    the detected signal port (m, 2, 4), and the idler after both crystals at
-    the pump delays' batch size, (m, 2, 4) or (1, 2, 4) for a scalar.
-
-    SPDC in crystal 1, the idler link (amplitude eta), SPDC in crystal 2 with
-    the pump phase on its gain, the signal delay on arm 1, and the output
-    splitter.  Crystal 1 and the link do not depend on the delays and are
-    built once for the whole batch.
+def setup_operators(config: "ExperimentConfig") -> tuple[Channel, Channel]:
+    """The detected signal port and the idler after both crystals, composed once for
+    ``config`` with the delays as symbols: SPDC in crystal 1, the idler link (amplitude
+    eta), SPDC in crystal 2 with u_p (PUMP) on its gain, u_s (SIGNAL) on arm 1, and
+    the output splitter; a few dozen complex products, whatever the number of settings.
     """
-    delta_x_p = np.asarray(delta_x_p, dtype=float).reshape(-1)
-    delta_x_s = np.asarray(delta_x_s, dtype=float).reshape(-1)
-    pump_phase = 2.0 * math.pi * delta_x_p / config.pump_wavelength
-    gain2 = complex(config.gain2) * np.exp(1j * pump_phase)
     s1, i1 = spdc(free_mode(SO1), free_mode(IO1), complex(config.gain1))
     link = attenuate(i1, config.eta)
-    s2, i2 = spdc(free_mode(SO2), link, gain2)
-    s1_delayed = phase_delay(s1, delta_x_s, config.signal_filter_center)
-    out_a, _camera = beam_splitter(s2, s1_delayed, config.splitter_ratio)
+    s2, i2 = spdc(free_mode(SO2), link, complex(config.gain2), PUMP)
+    out_a, _camera = beam_splitter(s2, phase_delay(s1, SIGNAL), config.splitter_ratio)
     return out_a, i2
 
 
@@ -90,13 +74,30 @@ def setup_rates(
     delta_x_p: float | np.ndarray = 0.0,
     delta_x_s: float | np.ndarray = 0.0,
 ) -> np.ndarray:
-    """Monochromatic rates of m delay settings in one pass, in |K|^2 units.
+    """Monochromatic rates of scalar or (m,) pump and signal delays (meters), in |K|^2 units.
 
-    Returns shape (3, m), rows (p_a, p_b, p_ab).  Each column equals the
-    one-setting evaluation exactly: every operation acts per batch entry, and
-    the idler's rows broadcast on assignment.
+    Returns shape (3, m), rows (p_a, p_b, p_ab); delay arrays of unequal
+    lengths raise ValueError.  setup_operators composes the chain once; the
+    creation rows vacuum_rates reads are gathered into one block of 4-vectors
+    per phasor monomial u_p^n_p u_s^n_s, each monomial is evaluated at every
+    setting as exp(2 pi i (n_p dx_p / lambda_p + n_s dx_s / lambda_s)), and the
+    rows are the blocks times those values, summed over the monomials.  No step
+    sums over the settings, so each column equals its one-setting call bit for bit.
     """
-    out_a, i2 = setup_operators(config, delta_x_p, delta_x_s)
-    rates = np.empty((3, len(out_a)))
-    rates[0], rates[1], rates[2] = singles_rate(out_a), singles_rate(i2), coincidence_rate(out_a, i2)
-    return rates
+    out_a, i2 = setup_operators(config)
+    blocks = {}  # phasor monomial (n_p, n_s) -> the creation rows of s, i, i^+ and s, one list
+    for slot, x in enumerate((out_a, i2, adjoint(i2), out_a)):
+        for row, mode, n_p, n_s, value in x:
+            if row:
+                blocks.setdefault((n_p, n_s), [0j] * (4 * len(MODES)))[slot * len(MODES) + mode] += value
+    wave_p, wave_s = 2j * math.pi / config.pump_wavelength, 2j * math.pi / config.signal_filter_center
+    x_p, x_s = np.array(delta_x_p, dtype=complex, ndmin=1), np.array(delta_x_s, dtype=complex, ndmin=1)
+    rows = None
+    for block, (n_p, n_s) in zip(np.array(list(blocks.values()))[..., None], blocks):
+        # u_p^n_p u_s^n_s = exp(n_p wave_p x_p + n_s wave_s x_s), with no work for an absent symbol
+        angle = n_p * wave_p * x_p if n_p else None
+        if n_s:
+            angle = n_s * wave_s * x_s if angle is None else angle + n_s * wave_s * x_s
+        term = block if angle is None else block * np.exp(angle)
+        rows = term if rows is None else rows + term
+    return vacuum_rates(rows)

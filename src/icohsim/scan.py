@@ -312,9 +312,10 @@ def estimate_period(y: np.ndarray, step: float) -> float:
     eighth of it of the true peak, well inside the fit's main lobe of
     half-width 1 / span; a parabola through the peak bin and its neighbours
     refines it.  Raises NoFringeError when no peak stands out of the
-    background (flat data), or when the peak sits in the last bin, at a
-    period of 2 grid steps: there the model's cos and sin columns coincide
-    on the grid.  fit_fringe passes the record's median step: a record's
+    background (flat data), when the peak sits in the last bin, at a period
+    of 2 grid steps (there the model's cos and sin columns coincide on the
+    grid), or when the seed is no finite positive length (a period beyond the
+    float range).  fit_fringe passes the record's median step: a record's
     grid is uniform (see ScanRecord), so that is the step of the whole
     series.
     """
@@ -346,9 +347,19 @@ def estimate_period(y: np.ndarray, step: float) -> float:
     p_lo, p_mid, p_hi = power[peak - 1], power[peak], power[peak + 1]
     denom = p_lo - 2.0 * p_mid + p_hi
     shift = 0.5 * (p_lo - p_hi) / denom if denom != 0 else 0.0
-    bin_width = 1.0 / (nfft * step)
+    # In units of step's power of two, so no product over- or underflows; scaling
+    # by a power of two commutes with rounding, so the seed is what the same
+    # arithmetic in metres gives wherever that stays in range.
+    mantissa, exponent = math.frexp(step)
+    bin_width = 1.0 / (nfft * mantissa)
     frequency = (peak + shift) * bin_width
-    return 1.0 / frequency
+    try:
+        period = math.ldexp(1.0 / frequency, exponent)
+    except OverflowError:
+        period = math.inf
+    if not (math.isfinite(period) and period > 0):
+        raise NoFringeError(f"no fringe detected: period seed {period:.6g} m is not a finite positive length")
+    return period
 
 
 class _Solution(NamedTuple):
@@ -662,6 +673,15 @@ def _envelope_statistic(pinned: _Solution, ts: np.ndarray, use_poisson: bool) ->
     return (math.inf if drop > 0 else 0.0), blocks
 
 
+def _period_wavenumber(half_span: float, value: float) -> float:
+    """2 pi half_span / value: the fit's wavenumber in t of a period, or the period
+    of a wavenumber.  Ordered so it cannot overflow where 2 pi half_span does, above
+    2.9e307 m; scaling by powers of two is exact, so it is the same float as that
+    expression wherever the expression is finite.
+    """
+    return 8.0 * (math.pi * (0.25 * half_span) / value)
+
+
 def _wrap_phase(phi: float) -> float:
     wrapped = math.remainder(phi, 2.0 * math.pi)
     if wrapped <= -math.pi:
@@ -722,8 +742,9 @@ def fit_fringe(
     y_scale = float(np.max(np.abs(y_raw)))  # positive: estimate_period rejects a flat series
     ys = y_raw / y_scale
     # The model's one coordinate t runs from -1 to 1 across the scan.
-    middle = 0.5 * float(x_raw[0] + x_raw[-1])
-    half_span = 0.5 * float(x_raw[-1] - x_raw[0])
+    # From halves of the end delays, which cannot overflow; the same floats otherwise.
+    middle = 0.5 * float(x_raw[0]) + 0.5 * float(x_raw[-1])
+    half_span = 0.5 * float(x_raw[-1]) - 0.5 * float(x_raw[0])
     ts = (x_raw - middle) / half_span
     use_poisson = source == "counts"
 
@@ -749,7 +770,7 @@ def fit_fringe(
 
     rule = reweight if use_poisson else None
     sqrt_w, target = reweight(ys, False) if use_poisson else (np.ones_like(ys), ys)
-    k_seed = [2.0 * math.pi * half_span / period_seed]
+    k_seed = [_period_wavenumber(half_span, period_seed)]
     solution = _gauss_newton(k_seed, _basis(k_seed, ts), ts, sqrt_w, target, rule)
     iterations = solution.iterations
     statistic, blocks = _envelope_statistic(solution, ts, use_poisson)
@@ -769,7 +790,7 @@ def fit_fringe(
     if not (a0 > 0 and amplitude > 0):
         raise NoFringeError("no fringe detected: fitted baseline or amplitude is not positive")
     k = float(solution.p[0])
-    period = 2.0 * math.pi * half_span / k
+    period = _period_wavenumber(half_span, k)
     span = 2.0 * half_span
     if period > span:
         raise NoFringeError(

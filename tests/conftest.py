@@ -1,5 +1,6 @@
 import dataclasses
 
+import numpy as np
 import pytest
 
 from icohsim.config import ExperimentConfig
@@ -31,3 +32,11 @@ def config():
 def config_with(**overrides):
     """Default config with the given fields replaced."""
     return dataclasses.replace(ExperimentConfig(), **overrides)
+
+
+def dense(x, u_p=1.0, u_s=1.0):
+    """The (2, 4) coefficient array of channel x at one delay setting, phasors u_p and u_s."""
+    out = np.zeros((2, 4), dtype=complex)
+    for row, mode, n_p, n_s, c in x:
+        out[row, mode] += c * u_p**n_p * u_s**n_s
+    return out

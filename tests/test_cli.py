@@ -526,6 +526,38 @@ def test_rates_fit_of_a_scan_at_huge_rates_succeeds(tmp_path):
         assert main(argv) == EXIT_OK
 
 
+@pytest.mark.parametrize(
+    "first, step", [(1e308, 1e305), (-1e308, 1e306)], ids=["from_1e308_m", "from_minus_1e308_m"]
+)
+def test_fit_of_delays_near_the_float_range_succeeds(tmp_path, capsys, first, step):
+    # The first grid's end delays sum beyond the float range, and the second's
+    # periodogram length times its step does; a ten-step fringe of visibility 0.8.
+    index = np.arange(100)
+    counts = np.round(1000 * (1 + 0.8 * np.cos(2 * np.pi * index / 10))).astype(np.int64)
+    rows = [f"{first + i * step!r},{c / 0.5!r},{c / 0.5!r},{c / 0.5!r},{c},{c},{c}"
+            for i, c in zip(index.tolist(), counts.tolist())]
+    scan, out = tmp_path / "far.csv", tmp_path / "fit.json"
+    scan.write_text("\n".join([",".join(CSV_HEADER), *rows]) + "\n")
+    assert main(["fit", str(scan), "--config", DEFAULT_CONFIG, "--out", str(out), "--quiet"]) == EXIT_OK
+    assert "error" not in capsys.readouterr().err
+    summary = json.loads(out.read_text(), parse_constant=_reject_constant)
+    assert summary["period_m"] == pytest.approx(10 * step, rel=1e-6)
+    assert summary["visibility"] == pytest.approx(0.8, abs=0.01)
+    assert summary["phase_reference_m"] == pytest.approx(first + 49.5 * step, rel=1e-12)
+
+
+def test_period_seed_beyond_the_float_range_is_no_fringe(tmp_path, capsys):
+    # a ramp's periodogram peaks in its first bin, a seed of 256 steps of 1e307 m
+    counts = [110, 107, 90, 117, 132, 131, 158, 143, 160, 162, 184, 180, 198, 195, 193, 187]
+    rows = [f"{i * 1e307!r},{c}.0,{c}.0,{c}.0,{c},{c},{c}" for i, c in enumerate(counts)]
+    scan = tmp_path / "ramp.csv"
+    scan.write_text("\n".join([",".join(CSV_HEADER), *rows]) + "\n")
+    assert main(["fit", str(scan), "--config", DEFAULT_CONFIG, "--quiet"]) == EXIT_FIT
+    assert capsys.readouterr().err.endswith(
+        "fit error: no fringe detected: period seed inf m is not a finite positive length\n"
+    )
+
+
 def test_missing_config_exits_with_io_code(tmp_path):
     assert main(["report", "--config", str(tmp_path / "nope.ini")]) == EXIT_IO
 

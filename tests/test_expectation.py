@@ -6,14 +6,15 @@ import pytest
 
 from icohsim.expectation import (
     check_rates,
-    coincidence_rate,
-    singles_rate,
     setup_operators,
     setup_rates,
+    vacuum_rates,
 )
 from icohsim.fockoracle import build_state, detection_moments
 from icohsim.operators import (
     IO1,
+    PUMP,
+    SIGNAL,
     SO1,
     SO2,
     beam_splitter,
@@ -22,7 +23,15 @@ from icohsim.operators import (
 )
 from icohsim.spectral import compile_model
 
-from conftest import config_with
+from conftest import config_with, dense
+
+
+def rates_of(s, i):
+    """vacuum_rates of (m, 2, 4) coefficient arrays of s and i, one per setting."""
+    s, i = np.reshape(s, (-1, 2, 4)), np.reshape(i, (-1, 2, 4))
+    rows = np.concatenate([s[:, 1].T, i[:, 1].T, i[:, 0].T.conj(), s[:, 1].T])
+    return vacuum_rates(rows)
+
 
 # Rates (p_a, p_b, p_ab) recorded from the engine this one replaced, a general
 # ladder-term algebra, at each of GOLDEN_DELAYS (delta_x_p, delta_x_s) for
@@ -79,6 +88,47 @@ GOLDEN = [
     ),
 ]
 
+# Configs where a term vanishes or a splitter port nearly closes: no crystal 1,
+# no crystal 2, a blocked idler link, and splitter ratios 0.01 and 0.99.  Their
+# gains are low enough for the Fock oracle's 1e-6 agreement too.
+EDGE_CONFIGS = [
+    dict(gain1=0.0, gain2=4e-4, eta=0.6, splitter_ratio=0.4),
+    dict(gain1=3e-4, gain2=0.0, eta=0.8, splitter_ratio=0.55),
+    dict(gain1=5e-4, gain2=2e-4, eta=0.0),
+    dict(gain1=2e-4, gain2=5e-4, eta=0.9, splitter_ratio=0.01),
+    dict(gain1=2e-4, gain2=5e-4, eta=0.9, splitter_ratio=0.99),
+]
+GOLDEN += zip(
+    EDGE_CONFIGS,
+    [
+        [
+            (6.400000000000002e-08, 1.6e-07, 6.400001024000001e-08),
+            (6.399999999999999e-08, 1.6e-07, 6.400001023999998e-08),
+            (6.400000000000002e-08, 1.6e-07, 6.400001024000004e-08),
+        ],
+        [
+            (4.049999999999999e-08, 5.759999999999999e-08, 2.5920002332799993e-08),
+            (4.049999999999999e-08, 5.759999999999999e-08, 2.5920002332800003e-08),
+            (4.049999999999998e-08, 5.759999999999999e-08, 2.5920002332799993e-08),
+        ],
+        [
+            (1.4500000000000004e-07, 4e-08, 2.00000058e-08),
+            (1.4500000000000004e-07, 4e-08, 2.00000058e-08),
+            (1.45e-07, 4e-08, 2.0000005800000006e-08),
+        ],
+        [
+            (6.000977386791917e-08, 2.824e-07, 5.24857908146793e-08),
+            (3.9310306655700504e-08, 2.824e-07, 3.17863177569311e-08),
+            (5.9429765688227754e-08, 2.824000000000001e-07, 5.190578247119357e-08),
+        ],
+        [
+            (2.6580977386791913e-07, 2.824e-07, 2.657338489325993e-07),
+            (2.451103066557005e-07, 2.824e-07, 2.450343758748511e-07),
+            (2.652297656882278e-07, 2.824000000000001e-07, 2.651538405891137e-07),
+        ],
+    ],
+)
+
 
 @pytest.mark.parametrize("overrides, rates", GOLDEN, ids=[f"config{n}" for n in range(len(GOLDEN))])
 def test_rates_match_recorded_engine_outputs(overrides, rates):
@@ -89,7 +139,7 @@ def test_rates_match_recorded_engine_outputs(overrides, rates):
 
 
 def test_singles_rate_of_pure_annihilator_is_zero():
-    assert singles_rate(free_mode(SO1)) == 0.0
+    assert rates_of(dense(free_mode(SO1)), np.zeros((2, 4)))[0, 0] == 0.0
 
 
 def test_singles_rate_counts_creation_amplitudes_coherently():
@@ -98,9 +148,10 @@ def test_singles_rate_counts_creation_amplitudes_coherently():
     s1, _ = spdc(free_mode(SO1), free_mode(IO1), k)
     s2, _ = spdc(free_mode(SO2), free_mode(IO1), k)
     out, _ = beam_splitter(s2, s1, 0.5)
-    assert singles_rate(out) == pytest.approx(2 * k * k, rel=1e-14)
-    out_opposed, _ = beam_splitter(s2, -s1, 0.5)
-    assert singles_rate(out_opposed) <= 1e-30
+    no_idler = np.zeros((2, 4))
+    assert rates_of(dense(out), no_idler)[0, 0] == pytest.approx(2 * k * k, rel=1e-14)
+    out_opposed, _ = beam_splitter(s2, [term[:4] + (-term[4],) for term in s1], 0.5)
+    assert rates_of(dense(out_opposed), no_idler)[0, 0] <= 1e-30
 
 
 def test_ideal_singles_rate_extremes():
@@ -129,7 +180,7 @@ def test_phase_grid_matches_cosine_law():
 
 
 def test_coincidence_trivial_zero():
-    assert coincidence_rate(free_mode(SO1), free_mode(IO1)) == 0.0
+    assert rates_of(dense(free_mode(SO1)), dense(free_mode(IO1)))[2, 0] == 0.0
 
 
 def test_coincidence_rate_equals_the_outer_product_contraction():
@@ -141,8 +192,11 @@ def test_coincidence_rate_equals_the_outer_product_contraction():
     pairs = i[:, 1, :, None] * s[:, 1, None, :]
     double_pair = 0.5 * np.sum(np.abs(pairs + np.swapaxes(pairs, -1, -2)) ** 2, axis=(-2, -1))
     reference = np.abs(vacuum_amp) ** 2 + double_pair
-    assert coincidence_rate(s, i) == pytest.approx(reference, rel=1e-14)
-    assert coincidence_rate(s[0], i[0]) == pytest.approx(reference[0], rel=1e-14)
+    batch = rates_of(s, i)
+    assert batch[2] == pytest.approx(reference, rel=1e-14)
+    assert batch[:2] == pytest.approx(np.sum(np.abs(np.stack([s[:, 1], i[:, 1]])) ** 2, axis=-1), rel=1e-14)
+    # a column is its one-setting contraction bit for bit
+    assert rates_of(s[0], i[0])[:, 0].tolist() == batch[:, 0].tolist()
 
 
 def test_coincidence_shares_phase_dependence_with_singles():
@@ -228,14 +282,18 @@ def test_agrees_with_fock_oracle_on_default_grid():
 
 def test_oracle_agreement_over_randomized_configs():
     rng = random.Random(41)
-    for _ in range(20):
-        k = 10 ** rng.uniform(-4, math.log10(6e-4))
-        cfg = config_with(
-            gain1=k,
-            gain2=k,
-            eta=rng.uniform(0.0, 1.0),
-            splitter_ratio=rng.uniform(0.25, 0.75),
-        )
+    for n in range(20 + len(EDGE_CONFIGS)):
+        if n < 20:
+            k = 10 ** rng.uniform(-4, math.log10(6e-4))
+            overrides = dict(
+                gain1=k,
+                gain2=k,
+                eta=rng.uniform(0.0, 1.0),
+                splitter_ratio=rng.uniform(0.25, 0.75),
+            )
+        else:
+            overrides = EDGE_CONFIGS[n - 20]
+        cfg = config_with(**overrides)
         delta_x_p = rng.uniform(-2 * cfg.pump_wavelength, 2 * cfg.pump_wavelength)
         delta_x_s = rng.uniform(-2e-6, 2e-6)
         e = setup_rates(cfg, delta_x_p, delta_x_s)[:, 0].tolist()
@@ -246,11 +304,22 @@ def test_oracle_agreement_over_randomized_configs():
 
 
 def test_setup_operators_expose_detected_channels():
-    cfg = config_with(gain1=1e-3, gain2=1e-3)
+    cfg = config_with(gain1=1e-3, gain2=1e-3, eta=0.6)
     out_a, i2 = setup_operators(cfg)
-    assert out_a.shape == i2.shape == (1, 2, 4)
-    assert singles_rate(out_a[0]) == pytest.approx(setup_rates(cfg)[0, 0])
-    assert i2[0, 0, IO1] == 1.0
+    # the detected port's creation row is fixed 4-vectors times u_p or u_s, and
+    # the idler's rows are fixed 4-vectors times 1 or u_p
+    assert {term[2:4] for term in out_a if term[0] == 1} == {PUMP, SIGNAL}
+    assert {term[2:4] for term in i2 if term[0] == 1} == {(0, 0), PUMP}
+    assert {term[2:4] for term in i2 if term[0] == 0} == {(0, 0)}
+    assert dense(i2)[0, IO1] == 0.6
+    # evaluated at one setting's phasors they give that setting's rates
+    rng = random.Random(6)
+    for _ in range(10):
+        delta_x_p, delta_x_s = rng.uniform(-1e-6, 1e-6), rng.uniform(-1e-6, 1e-6)
+        u_p = np.exp(2j * math.pi * delta_x_p / cfg.pump_wavelength)
+        u_s = np.exp(2j * math.pi * delta_x_s / cfg.signal_filter_center)
+        got = setup_rates(cfg, delta_x_p, delta_x_s)[:, 0]
+        assert got == pytest.approx(rates_of(dense(out_a, u_p, u_s), dense(i2, u_p, u_s))[:, 0], rel=1e-13)
 
 
 def random_batch(rng, m):
@@ -264,8 +333,8 @@ def test_batch_equals_one_setting_calls_exactly():
     rng = random.Random(1402)
     for _ in range(60):
         cfg = config_with(
-            gain1=10 ** rng.uniform(-5, math.log10(0.08)),
-            gain2=10 ** rng.uniform(-5, math.log10(0.08)),
+            gain1=rng.choice((0.0, 10 ** rng.uniform(-5, math.log10(0.08)))),
+            gain2=rng.choice((0.0, 10 ** rng.uniform(-5, math.log10(0.08)))),
             eta=rng.choice((0.0, 1.0, rng.uniform(0.0, 1.0))),
             splitter_ratio=rng.uniform(0.01, 0.99),
         )
