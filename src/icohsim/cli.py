@@ -40,7 +40,6 @@ from .scan import (
     CHANNEL_ROWS,
     CHANNELS,
     SOURCES,
-    FitNonConvergenceError,
     FringeFit,
     GridError,
     NoFringeError,
@@ -319,8 +318,8 @@ _ORACLE_POINT = """\
 _ORACLE_TAIL = "\n  ]\n}\n"
 
 
-def write_oracle_json(comparison: OracleComparison, stream: io.TextIOBase) -> None:
-    """Write the oracle-check JSON: the bytes ``json.dumps(..., indent=2) + "\\n"``
+def oracle_json(comparison: OracleComparison) -> str:
+    """The oracle-check JSON: the bytes ``json.dumps(..., indent=2) + "\\n"``
     gives for the header with a "points" list of the delays and rates appended.
 
     One template holds the whole document, and each distinct float is
@@ -338,7 +337,7 @@ def write_oracle_json(comparison: OracleComparison, stream: io.TextIOBase) -> No
     distinct = dict(zip(keys, numbers.tolist()))
     texts = dict(zip(distinct, map(float.__repr__, distinct.values())))
     template = _ORACLE_HEAD + ",\n".join([_ORACLE_POINT] * columns.shape[1]) + _ORACLE_TAIL
-    stream.write(template % operator.itemgetter(*keys)(texts))
+    return template % operator.itemgetter(*keys)(texts)
 
 
 def build_report(config: ExperimentConfig) -> str:
@@ -525,9 +524,7 @@ def _run(args: argparse.Namespace) -> int:
         return EXIT_OK
     if args.command == "oracle-check":
         comparison = oracle_comparison(config, points_per_axis=args.points)
-        buffer = io.StringIO()
-        write_oracle_json(comparison, buffer)
-        _emit(buffer.getvalue(), args.out)
+        _emit(oracle_json(comparison), args.out)
         _say(
             args,
             f"max relative deviation {comparison.header['max_relative_deviation']:.3g}",
@@ -548,15 +545,12 @@ def _run(args: argparse.Namespace) -> int:
     if args.source == "counts" and not record.counts[row].any():
         raise NoFringeError(f"no fringe detected: every {CSV_HEADER[4 + row]} count is zero, as in "
                             "a predict CSV; fit its rates with --source rates")
-    try:
-        fit = fit_fringe(
-            record, channel=args.channel, source=args.source, dwell=config.dwell
-        )
-    except FitNonConvergenceError as exc:
-        _emit(fit_json(exc.fit), args.out)
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FIT
+    fit = fit_fringe(record, channel=args.channel, source=args.source, dwell=config.dwell)
     _emit(fit_json(fit), args.out)
+    if not fit.converged:
+        print(f"error: fit did not converge in {fit.iterations} Gauss-Newton steps "
+              f"(reduced residual {fit.reduced_residual:.3g})", file=sys.stderr)
+        return EXIT_FIT
     _say(
         args,
         f"fitted {args.channel}: period {fit.period_m * 1e9:.2f} nm, "
@@ -583,7 +577,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NoFringeError, FitNonConvergenceError) as exc:
+    except NoFringeError as exc:
         print(f"fit error: {exc}", file=sys.stderr)
         return EXIT_FIT
     except OSError as exc:

@@ -134,14 +134,6 @@ class NoFringeError(RuntimeError):
     """Raised when no significant fringe is found in a record."""
 
 
-class FitNonConvergenceError(RuntimeError):
-    """Fit did not converge; carries the fit at its last step."""
-
-    def __init__(self, message: str, fit: "FringeFit"):
-        super().__init__(message)
-        self.fit = fit
-
-
 def _median(values: np.ndarray) -> float:
     """np.median of a non-empty array without nan, from one np.partition.
 
@@ -367,15 +359,17 @@ class _Solution(NamedTuple):
 
     ``basis`` holds the model's basis rows at p and ``sqrt_w`` the roots of
     the weights at the returned fit: for counts, the Poisson (Fisher) weights
-    of the model there.  ``extended`` holds, as rows, the weighted Jacobian
-    columns of p, then the weighted residual.  ``gram`` and ``inverse`` are
-    _solve's Gram matrix of the weighted basis rows and its inverse.
+    of the model there.  ``weighted`` holds the basis rows times ``sqrt_w``,
+    and ``extended``, as rows, the weighted Jacobian columns of p, then the
+    weighted residual.  ``gram`` and ``inverse`` are _solve's Gram matrix of
+    the weighted basis rows and its inverse.
     """
 
     p: list[float]
     a: np.ndarray
     sqrt_w: np.ndarray
     basis: np.ndarray
+    weighted: np.ndarray
     extended: np.ndarray
     gram: list[list[float]]
     inverse: list[list[float]] | None
@@ -610,8 +604,8 @@ def _gauss_newton(p, basis, ts, sqrt_w, target, reweight) -> _Solution:
         if converged or steps == MAX_ITERATIONS:
             if observed:
                 sqrt_w, target = reweight(a @ basis, False)
-                _, a, extended, gram, inverse = _linearize(p, basis, ts, sqrt_w, target)
-            return _Solution(p, a, sqrt_w, basis, extended, gram, inverse, steps, converged)
+                weighted, a, extended, gram, inverse = _linearize(p, basis, ts, sqrt_w, target)
+            return _Solution(p, a, sqrt_w, basis, weighted, extended, gram, inverse, steps, converged)
         previous = theta
         steps += 1
         step, drop, _ = _step(weighted, gram, inverse, extended)
@@ -660,11 +654,10 @@ def _envelope_statistic(pinned: _Solution, ts: np.ndarray, use_poisson: bool) ->
     pump-axis campaign scan, no digit of it is significant; only that it is
     far above ENVELOPE_THRESHOLD.
     """
-    weighted = pinned.basis * pinned.sqrt_w
     extended = np.empty((4, len(ts)))
     extended[0], extended[3] = pinned.extended
-    extended[1], extended[2] = _envelope_columns(weighted, pinned.a, ts)
-    _, drop, blocks = _step(weighted, pinned.gram, pinned.inverse, extended)
+    extended[1], extended[2] = _envelope_columns(pinned.weighted, pinned.a, ts)
+    _, drop, blocks = _step(pinned.weighted, pinned.gram, pinned.inverse, extended)
     if use_poisson:
         return drop, blocks
     rest = float(extended[3] @ extended[3]) - drop
@@ -724,8 +717,8 @@ def fit_fringe(
     expected information there (Poisson weights 1/max(mu, 1) for counts;
     for rates scaled by the residual variance).  ``iterations`` counts the
     Gauss-Newton steps of both fits, of both kinds.  A fit that does
-    not converge in MAX_ITERATIONS Gauss-Newton steps raises
-    FitNonConvergenceError, carrying the last parameters.
+    not converge in MAX_ITERATIONS Gauss-Newton steps is returned at its
+    last parameters with ``converged`` False.
     A counts fit needs ``dwell``, the config's seconds per point, to report
     counts/s; without it it raises ValueError.
     """
@@ -783,7 +776,7 @@ def fit_fringe(
         beta1, beta2 = float(free.p[1]), float(free.p[2])
         if free.converged and beta2 < 0 and -beta1 * beta1 / (4.0 * beta2) <= MAX_EXPONENT:
             solution = free
-            _, _, blocks = _step(free.basis * free.sqrt_w, free.gram, free.inverse, free.extended)
+            _, _, blocks = _step(free.weighted, free.gram, free.inverse, free.extended)
 
     a0, a1, a2 = (float(v) for v in solution.a)
     amplitude = math.hypot(a1, a2)
@@ -805,7 +798,7 @@ def fit_fringe(
     # reported fit's Schur step, or pinv where that step took lstsq.
     cov = None if blocks is None else _covariance(solution.inverse, blocks, q)
     if cov is None:
-        joint = np.vstack([solution.basis * solution.sqrt_w, solution.extended[:q]]).T
+        joint = np.vstack([solution.weighted, solution.extended[:q]]).T
         cov = np.linalg.pinv(joint.T @ joint).tolist()
     scale = 1.0 if use_poisson else ssr / dof
 
@@ -838,8 +831,7 @@ def fit_fringe(
     da1, da2 = (a1 / amplitude) / amplitude, (a2 / amplitude) / amplitude
 
     rate_scale = y_scale / dwell if use_poisson else y_scale
-    reduced_residual = ssr / dof if use_poisson else math.sqrt(ssr / dof)
-    fit = FringeFit(
+    return FringeFit(
         period_m=period,
         period_sigma_m=sigma(0, 0, 0, period / k),
         visibility=visibility,
@@ -848,7 +840,7 @@ def fit_fringe(
         envelope_fwhm_m=envelope_fwhm,
         phase_rad=_wrap_phase(math.atan2(-a2, a1)),
         baseline_hz=a0 * rate_scale,
-        reduced_residual=reduced_residual,
+        reduced_residual=ssr / dof if use_poisson else math.sqrt(ssr / dof),
         converged=solution.converged,
         iterations=iterations,
         envelope_resolved=resolved,
@@ -861,10 +853,3 @@ def fit_fringe(
         envelope_delta_chi2=statistic,
         phase_reference_m=middle,
     )
-    if not solution.converged:
-        raise FitNonConvergenceError(
-            f"fit did not converge in {iterations} Gauss-Newton steps "
-            f"(reduced residual {reduced_residual:.3g})",
-            fit,
-        )
-    return fit

@@ -25,7 +25,7 @@ from icohsim.config import (
     parse_config,
 )
 from icohsim.fockoracle import MAX_ORACLE_GAIN
-from icohsim.scan import FitNonConvergenceError, NoFringeError, fit_fringe, run_scan, scan_grid
+from icohsim.scan import NoFringeError, fit_fringe, run_scan, scan_grid
 from icohsim.spectral import coherence_length, compile_model
 
 from conftest import config_with
@@ -763,7 +763,7 @@ def test_a_built_config_runs_every_stage_without_a_warning(values):
             for channel in ("singles", "coincidence"):
                 try:
                     fit_fringe(record, channel, source="rates")
-                except (NoFringeError, FitNonConvergenceError):
+                except NoFringeError:
                     pass
         build_report(config)
         if max(config.gain1, config.gain2) <= MAX_ORACLE_GAIN:
