@@ -107,19 +107,31 @@ def _csv_cell(text: str, column: int, line: int) -> float | int:
 # A line that ends in a lone carriage return: loadtxt takes it for a line break
 # inside a row, and allows it only as the file's last character.
 _BARE_CR = "ends in a bare carriage return; lines end in \\n or \\r\\n"
+# The csv module raises this for a NUL byte before Python 3.11 and passes the
+# byte on from 3.11, so every line is checked for one first.
+_NUL = "line contains NUL"
+
+
+def _without_nul(lines: list[str]):
+    """The rows' physical lines as they are; a ConfigError at the first that holds a NUL."""
+    for line, text in enumerate(lines, 2):
+        if "\0" in text:
+            raise ConfigError(f"CSV line {line}: {_NUL}")
+        yield text
 
 
 def _walk_rows(body: str) -> list[int]:
     """Check the rows after the header one by one; return each data row's line number.
 
-    Raises the error of the first bad row in file order: a line the csv module
-    cannot split, a row without seven cells, a row that ends in a bare carriage
-    return before the end of the file, a cell ``_csv_cell`` rejects, or a bad rate.  The walk accepts what
+    Raises the error of the first bad row in file order: a line that holds a
+    NUL byte or that the csv module cannot split, a row without seven cells,
+    a row that ends in a bare carriage return before the end of the file, a
+    cell ``_csv_cell`` rejects, or a bad rate.  The walk accepts what
     ``loadtxt`` accepts, so it names the line ``loadtxt`` failed on, and it
     lifts the csv module's field limit, which ``loadtxt`` does not have.
     """
     physical = io.StringIO(body, newline="").readlines()
-    reader = csv.reader(physical)
+    reader = csv.reader(_without_nul(physical))
     lines: list[int] = []
     limit = csv.field_size_limit(max(csv.field_size_limit(), len(body) + 1))
     try:
@@ -185,7 +197,7 @@ def read_scan_csv(stream: io.TextIOBase) -> ScanRecord:
     underscores.  Delays are finite, rates finite and non-negative, and
     counts non-negative 64-bit integers, as a detector records them.  Lines
     end in ``\\n`` or ``\\r\\n`` (a lone ``\\r`` only at the end of the file),
-    and blank lines are skipped.
+    no line holds a NUL byte, and blank lines are skipped.
 
     The csv module reads the header line.  ``np.loadtxt`` then parses the rows
     in one pass, and only it accepts them.  When it fails, or a value is out
@@ -197,6 +209,8 @@ def read_scan_csv(stream: io.TextIOBase) -> ScanRecord:
     head, newline, body = text.partition("\n")
     if "\r" in head[:-1]:
         raise ConfigError(f"CSV line 1: {_BARE_CR}")
+    if "\0" in head:
+        raise ConfigError(f"CSV line 1: {_NUL}")
     try:
         header = next(csv.reader([head + newline] if text else []), None)
     except csv.Error as exc:

@@ -803,10 +803,21 @@ def fit_fringe(
     scale = 1.0 if use_poisson else ssr / dof
 
     def sigma(*gradient: float) -> float:
-        """Delta-method sigma from partials in (a0, a1, a2, k, b1, b2) order."""
+        """Delta-method sigma from partials in (a0, a1, a2, k, b1, b2) order.
+
+        The partials are scaled by the power of two of the largest before the
+        quadratic form, and its root scaled back, so a sigma within the float
+        range is not lost to an overflowing square; a power of two scales
+        exactly, so every other sigma is the same float as unscaled.
+        """
         n = min(len(gradient), len(cov))
-        variance = sum(gradient[i] * cov[i][j] * gradient[j] for i in range(n) for j in range(n))
-        return math.sqrt(max(variance * scale, 0.0))
+        exponent = math.frexp(max(abs(g) for g in gradient[:n]))[1]
+        scaled = [math.ldexp(g, -exponent) for g in gradient[:n]]
+        variance = sum(scaled[i] * cov[i][j] * scaled[j] for i in range(n) for j in range(n))
+        try:
+            return math.ldexp(math.sqrt(max(variance * scale, 0.0)), exponent)
+        except OverflowError:
+            return math.inf
 
     # Envelope peak relative to mid-scan: exponent log_peak at t = center.
     if len(solution.p) == 3:

@@ -542,6 +542,10 @@ def test_fit_of_delays_near_the_float_range_succeeds(tmp_path, capsys, first, st
     assert summary["period_m"] == pytest.approx(10 * step, rel=1e-6)
     assert summary["visibility"] == pytest.approx(0.8, abs=0.01)
     assert summary["phase_reference_m"] == pytest.approx(first + 49.5 * step, rel=1e-12)
+    # the period's sigma squares a partial of about 3e304 m, so it is scaled before
+    # squaring; the pinned width, 50 spans or about 1e309 m, is beyond any float
+    assert 0 < summary["period_sigma_m"] < summary["period_m"]
+    assert summary["envelope_fwhm_m"] is None
 
 
 def test_period_seed_beyond_the_float_range_is_no_fringe(tmp_path, capsys):
@@ -1058,6 +1062,14 @@ def test_bad_csv_header_rejected(tmp_path):
     bad.write_text("a,b,c\n1,2,3\n")
     code = main(["fit", str(bad), "--config", DEFAULT_CONFIG, "--quiet"])
     assert code == EXIT_CONFIG
+
+
+def test_csv_header_cell_beyond_the_field_limit_is_a_config_error(tmp_path, capsys):
+    # the rows' walk lifts the csv module's field limit, the header's parse does not
+    bad = tmp_path / "bad.csv"
+    bad.write_text('"' + "d" * 200_000 + '",' + ",".join(CSV_HEADER[1:]) + "\n")
+    assert main(["fit", str(bad), "--config", DEFAULT_CONFIG, "--quiet"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: CSV line 1: field larger than field limit (131072)\n"
 
 
 @pytest.mark.parametrize(

@@ -153,6 +153,8 @@ EDGE_CASES = {
     "count padded beyond int's digit limit": _edit_cell(19, 4, " +" + "0" * 5000 + "117"),
     "nan delay": _edit_cell(21, 0, "nan"),
     "inf delay": _edit_cell(22, 0, "inf"),
+    "NUL in the header": lambda text: text.replace("coinc_counts", "coinc_counts\0", 1),
+    "NUL in a rate": _edit_cell(3, 1, "1\0"),
 }
 
 
@@ -222,6 +224,9 @@ EDGE_OUTCOMES = {
     "count padded beyond int's digit limit": {},
     "nan delay": "ConfigError: CSV line 21, column delay_m: not a finite number: 'nan'",
     "inf delay": "ConfigError: CSV line 22, column delay_m: not a finite number: 'inf'",
+    # the csv module raises for a NUL before Python 3.11 and passes it on from 3.11
+    "NUL in the header": "ConfigError: CSV line 1: line contains NUL",
+    "NUL in a rate": "ConfigError: CSV line 3: line contains NUL",
 }
 
 
@@ -262,6 +267,13 @@ def test_cell_by_cell_errors_name_line_and_column():
     text = EDGE_CASES["cell beyond the csv field limit"](EDGE_CASES["nan rate"](_scan_text()))
     text = _edit_cell(8, 1, "x")(text)
     with pytest.raises(ConfigError, match="CSV line 8, column rate_a_hz: not a finite number: 'x'"):
+        read_scan_csv(io.StringIO(text))
+    # a NUL is named at its line, after any bad row above it and before any below
+    text = _edit_cell(20, 5, "5\0")(_edit_cell(8, 1, "x")(_scan_text()))
+    with pytest.raises(ConfigError, match="CSV line 8, column rate_a_hz: not a finite number: 'x'"):
+        read_scan_csv(io.StringIO(text))
+    text = _edit_cell(6, 5, "\0")(_edit_cell(8, 1, "x")(_scan_text()))
+    with pytest.raises(ConfigError, match="CSV line 6: line contains NUL"):
         read_scan_csv(io.StringIO(text))
     # neither a cell beyond the csv module's field limit nor a count padded
     # beyond int's digit limit hides a later bad row
