@@ -28,6 +28,7 @@ import re
 import stat
 import sys
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,7 +113,7 @@ _BARE_CR = "ends in a bare carriage return; lines end in \\n or \\r\\n"
 _NUL = "line contains NUL"
 
 
-def _without_nul(lines: list[str]):
+def _without_nul(lines: list[str]) -> Iterator[str]:
     """The rows' physical lines as they are; a ConfigError at the first that holds a NUL."""
     for line, text in enumerate(lines, 2):
         if "\0" in text:

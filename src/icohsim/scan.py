@@ -807,8 +807,9 @@ def fit_fringe(
 
         The partials are scaled by the power of two of the largest before the
         quadratic form, and its root scaled back, so a sigma within the float
-        range is not lost to an overflowing square; a power of two scales
-        exactly, so every other sigma is the same float as unscaled.
+        range is not lost to an overflowing square.  A power of two scales
+        exactly short of the subnormal range, so a sigma that is finite
+        unscaled is the same float.
         """
         n = min(len(gradient), len(cov))
         exponent = math.frexp(max(abs(g) for g in gradient[:n]))[1]
