@@ -4,6 +4,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -87,6 +89,14 @@ def _reject_constant(name):
     raise AssertionError(f"JSON is not strict: non-finite constant {name}")
 
 
+def read_json(path):
+    """The JSON document at path, which must be strict JSON laid out as json.dumps(indent=2) writes it."""
+    text = path.read_bytes().decode("utf-8")
+    data = json.loads(text, parse_constant=_reject_constant)
+    assert text == json.dumps(data, indent=2) + "\n", path
+    return data
+
+
 def test_fit_json_reports_diagnostics_as_strict_json(tmp_path):
     scan = tmp_path / "scan.csv"
     args = ["--config", DEFAULT_CONFIG, "--seed", "3", "--quiet"]
@@ -119,13 +129,42 @@ def test_noisy_visibility_above_one_is_reported_unclipped(tmp_path):
     assert summary["visibility"] - 1 < 3 * summary["visibility_sigma"]
 
 
+# Simulated scans and the channel fitted: the default scan on both axes and
+# both channels, a signal scan in 3 nm steps, and a pump scan in 1.5 nm steps
+# 600 um out.
+FIT_RUNS = [
+    ("[scan]\n", "singles"),
+    ("[scan]\n", "coincidence"),
+    ("[scan]\naxis = pump\n", "singles"),
+    ("[scan]\naxis = pump\n", "coincidence"),
+    ("[scan]\nstep_nm = 3\n", "singles"),
+    ("[scan]\naxis = pump\nstart_um = 599\nstop_um = 601\nstep_nm = 1.5\n", "singles"),
+]
+
+
 def test_fit_is_byte_deterministic(tmp_path):
-    scan = tmp_path / "scan.csv"
-    assert main(["simulate", "--config", DEFAULT_CONFIG, "--out", str(scan), "--quiet"]) == EXIT_OK
-    outputs = [tmp_path / "a.json", tmp_path / "b.json"]
-    for out in outputs:
-        assert main(["fit", str(scan), "--config", DEFAULT_CONFIG, "--out", str(out), "--quiet"]) == EXIT_OK
-    assert outputs[0].read_bytes() == outputs[1].read_bytes()
+    # Each scan simulate writes, fitted twice and from a copy with \r\n line
+    # ends, gives one JSON file: a converged counts fit of the axis wavelength
+    # within 1e-9 m, its phase at mid-scan with a sigma below a milliradian.
+    scan, crlf, out = tmp_path / "scan.csv", tmp_path / "crlf.csv", tmp_path / "fit.json"
+    for text, channel in FIT_RUNS:
+        config = write_config(tmp_path, text)
+        assert main(["simulate", "--config", config, "--out", str(scan), "--quiet"]) == EXIT_OK
+        crlf.write_bytes(scan.read_bytes().replace(b"\n", b"\r\n"))
+        outputs = []
+        for source in (scan, scan, crlf):
+            assert main(["fit", str(source), "--config", config, "--channel", channel, "--out", str(out),
+                         "--quiet"]) == EXIT_OK
+            outputs.append(out.read_bytes())
+        assert outputs == outputs[:1] * 3, (text, channel)
+        summary = read_json(out)
+        assert list(summary) == FIT_KEYS
+        assert summary["converged"] is True and summary["source"] == "counts", (text, channel)
+        cfg = load_config(config)
+        assert abs(summary["period_m"] - cfg.scan_wavelength()) <= 1e-9, (text, channel)
+        middle = (cfg.start + cfg.stop) / 2
+        assert abs(summary["phase_reference_m"] - middle) <= 1e-12 * abs(middle), (text, channel)
+        assert summary["phase_sigma_rad"] < 1e-3, (text, channel)
 
 
 def test_simulate_then_fit_pump_axis(tmp_path):
@@ -186,14 +225,6 @@ def test_unresolved_envelope_has_no_center_uncertainty(tmp_path):
     assert summary["envelope_fwhm_sigma_m"] is None
     assert summary["envelope_center_sigma_m"] is None
     assert abs(summary["period_m"] - 355e-9) < 1e-9
-
-
-def test_simulate_is_byte_deterministic(tmp_path):
-    a = tmp_path / "a.csv"
-    b = tmp_path / "b.csv"
-    main(["simulate", "--config", DEFAULT_CONFIG, "--out", str(a), "--quiet"])
-    main(["simulate", "--config", DEFAULT_CONFIG, "--out", str(b), "--quiet"])
-    assert a.read_bytes() == b.read_bytes()
 
 
 def test_seed_override_changes_counts(tmp_path):
@@ -308,22 +339,18 @@ def test_predict_writes_zero_counts_and_fit_rates_works(tmp_path):
         record = read_scan_csv(fh)
     assert all(record.counts[0] == 0)
     fit_out = tmp_path / "fit.json"
-    code = main(
-        [
-            "fit",
-            str(out),
-            "--config",
-            DEFAULT_CONFIG,
-            "--source",
-            "rates",
-            "--out",
-            str(fit_out),
-            "--quiet",
-        ]
-    )
-    assert code == EXIT_OK
-    summary = json.loads(fit_out.read_text())
+    fit = ["fit", str(out), "--config", DEFAULT_CONFIG, "--source", "rates", "--out", str(fit_out), "--quiet"]
+    assert main(fit) == EXIT_OK
+    summary = read_json(fit_out)
     assert summary["visibility"] == pytest.approx(1.0, abs=1e-6)
+    # the noiseless pump scan's coincidence fringe: the envelope stays pinned,
+    # and the period is the pump wavelength to 1e-9 of itself
+    pump = ["--axis", "pump"]
+    assert main(["predict", "--config", DEFAULT_CONFIG, *pump, "--out", str(out), "--quiet"]) == EXIT_OK
+    assert main([*fit, *pump, "--channel", "coincidence"]) == EXIT_OK
+    summary = read_json(fit_out)
+    assert summary["envelope_resolved"] is False
+    assert abs(summary["period_m"] / 355e-9 - 1) <= 1e-9
 
 
 def test_fit_on_flat_counts_exits_with_fit_code(tmp_path, capsys):
@@ -457,17 +484,36 @@ def test_readme_fit_keys_are_the_fringe_fit_fields():
     assert list(cli.fit_summary(fit_fringe(run_scan(cfg), dwell=cfg.dwell))) == keys
 
 
-def test_fit_at_two_grid_steps_per_period_exits_with_fit_code(tmp_path, capsys):
-    # The periodogram peaks at the Nyquist limit, where cos and sin coincide on the grid.
+def write_nyquist_csv(tmp_path):
+    """A scan whose periodogram peaks at the Nyquist limit, where cos and sin coincide on the grid."""
     rows = [
         f"{5.960464477539063e-08 * i!r},{c}.0,{c}.0,{c}.0,{c},{c},{c}\n"
         for i, c in enumerate([1, 1, 2, 0, 2, 0, 2, 0])
     ]
     path = tmp_path / "nyquist.csv"
     path.write_text(",".join(CSV_HEADER) + "\n" + "".join(rows))
-    code = main(["fit", str(path), "--config", DEFAULT_CONFIG, "--quiet"])
+    return str(path)
+
+
+def test_fit_at_two_grid_steps_per_period_exits_with_fit_code(tmp_path, capsys):
+    code = main(["fit", write_nyquist_csv(tmp_path), "--config", DEFAULT_CONFIG, "--quiet"])
     assert code == EXIT_FIT
     assert "fit error: no fringe detected: periodogram peak at the Nyquist limit" in capsys.readouterr().err
+
+
+def test_python_m_icohsim_exits_with_the_code_main_returns(tmp_path):
+    # Two processes on the icohsim this suite imported, from src/ or installed;
+    # about 0.4 s on 2 Xeon vCPUs.
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(icohsim.__file__))}
+    runs = [
+        (["--config", DEFAULT_CONFIG, "report"], EXIT_CONFIG, "usage: icohsim [-h] "),
+        (["fit", write_nyquist_csv(tmp_path), "--config", DEFAULT_CONFIG, "--quiet"], EXIT_FIT, "fit error: "),
+    ]
+    for argv, code, start in runs:
+        done = subprocess.run([sys.executable, "-m", "icohsim", *argv], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == code, done.stderr
+        assert done.stderr.startswith(start), done.stderr
 
 
 def test_fit_of_a_ramp_without_a_full_fringe_exits_with_fit_code(tmp_path, capsys):
@@ -517,11 +563,13 @@ def test_fit_json_equals_the_reference_encoder(tmp_path, monkeypatch, max_iterat
 def test_rates_fit_of_a_scan_at_huge_rates_succeeds(tmp_path):
     # rates near 1e300 would overflow the periodogram's squares unscaled
     config = write_config(tmp_path, "[detectors]\nrate_a_hz = 1e300\n[scan]\n")
-    scan = tmp_path / "predict.csv"
+    scan, out = tmp_path / "predict.csv", tmp_path / "fit.json"
     assert main(["predict", "--config", config, "--out", str(scan), "--quiet"]) == EXIT_OK
     for channel in ("singles", "coincidence"):
-        argv = ["fit", str(scan), "--config", config, "--source", "rates", "--channel", channel, "--quiet"]
+        argv = ["fit", str(scan), "--config", config, "--source", "rates", "--channel", channel,
+                "--out", str(out), "--quiet"]
         assert main(argv) == EXIT_OK
+        read_json(out)
 
 
 @pytest.mark.parametrize(
@@ -700,17 +748,24 @@ def test_failed_write_leaves_only_the_bytes_written(tmp_path, monkeypatch, capsy
 
 
 def test_oracle_check_command(tmp_path):
-    out = tmp_path / "oracle.json"
-    assert (
-        main(["oracle-check", "--config", DEFAULT_CONFIG, "--out", str(out), "--quiet"])
-        == EXIT_OK
-    )
-    data = json.loads(out.read_text())
-    assert len(data["points"]) == 32
-    assert data["relative_deviation_per_channel"]["p_a"] <= 1e-6
-    # the state check keeps double-pair terms the low-gain engine drops,
-    # so the other channels sit at twice the |K|^2 scale
-    assert data["max_relative_deviation"] <= 2.05e-6
+    # the default of 16 points per axis, the same again stated, and 4 points
+    outputs = []
+    for flags, points in (([], 16), (["--points", "16"], 16), (["--points", "4"], 4)):
+        out = tmp_path / "oracle.json"
+        assert main(["oracle-check", "--config", DEFAULT_CONFIG, *flags, "--out", str(out), "--quiet"]) == EXIT_OK
+        outputs.append(out.read_bytes())
+        data = read_json(out)
+        assert list(data) == ["gain_1", "gain_2", "relative_deviation_per_channel", "max_relative_deviation", "points"]
+        assert list(data["relative_deviation_per_channel"]) == ["p_a", "p_b", "p_ab"]
+        assert len(data["points"]) == 2 * points
+        for point in data["points"]:
+            assert list(point) == ["delay_xp_m", "delay_xs_m", "engine", "oracle"]
+            assert list(point["engine"]) == list(point["oracle"]) == ["p_a", "p_b", "p_ab"]
+        assert data["relative_deviation_per_channel"]["p_a"] <= 1e-6
+        # the state check keeps double-pair terms the low-gain engine drops,
+        # so the other channels sit at twice the |K|^2 scale
+        assert data["max_relative_deviation"] <= 2.05e-6
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("points", [0, -3, MAX_ORACLE_POINTS + 1])
@@ -755,10 +810,12 @@ def assert_oracle_json_is_the_reference(tmp_path, config, points):
     same = text == expected
     k = len(os.path.commonprefix([text, expected]))
     assert same, f"first difference at character {k}: {text[max(k - 40, 0):k + 40]!r}"
-    assert len(json.loads(text, parse_constant=_reject_constant)["points"]) == 2 * points
+    data = json.loads(text, parse_constant=_reject_constant)
+    assert len(data["points"]) == 2 * points
+    return data
 
 
-@pytest.mark.parametrize("points", [1, 2, 16, MAX_ORACLE_POINTS])
+@pytest.mark.parametrize("points", [1, 2, 4, 16, MAX_ORACLE_POINTS])
 def test_oracle_check_json_equals_the_reference_encoder(tmp_path, points):
     assert_oracle_json_is_the_reference(tmp_path, DEFAULT_CONFIG, points)
 
@@ -768,7 +825,9 @@ def test_oracle_check_json_equals_the_reference_encoder(tmp_path, points):
                          ids=["no_crystal2", "blocked_idler"])
 def test_oracle_check_json_of_pruned_terms_equals_the_reference_encoder(tmp_path, text, points):
     # most floats repeat here: whole rows of equal rates, zero rates and zero deviations
-    assert_oracle_json_is_the_reference(tmp_path, write_config(tmp_path, text), points)
+    data = assert_oracle_json_is_the_reference(tmp_path, write_config(tmp_path, text), points)
+    # on the zero-gain and blocked-link paths the two agree at the |K|^2 scale
+    assert data["max_relative_deviation"] <= 1.05e-6
 
 
 def test_oracle_json_tells_signed_zeros_apart():
@@ -1167,7 +1226,7 @@ def test_bad_delay_grid_names_line(tmp_path, capsys, edit, line, reason):
     code = main(["fit", str(scan), "--config", DEFAULT_CONFIG, "--source", "rates", "--quiet"])
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert f"CSV line {line}: delay" in err
+    assert err.startswith(f"config error: CSV line {line}: delay ")
     assert reason in err
 
 

@@ -96,10 +96,12 @@ def test_syntax_errors_carry_line_numbers():
         ("[scan]\naxis = pump\n# note\nspeed = 3\n", "unknown key scan.speed at line 4"),
         ("[scan]\n[pump]\n[scan]\n", "config syntax error at line 3: duplicate section [scan]"),
         ("[scan]\naxis = pump\nAxis = signal\n", "config syntax error at line 3: duplicate key scan.axis"),
+        ("[scan]\naxis = pump\n\naxis = signal\n", "config syntax error at line 4: duplicate key scan.axis"),
         ("gain = 0.001\n[scan]\n", "config syntax error at line 1: a key line before any [section]"),
         ("[scan]\n= 1\n", "config syntax error at line 2: expected [section], key = value"),
     ],
-    ids=["unknown_section", "unknown_key", "duplicate_section", "duplicate_key", "no_section", "no_key"],
+    ids=["unknown_section", "unknown_key", "duplicate_section", "duplicate_key", "duplicate_key_after_blank",
+         "no_section", "no_key"],
 )
 def test_errors_name_their_line(text, message):
     with pytest.raises(ConfigError) as info:
@@ -435,8 +437,9 @@ def test_detector_validation():
     with pytest.raises(ConfigError, match=r"detectors\.window_ns"):
         parse_config("[detectors]\nwindow_ns = -1\n[scan]\n")
     # window must stay far below the dwell
-    with pytest.raises(ConfigError, match="below"):
-        parse_config("[detectors]\nwindow_ns = 2e9\n[scan]\ndwell_s = 1\n")
+    for window in ("2e9", "1e9"):
+        with pytest.raises(ConfigError, match=r"^detectors\.window_ns must be far below scan\.dwell_s$"):
+            parse_config(f"[detectors]\nwindow_ns = {window}\n[scan]\ndwell_s = 1\n")
 
 
 def test_unit_suffixes_convert_to_si():

@@ -140,6 +140,7 @@ EDGE_CASES = {
     "swapped rows": lambda text: "\n".join(
         text.split("\n")[:4] + text.split("\n")[5:6] + text.split("\n")[4:5] + text.split("\n")[6:]
     ),
+    "one row deleted": lambda text: "\n".join(text.split("\n")[:9] + text.split("\n")[10:]),
     "rows swapped after a blank line": lambda text: "\n".join(
         text.split("\n")[:2] + [""] + text.split("\n")[2:4]
         + text.split("\n")[5:6] + text.split("\n")[4:5] + text.split("\n")[6:]
@@ -203,6 +204,9 @@ EDGE_OUTCOMES = {
     "quoted header": {},
     "swapped rows": (
         "ConfigError: CSV line 6: delay -7e-07 m is not greater than the previous delay -6e-07 m"
+    ),
+    "one row deleted": (
+        "ConfigError: CSV line 10: delay step 2e-07 m is off the grid's median step; delays must be uniformly spaced"
     ),
     "rows swapped after a blank line": (
         "ConfigError: CSV line 7: delay -7e-07 m is not greater than the previous delay -6e-07 m"
