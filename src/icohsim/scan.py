@@ -28,13 +28,12 @@ fit's first such step, taken from the pinned fit.  The covariance is the
 inverse of the joint Gram matrix, put together from the blocks of a Schur
 step (G^-1, E = G^-1 U and S^-1): for a pinned fit those of its score test,
 for a free fit those of one step at its returned linearization.  No fit
-builds the joint Jacobian as one matrix, except for np.linalg.lstsq.
-np.linalg.lstsq's minimum-norm solution is taken instead where a Gram matrix
-is singular, a column is so short beside the longest one that lstsq's own
-rank cut (COLUMN_FLOOR, its default rcond) must drop a singular value, or
-the columns' variance inflation factors sum to INFLATION_LIMIT or more; for
-the step this rule is judged on the joint Gram matrix, from its blocks,
-and where it takes lstsq the covariance is np.linalg.pinv of that matrix.
+builds the joint Jacobian as one matrix.  Where a Gram matrix is singular, a
+column is so short beside the longest one that numpy's lstsq rank cut
+(COLUMN_FLOOR, its default rcond) would drop a singular value, or the
+columns' variance inflation factors sum to INFLATION_LIMIT or more, the data
+do not determine the fringe, and the fit is refused with NoFringeError; for
+the step this rule is judged on the joint Gram matrix, from its blocks.
 Each Gauss-Newton step is tried whole, then halved until chi^2 falls, but
 never below PARAM_TOLERANCE.
 
@@ -70,16 +69,16 @@ PARAM_TOLERANCE = 1e-10
 MAX_HALVINGS = 30
 # Least-squares systems are solved from their Gram matrix A^T A: the 3x3 one
 # of the amplitudes, and the Schur complement of the step, in closed form
-# (_inverse).  The fallback, np.linalg.lstsq's minimum-norm solution, is taken
+# (_inverse).  The fit is refused with NoFringeError (_require_determined)
 # when:
 # - the Gram matrix is singular: a closed-form block has a zero or non-finite
 #   determinant;
 # - a column's norm is at or below COLUMN_FLOOR * max(M, N) times the largest
-#   column norm of the M x N matrix.  COLUMN_FLOOR is lstsq's default rcond:
-#   it cuts singular values below COLUMN_FLOOR * max(M, N) * sigma_max, and
-#   sigma_min <= |a_j| while sigma_max >= max |a_i|, so such a column always
-#   costs lstsq a singular value (a squared-norm ratio of 7.9e-27 at 401
-#   rows, 7.9e-25 at 4001);
+#   column norm of the M x N matrix.  COLUMN_FLOOR is numpy's lstsq default
+#   rcond: it cuts singular values below COLUMN_FLOOR * max(M, N) * sigma_max,
+#   and sigma_min <= |a_j| while sigma_max >= max |a_i|, so such a column
+#   always costs lstsq a singular value (a squared-norm ratio of 7.9e-27 at
+#   401 rows, 7.9e-25 at 4001);
 # - the columns' variance inflation factors (each the inverse of the share of
 #   a column's squared norm outside the span of the others) sum to
 #   INFLATION_LIMIT or more.  That sum bounds the condition number of the
@@ -115,7 +114,8 @@ OBSERVED_DROP = 1.0
 # Largest envelope exponent b1 t + b2 t^2 a fit may reach on the grid or at
 # its peak, so the envelope, the visibility and their sigmas stay finite.
 MAX_EXPONENT = 100.0
-# A pinned envelope is reported this many scan spans wide, as a lower bound.
+# A pinned envelope's reported FWHM is FWHM_FACTOR * PINNED_SPANS scan spans,
+# about 117.7, as a lower bound.  Nothing in the data sets this bound.
 PINNED_SPANS = 50.0
 FWHM_FACTOR = 2.0 * math.sqrt(2.0 * math.log(2.0))
 # Largest relative deviation of a delay step from the median step on a uniform grid.
@@ -131,7 +131,7 @@ class GridError(ValueError):
 
 
 class NoFringeError(RuntimeError):
-    """Raised when no significant fringe is found in a record."""
+    """Raised when no significant fringe is found in a record, or the data do not determine one."""
 
 
 def _median(values: np.ndarray) -> float:
@@ -372,7 +372,7 @@ class _Solution(NamedTuple):
     weighted: np.ndarray
     extended: np.ndarray
     gram: list[list[float]]
-    inverse: list[list[float]] | None
+    inverse: list[list[float]]
     iterations: int
     converged: bool
 
@@ -431,37 +431,44 @@ def _floor_holds(norms: list[float], rows: int) -> bool:
     return min(norms) > (COLUMN_FLOOR * rows) ** 2 * max(norms)
 
 
+def _require_determined(inflation: float) -> None:
+    """Raise NoFringeError unless the variance-inflation sum is positive and below INFLATION_LIMIT.
+
+    Rounding can give a nearly singular Gram matrix an inverse with a huge
+    negative trace, so a sum not above 0 is named as inf, as a singular one is.
+    """
+    if not 0.0 < inflation < INFLATION_LIMIT:
+        raise NoFringeError(
+            f"no fringe determined: the fit's columns have a variance-inflation sum of "
+            f"{inflation if inflation > 0 else math.inf:.6g}, not below {INFLATION_LIMIT:.6g}"
+        )
+
+
 def _solve(
     weighted: np.ndarray, target: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, list[list[float]], list[list[float]] | None]:
+) -> tuple[np.ndarray, np.ndarray, list[list[float]], list[list[float]]]:
     """Least squares of target on the rows of the 3 x n matrix ``weighted``.
 
     Returns the solution, the residual, the rows' Gram matrix G and G^-1.  G
-    is inverted in closed form, and G^-1 is None where the rule at
-    COLUMN_FLOOR and INFLATION_LIMIT takes np.linalg.lstsq instead.
+    is inverted in closed form; where the rule at COLUMN_FLOOR and
+    INFLATION_LIMIT fails, NoFringeError is raised.
     """
     gram = (weighted @ weighted.T).tolist()
-    norms = [gram[0][0], gram[1][1], gram[2][2]]
-    inverse = _inverse(gram) if _floor_holds(norms, max(weighted.shape)) else None
-    # Rounding can give a nearly singular Gram matrix an inverse with a huge
-    # negative trace; a non-finite one fails the test as well.
-    if inverse is not None and 0.0 < (
-        norms[0] * inverse[0][0] + norms[1] * inverse[1][1] + norms[2] * inverse[2][2]
-    ) < INFLATION_LIMIT:
-        b0, b1, b2 = (weighted @ target).tolist()
-        a = np.array([i0 * b0 + i1 * b1 + i2 * b2 for i0, i1, i2 in inverse])
-    else:
-        inverse = None
-        a = np.linalg.lstsq(weighted.T, target, rcond=None)[0]
+    g0, g1, g2 = gram[0][0], gram[1][1], gram[2][2]
+    inverse = _inverse(gram) if _floor_holds([g0, g1, g2], max(weighted.shape)) else None
+    inflation = math.inf if inverse is None else g0 * inverse[0][0] + g1 * inverse[1][1] + g2 * inverse[2][2]
+    _require_determined(inflation)
+    b0, b1, b2 = (weighted @ target).tolist()
+    a = np.array([i0 * b0 + i1 * b1 + i2 * b2 for i0, i1, i2 in inverse])
     return a, target - a @ weighted, gram, inverse
 
 
 def _step(
     weighted: np.ndarray,
     gram: list[list[float]],
-    inverse: list[list[float]] | None,
+    inverse: list[list[float]],
     extended: np.ndarray,
-) -> tuple[list[float], float, tuple | None]:
+) -> tuple[list[float], float, tuple]:
     """p part of the least-squares solution of the joint matrix [W, D] on r, its chi^2 drop, and its blocks.
 
     ``weighted`` holds the columns of W as rows, and ``extended`` those of
@@ -477,57 +484,49 @@ def _step(
     D^T D's, and its inverse's diagonal is that of G^-1 + E S^-1 E^T and of
     S^-1.  The blocks returned are E and S, as rows with G^-1 W^T r and
     D^T r - E^T W^T r as their last column, and S^-1, for _covariance.
-    Where G^-1 or S^-1 is missing or the rule fails, the step and the drop
-    are np.linalg.lstsq's on the joint matrix, and the blocks are None.
+    Where S has no closed-form inverse or the rule fails, NoFringeError is
+    raised.
     """
     q = len(extended) - 1
-    if inverse is not None:
-        c0, c1, c2 = (weighted @ extended.T).tolist()
-        # G^-1 W^T [D, r] by rows: E, then G^-1 W^T r.
-        e0, e1, e2 = [
-            [i0 * u0 + i1 * u1 + i2 * u2 for u0, u1, u2 in zip(c0, c1, c2)] for i0, i1, i2 in inverse
-        ]
-        own = (extended[:q] @ extended.T).tolist()
-        # q rows of the Schur complement: S, then D^T r - E^T W^T r.
-        schur = [
-            [v - (c0[k] * e0[l] + c1[k] * e1[l] + c2[k] * e2[l]) for l, v in enumerate(row)]
-            for k, row in enumerate(own)
-        ]
-        schur_inverse = _inverse(schur)
-        g0, g1, g2 = gram[0][0], gram[1][1], gram[2][2]
-        norms = [g0, g1, g2] + [own[k][k] for k in range(q)]
-        if schur_inverse is not None and _floor_holds(norms, max(extended.shape[1], 3 + q)):
-            inflation = g0 * inverse[0][0] + g1 * inverse[1][1] + g2 * inverse[2][2]
-            for k, row in enumerate(schur_inverse):
-                inflation += own[k][k] * row[k]
-                for l, s in enumerate(row):
-                    inflation += s * (g0 * e0[k] * e0[l] + g1 * e1[k] * e1[l] + g2 * e2[k] * e2[l])
-            if 0.0 < inflation < INFLATION_LIMIT:
-                rhs = [row[q] for row in schur]
-                step = [sum(s * d for s, d in zip(row, rhs)) for row in schur_inverse]
-                drop = c0[q] * e0[q] + c1[q] * e1[q] + c2[q] * e2[q]
-                blocks = ([e0, e1, e2], schur, schur_inverse)
-                return step, drop + sum(s * d for s, d in zip(step, rhs)), blocks
-    joint = np.vstack([weighted, extended[:q]]).T
-    solution = np.linalg.lstsq(joint, extended[q], rcond=None)[0]
-    explained = joint @ solution
-    return solution[3:].tolist(), float(explained @ explained), None
+    c0, c1, c2 = (weighted @ extended.T).tolist()
+    # G^-1 W^T [D, r] by rows: E, then G^-1 W^T r.
+    e0, e1, e2 = [[i0 * u0 + i1 * u1 + i2 * u2 for u0, u1, u2 in zip(c0, c1, c2)] for i0, i1, i2 in inverse]
+    own = (extended[:q] @ extended.T).tolist()
+    # q rows of the Schur complement: S, then D^T r - E^T W^T r.
+    schur = [
+        [v - (c0[k] * e0[l] + c1[k] * e1[l] + c2[k] * e2[l]) for l, v in enumerate(row)]
+        for k, row in enumerate(own)
+    ]
+    schur_inverse = _inverse(schur)
+    g0, g1, g2 = gram[0][0], gram[1][1], gram[2][2]
+    norms = [g0, g1, g2] + [own[k][k] for k in range(q)]
+    if schur_inverse is None or not _floor_holds(norms, max(extended.shape[1], 3 + q)):
+        _require_determined(math.inf)
+    inflation = g0 * inverse[0][0] + g1 * inverse[1][1] + g2 * inverse[2][2]
+    for k, row in enumerate(schur_inverse):
+        inflation += own[k][k] * row[k]
+        for l, s in enumerate(row):
+            inflation += s * (g0 * e0[k] * e0[l] + g1 * e1[k] * e1[l] + g2 * e2[k] * e2[l])
+    _require_determined(inflation)
+    rhs = [row[q] for row in schur]
+    step = [sum(s * d for s, d in zip(row, rhs)) for row in schur_inverse]
+    drop = c0[q] * e0[q] + c1[q] * e1[q] + c2[q] * e2[q]
+    blocks = ([e0, e1, e2], schur, schur_inverse)
+    return step, drop + sum(s * d for s, d in zip(step, rhs)), blocks
 
 
-def _covariance(inverse: list[list[float]], blocks: tuple, q: int) -> list[list[float]] | None:
+def _covariance(inverse: list[list[float]], blocks: tuple, q: int) -> list[list[float]]:
     """Inverse of the Gram matrix of the joint Jacobian [W, D] over (a0, a1, a2) and the first q columns of D.
 
     From _step's blocks E and S^-1 and W's Gram inverse G^-1, by the block
     form [[G^-1 + E S^-1 E^T, -E S^-1], [-S^-1 E^T, S^-1]].  Below the
-    step's width, E is cut to its first q columns and S^-1 is the inverse of
-    S's leading q x q block, which is the Schur complement of G for those
-    columns alone.  None where that block has no closed-form inverse.
+    step's width, q = 1 of 3, E is cut to its first column and S^-1 is 1 / S_00,
+    the Schur complement of G for that column alone: _step's rule keeps S_00
+    above the column's squared norm over INFLATION_LIMIT.
     """
     e, schur, schur_inverse = blocks
     if q < len(schur):
-        schur_inverse = _inverse(schur[:q])
-        if schur_inverse is None:
-            return None
+        schur_inverse = [[1.0 / schur[0][0]]]
     # E S^-1, by rows.
     es = [[sum(row[m] * schur_inverse[m][l] for m in range(q)) for l in range(q)] for row in e]
     top = [
@@ -631,7 +630,7 @@ def _gauss_newton(p, basis, ts, sqrt_w, target, reweight) -> _Solution:
             sqrt_w, target = reweight(a @ basis if model is None else model, observed)
 
 
-def _envelope_statistic(pinned: _Solution, ts: np.ndarray, use_poisson: bool) -> tuple[float, tuple | None]:
+def _envelope_statistic(pinned: _Solution, ts: np.ndarray, use_poisson: bool) -> tuple[float, tuple]:
     """chi^2 drop of one Gauss-Newton step from the pinned fit into the free envelope, and the step's blocks.
 
     The step is the free fit's first Schur step (_step): the pinned fit's
@@ -703,12 +702,14 @@ def fit_fringe(
     of one step into it (``envelope_delta_chi2``) exceeds ENVELOPE_THRESHOLD,
     and the free fit is reported when it converges to a peaked envelope
     (b2 < 0) whose peak stays within exp(MAX_EXPONENT) of the mid-scan
-    value.  Otherwise the envelope stays pinned: its reported width is a
-    lower bound of PINNED_SPANS scan spans, and ``envelope_resolved`` is
-    False.
+    value.  Otherwise the envelope stays pinned: its reported FWHM is a
+    lower bound of FWHM_FACTOR * PINNED_SPANS, about 117.7, scan spans, which
+    nothing in the data sets, and ``envelope_resolved`` is False.
 
     A fitted period longer than the scan's span, less than one full fringe
     in the record, is a trend rather than a fringe and raises NoFringeError.
+    So does a fit whose columns fail the rule at COLUMN_FLOOR and
+    INFLATION_LIMIT: the data do not determine its fringe.
 
     The visibility is taken at the envelope peak and is not clipped, so it
     may exceed 1 within its uncertainty.  The phase is taken at the scan's
@@ -794,12 +795,9 @@ def fit_fringe(
     residual = solution.extended[-1]
     ssr = float(residual @ residual)
     dof = len(ts) - 3 - q
-    # The inverse of the joint (a, p) Gram matrix: from the blocks of the
-    # reported fit's Schur step, or pinv where that step took lstsq.
-    cov = None if blocks is None else _covariance(solution.inverse, blocks, q)
-    if cov is None:
-        joint = np.vstack([solution.weighted, solution.extended[:q]]).T
-        cov = np.linalg.pinv(joint.T @ joint).tolist()
+    # The inverse of the joint (a, p) Gram matrix, from the blocks of the
+    # reported fit's Schur step.
+    cov = _covariance(solution.inverse, blocks, q)
     scale = 1.0 if use_poisson else ssr / dof
 
     def sigma(*gradient: float) -> float:

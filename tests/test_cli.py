@@ -33,7 +33,7 @@ from icohsim.fockoracle import MAX_ORACLE_GAIN
 from icohsim.scan import FringeFit, fit_fringe, run_scan
 from icohsim.spectral import compile_model
 
-from conftest import config_with
+from conftest import config_with, near_nyquist_record
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_CONFIG = str(REPO_ROOT / "configs" / "default.ini")
 
@@ -528,6 +528,21 @@ def test_fit_of_a_ramp_without_a_full_fringe_exits_with_fit_code(tmp_path, capsy
     assert message in capsys.readouterr().err
 
 
+def test_fit_of_an_undetermined_near_nyquist_record_exits_with_fit_code(tmp_path, capsys):
+    # The pinned fit's columns are too close to dependent for the data to
+    # determine the fringe: no JSON is written, and fit exits 4.
+    buffer = io.StringIO()
+    cli.write_scan_csv(near_nyquist_record(), buffer)
+    scan, fit_out = tmp_path / "scan.csv", tmp_path / "fit.json"
+    scan.write_text(buffer.getvalue())
+    assert main(["fit", str(scan), "--config", DEFAULT_CONFIG, "--out", str(fit_out), "--quiet"]) == EXIT_FIT
+    assert capsys.readouterr().err == (
+        "fit error: no fringe determined: the fit's columns have a variance-inflation sum of 34631.6, "
+        "not below 10000\n"
+    )
+    assert not fit_out.exists()
+
+
 def test_fit_that_does_not_converge_exits_with_fit_code(tmp_path, capsys, monkeypatch):
     scan = tmp_path / "scan.csv"
     assert main(["simulate", "--config", DEFAULT_CONFIG, "--out", str(scan), "--quiet"]) == EXIT_OK
@@ -591,7 +606,7 @@ def test_fit_of_delays_near_the_float_range_succeeds(tmp_path, capsys, first, st
     assert summary["visibility"] == pytest.approx(0.8, abs=0.01)
     assert summary["phase_reference_m"] == pytest.approx(first + 49.5 * step, rel=1e-12)
     # the period's sigma squares a partial of about 3e304 m, so it is scaled before
-    # squaring; the pinned width, 50 spans or about 1e309 m, is beyond any float
+    # squaring; the pinned width, about 117.7 spans or 1e309 m, is beyond any float
     assert 0 < summary["period_sigma_m"] < summary["period_m"]
     assert summary["envelope_fwhm_m"] is None
 
@@ -1081,7 +1096,7 @@ def test_round_trip_csv_reader(tmp_path):
     assert record.rates[1, 0] == pytest.approx(110e3, rel=1e-6)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(
     axis=st.sampled_from(["signal", "pump"]),
     start_um=st.floats(-1000.0, 1000.0),

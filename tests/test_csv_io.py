@@ -12,8 +12,12 @@ from icohsim.cli import read_scan_csv, write_scan_csv
 from icohsim.config import ConfigError, parse_config
 from icohsim.scan import ScanRecord, run_scan
 
-# A numpy warning here is a parse the grammar does not state.
-pytestmark = pytest.mark.filterwarnings("error")
+# A numpy warning here is a parse the grammar does not state.  The one
+# ignored warning is the one pyproject.toml ignores: a third-party import on
+# hypothesis's path to reporting a failing example.
+pytestmark = pytest.mark.filterwarnings(
+    "error", "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning"
+)
 
 _nine_digits = np.vectorize(lambda v: float(f"{v:.8e}"), otypes=[float])
 
@@ -47,7 +51,7 @@ def scan_records(draw):
     return ScanRecord(delays=delays, rates=rates.reshape(3, points), counts=counts)
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80, deadline=None, derandomize=True)
 @given(scan_records())
 def test_write_read_round_trip(record):
     text = _text(record)
@@ -309,7 +313,7 @@ def edited_scans(draw):
     return "\n".join(lines)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=None, derandomize=True)
 @given(edited_scans())
 def test_accepted_values_are_python_values_and_errors_name_a_line(text):
     """Accepted values are float and int of their cells, bit for bit; a rejection names a line."""

@@ -25,7 +25,7 @@ from icohsim.scan import (
     undersampling_warning,
 )
 
-from conftest import config_with
+from conftest import config_with, near_nyquist_record
 
 SIGMA_SIGNAL = 1.2234e-4  # envelope sigma of the 2 nm / 808 nm filter
 
@@ -506,6 +506,13 @@ def test_fringe_at_two_grid_steps_is_no_fringe(record):
         fit_fringe(values_record(**record), dwell=0.5)
 
 
+# The refusal of a fit whose columns fail the rule at COLUMN_FLOOR and
+# INFLATION_LIMIT, naming a sum at or above the limit as %.6g writes it.
+REFUSAL = (
+    r"^no fringe determined: the fit's columns have a variance-inflation sum of "
+    r"(inf|[1-9]\d{4,5}(\.\d+)?|[1-9](\.\d+)?e\+\d+), not below 10000$"
+)
+
 _COLUMN_EXPONENTS = st.lists(st.floats(-3.0, 3.0), min_size=6, max_size=6)
 
 
@@ -551,7 +558,7 @@ def test_least_squares_matches_lstsq_on_full_rank_matrices(rows, exponents, seed
     seed=st.integers(0, 2**32 - 1),
     defect=st.sampled_from(["duplicate", "zero", "tiny", "half-floor"]),
 )
-def test_least_squares_is_lstsq_on_rank_deficient_matrices(rows, exponents, seed, defect):
+def test_least_squares_refuses_rank_deficient_matrices(rows, exponents, seed, defect):
     matrix, target, scales = _matrix(rows, 3, exponents, seed)
     if defect == "duplicate":
         matrix[:, -1] = matrix[:, 0]
@@ -562,12 +569,10 @@ def test_least_squares_is_lstsq_on_rank_deficient_matrices(rows, exponents, seed
     else:
         # A zero column, or one at 1e-18 of the largest column's scale.
         matrix[:, -1] *= {"zero": 0.0, "tiny": 1e-18}[defect] * scales.max() / scales[-1]
-    expected, _, rank, _ = np.linalg.lstsq(matrix, target, rcond=None)
-    # Every defect costs lstsq's rank cut a singular value.
-    assert rank < 3
-    a, _, _, inverse = _solve(matrix.T, target)
-    assert inverse is None
-    assert np.array_equal(a, expected)
+    # Every defect costs lstsq's rank cut a singular value, and the fit is refused.
+    assert np.linalg.lstsq(matrix, target, rcond=None)[2] < 3
+    with pytest.raises(NoFringeError, match=REFUSAL):
+        _solve(matrix.T, target)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -608,8 +613,6 @@ def test_covariance_is_the_inverse_of_the_joint_gram_matrix(rows, free, exponent
     weighted = matrix[:, :3].T
     _, _, gram, inverse = _solve(weighted, target)
     _, _, blocks = _step(weighted, gram, inverse, np.vstack([matrix[:, 3:].T, target]))
-    if blocks is None:
-        return
     for q in (1, 3) if free else (1,):
         covariance = np.array(_covariance(inverse, blocks, q)) * np.outer(scales[: 3 + q], scales[: 3 + q])
         scaled = matrix[:, : 3 + q] / scales[: 3 + q]
@@ -625,8 +628,9 @@ def test_covariance_is_the_inverse_of_the_joint_gram_matrix(rows, free, exponent
     seed=st.integers(0, 2**32 - 1),
     defect=st.sampled_from(["near-duplicate", "zero", "half-floor", "singular-basis"]),
 )
-def test_step_is_lstsq_where_the_joint_rule_fails(rows, free, exponents, seed, defect):
-    # 3 amplitude columns, then 1 (pinned) or 3 (free) step columns.
+def test_step_refuses_where_the_joint_rule_fails(rows, free, exponents, seed, defect):
+    # 3 amplitude columns, then 1 (pinned) or 3 (free) step columns.  A
+    # singular basis is refused by _solve, every other defect by _step.
     matrix, target, scales = _matrix(rows, 6 if free else 4, exponents, seed)
     if defect == "near-duplicate":
         # A step column within 1e-9 of a basis column, relative, point by point.
@@ -640,12 +644,13 @@ def test_step_is_lstsq_where_the_joint_rule_fails(rows, free, exponents, seed, d
         factor = 0.0 if defect == "zero" else 0.5 * COLUMN_FLOOR * rows * norms[:-1].max() / norms[-1]
         matrix[:, -1] *= factor
     weighted = matrix[:, :3].T
+    if defect == "singular-basis":
+        with pytest.raises(NoFringeError, match=REFUSAL):
+            _solve(weighted, target)
+        return
     _, _, gram, inverse = _solve(weighted, target)
-    step, drop, _ = _step(weighted, gram, inverse, np.vstack([matrix[:, 3:].T, target]))
-    expected = np.linalg.lstsq(matrix, target, rcond=None)[0]
-    explained = matrix @ expected
-    assert step == expected[3:].tolist()
-    assert drop == float(explained @ explained)
+    with pytest.raises(NoFringeError, match=REFUSAL):
+        _step(weighted, gram, inverse, np.vstack([matrix[:, 3:].T, target]))
 
 
 def test_campaign_steps_are_not_halved_below_the_tolerance(monkeypatch):
@@ -798,31 +803,19 @@ def test_campaign_fits_make_no_linalg_call(monkeypatch):
     # Every solve of these fits is closed form, and the covariance comes from
     # the Schur blocks, so no lstsq, pinv or other np.linalg routine runs.
     # The same holds 600 um out on the pump axis, where the fit's coordinate,
-    # centred on the scan, keeps the k column apart from the phase columns.
+    # centred on the scan, keeps the k column apart from the phase columns,
+    # and on records whose fit is refused.
     far_pump = dict(axis="pump", start=599e-6, stop=601e-6, step=5e-9)
     scans = [scan for _, scan in CAMPAIGN_SCANS.values()] + [far_pump]
     records = [run_scan(config_with(seed=seed, **scan)) for scan in scans for seed in (1001, 1006)]
+    ramp = values_record(RAMP_COUNTS, "counts", 0.0, 10e-9)
+    refused = [near_nyquist_record(), ramp, values_record(**NYQUIST_RECORD)]
     calls = count_linalg_calls(monkeypatch)
     for record in records:
         for channel in ("singles", "coincidence"):
             fit_fringe(record, channel, dwell=0.5)
+    for record in refused:
+        with pytest.raises(NoFringeError):
+            fit_fringe(record, dwell=0.5)
     assert calls == []
 
-
-def test_covariance_falls_back_to_pinv_on_a_near_nyquist_record(monkeypatch):
-    # 16 counts at 10 nm steps of a 21.25 nm fringe of unit visibility: its
-    # lowest points hold a few counts, so their Poisson weights outweigh the
-    # peaks' by hundreds, and the reported fit's Schur step takes lstsq.  Its
-    # covariance comes from pinv.
-    x = 10e-9 * np.arange(16)
-    mean = 1000.0 * (1.0 + np.cos(2.0 * np.pi * x / 21.25e-9 + 0.3))
-    counts = np.random.Generator(np.random.Philox(key=1)).poisson(mean)
-    record = ScanRecord(x, np.vstack([mean] * 3), np.vstack([counts] * 3))
-    calls = count_linalg_calls(monkeypatch)
-    fit = fit_fringe(record, dwell=1.0)
-    assert calls.count("pinv") == 1
-    assert fit.phase_reference_m == 75e-9
-    assert abs(fit.period_m - 21.25e-9) <= 3.0 * fit.period_sigma_m
-    assert abs(fit.visibility - 1.0) <= 3.0 * fit.visibility_sigma
-    truth = 2.0 * np.pi * fit.phase_reference_m / 21.25e-9 + 0.3
-    assert abs(math.remainder(fit.phase_rad - truth, 2.0 * math.pi)) <= 3.0 * fit.phase_sigma_rad
