@@ -377,14 +377,13 @@ def build_report(config: ExperimentConfig) -> str:
         f"frequency FWHM {pump.fwhm_frequency:.4g} Hz"
     )
     lines.append(f"  coherence length computed from bandwidth: {computed_lc * 1e3:.3f} mm")
-    stated = config.stated_coherence_length
-    ratio = computed_lc / stated
-    lines.append(f"  coherence length stated in config:        {stated * 1e3:.3f} mm")
-    if abs(ratio - 1.0) > 0.1:
-        lines.append(
-            f"  NOTE: stated and computed values disagree by a factor {ratio:.2f}; "
-            "both are reported, neither is adjusted"
-        )
+    # On the pump axis the singles visibility is V0 * 2**-(delay / L)**2; checking
+    # V0 < 0.9 first keeps V0 = 0 (no pairs) out of the log.
+    reach = (
+        "never" if vis_singles < 0.9
+        else f"{computed_lc * math.sqrt(math.log(vis_singles / 0.9) / math.log(2.0)) * 1e3:.3f} mm"
+    )
+    lines.append(f"  pump delay up to which singles visibility >= 0.9: {reach}")
     lines.append(
         f"signal filter: {config.signal_filter_center * 1e9:.1f} nm, "
         f"{signal.fwhm_frequency:.4g} Hz FWHM, "

@@ -20,8 +20,7 @@ from them on demand.
 
 ``splitter_ratio`` is the transmitted intensity fraction of the output
 recombination splitter.  ``pump.bandwidth_ghz`` alone sets the pump
-spectrum; ``stated_coherence_length_mm`` is informational only and lets
-reports compare a quoted value against the one computed from the bandwidth.
+spectrum.
 
 Line grammar.  :func:`parse_config` splits the text at ``\n`` (:func:`load_config`
 maps a file's ``\r\n`` and lone ``\r`` to ``\n``, so they end its lines
@@ -178,7 +177,6 @@ KEYS = {
         Key("pump", "wavelength_nm", "pump_wavelength", POSITIVE),
         Key("pump", "bandwidth_ghz", "pump_bandwidth", POSITIVE),
         Key("pump", "splitter_ratio", "splitter_ratio", Interval(0.0, 1.0, low_open=True, high_open=True)),
-        Key("pump", "stated_coherence_length_mm", "stated_coherence_length", POSITIVE),
         Key("crystal1", "gain", "gain1", GAIN),
         Key("crystal2", "gain", "gain2", GAIN),
         Key("idler_link", "eta", "eta", Interval(0.0, 1.0)),
@@ -205,7 +203,6 @@ class ExperimentConfig:
     pump_wavelength: float = 355e-9
     pump_bandwidth: float = 45e9
     splitter_ratio: float = 0.5
-    stated_coherence_length: float = 1.4e-3
     gain1: float = 1e-3
     gain2: float = 1e-3
     eta: float = 1.0

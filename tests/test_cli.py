@@ -873,8 +873,6 @@ def test_oracle_check_rejects_a_non_finite_rate(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize(
     "command, text, key",
     [
-        ("report", "[pump]\nstated_coherence_length_mm = 0\n[scan]\n", "pump.stated_coherence_length_mm"),
-        ("report", "[pump]\nstated_coherence_length_mm = -3\n[scan]\n", "pump.stated_coherence_length_mm"),
         ("simulate", "[pump]\nbandwidth_ghz = 1e299\n[scan]\n", "pump.bandwidth_ghz"),
         ("simulate", "[pump]\nbandwidth_ghz = 1e299\n[scan]\naxis = pump\n", "pump.bandwidth_ghz"),
         ("report", "[pump]\nwavelength_nm = 4.94065646e-315\n[scan]\n", "pump.wavelength_nm"),
@@ -883,8 +881,6 @@ def test_oracle_check_rejects_a_non_finite_rate(tmp_path, capsys, monkeypatch):
         ("oracle-check", "[crystal2]\ngain = 0.02\n[scan]\n", "crystal2.gain"),
     ],
     ids=[
-        "stated_0",
-        "stated_-3",
         "bandwidth_1e299",
         "bandwidth_1e299_pump",
         "carrier_inf",
@@ -1055,12 +1051,20 @@ def test_oracle_check_matches_recorded_values(tmp_path, params, rows):
 
 
 def test_report_mentions_both_coherence_lengths(tmp_path, capsys):
+    # the pump's, with the pump delay up to which V0 * 2**-(delay / L)**2 stays at or above 0.9,
+    # and the signal filter's; the report states no other coherence length
+    reach = "  pump delay up to which singles visibility >= 0.9: "
     assert main(["report", "--config", DEFAULT_CONFIG]) == EXIT_OK
     text = capsys.readouterr().out
-    assert "2.940 mm" in text
-    assert "1.400 mm" in text
-    assert "disagree" in text
-    assert "neither is adjusted" in text
+    assert "  coherence length computed from bandwidth: 2.940 mm\n" in text
+    assert f"{reach}1.146 mm\n" in text
+    assert "coherence length 144.0 um\n" in text
+    for word in ("stated", "NOTE", "disagree"):
+        assert word not in text
+    # below 0.9 at zero delay, and with no pairs at all (V0 = 0)
+    for change in ("[idler_link]\neta = 0.85\n", "[crystal2]\ngain = 0\n"):
+        assert main(["report", "--config", write_config(tmp_path, change + "[scan]\n")]) == EXIT_OK
+        assert f"{reach}never\n" in capsys.readouterr().out
 
 
 def test_report_flags_low_gain_violation(tmp_path, capsys):

@@ -16,8 +16,10 @@ from icohsim.cli import build_report, main, oracle_comparison
 from icohsim.config import (
     KEYS,
     _config_from_sections,
+    _read_sections,
     MAX_SCAN_DELAY,
     MAX_SCAN_POINTS,
+    SCAN_AXES,
     ConfigError,
     ExperimentConfig,
     load_config,
@@ -26,7 +28,7 @@ from icohsim.config import (
 )
 from icohsim.fockoracle import MAX_ORACLE_GAIN
 from icohsim.scan import NoFringeError, fit_fringe, run_scan, scan_grid
-from icohsim.spectral import coherence_length, compile_model
+from icohsim.spectral import compile_model
 
 from conftest import config_with
 
@@ -37,6 +39,11 @@ SECTIONS = list(dict.fromkeys(section for section, _ in KEYS))
 
 def test_shipped_default_file_equals_builtin_defaults():
     assert load_config(str(DEFAULT_FILE)) == ExperimentConfig()
+
+
+def test_shipped_default_file_states_every_key_in_table_order():
+    sections = _read_sections(DEFAULT_FILE.read_text(encoding="utf-8"))
+    assert [(section, name) for section, body in sections.items() for name in body] == list(KEYS)
 
 
 def test_minimal_config_fills_defaults():
@@ -78,8 +85,9 @@ def test_unknown_sections_and_keys_rejected():
     # removed keys are unknown too
     with pytest.raises(ConfigError, match=r"unknown key pump\.truncation_degree"):
         parse_config("[pump]\ntruncation_degree = 1\n[scan]\n")
-    with pytest.raises(ConfigError, match=r"^unknown key pump\.coherence_length_override_mm at line 2$"):
-        parse_config("[pump]\ncoherence_length_override_mm = 1.4\n[scan]\n")
+    for name in ("coherence_length_override_mm", "stated_coherence_length_mm"):
+        with pytest.raises(ConfigError, match=rf"^unknown key pump\.{name} at line 2$"):
+            parse_config(f"[pump]\n{name} = 1.4\n[scan]\n")
 
 
 def test_syntax_errors_carry_line_numbers():
@@ -191,7 +199,6 @@ GOOD_VALUES = {
     "wavelength_nm": ["355", "400.5"],
     "bandwidth_ghz": ["45", "1e1"],
     "splitter_ratio": ["0.5", "0.3"],
-    "stated_coherence_length_mm": ["1.4", "2"],
     "gain": ["0.001", "1e-4"],
     "eta": ["1.0", "0.7"],
     "center_nm": ["808", "810"],
@@ -206,6 +213,33 @@ GOOD_VALUES = {
     "step_nm": ["10", "20"],
     "dwell_s": ["0.5", "1"],
 }
+
+
+def test_every_key_moves_a_scan_record():
+    """No key is informational: each key's second good value changes run_scan's
+    delays, rates or counts on the signal or the pump axis.  The scan axis key is
+    compared with each config on its own axis."""
+    default = ExperimentConfig()
+    inert = []
+    for key in KEYS.values():
+        config = parse_config(
+            f"[{key.section}]\n{key.name} = {GOOD_VALUES[key.name][1]}\n"
+            + ("" if key.section == "scan" else "[scan]\n")
+        )
+        pairs = [(default, config)] if key.field == "axis" else [
+            (dataclasses.replace(default, axis=axis), dataclasses.replace(config, axis=axis))
+            for axis in SCAN_AXES
+        ]
+        if all(_scan_record(before) == _scan_record(after) for before, after in pairs):
+            inert.append(key.label)
+    assert inert == []
+
+
+def _scan_record(config: ExperimentConfig) -> tuple[bytes, bytes, bytes]:
+    scan = run_scan(config)
+    return scan.delays.tobytes(), scan.rates.tobytes(), scan.counts.tobytes()
+
+
 BAD_VALUES = st.sampled_from(["", "abc", "nan", "-1", "0.001 # note"])
 GOOD = {key: st.sampled_from(values) for key, values in GOOD_VALUES.items()}
 ODD_SECTIONS = ["DEFAULT", "lens", "Scan", " scan "]
@@ -458,13 +492,6 @@ def test_unit_suffixes_convert_to_si():
     assert cfg.dwell == 0.25
 
 
-def test_stated_coherence_length_is_informational():
-    cfg = parse_config("[scan]\n")
-    assert cfg.stated_coherence_length == pytest.approx(1.4e-3)
-    # it must not touch the physics
-    assert coherence_length(cfg.pump_profile()) == pytest.approx(2.94e-3, rel=1e-3)
-
-
 def test_overrides_helper():
     # the flags' values replace the file's; without them the file's stand
     changed = load_config(str(DEFAULT_FILE), seed=42, axis="pump")
@@ -516,7 +543,7 @@ def test_direct_construction_validates():
     with pytest.raises(ConfigError):
         ExperimentConfig(splitter_ratio=0.0)
     # no field is optional: None is refused for a float, an int and a choice
-    for field in ("gain1", "stated_coherence_length", "seed", "axis"):
+    for field in ("gain1", "pump_bandwidth", "seed", "axis"):
         with pytest.raises((TypeError, ConfigError)):
             ExperimentConfig(**{field: None})
 
@@ -619,13 +646,13 @@ def test_narrowband_rule_is_bandwidth_below_center():
 
 def test_values_built_in_code_must_be_statable_in_the_file_unit():
     largest = sys.float_info.max
-    cfg = parse_config(f"[pump]\nstated_coherence_length_mm = {largest!r}\n[scan]\n")
-    assert cfg.stated_coherence_length == largest / 1e3
-    assert ExperimentConfig(stated_coherence_length=largest / 1e3) == cfg
-    # one step above what the file unit can state is out of range, as inf mm would be
+    cfg = parse_config(f"[scan]\nstep_nm = {largest!r}\n")
+    assert cfg.step == largest / 1e9
+    assert ExperimentConfig(step=largest / 1e9) == cfg
+    # one step above what the file unit can state is out of range, as inf nm would be
     with pytest.raises(ConfigError) as info:
-        ExperimentConfig(stated_coherence_length=math.nextafter(largest / 1e3, math.inf))
-    assert str(info.value) == "pump.stated_coherence_length_mm out of range: must lie in (0, inf)"
+        ExperimentConfig(step=math.nextafter(largest / 1e9, math.inf))
+    assert str(info.value) == "scan.step_nm out of range: must lie in (0, inf)"
 
 
 # Per key: a value it refuses as typed, the same value in SI units, and the
@@ -634,7 +661,6 @@ OUT_OF_RANGE = {
     "pump.wavelength_nm": ("0", 0.0, "(0, inf)"),
     "pump.bandwidth_ghz": ("-45", -45e9, "(0, inf)"),
     "pump.splitter_ratio": ("1", 1.0, "(0, 1)"),
-    "pump.stated_coherence_length_mm": ("0", 0.0, "(0, inf)"),
     "crystal1.gain": ("0.1", 0.1, "[0, 0.1)"),
     "crystal2.gain": ("-1e-3", -1e-3, "[0, 0.1)"),
     "idler_link.eta": ("1.3", 1.3, "[0, 1]"),
