@@ -1,10 +1,10 @@
 """Brute-force state-vector check of the interferometer predictions.
 
 This module rebuilds the experiment in the Schrodinger picture: the
-perturbative biphoton state is assembled in a truncated Fock basis (at most
-2 photons per mode, 4 in total) and detection moments are read off by direct
-summation.  It deliberately shares no evaluation code with the
-Heisenberg-picture engine; the two implementations cross-check each other.
+perturbative biphoton state is assembled as a sparse dict of Fock-state
+amplitudes and detection moments are read off by direct summation.  It
+deliberately shares no evaluation code with the Heisenberg-picture engine;
+the two implementations cross-check each other.
 
 A state holds a batch of m delay settings: each occupation's amplitude is an
 (m,) complex array, one entry per setting, and every step acts on the
@@ -25,22 +25,25 @@ Mode slots, in order: ("sig1", "sig2", "idler", "loss").  After the output
 beam splitter is applied, the "sig2" slot holds the monitored detector port
 and "sig1" the unused camera port.
 
-The truncation holds at low gain only: :func:`build_state`, the oracle's one
-gain guard, refuses a gain above :data:`MAX_ORACLE_GAIN` with a ConfigError.
+The truncation is what construction gives, not a cap: each crystal's pair
+creation is applied once, to first order in its gain, and the link and the
+splitter conserve photon number.  So the state reaches at most 11
+occupations, and in every one sig1 + sig2 = idler + loss <= 2, with
+loss <= 1 because only crystal 1's idler crosses the link.
+:data:`MAX_ORACLE_GAIN` is the oracle's first-order gain limit:
+:func:`build_state`, the oracle's one gain guard, refuses a gain above it
+with a ConfigError.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig
 
 MODES = ("sig1", "sig2", "idler", "loss")
-MAX_PER_MODE = 2
-MAX_TOTAL = 4
 MAX_ORACLE_GAIN = 1e-2
 
 MONITOR_SLOT = MODES.index("sig2")
@@ -51,25 +54,10 @@ LOSS_SLOT = MODES.index("loss")
 Occupation = tuple[int, int, int, int]
 
 
-@dataclass
-class FockState:
-    """Sparse amplitudes over photon-number occupation tuples, each an (m,)
-    array over the batch's delay settings."""
-
-    amplitudes: dict[Occupation, np.ndarray]
-
-    def norm_squared(self) -> np.ndarray:
-        return sum(np.abs(a) ** 2 for a in self.amplitudes.values())
-
-
-def _nonzero(amplitudes: dict[Occupation, np.ndarray]) -> FockState:
+def _nonzero(amplitudes: dict[Occupation, np.ndarray]) -> dict[Occupation, np.ndarray]:
     """Drop the occupations whose amplitude vanishes at every setting."""
     live = np.array(list(amplitudes.values())).any(axis=1).tolist()
-    return FockState({occ: amp for (occ, amp), keep in zip(amplitudes.items(), live) if keep})
-
-
-def _admissible(occ: Occupation) -> bool:
-    return max(occ) <= MAX_PER_MODE and sum(occ) <= MAX_TOTAL
+    return {occ: amp for (occ, amp), keep in zip(amplitudes.items(), live) if keep}
 
 
 def _add(out: dict[Occupation, np.ndarray], occ: Occupation, term: np.ndarray) -> None:
@@ -84,8 +72,8 @@ def _pair_create(
     slot_b: int,
     phase_factor: np.ndarray | None = None,
 ) -> dict[Occupation, np.ndarray]:
-    """Apply (1 + i*gain*phase_factor*adag_a*adag_b), dropping anything outside
-    truncation.  A zero gain creates no term."""
+    """Apply (1 + i*gain*phase_factor*adag_a*adag_b), first order in the gain.
+    A zero gain creates no term."""
     out = dict(amplitudes)
     if gain == 0:
         return out
@@ -94,11 +82,8 @@ def _pair_create(
         lifted = list(occ)
         lifted[slot_a] += 1
         lifted[slot_b] += 1
-        new = tuple(lifted)
-        if not _admissible(new):
-            continue
         boost = math.sqrt((occ[slot_a] + 1) * (occ[slot_b] + 1))
-        _add(out, new, (lift if boost == 1.0 else lift * boost) * amp)
+        _add(out, tuple(lifted), (lift if boost == 1.0 else lift * boost) * amp)
     return out
 
 
@@ -107,9 +92,8 @@ def _rotation_coefficients(
 ) -> list[tuple[int, int, float]]:
     """The destinations (new_a, new_b) of occupations (na, nb) under the
     rotation ``m``, each with its one real coefficient: the binomial (k, l)
-    terms landing there, summed, times the factorial weights.  Destinations
-    past MAX_PER_MODE and coefficients of exactly 0 are left out; the total
-    photon number is conserved, so MAX_TOTAL cannot be exceeded."""
+    terms landing there, summed, times the factorial weights.  Coefficients
+    of exactly 0 are left out."""
     (m00, m01), (m10, m11) = m
     sums: dict[int, float] = {}
     for k in range(na + 1):
@@ -120,8 +104,6 @@ def _rotation_coefficients(
     out = []
     for new_a, total in sums.items():
         new_b = na + nb - new_a
-        if max(new_a, new_b) > MAX_PER_MODE:
-            continue
         coefficient = total * math.sqrt(math.factorial(new_a) * math.factorial(new_b)) / norm
         if coefficient != 0:
             out.append((new_a, new_b, coefficient))
@@ -173,9 +155,11 @@ def build_state(
     config: "ExperimentConfig",
     delta_x_p: float | np.ndarray = 0.0,
     delta_x_s: float | np.ndarray = 0.0,
-) -> FockState:
+) -> dict[Occupation, np.ndarray]:
     """Assemble the output state of the full two-crystal topology for the pump
-    and signal delays (meters) broadcast to m settings.
+    and signal delays (meters) broadcast to m settings: a dict from each
+    occupation to its (m,) amplitude array, holding only the occupations
+    whose amplitude is nonzero at some setting.
 
     Steps: pair creation in crystal 1; the idler link as a two-mode rotation
     against a fresh loss mode; pair creation in crystal 2 with the pump
@@ -184,7 +168,7 @@ def build_state(
     """
     for key, gain in (("crystal1.gain", config.gain1), ("crystal2.gain", config.gain2)):
         if gain > MAX_ORACLE_GAIN:
-            raise ConfigError(f"{key} = {gain!r} is above the oracle's truncation limit "
+            raise ConfigError(f"{key} = {gain!r} is above the oracle's first-order gain limit "
                               f"fockoracle.MAX_ORACLE_GAIN = {MAX_ORACLE_GAIN!r}")
 
     eta = config.eta
@@ -206,17 +190,17 @@ def build_state(
     return _nonzero(amplitudes)
 
 
-def detection_moments(state: FockState) -> np.ndarray:
+def detection_moments(state: dict[Occupation, np.ndarray]) -> np.ndarray:
     """First moments <n_A>, <n_B> and the correlator <n_A n_B> at each setting.
 
     Returns shape (3, m), rows (p_a, p_b, p_ab).  n_A counts photons at the
     monitored beam-splitter port, n_B photons in the idler channel; photons
     in the loss slot are never detected.
     """
-    weights = np.abs(np.array(list(state.amplitudes.values()))) ** 2
+    weights = np.abs(np.array(list(state.values()))) ** 2
     moments = np.zeros((3, weights.shape[1]))
     p_a, p_b, p_ab = moments
-    for occ, w in zip(state.amplitudes, weights):
+    for occ, w in zip(state, weights):
         n_a, n_b = occ[MONITOR_SLOT], occ[IDLER_SLOT]
         if n_a:
             p_a += n_a * w

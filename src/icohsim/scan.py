@@ -712,11 +712,13 @@ def fit_fringe(
     INFLATION_LIMIT: the data do not determine its fringe.
 
     The visibility is taken at the envelope peak and is not clipped, so it
-    may exceed 1 within its uncertainty.  The phase is taken at the scan's
-    middle delay, ``phase_reference_m``.  Every uncertainty comes by the
-    delta method from the covariance of the reported fit: the inverse of the
-    expected information there (Poisson weights 1/max(mu, 1) for counts;
-    for rates scaled by the residual variance).  ``iterations`` counts the
+    may exceed 1 within its uncertainty.  A pinned fit's envelope peak is 1,
+    so its visibility is the flat-envelope contrast over the scan; a weak
+    envelope curvature that stays pinned biases it low.  The phase is taken
+    at the scan's middle delay, ``phase_reference_m``.  Every uncertainty
+    comes by the delta method from the covariance of the reported fit: the
+    inverse of the expected information there (Poisson weights 1/max(mu, 1)
+    for counts; for rates scaled by the residual variance).  ``iterations`` counts the
     Gauss-Newton steps of both fits, of both kinds.  A fit that does
     not converge in MAX_ITERATIONS Gauss-Newton steps is returned at its
     last parameters with ``converged`` False.

@@ -6,10 +6,9 @@ import pytest
 
 from icohsim.config import ConfigError
 from icohsim.fockoracle import (
+    CAMERA_SLOT,
     IDLER_SLOT,
     LOSS_SLOT,
-    MAX_PER_MODE,
-    MAX_TOTAL,
     MONITOR_SLOT,
     build_state,
     detection_moments,
@@ -29,11 +28,29 @@ def visibility(values):
     return (hi - lo) / (hi + lo)
 
 
+def holds_pair_invariant(occ):
+    """Every signal photon has its idler, detected or lost; at most two pairs,
+    and only crystal 1's idler can be lost."""
+    signals = occ[CAMERA_SLOT] + occ[MONITOR_SLOT]
+    return signals == occ[IDLER_SLOT] + occ[LOSS_SLOT] <= 2 and occ[LOSS_SLOT] <= 1
+
+
+# (sig1, sig2, idler, loss): vacuum; one pair, its signal at either output port
+# and its idler detected or lost; two pairs, their signals split over the
+# ports and crystal 1's idler detected or lost.
+GENERIC_OCCUPATIONS = {
+    (0, 0, 0, 0),
+    (1, 0, 1, 0), (0, 1, 1, 0), (1, 0, 0, 1), (0, 1, 0, 1),
+    (2, 0, 2, 0), (1, 1, 2, 0), (0, 2, 2, 0),
+    (2, 0, 1, 1), (1, 1, 1, 1), (0, 2, 1, 1),
+}
+
+
 def test_zero_gain_gives_pure_vacuum():
     cfg = config_with(gain1=0.0, gain2=0.0)
     state = build_state(cfg)
-    assert list(state.amplitudes) == [(0, 0, 0, 0)]
-    assert state.amplitudes[(0, 0, 0, 0)].tolist() == [1.0 + 0j]
+    assert list(state) == [(0, 0, 0, 0)]
+    assert state[(0, 0, 0, 0)].tolist() == [1.0 + 0j]
     p_a, p_b, p_ab = detection_moments(state)[:, 0]
     assert p_a == 0.0
     assert p_b == 0.0
@@ -47,7 +64,7 @@ def test_ideal_port_amplitude_at_zero_delay():
     one_photon = [0, 0, 0, 0]
     one_photon[MONITOR_SLOT] = 1
     one_photon[IDLER_SLOT] = 1
-    (amp,) = state.amplitudes[tuple(one_photon)]
+    (amp,) = state[tuple(one_photon)]
     # both crystals' biphotons add coherently on the monitored port
     assert abs(amp) ** 2 == pytest.approx(2 * k * k, rel=1e-9)
 
@@ -56,7 +73,8 @@ def test_norm_stays_near_one():
     k = 1e-3
     cfg = config_with(gain1=k, gain2=k, eta=0.6)
     state = build_state(cfg, 50e-9, 70e-9)
-    assert abs(state.norm_squared()[0] - 1.0) < 3 * k * k
+    (norm_squared,) = sum(abs(amp) ** 2 for amp in state.values())
+    assert abs(norm_squared - 1.0) < 3 * k * k
 
 
 def test_ideal_phase_scan_has_unit_visibility():
@@ -89,7 +107,7 @@ def test_loss_slot_collects_blocked_photons():
     cfg = config_with(gain1=1e-3, gain2=1e-3, eta=0.0)
     state = build_state(cfg)
     (leaked,) = sum(
-        occ[LOSS_SLOT] * abs(a) ** 2 for occ, a in state.amplitudes.items()
+        occ[LOSS_SLOT] * abs(a) ** 2 for occ, a in state.items()
     )
     assert leaked == pytest.approx((1e-3) ** 2, rel=1e-5)
 
@@ -108,14 +126,29 @@ def test_signal_delay_shifts_fringe():
 def test_truncation_bounds_hold():
     cfg = config_with(gain1=1e-2, gain2=1e-2, eta=0.5)
     state = build_state(cfg, 100e-9)
-    for occ in state.amplitudes:
-        assert max(occ) <= 2
-        assert sum(occ) <= 4
+    for occ in state:
+        assert holds_pair_invariant(occ), occ
+
+
+def test_generic_configs_reach_exactly_the_eleven_occupations():
+    # both gains, eta and the splitter ratio strictly inside their ranges
+    rng = random.Random(38)
+    for _ in range(40):
+        cfg = config_with(
+            gain1=10 ** rng.uniform(-4.0, -2.0),
+            gain2=10 ** rng.uniform(-4.0, -2.0),
+            eta=rng.uniform(0.01, 0.99),
+            splitter_ratio=rng.uniform(0.01, 0.99),
+        )
+        m = rng.randint(1, 8)
+        state = build_state(cfg, np.array([rng.uniform(-1e-6, 1e-6) for _ in range(m)]),
+                            np.array([rng.uniform(-2e-6, 2e-6) for _ in range(m)]))
+        assert set(state) == GENERIC_OCCUPATIONS
 
 
 def test_gain_guard():
     cfg = config_with(gain1=0.05, gain2=0.001)
-    with pytest.raises(ConfigError, match=r"^crystal1\.gain = 0\.05 is above the oracle's truncation limit"):
+    with pytest.raises(ConfigError, match=r"^crystal1\.gain = 0\.05 is above the oracle's first-order gain limit"):
         build_state(cfg)
 
 
@@ -150,7 +183,7 @@ def test_batch_equals_one_setting_calls_exactly():
             assert column == detection_moments(build_state(cfg, xp, xs))[:, 0].tolist()
 
 
-def test_pruned_edge_configs_keep_admissible_live_amplitudes_and_exact_columns():
+def test_pruned_edge_configs_keep_paired_live_amplitudes_and_exact_columns():
     # Where terms are pruned: a zero gain, a blocked or lossless link, and the
     # balanced splitter, whose |1,1> coefficient cancels exactly.  With equal
     # gains through a lossless link, the camera port's one-pair amplitude also
@@ -168,8 +201,8 @@ def test_pruned_edge_configs_keep_admissible_live_amplitudes_and_exact_columns()
                 states = [build_state(cfg, delta_x_p, delta_x_s)]
                 states += [build_state(cfg, xp, xs) for xp, xs in zip(delta_x_p.tolist(), delta_x_s.tolist())]
                 for state in states:
-                    for occ, amp in state.amplitudes.items():
-                        assert max(occ) <= MAX_PER_MODE and sum(occ) <= MAX_TOTAL, occ
+                    for occ, amp in state.items():
+                        assert holds_pair_invariant(occ), occ
                         assert np.any(amp), occ
                 batch, *singles = (detection_moments(state) for state in states)
                 assert batch.T.tolist() == [single[:, 0].tolist() for single in singles]

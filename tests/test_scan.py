@@ -1,4 +1,6 @@
+import cmath
 import math
+import random
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from icohsim.scan import (
     COLUMN_FLOOR,
     ENVELOPE_THRESHOLD,
     FWHM_FACTOR,
+    MAX_EXPONENT,
     GridError,
     NoFringeError,
     ScanRecord,
@@ -18,12 +21,14 @@ from icohsim.scan import (
     _median,
     _solve,
     _step,
+    _wrap_phase,
     estimate_period,
     fit_fringe,
     run_scan,
     scan_grid,
     undersampling_warning,
 )
+from icohsim.spectral import compile_model
 
 from conftest import config_with, near_nyquist_record
 
@@ -83,6 +88,14 @@ def test_scan_record_requires_monotone_grid():
     with pytest.raises(GridError, match="delay -1e-09 m is not greater than the previous delay 0 m") as error:
         ScanRecord(delays=np.array([0.0, -1e-9, 1e-9]), rates=np.ones((3, 3)))
     assert error.value.row == 1
+
+
+def test_scan_record_requires_three_channel_rows_of_the_grid():
+    delays = np.array([0.0, 1e-9, 2e-9])
+    with pytest.raises(ValueError, match=r"^rates must have shape \(3, number of delays\)$"):
+        ScanRecord(delays=delays, rates=np.ones((3, 2)))
+    with pytest.raises(ValueError, match=r"^counts must have shape \(3, number of delays\)$"):
+        ScanRecord(delays=delays, rates=np.ones((3, 3)), counts=np.ones((2, 3), dtype=np.int64))
 
 
 @pytest.mark.parametrize("length", [1, 2, 3, 4, 5, 8, 255, 256, 1000, 1001])
@@ -274,6 +287,63 @@ def test_fit_flat_record_raises_no_fringe():
     record = synthetic_record(visibility=0.0, noise_seed=None)
     with pytest.raises(NoFringeError):
         fit_fringe(record, source="rates")
+
+
+def test_fit_takes_a_known_channel_and_nothing_else():
+    record = synthetic_record(noise_seed=1)
+    with pytest.raises(ValueError, match=r"^channel must be one of \('singles', 'coincidence', 'idler'\), got 'camera'$"):
+        fit_fringe(record, "camera", dwell=0.5)
+
+
+def test_fit_of_negative_rates_has_no_positive_baseline():
+    x = np.linspace(-2e-6, 2e-6, 401)
+    rates = -1000.0 * (1.0 + 0.5 * np.cos(2.0 * np.pi * x / 808e-9))
+    with pytest.raises(NoFringeError, match=r"^no fringe detected: fitted baseline or amplitude is not positive$"):
+        fit_fringe(ScanRecord(x, np.vstack([rates] * 3)), source="rates")
+
+
+def test_wrapped_phase_lies_in_the_half_open_interval():
+    # math.remainder rounds the tie -pi / (2 pi) to even, giving -pi
+    assert _wrap_phase(-math.pi) == math.pi
+    assert _wrap_phase(math.pi) == math.pi
+    assert _wrap_phase(3.0 * math.pi) == math.pi
+
+
+def test_basis_is_none_outside_the_model_domain():
+    ts = np.linspace(-1.0, 1.0, 11)
+    assert _basis([0.0], ts) is None
+    assert _basis([-1.0], ts) is None
+    assert _basis([1.0, 0.0, 0.0], ts) is not None
+    assert _basis([1.0, 0.0, MAX_EXPONENT], ts) is not None
+    assert _basis([1.0, 0.0, 2.0 * MAX_EXPONENT], ts) is None
+    assert _basis([1.0, 2.0 * MAX_EXPONENT, 0.0], ts) is None
+
+
+def test_fit_halves_past_a_step_to_a_negative_wavenumber(monkeypatch):
+    # The first Gauss-Newton step is replaced by one that takes k to -2 k; the
+    # trials at -2 k and -k/2 are outside the model's domain and are skipped,
+    # and the fit still converges to the unpatched optimum.
+    record = synthetic_record(noise_seed=1)
+    plain = fit_fringe(record, dwell=0.5)
+    trials = []
+    calls = []
+
+    def basis(p, ts):
+        trials.append(list(p))
+        return _basis(p, ts)
+
+    def step(*args):
+        calls.append(args)
+        step, drop, blocks = _step(*args)
+        return ([-3.0 * trials[0][0]] if len(calls) == 1 else step), drop, blocks
+
+    monkeypatch.setattr("icohsim.scan._basis", basis)
+    monkeypatch.setattr("icohsim.scan._step", step)
+    patched = fit_fringe(record, dwell=0.5)
+    assert sum(not p[0] > 0 for p in trials) == 2
+    assert patched.converged
+    assert patched.period_m == pytest.approx(plain.period_m, rel=1e-9)
+    assert patched.phase_rad == pytest.approx(plain.phase_rad, abs=1e-9)
 
 
 def test_fit_coincidence_channel(config):
@@ -691,6 +761,94 @@ def test_pulls_cover_truth_at_eta_070(axis, channel):
     ):
         assert abs(np.mean(pulls)) <= 3 / math.sqrt(n)
         assert abs(np.std(pulls, ddof=1) - 1) <= 3 / math.sqrt(2 * (n - 1))
+
+
+def draw_config(rng, axis):
+    """A random scan config: 41-1200 points at 8-40 per fringe period, centred
+    at 0, within 1 um, or up to 30 um (signal) or 600 um (pump) out; eta
+    0.2-1, gains 1e-4 to 1e-2, splitter ratio 0.2-0.8, dwell 0.03-5 s and
+    detector rates 3e3-1e5 and 1e4-2e5 Hz."""
+    wavelength = 808e-9 if axis == "signal" else 355e-9
+    points = rng.randint(41, 1200)
+    step = wavelength / rng.uniform(8.0, 40.0)
+    far = 30e-6 if axis == "signal" else 600e-6
+    centre = rng.choice((0.0, rng.uniform(-1e-6, 1e-6), rng.uniform(-far, far)))
+    half_span = 0.5 * (points - 1) * step
+    return config_with(
+        axis=axis,
+        start=centre - half_span,
+        stop=centre + half_span,
+        step=step,
+        eta=rng.uniform(0.2, 1.0),
+        gain1=10 ** rng.uniform(-4.0, -2.0),
+        gain2=10 ** rng.uniform(-4.0, -2.0),
+        splitter_ratio=rng.uniform(0.2, 0.8),
+        dwell=rng.uniform(0.03, 5.0),
+        rate_a_cal=rng.uniform(3e3, 1e5),
+        rate_b_cal=rng.uniform(1e4, 2e5),
+        seed=rng.randrange(2**32),
+    )
+
+
+@pytest.fixture(scope="module")
+def config_range_pulls():
+    """Period and phase pulls of counts fits, (axis, channel, parameter) -> list,
+    over 160 drawn configs per axis, and the fit errors raised on the way.
+
+    The truth is the compiled model's: the period is the axis wavelength, and
+    the phase is that of B + Re(A e^{i dphi}) at the scan's middle delay,
+    where fit_fringe reports it.  About 1.2 s of CPU on a 2-vCPU Xeon.
+    """
+    rng = random.Random(0)
+    pulls = {}
+    errors = []
+    for n in range(320):
+        axis = ("signal", "pump")[n % 2]
+        cfg = draw_config(rng, axis)
+        record = run_scan(cfg)
+        amplitude = compile_model(cfg).amplitude
+        wavelength = cfg.signal_filter_center if axis == "signal" else cfg.pump_wavelength
+        # dphi runs with the pump delay and against the signal delay
+        sign = 1.0 if axis == "pump" else -1.0
+        middle = 0.5 * float(record.delays[0]) + 0.5 * float(record.delays[-1])
+        for channel, row in (("singles", 0), ("coincidence", 2)):
+            try:
+                fit = fit_fringe(record, channel, dwell=cfg.dwell)
+            except NoFringeError as exc:
+                errors.append(f"{axis} {channel} config {n}: {exc}")
+                continue
+            phase = _wrap_phase(sign * cmath.phase(amplitude[row]) + 2.0 * math.pi * middle / wavelength)
+            pulls.setdefault((axis, channel, "period"), []).append((fit.period_m - wavelength) / fit.period_sigma_m)
+            pulls.setdefault((axis, channel, "phase"), []).append(
+                _wrap_phase(fit.phase_rad - phase) / fit.phase_sigma_rad
+            )
+    return pulls, errors
+
+
+def beyond_three_sigma_bound(n, p=0.0027, tail=0.00135):
+    """The fewest pulls beyond 3 sigma, of n, that a binomial(n, p) count exceeds
+    with probability at most ``tail``."""
+    k = 0
+    cdf = (1 - p) ** n
+    while 1 - cdf > tail:
+        k += 1
+        cdf += math.comb(n, k) * p**k * (1 - p) ** (n - k)
+    return k
+
+
+@pytest.mark.parametrize("parameter", ["period", "phase"])
+@pytest.mark.parametrize("channel", ["singles", "coincidence"])
+@pytest.mark.parametrize("axis", ["signal", "pump"])
+def test_pulls_cover_truth_over_the_config_ranges(config_range_pulls, axis, channel, parameter):
+    # The rule of test_pulls_cover_truth_at_eta_070 in each cell of a sweep
+    # over the config ranges, and at most a binomial count beyond 3 sigma.
+    pulls, errors = config_range_pulls
+    cell = np.array(pulls[axis, channel, parameter])
+    n = len(cell)
+    assert n >= 150, errors
+    assert abs(np.mean(cell)) <= 3 / math.sqrt(n), errors
+    assert abs(np.std(cell, ddof=1) - 1) <= 3 / math.sqrt(2 * (n - 1)), errors
+    assert np.sum(np.abs(cell) > 3) <= beyond_three_sigma_bound(n), errors
 
 
 @pytest.mark.parametrize("axis", CAMPAIGN_SCANS)
