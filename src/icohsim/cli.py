@@ -356,10 +356,9 @@ def oracle_json(comparison: OracleComparison) -> str:
 
 
 def build_report(config: ExperimentConfig) -> str:
-    pump = config.pump_profile()
-    computed_lc = coherence_length(pump)
-    signal = config.signal_filter_profile()
-    signal_lc = coherence_length(signal)
+    signal_fwhm = config.signal_filter_fwhm()
+    computed_lc = coherence_length(config.pump_bandwidth)
+    signal_lc = coherence_length(signal_fwhm)
     # visibility at zero delay: |Re A| / B of the closed-form fringe model, 0 without pairs
     model = compile_model(config)
     vis_singles, vis_coinc = (
@@ -374,7 +373,7 @@ def build_report(config: ExperimentConfig) -> str:
     lines.append("=" * 40)
     lines.append(
         f"pump: {config.pump_wavelength * 1e9:.1f} nm, "
-        f"frequency FWHM {pump.fwhm_frequency:.4g} Hz"
+        f"frequency FWHM {config.pump_bandwidth:.4g} Hz"
     )
     lines.append(f"  coherence length computed from bandwidth: {computed_lc * 1e3:.3f} mm")
     # On the pump axis the singles visibility is V0 * 2**-(delay / L)**2; checking
@@ -386,7 +385,7 @@ def build_report(config: ExperimentConfig) -> str:
     lines.append(f"  pump delay up to which singles visibility >= 0.9: {reach}")
     lines.append(
         f"signal filter: {config.signal_filter_center * 1e9:.1f} nm, "
-        f"{signal.fwhm_frequency:.4g} Hz FWHM, "
+        f"{signal_fwhm:.4g} Hz FWHM, "
         f"coherence length {signal_lc * 1e6:.1f} um"
     )
     lines.append(
@@ -401,7 +400,7 @@ def build_report(config: ExperimentConfig) -> str:
         f"pump axis {config.pump_wavelength * 1e9:.1f} nm"
     )
     lines.append(
-        f"pump-scan envelope at 600 um delay: {envelope(pump, 600e-6):.4f} of peak"
+        f"pump-scan envelope at 600 um delay: {envelope(config.pump_bandwidth, 600e-6):.4f} of peak"
     )
     lines.append(
         f"detectors: D_A {config.rate_a_cal:.6g} /s, "

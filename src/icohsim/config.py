@@ -15,8 +15,8 @@ checked: each key's range, then the cross-field rules, the scan grid's
 first.  A load joins the ``--seed`` and ``--axis`` values to the file's
 before it, so each value is checked once.  The modules below trust a built
 config.  It is one flat dataclass with one field per key, holding that
-key's SI value as the file states it; the spectral profiles are derived
-from them on demand.
+key's SI value as the file states it.  The module imports nothing from the
+package, so every other module imports it directly.
 
 ``splitter_ratio`` is the transmitted intensity fraction of the output
 recombination splitter.  ``pump.bandwidth_ghz`` alone sets the pump
@@ -55,9 +55,9 @@ import sys
 from dataclasses import dataclass
 from functools import cached_property
 
-from .counting import SEED_LIMIT
-from .spectral import SPEED_OF_LIGHT, SpectralProfile
-
+SPEED_OF_LIGHT = 299_792_458.0  # m/s
+# Seeds are 64-bit words; the sampler's Philox stream is keyed by the seed.
+SEED_LIMIT = 2**64
 SCAN_AXES = ("signal", "pump")
 MAX_SCAN_POINTS = 1_000_000
 # Largest delay a scan may reach, in meters; a bench delay line is far shorter.
@@ -237,7 +237,7 @@ class ExperimentConfig:
             raise ConfigError("signal_filter.bandwidth_nm must lie below signal_filter.center_nm: "
                               "the filter is not narrowband")
         try:
-            signal_fwhm = self.signal_filter_profile().fwhm_frequency
+            signal_fwhm = self.signal_filter_fwhm()
         except (ZeroDivisionError, OverflowError):
             signal_fwhm = math.nan
         if not 0.0 < signal_fwhm < math.inf:
@@ -250,21 +250,15 @@ class ExperimentConfig:
         if not carrier < math.inf:
             raise ConfigError("pump.wavelength_nm out of range: the pump carrier frequency "
                               "c / wavelength is not a finite number")
-        pump_fwhm = self.pump_profile().fwhm_frequency
-        if not pump_fwhm < carrier:
+        if not self.pump_bandwidth < carrier:
             raise ConfigError(
-                f"pump.bandwidth_ghz gives a pump frequency FWHM of {pump_fwhm:.3g} Hz, "
+                f"pump.bandwidth_ghz gives a pump frequency FWHM of {self.pump_bandwidth:.3g} Hz, "
                 f"not below the carrier frequency {carrier:.3g} Hz"
             )
 
-    def pump_profile(self) -> SpectralProfile:
-        """Pump spectrum: the pump wavelength and frequency FWHM as the file states them."""
-        return SpectralProfile(self.pump_wavelength, self.pump_bandwidth)
-
-    def signal_filter_profile(self) -> SpectralProfile:
-        """Signal filter spectrum; its frequency FWHM is c * bandwidth / center^2."""
-        center = self.signal_filter_center
-        return SpectralProfile(center, SPEED_OF_LIGHT * self.signal_filter_bandwidth / center**2)
+    def signal_filter_fwhm(self) -> float:
+        """The signal filter's frequency FWHM (Hz): c * bandwidth / center^2."""
+        return SPEED_OF_LIGHT * self.signal_filter_bandwidth / self.signal_filter_center**2
 
     def scan_wavelength(self) -> float:
         """The expected fringe period of the scan axis."""

@@ -15,8 +15,6 @@ import math
 
 import numpy as np
 
-# Seeds are 64-bit words: the config rejects others, so no two seeds share a stream.
-SEED_LIMIT = 2**64
 # Largest expected count per point the sampler takes: its int64 draws stay
 # representable.  The scan checks its means against it before sampling.
 MAX_MEAN = float(2**62)
@@ -85,6 +83,8 @@ def sample_scan(means: np.ndarray, seed: int) -> np.ndarray:
     array (row by row, each row in point order) from one Philox stream
     keyed by the seed.  Every mean must lie at or below :data:`MAX_MEAN`.
     """
+    # The config keeps seeds below config.SEED_LIMIT, so each is one 64-bit
+    # word of the Philox key and no two seeds share a stream.
     rng = np.random.Generator(np.random.Philox(key=seed))
     draws = rng.poisson(means)
     draws[2] += draws[3]

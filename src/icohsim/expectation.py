@@ -12,16 +12,14 @@ dot products over the modes are the (3, m) rates, rows (p_a, p_b, p_ab).
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
 
 import numpy as np
+
+from .config import ExperimentConfig
 
 # Imported by name so a tracer can wrap them in this namespace (benchmarks/tracing.py).
 from .operators import IO1, MODES, PUMP, SIGNAL, SO1, SO2, Channel
 from .operators import adjoint, attenuate, beam_splitter, free_mode, phase_delay, spdc
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .config import ExperimentConfig
 
 RATE_NAMES = ("p_a", "p_b", "p_ab")
 # Rates below zero by more than roundoff are an error.
@@ -56,7 +54,7 @@ def vacuum_rates(rows: np.ndarray) -> np.ndarray:
     return rates[:3]
 
 
-def setup_operators(config: "ExperimentConfig") -> tuple[Channel, Channel]:
+def setup_operators(config: ExperimentConfig) -> tuple[Channel, Channel]:
     """The detected signal port and the idler after both crystals, composed once for
     ``config`` with the delays as symbols: SPDC in crystal 1, the idler link (amplitude
     eta), SPDC in crystal 2 with u_p (PUMP) on its gain, u_s (SIGNAL) on arm 1, and
@@ -70,7 +68,7 @@ def setup_operators(config: "ExperimentConfig") -> tuple[Channel, Channel]:
 
 
 def setup_rates(
-    config: "ExperimentConfig",
+    config: ExperimentConfig,
     delta_x_p: float | np.ndarray = 0.0,
     delta_x_s: float | np.ndarray = 0.0,
 ) -> np.ndarray:

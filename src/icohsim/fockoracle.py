@@ -152,7 +152,7 @@ def _mode_phase(
 
 
 def build_state(
-    config: "ExperimentConfig",
+    config: ExperimentConfig,
     delta_x_p: float | np.ndarray = 0.0,
     delta_x_s: float | np.ndarray = 0.0,
 ) -> dict[Occupation, np.ndarray]:

@@ -223,7 +223,7 @@ class FringeFit:
     phase_reference_m: float
 
 
-def scan_grid(config: "ExperimentConfig") -> np.ndarray:
+def scan_grid(config: ExperimentConfig) -> np.ndarray:
     """The scan's delays: ``round((stop - start) / step) + 1`` points spanning
     ``start`` to ``stop`` exactly.
 
@@ -236,7 +236,7 @@ def scan_grid(config: "ExperimentConfig") -> np.ndarray:
     return np.linspace(config.start, config.stop, n)
 
 
-def undersampling_warning(config: "ExperimentConfig", record: ScanRecord) -> str | None:
+def undersampling_warning(config: ExperimentConfig, record: ScanRecord) -> str | None:
     """Warning text when the record's step gives fewer than 8 points per fringe period of the config's axis."""
     wavelength = config.scan_wavelength()
     # A record of fewer than two delays has a nan step, and no warning.
@@ -253,7 +253,7 @@ _LOWER_RATES = "; lower detectors.rate_a_hz, detectors.rate_b_hz or scan.dwell_s
 
 
 def run_scan(
-    config: "ExperimentConfig",
+    config: ExperimentConfig,
     grid: np.ndarray | None = None,
     sample: bool = True,
 ) -> ScanRecord:

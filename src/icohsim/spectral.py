@@ -7,11 +7,14 @@ that density:
     env(dx) = exp(-(pi * dnu * dx / c)^2 / (4 ln 2))
 
 with dnu the frequency FWHM; it falls to one half at the coherence length
-2 ln2 c / (pi dnu) (:func:`coherence_length`).  The pump's dnu is the
-config's ``pump.bandwidth_ghz`` as the file states it.  Scanning the signal
-delay probes the detection filter's envelope; scanning the pump delay probes
-the pump spectrum's much wider envelope, which is what makes the pump-axis
-fringes survive far beyond the signal coherence scale.
+2 ln2 c / (pi dnu) (:func:`coherence_length`).  That width is all an
+envelope depends on, so both functions take it in Hz.  The pump's dnu is
+the config's ``pump.bandwidth_ghz`` as the file states it, and the signal
+filter's is c * bandwidth / center^2 (``ExperimentConfig.signal_filter_fwhm``).
+Scanning the signal delay probes the detection filter's envelope; scanning
+the pump delay probes the pump spectrum's much wider envelope, which is
+what makes the pump-axis fringes survive far beyond the signal coherence
+scale.
 
 Every rate depends on the two delays only through the fringe phase
 dphi = 2 pi (dx_p / lambda_p - dx_s / lambda_s) and follows the
@@ -27,40 +30,28 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .config import SPEED_OF_LIGHT, ExperimentConfig
 from .expectation import setup_rates
 
-if TYPE_CHECKING:  # pragma: no cover
-    from .config import ExperimentConfig
-
-SPEED_OF_LIGHT = 299_792_458.0  # m/s
 # An envelope argument beyond this gives exactly 0.0 (exp underflows near 45);
 # clamping there keeps its square finite and every smaller one bit for bit.
 MAX_ENVELOPE_ARG = 1e150
 
 
-@dataclass(frozen=True)
-class SpectralProfile:
-    """Gaussian spectral density: center wavelength (m) and frequency FWHM (Hz)."""
-
-    center_wavelength: float
-    fwhm_frequency: float
-
-
-def envelope(profile: SpectralProfile, delta_x: float | np.ndarray) -> float | np.ndarray:
-    """Fringe envelope at path delay ``delta_x`` (meters, scalar or array); 1 at zero delay."""
-    arg = np.minimum(
-        np.abs(math.pi * profile.fwhm_frequency * delta_x / SPEED_OF_LIGHT), MAX_ENVELOPE_ARG
-    )
+def envelope(fwhm: float, delta_x: float | np.ndarray) -> float | np.ndarray:
+    """Fringe envelope of a spectrum of frequency FWHM ``fwhm`` (Hz) at path
+    delay ``delta_x`` (meters, scalar or array); 1 at zero delay."""
+    arg = np.minimum(np.abs(math.pi * fwhm * delta_x / SPEED_OF_LIGHT), MAX_ENVELOPE_ARG)
     return np.exp(-(arg * arg) / (4.0 * math.log(2.0)))
 
 
-def coherence_length(profile: SpectralProfile) -> float:
-    """Delay at which the envelope drops to one half: 2 ln2 c / (pi dnu)."""
-    return 2.0 * math.log(2.0) * SPEED_OF_LIGHT / (math.pi * profile.fwhm_frequency)
+def coherence_length(fwhm: float) -> float:
+    """Delay at which the envelope of frequency FWHM ``fwhm`` (Hz) drops to one
+    half: 2 ln2 c / (pi dnu)."""
+    return 2.0 * math.log(2.0) * SPEED_OF_LIGHT / (math.pi * fwhm)
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,8 +61,7 @@ class FringeModel:
 
     baseline: np.ndarray  # (3,) float, channels (p_a, p_b, p_ab)
     amplitude: np.ndarray  # (3,) complex, channels (p_a, p_b, p_ab)
-    pump_profile: SpectralProfile
-    signal_filter: SpectralProfile
+    config: ExperimentConfig  # sets the fringe periods and the envelope widths
 
     def rates(
         self, delta_x_p: float | np.ndarray = 0.0, delta_x_s: float | np.ndarray = 0.0
@@ -82,17 +72,17 @@ class FringeModel:
         """
         delta_x_p = np.asarray(delta_x_p, dtype=float)
         delta_x_s = np.asarray(delta_x_s, dtype=float)
+        config = self.config
         phase = 2.0 * math.pi * (
-            delta_x_p / self.pump_profile.center_wavelength
-            - delta_x_s / self.signal_filter.center_wavelength
+            delta_x_p / config.pump_wavelength - delta_x_s / config.signal_filter_center
         )
-        env = envelope(self.signal_filter, delta_x_s) * envelope(self.pump_profile, delta_x_p)
+        env = envelope(config.signal_filter_fwhm(), delta_x_s) * envelope(config.pump_bandwidth, delta_x_p)
         channels = (3,) + (1,) * phase.ndim
         fringe = self.amplitude.reshape(channels) * np.exp(1j * phase)
         return self.baseline.reshape(channels) + env * fringe.real
 
 
-def compile_model(config: "ExperimentConfig") -> FringeModel:
+def compile_model(config: ExperimentConfig) -> FringeModel:
     """B and A of every channel from one engine pass at pump phase 0, pi/2 and pi.
 
     With R(dphi) = B + Re(A e^{i dphi}): B = (R_0 + R_pi) / 2, the mean over
@@ -104,6 +94,5 @@ def compile_model(config: "ExperimentConfig") -> FringeModel:
     return FringeModel(
         baseline=base,
         amplitude=(r0 - r_pi) / 2.0 + 1j * (base - r_quarter),
-        pump_profile=config.pump_profile(),
-        signal_filter=config.signal_filter_profile(),
+        config=config,
     )

@@ -63,14 +63,14 @@ FIT_KEYS = [
 
 def write_config(tmp_path, text="[scan]\n"):
     path = tmp_path / "exp.ini"
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     return str(path)
 
 
 def test_simulate_then_fit_signal_default(tmp_path):
     out = tmp_path / "scan.csv"
     assert main(["simulate", "--config", DEFAULT_CONFIG, "--out", str(out), "--quiet"]) == EXIT_OK
-    lines = out.read_text().splitlines()
+    lines = out.read_text(encoding="utf-8").splitlines()
     assert lines[0] == ",".join(CSV_HEADER)
     assert len(lines) == 402
 
@@ -79,7 +79,7 @@ def test_simulate_then_fit_signal_default(tmp_path):
         main(["fit", str(out), "--config", DEFAULT_CONFIG, "--out", str(fit_out), "--quiet"])
         == EXIT_OK
     )
-    summary = json.loads(fit_out.read_text())
+    summary = json.loads(fit_out.read_text(encoding="utf-8"))
     assert list(summary.keys()) == FIT_KEYS
     assert abs(summary["period_m"] - 808e-9) < 1e-9
     assert summary["converged"] is True
@@ -103,7 +103,7 @@ def test_fit_json_reports_diagnostics_as_strict_json(tmp_path):
     assert main(["simulate", *args, "--out", str(scan)]) == EXIT_OK
     fit_out = tmp_path / "fit.json"
     assert main(["fit", str(scan), *args, "--out", str(fit_out)]) == EXIT_OK
-    summary = json.loads(fit_out.read_text(), parse_constant=_reject_constant)
+    summary = json.loads(fit_out.read_text(encoding="utf-8"), parse_constant=_reject_constant)
     assert list(summary.keys()) == FIT_KEYS
     assert summary["iterations"] > 0
     # a 4 um scan cannot resolve the ~350 um signal envelope: its width is a
@@ -123,7 +123,7 @@ def test_noisy_visibility_above_one_is_reported_unclipped(tmp_path):
     assert main(["simulate", *args, "--out", str(scan)]) == EXIT_OK
     fit_out = tmp_path / "fit.json"
     assert main(["fit", str(scan), *args, "--out", str(fit_out)]) == EXIT_OK
-    summary = json.loads(fit_out.read_text(), parse_constant=_reject_constant)
+    summary = json.loads(fit_out.read_text(encoding="utf-8"), parse_constant=_reject_constant)
     assert summary["visibility"] > 1
     assert 0 < summary["visibility_sigma"] < 1e-3
     assert summary["visibility"] - 1 < 3 * summary["visibility_sigma"]
@@ -178,7 +178,7 @@ def test_simulate_then_fit_pump_axis(tmp_path):
         main(["fit", str(out), "--config", config, "--out", str(fit_out), "--quiet"])
         == EXIT_OK
     )
-    summary = json.loads(fit_out.read_text())
+    summary = json.loads(fit_out.read_text(encoding="utf-8"))
     assert abs(summary["period_m"] - 355e-9) < 1e-9
 
 
@@ -201,7 +201,7 @@ def test_phase_memory_far_beyond_the_signal_coherence_length(tmp_path):
         assert main(["simulate", *args, "--out", str(scan)]) == EXIT_OK
         for channel, row in (("singles", 0), ("coincidence", 2)):
             assert main(["fit", str(scan), *args, "--channel", channel, "--out", str(fit_out)]) == EXIT_OK
-            summary = json.loads(fit_out.read_text())
+            summary = json.loads(fit_out.read_text(encoding="utf-8"))
             assert summary["visibility"] > 0.9, (seed, channel)
             pull = (summary["visibility"] - PUMP_ENVELOPE_AT_600_UM) / summary["visibility_sigma"]
             assert abs(pull) < 3, (seed, channel, pull)
@@ -220,7 +220,7 @@ def test_unresolved_envelope_has_no_center_uncertainty(tmp_path):
     assert main(["simulate", "--config", config, "--out", str(scan), "--quiet"]) == EXIT_OK
     fit_out = tmp_path / "pump_fit.json"
     assert main(["fit", str(scan), "--config", config, "--out", str(fit_out), "--quiet"]) == EXIT_OK
-    summary = json.loads(fit_out.read_text(), parse_constant=_reject_constant)
+    summary = json.loads(fit_out.read_text(encoding="utf-8"), parse_constant=_reject_constant)
     assert summary["envelope_resolved"] is False
     assert summary["envelope_fwhm_sigma_m"] is None
     assert summary["envelope_center_sigma_m"] is None
@@ -279,7 +279,7 @@ def test_axis_override(tmp_path, capsys):
         "warning: grid step 5e-08 m gives fewer than 8 points per expected "
         "3.55e-07 m fringe period; fits may be unreliable\n"
     )
-    with open(out) as fh:
+    with open(out, encoding="utf-8") as fh:
         record = read_scan_csv(fh)
     expected = run_scan(config_with(axis="pump", step=50e-9), sample=False)
     assert record.delays.tolist() == expected.delays.tolist()
@@ -292,7 +292,7 @@ def test_fit_divides_counts_by_the_dwell_they_were_sampled_with(tmp_path):
     scan, fit = tmp_path / "scan.csv", tmp_path / "fit.json"
     assert main(["simulate", "--config", config, "--out", str(scan), "--quiet"]) == EXIT_OK
     assert main(["fit", str(scan), "--config", config, "--out", str(fit), "--quiet"]) == EXIT_OK
-    assert json.loads(fit.read_text())["baseline_hz"] == pytest.approx(42_000.0, rel=0.01)
+    assert json.loads(fit.read_text(encoding="utf-8"))["baseline_hz"] == pytest.approx(42_000.0, rel=0.01)
 
 
 def test_fit_warns_on_undersampled_pump_csv(tmp_path, capsys):
@@ -326,7 +326,7 @@ def test_simulate_and_fit_give_the_same_undersampling_warning(tmp_path, capsys):
 def test_csv_floats_have_nine_significant_digits(tmp_path):
     out = tmp_path / "scan.csv"
     main(["predict", "--config", DEFAULT_CONFIG, "--out", str(out), "--quiet"])
-    row = out.read_text().splitlines()[1].split(",")
+    row = out.read_text(encoding="utf-8").splitlines()[1].split(",")
     mantissa = row[1].split("e")[0]
     digits = mantissa.replace("-", "").replace(".", "")
     assert len(digits) == 9
@@ -335,7 +335,7 @@ def test_csv_floats_have_nine_significant_digits(tmp_path):
 def test_predict_writes_zero_counts_and_fit_rates_works(tmp_path):
     out = tmp_path / "pred.csv"
     main(["predict", "--config", DEFAULT_CONFIG, "--out", str(out), "--quiet"])
-    with open(out) as fh:
+    with open(out, encoding="utf-8") as fh:
         record = read_scan_csv(fh)
     assert all(record.counts[0] == 0)
     fit_out = tmp_path / "fit.json"
@@ -491,7 +491,7 @@ def write_nyquist_csv(tmp_path):
         for i, c in enumerate([1, 1, 2, 0, 2, 0, 2, 0])
     ]
     path = tmp_path / "nyquist.csv"
-    path.write_text(",".join(CSV_HEADER) + "\n" + "".join(rows))
+    path.write_text(",".join(CSV_HEADER) + "\n" + "".join(rows), encoding="utf-8")
     return str(path)
 
 
@@ -511,7 +511,7 @@ def test_python_m_icohsim_exits_with_the_code_main_returns(tmp_path):
     ]
     for argv, code, start in runs:
         done = subprocess.run([sys.executable, "-m", "icohsim", *argv], cwd=tmp_path, env=env,
-                              capture_output=True, text=True, timeout=60)
+                              capture_output=True, encoding="utf-8", timeout=60)
         assert done.returncode == code, done.stderr
         assert done.stderr.startswith(start), done.stderr
 
@@ -521,7 +521,7 @@ def test_fit_of_a_ramp_without_a_full_fringe_exits_with_fit_code(tmp_path, capsy
     counts = [110, 107, 90, 117, 132, 131, 158, 143, 160, 162, 184, 180, 198, 195, 193, 187]
     rows = [f"{1e-08 * i!r},{c}.0,{c}.0,{c}.0,{c},{c},{c}\n" for i, c in enumerate(counts)]
     path = tmp_path / "ramp.csv"
-    path.write_text(",".join(CSV_HEADER) + "\n" + "".join(rows))
+    path.write_text(",".join(CSV_HEADER) + "\n" + "".join(rows), encoding="utf-8")
     code = main(["fit", str(path), "--config", DEFAULT_CONFIG, "--quiet"])
     assert code == EXIT_FIT
     message = "fit error: no fringe detected: fitted period 2.66213e-07 m is longer than the scan's span"
@@ -534,7 +534,7 @@ def test_fit_of_an_undetermined_near_nyquist_record_exits_with_fit_code(tmp_path
     buffer = io.StringIO()
     cli.write_scan_csv(near_nyquist_record(), buffer)
     scan, fit_out = tmp_path / "scan.csv", tmp_path / "fit.json"
-    scan.write_text(buffer.getvalue())
+    scan.write_text(buffer.getvalue(), encoding="utf-8")
     assert main(["fit", str(scan), "--config", DEFAULT_CONFIG, "--out", str(fit_out), "--quiet"]) == EXIT_FIT
     assert capsys.readouterr().err == (
         "fit error: no fringe determined: the fit's columns have a variance-inflation sum of 34631.6, "
@@ -552,7 +552,7 @@ def test_fit_that_does_not_converge_exits_with_fit_code(tmp_path, capsys, monkey
     assert main(argv) == EXIT_FIT
     assert capsys.readouterr().err.startswith("error: fit did not converge in 1 Gauss-Newton steps")
     # the last parameters are still written, as strict JSON
-    summary = json.loads(fit_out.read_text(), parse_constant=_reject_constant)
+    summary = json.loads(fit_out.read_text(encoding="utf-8"), parse_constant=_reject_constant)
     assert summary["converged"] is False
 
 
@@ -598,10 +598,10 @@ def test_fit_of_delays_near_the_float_range_succeeds(tmp_path, capsys, first, st
     rows = [f"{first + i * step!r},{c / 0.5!r},{c / 0.5!r},{c / 0.5!r},{c},{c},{c}"
             for i, c in zip(index.tolist(), counts.tolist())]
     scan, out = tmp_path / "far.csv", tmp_path / "fit.json"
-    scan.write_text("\n".join([",".join(CSV_HEADER), *rows]) + "\n")
+    scan.write_text("\n".join([",".join(CSV_HEADER), *rows]) + "\n", encoding="utf-8")
     assert main(["fit", str(scan), "--config", DEFAULT_CONFIG, "--out", str(out), "--quiet"]) == EXIT_OK
     assert "error" not in capsys.readouterr().err
-    summary = json.loads(out.read_text(), parse_constant=_reject_constant)
+    summary = json.loads(out.read_text(encoding="utf-8"), parse_constant=_reject_constant)
     assert summary["period_m"] == pytest.approx(10 * step, rel=1e-6)
     assert summary["visibility"] == pytest.approx(0.8, abs=0.01)
     assert summary["phase_reference_m"] == pytest.approx(first + 49.5 * step, rel=1e-12)
@@ -616,7 +616,7 @@ def test_period_seed_beyond_the_float_range_is_no_fringe(tmp_path, capsys):
     counts = [110, 107, 90, 117, 132, 131, 158, 143, 160, 162, 184, 180, 198, 195, 193, 187]
     rows = [f"{i * 1e307!r},{c}.0,{c}.0,{c}.0,{c},{c},{c}" for i, c in enumerate(counts)]
     scan = tmp_path / "ramp.csv"
-    scan.write_text("\n".join([",".join(CSV_HEADER), *rows]) + "\n")
+    scan.write_text("\n".join([",".join(CSV_HEADER), *rows]) + "\n", encoding="utf-8")
     assert main(["fit", str(scan), "--config", DEFAULT_CONFIG, "--quiet"]) == EXIT_FIT
     assert capsys.readouterr().err.endswith(
         "fit error: no fringe detected: period seed inf m is not a finite positive length\n"
@@ -1038,12 +1038,13 @@ def test_oracle_check_matches_recorded_values(tmp_path, params, rows):
     config.write_text(
         f"[pump]\nsplitter_ratio = {params['splitter_ratio']!r}\n"
         f"[crystal1]\ngain = {params['gain']!r}\n[crystal2]\ngain = {params['gain']!r}\n"
-        f"[idler_link]\neta = {params['eta']!r}\n[scan]\n"
+        f"[idler_link]\neta = {params['eta']!r}\n[scan]\n",
+        encoding="utf-8",
     )
     out = tmp_path / "oracle.json"
     argv = ["oracle-check", "--config", str(config), "--points", "4", "--out", str(out), "--quiet"]
     assert main(argv) == EXIT_OK
-    points = json.loads(out.read_text())["points"]
+    points = json.loads(out.read_text(encoding="utf-8"))["points"]
     assert len(points) == len(rows)
     for point, want in zip(points, rows):
         got = [point[side][field] for side in ("engine", "oracle") for field in ("p_a", "p_b", "p_ab")]
@@ -1093,7 +1094,7 @@ def test_report_predicts_visibilities(tmp_path, capsys, text, line):
 def test_round_trip_csv_reader(tmp_path):
     out = tmp_path / "scan.csv"
     main(["simulate", "--config", DEFAULT_CONFIG, "--out", str(out), "--quiet"])
-    with open(out) as fh:
+    with open(out, encoding="utf-8") as fh:
         record = read_scan_csv(fh)
     assert len(record.delays) == 401
     assert record.counts[0, 0] >= 0
@@ -1115,7 +1116,7 @@ def test_predict_csv_reads_back_the_scanned_delays(tmp_path_factory, axis, start
     config = write_config(tmp_path, text)
     out = tmp_path / "scan.csv"
     assert main(["predict", "--config", config, "--out", str(out), "--quiet"]) == EXIT_OK
-    with open(out) as fh:
+    with open(out, encoding="utf-8") as fh:
         record = read_scan_csv(fh)
     assert record.delays.tobytes() == run_scan(load_config(config), sample=False).delays.tobytes()
 
@@ -1137,7 +1138,7 @@ def test_a_step_too_fine_for_float64_exits_with_config_code(tmp_path, capsys):
 
 def test_bad_csv_header_rejected(tmp_path):
     bad = tmp_path / "bad.csv"
-    bad.write_text("a,b,c\n1,2,3\n")
+    bad.write_text("a,b,c\n1,2,3\n", encoding="utf-8")
     code = main(["fit", str(bad), "--config", DEFAULT_CONFIG, "--quiet"])
     assert code == EXIT_CONFIG
 
@@ -1145,7 +1146,7 @@ def test_bad_csv_header_rejected(tmp_path):
 def test_csv_header_cell_beyond_the_field_limit_is_a_config_error(tmp_path, capsys):
     # the rows' walk lifts the csv module's field limit, the header's parse does not
     bad = tmp_path / "bad.csv"
-    bad.write_text('"' + "d" * 200_000 + '",' + ",".join(CSV_HEADER[1:]) + "\n")
+    bad.write_text('"' + "d" * 200_000 + '",' + ",".join(CSV_HEADER[1:]) + "\n", encoding="utf-8")
     assert main(["fit", str(bad), "--config", DEFAULT_CONFIG, "--quiet"]) == EXIT_CONFIG
     assert capsys.readouterr().err == "config error: CSV line 1: field larger than field limit (131072)\n"
 
@@ -1167,11 +1168,11 @@ def test_csv_header_cell_beyond_the_field_limit_is_a_config_error(tmp_path, caps
 def test_malformed_csv_cell_names_line_and_column(tmp_path, capsys, line, column, cell):
     scan = tmp_path / "scan.csv"
     assert main(["simulate", "--config", DEFAULT_CONFIG, "--out", str(scan), "--quiet"]) == EXIT_OK
-    lines = scan.read_text().splitlines()
+    lines = scan.read_text(encoding="utf-8").splitlines()
     row = lines[line - 1].split(",")
     row[column] = cell
     lines[line - 1] = ",".join(row)
-    scan.write_text("\n".join(lines) + "\n")
+    scan.write_text("\n".join(lines) + "\n", encoding="utf-8")
     capsys.readouterr()
     assert main(["fit", str(scan), "--config", DEFAULT_CONFIG, "--quiet"]) == EXIT_CONFIG
     err = capsys.readouterr().err
@@ -1181,11 +1182,11 @@ def test_malformed_csv_cell_names_line_and_column(tmp_path, capsys, line, column
 def test_csv_cell_beyond_field_limit_is_accepted(tmp_path):
     scan = tmp_path / "scan.csv"
     assert main(["simulate", "--config", DEFAULT_CONFIG, "--out", str(scan), "--quiet"]) == EXIT_OK
-    lines = scan.read_text().splitlines()
+    lines = scan.read_text(encoding="utf-8").splitlines()
     row = lines[13].split(",")
     row[2] = "1" + "0" * 140_000 + "e-140000"
     lines[13] = ",".join(row)
-    scan.write_text("\n".join(lines) + "\n")
+    scan.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with open(scan, encoding="utf-8", newline="") as fh:
         assert read_scan_csv(fh).rates[1, 12] == 1.0
     assert main(["fit", str(scan), "--config", DEFAULT_CONFIG, "--quiet"]) == EXIT_OK
@@ -1238,9 +1239,9 @@ def _delete_ten_rows(lines):
 def test_bad_delay_grid_names_line(tmp_path, capsys, edit, line, reason):
     scan = tmp_path / "pred.csv"
     assert main(["predict", "--config", DEFAULT_CONFIG, "--out", str(scan), "--quiet"]) == EXIT_OK
-    lines = scan.read_text().splitlines()
+    lines = scan.read_text(encoding="utf-8").splitlines()
     edit(lines)
-    scan.write_text("\n".join(lines) + "\n")
+    scan.write_text("\n".join(lines) + "\n", encoding="utf-8")
     capsys.readouterr()
     code = main(["fit", str(scan), "--config", DEFAULT_CONFIG, "--source", "rates", "--quiet"])
     assert code == EXIT_CONFIG
@@ -1306,7 +1307,7 @@ def test_fit_of_any_grammar_valid_csv_keeps_its_contract(
     lines += ["%.16e,%.8e,%.8e,%.8e,%d,%d,%d" % row for row in zip(delays, *rates, *counts)]
     tmp_path = tmp_path_factory.mktemp("contract")
     scan, fit_out = tmp_path / "scan.csv", tmp_path / "fit.json"
-    scan.write_text("\n".join(lines) + "\n")
+    scan.write_text("\n".join(lines) + "\n", encoding="utf-8")
     err = io.StringIO()
     with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
         warnings.simplefilter("always")
@@ -1321,6 +1322,6 @@ def test_fit_of_any_grammar_valid_csv_keeps_its_contract(
         assert err.getvalue() == (f"config error: CSV line {row + 2}, column {CSV_HEADER[4 + column]}: "
                                   f"not a non-negative count: '{counts[column, row]}'\n")
     if code == EXIT_OK:
-        summary = json.loads(fit_out.read_text(), parse_constant=_reject_constant)
+        summary = json.loads(fit_out.read_text(encoding="utf-8"), parse_constant=_reject_constant)
         for key in ("period_m", "visibility", "phase_rad"):
             assert isinstance(summary[key], float) and math.isfinite(summary[key]), (key, summary[key])

@@ -2,8 +2,10 @@ import configparser
 import dataclasses
 import io
 import math
+import os
 import random
 import re
+import subprocess
 import sys
 import warnings
 from pathlib import Path
@@ -12,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import icohsim
 from icohsim.cli import build_report, main, oracle_comparison
 from icohsim.config import (
     KEYS,
@@ -35,6 +38,21 @@ from conftest import config_with
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_FILE = REPO_ROOT / "configs" / "default.ini"
 SECTIONS = list(dict.fromkeys(section for section, _ in KEYS))
+
+
+def test_config_is_the_bottom_layer():
+    # A fresh interpreter on the icohsim this suite imported, from src/ or installed:
+    # the config imports nothing from the package, and so no numpy either.
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(icohsim.__file__))}
+    code = (
+        "import sys, icohsim.config; "
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'icohsim')); "
+        "print('numpy' in sys.modules)"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          encoding="utf-8", timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["['icohsim', 'icohsim.config']", "False"]
 
 
 def test_shipped_default_file_equals_builtin_defaults():
@@ -328,7 +346,7 @@ def test_seeds_outside_64_bits_are_rejected(seed):
     with pytest.raises(ConfigError) as info:
         parse_config(f"[detectors]\nseed = {seed}\n[scan]\n")
     assert str(info.value) == "detectors.seed at line 2 out of range: must lie in [0, 2**64)"
-    for text in ("[scan]\n", DEFAULT_FILE.read_text()):
+    for text in ("[scan]\n", DEFAULT_FILE.read_text(encoding="utf-8")):
         with pytest.raises(ConfigError) as info:
             parse_config(text, seed=int(seed, 0))
         assert str(info.value) == "--seed out of range: must lie in [0, 2**64)"

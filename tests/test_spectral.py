@@ -10,28 +10,24 @@ from icohsim.config import ConfigError, parse_config
 from icohsim.counting import detected
 from icohsim.expectation import setup_rates
 from icohsim.scan import run_scan
-from icohsim.spectral import (
-    SpectralProfile,
-    coherence_length,
-    compile_model,
-    envelope,
-)
+from icohsim.spectral import coherence_length, compile_model, envelope
 
 from conftest import config_with
 
 C = 299_792_458.0  # m/s
-PUMP = SpectralProfile(355e-9, fwhm_frequency=45e9)
-SIGNAL = parse_config("[scan]\n").signal_filter_profile()
-WIDE = SpectralProfile(632e-9, fwhm_frequency=2.25e12)
+# frequency FWHMs (Hz): the default pump and signal filter, and a wide filter
+PUMP = 45e9
+SIGNAL = parse_config("[scan]\n").signal_filter_fwhm()
+WIDE = 2.25e12
 
 
 def spectral_average(config, delta_x_p=0.0, delta_x_s=0.0, nodes=32):
     """Monochromatic engine rates averaged over the pump and signal spectra.
 
     The reference the envelope law is checked against; it reads only the
-    profiles' centers and FWHMs.  Both spectra are Gaussian with standard
-    deviation FWHM / (2 sqrt(2 ln 2)), averaged independently by
-    Gauss-Hermite quadrature.  At frequency nu a delay dx adds the phase
+    spectra's center wavelengths and frequency FWHMs.  Both spectra are
+    Gaussian with standard deviation FWHM / (2 sqrt(2 ln 2)), averaged
+    independently by Gauss-Hermite quadrature.  At frequency nu a delay dx adds the phase
     2 pi dx nu / c, which the engine gives for the delay dx nu / nu_0 at the
     center frequency nu_0, so one engine call covers all m * nodes^2
     settings.  Returns shape (3, m) for the delays broadcast to (m,).
@@ -39,13 +35,15 @@ def spectral_average(config, delta_x_p=0.0, delta_x_s=0.0, nodes=32):
     x, w = hermegauss(nodes)
     w = w / w.sum()
 
-    def frequency_ratios(profile):  # nu / nu_0 at each node
-        sigma = profile.fwhm_frequency / (2.0 * math.sqrt(2.0 * math.log(2.0)))
-        return 1.0 + sigma * x * profile.center_wavelength / C
+    def frequency_ratios(center, fwhm):  # nu / nu_0 at each node
+        sigma = fwhm / (2.0 * math.sqrt(2.0 * math.log(2.0)))
+        return 1.0 + sigma * x * center / C
 
     delta_x_p, delta_x_s = np.broadcast_arrays(np.atleast_1d(delta_x_p), np.atleast_1d(delta_x_s))
-    pump_delays = delta_x_p[:, None, None] * frequency_ratios(config.pump_profile())[:, None]
-    signal_delays = delta_x_s[:, None, None] * frequency_ratios(config.signal_filter_profile())
+    pump_ratios = frequency_ratios(config.pump_wavelength, config.pump_bandwidth)
+    signal_ratios = frequency_ratios(config.signal_filter_center, config.signal_filter_fwhm())
+    pump_delays = delta_x_p[:, None, None] * pump_ratios[:, None]
+    signal_delays = delta_x_s[:, None, None] * signal_ratios
     pump_delays, signal_delays = np.broadcast_arrays(pump_delays, signal_delays)
     rates = setup_rates(config, pump_delays.ravel(), signal_delays.ravel())
     return np.einsum("cmij,i,j->cm", rates.reshape(3, -1, nodes, nodes), w, w)
@@ -58,12 +56,11 @@ def phase_averaged_baseline(config):
 
 def test_frequency_fwhm_conversions():
     # the [signal_filter] keys convert once, at parsing: dnu = c * bandwidth / center^2
-    assert SIGNAL.center_wavelength == 808e-9
-    assert SIGNAL.fwhm_frequency == C * 2e-9 / 808e-9**2
-    assert SIGNAL.fwhm_frequency == pytest.approx(9.19e11, rel=1e-2)
-    assert parse_config("[pump]\nbandwidth_ghz = 45\n[scan]\n").pump_profile() == PUMP
+    assert SIGNAL == C * 2e-9 / 808e-9**2
+    assert SIGNAL == pytest.approx(9.19e11, rel=1e-2)
+    assert parse_config("[pump]\nbandwidth_ghz = 45\n[scan]\n").pump_bandwidth == PUMP
     wide = parse_config("[signal_filter]\ncenter_nm = 632\nbandwidth_nm = 3\n[scan]\n")
-    assert wide.signal_filter_profile().fwhm_frequency == pytest.approx(WIDE.fwhm_frequency, rel=1e-2)
+    assert wide.signal_filter_fwhm() == pytest.approx(WIDE, rel=1e-2)
 
 
 def test_profile_validation():
@@ -90,17 +87,16 @@ def test_pump_envelope_plateau_values():
 
 
 def test_envelope_half_maximum_at_coherence_length():
-    for profile in (PUMP, SIGNAL, WIDE):
-        lc = coherence_length(profile)
-        assert envelope(profile, lc) == pytest.approx(0.5, rel=1e-12)
+    for fwhm in (PUMP, SIGNAL, WIDE):
+        lc = coherence_length(fwhm)
+        assert envelope(fwhm, lc) == pytest.approx(0.5, rel=1e-12)
 
 
 def test_coherence_length_values():
     assert coherence_length(PUMP) == pytest.approx(2.9397728396474937e-3, rel=1e-12)
     assert coherence_length(SIGNAL) == pytest.approx(1.44045e-4, rel=1e-4)
     # infinitely wide spectrum has no coherence at all
-    broad = SpectralProfile(808e-9, fwhm_frequency=1e30)
-    assert coherence_length(broad) < 1e-15
+    assert coherence_length(1e30) < 1e-15
 
 
 def test_pump_to_signal_coherence_ratio_exceeds_five():
@@ -145,7 +141,7 @@ def test_envelopes_separate_by_axis():
     vis = (max(values) - min(values)) / (max(values) + min(values))
     # the envelope drifts slightly across the one-period window, so compare
     # at the percent level only
-    assert vis == pytest.approx(envelope(cfg.signal_filter_profile(), x0), rel=1e-2)
+    assert vis == pytest.approx(envelope(cfg.signal_filter_fwhm(), x0), rel=1e-2)
 
 
 def test_idler_channel_untouched_by_envelopes():
@@ -171,9 +167,9 @@ def _random_config(rng):
     )
 
 
-def _coherence_lengths(rng, profile, m):
+def _coherence_lengths(rng, fwhm, m):
     """m delays of random sign, 0 to 3 half-maximum delays 2 ln2 c / (pi dnu) long."""
-    unit = 2.0 * math.log(2.0) * C / (math.pi * profile.fwhm_frequency)
+    unit = 2.0 * math.log(2.0) * C / (math.pi * fwhm)
     return rng.choice([-1.0, 1.0], m) * rng.uniform(0.0, 3.0, m) * unit
 
 
@@ -183,8 +179,8 @@ def test_compiled_model_matches_per_point_rates_on_random_configs():
     rng = np.random.default_rng(20261018)
     for _ in range(60):
         cfg = _random_config(rng)
-        dxp = _coherence_lengths(rng, cfg.pump_profile(), 5)
-        dxs = _coherence_lengths(rng, cfg.signal_filter_profile(), 5)
+        dxp = _coherence_lengths(rng, cfg.pump_bandwidth, 5)
+        dxs = _coherence_lengths(rng, cfg.signal_filter_fwhm(), 5)
         compiled = compile_model(cfg).rates(dxp, dxs)
         assert compiled.shape == (3, 5)
         reference = spectral_average(cfg, dxp, dxs)
