@@ -425,13 +425,12 @@ def build_report(config: ExperimentConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _add_common(parser: argparse.ArgumentParser, require_out: bool) -> None:
+def _add_common(parser: argparse.ArgumentParser, require_out: bool, axis: bool = True) -> None:
+    """--config, --out and --quiet; --axis too, unless the command's output never reads the axis."""
     parser.add_argument("--config", required=True, help="experiment config file")
     parser.add_argument("--out", required=require_out, default=None, help="output path")
-    parser.add_argument("--seed", type=int, default=None, help="override the RNG seed")
-    parser.add_argument(
-        "--axis", choices=SCAN_AXES, default=None, help="override the scan axis"
-    )
+    if axis:
+        parser.add_argument("--axis", choices=SCAN_AXES, default=None, help="override the scan axis")
     parser.add_argument("--quiet", action="store_true", help="suppress progress messages")
 
 
@@ -449,6 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="Poisson-sampled scan to CSV")
     _add_common(p_sim, require_out=True)
+    p_sim.add_argument("--seed", type=int, default=None, help="override the RNG seed")
 
     p_fit = sub.add_parser("fit", help="fit a fringe model to a scan CSV")
     p_fit.add_argument("input", help="scan CSV produced by predict or simulate")
@@ -475,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=16,
         help=f"grid points per delay axis, 1 to {MAX_ORACLE_POINTS}",
     )
-    _add_common(p_oracle, require_out=False)
+    _add_common(p_oracle, require_out=False, axis=False)
 
     p_report = sub.add_parser("report", help="human-readable summary of a config")
     _add_common(p_report, require_out=False)
@@ -531,7 +531,7 @@ def _scan(args: argparse.Namespace, config: ExperimentConfig) -> ScanRecord:
 def _run(args: argparse.Namespace) -> int:
     if args.command == "oracle-check" and not 1 <= args.points <= MAX_ORACLE_POINTS:
         raise ConfigError(f"--points must be between 1 and {MAX_ORACLE_POINTS}, got {args.points}")
-    config = load_config(args.config, args.seed, args.axis)
+    config = load_config(args.config, getattr(args, "seed", None), getattr(args, "axis", None))
     if args.command == "report":
         _emit(build_report(config), args.out)
         return EXIT_OK

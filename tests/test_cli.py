@@ -99,8 +99,8 @@ def read_json(path):
 
 def test_fit_json_reports_diagnostics_as_strict_json(tmp_path):
     scan = tmp_path / "scan.csv"
-    args = ["--config", DEFAULT_CONFIG, "--seed", "3", "--quiet"]
-    assert main(["simulate", *args, "--out", str(scan)]) == EXIT_OK
+    args = ["--config", DEFAULT_CONFIG, "--quiet"]
+    assert main(["simulate", *args, "--seed", "3", "--out", str(scan)]) == EXIT_OK
     fit_out = tmp_path / "fit.json"
     assert main(["fit", str(scan), *args, "--out", str(fit_out)]) == EXIT_OK
     summary = json.loads(fit_out.read_text(encoding="utf-8"), parse_constant=_reject_constant)
@@ -119,8 +119,8 @@ def test_fit_json_reports_diagnostics_as_strict_json(tmp_path):
 def test_noisy_visibility_above_one_is_reported_unclipped(tmp_path):
     # at eta = 1 noise puts the visibility estimate above 1 on about half the seeds
     scan = tmp_path / "scan.csv"
-    args = ["--config", DEFAULT_CONFIG, "--seed", "2", "--quiet"]
-    assert main(["simulate", *args, "--out", str(scan)]) == EXIT_OK
+    args = ["--config", DEFAULT_CONFIG, "--quiet"]
+    assert main(["simulate", *args, "--seed", "2", "--out", str(scan)]) == EXIT_OK
     fit_out = tmp_path / "fit.json"
     assert main(["fit", str(scan), *args, "--out", str(fit_out)]) == EXIT_OK
     summary = json.loads(fit_out.read_text(encoding="utf-8"), parse_constant=_reject_constant)
@@ -196,9 +196,9 @@ def test_phase_memory_far_beyond_the_signal_coherence_length(tmp_path):
     cfg = load_config(config)
     amplitude = compile_model(cfg).amplitude
     scan, fit_out = tmp_path / "scan.csv", tmp_path / "fit.json"
+    args = ["--config", config, "--quiet"]
     for seed in range(1, 7):
-        args = ["--config", config, "--seed", str(seed), "--quiet"]
-        assert main(["simulate", *args, "--out", str(scan)]) == EXIT_OK
+        assert main(["simulate", *args, "--seed", str(seed), "--out", str(scan)]) == EXIT_OK
         for channel, row in (("singles", 0), ("coincidence", 2)):
             assert main(["fit", str(scan), *args, "--channel", channel, "--out", str(fit_out)]) == EXIT_OK
             summary = json.loads(fit_out.read_text(encoding="utf-8"))
@@ -380,6 +380,25 @@ def test_fit_refuses_source_auto(tmp_path, capsys):
     assert "counts" in err and "rates" in err
 
 
+# Each command's options, positionals by name: --seed only where counts are
+# drawn, --axis only where the output reads the scan axis.
+COMMAND_OPTIONS = {
+    "predict": ["-h", "--config", "--out", "--axis", "--quiet"],
+    "simulate": ["-h", "--config", "--out", "--axis", "--quiet", "--seed"],
+    "fit": ["-h", "input", "--channel", "--source", "--config", "--out", "--axis", "--quiet"],
+    "oracle-check": ["-h", "--points", "--config", "--out", "--quiet"],
+    "report": ["-h", "--config", "--out", "--axis", "--quiet"],
+}
+
+
+def test_each_command_parses_only_the_options_it_reads():
+    options = {
+        name: [(action.option_strings or [action.dest])[0] for action in command._actions]
+        for name, command in cli.build_parser().commands.items()
+    }
+    assert options == COMMAND_OPTIONS
+
+
 # argv that main parses with a command's subparser alone, or hands to the
 # full parser: each must come out as build_parser().parse_args makes it.
 PARSE_TABLE = [
@@ -394,6 +413,7 @@ PARSE_TABLE = [
     ["fit", "--config", "c.ini", "--", "s.csv"],
     ["fit", "--config", "c.ini", "--", "--s.csv"],
     ["fit", "s.csv", "--s", "1", "--config", "c.ini"],
+    ["fit", "s.csv", "--c", "x"],
     ["-h"],
     ["--help", "report"],
     ["fit", "-h"],
@@ -412,6 +432,11 @@ PARSE_TABLE = [
     ["report"],
     ["fit", "--config", "c.ini"],
     ["simulate", "--config", "c.ini"],
+    # --seed only on simulate, --axis not on oracle-check
+    ["fit", "s.csv", "--config", "c.ini", "--seed", "1"],
+    ["predict", "--config", "c.ini", "--out", "p.csv", "--seed", "1"],
+    ["report", "--config", "c.ini", "--seed", "1"],
+    ["oracle-check", "--config", "c.ini", "--axis", "pump"],
 ]
 
 
@@ -461,8 +486,8 @@ def test_stdout_holds_only_the_json_and_progress_goes_to_stderr(tmp_path, capsys
 
 def test_fit_source_defaults_to_counts(tmp_path, capsys):
     scan = tmp_path / "scan.csv"
-    args = ["--config", DEFAULT_CONFIG, "--seed", "5", "--quiet"]
-    assert main(["simulate", *args, "--out", str(scan)]) == EXIT_OK
+    args = ["--config", DEFAULT_CONFIG, "--quiet"]
+    assert main(["simulate", *args, "--seed", "5", "--out", str(scan)]) == EXIT_OK
     # the idler detector sees no fringe: both runs exit 4 and write no file
     for channel, expected in [("singles", EXIT_OK), ("coincidence", EXIT_OK), ("idler", EXIT_FIT)]:
         outputs = []

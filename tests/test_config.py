@@ -549,8 +549,8 @@ def test_a_load_checks_each_key_once_and_builds_one_config(tmp_path, monkeypatch
     check, post_init = Key.check, ExperimentConfig.__post_init__
     monkeypatch.setattr(Key, "check", lambda key, *args: checks.append(key.label) or check(key, *args))
     monkeypatch.setattr(ExperimentConfig, "__post_init__", lambda config: builds.append(config) or post_init(config))
-    out = tmp_path / "report.txt"
-    assert main(["report", "--config", str(DEFAULT_FILE), "--out", str(out), *flags]) == 0
+    out = tmp_path / "scan.csv"
+    assert main(["simulate", "--config", str(DEFAULT_FILE), "--out", str(out), *flags]) == 0
     assert sorted(checks) == sorted(key.label for key in KEYS.values())
     assert len(builds) == 1
 
