@@ -4,9 +4,8 @@ Signal singles <a_s^+ a_s>, idler singles, and coincidences
 <a_s^+ a_i^+ a_i a_s>, exact on the vacuum for the channels of ``operators``,
 in units of |K|^2; calibration to count rates is the counting module's job.
 The chain is composed once per config with the delays as the symbols u_p and
-u_s, so each detected row is a few fixed 4-vectors times 1, u_p or u_s.  The
-phasors of m delay settings make those rows (4, m) arrays, whose norms and
-dot products over the modes are the (3, m) rates, rows (p_a, p_b, p_ab).
+u_s, and :func:`fringe_law` contracts it at no delay setting into each rate's
+Laurent polynomial in the phasors: B + Re(A e^{i dphi}), or it raises.
 """
 
 from __future__ import annotations
@@ -18,12 +17,14 @@ import numpy as np
 from .config import ExperimentConfig
 
 # Imported by name so a tracer can wrap them in this namespace (benchmarks/tracing.py).
-from .operators import IO1, MODES, PUMP, SIGNAL, SO1, SO2, Channel
+from .operators import IO1, PUMP, SIGNAL, SO1, SO2, Channel
 from .operators import adjoint, attenuate, beam_splitter, free_mode, phase_delay, spdc
 
 RATE_NAMES = ("p_a", "p_b", "p_ab")
 # Rates below zero by more than roundoff are an error.
 RATE_FLOOR = -1e-15
+FRINGE = (1, -1)  # u_p conj(u_s) as exponents (n_p, n_s): e^{i dphi}
+LAW = ((0, 0), FRINGE, (-1, 1))  # the monomials of B + Re(A e^{i dphi})
 
 
 def check_rates(rates: np.ndarray) -> None:
@@ -33,25 +34,6 @@ def check_rates(rates: np.ndarray) -> None:
         column, row = bad[0]
         value = rates[row, column].item()
         raise ValueError(f"rate {RATE_NAMES[row]}={value!r} must be finite and non-negative")
-
-
-def vacuum_rates(rows: np.ndarray) -> np.ndarray:
-    """(3, m) rates (p_a, p_b, p_ab) from the creation rows of s, i, i^+ and s, stacked to (16, m).
-
-    i^+'s creation row conjugates i's annihilation row, so one product summed
-    over the modes gives <s, s>, <i, i>, <s, i^+> and <i, s> per setting: the
-    singles are the squared norms.  The coincidence rate || i s |0> ||^2 has
-    a vacuum part (i's annihilation row dotted into s's creation row: the
-    usual coincidence rate) and the two-photon part M = outer(i's creation
-    row, s's creation row), whose norm^2 ||M + M^T||^2 / 2 (the O(K^4)
-    double-pair contribution) is ||i||^2 ||s||^2 + |<i, s>|^2: M is never formed.
-    """
-    products = rows[: 2 * len(MODES)] * rows.reshape(2, 2 * len(MODES), -1).conj()
-    rates = np.abs(products.reshape(4, len(MODES), -1).sum(axis=1))  # <s, s>, <i, i> are real
-    rates[2:] **= 2
-    rates[2] += rates[0] * rates[1]
-    rates[2] += rates[3]
-    return rates[:3]
 
 
 def setup_operators(config: ExperimentConfig) -> tuple[Channel, Channel]:
@@ -67,6 +49,52 @@ def setup_operators(config: ExperimentConfig) -> tuple[Channel, Channel]:
     return out_a, i2
 
 
+def _overlap(x: Channel, y: Channel) -> dict:
+    """<x, y>: x's creation row times the conjugate of y's, summed over the modes,
+    as a Laurent polynomial {(n_p, n_s): coefficient}; on the unit circle
+    conj(u_p^n_p u_s^n_s) is u_p^-n_p u_s^-n_s."""
+    out = {}
+    for row, mode, n_p, n_s, c in x:
+        if row:
+            for row_y, mode_y, m_p, m_s, d in y:
+                if row_y and mode == mode_y:
+                    out[n_p - m_p, n_s - m_s] = out.get((n_p - m_p, n_s - m_s), 0j) + c * d.conjugate()
+    return out
+
+
+def _product(a: dict, b: dict, out: dict) -> dict:
+    """out + a * b of Laurent polynomials."""
+    for (a_p, a_s), c in a.items():
+        for (b_p, b_s), d in b.items():
+            out[a_p + b_p, a_s + b_s] = out.get((a_p + b_p, a_s + b_s), 0j) + c * d
+    return out
+
+
+def fringe_law(s: Channel, i: Channel) -> tuple[tuple[float, ...], tuple[complex, ...]]:
+    """(B, A), each over (p_a, p_b, p_ab), of detected signal ``s`` and idler ``i``.
+
+    p_a = <s, s>, p_b = <i, i> and p_ab = || i s |0> ||^2 = <s, i^+><i^+, s>
+    + p_a p_b + <i, s><s, i>: the vacuum amplitude, then the double pairs.
+    B is a rate's coefficient of 1 and A twice its coefficient of u_p conj(u_s);
+    ValueError if any other monomial has a non-zero coefficient.
+    """
+    i_dag = adjoint(i)
+    p_a, p_b = _overlap(s, s), _overlap(i, i)
+    p_ab = _product(_overlap(s, i_dag), _overlap(i_dag, s), {})
+    rates = (p_a, p_b, _product(_overlap(i, s), _overlap(s, i), _product(p_a, p_b, p_ab)))
+    for name, poly in zip(RATE_NAMES, rates):
+        for (n_p, n_s), c in poly.items():
+            if c and (n_p, n_s) not in LAW:
+                raise ValueError(f"rate {name} has a stray u_p^{n_p} u_s^{n_s} term {c!r}")
+    base = tuple(poly.get((0, 0), 0j).real for poly in rates)
+    return base, tuple(2.0 * poly.get(FRINGE, 0j) for poly in rates)
+
+
+def fringe_phase(config: ExperimentConfig, delta_x_p, delta_x_s):
+    """dphi = 2 pi (dx_p / lambda_p - dx_s / lambda_s) of delays in meters: e^{i dphi} = u_p conj(u_s)."""
+    return 2.0 * math.pi * (delta_x_p / config.pump_wavelength - delta_x_s / config.signal_filter_center)
+
+
 def setup_rates(
     config: ExperimentConfig,
     delta_x_p: float | np.ndarray = 0.0,
@@ -75,27 +103,10 @@ def setup_rates(
     """Monochromatic rates of scalar or (m,) pump and signal delays (meters), in |K|^2 units.
 
     Returns shape (3, m), rows (p_a, p_b, p_ab); delay arrays of unequal
-    lengths raise ValueError.  setup_operators composes the chain once; the
-    creation rows vacuum_rates reads are gathered into one block of 4-vectors
-    per phasor monomial u_p^n_p u_s^n_s, each monomial is evaluated at every
-    setting as exp(2 pi i (n_p dx_p / lambda_p + n_s dx_s / lambda_s)), and the
-    rows are the blocks times those values, summed over the monomials.  No step
-    sums over the settings, so each column equals its one-setting call bit for bit.
+    lengths raise ValueError.  Each row is B + Re(A e^{i dphi}) with fringe_law's
+    (B, A), elementwise, so each column equals its one-setting call bit for bit.
     """
-    out_a, i2 = setup_operators(config)
-    blocks = {}  # phasor monomial (n_p, n_s) -> the creation rows of s, i, i^+ and s, one list
-    for slot, x in enumerate((out_a, i2, adjoint(i2), out_a)):
-        for row, mode, n_p, n_s, value in x:
-            if row:
-                blocks.setdefault((n_p, n_s), [0j] * (4 * len(MODES)))[slot * len(MODES) + mode] += value
-    wave_p, wave_s = 2j * math.pi / config.pump_wavelength, 2j * math.pi / config.signal_filter_center
-    x_p, x_s = np.array(delta_x_p, dtype=complex, ndmin=1), np.array(delta_x_s, dtype=complex, ndmin=1)
-    rows = None
-    for block, (n_p, n_s) in zip(np.array(list(blocks.values()))[..., None], blocks):
-        # u_p^n_p u_s^n_s = exp(n_p wave_p x_p + n_s wave_s x_s), with no work for an absent symbol
-        angle = n_p * wave_p * x_p if n_p else None
-        if n_s:
-            angle = n_s * wave_s * x_s if angle is None else angle + n_s * wave_s * x_s
-        term = block if angle is None else block * np.exp(angle)
-        rows = term if rows is None else rows + term
-    return vacuum_rates(rows)
+    base, amplitude = fringe_law(*setup_operators(config))
+    x_p, x_s = np.array(delta_x_p, dtype=float, ndmin=1), np.array(delta_x_s, dtype=float, ndmin=1)
+    fringe = np.array(amplitude)[:, None] * np.exp(1j * fringe_phase(config, x_p, x_s))
+    return np.array(base)[:, None] + fringe.real

@@ -19,11 +19,11 @@ scale.
 Every rate depends on the two delays only through the fringe phase
 dphi = 2 pi (dx_p / lambda_p - dx_s / lambda_s) and follows the
 induced-coherence law B + Re(A e^{i dphi}) of Zou, Wang and Mandel (PRL 67,
-318, 1991).  :func:`compile_model` reads B and A off one engine
-pass over three delay settings, once per config, and
-:meth:`FringeModel.rates` damps the fringe term by both envelopes.  The
-tests check that law against an independent average of the monochromatic
-engine over the pump and signal spectra.
+318, 1991).  :func:`compile_model` takes B and A once per config from the
+engine's contraction of the chain, exact and with no delay setting
+evaluated, and :meth:`FringeModel.rates` damps the fringe term by both
+envelopes.  The tests check that law against an independent average of the
+monochromatic engine over the pump and signal spectra.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import SPEED_OF_LIGHT, ExperimentConfig
-from .expectation import setup_rates
+from .expectation import fringe_law, fringe_phase, setup_operators
 
 # An envelope argument beyond this gives exactly 0.0 (exp underflows near 45);
 # clamping there keeps its square finite and every smaller one bit for bit.
@@ -73,9 +73,7 @@ class FringeModel:
         delta_x_p = np.asarray(delta_x_p, dtype=float)
         delta_x_s = np.asarray(delta_x_s, dtype=float)
         config = self.config
-        phase = 2.0 * math.pi * (
-            delta_x_p / config.pump_wavelength - delta_x_s / config.signal_filter_center
-        )
+        phase = fringe_phase(config, delta_x_p, delta_x_s)
         env = envelope(config.signal_filter_fwhm(), delta_x_s) * envelope(config.pump_bandwidth, delta_x_p)
         channels = (3,) + (1,) * phase.ndim
         fringe = self.amplitude.reshape(channels) * np.exp(1j * phase)
@@ -83,16 +81,7 @@ class FringeModel:
 
 
 def compile_model(config: ExperimentConfig) -> FringeModel:
-    """B and A of every channel from one engine pass at pump phase 0, pi/2 and pi.
-
-    With R(dphi) = B + Re(A e^{i dphi}): B = (R_0 + R_pi) / 2, the mean over
-    the fringe phase, and A = (R_0 - R_pi) / 2 + i (B - R_pi/2).
-    """
-    lam_p = config.pump_wavelength
-    r0, r_quarter, r_pi = setup_rates(config, np.array([0.0, lam_p / 4.0, lam_p / 2.0])).T
-    base = (r0 + r_pi) / 2.0
-    return FringeModel(
-        baseline=base,
-        amplitude=(r0 - r_pi) / 2.0 + 1j * (base - r_quarter),
-        config=config,
-    )
+    """B and A of every channel, read exactly off fringe_law's contraction of
+    setup_operators' channels."""
+    base, amplitude = fringe_law(*setup_operators(config))
+    return FringeModel(baseline=np.array(base), amplitude=np.array(amplitude), config=config)

@@ -6,9 +6,9 @@ import pytest
 
 from icohsim.expectation import (
     check_rates,
+    fringe_law,
     setup_operators,
     setup_rates,
-    vacuum_rates,
 )
 from icohsim.fockoracle import build_state, detection_moments
 from icohsim.operators import (
@@ -27,10 +27,15 @@ from conftest import config_with, dense
 
 
 def rates_of(s, i):
-    """vacuum_rates of (m, 2, 4) coefficient arrays of s and i, one per setting."""
-    s, i = np.reshape(s, (-1, 2, 4)), np.reshape(i, (-1, 2, 4))
-    rows = np.concatenate([s[:, 1].T, i[:, 1].T, i[:, 0].T.conj(), s[:, 1].T])
-    return vacuum_rates(rows)
+    """(p_a, p_b, p_ab) of the (2, 4) coefficient arrays of s and i at one setting:
+    the contraction of channels with no phasor, whose baseline is the whole rate."""
+
+    def channel(coefficients):
+        return [(row, mode, 0, 0, complex(c)) for (row, mode), c in np.ndenumerate(coefficients)]
+
+    base, amplitude = fringe_law(channel(s), channel(i))
+    assert amplitude == (0j, 0j, 0j)
+    return base
 
 
 # Rates (p_a, p_b, p_ab) recorded from the engine this one replaced, a general
@@ -139,7 +144,7 @@ def test_rates_match_recorded_engine_outputs(overrides, rates):
 
 
 def test_singles_rate_of_pure_annihilator_is_zero():
-    assert rates_of(dense(free_mode(SO1)), np.zeros((2, 4)))[0, 0] == 0.0
+    assert rates_of(dense(free_mode(SO1)), np.zeros((2, 4)))[0] == 0.0
 
 
 def test_singles_rate_counts_creation_amplitudes_coherently():
@@ -149,9 +154,9 @@ def test_singles_rate_counts_creation_amplitudes_coherently():
     s2, _ = spdc(free_mode(SO2), free_mode(IO1), k)
     out, _ = beam_splitter(s2, s1, 0.5)
     no_idler = np.zeros((2, 4))
-    assert rates_of(dense(out), no_idler)[0, 0] == pytest.approx(2 * k * k, rel=1e-14)
+    assert rates_of(dense(out), no_idler)[0] == pytest.approx(2 * k * k, rel=1e-14)
     out_opposed, _ = beam_splitter(s2, [term[:4] + (-term[4],) for term in s1], 0.5)
-    assert rates_of(dense(out_opposed), no_idler)[0, 0] <= 1e-30
+    assert rates_of(dense(out_opposed), no_idler)[0] <= 1e-30
 
 
 def test_ideal_singles_rate_extremes():
@@ -180,7 +185,7 @@ def test_phase_grid_matches_cosine_law():
 
 
 def test_coincidence_trivial_zero():
-    assert rates_of(dense(free_mode(SO1)), dense(free_mode(IO1)))[2, 0] == 0.0
+    assert rates_of(dense(free_mode(SO1)), dense(free_mode(IO1)))[2] == 0.0
 
 
 def test_coincidence_rate_equals_the_outer_product_contraction():
@@ -192,11 +197,22 @@ def test_coincidence_rate_equals_the_outer_product_contraction():
     pairs = i[:, 1, :, None] * s[:, 1, None, :]
     double_pair = 0.5 * np.sum(np.abs(pairs + np.swapaxes(pairs, -1, -2)) ** 2, axis=(-2, -1))
     reference = np.abs(vacuum_amp) ** 2 + double_pair
-    batch = rates_of(s, i)
-    assert batch[2] == pytest.approx(reference, rel=1e-14)
-    assert batch[:2] == pytest.approx(np.sum(np.abs(np.stack([s[:, 1], i[:, 1]])) ** 2, axis=-1), rel=1e-14)
-    # a column is its one-setting contraction bit for bit
-    assert rates_of(s[0], i[0])[:, 0].tolist() == batch[:, 0].tolist()
+    rates = np.array([rates_of(s_n, i_n) for s_n, i_n in zip(s, i)]).T
+    assert rates[2] == pytest.approx(reference, rel=1e-14)
+    assert rates[:2] == pytest.approx(np.sum(np.abs(np.stack([s[:, 1], i[:, 1]])) ** 2, axis=-1), rel=1e-14)
+
+
+def test_a_stray_monomial_raises():
+    # a signal carrying 1 and u_p u_s puts u_p u_s and its conjugate on p_a
+    s = [(1, IO1, 0, 0, 1e-3), (1, IO1, 1, 1, 1e-3)]
+    with pytest.raises(ValueError, match=r"^rate p_a has a stray u_p\^-?1 u_s\^-?1 term"):
+        fringe_law(s, [])
+    # an idler that fringes too passes alone, but squares the fringe on p_ab
+    s = [(1, IO1, *PUMP, 1e-3), (1, IO1, *SIGNAL, 1e-3)]
+    i = [(1, SO1, *PUMP, 1e-3), (1, SO1, *SIGNAL, 1e-3)]
+    assert fringe_law(i, [])[1][0] == pytest.approx(2e-6, rel=1e-15)
+    with pytest.raises(ValueError, match=r"^rate p_ab has a stray u_p\^-?2 u_s\^-?2 term"):
+        fringe_law(s, i)
 
 
 def test_coincidence_shares_phase_dependence_with_singles():
@@ -319,7 +335,7 @@ def test_setup_operators_expose_detected_channels():
         u_p = np.exp(2j * math.pi * delta_x_p / cfg.pump_wavelength)
         u_s = np.exp(2j * math.pi * delta_x_s / cfg.signal_filter_center)
         got = setup_rates(cfg, delta_x_p, delta_x_s)[:, 0]
-        assert got == pytest.approx(rates_of(dense(out_a, u_p, u_s), dense(i2, u_p, u_s))[:, 0], rel=1e-13)
+        assert got == pytest.approx(rates_of(dense(out_a, u_p, u_s), dense(i2, u_p, u_s)), rel=1e-13)
 
 
 def random_batch(rng, m):
@@ -351,8 +367,8 @@ def test_batch_equals_one_setting_calls_exactly():
     ids=["array-scalar", "scalar-array", "scalar-scalar", "array-array"],
 )
 def test_scalar_delays_broadcast_against_an_array(pump_is_array, signal_is_array):
-    # array-scalar is compile_model's call.  Each batch is bit-equal to the
-    # rates of its delays broadcast to (m,) arrays by hand.
+    # each batch is bit-equal to the rates of its delays broadcast to (m,)
+    # arrays by hand
     cfg = config_with(gain1=1e-3, gain2=1e-3, eta=0.6)
     delta_x_p = np.linspace(-3e-7, 4e-7, 7) if pump_is_array else 1e-7
     delta_x_s = np.linspace(-1e-6, 1e-6, 7) if signal_is_array else -2e-7

@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 from numpy.polynomial.hermite_e import hermegauss
 
+import icohsim.cli
 import icohsim.expectation
 import icohsim.spectral
 from icohsim.config import ConfigError, parse_config
 from icohsim.counting import detected
-from icohsim.expectation import setup_rates
+from icohsim.expectation import fringe_law, setup_operators, setup_rates
 from icohsim.scan import run_scan
 from icohsim.spectral import coherence_length, compile_model, envelope
 
-from conftest import config_with
+from conftest import config_with, dense
 
 C = 299_792_458.0  # m/s
 # frequency FWHMs (Hz): the default pump and signal filter, and a wide filter
@@ -188,12 +189,32 @@ def test_compiled_model_matches_per_point_rates_on_random_configs():
         assert np.all(np.abs(compiled - reference) <= tolerance), cfg
 
 
-def test_compiled_baseline_is_the_phase_averaged_baseline():
+def test_compiled_law_matches_per_setting_contractions():
+    # B and A against the engine's channels evaluated at pump phases 0, pi/2
+    # and pi (u_s = 1) and contracted there: with R(dphi) = B + Re(A e^{i dphi}),
+    # B = (R_0 + R_pi) / 2 and A = (R_0 - R_pi) / 2 + i (B - R_pi/2).  They
+    # agree within 4.0e-16 of B; the bound is 1e-15.
     rng = np.random.default_rng(7)
-    for _ in range(20):
+    for _ in range(60):
         cfg = _random_config(rng)
-        r0, r_pi = setup_rates(cfg, np.array([0.0, cfg.pump_wavelength / 2.0])).T
-        assert np.array_equal(compile_model(cfg).baseline, (r0 + r_pi) / 2.0)
+        out_a, i2 = setup_operators(cfg)
+        rates = []
+        for u_p in (1.0, 1j, -1.0):
+            s, i = dense(out_a, u_p), dense(i2, u_p)
+            p_a, p_b = np.sum(np.abs(s[1]) ** 2), np.sum(np.abs(i[1]) ** 2)
+            p_ab = abs(np.sum(s[1] * i[0])) ** 2 + p_a * p_b + abs(np.vdot(s[1], i[1])) ** 2
+            rates.append([p_a, p_b, p_ab])
+        r0, r_quarter, r_pi = np.array(rates)
+        base = (r0 + r_pi) / 2.0
+        amplitude = (r0 - r_pi) / 2.0 + 1j * (base - r_quarter)
+        model = compile_model(cfg)
+        assert np.all(np.abs(model.baseline - base) <= 1e-15 * base), cfg
+        assert np.all(np.abs(model.amplitude - amplitude) <= 1e-15 * base), cfg
+
+
+def test_default_amplitudes_are_real():
+    # real gains and a real splitter leave no quadrature term, exactly
+    assert compile_model(config_with()).amplitude.imag.tolist() == [0.0, 0.0, 0.0]
 
 
 @pytest.mark.parametrize("axis", ["signal", "pump"])
@@ -210,22 +231,27 @@ def test_run_scan_equals_per_point_path(axis):
     assert np.all(np.abs(record.rates - expected) <= tolerance)
 
 
-def test_compile_model_makes_one_engine_pass_of_three_settings_per_scan(monkeypatch):
-    batches = []
+def test_compile_model_makes_one_contraction_per_scan(monkeypatch):
+    contractions, batches = [], []
+
+    def counted_law(s, i):
+        contractions.append(1)
+        return fringe_law(s, i)
 
     def counted_batch(config, delta_x_p=0.0, delta_x_s=0.0):
-        rates = setup_rates(config, delta_x_p, delta_x_s)
-        batches.append(rates.shape[1])
-        return rates
+        batches.append(1)
+        return setup_rates(config, delta_x_p, delta_x_s)
 
-    for module in (icohsim.spectral, icohsim.expectation):
+    monkeypatch.setattr(icohsim.spectral, "fringe_law", counted_law)
+    for module in (icohsim.expectation, icohsim.cli):
         monkeypatch.setattr(module, "setup_rates", counted_batch)
     cfg = config_with(axis="pump")
     compile_model(cfg)
-    assert batches == [3]
+    assert contractions == [1]
     for n in (9, 401, 4001):
-        batches.clear()
+        contractions.clear()
         grid = np.linspace(-1e-6, 1e-6, n)
         record = run_scan(cfg, grid=grid)
         assert record.rates.shape[1] == n
-        assert batches == [3]
+        assert contractions == [1]
+    assert batches == []
