@@ -8,34 +8,34 @@ the separable model
     R(t) = a0 + exp(b1 t + b2 t^2) * (a1 cos(k t) + a2 sin(k t)),
 
 where t = (x - m) / h runs from -1 to 1 across the scan, m being its middle
-delay and h its half span: k = 2 pi h / L, and the phase is that at m.  The
-model is linear in the amplitudes (a0, a1, a2), so every Gauss-Newton step
-solves them by weighted linear least squares and iterates on k (and the
-envelope exponents b1, b2) alone: variable projection (Golub & Pereyra, SIAM
-J. Numer. Anal. 10, 413, 1973; Kaufman, BIT 15, 49, 1975).  The fit starts
-from the peak of a periodogram zero-padded to 4 times the record's length
-(at least 256 bins) with the envelope pinned flat (b1 = b2 = 0) and frees it
-only when a score test says the data resolve it.
+delay and h its half span: k = 2 pi h / L, and the phase and the visibility
+are those at m.  The model is linear in the amplitudes (a0, a1, a2), so
+every Gauss-Newton step solves them by weighted linear least squares and
+iterates on p = (k, b1, b2) alone: variable projection (Golub & Pereyra,
+SIAM J. Numer. Anal. 10, 413, 1973; Kaufman, BIT 15, 49, 1975).  There is
+one model and one fit: it starts from the peak of a periodogram zero-padded
+to 4 times the record's length (at least 256 bins), refined by one step in k
+alone, with a flat envelope (b1 = b2 = 0), and the envelope is free from its
+first step on.  Where the scan holds no envelope peak it does not resolve,
+the fit reports a lower bound on the envelope's FWHM (BOUND_SIGMAS).
 
 Every least-squares system of the fit is solved from its Gram matrix A^T A.
 The amplitudes' 3x3 Gram matrix G is inverted in closed form, from its
 cofactors in Python floats, for each linearization and each trial step.
 The Gauss-Newton step in the nonlinear parameters comes from that inverse
 by the Schur complement of G in the Gram matrix of the joint (a, p)
-Jacobian: a scalar for the pinned fit and a 3x3 matrix, inverted by the
-same closed form, for the free fit.  The envelope's score test is the free
-fit's first such step, taken from the pinned fit.  The covariance is the
-inverse of the joint Gram matrix, put together from the blocks of a Schur
-step (G^-1, E = G^-1 U and S^-1): for a pinned fit those of its score test,
-for a free fit those of one step at its returned linearization.  No fit
-builds the joint Jacobian as one matrix.  Where a Gram matrix is singular, a
-column is so short beside the longest one that numpy's lstsq rank cut
-(COLUMN_FLOOR, its default rcond) would drop a singular value, or the
-columns' variance inflation factors sum to INFLATION_LIMIT or more, the data
-do not determine the fringe, and the fit is refused with NoFringeError; for
-the step this rule is judged on the joint Gram matrix, from its blocks.
-Each Gauss-Newton step is tried whole, then halved until chi^2 falls, but
-never below PARAM_TOLERANCE.
+Jacobian: a 3x3 matrix, inverted by the same closed form (a scalar for the
+seed's step in k).  The covariance is the inverse of the joint Gram matrix,
+put together from the blocks of the Schur step at the returned fit (G^-1,
+E = G^-1 U and S^-1).  No fit builds the joint Jacobian as one matrix.
+Where a Gram matrix is singular, a column is so short beside the longest
+one that numpy's lstsq rank cut (COLUMN_FLOOR, its default rcond) would
+drop a singular value, or the columns' variance inflation factors sum to
+INFLATION_LIMIT or more, the data do not determine the fringe, and the fit
+is refused with NoFringeError; for the step this rule is judged on the
+joint Gram matrix, from its blocks.  Each Gauss-Newton step is tried whole,
+then halved until chi^2 falls, and the fit stops once a step would move no
+parameter by STEP_SIGMAS of its sigma.
 
 Counts fits reach the Poisson maximum-likelihood point by Fisher-scoring
 steps, then, from the first step that explains less than OBSERVED_DROP of
@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import mul
 from typing import NamedTuple
 
 import numpy as np
@@ -62,9 +63,23 @@ CHANNEL_ROWS = {"singles": 0, "coincidence": 2, "idler": 1}
 CHANNELS = tuple(CHANNEL_ROWS)
 SOURCES = ("counts", "rates")
 
-# Gauss-Newton steps allowed to each of the pinned and the free fit.
+# Gauss-Newton steps allowed to a fit.
 MAX_ITERATIONS = 200
-PARAM_TOLERANCE = 1e-10
+# A fit has converged once the Gauss-Newton step it has just computed would
+# move each nonlinear parameter (k, b1, b2) by less than STEP_SIGMAS of that
+# parameter's sigma; that step is not taken.  Each sigma^2 is the diagonal of
+# the step's own S^-1 (_step), times the residual variance for a rates fit.
+# Near the optimum the steps shrink quadratically, so a tenfold tighter rule
+# costs at most one more step (0.35 on average over 80 campaign fits, from
+# 1e-4 to 1e-5); at 1e-5 the Poisson score left at a counts fit of the tests'
+# campaign- and refit-shaped scans is at most 7e-5 of its largest term (8e-4
+# at 1e-4).  A rates fit that the model matches to rounding has a
+# residual variance of rounding alone, against which rounding's steps never
+# look small, so its variance is taken as at least RATES_RESOLUTION^2: the
+# resolution of the nine significant digits a scan CSV holds, relative to the
+# largest rate.
+STEP_SIGMAS = 1e-5
+RATES_RESOLUTION = 5e-9
 # Halvings of a Gauss-Newton step before it is given up as not improving.
 MAX_HALVINGS = 30
 # Least-squares systems are solved from their Gram matrix A^T A: the 3x3 one
@@ -91,14 +106,9 @@ MAX_HALVINGS = 30
 #   the extremes: at most 1.9e-14 for a 3-column solve, 1.0e-14 for the Schur
 #   step and 1.9e-14 relative for its chi^2 drop.  lstsq of the unscaled
 #   matrix errs by up to 7.6e-9 on the same matrices, so the tests compare
-#   against the column-scaled one.  Fitted values are within 1.7e-6 of their
-#   sigma of an lstsq fitter's on 496 campaign- and refit-shaped scans of the
-#   benchmark.
+#   against the column-scaled one.
 COLUMN_FLOOR = float(np.finfo(float).eps)
 INFLATION_LIMIT = 1e4
-# The envelope is freed when one step into it drops chi^2 by more than this
-# (chi^2 with 2 degrees of freedom exceeds 25 with probability 4e-6).
-ENVELOPE_THRESHOLD = 25.0
 # A counts fit takes Fisher-scoring steps until one step explains less than
 # this much chi^2, and observed-information steps from then on.  Fisher
 # weights 1/mu are positive and smooth wherever the model is, so its steps
@@ -111,13 +121,18 @@ ENVELOPE_THRESHOLD = 25.0
 # its sigma, so from then on y differs from mu by little more than counting
 # noise.
 OBSERVED_DROP = 1.0
-# Largest envelope exponent b1 t + b2 t^2 a fit may reach on the grid or at
-# its peak, so the envelope, the visibility and their sigmas stay finite.
+# Largest envelope exponent b1 t + b2 t^2 a fit may reach on the grid, so the
+# envelope and the fit's sigmas stay finite.
 MAX_EXPONENT = 100.0
-# A pinned envelope's reported FWHM is FWHM_FACTOR * PINNED_SPANS scan spans,
-# about 117.7, as a lower bound.  Nothing in the data sets this bound.
-PINNED_SPANS = 50.0
 FWHM_FACTOR = 2.0 * math.sqrt(2.0 * math.log(2.0))
+# The envelope is resolved when its curvature -b2 exceeds BOUND_SIGMAS times
+# its sigma and its peak lies within the scan.  Otherwise the fit reports as
+# the envelope's FWHM a lower bound: the FWHM of the curvature
+# max(0, -b2) + BOUND_SIGMAS * sigma_b2.  The true curvature lies above that
+# only where b2's estimate falls more than BOUND_SIGMAS sigma short of it,
+# with a one-sided normal probability of 1.35e-3; a flat envelope's b2 falls
+# below -BOUND_SIGMAS sigma with that probability too.
+BOUND_SIGMAS = 3.0
 # Largest relative deviation of a delay step from the median step on a uniform grid.
 GRID_TOLERANCE = 1e-6
 
@@ -197,8 +212,10 @@ class FringeFit:
     """Fitted fringe parameters with per-parameter uncertainties.
 
     The fields are the fit JSON's keys, in its order, with their units in
-    their names: metres, radians and counts/s.  ``phase_rad`` is the
-    fringe's phase at the delay ``phase_reference_m``, the scan's middle.
+    their names: metres, radians and counts/s.  ``phase_rad`` and
+    ``visibility`` are the fringe's phase and contrast at the delay
+    ``phase_reference_m``, the scan's middle.  ``envelope_center_m`` is nan
+    unless ``envelope_resolved``.
     """
 
     period_m: float
@@ -219,7 +236,6 @@ class FringeFit:
     baseline_sigma_hz: float
     channel: str
     source: str
-    envelope_delta_chi2: float
     phase_reference_m: float
 
 
@@ -252,26 +268,21 @@ def undersampling_warning(config: ExperimentConfig, record: ScanRecord) -> str |
 _LOWER_RATES = "; lower detectors.rate_a_hz, detectors.rate_b_hz or scan.dwell_s"
 
 
-def run_scan(
-    config: ExperimentConfig,
-    grid: np.ndarray | None = None,
-    sample: bool = True,
-) -> ScanRecord:
+def run_scan(config: ExperimentConfig, sample: bool = True) -> ScanRecord:
     """Evaluate the scan along ``config.axis``: calibrated envelope-modulated rates, then counts.
 
     The config is compiled once into its closed-form fringe model, which
     gives the whole grid's rates in one pass and the calibration baseline;
     the grid is calibrated as one array and sampled by one
     :func:`~icohsim.counting.sample_scan` call.  The non-scanned delay axis
-    is held at zero.  The grid is ``grid`` if given, else the config's
-    (scan_grid).  A grid that float64 cannot hold uniform, a step too fine
-    for the size of its delays, raises a ConfigError naming scan.step_nm;
-    calibrated rates beyond the float range, or when sampling an expected
-    count above :data:`~icohsim.counting.MAX_MEAN`, raise one naming the
-    keys that set them.
+    is held at zero; the grid is the config's (scan_grid).  A grid that
+    float64 cannot hold uniform, a step too fine for the size of its delays,
+    raises a ConfigError naming scan.step_nm; calibrated rates beyond the
+    float range, or when sampling an expected count above
+    :data:`~icohsim.counting.MAX_MEAN`, raise one naming the keys that set
+    them.
     """
-    delays = scan_grid(config) if grid is None else np.asarray(grid, dtype=float)
-
+    delays = scan_grid(config)
     model = compile_model(config)
     rates = model.rates(delta_x_p=delays) if config.axis == "pump" else model.rates(delta_x_s=delays)
     check_rates(rates)
@@ -355,24 +366,20 @@ def estimate_period(y: np.ndarray, step: float) -> float:
 
 
 class _Solution(NamedTuple):
-    """A Gauss-Newton fit at nonlinear parameters p = [k] or [k, b1, b2].
+    """A Gauss-Newton fit at nonlinear parameters p = [k, b1, b2].
 
-    ``basis`` holds the model's basis rows at p and ``sqrt_w`` the roots of
-    the weights at the returned fit: for counts, the Poisson (Fisher) weights
-    of the model there.  ``weighted`` holds the basis rows times ``sqrt_w``,
-    and ``extended``, as rows, the weighted Jacobian columns of p, then the
-    weighted residual.  ``gram`` and ``inverse`` are _solve's Gram matrix of
-    the weighted basis rows and its inverse.
+    ``a`` holds the amplitudes and ``residual`` the weighted residual at p,
+    under the weights of the expected information there: for counts, the
+    Poisson (Fisher) weights of the model.  ``inverse`` is _solve's inverse
+    of the weighted basis rows' Gram matrix, and ``blocks`` are _step's
+    blocks of the step at p, for _covariance.
     """
 
     p: list[float]
     a: np.ndarray
-    sqrt_w: np.ndarray
-    basis: np.ndarray
-    weighted: np.ndarray
-    extended: np.ndarray
-    gram: list[list[float]]
+    residual: np.ndarray
     inverse: list[list[float]]
+    blocks: tuple
     iterations: int
     converged: bool
 
@@ -482,10 +489,9 @@ def _step(
     D^T r - E^T W^T r.  The rule at COLUMN_FLOOR and INFLATION_LIMIT is evaluated on the
     joint Gram matrix of [W, D] from these blocks: its diagonal is G's and
     D^T D's, and its inverse's diagonal is that of G^-1 + E S^-1 E^T and of
-    S^-1.  The blocks returned are E and S, as rows with G^-1 W^T r and
-    D^T r - E^T W^T r as their last column, and S^-1, for _covariance.
-    Where S has no closed-form inverse or the rule fails, NoFringeError is
-    raised.
+    S^-1.  The blocks returned are E, as rows with G^-1 W^T r as their last
+    column, and S^-1, for _covariance.  Where S has no closed-form inverse or
+    the rule fails, NoFringeError is raised.
     """
     q = len(extended) - 1
     c0, c1, c2 = (weighted @ extended.T).tolist()
@@ -509,41 +515,31 @@ def _step(
             inflation += s * (g0 * e0[k] * e0[l] + g1 * e1[k] * e1[l] + g2 * e2[k] * e2[l])
     _require_determined(inflation)
     rhs = [row[q] for row in schur]
-    step = [sum(s * d for s, d in zip(row, rhs)) for row in schur_inverse]
+    step = [sum(map(mul, row, rhs)) for row in schur_inverse]
     drop = c0[q] * e0[q] + c1[q] * e1[q] + c2[q] * e2[q]
-    blocks = ([e0, e1, e2], schur, schur_inverse)
-    return step, drop + sum(s * d for s, d in zip(step, rhs)), blocks
+    blocks = ([e0, e1, e2], schur_inverse)
+    return step, drop + sum(map(mul, step, rhs)), blocks
 
 
-def _covariance(inverse: list[list[float]], blocks: tuple, q: int) -> list[list[float]]:
-    """Inverse of the Gram matrix of the joint Jacobian [W, D] over (a0, a1, a2) and the first q columns of D.
+def _covariance(inverse: list[list[float]], blocks: tuple) -> list[list[float]]:
+    """Inverse of the Gram matrix of the joint Jacobian [W, D] over (a0, a1, a2) and the q columns of D.
 
     From _step's blocks E and S^-1 and W's Gram inverse G^-1, by the block
-    form [[G^-1 + E S^-1 E^T, -E S^-1], [-S^-1 E^T, S^-1]].  Below the
-    step's width, q = 1 of 3, E is cut to its first column and S^-1 is 1 / S_00,
-    the Schur complement of G for that column alone: _step's rule keeps S_00
-    above the column's squared norm over INFLATION_LIMIT.
+    form [[G^-1 + E S^-1 E^T, -E S^-1], [-S^-1 E^T, S^-1]].
     """
-    e, schur, schur_inverse = blocks
-    if q < len(schur):
-        schur_inverse = [[1.0 / schur[0][0]]]
-    # E S^-1, by rows.
-    es = [[sum(row[m] * schur_inverse[m][l] for m in range(q)) for l in range(q)] for row in e]
+    e, schur_inverse = blocks
+    q = len(schur_inverse)
+    # E S^-1, by rows; map stops at E's q columns, before G^-1 W^T r.
+    es = [[sum(map(mul, row, column)) for column in zip(*schur_inverse)] for row in e]
     top = [
-        [g + sum(es[i][l] * e[j][l] for l in range(q)) for j, g in enumerate(row)] + [-v for v in es[i]]
+        [g + sum(map(mul, es[i], e[j])) for j, g in enumerate(row)] + [-v for v in es[i]]
         for i, row in enumerate(inverse)
     ]
-    return top + [[-es[i][l] for i in range(3)] + schur_inverse[l][:q] for l in range(q)]
-
-
-def _envelope_columns(basis: np.ndarray, a: np.ndarray, ts: np.ndarray) -> list[np.ndarray]:
-    """Jacobian columns of the envelope exponents (b1, b2), weighted as the basis rows are."""
-    osc = a[1:] @ basis[1:]
-    return [ts * osc, ts * ts * osc]
+    return top + [[-es[i][l] for i in range(3)] + schur_inverse[l] for l in range(q)]
 
 
 def _linearize(p, basis, ts, sqrt_w, target):
-    """Weighted basis rows, amplitudes, [D, r] rows and _solve's Gram blocks at p.
+    """Weighted basis rows, amplitudes, [D, r] rows and _solve's Gram blocks at p = [k] or [k, b1, b2].
 
     The amplitudes solve the weighted least squares of ``target`` on the
     weighted basis; the rows are the weighted Jacobian columns D of p, then
@@ -554,13 +550,38 @@ def _linearize(p, basis, ts, sqrt_w, target):
     extended = np.empty((len(p) + 1, len(ts)))
     extended[0] = ts * ((a[2], -a[1]) @ weighted[1:])
     if len(p) == 3:
-        extended[1], extended[2] = _envelope_columns(weighted, a, ts)
+        # The envelope exponents' columns: t and t^2 times the oscillation.
+        extended[1] = ts * (a[1:] @ weighted[1:])
+        extended[2] = ts * extended[1]
     extended[-1] = residual
     return weighted, a, extended, gram, inverse
 
 
+def _refine_seed(
+    k: float, ts: np.ndarray, sqrt_w: np.ndarray, target: np.ndarray
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """The seed wavenumber after one Gauss-Newton step in k alone with a flat envelope, the basis and the model there.
+
+    The periodogram's peak is pulled off the fringe's k by the leakage of
+    its negative frequency, by about 0.6% on a campaign scan, and a free fit
+    started there overshoots the envelope curvature on its first step.  The
+    step is kept if it lowers chi^2, else the seed is.  With b1 = b2 = 0 the
+    flat basis returned is the free model's; the model's values, in units of
+    the target's, give a counts fit its first weights.
+    """
+    basis = _basis([k], ts)
+    weighted, a, extended, gram, inverse = _linearize([k], basis, ts, sqrt_w, target)
+    (step,), _, _ = _step(weighted, gram, inverse, extended)
+    trial = _basis([k + step], ts)
+    if trial is not None:
+        trial_a, residual, _, _ = _solve(trial * sqrt_w, target)
+        if float(residual @ residual) < float(extended[1] @ extended[1]):
+            return k + step, trial, trial_a @ trial
+    return k, basis, a @ basis
+
+
 def _gauss_newton(p, basis, ts, sqrt_w, target, reweight) -> _Solution:
-    """Gauss-Newton on the nonlinear parameters p alone (variable projection).
+    """Gauss-Newton on the nonlinear parameters p = [k, b1, b2] alone (variable projection).
 
     ``basis`` is the model's basis at the starting p, and ``sqrt_w`` and
     ``target`` the roots of the starting weights and the weighted data.
@@ -577,46 +598,43 @@ def _gauss_newton(p, basis, ts, sqrt_w, target, reweight) -> _Solution:
     y/mu^2 and the working response of the Poisson likelihood's Newton step
     (see fit_fringe).  Both kinds stop at the same point, where the Poisson
     score sum (y - mu)/max(mu, 1) dmu/dtheta vanishes: the Poisson
-    maximum-likelihood fit.  ``iterations`` counts both kinds.  A fit that
-    ends on observed weights is solved once more with the Fisher weights of
-    its model, so the returned amplitudes, residual and Gram blocks are
-    those of the expected information at the returned p.
+    maximum-likelihood fit.  ``iterations`` counts both kinds.
 
-    Converged once a whole step moves no parameter by more than
-    PARAM_TOLERANCE (relative, or absolute below one).  Halving stops, and p
-    stays where it is, once a halved trial would move no parameter by more
-    than PARAM_TOLERANCE; the weights are then refreshed as after any step.
-    The whole step is always tried: the last one of a converging fit is below
-    PARAM_TOLERANCE, and skipping it would leave the reported p up to
-    PARAM_TOLERANCE short of the optimum, 1e-4 of its sigma on a 4001-point
-    scan.
+    The fit has converged, and stops without taking the step it has just
+    computed, once that step would move every parameter by less than
+    STEP_SIGMAS of its sigma (see STEP_SIGMAS).  Halving stops at the same
+    size, and a step that lowers chi^2 at no size down to it leaves p where
+    it is.  A rates fit has converged there, since its next step would be
+    the same.  A counts fit refreshes its weights and has converged there
+    when its next step fails too: the step descends the weighted chi^2, so
+    it is one that chi^2, summed in floats, cannot resolve (on a
+    few-thousand-point scan a step of 1e-5 sigma can be one).  A fit that
+    ends on observed weights is solved once more with the Fisher weights of
+    its model, so the returned amplitudes, residual and blocks are those of
+    the expected information at the returned p.
     """
-    observed = False
-    previous = None
+    observed = failed = False
     steps = 0
+    dof = len(ts) - 6
     while True:
         weighted, a, extended, gram, inverse = _linearize(p, basis, ts, sqrt_w, target)
-        theta = a.tolist() + p
-        converged = previous is not None and all(
-            abs(t - q) / max(abs(q), 1.0) < PARAM_TOLERANCE for t, q in zip(theta, previous)
-        )
+        step, drop, blocks = _step(weighted, gram, inverse, extended)
+        ssr = float(extended[-1] @ extended[-1])
+        variance = 1.0 if reweight is not None else max(ssr / dof, RATES_RESOLUTION * RATES_RESOLUTION)
+        # The squares of STEP_SIGMAS of each parameter's sigma.
+        floors = [STEP_SIGMAS * STEP_SIGMAS * variance * row[j] for j, row in enumerate(blocks[1])]
+
+        def below(scale: float) -> bool:
+            return all((s * scale) ** 2 < floor for s, floor in zip(step, floors))
+
+        converged = below(1.0)
         if converged or steps == MAX_ITERATIONS:
-            if observed:
-                sqrt_w, target = reweight(a @ basis, False)
-                weighted, a, extended, gram, inverse = _linearize(p, basis, ts, sqrt_w, target)
-            return _Solution(p, a, sqrt_w, basis, weighted, extended, gram, inverse, steps, converged)
-        previous = theta
+            break
         steps += 1
-        step, drop, _ = _step(weighted, gram, inverse, extended)
-        observed = reweight is not None and (observed or drop < OBSERVED_DROP)
-        residual = extended[-1]
-        ssr = float(residual @ residual)
-        # A nan step gives trials that _basis rejects, whatever size it gives.
-        size = max(abs(s) / max(abs(q), 1.0) for s, q in zip(step, p))
         model = None
         for halving in range(MAX_HALVINGS):
             scale = 0.5**halving
-            if halving and size * scale <= PARAM_TOLERANCE:
+            if halving and below(scale):
                 break
             trial = [q + s * scale for q, s in zip(p, step)]
             trial_basis = _basis(trial, ts)
@@ -626,43 +644,18 @@ def _gauss_newton(p, basis, ts, sqrt_w, target, reweight) -> _Solution:
             if float(trial_residual @ trial_residual) < ssr:
                 p, basis, model = trial, trial_basis, trial_a @ trial_basis
                 break
+        if model is None and (reweight is None or failed):
+            converged = True
+            break
+        failed = model is None
         if reweight is not None:
-            sqrt_w, target = reweight(a @ basis if model is None else model, observed)
-
-
-def _envelope_statistic(pinned: _Solution, ts: np.ndarray, use_poisson: bool) -> tuple[float, tuple]:
-    """chi^2 drop of one Gauss-Newton step from the pinned fit into the free envelope, and the step's blocks.
-
-    The step is the free fit's first Schur step (_step): the pinned fit's
-    weighted basis and Gram inverse, with the k column, the two envelope
-    columns at b1 = b2 = 0 and the residual that the free fit's first
-    iteration builds, and the statistic is the chi^2 that step explains.  At
-    the pinned optimum the residual is orthogonal to the pinned columns, so
-    this is the score test of b1 = b2 = 0: chi^2 with 2 degrees of freedom
-    under a flat envelope.  Noiseless rates carry no count variance, so their
-    drop is divided by the residual variance left after the step.  The
-    blocks are _step's, for the pinned fit's covariance (_covariance).
-
-    Precision, against the exact statistic of the same float columns on 88
-    fits each of counts and of noiseless rates (20 campaign-shaped and 48
-    refit-shaped scans): a counts statistic is good to 1.1e-13 relative.  A
-    rates statistic takes its residual variance as ssr - drop, a difference
-    of nearly equal sums, so its relative error grows with its value: at
-    most 1.6e-17 times the statistic (2e-15 at 1e3, 5.5e-6 at 1e12).  Above
-    about 1e16, where the free model fits the rates to rounding, as on a
-    pump-axis campaign scan, no digit of it is significant; only that it is
-    far above ENVELOPE_THRESHOLD.
-    """
-    extended = np.empty((4, len(ts)))
-    extended[0], extended[3] = pinned.extended
-    extended[1], extended[2] = _envelope_columns(pinned.weighted, pinned.a, ts)
-    _, drop, blocks = _step(pinned.weighted, pinned.gram, pinned.inverse, extended)
-    if use_poisson:
-        return drop, blocks
-    rest = float(extended[3] @ extended[3]) - drop
-    if rest > 0:
-        return drop * (len(ts) - 6) / rest, blocks
-    return (math.inf if drop > 0 else 0.0), blocks
+            observed = observed or drop < OBSERVED_DROP
+            sqrt_w, target = reweight(a @ basis if failed else model, observed)
+    if observed:
+        sqrt_w, target = reweight(a @ basis, False)
+        weighted, a, extended, gram, inverse = _linearize(p, basis, ts, sqrt_w, target)
+        _, _, blocks = _step(weighted, gram, inverse, extended)
+    return _Solution(p, a, extended[-1], inverse, blocks, steps, converged)
 
 
 def _period_wavenumber(half_span: float, value: float) -> float:
@@ -687,43 +680,40 @@ def fit_fringe(
     source: str = "counts",
     dwell: float | None = None,
 ) -> FringeFit:
-    """Fit the separable fringe model, freeing the envelope only when it is resolved.
+    """Fit the separable fringe model, its envelope free, to one series of the record.
 
     ``channel`` picks the record's row (CHANNEL_ROWS) and ``source`` its
     sampled counts or noiseless rates (SOURCES); anything else raises
     ValueError.  The series is picked once, and its periodogram
-    (estimate_period) seeds the fit.
+    (estimate_period), refined by one Gauss-Newton step in k alone
+    (_refine_seed), seeds the fit with a flat envelope, b1 = b2 = 0.
 
     Counts are fitted to the Poisson maximum-likelihood point, by
     Fisher-scoring steps (weights 1/max(mu, 1)) and then observed-information
     steps (weights y/max(mu, 1)^2, y floored at one count; see OBSERVED_DROP);
-    noiseless rate fits are unweighted.  The fit starts from the periodogram period
-    with the envelope pinned flat.  The envelope is freed when the chi^2 drop
-    of one step into it (``envelope_delta_chi2``) exceeds ENVELOPE_THRESHOLD,
-    and the free fit is reported when it converges to a peaked envelope
-    (b2 < 0) whose peak stays within exp(MAX_EXPONENT) of the mid-scan
-    value.  Otherwise the envelope stays pinned: its reported FWHM is a
-    lower bound of FWHM_FACTOR * PINNED_SPANS, about 117.7, scan spans, which
-    nothing in the data sets, and ``envelope_resolved`` is False.
+    noiseless rate fits are unweighted.
 
     A fitted period longer than the scan's span, less than one full fringe
     in the record, is a trend rather than a fringe and raises NoFringeError.
     So does a fit whose columns fail the rule at COLUMN_FLOOR and
     INFLATION_LIMIT: the data do not determine its fringe.
 
-    The visibility is taken at the envelope peak and is not clipped, so it
-    may exceed 1 within its uncertainty.  A pinned fit's envelope peak is 1,
-    so its visibility is the flat-envelope contrast over the scan; a weak
-    envelope curvature that stays pinned biases it low.  The phase is taken
-    at the scan's middle delay, ``phase_reference_m``.  Every uncertainty
-    comes by the delta method from the covariance of the reported fit: the
-    inverse of the expected information there (Poisson weights 1/max(mu, 1)
-    for counts; for rates scaled by the residual variance).  ``iterations`` counts the
-    Gauss-Newton steps of both fits, of both kinds.  A fit that does
-    not converge in MAX_ITERATIONS Gauss-Newton steps is returned at its
-    last parameters with ``converged`` False.
-    A counts fit needs ``dwell``, the config's seconds per point, to report
-    counts/s; without it it raises ValueError.
+    The visibility is the fringe contrast at the scan's middle,
+    hypot(a1, a2) / a0, wherever the envelope peaks; it is not clipped, so
+    it may exceed 1 within its uncertainty.  The phase is taken there too,
+    at ``phase_reference_m``.  ``envelope_resolved`` is True when the
+    envelope's curvature -b2 exceeds BOUND_SIGMAS of its sigma and its peak,
+    at t = -b1 / (2 b2), lies within the scan; only then are the envelope's
+    centre and FWHM reported, with sigmas.  Otherwise the centre is nan and
+    the FWHM is a lower bound (BOUND_SIGMAS), both with infinite sigmas.
+    Every uncertainty comes by the delta method from the covariance of the
+    fit: the inverse of the expected information there (Poisson weights
+    1/max(mu, 1) for counts; for rates scaled by the residual variance).
+    ``iterations`` counts the fit's Gauss-Newton steps, of both kinds, after
+    the seed's step in k.  A fit that does not converge in MAX_ITERATIONS
+    Gauss-Newton steps is returned at its last parameters with ``converged``
+    False.  A counts fit needs ``dwell``, the config's seconds per point, to
+    report counts/s; without it it raises ValueError.
     """
     if channel not in CHANNELS:
         raise ValueError(f"channel must be one of {CHANNELS}, got {channel!r}")
@@ -764,28 +754,17 @@ def fit_fringe(
         sqrt_w = np.sqrt(y_scale * y_scale / np.maximum(mean, 1.0))
         return sqrt_w, ys * sqrt_w
 
-    rule = reweight if use_poisson else None
     sqrt_w, target = reweight(ys, False) if use_poisson else (np.ones_like(ys), ys)
-    k_seed = [_period_wavenumber(half_span, period_seed)]
-    solution = _gauss_newton(k_seed, _basis(k_seed, ts), ts, sqrt_w, target, rule)
-    iterations = solution.iterations
-    statistic, blocks = _envelope_statistic(solution, ts, use_poisson)
-    if statistic > ENVELOPE_THRESHOLD:
-        # A flat envelope leaves the pinned basis and weights as they are.
-        flat = [solution.p[0], 0.0, 0.0]
-        sqrt_w = solution.sqrt_w
-        free = _gauss_newton(flat, solution.basis, ts, sqrt_w, ys * sqrt_w, rule)
-        iterations += free.iterations
-        beta1, beta2 = float(free.p[1]), float(free.p[2])
-        if free.converged and beta2 < 0 and -beta1 * beta1 / (4.0 * beta2) <= MAX_EXPONENT:
-            solution = free
-            _, _, blocks = _step(free.weighted, free.gram, free.inverse, free.extended)
+    k, basis, model = _refine_seed(_period_wavenumber(half_span, period_seed), ts, sqrt_w, target)
+    if use_poisson:
+        sqrt_w, target = reweight(model, False)
+    solution = _gauss_newton([k, 0.0, 0.0], basis, ts, sqrt_w, target, reweight if use_poisson else None)
 
     a0, a1, a2 = (float(v) for v in solution.a)
     amplitude = math.hypot(a1, a2)
     if not (a0 > 0 and amplitude > 0):
         raise NoFringeError("no fringe detected: fitted baseline or amplitude is not positive")
-    k = float(solution.p[0])
+    k, beta1, beta2 = (float(v) for v in solution.p)
     period = _period_wavenumber(half_span, k)
     span = 2.0 * half_span
     if period > span:
@@ -793,13 +772,11 @@ def fit_fringe(
             f"no fringe detected: fitted period {period:.6g} m is longer than "
             f"the scan's span of {span:.6g} m"
         )
-    q = len(solution.p)
-    residual = solution.extended[-1]
-    ssr = float(residual @ residual)
-    dof = len(ts) - 3 - q
+    ssr = float(solution.residual @ solution.residual)
+    dof = len(ts) - 6
     # The inverse of the joint (a, p) Gram matrix, from the blocks of the
-    # reported fit's Schur step.
-    cov = _covariance(solution.inverse, blocks, q)
+    # fit's Schur step.
+    cov = _covariance(solution.inverse, solution.blocks)
     scale = 1.0 if use_poisson else ssr / dof
 
     def sigma(*gradient: float) -> float:
@@ -811,50 +788,48 @@ def fit_fringe(
         exactly short of the subnormal range, so a sigma that is finite
         unscaled is the same float.
         """
-        n = min(len(gradient), len(cov))
-        exponent = math.frexp(max(abs(g) for g in gradient[:n]))[1]
-        scaled = [math.ldexp(g, -exponent) for g in gradient[:n]]
-        variance = sum(scaled[i] * cov[i][j] * scaled[j] for i in range(n) for j in range(n))
+        exponent = math.frexp(max(abs(g) for g in gradient))[1]
+        # The partials that are not zero, scaled, with their indices.
+        scaled = [(i, math.ldexp(g, -exponent)) for i, g in enumerate(gradient) if g]
+        variance = sum(g * cov[i][j] * h for i, g in scaled for j, h in scaled)
         try:
             return math.ldexp(math.sqrt(max(variance * scale, 0.0)), exponent)
         except OverflowError:
             return math.inf
 
-    # Envelope peak relative to mid-scan: exponent log_peak at t = center.
-    if len(solution.p) == 3:
-        beta1, beta2 = float(solution.p[1]), float(solution.p[2])
-        center = -beta1 / (2.0 * beta2)
-        width = 1.0 / math.sqrt(-2.0 * beta2)
-        log_peak = 0.5 * beta1 * center
-        envelope_center = middle + half_span * center
-        envelope_center_sigma = half_span * sigma(0, 0, 0, 0, -0.5 / beta2, -center / beta2)
-        envelope_fwhm = FWHM_FACTOR * half_span * width
-        envelope_fwhm_sigma = FWHM_FACTOR * half_span * sigma(0, 0, 0, 0, 0, width * width * width)
-        resolved = half_span * width < span
-    else:
-        center = log_peak = 0.0
-        resolved = False
-        envelope_center, envelope_center_sigma = middle, math.inf
-        envelope_fwhm, envelope_fwhm_sigma = FWHM_FACTOR * PINNED_SPANS * span, math.inf
-    visibility = amplitude / a0 * math.exp(log_peak)
+    visibility = amplitude / a0
     if not math.isfinite(visibility):
         raise NoFringeError("no fringe detected: fitted visibility is not finite")
     # d|a|/da1 / |a| and d|a|/da2 / |a|, ordered to neither overflow nor underflow.
     da1, da2 = (a1 / amplitude) / amplitude, (a2 / amplitude) / amplitude
+    # The envelope's curvature -b2, detected at BOUND_SIGMAS, and its peak in t.
+    curvature_sigma = sigma(0, 0, 0, 0, 0, 1.0)
+    center = -beta1 / (2.0 * beta2) if beta2 < 0 else math.nan
+    resolved = -beta2 > BOUND_SIGMAS * curvature_sigma and abs(center) <= 1.0
+    if resolved:
+        width = 1.0 / math.sqrt(-2.0 * beta2)
+        envelope_center = middle + half_span * center
+        envelope_center_sigma = half_span * sigma(0, 0, 0, 0, -0.5 / beta2, -center / beta2)
+        envelope_fwhm = FWHM_FACTOR * half_span * width
+        envelope_fwhm_sigma = FWHM_FACTOR * half_span * sigma(0, 0, 0, 0, 0, width * width * width)
+    else:
+        envelope_center, envelope_center_sigma, envelope_fwhm_sigma = math.nan, math.inf, math.inf
+        curvature = max(0.0, -beta2) + BOUND_SIGMAS * curvature_sigma
+        envelope_fwhm = FWHM_FACTOR * half_span / math.sqrt(2.0 * curvature) if curvature > 0 else math.inf
 
     rate_scale = y_scale / dwell if use_poisson else y_scale
     return FringeFit(
         period_m=period,
         period_sigma_m=sigma(0, 0, 0, period / k),
         visibility=visibility,
-        visibility_sigma=visibility * sigma(-1.0 / a0, da1, da2, 0, center, center * center),
+        visibility_sigma=visibility * sigma(-1.0 / a0, da1, da2),
         envelope_center_m=envelope_center,
         envelope_fwhm_m=envelope_fwhm,
         phase_rad=_wrap_phase(math.atan2(-a2, a1)),
         baseline_hz=a0 * rate_scale,
         reduced_residual=ssr / dof if use_poisson else math.sqrt(ssr / dof),
         converged=solution.converged,
-        iterations=iterations,
+        iterations=solution.iterations,
         envelope_resolved=resolved,
         envelope_center_sigma_m=envelope_center_sigma,
         envelope_fwhm_sigma_m=envelope_fwhm_sigma,
@@ -862,6 +837,5 @@ def fit_fringe(
         baseline_sigma_hz=sigma(1.0) * rate_scale,
         channel=channel,
         source=source,
-        envelope_delta_chi2=statistic,
         phase_reference_m=middle,
     )

@@ -39,8 +39,9 @@ def near_nyquist_record():
     """16 counts at 10 nm steps of a 21.25 nm fringe of unit visibility.
 
     Its lowest points hold a few counts, so their Poisson weights outweigh
-    the peaks' by hundreds, and the pinned fit's columns have a
-    variance-inflation sum of 34631.6: the data do not determine the fringe.
+    the peaks' by hundreds, and at the fit's first step in (k, b1, b2) its
+    columns have a variance-inflation sum of 61057.1: the data do not
+    determine the fringe.
     """
     x = 10e-9 * np.arange(16)
     mean = 1000.0 * (1.0 + np.cos(2.0 * np.pi * x / 21.25e-9 + 0.3))

@@ -31,7 +31,7 @@ from icohsim.cli import (
 from icohsim.config import ConfigError, load_config
 from icohsim.fockoracle import MAX_ORACLE_GAIN
 from icohsim.scan import FringeFit, fit_fringe, run_scan
-from icohsim.spectral import compile_model
+from icohsim.spectral import coherence_length, compile_model
 
 from conftest import config_with, near_nyquist_record
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -56,7 +56,6 @@ FIT_KEYS = [
     "baseline_sigma_hz",
     "channel",
     "source",
-    "envelope_delta_chi2",
     "phase_reference_m",
 ]
 
@@ -106,9 +105,11 @@ def test_fit_json_reports_diagnostics_as_strict_json(tmp_path):
     summary = json.loads(fit_out.read_text(encoding="utf-8"), parse_constant=_reject_constant)
     assert list(summary.keys()) == FIT_KEYS
     assert summary["iterations"] > 0
-    # a 4 um scan cannot resolve the ~350 um signal envelope: its width is a
-    # lower bound, and on this seed its uncertainty is unbounded
+    # a 4 um scan does not resolve the 288 um signal envelope: its width is a
+    # lower bound, with no centre and no uncertainty
     assert summary["envelope_resolved"] is False
+    assert summary["envelope_center_m"] is None
+    assert 0 < summary["envelope_fwhm_m"] <= 288e-6
     assert summary["envelope_fwhm_sigma_m"] is None
     assert summary["phase_sigma_rad"] > 0
     assert summary["baseline_sigma_hz"] > 0
@@ -343,14 +344,17 @@ def test_predict_writes_zero_counts_and_fit_rates_works(tmp_path):
     assert main(fit) == EXIT_OK
     summary = read_json(fit_out)
     assert summary["visibility"] == pytest.approx(1.0, abs=1e-6)
-    # the noiseless pump scan's coincidence fringe: the envelope stays pinned,
-    # and the period is the pump wavelength to 1e-9 of itself
+    # the noiseless pump scan's coincidence fringe: the period is the pump
+    # wavelength to 1e-9 of itself, and the fringe lies in the model's family,
+    # so its rates resolve the pump envelope, 5.88 mm wide, from a 4 um scan
     pump = ["--axis", "pump"]
     assert main(["predict", "--config", DEFAULT_CONFIG, *pump, "--out", str(out), "--quiet"]) == EXIT_OK
     assert main([*fit, *pump, "--channel", "coincidence"]) == EXIT_OK
     summary = read_json(fit_out)
-    assert summary["envelope_resolved"] is False
     assert abs(summary["period_m"] / 355e-9 - 1) <= 1e-9
+    assert summary["envelope_resolved"] is True
+    fwhm = 2 * coherence_length(load_config(DEFAULT_CONFIG).pump_bandwidth)
+    assert abs(summary["envelope_fwhm_m"] - fwhm) <= 3 * summary["envelope_fwhm_sigma_m"]
 
 
 def test_fit_on_flat_counts_exits_with_fit_code(tmp_path, capsys):
@@ -542,27 +546,27 @@ def test_python_m_icohsim_exits_with_the_code_main_returns(tmp_path):
 
 
 def test_fit_of_a_ramp_without_a_full_fringe_exits_with_fit_code(tmp_path, capsys):
-    # 16 Poisson counts of a rising ramp converge at a period of about 1.8 scan spans.
+    # 16 Poisson counts of a rising ramp converge at a period of about 1.1 scan spans.
     counts = [110, 107, 90, 117, 132, 131, 158, 143, 160, 162, 184, 180, 198, 195, 193, 187]
     rows = [f"{1e-08 * i!r},{c}.0,{c}.0,{c}.0,{c},{c},{c}\n" for i, c in enumerate(counts)]
     path = tmp_path / "ramp.csv"
     path.write_text(",".join(CSV_HEADER) + "\n" + "".join(rows), encoding="utf-8")
     code = main(["fit", str(path), "--config", DEFAULT_CONFIG, "--quiet"])
     assert code == EXIT_FIT
-    message = "fit error: no fringe detected: fitted period 2.66213e-07 m is longer than the scan's span"
+    message = "fit error: no fringe detected: fitted period 1.67269e-07 m is longer than the scan's span"
     assert message in capsys.readouterr().err
 
 
 def test_fit_of_an_undetermined_near_nyquist_record_exits_with_fit_code(tmp_path, capsys):
-    # The pinned fit's columns are too close to dependent for the data to
-    # determine the fringe: no JSON is written, and fit exits 4.
+    # The fit's columns are too close to dependent for the data to determine
+    # the fringe: no JSON is written, and fit exits 4.
     buffer = io.StringIO()
     cli.write_scan_csv(near_nyquist_record(), buffer)
     scan, fit_out = tmp_path / "scan.csv", tmp_path / "fit.json"
     scan.write_text(buffer.getvalue(), encoding="utf-8")
     assert main(["fit", str(scan), "--config", DEFAULT_CONFIG, "--out", str(fit_out), "--quiet"]) == EXIT_FIT
     assert capsys.readouterr().err == (
-        "fit error: no fringe determined: the fit's columns have a variance-inflation sum of 34631.6, "
+        "fit error: no fringe determined: the fit's columns have a variance-inflation sum of 61057.1, "
         "not below 10000\n"
     )
     assert not fit_out.exists()
@@ -595,7 +599,8 @@ def test_fit_json_equals_the_reference_encoder(tmp_path, monkeypatch, max_iterat
     fit = fit_fringe(record, dwell=load_config(DEFAULT_CONFIG).dwell)
     assert fit.converged is (max_iterations is None)
     summary = cli.fit_summary(fit)
-    # the pinned envelope's sigmas are unbounded: the file holds nulls
+    # the unresolved envelope has no centre and no sigmas: the file holds nulls
+    assert summary["envelope_center_m"] is None
     assert summary["envelope_center_sigma_m"] is None and summary["envelope_fwhm_sigma_m"] is None
     assert out.read_text(encoding="utf-8") == json.dumps(summary, indent=2) + "\n"
 
@@ -631,9 +636,15 @@ def test_fit_of_delays_near_the_float_range_succeeds(tmp_path, capsys, first, st
     assert summary["visibility"] == pytest.approx(0.8, abs=0.01)
     assert summary["phase_reference_m"] == pytest.approx(first + 49.5 * step, rel=1e-12)
     # the period's sigma squares a partial of about 3e304 m, so it is scaled before
-    # squaring; the pinned width, about 117.7 spans or 1e309 m, is beyond any float
+    # squaring; the flat envelope's width bound, 4.23 spans, is 4.19e307 m on the
+    # first grid and beyond any float on the second
     assert 0 < summary["period_sigma_m"] < summary["period_m"]
-    assert summary["envelope_fwhm_m"] is None
+    assert summary["envelope_center_m"] is None
+    bound = 418.8 * step
+    if math.isfinite(bound):
+        assert summary["envelope_fwhm_m"] == pytest.approx(bound, rel=1e-3)
+    else:
+        assert summary["envelope_fwhm_m"] is None
 
 
 def test_period_seed_beyond_the_float_range_is_no_fringe(tmp_path, capsys):

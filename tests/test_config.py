@@ -783,6 +783,12 @@ def built(values: dict) -> ExperimentConfig:
     return ExperimentConfig(**{BY_LABEL[label].field: value for label, value in values.items()})
 
 
+def first_points(config: ExperimentConfig, count: int) -> ExperimentConfig:
+    """The config with its scan cut to its first ``count`` grid points, by a stop the config checks."""
+    grid = scan_grid(config)
+    return config if len(grid) <= count else dataclasses.replace(config, stop=float(grid[count - 1]))
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(st.fixed_dictionaries({}, optional={key.label: in_range(key) for key in KEYS.values()}))
 @example({"pump.wavelength_nm": 5e-324})
@@ -801,12 +807,13 @@ def test_a_built_config_runs_every_stage_without_a_warning(values):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         compile_model(config)
-        grid = scan_grid(config)[:2001]
         for sample in (False, True):
             try:
-                record = run_scan(config, grid=grid, sample=sample)
+                record = run_scan(first_points(config, 2001), sample=sample)
             except ConfigError:
-                continue  # documented: counts or calibrated rates beyond the representable range
+                # documented: counts or calibrated rates beyond the representable
+                # range, or a step too fine for float64 delays
+                continue
             for channel in ("singles", "coincidence"):
                 try:
                     fit_fringe(record, channel, source="rates")

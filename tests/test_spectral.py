@@ -250,8 +250,7 @@ def test_compile_model_makes_one_contraction_per_scan(monkeypatch):
     assert contractions == [1]
     for n in (9, 401, 4001):
         contractions.clear()
-        grid = np.linspace(-1e-6, 1e-6, n)
-        record = run_scan(cfg, grid=grid)
+        record = run_scan(config_with(axis="pump", start=-1e-6, stop=1e-6, step=2e-6 / (n - 1)))
         assert record.rates.shape[1] == n
         assert contractions == [1]
     assert batches == []
