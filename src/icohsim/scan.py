@@ -34,14 +34,14 @@ drop a singular value, or the columns' variance inflation factors sum to
 INFLATION_LIMIT or more, the data do not determine the fringe, and the fit
 is refused with NoFringeError; for the step this rule is judged on the
 joint Gram matrix, from its blocks.  Each Gauss-Newton step is tried whole,
-then halved until chi^2 falls, and the fit stops once a step would move no
+then halved until chi^2 falls, skipping a trial outside the model's domain
+or failing the rule (_trial), and the fit stops once a step would move no
 parameter by STEP_SIGMAS of its sigma.
 
-Counts fits reach the Poisson maximum-likelihood point by Fisher-scoring
-steps, then, from the first step that explains less than OBSERVED_DROP of
-chi^2, by observed-information steps (McCullagh & Nelder, Generalized Linear
-Models, 1989).  Every uncertainty is taken from the inverse of the expected
-(Fisher) information at the returned fit.
+Counts fits reach the Poisson maximum-likelihood point by one Fisher-scoring
+step, then observed-information steps (McCullagh & Nelder, Generalized
+Linear Models, 1989).  Every uncertainty is taken from the inverse of the
+expected (Fisher) information at the returned fit.
 """
 
 from __future__ import annotations
@@ -103,24 +103,11 @@ MAX_HALVINGS = 30
 #   the column-scaled system.  Measured in units of each column's scale
 #   against lstsq of the column-scaled matrix, on 6000 random full-rank
 #   matrices of 8 to 4001 rows with column scales 1e-3 to 1e3, weighted to
-#   the extremes: at most 1.9e-14 for a 3-column solve, 1.0e-14 for the Schur
-#   step and 1.9e-14 relative for its chi^2 drop.  lstsq of the unscaled
-#   matrix errs by up to 7.6e-9 on the same matrices, so the tests compare
-#   against the column-scaled one.
+#   the extremes: at most 1.9e-14 for a 3-column solve and 1.0e-14 for the
+#   Schur step.  lstsq of the unscaled matrix errs by up to 7.6e-9 on the same
+#   matrices, so the tests compare against the column-scaled one.
 COLUMN_FLOOR = float(np.finfo(float).eps)
 INFLATION_LIMIT = 1e4
-# A counts fit takes Fisher-scoring steps until one step explains less than
-# this much chi^2, and observed-information steps from then on.  Fisher
-# weights 1/mu are positive and smooth wherever the model is, so its steps
-# are safe far from the optimum, but each step leaves the weights one step
-# behind the model, and near the optimum that makes convergence linear.
-# Observed-information weights y/mu^2 give the Gauss-Newton form of the
-# Poisson likelihood's Newton step, which converges faster near the optimum
-# but misjudges the curvature where the model still misses the data.  A step
-# that explains less than one unit of chi^2 moves no parameter by more than
-# its sigma, so from then on y differs from mu by little more than counting
-# noise.
-OBSERVED_DROP = 1.0
 # Largest envelope exponent b1 t + b2 t^2 a fit may reach on the grid, so the
 # envelope and the fit's sigmas stay finite.
 MAX_EXPONENT = 100.0
@@ -475,8 +462,8 @@ def _step(
     gram: list[list[float]],
     inverse: list[list[float]],
     extended: np.ndarray,
-) -> tuple[list[float], float, tuple]:
-    """p part of the least-squares solution of the joint matrix [W, D] on r, its chi^2 drop, and its blocks.
+) -> tuple[list[float], tuple]:
+    """p part of the least-squares solution of the joint matrix [W, D] on r, and its blocks.
 
     ``weighted`` holds the columns of W as rows, and ``extended`` those of
     [D, r]: the q weighted Jacobian columns D of p, then the residual r.
@@ -484,14 +471,13 @@ def _step(
     _solve.  With U = W^T D and E = G^-1 U, the Schur complement of G in the
     Gram matrix of [W, D, r] holds S = D^T D - U^T E beside
     D^T r - E^T W^T r, and S^-1 times the latter is the step.  S is 1x1 or
-    3x3, inverted in closed form.  The drop is the squared norm of r's
-    projection on [W, D]: r^T W G^-1 W^T r, plus the step's dot product with
-    D^T r - E^T W^T r.  The rule at COLUMN_FLOOR and INFLATION_LIMIT is evaluated on the
-    joint Gram matrix of [W, D] from these blocks: its diagonal is G's and
-    D^T D's, and its inverse's diagonal is that of G^-1 + E S^-1 E^T and of
-    S^-1.  The blocks returned are E, as rows with G^-1 W^T r as their last
-    column, and S^-1, for _covariance.  Where S has no closed-form inverse or
-    the rule fails, NoFringeError is raised.
+    3x3, inverted in closed form.  The rule at COLUMN_FLOOR and
+    INFLATION_LIMIT is evaluated on the joint Gram matrix of [W, D] from
+    these blocks: its diagonal is G's and D^T D's, and its inverse's diagonal
+    is that of G^-1 + E S^-1 E^T and of S^-1.  The blocks returned are E, as
+    rows with G^-1 W^T r as their last column, and S^-1, for _covariance.
+    Where S has no closed-form inverse or the rule fails, NoFringeError is
+    raised.
     """
     q = len(extended) - 1
     c0, c1, c2 = (weighted @ extended.T).tolist()
@@ -516,9 +502,7 @@ def _step(
     _require_determined(inflation)
     rhs = [row[q] for row in schur]
     step = [sum(map(mul, row, rhs)) for row in schur_inverse]
-    drop = c0[q] * e0[q] + c1[q] * e1[q] + c2[q] * e2[q]
-    blocks = ([e0, e1, e2], schur_inverse)
-    return step, drop + sum(map(mul, step, rhs)), blocks
+    return step, ([e0, e1, e2], schur_inverse)
 
 
 def _covariance(inverse: list[list[float]], blocks: tuple) -> list[list[float]]:
@@ -557,6 +541,23 @@ def _linearize(p, basis, ts, sqrt_w, target):
     return weighted, a, extended, gram, inverse
 
 
+def _trial(p, ts, sqrt_w, target) -> tuple[np.ndarray, np.ndarray, float] | None:
+    """Basis, model (in the target's units) and weighted chi^2 at a trial p, or None to skip it.
+
+    A trial is skipped outside the model's domain (_basis) or where its
+    amplitudes fail the rule at COLUMN_FLOOR and INFLATION_LIMIT: a shorter
+    step may avoid either, and the rule judges the data at the current p.
+    """
+    basis = _basis(p, ts)
+    if basis is None:
+        return None
+    try:
+        a, residual, _, _ = _solve(basis * sqrt_w, target)
+    except NoFringeError:
+        return None
+    return basis, a @ basis, float(residual @ residual)
+
+
 def _refine_seed(
     k: float, ts: np.ndarray, sqrt_w: np.ndarray, target: np.ndarray
 ) -> tuple[float, np.ndarray, np.ndarray]:
@@ -565,18 +566,17 @@ def _refine_seed(
     The periodogram's peak is pulled off the fringe's k by the leakage of
     its negative frequency, by about 0.6% on a campaign scan, and a free fit
     started there overshoots the envelope curvature on its first step.  The
-    step is kept if it lowers chi^2, else the seed is.  With b1 = b2 = 0 the
-    flat basis returned is the free model's; the model's values, in units of
-    the target's, give a counts fit its first weights.
+    step is kept if it lowers chi^2 (_trial), else the seed is.  With
+    b1 = b2 = 0 the flat basis returned is the free model's; the model's
+    values, in units of the target's, give a counts fit its first weights.
     """
     basis = _basis([k], ts)
     weighted, a, extended, gram, inverse = _linearize([k], basis, ts, sqrt_w, target)
-    (step,), _, _ = _step(weighted, gram, inverse, extended)
-    trial = _basis([k + step], ts)
-    if trial is not None:
-        trial_a, residual, _, _ = _solve(trial * sqrt_w, target)
-        if float(residual @ residual) < float(extended[1] @ extended[1]):
-            return k + step, trial, trial_a @ trial
+    (step,), _ = _step(weighted, gram, inverse, extended)
+    trial = _trial([k + step], ts, sqrt_w, target)
+    if trial is not None and trial[2] < float(extended[1] @ extended[1]):
+        trial_basis, model, _ = trial
+        return k + step, trial_basis, model
     return k, basis, a @ basis
 
 
@@ -592,33 +592,34 @@ def _gauss_newton(p, basis, ts, sqrt_w, target, reweight) -> _Solution:
     observed)`` gives the new roots and target of a counts fit; rates fits
     (None) keep unit weights.
 
-    A counts fit starts with Fisher scoring: Poisson weights 1/mu of the
-    model mu, floored at one count.  From the first step that explains less
-    than OBSERVED_DROP of chi^2 it takes observed-information steps: weights
+    A counts fit takes its first step by Fisher scoring: Poisson weights 1/mu
+    of the model mu, floored at one count, safe where the model still misses
+    the data.  Every later step is an observed-information step: weights
     y/mu^2 and the working response of the Poisson likelihood's Newton step
-    (see fit_fringe).  Both kinds stop at the same point, where the Poisson
-    score sum (y - mu)/max(mu, 1) dmu/dtheta vanishes: the Poisson
-    maximum-likelihood fit.  ``iterations`` counts both kinds.
+    (see fit_fringe), which near the optimum converges faster than Fisher
+    weights one step behind the model.  Both stop where the Poisson score
+    sum (y - mu)/max(mu, 1) dmu/dtheta vanishes: the Poisson
+    maximum-likelihood fit.  ``iterations`` counts the steps of both kinds.
 
     The fit has converged, and stops without taking the step it has just
     computed, once that step would move every parameter by less than
     STEP_SIGMAS of its sigma (see STEP_SIGMAS).  Halving stops at the same
-    size, and a step that lowers chi^2 at no size down to it leaves p where
-    it is.  A rates fit has converged there, since its next step would be
-    the same.  A counts fit refreshes its weights and has converged there
-    when its next step fails too: the step descends the weighted chi^2, so
-    it is one that chi^2, summed in floats, cannot resolve (on a
-    few-thousand-point scan a step of 1e-5 sigma can be one).  A fit that
-    ends on observed weights is solved once more with the Fisher weights of
-    its model, so the returned amplitudes, residual and blocks are those of
-    the expected information at the returned p.
+    size, and a step that lowers chi^2 at no size down to it (a skipped trial
+    does not) leaves p where it is.  A rates fit has converged there, since
+    its next step would be the same.  A counts fit refreshes its weights and
+    has converged there when its next step fails too: the step descends the
+    weighted chi^2, so it is one that chi^2, summed in floats, cannot resolve
+    (on a few-thousand-point scan a step of 1e-5 sigma can be one).  A
+    counts fit that took a step is solved once more with the Fisher weights
+    of its model, so the returned amplitudes, residual and blocks are those
+    of the expected information at the returned p.
     """
-    observed = failed = False
+    failed = False
     steps = 0
     dof = len(ts) - 6
     while True:
         weighted, a, extended, gram, inverse = _linearize(p, basis, ts, sqrt_w, target)
-        step, drop, blocks = _step(weighted, gram, inverse, extended)
+        step, blocks = _step(weighted, gram, inverse, extended)
         ssr = float(extended[-1] @ extended[-1])
         variance = 1.0 if reweight is not None else max(ssr / dof, RATES_RESOLUTION * RATES_RESOLUTION)
         # The squares of STEP_SIGMAS of each parameter's sigma.
@@ -637,24 +638,20 @@ def _gauss_newton(p, basis, ts, sqrt_w, target, reweight) -> _Solution:
             if halving and below(scale):
                 break
             trial = [q + s * scale for q, s in zip(p, step)]
-            trial_basis = _basis(trial, ts)
-            if trial_basis is None:
-                continue
-            trial_a, trial_residual, _, _ = _solve(trial_basis * sqrt_w, target)
-            if float(trial_residual @ trial_residual) < ssr:
-                p, basis, model = trial, trial_basis, trial_a @ trial_basis
+            solved = _trial(trial, ts, sqrt_w, target)
+            if solved is not None and solved[2] < ssr:
+                p, (basis, model, _) = trial, solved
                 break
         if model is None and (reweight is None or failed):
             converged = True
             break
         failed = model is None
         if reweight is not None:
-            observed = observed or drop < OBSERVED_DROP
-            sqrt_w, target = reweight(a @ basis if failed else model, observed)
-    if observed:
+            sqrt_w, target = reweight(a @ basis if failed else model, True)
+    if steps and reweight is not None:
         sqrt_w, target = reweight(a @ basis, False)
         weighted, a, extended, gram, inverse = _linearize(p, basis, ts, sqrt_w, target)
-        _, _, blocks = _step(weighted, gram, inverse, extended)
+        _, blocks = _step(weighted, gram, inverse, extended)
     return _Solution(p, a, extended[-1], inverse, blocks, steps, converged)
 
 
@@ -688,10 +685,10 @@ def fit_fringe(
     (estimate_period), refined by one Gauss-Newton step in k alone
     (_refine_seed), seeds the fit with a flat envelope, b1 = b2 = 0.
 
-    Counts are fitted to the Poisson maximum-likelihood point, by
-    Fisher-scoring steps (weights 1/max(mu, 1)) and then observed-information
-    steps (weights y/max(mu, 1)^2, y floored at one count; see OBSERVED_DROP);
-    noiseless rate fits are unweighted.
+    Counts are fitted to the Poisson maximum-likelihood point, by one
+    Fisher-scoring step (weights 1/max(mu, 1)) and then observed-information
+    steps (weights y/max(mu, 1)^2, y floored at one count; see
+    _gauss_newton); noiseless rate fits are unweighted.
 
     A fitted period longer than the scan's span, less than one full fringe
     in the record, is a trend rather than a fringe and raises NoFringeError.

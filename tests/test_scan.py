@@ -321,12 +321,14 @@ def test_basis_is_none_outside_the_model_domain():
     assert _basis([1.0, 2.0 * MAX_EXPONENT, 0.0], ts) is None
 
 
-def test_fit_halves_past_a_step_to_a_negative_wavenumber(monkeypatch):
-    # The first Gauss-Newton step in (k, b1, b2) is replaced by one that
-    # takes k to -2 k; the trials at -2 k and -k/2 are outside the model's
-    # domain and are skipped, and the fit still converges to the unpatched
-    # optimum.
-    record = synthetic_record(noise_seed=1)
+@pytest.mark.parametrize("noise_seed", [1, 32])
+def test_fit_halves_past_a_step_to_a_negative_wavenumber(monkeypatch, noise_seed):
+    # The first Gauss-Newton step in (k, b1, b2) is stretched along itself
+    # until it takes k to -2 k; the trials at -2 k and -k/2 are outside the
+    # model's domain and are skipped, and the fit still converges to the
+    # unpatched optimum.  On seed 32 a shorter trial's envelope is so steep
+    # that its amplitudes fail the column rule; it is skipped too.
+    record = synthetic_record(noise_seed=noise_seed)
     plain = fit_fringe(record, dwell=0.5)
     trials = []
     calls = []
@@ -336,12 +338,13 @@ def test_fit_halves_past_a_step_to_a_negative_wavenumber(monkeypatch):
         return _basis(p, ts)
 
     def step(*args):
-        step, drop, blocks = _step(*args)
+        step, blocks = _step(*args)
         if len(step) == 3:
             calls.append(args)
             if len(calls) == 1:
-                step = [-3.0 * trials[-1][0], 0.0, 0.0]
-        return step, drop, blocks
+                stretch = -3.0 * trials[-1][0] / step[0]
+                step = [s * stretch for s in step]
+        return step, blocks
 
     monkeypatch.setattr("icohsim.scan._basis", basis)
     monkeypatch.setattr("icohsim.scan._step", step)
@@ -422,9 +425,9 @@ def test_scan_grid_spans_start_to_stop_and_rounds_the_step(start, stop, step, po
 # resolves the envelope; both signal fits report a visibility above 1.
 RECORDED_FITS = [
     ("signal", 2, "singles", 3,
-     8.079707651070855e-07, 1.0000989530264437, 0.00013767139086782443, 41977.32667004539),
+     8.079707650853991e-07, 1.0000989532296694, 0.0001376709356554132, 41977.32667107175),
     ("signal", 1, "coincidence", 4,
-     8.080205405522369e-07, 1.0002164104089615, 9.737622678634839e-05, 42001.682933448414),
+     8.080205405275811e-07, 1.0002164106404945, 9.737665311159893e-05, 42001.68293461103),
     ("pump", 0, "singles", 3,
      3.550180647629458e-07, 0.9999006313921042, -0.00014658503469421857, 42024.423252910354),
     ("pump", 0, "coincidence", 3,
@@ -470,11 +473,11 @@ def two_channel_record(noise_seed, visibility, fwhm=None):
 # the contrast at mid-scan, 0.2 um off the envelope's peak.
 SYNTHETIC_FITS = [
     (20, 1.0, None, "singles", "counts", 4,
-     8.080245891932569e-07, 1.0001090031702382, 0.30014955154071293, 41978.21967299109),
+     8.080245891940861e-07, 1.000109003176746, 0.30014955154780326, 41978.2196729238),
     (12, 0.7, None, "coincidence", "counts", 3,
-     8.081203708576253e-07, 0.9400362827325272, 0.3003776886776842, 3990.022276875033),
+     8.081203708456254e-07, 0.9400362826818955, 0.3003776886796915, 3990.0222769287643),
     (13, 0.7, 1.6e-06, "singles", "counts", 6,
-     8.080697951769819e-07, 0.6705525802982718, 0.29901290988441465, 42013.22072983805),
+     8.08069795176729e-07, 0.6705525802926429, 0.29901290988415463, 42013.22072983691),
     (14, 0.7, 2e-06, "coincidence", "rates", 5,
      8.073216331501898e-07, 0.9131055104431376, 0.29523463784837695, 4000.6058018404897),
 ]
@@ -600,15 +603,12 @@ def _matrix(rows, columns, exponents, seed):
 
 
 def _scaled_lstsq(matrix, target, scales):
-    """lstsq's solution in units of each column's scale, and the chi^2 it explains.
+    """lstsq's solution in units of each column's scale.
 
     lstsq of the column-scaled matrix: that of the unscaled one errs by up to
     7.6e-9 in these units at column scales of 1e-3 and 1e3.
     """
-    scaled = matrix / scales
-    solution = np.linalg.lstsq(scaled, target, rcond=None)[0]
-    explained = scaled @ solution
-    return solution, float(explained @ explained)
+    return np.linalg.lstsq(matrix / scales, target, rcond=None)[0]
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -622,7 +622,7 @@ def test_least_squares_matches_lstsq_on_full_rank_matrices(rows, exponents, seed
     # each column's scale, _solve's closed form agrees with lstsq to 1e-11
     # (1.9e-14 is the largest seen).
     matrix, target, scales = _matrix(rows, 3, exponents, seed)
-    expected, _ = _scaled_lstsq(matrix, target, scales)
+    expected = _scaled_lstsq(matrix, target, scales)
     a, _, _, inverse = _solve(matrix.T, target)
     assert inverse is not None
     assert np.linalg.norm(a * scales - expected) <= 1e-11 * np.linalg.norm(expected)
@@ -663,15 +663,13 @@ def test_step_is_the_joint_least_squares_step(rows, free, exponents, seed):
     # 3 amplitude columns, then 1 (k alone) or 3 (k, b1, b2) step columns, and a
     # target that is not orthogonal to the amplitude columns.  The
     # Schur-complement step is the p part of lstsq on the joint matrix to
-    # 1e-11 in units of each column's scale (1.0e-14 is the largest seen), and
-    # its drop is lstsq's explained chi^2 to 1e-11 relative (1.9e-14 seen).
+    # 1e-11 in units of each column's scale (1.0e-14 is the largest seen).
     matrix, target, scales = _matrix(rows, 6 if free else 4, exponents, seed)
     weighted = matrix[:, :3].T
     _, _, gram, inverse = _solve(weighted, target)
-    step, drop, _ = _step(weighted, gram, inverse, np.vstack([matrix[:, 3:].T, target]))
-    expected, explained = _scaled_lstsq(matrix, target, scales)
+    step, _ = _step(weighted, gram, inverse, np.vstack([matrix[:, 3:].T, target]))
+    expected = _scaled_lstsq(matrix, target, scales)
     assert np.linalg.norm(np.array(step) * scales[3:] - expected[3:]) <= 1e-11 * np.linalg.norm(expected)
-    assert drop == pytest.approx(explained, rel=1e-11, abs=0.0)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -689,7 +687,7 @@ def test_covariance_is_the_inverse_of_the_joint_gram_matrix(rows, free, exponent
     matrix, target, scales = _matrix(rows, 6 if free else 4, exponents, seed)
     weighted = matrix[:, :3].T
     _, _, gram, inverse = _solve(weighted, target)
-    _, _, blocks = _step(weighted, gram, inverse, np.vstack([matrix[:, 3:].T, target]))
+    _, blocks = _step(weighted, gram, inverse, np.vstack([matrix[:, 3:].T, target]))
     covariance = np.array(_covariance(inverse, blocks)) * np.outer(scales, scales)
     scaled = matrix / scales
     expected = np.linalg.pinv(scaled.T @ scaled)
@@ -748,6 +746,18 @@ CAMPAIGN_SCANS = {
     "signal": (808e-9, {}),
     "pump": (355e-9, dict(axis="pump", start=-1e-6, stop=1e-6)),
 }
+
+
+def test_campaign_fits_take_observed_information_steps_after_the_first():
+    # 80 counts fits of the campaign's scans, seeds 1-20, both channels, take
+    # 263 Gauss-Newton steps in all.  Fisher weights until a step explains
+    # less than one unit of chi^2, then observed information, took 281.
+    total = 0
+    for _, scan in CAMPAIGN_SCANS.values():
+        for seed in range(1, 21):
+            record = run_scan(config_with(seed=seed, **scan))
+            total += sum(fit_fringe(record, channel, dwell=0.5).iterations for channel in ("singles", "coincidence"))
+    assert total <= 263
 
 
 @pytest.mark.parametrize("axis", CAMPAIGN_SCANS)
