@@ -36,7 +36,7 @@ import numpy as np
 from . import fockoracle
 from .config import SCAN_AXES, ConfigError, ExperimentConfig, load_config, utf8_error
 from .counting import accidental_rate, double_pair_probability
-from .expectation import RATE_NAMES, check_rates, setup_rates
+from .expectation import RATE_NAMES
 from .scan import (
     CHANNEL_ROWS,
     CHANNELS,
@@ -49,7 +49,7 @@ from .scan import (
     run_scan,
     undersampling_warning,
 )
-from .spectral import coherence_length, compile_model, envelope
+from .spectral import check_rates, coherence_length, compile_model, envelope
 
 EXIT_OK = 0
 EXIT_UNEXPECTED = 1
@@ -272,7 +272,7 @@ class OracleComparison:
 
 
 def oracle_comparison(config: ExperimentConfig, points_per_axis: int = 16) -> OracleComparison:
-    """Engine vs brute-force state check over one fringe period per axis.
+    """The compiled model's monochromatic rates vs the brute-force state, one fringe period per axis.
 
     Both sides evaluate all 2 * ``points_per_axis`` delay settings in one
     batched call.  Deviations are reported relative to each channel's full
@@ -284,7 +284,7 @@ def oracle_comparison(config: ExperimentConfig, points_per_axis: int = 16) -> Or
     zeros = np.zeros(points_per_axis)
     delta_x_p = np.concatenate([zeros, steps * lam_p / points_per_axis])
     delta_x_s = np.concatenate([steps * lam_s / points_per_axis, zeros])
-    engine = setup_rates(config, delta_x_p, delta_x_s)
+    engine = compile_model(config).monochromatic(delta_x_p, delta_x_s)
     oracle = fockoracle.detection_moments(fockoracle.build_state(config, delta_x_p, delta_x_s))
     check_rates(engine)
     check_rates(oracle)

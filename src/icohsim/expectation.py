@@ -5,14 +5,11 @@ Signal singles <a_s^+ a_s>, idler singles, and coincidences
 in units of |K|^2; calibration to count rates is the counting module's job.
 The chain is composed once per config with the delays as the symbols u_p and
 u_s, and :func:`fringe_law` contracts it at no delay setting into each rate's
-Laurent polynomial in the phasors: B + Re(A e^{i dphi}), or it raises.
+Laurent polynomial in the phasors: B + Re(A e^{i dphi}), or it raises.  It is
+plain Python: ``spectral`` evaluates the law at delays, and imports numpy.
 """
 
 from __future__ import annotations
-
-import math
-
-import numpy as np
 
 from .config import ExperimentConfig
 
@@ -21,19 +18,8 @@ from .operators import IO1, PUMP, SIGNAL, SO1, SO2, Channel
 from .operators import adjoint, attenuate, beam_splitter, free_mode, phase_delay, spdc
 
 RATE_NAMES = ("p_a", "p_b", "p_ab")
-# Rates below zero by more than roundoff are an error.
-RATE_FLOOR = -1e-15
 FRINGE = (1, -1)  # u_p conj(u_s) as exponents (n_p, n_s): e^{i dphi}
 LAW = ((0, 0), FRINGE, (-1, 1))  # the monomials of B + Re(A e^{i dphi})
-
-
-def check_rates(rates: np.ndarray) -> None:
-    """Raise ValueError naming the first bad rate, in column order, of (3, m) rate rows."""
-    bad = np.argwhere(~(np.isfinite(rates) & (rates >= RATE_FLOOR)).T)
-    if len(bad):
-        column, row = bad[0]
-        value = rates[row, column].item()
-        raise ValueError(f"rate {RATE_NAMES[row]}={value!r} must be finite and non-negative")
 
 
 def setup_operators(config: ExperimentConfig) -> tuple[Channel, Channel]:
@@ -88,25 +74,3 @@ def fringe_law(s: Channel, i: Channel) -> tuple[tuple[float, ...], tuple[complex
                 raise ValueError(f"rate {name} has a stray u_p^{n_p} u_s^{n_s} term {c!r}")
     base = tuple(poly.get((0, 0), 0j).real for poly in rates)
     return base, tuple(2.0 * poly.get(FRINGE, 0j) for poly in rates)
-
-
-def fringe_phase(config: ExperimentConfig, delta_x_p, delta_x_s):
-    """dphi = 2 pi (dx_p / lambda_p - dx_s / lambda_s) of delays in meters: e^{i dphi} = u_p conj(u_s)."""
-    return 2.0 * math.pi * (delta_x_p / config.pump_wavelength - delta_x_s / config.signal_filter_center)
-
-
-def setup_rates(
-    config: ExperimentConfig,
-    delta_x_p: float | np.ndarray = 0.0,
-    delta_x_s: float | np.ndarray = 0.0,
-) -> np.ndarray:
-    """Monochromatic rates of scalar or (m,) pump and signal delays (meters), in |K|^2 units.
-
-    Returns shape (3, m), rows (p_a, p_b, p_ab); delay arrays of unequal
-    lengths raise ValueError.  Each row is B + Re(A e^{i dphi}) with fringe_law's
-    (B, A), elementwise, so each column equals its one-setting call bit for bit.
-    """
-    base, amplitude = fringe_law(*setup_operators(config))
-    x_p, x_s = np.array(delta_x_p, dtype=float, ndmin=1), np.array(delta_x_s, dtype=float, ndmin=1)
-    fringe = np.array(amplitude)[:, None] * np.exp(1j * fringe_phase(config, x_p, x_s))
-    return np.array(base)[:, None] + fringe.real

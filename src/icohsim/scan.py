@@ -55,8 +55,7 @@ import numpy as np
 
 from .config import ConfigError, ExperimentConfig
 from .counting import MAX_MEAN, count_means, detected, sample_scan
-from .expectation import check_rates
-from .spectral import compile_model
+from .spectral import check_rates, compile_model
 
 # Row of each channel in a record's rates and counts: detector A, detector B, coincidences.
 CHANNEL_ROWS = {"singles": 0, "coincidence": 2, "idler": 1}

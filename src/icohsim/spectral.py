@@ -21,9 +21,10 @@ dphi = 2 pi (dx_p / lambda_p - dx_s / lambda_s) and follows the
 induced-coherence law B + Re(A e^{i dphi}) of Zou, Wang and Mandel (PRL 67,
 318, 1991).  :func:`compile_model` takes B and A once per config from the
 engine's contraction of the chain, exact and with no delay setting
-evaluated, and :meth:`FringeModel.rates` damps the fringe term by both
-envelopes.  The tests check that law against an independent average of the
-monochromatic engine over the pump and signal spectra.
+evaluated.  :meth:`FringeModel.monochromatic` evaluates that law and
+:meth:`FringeModel.rates` damps its fringe term by both envelopes, the one
+evaluator of either.  The tests check the envelope law against an independent
+average of the monochromatic rates over the pump and signal spectra.
 """
 
 from __future__ import annotations
@@ -34,11 +35,27 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import SPEED_OF_LIGHT, ExperimentConfig
-from .expectation import fringe_law, fringe_phase, setup_operators
+from .expectation import RATE_NAMES, fringe_law, setup_operators
 
+# Rates below zero by more than roundoff are an error.
+RATE_FLOOR = -1e-15
 # An envelope argument beyond this gives exactly 0.0 (exp underflows near 45);
 # clamping there keeps its square finite and every smaller one bit for bit.
 MAX_ENVELOPE_ARG = 1e150
+
+
+def check_rates(rates: np.ndarray) -> None:
+    """Raise ValueError naming the first bad rate, in column order, of (3, m) rate rows."""
+    bad = np.argwhere(~(np.isfinite(rates) & (rates >= RATE_FLOOR)).T)
+    if len(bad):
+        column, row = bad[0]
+        value = rates[row, column].item()
+        raise ValueError(f"rate {RATE_NAMES[row]}={value!r} must be finite and non-negative")
+
+
+def fringe_phase(config: ExperimentConfig, delta_x_p, delta_x_s):
+    """dphi = 2 pi (dx_p / lambda_p - dx_s / lambda_s) of delays in meters: e^{i dphi} = u_p conj(u_s)."""
+    return 2.0 * math.pi * (delta_x_p / config.pump_wavelength - delta_x_s / config.signal_filter_center)
 
 
 def envelope(fwhm: float, delta_x: float | np.ndarray) -> float | np.ndarray:
@@ -63,6 +80,20 @@ class FringeModel:
     amplitude: np.ndarray  # (3,) complex, channels (p_a, p_b, p_ab)
     config: ExperimentConfig  # sets the fringe periods and the envelope widths
 
+    def _law(self, delta_x_p: np.ndarray, delta_x_s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """B and Re(A e^{i dphi}) on broadcast delay arrays, shaped (3, 1, ...) to add."""
+        phase = fringe_phase(self.config, delta_x_p, delta_x_s)
+        channels = (3,) + (1,) * phase.ndim
+        return self.baseline.reshape(channels), (self.amplitude.reshape(channels) * np.exp(1j * phase)).real
+
+    def monochromatic(
+        self, delta_x_p: float | np.ndarray = 0.0, delta_x_s: float | np.ndarray = 0.0
+    ) -> np.ndarray:
+        """B + Re(A e^{i dphi}) of scalar or (m,) delays: shape (3, m), (3, 1) for scalars; unequal
+        lengths raise ValueError.  Elementwise, so a column equals its one-setting call bit for bit."""
+        base, fringe = self._law(*(np.array(x, dtype=float, ndmin=1) for x in (delta_x_p, delta_x_s)))
+        return base + fringe
+
     def rates(
         self, delta_x_p: float | np.ndarray = 0.0, delta_x_s: float | np.ndarray = 0.0
     ) -> np.ndarray:
@@ -73,11 +104,9 @@ class FringeModel:
         delta_x_p = np.asarray(delta_x_p, dtype=float)
         delta_x_s = np.asarray(delta_x_s, dtype=float)
         config = self.config
-        phase = fringe_phase(config, delta_x_p, delta_x_s)
         env = envelope(config.signal_filter_fwhm(), delta_x_s) * envelope(config.pump_bandwidth, delta_x_p)
-        channels = (3,) + (1,) * phase.ndim
-        fringe = self.amplitude.reshape(channels) * np.exp(1j * phase)
-        return self.baseline.reshape(channels) + env * fringe.real
+        base, fringe = self._law(delta_x_p, delta_x_s)
+        return base + env * fringe
 
 
 def compile_model(config: ExperimentConfig) -> FringeModel:

@@ -1,8 +1,12 @@
 import dataclasses
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import icohsim
 from icohsim.config import ExperimentConfig
 from icohsim.scan import ScanRecord
 
@@ -33,6 +37,22 @@ def config():
 def config_with(**overrides):
     """Default config with the given fields replaced."""
     return dataclasses.replace(ExperimentConfig(), **overrides)
+
+
+def fresh_import(module):
+    """The output lines of a fresh interpreter, on the icohsim this suite imported
+    (from src/ or installed), that imports ``module``: the sorted icohsim modules
+    it loaded, then whether numpy is loaded."""
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(icohsim.__file__))}
+    code = (
+        f"import sys, {module}; "
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'icohsim')); "
+        "print('numpy' in sys.modules)"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          encoding="utf-8", timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()
 
 
 def near_nyquist_record():

@@ -19,7 +19,6 @@ from icohsim.counting import (
     double_pair_probability,
     sample_scan,
 )
-from icohsim.expectation import setup_rates
 from icohsim.fockoracle import build_state, detection_moments
 from icohsim.scan import ScanRecord, fit_fringe, run_scan
 from icohsim.spectral import compile_model, envelope
@@ -89,7 +88,7 @@ def test_criterion_01_singles_rate_cosine_law():
             delta_x_p.append(pp * lam_p / (2 * math.pi))
             delta_x_s.append(ps * lam_s / (2 * math.pi))
             shapes.append(1.0 + math.cos(pp - ps))
-    rates = setup_rates(cfg, np.array(delta_x_p), np.array(delta_x_s))[0]
+    rates = compile_model(cfg).monochromatic(np.array(delta_x_p), np.array(delta_x_s))[0]
     shapes = np.array(shapes)
     scale = float(np.sum(rates * shapes) / np.sum(shapes * shapes))
     worst = float(np.max(np.abs(rates - scale * shapes)) / (2.0 * scale))
@@ -162,7 +161,7 @@ def test_criterion_08_oracle_equivalence_on_randomized_configs():
         )
         delta_x_p = rng.uniform(-2 * cfg.pump_wavelength, 2 * cfg.pump_wavelength)
         delta_x_s = rng.uniform(-1.6e-6, 1.6e-6)
-        engine = setup_rates(cfg, delta_x_p, delta_x_s)[:, 0].tolist()
+        engine = compile_model(cfg).monochromatic(delta_x_p, delta_x_s)[:, 0].tolist()
         oracle = detection_moments(build_state(cfg, delta_x_p, delta_x_s))[:, 0].tolist()
         for e, o in zip(engine, oracle):
             scale = max(abs(e), abs(o), compile_model(cfg).baseline[0])

@@ -31,7 +31,7 @@ from icohsim.cli import (
 from icohsim.config import ConfigError, load_config
 from icohsim.fockoracle import MAX_ORACLE_GAIN
 from icohsim.scan import FringeFit, fit_fringe, run_scan
-from icohsim.spectral import coherence_length, compile_model
+from icohsim.spectral import FringeModel, coherence_length, compile_model
 
 from conftest import config_with, near_nyquist_record
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -894,10 +894,10 @@ def test_oracle_json_tells_signed_zeros_apart():
 
 
 def test_oracle_check_rejects_a_non_finite_rate(tmp_path, capsys, monkeypatch):
-    def nan_rates(config, delta_x_p, delta_x_s):
+    def nan_rates(model, delta_x_p, delta_x_s):
         return np.full((3, len(delta_x_p)), np.nan)
 
-    monkeypatch.setattr(cli, "setup_rates", nan_rates)
+    monkeypatch.setattr(FringeModel, "monochromatic", nan_rates)
     out = tmp_path / "oracle.json"
     argv = ["oracle-check", "--config", DEFAULT_CONFIG, "--points", "4", "--out", str(out), "--quiet"]
     assert main(argv) == EXIT_UNEXPECTED

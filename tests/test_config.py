@@ -2,10 +2,8 @@ import configparser
 import dataclasses
 import io
 import math
-import os
 import random
 import re
-import subprocess
 import sys
 import warnings
 from pathlib import Path
@@ -14,7 +12,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import icohsim
 from icohsim.cli import build_report, main, oracle_comparison
 from icohsim.config import (
     KEYS,
@@ -33,7 +30,7 @@ from icohsim.fockoracle import MAX_ORACLE_GAIN
 from icohsim.scan import NoFringeError, fit_fringe, run_scan, scan_grid
 from icohsim.spectral import compile_model
 
-from conftest import config_with
+from conftest import config_with, fresh_import
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_FILE = REPO_ROOT / "configs" / "default.ini"
@@ -41,18 +38,8 @@ SECTIONS = list(dict.fromkeys(section for section, _ in KEYS))
 
 
 def test_config_is_the_bottom_layer():
-    # A fresh interpreter on the icohsim this suite imported, from src/ or installed:
-    # the config imports nothing from the package, and so no numpy either.
-    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(icohsim.__file__))}
-    code = (
-        "import sys, icohsim.config; "
-        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'icohsim')); "
-        "print('numpy' in sys.modules)"
-    )
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          encoding="utf-8", timeout=60)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines() == ["['icohsim', 'icohsim.config']", "False"]
+    # the config imports nothing from the package, and so no numpy either
+    assert fresh_import("icohsim.config") == ["['icohsim', 'icohsim.config']", "False"]
 
 
 def test_shipped_default_file_equals_builtin_defaults():

@@ -4,12 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from icohsim.expectation import (
-    check_rates,
-    fringe_law,
-    setup_operators,
-    setup_rates,
-)
+from icohsim.expectation import fringe_law, setup_operators
 from icohsim.fockoracle import build_state, detection_moments
 from icohsim.operators import (
     IO1,
@@ -21,9 +16,9 @@ from icohsim.operators import (
     free_mode,
     spdc,
 )
-from icohsim.spectral import compile_model
+from icohsim.spectral import check_rates, compile_model
 
-from conftest import config_with, dense
+from conftest import config_with, dense, fresh_import
 
 
 def rates_of(s, i):
@@ -36,6 +31,12 @@ def rates_of(s, i):
     base, amplitude = fringe_law(channel(s), channel(i))
     assert amplitude == (0j, 0j, 0j)
     return base
+
+
+def test_the_engine_imports_no_numpy():
+    # the symbolic engine stands on the config and the operators alone, in plain Python
+    modules = "['icohsim', 'icohsim.config', 'icohsim.expectation', 'icohsim.operators']"
+    assert fresh_import("icohsim.expectation") == [modules, "False"]
 
 
 # Rates (p_a, p_b, p_ab) recorded from the engine this one replaced, a general
@@ -139,7 +140,7 @@ GOLDEN += zip(
 def test_rates_match_recorded_engine_outputs(overrides, rates):
     cfg = config_with(**overrides)
     for delays, want in zip(GOLDEN_DELAYS, rates):
-        got = setup_rates(cfg, *delays)[:, 0].tolist()
+        got = compile_model(cfg).monochromatic(*delays)[:, 0].tolist()
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
@@ -162,7 +163,7 @@ def test_singles_rate_counts_creation_amplitudes_coherently():
 def test_ideal_singles_rate_extremes():
     k = 1e-3
     cfg = config_with(gain1=k, gain2=k)
-    top, bottom = setup_rates(cfg, np.array([0.0, cfg.pump_wavelength / 2]))[0]
+    top, bottom = compile_model(cfg).monochromatic(np.array([0.0, cfg.pump_wavelength / 2]))[0]
     assert top == pytest.approx(2 * k * k, rel=1e-12)
     assert bottom <= 1e-12 * top
 
@@ -175,8 +176,7 @@ def test_phase_grid_matches_cosine_law():
     for _ in range(50):
         phi_p = rng.uniform(0, 2 * math.pi)
         phi_s = rng.uniform(0, 2 * math.pi)
-        got = setup_rates(
-            cfg,
+        got = compile_model(cfg).monochromatic(
             delta_x_p=phi_p * lam_p / (2 * math.pi),
             delta_x_s=phi_s * lam_s / (2 * math.pi),
         )[0, 0]
@@ -220,7 +220,7 @@ def test_coincidence_shares_phase_dependence_with_singles():
     cfg = config_with(gain1=k, gain2=k, eta=0.8)
     lam_p = cfg.pump_wavelength
     phases = np.linspace(0, 2 * math.pi, 37)
-    singles, _, coinc = setup_rates(cfg, phases * lam_p / (2 * math.pi))
+    singles, _, coinc = compile_model(cfg).monochromatic(phases * lam_p / (2 * math.pi))
     assert int(np.argmax(singles)) == int(np.argmax(coinc))
     assert int(np.argmin(singles)) == int(np.argmin(coinc))
 
@@ -229,7 +229,7 @@ def test_visibility_pairing_closed_forms():
     k = 1e-3
     for eta in (1.0, 0.9, 0.7, 0.4, 0.0):
         cfg = config_with(gain1=k, gain2=k, eta=eta)
-        hi, lo = setup_rates(cfg, np.array([0.0, cfg.pump_wavelength / 2])).T
+        hi, lo = compile_model(cfg).monochromatic(np.array([0.0, cfg.pump_wavelength / 2])).T
         vis_singles = (hi[0] - lo[0]) / (hi[0] + lo[0])
         assert vis_singles == pytest.approx(eta, abs=1e-12)
         vis_coinc = (hi[2] - lo[2]) / (hi[2] + lo[2])
@@ -242,11 +242,11 @@ def test_fringe_period_follows_the_scanned_axis():
     cfg = config_with(gain1=1e-3, gain2=1e-3)
     lam_p = cfg.pump_wavelength
     lam_s = cfg.signal_filter_center
-    probe, shifted, mismatched = setup_rates(
-        cfg, np.array([0.31 * lam_p, 1.31 * lam_p, 0.31 * lam_p + lam_s])
+    probe, shifted, mismatched = compile_model(cfg).monochromatic(
+        np.array([0.31 * lam_p, 1.31 * lam_p, 0.31 * lam_p + lam_s])
     )[0]
     assert shifted == pytest.approx(probe, rel=1e-9)
-    probe_s, shifted_s = setup_rates(cfg, delta_x_s=np.array([0.2 * lam_s, 1.2 * lam_s]))[0]
+    probe_s, shifted_s = compile_model(cfg).monochromatic(delta_x_s=np.array([0.2 * lam_s, 1.2 * lam_s]))[0]
     assert shifted_s == pytest.approx(probe_s, rel=1e-9)
     # and the pump-axis period is NOT the signal wavelength
     assert abs(mismatched - probe) > 0.1 * probe
@@ -258,14 +258,14 @@ def test_idler_singles_independent_of_delays():
     rng = random.Random(9)
     expected = k1 * k1 + k2 * k2
     for _ in range(20):
-        p_b = setup_rates(cfg, rng.uniform(-1e-6, 1e-6), rng.uniform(-1e-6, 1e-6))[1, 0]
+        p_b = compile_model(cfg).monochromatic(rng.uniform(-1e-6, 1e-6), rng.uniform(-1e-6, 1e-6))[1, 0]
         assert p_b == pytest.approx(expected, rel=1e-12)
 
 
 def test_zero_gains_remove_all_pairs():
     cfg = config_with(gain1=0.0, gain2=0.0)
     for delays in ((0.0, 0.0), (1.1e-7, -3.7e-7)):
-        p_a, p_b, p_ab = setup_rates(cfg, *delays)[:, 0]
+        p_a, p_b, p_ab = compile_model(cfg).monochromatic(*delays)[:, 0]
         assert p_a == 0.0
         assert p_b == 0.0
         assert p_ab == 0.0
@@ -279,7 +279,7 @@ def test_phase_averaged_rates_are_the_baseline():
     rng = random.Random(17)
     for _ in range(5):
         x = rng.uniform(0, 1e-6)
-        here, flipped = setup_rates(cfg, np.array([x, x + cfg.pump_wavelength / 2.0]))[0]
+        here, flipped = compile_model(cfg).monochromatic(np.array([x, x + cfg.pump_wavelength / 2.0]))[0]
         assert (here + flipped) / 2.0 == pytest.approx(base[0], rel=1e-9)
 
 
@@ -288,7 +288,7 @@ def test_agrees_with_fock_oracle_on_default_grid():
     cfg = config_with(gain1=k, gain2=k)
     lam_s = cfg.signal_filter_center
     delta_x_s = np.linspace(0, 1, 16, endpoint=False) * lam_s
-    engine = setup_rates(cfg, delta_x_s=delta_x_s)
+    engine = compile_model(cfg).monochromatic(delta_x_s=delta_x_s)
     oracle = detection_moments(build_state(cfg, delta_x_s=delta_x_s))
     for e, o in zip(engine, oracle):
         scale = max(e.max(), o.max())
@@ -312,7 +312,7 @@ def test_oracle_agreement_over_randomized_configs():
         cfg = config_with(**overrides)
         delta_x_p = rng.uniform(-2 * cfg.pump_wavelength, 2 * cfg.pump_wavelength)
         delta_x_s = rng.uniform(-2e-6, 2e-6)
-        e = setup_rates(cfg, delta_x_p, delta_x_s)[:, 0].tolist()
+        e = compile_model(cfg).monochromatic(delta_x_p, delta_x_s)[:, 0].tolist()
         o = detection_moments(build_state(cfg, delta_x_p, delta_x_s))[:, 0].tolist()
         for ev, ov in zip(e, o):
             scale = max(abs(ev), abs(ov), compile_model(cfg).baseline[0])
@@ -334,7 +334,7 @@ def test_setup_operators_expose_detected_channels():
         delta_x_p, delta_x_s = rng.uniform(-1e-6, 1e-6), rng.uniform(-1e-6, 1e-6)
         u_p = np.exp(2j * math.pi * delta_x_p / cfg.pump_wavelength)
         u_s = np.exp(2j * math.pi * delta_x_s / cfg.signal_filter_center)
-        got = setup_rates(cfg, delta_x_p, delta_x_s)[:, 0]
+        got = compile_model(cfg).monochromatic(delta_x_p, delta_x_s)[:, 0]
         assert got == pytest.approx(rates_of(dense(out_a, u_p, u_s), dense(i2, u_p, u_s)), rel=1e-13)
 
 
@@ -355,10 +355,10 @@ def test_batch_equals_one_setting_calls_exactly():
             splitter_ratio=rng.uniform(0.01, 0.99),
         )
         delta_x_p, delta_x_s = random_batch(rng, rng.randint(1, 40))
-        batch = setup_rates(cfg, delta_x_p, delta_x_s)
+        batch = compile_model(cfg).monochromatic(delta_x_p, delta_x_s)
         assert batch.shape == (3, len(delta_x_p))
         for column, xp, xs in zip(batch.T.tolist(), delta_x_p.tolist(), delta_x_s.tolist()):
-            assert column == setup_rates(cfg, xp, xs)[:, 0].tolist()
+            assert column == compile_model(cfg).monochromatic(xp, xs)[:, 0].tolist()
 
 
 @pytest.mark.parametrize(
@@ -373,16 +373,16 @@ def test_scalar_delays_broadcast_against_an_array(pump_is_array, signal_is_array
     delta_x_p = np.linspace(-3e-7, 4e-7, 7) if pump_is_array else 1e-7
     delta_x_s = np.linspace(-1e-6, 1e-6, 7) if signal_is_array else -2e-7
     m = 7 if pump_is_array or signal_is_array else 1
-    batch = setup_rates(cfg, delta_x_p, delta_x_s)
+    batch = compile_model(cfg).monochromatic(delta_x_p, delta_x_s)
     assert batch.shape == (3, m)
-    expected = setup_rates(cfg, np.broadcast_to(delta_x_p, (m,)), np.broadcast_to(delta_x_s, (m,)))
+    expected = compile_model(cfg).monochromatic(np.broadcast_to(delta_x_p, (m,)), np.broadcast_to(delta_x_s, (m,)))
     assert batch.tobytes() == expected.tobytes()
 
 
 def test_delay_arrays_of_unequal_lengths_raise():
     cfg = config_with(gain1=1e-3, gain2=1e-3)
     with pytest.raises(ValueError):
-        setup_rates(cfg, np.zeros(3), np.zeros(2))
+        compile_model(cfg).monochromatic(np.zeros(3), np.zeros(2))
 
 
 def test_check_rates_rejects_negative():

@@ -20,6 +20,7 @@ from icohsim.scan import (
     _covariance,
     _gauss_newton,
     _median,
+    _refine_seed,
     _solve,
     _step,
     _wrap_phase,
@@ -353,6 +354,57 @@ def test_fit_halves_past_a_step_to_a_negative_wavenumber(monkeypatch, noise_seed
     assert patched.converged
     assert patched.period_m == pytest.approx(plain.period_m, rel=1e-9)
     assert patched.phase_rad == pytest.approx(plain.phase_rad, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "source, negated",
+    [("counts", {1}), ("rates", {1}), ("counts", {3}), ("rates", {2}), ("counts", {3, 4})],
+    ids=["counts-seed", "rates-seed", "counts-second", "rates-first", "counts-second-third"],
+)
+def test_fit_exits_past_a_step_that_raises_chi2(monkeypatch, source, negated):
+    # _step's first call is the seed's step in k alone, each later one a joint
+    # Gauss-Newton step; the calls in ``negated`` are reversed, so no size of
+    # them lowers chi^2 and halving stops at the step floor.
+    record = synthetic_record(sigma=1.5e-6, noise_seed=3 if source == "counts" else None)
+    plain = fit_fringe(record, source=source, dwell=0.5)
+    calls, seeds, starts = [], [], []
+
+    def step(*args):
+        step, blocks = _step(*args)
+        calls.append(1)
+        return ([-s for s in step] if len(calls) in negated else step), blocks
+
+    def refine_seed(k, *args):
+        seeds.append((k, _refine_seed(k, *args)))
+        return seeds[-1][1]
+
+    def gauss_newton(p, *args):
+        starts.append((list(p), _gauss_newton(p, *args)))
+        return starts[-1][1]
+
+    monkeypatch.setattr("icohsim.scan._step", step)
+    monkeypatch.setattr("icohsim.scan._refine_seed", refine_seed)
+    monkeypatch.setattr("icohsim.scan._gauss_newton", gauss_newton)
+    patched = fit_fringe(record, source=source, dwell=0.5)
+    assert patched.converged
+    if negated == {1}:
+        # the seed is kept, and the fit still reaches the unpatched optimum
+        (k, (refined, _, _)), = seeds
+        assert refined == k
+        assert patched.period_m == pytest.approx(plain.period_m, rel=1e-9)
+    elif negated == {3}:
+        # one failed step refreshes the counts weights, and the next step succeeds
+        assert patched.iterations == plain.iterations + 1
+        assert patched.period_m == pytest.approx(plain.period_m, rel=1e-9)
+    elif source == "rates":
+        # a rates fit whose step fails has converged where it started
+        (p, solution), = starts
+        assert patched.iterations == 1
+        assert solution.p == p
+    else:
+        # a counts fit whose next step fails too has converged, short of the optimum
+        assert patched.iterations == 3
+        assert 0.5 * plain.period_sigma_m < abs(patched.period_m - plain.period_m) < plain.period_sigma_m
 
 
 def test_fit_coincidence_channel(config):

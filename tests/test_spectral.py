@@ -1,20 +1,21 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.polynomial.hermite_e import hermegauss
 
 import icohsim.cli
-import icohsim.expectation
 import icohsim.spectral
 from icohsim.config import ConfigError, parse_config
 from icohsim.counting import detected
-from icohsim.expectation import fringe_law, setup_operators, setup_rates
+from icohsim.expectation import fringe_law, setup_operators
 from icohsim.scan import run_scan
-from icohsim.spectral import coherence_length, compile_model, envelope
+from icohsim.spectral import FringeModel, coherence_length, compile_model, envelope
 
 from conftest import config_with, dense
 
+DEFAULT_CONFIG = str(Path(__file__).resolve().parent.parent / "configs" / "default.ini")
 C = 299_792_458.0  # m/s
 # frequency FWHMs (Hz): the default pump and signal filter, and a wide filter
 PUMP = 45e9
@@ -46,13 +47,13 @@ def spectral_average(config, delta_x_p=0.0, delta_x_s=0.0, nodes=32):
     pump_delays = delta_x_p[:, None, None] * pump_ratios[:, None]
     signal_delays = delta_x_s[:, None, None] * signal_ratios
     pump_delays, signal_delays = np.broadcast_arrays(pump_delays, signal_delays)
-    rates = setup_rates(config, pump_delays.ravel(), signal_delays.ravel())
+    rates = compile_model(config).monochromatic(pump_delays.ravel(), signal_delays.ravel())
     return np.einsum("cmij,i,j->cm", rates.reshape(3, -1, nodes, nodes), w, w)
 
 
 def phase_averaged_baseline(config):
     """Each channel's mean over the fringe phase, straight from the engine."""
-    return setup_rates(config, np.array([0.0, config.pump_wavelength / 2.0])).mean(axis=1)
+    return compile_model(config).monochromatic(np.array([0.0, config.pump_wavelength / 2.0])).mean(axis=1)
 
 
 def test_frequency_fwhm_conversions():
@@ -106,7 +107,7 @@ def test_pump_to_signal_coherence_ratio_exceeds_five():
 
 def test_modulated_rates_reduce_to_monochromatic_at_zero_delay():
     cfg = config_with(gain1=1e-3, gain2=1e-3, eta=0.8)
-    assert np.array_equal(compile_model(cfg).rates(), setup_rates(cfg)[:, 0])
+    assert np.array_equal(compile_model(cfg).rates(), compile_model(cfg).monochromatic()[:, 0])
 
 
 def test_modulated_signal_scan_flattens_far_out():
@@ -231,20 +232,20 @@ def test_run_scan_equals_per_point_path(axis):
     assert np.all(np.abs(record.rates - expected) <= tolerance)
 
 
-def test_compile_model_makes_one_contraction_per_scan(monkeypatch):
+def test_compile_model_makes_one_contraction_per_scan(monkeypatch, capsys):
     contractions, batches = [], []
+    monochromatic = FringeModel.monochromatic
 
     def counted_law(s, i):
         contractions.append(1)
         return fringe_law(s, i)
 
-    def counted_batch(config, delta_x_p=0.0, delta_x_s=0.0):
+    def counted_batch(model, delta_x_p=0.0, delta_x_s=0.0):
         batches.append(1)
-        return setup_rates(config, delta_x_p, delta_x_s)
+        return monochromatic(model, delta_x_p, delta_x_s)
 
     monkeypatch.setattr(icohsim.spectral, "fringe_law", counted_law)
-    for module in (icohsim.expectation, icohsim.cli):
-        monkeypatch.setattr(module, "setup_rates", counted_batch)
+    monkeypatch.setattr(FringeModel, "monochromatic", counted_batch)
     cfg = config_with(axis="pump")
     compile_model(cfg)
     assert contractions == [1]
@@ -254,3 +255,11 @@ def test_compile_model_makes_one_contraction_per_scan(monkeypatch):
         assert record.rates.shape[1] == n
         assert contractions == [1]
     assert batches == []
+    # oracle-check evaluates the monochromatic law once, and report only the envelope law
+    for command, evaluations in (["oracle-check", "--points", "16"], [1]), (["report"], []):
+        contractions.clear()
+        batches.clear()
+        assert icohsim.cli.main([*command, "--config", DEFAULT_CONFIG]) == 0
+        assert contractions == [1]
+        assert batches == evaluations
+    capsys.readouterr()
