@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fockoracle
-from .config import SCAN_AXES, ConfigError, ExperimentConfig, load_config, utf8_error
+from .config import ConfigError, ExperimentConfig, load_config, utf8_error
 from .counting import accidental_rate, double_pair_probability
 from .expectation import RATE_NAMES
 from .scan import (
@@ -425,12 +425,10 @@ def build_report(config: ExperimentConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _add_common(parser: argparse.ArgumentParser, require_out: bool, axis: bool = True) -> None:
-    """--config, --out and --quiet; --axis too, unless the command's output never reads the axis."""
+def _add_common(parser: argparse.ArgumentParser, require_out: bool) -> None:
+    """--config, --out and --quiet."""
     parser.add_argument("--config", required=True, help="experiment config file")
     parser.add_argument("--out", required=require_out, default=None, help="output path")
-    if axis:
-        parser.add_argument("--axis", choices=SCAN_AXES, default=None, help="override the scan axis")
     parser.add_argument("--quiet", action="store_true", help="suppress progress messages")
 
 
@@ -475,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=16,
         help=f"grid points per delay axis, 1 to {MAX_ORACLE_POINTS}",
     )
-    _add_common(p_oracle, require_out=False, axis=False)
+    _add_common(p_oracle, require_out=False)
 
     p_report = sub.add_parser("report", help="human-readable summary of a config")
     _add_common(p_report, require_out=False)
@@ -531,7 +529,7 @@ def _scan(args: argparse.Namespace, config: ExperimentConfig) -> ScanRecord:
 def _run(args: argparse.Namespace) -> int:
     if args.command == "oracle-check" and not 1 <= args.points <= MAX_ORACLE_POINTS:
         raise ConfigError(f"--points must be between 1 and {MAX_ORACLE_POINTS}, got {args.points}")
-    config = load_config(args.config, getattr(args, "seed", None), getattr(args, "axis", None))
+    config = load_config(args.config, getattr(args, "seed", None))
     if args.command == "report":
         _emit(build_report(config), args.out)
         return EXIT_OK

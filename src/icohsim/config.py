@@ -12,11 +12,12 @@ conversion from the unit the key's name ends in (:data:`UNITS`) to SI, and
 each key's range check.  :meth:`Key.parse` only converts text to SI, and
 :class:`ExperimentConfig`'s construction is the one place values are
 checked: each key's range, then the cross-field rules, the scan grid's
-first.  A load joins the ``--seed`` and ``--axis`` values to the file's
-before it, so each value is checked once.  The modules below trust a built
-config.  It is one flat dataclass with one field per key, holding that
-key's SI value as the file states it.  The module imports nothing from the
-package, so every other module imports it directly.
+first.  A load joins ``--seed``, the one flag that replaces a file value,
+to the file's values before it, so each value is checked once.  The modules
+below trust a built config.  It is one flat dataclass with one field per
+key, holding that key's SI value as the file states it.  The module
+imports nothing from the package, so every other module imports it
+directly.
 
 ``splitter_ratio`` is the transmitted intensity fraction of the output
 recombination splitter.  ``pump.bandwidth_ghz`` alone sets the pump
@@ -315,20 +316,20 @@ def _read_sections(text: str) -> dict[str, dict[str, tuple[int, str]]]:
     return sections
 
 
-def parse_config(text: str, seed: int | None = None, axis: str | None = None) -> ExperimentConfig:
-    """Parse and validate config text, filling defaults for absent keys; ``seed``
-    and ``axis``, if given, replace the file's values, as ``--seed`` and ``--axis`` do.
+def parse_config(text: str, seed: int | None = None) -> ExperimentConfig:
+    """Parse and validate config text, filling defaults for absent keys; ``seed``,
+    if given, replaces the file's ``detectors.seed``, as ``--seed`` does.
 
     Raises ConfigError for syntax problems, unknown sections or keys and
     repeated ones, a missing [scan] section, the first value in line order that
     is not a finite number in its key's range (naming its line), then a broken
-    cross-field rule, and last a flag out of its key's range.
+    cross-field rule, and last a ``seed`` out of its key's range.
     """
-    return _config_from_sections(_read_sections(text), seed, axis)
+    return _config_from_sections(_read_sections(text), seed)
 
 
-def _config_from_sections(sections: dict, seed: int | None = None, axis: str | None = None) -> ExperimentConfig:
-    """Convert raw values in file order, join the flags' values, then build the config once.
+def _config_from_sections(sections: dict, seed: int | None = None) -> ExperimentConfig:
+    """Convert raw values in file order, join the ``--seed`` value, then build the config once.
 
     Only the keys given reach the constructor, so an absent key takes its dataclass
     default.  Only a failed load checks again, for the first error in parse_config's order.
@@ -345,15 +346,12 @@ def _config_from_sections(sections: dict, seed: int | None = None, axis: str | N
                 _check_in_file_order(given)
                 raise
     values = {key.field: value for key, _, value in given}
-    flags = {KEYS["detectors", "seed"]: seed, KEYS["scan", "axis"]: axis}
-    flags = {key: value for key, value in flags.items() if value is not None}
     try:
-        return ExperimentConfig(**{**values, **{key.field: value for key, value in flags.items()}})
+        return ExperimentConfig(**(values if seed is None else {**values, "seed": seed}))
     except ConfigError:
         _check_in_file_order(given)
-        ExperimentConfig(**values)  # the file's cross-field errors come before a flag's
-        for key, value in flags.items():
-            key.check(value, f"--{key.name}")
+        ExperimentConfig(**values)  # the file's cross-field errors come before the flag's
+        KEYS["detectors", "seed"].check(seed, "--seed")
         raise
 
 
@@ -374,13 +372,14 @@ def utf8_error(path: str, exc: UnicodeDecodeError) -> ConfigError:
     )
 
 
-def load_config(path: str, seed: int | None = None, axis: str | None = None) -> ExperimentConfig:
+def load_config(path: str, seed: int | None = None) -> ExperimentConfig:
     """Read a config file as UTF-8 with universal newlines (``\\r\\n`` and a
-    lone ``\\r`` become ``\\n``) and parse it as :func:`parse_config` does."""
+    lone ``\\r`` become ``\\n``) and parse it as :func:`parse_config` does,
+    ``seed`` replacing the file's ``detectors.seed`` if given."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise utf8_error(path, exc) from None
-    return parse_config(text.replace("\r\n", "\n").replace("\r", "\n"), seed, axis)
+    return parse_config(text.replace("\r\n", "\n").replace("\r", "\n"), seed)

@@ -23,8 +23,9 @@ induced-coherence law B + Re(A e^{i dphi}) of Zou, Wang and Mandel (PRL 67,
 engine's contraction of the chain, exact and with no delay setting
 evaluated.  :meth:`FringeModel.monochromatic` evaluates that law and
 :meth:`FringeModel.rates` damps its fringe term by both envelopes, the one
-evaluator of either.  The tests check the envelope law against an independent
-average of the monochromatic rates over the pump and signal spectra.
+evaluator of either.  Both clamp it at 0, which roundoff at a dark fringe of
+visibility 1 can undercut by a few ulps.  The tests check the envelope law
+against an independent average of the monochromatic rates over the spectra.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import numpy as np
 from .config import SPEED_OF_LIGHT, ExperimentConfig
 from .expectation import RATE_NAMES, fringe_law, setup_operators
 
-# Rates below zero by more than roundoff are an error.
+# Rates below zero by more than roundoff, in a scan CSV or the oracle's, are an error.
 RATE_FLOOR = -1e-15
 # An envelope argument beyond this gives exactly 0.0 (exp underflows near 45);
 # clamping there keeps its square finite and every smaller one bit for bit.
@@ -89,15 +90,15 @@ class FringeModel:
     def monochromatic(
         self, delta_x_p: float | np.ndarray = 0.0, delta_x_s: float | np.ndarray = 0.0
     ) -> np.ndarray:
-        """B + Re(A e^{i dphi}) of scalar or (m,) delays: shape (3, m), (3, 1) for scalars; unequal
-        lengths raise ValueError.  Elementwise, so a column equals its one-setting call bit for bit."""
+        """B + Re(A e^{i dphi}), clamped at 0, of scalar or (m,) delays: shape (3, m), (3, 1) for
+        scalars; unequal lengths raise ValueError.  Elementwise, so a column is its one-setting call's."""
         base, fringe = self._law(*(np.array(x, dtype=float, ndmin=1) for x in (delta_x_p, delta_x_s)))
-        return base + fringe
+        return np.maximum(base + fringe, 0.0)
 
     def rates(
         self, delta_x_p: float | np.ndarray = 0.0, delta_x_s: float | np.ndarray = 0.0
     ) -> np.ndarray:
-        """B + env_s(dx_s) env_p(dx_p) Re(A e^{i dphi}) on broadcast delays.
+        """B + env_s(dx_s) env_p(dx_p) Re(A e^{i dphi}) on broadcast delays, clamped at 0.
 
         Returns shape (3, *delays.shape), rows (p_a, p_b, p_ab).
         """
@@ -106,7 +107,7 @@ class FringeModel:
         config = self.config
         env = envelope(config.signal_filter_fwhm(), delta_x_s) * envelope(config.pump_bandwidth, delta_x_p)
         base, fringe = self._law(delta_x_p, delta_x_s)
-        return base + env * fringe
+        return np.maximum(base + env * fringe, 0.0)
 
 
 def compile_model(config: ExperimentConfig) -> FringeModel:

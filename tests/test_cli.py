@@ -33,7 +33,7 @@ from icohsim.fockoracle import MAX_ORACLE_GAIN
 from icohsim.scan import FringeFit, fit_fringe, run_scan
 from icohsim.spectral import FringeModel, coherence_length, compile_model
 
-from conftest import config_with, near_nyquist_record
+from conftest import near_nyquist_record
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_CONFIG = str(REPO_ROOT / "configs" / "default.ini")
 
@@ -60,8 +60,8 @@ FIT_KEYS = [
 ]
 
 
-def write_config(tmp_path, text="[scan]\n"):
-    path = tmp_path / "exp.ini"
+def write_config(tmp_path, text="[scan]\n", name="exp.ini"):
+    path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return str(path)
 
@@ -268,25 +268,6 @@ def test_a_bad_seed_flag_is_reported_after_the_file_errors(tmp_path, capsys, tex
     assert not out.exists()
 
 
-def test_axis_override(tmp_path, capsys):
-    # --axis pump scans the pump delay and takes the warning's period from the pump wavelength
-    config = write_config(tmp_path, "[scan]\nstep_nm = 50\n")
-    out = tmp_path / "x.csv"
-    predict = ["predict", "--config", config, "--out", str(out), "--quiet"]
-    assert main(predict) == EXIT_OK
-    assert capsys.readouterr().err == ""
-    assert main([*predict, "--axis", "pump"]) == EXIT_OK
-    assert capsys.readouterr().err == (
-        "warning: grid step 5e-08 m gives fewer than 8 points per expected "
-        "3.55e-07 m fringe period; fits may be unreliable\n"
-    )
-    with open(out, encoding="utf-8") as fh:
-        record = read_scan_csv(fh)
-    expected = run_scan(config_with(axis="pump", step=50e-9), sample=False)
-    assert record.delays.tolist() == expected.delays.tolist()
-    assert np.allclose(record.rates, expected.rates, rtol=1e-8, atol=0.0)
-
-
 def test_fit_divides_counts_by_the_dwell_they_were_sampled_with(tmp_path):
     # one dwell setting, scan.dwell_s: the sampler's and the fit's
     config = write_config(tmp_path, "[scan]\ndwell_s = 2\n")
@@ -297,16 +278,18 @@ def test_fit_divides_counts_by_the_dwell_they_were_sampled_with(tmp_path):
 
 
 def test_fit_warns_on_undersampled_pump_csv(tmp_path, capsys):
-    config = write_config(tmp_path, "[scan]\nstart_um = -2\nstop_um = 2\nstep_nm = 50\n")
+    # fit takes the expected period from its config's scan.axis: 50 nm steps
+    # resolve the 808 nm signal period but not the 355 nm pump period
+    scan_text = "start_um = -2\nstop_um = 2\nstep_nm = 50\n"
+    signal = write_config(tmp_path, f"[scan]\n{scan_text}", "signal.ini")
+    pump = write_config(tmp_path, f"[scan]\naxis = pump\n{scan_text}", "pump.ini")
     scan = tmp_path / "scan.csv"
-    predict = ["predict", "--config", config, "--axis", "pump", "--out", str(scan), "--quiet"]
-    assert main(predict) == EXIT_OK
+    assert main(["predict", "--config", pump, "--out", str(scan), "--quiet"]) == EXIT_OK
     capsys.readouterr()
-    # 50 nm steps resolve the 808 nm signal period but not the 355 nm pump period
-    fit = ["fit", str(scan), "--config", config, "--source", "rates", "--quiet"]
-    assert main(fit) == EXIT_OK
+    fit = ["fit", str(scan), "--source", "rates", "--quiet", "--config"]
+    assert main([*fit, signal]) == EXIT_OK
     assert "warning:" not in capsys.readouterr().err
-    assert main([*fit, "--axis", "pump"]) == EXIT_OK
+    assert main([*fit, pump]) == EXIT_OK
     err = capsys.readouterr().err
     assert "warning: grid step 5e-08 m gives fewer than 8 points per expected" in err
     assert "3.55e-07 m fringe period" in err
@@ -340,16 +323,17 @@ def test_predict_writes_zero_counts_and_fit_rates_works(tmp_path):
         record = read_scan_csv(fh)
     assert all(record.counts[0] == 0)
     fit_out = tmp_path / "fit.json"
-    fit = ["fit", str(out), "--config", DEFAULT_CONFIG, "--source", "rates", "--out", str(fit_out), "--quiet"]
-    assert main(fit) == EXIT_OK
+    fit = ["fit", str(out), "--source", "rates", "--out", str(fit_out), "--quiet", "--config"]
+    assert main([*fit, DEFAULT_CONFIG]) == EXIT_OK
     summary = read_json(fit_out)
     assert summary["visibility"] == pytest.approx(1.0, abs=1e-6)
     # the noiseless pump scan's coincidence fringe: the period is the pump
     # wavelength to 1e-9 of itself, and the fringe lies in the model's family,
     # so its rates resolve the pump envelope, 5.88 mm wide, from a 4 um scan
-    pump = ["--axis", "pump"]
-    assert main(["predict", "--config", DEFAULT_CONFIG, *pump, "--out", str(out), "--quiet"]) == EXIT_OK
-    assert main([*fit, *pump, "--channel", "coincidence"]) == EXIT_OK
+    default = Path(DEFAULT_CONFIG).read_text(encoding="utf-8")
+    pump = write_config(tmp_path, default.replace("\naxis = signal\n", "\naxis = pump\n"), "pump.ini")
+    assert main(["predict", "--config", pump, "--out", str(out), "--quiet"]) == EXIT_OK
+    assert main([*fit, pump, "--channel", "coincidence"]) == EXIT_OK
     summary = read_json(fit_out)
     assert abs(summary["period_m"] / 355e-9 - 1) <= 1e-9
     assert summary["envelope_resolved"] is True
@@ -384,14 +368,59 @@ def test_fit_refuses_source_auto(tmp_path, capsys):
     assert "counts" in err and "rates" in err
 
 
+@pytest.mark.parametrize("command", ["predict", "simulate", "fit", "oracle-check", "report"])
+def test_no_command_takes_an_axis_flag(tmp_path, capsys, command):
+    # scan.axis in the config is the one source of the scanned delay
+    out = str(tmp_path / "out")
+    argv = [command, *(["s.csv"] if command == "fit" else []), "--config", DEFAULT_CONFIG, "--out", out]
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, "--axis", "pump"])
+    assert exit_info.value.code == EXIT_CONFIG
+    assert capsys.readouterr().err.endswith("error: unrecognized arguments: --axis pump\n")
+    assert not os.path.exists(out)
+
+
+# A balanced pump scan at half-wave steps: eta = 1 and K2 = K1 sqrt((1 - r) / r)
+# give visibility 1, and every other point is a dark fringe, where roundoff
+# takes the unclamped law to -6.8e-12 counts/s.
+DARK_FRINGE_CONFIG = """\
+[pump]
+bandwidth_ghz = 0.001
+splitter_ratio = 0.5866581754247957
+[crystal1]
+gain = 0.0002224098467762657
+[crystal2]
+gain = 0.0001866878797677257
+[scan]
+axis = pump
+start_um = -1.775
+stop_um = 1.775
+step_nm = 44.375
+"""
+
+
+def test_an_exact_dark_fringe_simulates_and_its_rates_fit_back(tmp_path, capsys):
+    config = write_config(tmp_path, DARK_FRINGE_CONFIG)
+    scan, rates = str(tmp_path / "scan.csv"), tmp_path / "rates.csv"
+    assert main(["simulate", "--config", config, "--out", scan, "--quiet"]) == EXIT_OK
+    assert main(["predict", "--config", config, "--out", str(rates), "--quiet"]) == EXIT_OK
+    rows = [line.split(",") for line in rates.read_text(encoding="utf-8").splitlines()[1:]]
+    assert min(float(row[1]) for row in rows) == 0.0
+    assert not any(cell.startswith("-") for row in rows for cell in row[1:])
+    for channel in ("singles", "coincidence"):
+        fit = ["fit", str(rates), "--config", config, "--source", "rates", "--channel", channel, "--quiet"]
+        assert main(fit) == EXIT_OK, capsys.readouterr().err
+        assert json.loads(capsys.readouterr().out)["visibility"] == pytest.approx(1.0, abs=1e-6)
+
+
 # Each command's options, positionals by name: --seed only where counts are
-# drawn, --axis only where the output reads the scan axis.
+# drawn, and no --axis, since scan.axis in the config is the one source of it.
 COMMAND_OPTIONS = {
-    "predict": ["-h", "--config", "--out", "--axis", "--quiet"],
-    "simulate": ["-h", "--config", "--out", "--axis", "--quiet", "--seed"],
-    "fit": ["-h", "input", "--channel", "--source", "--config", "--out", "--axis", "--quiet"],
+    "predict": ["-h", "--config", "--out", "--quiet"],
+    "simulate": ["-h", "--config", "--out", "--quiet", "--seed"],
+    "fit": ["-h", "input", "--channel", "--source", "--config", "--out", "--quiet"],
     "oracle-check": ["-h", "--points", "--config", "--out", "--quiet"],
-    "report": ["-h", "--config", "--out", "--axis", "--quiet"],
+    "report": ["-h", "--config", "--out", "--quiet"],
 }
 
 
@@ -407,7 +436,7 @@ def test_each_command_parses_only_the_options_it_reads():
 # full parser: each must come out as build_parser().parse_args makes it.
 PARSE_TABLE = [
     ["predict", "--config", "c.ini", "--out", "p.csv"],
-    ["simulate", "--config", "c.ini", "--out", "s.csv", "--seed", "3", "--axis", "pump", "--quiet"],
+    ["simulate", "--config", "c.ini", "--out", "s.csv", "--seed", "3", "--quiet"],
     ["fit", "s.csv", "--config", "c.ini", "--channel", "coincidence", "--source", "rates", "--out", "f.json"],
     ["oracle-check", "--config", "c.ini", "--points", "4", "--out", "o.json"],
     ["report", "--config", "c.ini"],
@@ -436,7 +465,7 @@ PARSE_TABLE = [
     ["report"],
     ["fit", "--config", "c.ini"],
     ["simulate", "--config", "c.ini"],
-    # --seed only on simulate, --axis not on oracle-check
+    # --seed only on simulate, and --axis on no command
     ["fit", "s.csv", "--config", "c.ini", "--seed", "1"],
     ["predict", "--config", "c.ini", "--out", "p.csv", "--seed", "1"],
     ["report", "--config", "c.ini", "--seed", "1"],

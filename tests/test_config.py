@@ -1,5 +1,6 @@
 import configparser
 import dataclasses
+import inspect
 import io
 import math
 import random
@@ -498,13 +499,16 @@ def test_unit_suffixes_convert_to_si():
 
 
 def test_overrides_helper():
-    # the flags' values replace the file's; without them the file's stand
-    changed = load_config(str(DEFAULT_FILE), seed=42, axis="pump")
+    # the seed flag's value replaces the file's; without it the file's stands,
+    # and the scan axis is always the file's
+    changed = load_config(str(DEFAULT_FILE), seed=42)
     assert changed.seed == 42
-    assert changed.axis == "pump"
-    assert changed == dataclasses.replace(ExperimentConfig(), seed=42, axis="pump")
-    assert parse_config("[scan]\naxis = pump\n", axis="signal") == ExperimentConfig()
-    assert load_config(str(DEFAULT_FILE), seed=None, axis=None) == load_config(str(DEFAULT_FILE)) == ExperimentConfig()
+    assert changed == dataclasses.replace(ExperimentConfig(), seed=42)
+    pump = parse_config("[scan]\naxis = pump\n", seed=42)
+    assert pump == dataclasses.replace(ExperimentConfig(), seed=42, axis="pump")
+    assert load_config(str(DEFAULT_FILE), seed=None) == load_config(str(DEFAULT_FILE)) == ExperimentConfig()
+    assert list(inspect.signature(load_config).parameters) == ["path", "seed"]
+    assert list(inspect.signature(parse_config).parameters) == ["text", "seed"]
     # a file value a flag replaces is not used; it is reported only when the load fails anyway
     assert parse_config("[detectors]\nseed = -1\n[scan]\n", seed=5).seed == 5
     with pytest.raises(ConfigError, match=r"^detectors\.seed at line 2 out of range"):
@@ -529,17 +533,22 @@ def test_load_config_reads_every_line_end_alike(tmp_path):
     assert errors[3] == "scan.start_um at line 11 out of range: must lie in [-1e+06, 1e+06]"
 
 
-@pytest.mark.parametrize("flags", [[], ["--seed", "42"], ["--axis", "pump"], ["--seed", "42", "--axis", "pump"]])
+@pytest.mark.parametrize("flags", [[], ["--seed", "42"]])
 def test_a_load_checks_each_key_once_and_builds_one_config(tmp_path, monkeypatch, flags):
-    # the file states every key, so each flag replaces one of its values
+    # the file states every key, on either scan axis, so the flag replaces one of its values
     checks, builds = [], []
     check, post_init = Key.check, ExperimentConfig.__post_init__
     monkeypatch.setattr(Key, "check", lambda key, *args: checks.append(key.label) or check(key, *args))
     monkeypatch.setattr(ExperimentConfig, "__post_init__", lambda config: builds.append(config) or post_init(config))
-    out = tmp_path / "scan.csv"
-    assert main(["simulate", "--config", str(DEFAULT_FILE), "--out", str(out), *flags]) == 0
-    assert sorted(checks) == sorted(key.label for key in KEYS.values())
-    assert len(builds) == 1
+    text = DEFAULT_FILE.read_text(encoding="utf-8")
+    for axis in SCAN_AXES:
+        config = tmp_path / f"{axis}.ini"
+        config.write_text(text.replace("\naxis = signal\n", f"\naxis = {axis}\n"), encoding="utf-8")
+        checks.clear()
+        builds.clear()
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "scan.csv"), *flags]) == 0
+        assert sorted(checks) == sorted(key.label for key in KEYS.values())
+        assert [built.axis for built in builds] == [axis]
 
 
 def test_direct_construction_validates():

@@ -831,6 +831,24 @@ def test_pulls_cover_truth_at_eta_070(axis, channel):
         assert abs(np.std(pulls, ddof=1) - 1) <= 3 / math.sqrt(2 * (n - 1))
 
 
+def test_far_pump_scan_visibility_covers_truth_at_500_s_dwell():
+    # The paper's pump scan 600 um out (599-601 um, 5 nm steps) at a dwell of
+    # 500 s, where sigma is about 8.8e-6: every seed's singles and coincidence
+    # visibility lies within 3 sigma of the contrast of the expected counts at
+    # mid-scan, accidentals included.  Both channels' zero-delay visibility is
+    # 1 and the accidentals carry the singles fringe, so on both that is the
+    # pump envelope there, 0.9715393.
+    scan = dict(axis="pump", start=599e-6, stop=601e-6, step=5e-9, dwell=500.0)
+    truth = mid_scan_contrast(config_with(**scan), 600e-6)
+    assert truth == pytest.approx([0.9715393] * 2, abs=5e-8)
+    for seed in range(1, 21):
+        record = run_scan(config_with(seed=seed, **scan))
+        for channel, contrast in zip(("singles", "coincidence"), truth):
+            fit = fit_fringe(record, channel, dwell=500.0)
+            assert fit.visibility_sigma < 1e-5, (seed, channel)
+            assert abs(fit.visibility - contrast) <= 3 * fit.visibility_sigma, (seed, channel)
+
+
 def draw_config(rng, axis):
     """A random scan config: 41-1200 points at 8-40 per fringe period, centred
     at 0, within 1 um, or up to 30 um (signal) or 600 um (pump) out; eta
