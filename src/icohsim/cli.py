@@ -4,11 +4,12 @@ CSV is the scan interchange format (one row per delay point, rates plus
 sampled counts); fits are summarized as JSON.  Identical config and seed
 always produce byte-identical outputs.
 
-``fit`` reads the CSV grammar ``write_scan_csv`` writes (see
-``read_scan_csv``): ``np.loadtxt`` parses all rows in one pass, and a
-row-by-row walk that rejects exactly what it rejects names the first bad
-line and column.  A bad CSV, like a bad config, is a configuration problem,
-and so is a CSV or config file that is not UTF-8.
+``fit`` reads back only the form ``write_scan_csv`` writes (see
+``read_scan_csv``): the header, then rows of seven unquoted, unpadded ASCII
+decimal cells.  One pattern match decides acceptance and ``np.loadtxt``
+parses the rows; only a rejected file is walked line by line, to name its
+first bad line and cell.  A bad CSV, like a bad config, is a configuration
+problem, and so is a CSV or config file that is not UTF-8.
 
 Exit codes: 0 success, 2 configuration problem, 3 I/O failure, 4 fit did
 not converge or found no fringe, 1 unexpected failure.
@@ -17,7 +18,6 @@ not converge or found no fringe, 1 unexpected failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
 import json
@@ -27,8 +27,6 @@ import os
 import re
 import stat
 import sys
-import warnings
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,7 +60,6 @@ CSV_HEADER = ["delay_m", "rate_a_hz", "rate_b_hz", "coinc_hz", "counts_a", "coun
 LOW_GAIN_BOUND = 1e-2
 # Upper limit of oracle-check --points: at 4096 a run peaks near 50 MB resident.
 MAX_ORACLE_POINTS = 4096
-_INT64_MAX = 2**63 - 1
 
 
 # One CSV row: the delay with 17 significant digits, which holds a float64
@@ -77,163 +74,83 @@ def write_scan_csv(record: ScanRecord, stream: io.TextIOBase) -> None:
     stream.write(_HEADER_LINE + "\n" + "".join(_ROW_FORMAT % row for row in columns))
 
 
-# Leading zeros of a count: loadtxt takes any number of them, while int counts
-# them toward its limit of sys.get_int_max_str_digits() digits.
-_LEADING_ZEROS = re.compile(r"^(\s*[+-]?)0+(?=\d)")
+# The cells of a scan CSV row: the delay, a decimal number with an optional
+# minus sign, three unsigned decimal rates, then three counts without sign or
+# leading zeros.  Digits are [0-9], as \d in a str pattern also takes
+# non-ASCII digits.
+_DECIMAL = r"(?=\.?[0-9])[0-9]*\.?[0-9]*(?:[eE][+-]?[0-9]+)?"
+_COUNT = "0|[1-9][0-9]*"
+_CELLS = [re.compile(cell) for cell in ["-?" + _DECIMAL, _DECIMAL, _DECIMAL, _DECIMAL, _COUNT, _COUNT, _COUNT]]
+_REASONS = ["not a decimal number", *["not an unsigned decimal number"] * 3,
+            *["not a count without sign or leading zeros"] * 3]
+# All rows, each ended by \n or \r\n.  Counts have at most the 19 digits of
+# 2**63 - 1, so that every row _BODY takes parses as uint64.  _WRITTEN, the
+# subset in write_scan_csv's float format, matches in about half the time
+# and is tried first.
+_ROWS = r"(?:-?{0},{1},{1},{1},{2},{2},{2}\r?\n)*"
+_COUNT_19 = "(?:0|[1-9][0-9]{0,18})"
+_BODY = re.compile(_ROWS.format(_DECIMAL, _DECIMAL, _COUNT_19))
+_WRITTEN = re.compile(_ROWS.format(r"[0-9]\.[0-9]{16}e[+-][0-9]{2,3}", r"[0-9]\.[0-9]{8}e[+-][0-9]{2,3}", _COUNT_19))
+_ROW_DTYPE = np.dtype([("floats", "f8", (4,)), ("counts", "u8", (3,))])
 
 
-def _count(text: str) -> int:
-    return int(_LEADING_ZEROS.sub(r"\1", text))
+def _bad_cell(cell: str, column: int) -> str | None:
+    """Why a cell breaks its column's grammar or range; None for a good cell."""
+    if not _CELLS[column].fullmatch(cell):
+        return _REASONS[column]
+    if column < 4:
+        return None if math.isfinite(float(cell)) else "not a finite number"
+    return None if len(cell) < 20 and int(cell) < 2**63 else "integer out of the 64-bit range"
 
 
-def _csv_cell(text: str, column: int, line: int) -> float | int:
-    """Parse one CSV cell as ``np.loadtxt`` does: the delay and rates are finite
-    floats, the counts 64-bit integers, here also non-negative.  Inside its
-    surrounding whitespace a cell is ASCII without underscores; ``float`` and
-    ``int`` alone would also take ``1_0`` and non-ASCII digits."""
-    parse, reason = (float, "not a finite number") if column < 4 else (_count, "not an integer")
-    try:
-        value = parse(text) if "_" not in text and text.strip().isascii() else math.nan
-    except ValueError:
-        value = math.nan
-    if isinstance(value, int):
-        if 0 <= value <= _INT64_MAX:
-            return value
-        reason = "not a non-negative count" if value < 0 else "integer out of the 64-bit range"
-    elif math.isfinite(value):
-        return value
-    raise ConfigError(f"CSV line {line}, column {CSV_HEADER[column]}: {reason}: {text!r}")
-
-
-# A line that ends in a lone carriage return: loadtxt takes it for a line break
-# inside a row, and allows it only as the file's last character.
-_BARE_CR = "ends in a bare carriage return; lines end in \\n or \\r\\n"
-# The csv module raises this for a NUL byte before Python 3.11 and passes the
-# byte on from 3.11, so every line is checked for one first.
-_NUL = "line contains NUL"
-
-
-def _without_nul(lines: list[str]) -> Iterator[str]:
-    """The rows' physical lines as they are; a ConfigError at the first that holds a NUL."""
-    for line, text in enumerate(lines, 2):
-        if "\0" in text:
-            raise ConfigError(f"CSV line {line}: {_NUL}")
-        yield text
-
-
-def _walk_rows(body: str) -> list[int]:
-    """Check the rows after the header one by one; return each data row's line number.
-
-    Raises the error of the first bad row in file order: a line that holds a
-    NUL byte or that the csv module cannot split, a row without seven cells,
-    a row that ends in a bare carriage return before the end of the file, a
-    cell ``_csv_cell`` rejects, or a bad rate.  The walk accepts what
-    ``loadtxt`` accepts, so it names the line ``loadtxt`` failed on, and it
-    lifts the csv module's field limit, which ``loadtxt`` does not have.
-    """
-    physical = io.StringIO(body, newline="").readlines()
-    reader = csv.reader(_without_nul(physical))
-    lines: list[int] = []
-    limit = csv.field_size_limit(max(csv.field_size_limit(), len(body) + 1))
-    try:
-        for row in reader:
-            line = reader.line_num + 1
-            if row and len(row) != len(CSV_HEADER):
-                raise ConfigError(
-                    f"CSV line {line}: row has {len(row)} columns, expected {len(CSV_HEADER)}"
-                )
-            if reader.line_num < len(physical) and physical[reader.line_num - 1].endswith("\r"):
-                raise ConfigError(f"CSV line {line}: {_BARE_CR}")
-            if not row:
-                continue
-            values = [_csv_cell(cell, column, line) for column, cell in enumerate(row)]
-            try:
-                check_rates(np.array(values[1:4]).reshape(3, 1))
-            except ValueError as exc:
-                raise ConfigError(f"CSV line {line}: {exc}") from None
-            lines.append(line)
-    except csv.Error as exc:
-        raise ConfigError(f"CSV line {reader.line_num + 1}: {exc}") from None
-    finally:
-        csv.field_size_limit(limit)
-    return lines
-
-
-# One CSV data row as np.loadtxt parses it: delay and three rates, then three counts.
-_ROW_DTYPE = np.dtype([("floats", "f8", (4,)), ("counts", "i8", (3,))])
-# loadtxt strips these around a number as whitespace; float and int do not.
-_SEPARATORS = "\x1c\x1d\x1e\x1f"
-
-
-def _load_rows(body: str) -> np.ndarray:
-    """Parse the rows after the header in one ``loadtxt`` pass; ValueError on any bad value."""
-    if any(separator in body for separator in _SEPARATORS):
-        raise ValueError("an information separator, \\x1c to \\x1f")
-    # numpy 1.x parses "1.0" as an integer with a DeprecationWarning: make it an error
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        rows = np.loadtxt(
-            io.StringIO(body),
-            dtype=_ROW_DTYPE,
-            delimiter=",",
-            comments=None,
-            quotechar='"',
-            ndmin=1,
-        )
-    if not np.all(np.isfinite(rows["floats"][:, 0])):
-        raise ValueError("a non-finite delay")
-    if np.any(rows["counts"] < 0):
-        raise ValueError("a negative count")
-    check_rates(rows["floats"][:, 1:].T)
-    return rows
+def _first_bad_line(body: str) -> ConfigError:
+    """The error of the first row after the header that breaks the grammar or
+    holds a value out of range, naming its line and first bad cell."""
+    lines = body.split("\n")
+    end = lines.pop()  # the text after the last line end, if any
+    for number, line in enumerate(lines + [end] if end else lines, 2):
+        cells = line.removesuffix("\r").split(",")
+        if len(cells) != len(CSV_HEADER):
+            return ConfigError(f"CSV line {number}: row has {len(cells)} columns, expected {len(CSV_HEADER)}")
+        for column, cell in enumerate(cells):
+            reason = _bad_cell(cell, column)
+            if reason:
+                return ConfigError(f"CSV line {number}, column {CSV_HEADER[column]}: {reason}: {cell!r}")
+    return ConfigError(f"CSV line {len(lines) + 2}: no line end; lines end in \\n or \\r\\n")
 
 
 def read_scan_csv(stream: io.TextIOBase) -> ScanRecord:
-    """Parse a scan CSV; a bad header, row, cell or delay grid is a ConfigError.
+    """Parse a scan CSV in the form ``write_scan_csv`` writes; anything else is a ConfigError.
 
-    The grammar is what ``write_scan_csv`` writes: the header line, then rows
-    of seven comma-separated cells, the delay and three rates as decimal
-    floats and three counts as decimal integers.  A cell may be quoted with
-    ``"`` and padded with whitespace; inside that it is ASCII, without
-    underscores.  Delays are finite, rates finite and non-negative, and
-    counts non-negative 64-bit integers, as a detector records them.  Lines
-    end in ``\\n`` or ``\\r\\n`` (a lone ``\\r`` only at the end of the file),
-    no line holds a NUL byte, and blank lines are skipped.
+    The first line is the header, exactly.  Each further line is one row of
+    seven unquoted, unpadded ASCII cells joined by commas: the delay as a
+    decimal number with an optional minus sign (``-1.5e-06``, ``2.0``), the
+    three rates as unsigned decimal numbers, and the three counts as digits
+    without sign or leading zeros.  Every line ends in ``\\n`` or ``\\r\\n``.
+    Delays and rates are finite, counts within the 64-bit range, and the
+    delays a uniform grid.
 
-    The csv module reads the header line.  ``np.loadtxt`` then parses the rows
-    in one pass, and only it accepts them.  When it fails, or a value is out
-    of range, ``_walk_rows`` checks the rows one by one in file order, so the
-    error names the first bad line (and column).  A delay grid that
-    ScanRecord rejects is named by the line of its first bad delay.
+    One pattern match over the rows decides acceptance, and ``np.loadtxt``
+    then parses them.  Only when a file is rejected are its rows walked, so
+    that the error names the first bad line and, within it, the first bad
+    cell.  The delay grid is checked once every row is good.
     """
-    text = stream.read()
-    head, newline, body = text.partition("\n")
-    if "\r" in head[:-1]:
-        raise ConfigError(f"CSV line 1: {_BARE_CR}")
-    if "\0" in head:
-        raise ConfigError(f"CSV line 1: {_NUL}")
-    try:
-        header = next(csv.reader([head + newline] if text else []), None)
-    except csv.Error as exc:
-        raise ConfigError(f"CSV line 1: {exc}") from None
-    if header != CSV_HEADER:
-        raise ConfigError(f"unexpected CSV header {header!r}; expected {CSV_HEADER!r}")
-    if not body.strip("\r\n"):
-        # no data rows, which loadtxt would warn about
-        _walk_rows(body)
-        rows = np.zeros(0, _ROW_DTYPE)
-    else:
-        try:
-            rows = _load_rows(body)
-        except (ValueError, Warning) as exc:
-            _walk_rows(body)
-            raise ConfigError(f"CSV rows rejected by np.loadtxt: {exc}") from None
+    head, newline, body = stream.read().partition("\n")
+    if head.removesuffix("\r") != _HEADER_LINE or not newline:
+        raise ConfigError(f"CSV line 1: expected the header line {_HEADER_LINE!r}, ended by \\n or \\r\\n")
+    if not (_WRITTEN.fullmatch(body) or _BODY.fullmatch(body)):
+        raise _first_bad_line(body)
+    rows = np.zeros(0, _ROW_DTYPE)
+    if body:
+        rows = np.loadtxt(io.StringIO(body), dtype=_ROW_DTYPE, delimiter=",", ndmin=1)
+    if not (np.isfinite(rows["floats"]).all() and (rows["counts"] < 2**63).all()):
+        raise _first_bad_line(body)
     table = np.ascontiguousarray(rows["floats"].T)
-    counts = np.ascontiguousarray(rows["counts"].T)
+    counts = np.ascontiguousarray(rows["counts"].T, dtype=np.int64)
     try:
         return ScanRecord(table[0], table[1:], counts)
     except GridError as exc:
-        raise ConfigError(f"CSV line {_walk_rows(body)[exc.row]}: {exc}") from None
+        raise ConfigError(f"CSV line {exc.row + 2}: {exc}") from None
 
 
 def fit_summary(fit: FringeFit) -> dict:

@@ -406,7 +406,9 @@ def test_an_exact_dark_fringe_simulates_and_its_rates_fit_back(tmp_path, capsys)
     assert main(["predict", "--config", config, "--out", str(rates), "--quiet"]) == EXIT_OK
     rows = [line.split(",") for line in rates.read_text(encoding="utf-8").splitlines()[1:]]
     assert min(float(row[1]) for row in rows) == 0.0
-    assert not any(cell.startswith("-") for row in rows for cell in row[1:])
+    # the clamp writes no -0.0 either, which the CSV grammar's unsigned rates would refuse
+    sampled = [line.split(",") for line in Path(scan).read_text(encoding="utf-8").splitlines()[1:]]
+    assert not any(cell.startswith("-") for row in rows + sampled for cell in row[1:])
     for channel in ("singles", "coincidence"):
         fit = ["fit", str(rates), "--config", config, "--source", "rates", "--channel", channel, "--quiet"]
         assert main(fit) == EXIT_OK, capsys.readouterr().err
@@ -1209,11 +1211,12 @@ def test_bad_csv_header_rejected(tmp_path):
 
 
 def test_csv_header_cell_beyond_the_field_limit_is_a_config_error(tmp_path, capsys):
-    # the rows' walk lifts the csv module's field limit, the header's parse does not
+    # the header is one exact line, whatever its length, and the message does not echo it
     bad = tmp_path / "bad.csv"
     bad.write_text('"' + "d" * 200_000 + '",' + ",".join(CSV_HEADER[1:]) + "\n", encoding="utf-8")
     assert main(["fit", str(bad), "--config", DEFAULT_CONFIG, "--quiet"]) == EXIT_CONFIG
-    assert capsys.readouterr().err == "config error: CSV line 1: field larger than field limit (131072)\n"
+    assert capsys.readouterr().err == (f"config error: CSV line 1: expected the header line {','.join(CSV_HEADER)!r}, "
+                                       "ended by \\n or \\r\\n\n")
 
 
 @pytest.mark.parametrize(
@@ -1228,6 +1231,11 @@ def test_csv_header_cell_beyond_the_field_limit_is_a_config_error(tmp_path, caps
         (11, 2, "1_1.0"),
         (12, 6, "\u0661"),
         (13, 4, "-3"),
+        (14, 6, "007"),
+        (15, 5, '"5"'),
+        (16, 0, "+1e-06"),
+        (17, 2, "1e999"),
+        (18, 4, str(2**63)),
     ],
 )
 def test_malformed_csv_cell_names_line_and_column(tmp_path, capsys, line, column, cell):
@@ -1241,7 +1249,8 @@ def test_malformed_csv_cell_names_line_and_column(tmp_path, capsys, line, column
     capsys.readouterr()
     assert main(["fit", str(scan), "--config", DEFAULT_CONFIG, "--quiet"]) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert f"CSV line {line}, column {CSV_HEADER[column]}" in err
+    assert err.startswith(f"config error: CSV line {line}, column {CSV_HEADER[column]}: ")
+    assert err.endswith(f": {cell!r}\n")
 
 
 def test_csv_cell_beyond_field_limit_is_accepted(tmp_path):
@@ -1385,7 +1394,7 @@ def test_fit_of_any_grammar_valid_csv_keeps_its_contract(
         row, column = negative[0]
         assert code == EXIT_CONFIG
         assert err.getvalue() == (f"config error: CSV line {row + 2}, column {CSV_HEADER[4 + column]}: "
-                                  f"not a non-negative count: '{counts[column, row]}'\n")
+                                  f"not a count without sign or leading zeros: '{counts[column, row]}'\n")
     if code == EXIT_OK:
         summary = json.loads(fit_out.read_text(encoding="utf-8"), parse_constant=_reject_constant)
         for key in ("period_m", "visibility", "phase_rad"):

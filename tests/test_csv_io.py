@@ -1,14 +1,16 @@
 """Scan CSV write/read: a round trip, edge cases pinned to their outcome, and edited scans."""
 
-import csv
 import io
+import itertools
+import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from icohsim.cli import read_scan_csv, write_scan_csv
+from icohsim.cli import CSV_HEADER, EXIT_OK, main, read_scan_csv, write_scan_csv
 from icohsim.config import ConfigError, parse_config
 from icohsim.scan import ScanRecord, run_scan
 
@@ -76,6 +78,28 @@ def test_a_noiseless_record_is_the_record_of_its_csv(axis, span_um):
     assert back.rates.tolist() == _nine_digits(record.rates).tolist()
 
 
+def test_the_refit_benchmark_csv_form_reads_back_and_fits(tmp_path):
+    """The refit workload of benchmarks/workloads.py writes its delays with
+    nine digits too (%.8e): its CSVs read back bit for bit and fit."""
+    index = np.arange(401) - 200
+    fringe = np.cos(2 * np.pi * index * 10e-9 / 808e-9)
+    rates = [42e3 * (1 + 0.8 * fringe), np.full(401, 110e3), 6e3 * (1 + 0.8 * fringe)]
+    counts = [np.random.default_rng(seed).poisson(rate * 5.0) for seed, rate in enumerate(rates)]
+    rows = zip(index, *rates, *counts)
+    text = ",".join(CSV_HEADER) + "\n" + "".join(
+        f"{k * 10 * 1e-9:.8e},{ra:.8e},{rb:.8e},{rc:.8e},{ca},{cb},{cc}\n" for k, ra, rb, rc, ca, cb, cc in rows
+    )
+    record = read_scan_csv(io.StringIO(text))
+    cells = [line.split(",") for line in text.splitlines()[1:]]
+    floats = np.array([[float(cell) for cell in row[:4]] for row in cells])
+    assert np.vstack([record.delays, record.rates]).T.tobytes() == floats.tobytes()
+    assert record.counts.tolist() == [count.tolist() for count in counts]
+    scan, config = tmp_path / "refit.csv", tmp_path / "refit.ini"
+    scan.write_text(text, encoding="utf-8")
+    config.write_text("[scan]\ndwell_s = 5.0\n", encoding="utf-8")
+    assert main(["fit", str(scan), "--config", str(config), "--quiet"]) == EXIT_OK
+
+
 def _scan_arrays():
     delays = np.linspace(-1e-6, 1e-6, 21)
     rates = np.vstack([4.2e4 + 1e3 * np.cos(delays / 1e-7), np.full(21, 1.1e5), np.full(21, 3e3)])
@@ -113,6 +137,15 @@ def _quote_cell(text):
     return "\n".join(lines)
 
 
+def _edits(*edits):
+    def edit(text):
+        for one in edits:
+            text = one(text)
+        return text
+
+    return edit
+
+
 EDGE_CASES = {
     "underscore in a count": _edit_cell(3, 4, "1_0"),
     "underscore in a rate": _edit_cell(4, 1, "4_2000.5"),
@@ -123,9 +156,19 @@ EDGE_CASES = {
     "nan rate": _edit_cell(8, 2, "nan"),
     "inf rate": _edit_cell(9, 3, "inf"),
     "negative rate": _edit_cell(10, 1, "-1.0"),
+    "minus zero rate": _edit_cell(11, 3, "-0.00000000e+00"),
     "count beyond 64 bits": _edit_cell(11, 5, str(2**63)),
+    "count of 20 digits": _edit_cell(8, 6, str(10**19)),
+    "count beyond int's digit limit": _edit_cell(19, 5, "1" + "0" * 5000),
+    "leading zero in a count": _edit_cell(9, 4, "0108"),
     "negative count": _edit_cell(5, 4, "-3"),
     "empty cell": _edit_cell(12, 6, ""),
+    "rate overflowing to inf": _edit_cell(20, 1, "1e999"),
+    "delay overflowing to inf": _edit_cell(3, 0, "-1e400"),
+    "other decimal forms of a rate": _edits(
+        _edit_cell(10, 2, "110000."), _edit_cell(11, 2, ".11e6"), _edit_cell(12, 2, "1.1E5"),
+        _edit_cell(13, 2, "110000"),
+    ),
     "cell beyond the csv field limit": _edit_cell(14, 2, "1" + "0" * 140_000 + "e-140000"),
     "crlf line endings": lambda text: text.replace("\n", "\r\n"),
     "carriage return inside a row": _edit_cell(13, 4, "\r5"),
@@ -163,78 +206,89 @@ EDGE_CASES = {
 }
 
 
-_EXPECTED_HEADER = (
-    "expected ['delay_m', 'rate_a_hz', 'rate_b_hz', 'coinc_hz', 'counts_a', 'counts_b', 'coinc_counts']"
-)
+_BAD_HEADER = f"ConfigError: CSV line 1: expected the header line {','.join(CSV_HEADER)!r}, ended by \\n or \\r\\n"
+_NOT_A_COUNT = "not a count without sign or leading zeros"
 
 # Each case's outcome: the error text, or the cells that differ from the
 # unedited scan, as {(array, row, point): value}, or None for a file without
-# data rows.  A cell beyond the csv module's field limit is no error, as
-# np.loadtxt has no such limit.
+# data rows.  Only the written form is read: a quote, a space, a sign on a
+# count, a blank line or a line without its line end is an error.  A cell may
+# be any length.
 EDGE_OUTCOMES = {
-    "underscore in a count": "ConfigError: CSV line 3, column counts_a: not an integer: '1_0'",
+    "underscore in a count": f"ConfigError: CSV line 3, column counts_a: {_NOT_A_COUNT}: '1_0'",
     "underscore in a rate": (
-        "ConfigError: CSV line 4, column rate_a_hz: not a finite number: '4_2000.5'"
+        "ConfigError: CSV line 4, column rate_a_hz: not an unsigned decimal number: '4_2000.5'"
     ),
-    "plus sign": {("counts", 1, 3): 5},
-    "leading space in a count": {("counts", 2, 4): 7},
-    "leading space in a delay": {},
-    "float in a count column": "ConfigError: CSV line 7, column counts_a: not an integer: '1.0'",
-    "nan rate": "ConfigError: CSV line 8, column rate_b_hz: not a finite number: 'nan'",
-    "inf rate": "ConfigError: CSV line 9, column coinc_hz: not a finite number: 'inf'",
-    "negative rate": "ConfigError: CSV line 10: rate p_a=-1.0 must be finite and non-negative",
+    "plus sign": f"ConfigError: CSV line 5, column counts_b: {_NOT_A_COUNT}: '+5'",
+    "leading space in a count": f"ConfigError: CSV line 6, column coinc_counts: {_NOT_A_COUNT}: ' 7'",
+    "leading space in a delay": (
+        "ConfigError: CSV line 2, column delay_m: not a decimal number: ' -1.00000000e-06'"
+    ),
+    "float in a count column": f"ConfigError: CSV line 7, column counts_a: {_NOT_A_COUNT}: '1.0'",
+    "nan rate": "ConfigError: CSV line 8, column rate_b_hz: not an unsigned decimal number: 'nan'",
+    "inf rate": "ConfigError: CSV line 9, column coinc_hz: not an unsigned decimal number: 'inf'",
+    "negative rate": "ConfigError: CSV line 10, column rate_a_hz: not an unsigned decimal number: '-1.0'",
     "count beyond 64 bits": (
         "ConfigError: CSV line 11, column counts_b: integer out of the 64-bit range: "
         "'9223372036854775808'"
     ),
-    "negative count": "ConfigError: CSV line 5, column counts_a: not a non-negative count: '-3'",
-    "empty cell": "ConfigError: CSV line 12, column coinc_counts: not an integer: ''",
+    "count beyond int's digit limit": (
+        f"ConfigError: CSV line 19, column counts_b: integer out of the 64-bit range: '1{'0' * 5000}'"
+    ),
+    "minus zero rate": (
+        "ConfigError: CSV line 11, column coinc_hz: not an unsigned decimal number: '-0.00000000e+00'"
+    ),
+    "count of 20 digits": (
+        "ConfigError: CSV line 8, column coinc_counts: integer out of the 64-bit range: "
+        "'10000000000000000000'"
+    ),
+    "leading zero in a count": f"ConfigError: CSV line 9, column counts_a: {_NOT_A_COUNT}: '0108'",
+    "negative count": f"ConfigError: CSV line 5, column counts_a: {_NOT_A_COUNT}: '-3'",
+    "empty cell": f"ConfigError: CSV line 12, column coinc_counts: {_NOT_A_COUNT}: ''",
+    "rate overflowing to inf": "ConfigError: CSV line 20, column rate_a_hz: not a finite number: '1e999'",
+    "delay overflowing to inf": "ConfigError: CSV line 3, column delay_m: not a finite number: '-1e400'",
+    "other decimal forms of a rate": {},
     "cell beyond the csv field limit": {("rates", 1, 12): 1.0},
     "crlf line endings": {},
-    "carriage return inside a row": "ConfigError: CSV line 13: row has 5 columns, expected 7",
-    "quoted cell": {},
+    "carriage return inside a row": f"ConfigError: CSV line 13, column counts_a: {_NOT_A_COUNT}: '\\r5'",
+    "quoted cell": f"ConfigError: CSV line 4, column counts_a: {_NOT_A_COUNT}: '\"102\"'",
     "short row": "ConfigError: CSV line 6: row has 6 columns, expected 7",
     "long row, then a short row of integers": "ConfigError: CSV line 5: row has 8 columns, expected 7",
-    "blank line": {},
-    "no final newline": {},
+    "blank line": "ConfigError: CSV line 2: row has 1 columns, expected 7",
+    "no final newline": "ConfigError: CSV line 22: no line end; lines end in \\n or \\r\\n",
     "empty body": None,
-    "header only, no newline": None,
-    "empty file": f"ConfigError: unexpected CSV header None; {_EXPECTED_HEADER}",
-    "bad header": (
-        "ConfigError: unexpected CSV header "
-        "['delay', 'rate_a_hz', 'rate_b_hz', 'coinc_hz', 'counts_a', 'counts_b', 'coinc_counts']; "
-        f"{_EXPECTED_HEADER}"
-    ),
-    "quoted header": {},
+    "header only, no newline": _BAD_HEADER,
+    "empty file": _BAD_HEADER,
+    "bad header": _BAD_HEADER,
+    "quoted header": _BAD_HEADER,
     "swapped rows": (
         "ConfigError: CSV line 6: delay -7e-07 m is not greater than the previous delay -6e-07 m"
     ),
     "one row deleted": (
         "ConfigError: CSV line 10: delay step 2e-07 m is off the grid's median step; delays must be uniformly spaced"
     ),
-    "rows swapped after a blank line": (
-        "ConfigError: CSV line 7: delay -7e-07 m is not greater than the previous delay -6e-07 m"
-    ),
+    "rows swapped after a blank line": "ConfigError: CSV line 3: row has 1 columns, expected 7",
     "non-ASCII digit in a count": (
-        "ConfigError: CSV line 15, column coinc_counts: not an integer: '\u0661\u0663'"
+        f"ConfigError: CSV line 15, column coinc_counts: {_NOT_A_COUNT}: '\u0661\u0663'"
     ),
     "information separator around a count": (
-        "ConfigError: CSV line 16, column counts_b: not an integer: '\\x1c516'"
+        f"ConfigError: CSV line 16, column counts_b: {_NOT_A_COUNT}: '\\x1c516'"
     ),
-    "bare carriage return line endings": (
-        "ConfigError: CSV line 1: ends in a bare carriage return; lines end in \\n or \\r\\n"
-    ),
+    "bare carriage return line endings": _BAD_HEADER,
     "bare carriage return after a row": (
-        "ConfigError: CSV line 17: ends in a bare carriage return; lines end in \\n or \\r\\n"
+        f"ConfigError: CSV line 17, column coinc_counts: {_NOT_A_COUNT}: '15\\r'"
     ),
-    "bare carriage return at the end of the file": {},
-    "quoted cell with a line break": {},
-    "count padded beyond int's digit limit": {},
-    "nan delay": "ConfigError: CSV line 21, column delay_m: not a finite number: 'nan'",
-    "inf delay": "ConfigError: CSV line 22, column delay_m: not a finite number: 'inf'",
-    # the csv module raises for a NUL before Python 3.11 and passes it on from 3.11
-    "NUL in the header": "ConfigError: CSV line 1: line contains NUL",
-    "NUL in a rate": "ConfigError: CSV line 3: line contains NUL",
+    "bare carriage return at the end of the file": (
+        "ConfigError: CSV line 22: no line end; lines end in \\n or \\r\\n"
+    ),
+    "quoted cell with a line break": "ConfigError: CSV line 18: row has 3 columns, expected 7",
+    "count padded beyond int's digit limit": (
+        f"ConfigError: CSV line 19, column counts_a: {_NOT_A_COUNT}: ' +{'0' * 5000}117'"
+    ),
+    "nan delay": "ConfigError: CSV line 21, column delay_m: not a decimal number: 'nan'",
+    "inf delay": "ConfigError: CSV line 22, column delay_m: not a decimal number: 'inf'",
+    "NUL in the header": _BAD_HEADER,
+    "NUL in a rate": "ConfigError: CSV line 3, column rate_a_hz: not an unsigned decimal number: '1\\x00'",
 }
 
 
@@ -259,41 +313,54 @@ def test_fast_path_matches_cell_by_cell_parse(name):
 
 
 def test_cell_by_cell_errors_name_line_and_column():
-    text = EDGE_CASES["float in a count column"](_scan_text())
-    with pytest.raises(ConfigError, match="CSV line 7, column counts_a: not an integer: '1.0'"):
-        read_scan_csv(io.StringIO(text))
-    text = EDGE_CASES["count beyond 64 bits"](_scan_text())
-    with pytest.raises(ConfigError, match="CSV line 11, column counts_b: integer out of the 64-bit"):
-        read_scan_csv(io.StringIO(text))
-    # with several bad rows the first in the file is named, and within a row its first bad cell
-    text = _scan_text()
-    for name in ("cell beyond the csv field limit", "short row", "nan rate", "negative rate"):
-        text = EDGE_CASES[name](text)
-    text = _edit_cell(8, 1, "x")(text)
-    with pytest.raises(ConfigError, match="CSV line 6: row has 6 columns"):
-        read_scan_csv(io.StringIO(text))
-    text = EDGE_CASES["cell beyond the csv field limit"](EDGE_CASES["nan rate"](_scan_text()))
-    text = _edit_cell(8, 1, "x")(text)
-    with pytest.raises(ConfigError, match="CSV line 8, column rate_a_hz: not a finite number: 'x'"):
-        read_scan_csv(io.StringIO(text))
-    # a NUL is named at its line, after any bad row above it and before any below
-    text = _edit_cell(20, 5, "5\0")(_edit_cell(8, 1, "x")(_scan_text()))
-    with pytest.raises(ConfigError, match="CSV line 8, column rate_a_hz: not a finite number: 'x'"):
-        read_scan_csv(io.StringIO(text))
-    text = _edit_cell(6, 5, "\0")(_edit_cell(8, 1, "x")(_scan_text()))
-    with pytest.raises(ConfigError, match="CSV line 6: line contains NUL"):
-        read_scan_csv(io.StringIO(text))
-    # neither a cell beyond the csv module's field limit nor a count padded
-    # beyond int's digit limit hides a later bad row
-    for name in ("cell beyond the csv field limit", "count padded beyond int's digit limit"):
-        text = EDGE_CASES[name](_edit_cell(20, 5, "5x")(_scan_text()))
-        with pytest.raises(ConfigError, match="CSV line 20, column counts_b: not an integer: '5x'"):
+    """With several bad rows the first in the file is named, and within a row
+    its first bad cell, whatever makes each bad.  The delay grid belongs to the
+    whole column, so a grid break is named only once every row is good."""
+    bad_cells = [
+        (3, "1e999", "not a finite number"),
+        (4, "5x", _NOT_A_COUNT),
+        (5, str(2**63), "integer out of the 64-bit range"),
+    ]
+    grid_break = EDGE_CASES["swapped rows"]  # named at line 6
+    for order in itertools.permutations(bad_cells):
+        for first in range(len(order)):
+            text = grid_break(_scan_text())
+            for line, (column, cell, _) in zip((9, 12, 16)[first:], order[first:]):
+                text = _edit_cell(line, column, cell)(text)
+            column, cell, reason = order[first]
+            message = f"CSV line {(9, 12, 16)[first]}, column {CSV_HEADER[column]}: {reason}: {cell!r}"
+            with pytest.raises(ConfigError, match=re.escape(message)):
+                read_scan_csv(io.StringIO(text))
+    with pytest.raises(ConfigError, match="CSV line 6: delay "):
+        read_scan_csv(io.StringIO(grid_break(_scan_text())))
+    for order in itertools.permutations(bad_cells):
+        text = _scan_text()
+        for column, cell, _ in order:
+            text = _edit_cell(9, column, cell)(text)
+        with pytest.raises(ConfigError, match=re.escape("CSV line 9, column coinc_hz: not a finite number")):
             read_scan_csv(io.StringIO(text))
+    # a row without seven cells is named before its cells
+    with pytest.raises(ConfigError, match="CSV line 9: row has 8 columns, expected 7"):
+        read_scan_csv(io.StringIO(_edit_cell(9, 3, "1e999,0")(_scan_text())))
 
 
-# Characters an edit puts into a cell: digits and the characters Python's
-# float and int treat differently from np.loadtxt, or that split the row.
-CELL_EDITS = [*"0123456789", "_", "+", " ", '"', "\r", "e", ".", "\u0661", ""]
+# Characters an edit puts into a cell: digits, the characters of a decimal
+# number, and characters the grammar refuses: a sign on a count, padding,
+# quotes, a carriage return, an underscore and a non-ASCII digit.
+CELL_EDITS = [*"0123456789", "_", "+", "-", " ", '"', "\r", "e", ".", "١", ""]
+
+# The row grammar, stated as an alternation rather than read from icohsim.cli.
+_DECIMAL = r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+_COUNT = "(?:0|[1-9][0-9]*)"
+ROW_GRAMMAR = re.compile(f"-?{_DECIMAL}(?:,{_DECIMAL}){{3}}(?:,{_COUNT}){{3}}")
+
+
+def _good_row(line):
+    """The line, without its line end, is in the row grammar and its values are in range."""
+    if not ROW_GRAMMAR.fullmatch(line):
+        return False
+    cells = line.split(",")
+    return all(math.isfinite(float(cell)) for cell in cells[:4]) and all(int(cell) < 2**63 for cell in cells[4:])
 
 
 @st.composite
@@ -316,13 +383,22 @@ def edited_scans(draw):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(edited_scans())
 def test_accepted_values_are_python_values_and_errors_name_a_line(text):
-    """Accepted values are float and int of their cells, bit for bit; a rejection names a line."""
+    """A file is accepted exactly when every row is in the grammar with values
+    in range and the delays form a grid; otherwise the error names the first
+    bad row, or the grid's bad line.  Accepted values are float and int of
+    their cells, bit for bit."""
+    lines = [line.removesuffix("\r") for line in text.split("\n")[1:-1]]
+    bad = [number for number, line in enumerate(lines, 2) if not _good_row(line)]
     try:
         record = read_scan_csv(io.StringIO(text))
     except ConfigError as exc:
-        assert "CSV line" in str(exc)
+        if bad:
+            assert str(exc).startswith((f"CSV line {bad[0]}, column ", f"CSV line {bad[0]}: row has ")), str(exc)
+        else:
+            assert re.match("CSV line [0-9]+: delay ", str(exc)), str(exc)
         return
-    rows = [row for row in csv.reader(io.StringIO(text, newline="")) if row][1:]
+    assert not bad
+    rows = [line.split(",") for line in lines]
     floats = np.array([[float(cell) for cell in row[:4]] for row in rows])
     counts = [[int(cell) for cell in row[4:]] for row in rows]
     assert np.vstack([record.delays, record.rates]).T.tobytes() == floats.tobytes()
