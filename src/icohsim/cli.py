@@ -77,8 +77,10 @@ def write_scan_csv(record: ScanRecord, stream: io.TextIOBase) -> None:
 # The cells of a scan CSV row: the delay, a decimal number with an optional
 # minus sign, three unsigned decimal rates, then three counts without sign or
 # leading zeros.  Digits are [0-9], as \d in a str pattern also takes
-# non-ASCII digits.
-_DECIMAL = r"(?=\.?[0-9])[0-9]*\.?[0-9]*(?:[eE][+-]?[0-9]+)?"
+# non-ASCII digits.  Each cell matches in one way only: re keeps no memo, so
+# a cell with several ways to split its digits, as [0-9]*\.?[0-9]* has, makes
+# the match of a rejected file try every way of every row before it.
+_DECIMAL = r"(?=\.?[0-9])[0-9]*(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?"
 _COUNT = "0|[1-9][0-9]*"
 _CELLS = [re.compile(cell) for cell in ["-?" + _DECIMAL, _DECIMAL, _DECIMAL, _DECIMAL, _COUNT, _COUNT, _COUNT]]
 _REASONS = ["not a decimal number", *["not an unsigned decimal number"] * 3,

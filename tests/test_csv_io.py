@@ -3,14 +3,18 @@
 import io
 import itertools
 import math
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from icohsim.cli import CSV_HEADER, EXIT_OK, main, read_scan_csv, write_scan_csv
+import icohsim
+from icohsim.cli import CSV_HEADER, EXIT_CONFIG, EXIT_OK, main, read_scan_csv, write_scan_csv
 from icohsim.config import ConfigError, parse_config
 from icohsim.scan import ScanRecord, run_scan
 
@@ -342,6 +346,28 @@ def test_cell_by_cell_errors_name_line_and_column():
     # a row without seven cells is named before its cells
     with pytest.raises(ConfigError, match="CSV line 9: row has 8 columns, expected 7"):
         read_scan_csv(io.StringIO(_edit_cell(9, 3, "1e999,0")(_scan_text())))
+    # a cell beyond the csv module's field limit, which the grammar accepts,
+    # does not hide a later bad row
+    text = EDGE_CASES["cell beyond the csv field limit"](_edit_cell(20, 5, "5x")(_scan_text()))
+    with pytest.raises(ConfigError, match=re.escape(f"CSV line 20, column counts_b: {_NOT_A_COUNT}: '5x'")):
+        read_scan_csv(io.StringIO(text))
+
+
+def test_a_rejected_csv_of_integer_rates_exits_2_in_time(tmp_path):
+    """Each cell matches the row grammar in one way only, so the match of a
+    rejected file does not backtrack through the ways of every earlier row:
+    401 rows with integer-form rates (``110000``) and a bad cell on the last
+    line exit 2 naming that line.  The fit runs in its own process, so a
+    match that never ends fails the timeout rather than hang the suite."""
+    rows = "".join(f"{k * 10 * 1e-9:.8e},110000,42000,6000,550000,210000,30000\n" for k in range(-200, 201))
+    scan, config = tmp_path / "integers.csv", tmp_path / "integers.ini"
+    scan.write_text(",".join(CSV_HEADER) + "\n" + rows[:-1] + "x\n", encoding="utf-8")
+    config.write_text("[scan]\ndwell_s = 5.0\n", encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(icohsim.__file__))}
+    done = subprocess.run([sys.executable, "-m", "icohsim", "fit", str(scan), "--config", str(config), "--quiet"],
+                          env=env, capture_output=True, encoding="utf-8", timeout=20)
+    assert done.returncode == EXIT_CONFIG, done.stderr
+    assert f"CSV line 402, column coinc_counts: {_NOT_A_COUNT}: '30000x'" in done.stderr
 
 
 # Characters an edit puts into a cell: digits, the characters of a decimal
