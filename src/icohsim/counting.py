@@ -69,8 +69,6 @@ def count_means(detected: np.ndarray, window: float, dwell: float) -> np.ndarray
     against :data:`MAX_MEAN`.
     """
     r_a, r_b, _ = detected
-    if np.any(r_a < 0) or np.any(r_b < 0):
-        raise ValueError("detector rates must be non-negative")
     with np.errstate(over="ignore"):
         return np.vstack([detected * dwell, accidental_rate(r_a, r_b, window) * dwell])
 

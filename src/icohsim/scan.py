@@ -55,7 +55,7 @@ import numpy as np
 
 from .config import ConfigError, ExperimentConfig
 from .counting import MAX_MEAN, count_means, detected, sample_scan
-from .spectral import check_rates, compile_model
+from .spectral import compile_model
 
 # Row of each channel in a record's rates and counts: detector A, detector B, coincidences.
 CHANNEL_ROWS = {"singles": 0, "coincidence": 2, "idler": 1}
@@ -271,7 +271,6 @@ def run_scan(config: ExperimentConfig, sample: bool = True) -> ScanRecord:
     delays = scan_grid(config)
     model = compile_model(config)
     rates = model.rates(delta_x_p=delays) if config.axis == "pump" else model.rates(delta_x_s=delays)
-    check_rates(rates)
     with np.errstate(over="ignore"):
         calibrated = detected(rates, model.baseline, config.rate_a_cal, config.rate_b_cal)
     if not np.all(np.isfinite(calibrated)):

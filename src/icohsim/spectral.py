@@ -36,22 +36,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import SPEED_OF_LIGHT, ExperimentConfig
-from .expectation import RATE_NAMES, fringe_law, setup_operators
+from .expectation import fringe_law, setup_operators
 
-# Rates below zero by more than roundoff, in a scan CSV or the oracle's, are an error.
-RATE_FLOOR = -1e-15
 # An envelope argument beyond this gives exactly 0.0 (exp underflows near 45);
 # clamping there keeps its square finite and every smaller one bit for bit.
 MAX_ENVELOPE_ARG = 1e150
-
-
-def check_rates(rates: np.ndarray) -> None:
-    """Raise ValueError naming the first bad rate, in column order, of (3, m) rate rows."""
-    bad = np.argwhere(~(np.isfinite(rates) & (rates >= RATE_FLOOR)).T)
-    if len(bad):
-        column, row = bad[0]
-        value = rates[row, column].item()
-        raise ValueError(f"rate {RATE_NAMES[row]}={value!r} must be finite and non-negative")
 
 
 def fringe_phase(config: ExperimentConfig, delta_x_p, delta_x_s):

@@ -105,14 +105,6 @@ def test_accidentals_expected_value():
     assert accidentals_expected == pytest.approx(9.24 * 0.5, rel=1e-9)
 
 
-@pytest.mark.parametrize("row", [0, 1])
-def test_negative_detector_rates_are_rejected(row):
-    rates = np.ones((3, 4))
-    rates[row, 2] = -1.0
-    with pytest.raises(ValueError, match="^detector rates must be non-negative$"):
-        count_means(rates, 1e-9, DWELL)
-
-
 def test_overflow_guard():
     cfg = config_with(seed=123, rate_a_cal=1e30)
     message = (

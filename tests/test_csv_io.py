@@ -10,7 +10,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import icohsim
@@ -80,6 +80,25 @@ def test_a_noiseless_record_is_the_record_of_its_csv(axis, span_um):
     assert back.counts.dtype == record.counts.dtype == np.int64
     assert back.counts.tolist() == record.counts.tolist() == np.zeros((3, len(record.delays)), int).tolist()
     assert back.rates.tolist() == _nine_digits(record.rates).tolist()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(delay=st.floats(allow_nan=False, allow_infinity=False), rate=st.floats(min_value=0.0, allow_infinity=False))
+@example(delay=5e-324, rate=5e-324)
+@example(delay=-1.7976931348623157e308, rate=1.7976931348623157e308)
+@example(delay=1.7976931348623157e308, rate=2.2250738585072014e-308)
+@example(delay=-0.0, rate=0.0)
+def test_the_grammar_takes_every_float_the_writers_print(delay, rate):
+    """A delay as write_scan_csv (%.16e) or the refit benchmark (%.8e) prints
+    it, and a rate as both print it (%.8e), read back as the float printed,
+    bit for bit: subnormals, the ends of the float range, -0.0 and 3-digit
+    exponents included."""
+    rate_cell = f"{rate:.8e}"
+    for delay_cell, printed in [(f"{delay:.16e}", delay), (f"{delay:.8e}", float(f"{delay:.8e}"))]:
+        text = f"{','.join(CSV_HEADER)}\n{delay_cell},{rate_cell},{rate_cell},{rate_cell},0,0,0\n"
+        record = read_scan_csv(io.StringIO(text))
+        assert record.delays.tobytes() == np.float64(printed).tobytes()
+        assert record.rates.tobytes() == np.full((3, 1), float(rate_cell)).tobytes()
 
 
 def test_the_refit_benchmark_csv_form_reads_back_and_fits(tmp_path):
@@ -167,13 +186,13 @@ EDGE_CASES = {
     "leading zero in a count": _edit_cell(9, 4, "0108"),
     "negative count": _edit_cell(5, 4, "-3"),
     "empty cell": _edit_cell(12, 6, ""),
-    "rate overflowing to inf": _edit_cell(20, 1, "1e999"),
-    "delay overflowing to inf": _edit_cell(3, 0, "-1e400"),
+    "rate overflowing to inf": _edit_cell(20, 1, "9.99999999e+999"),
+    "delay overflowing to inf": _edit_cell(3, 0, "-9.99999999e+999"),
     "other decimal forms of a rate": _edits(
         _edit_cell(10, 2, "110000."), _edit_cell(11, 2, ".11e6"), _edit_cell(12, 2, "1.1E5"),
         _edit_cell(13, 2, "110000"),
     ),
-    "cell beyond the csv field limit": _edit_cell(14, 2, "1" + "0" * 140_000 + "e-140000"),
+    "cell beyond the csv field limit": _edit_cell(14, 2, "1." + "0" * 140_000 + "e+00"),
     "crlf line endings": lambda text: text.replace("\n", "\r\n"),
     "carriage return inside a row": _edit_cell(13, 4, "\r5"),
     "quoted cell": _quote_cell,
@@ -211,27 +230,25 @@ EDGE_CASES = {
 
 
 _BAD_HEADER = f"ConfigError: CSV line 1: expected the header line {','.join(CSV_HEADER)!r}, ended by \\n or \\r\\n"
+_NOT_A_DELAY = "not a number in e-notation"
+_NOT_A_RATE = "not an unsigned number in e-notation"
 _NOT_A_COUNT = "not a count without sign or leading zeros"
 
 # Each case's outcome: the error text, or the cells that differ from the
 # unedited scan, as {(array, row, point): value}, or None for a file without
-# data rows.  Only the written form is read: a quote, a space, a sign on a
-# count, a blank line or a line without its line end is an error.  A cell may
-# be any length.
+# data rows.  Only the written form is read: a float not in e-notation, a
+# quote, a space, a sign on a count, a blank line or a line without its line
+# end is an error.  A cell may be any length.
 EDGE_OUTCOMES = {
     "underscore in a count": f"ConfigError: CSV line 3, column counts_a: {_NOT_A_COUNT}: '1_0'",
-    "underscore in a rate": (
-        "ConfigError: CSV line 4, column rate_a_hz: not an unsigned decimal number: '4_2000.5'"
-    ),
+    "underscore in a rate": f"ConfigError: CSV line 4, column rate_a_hz: {_NOT_A_RATE}: '4_2000.5'",
     "plus sign": f"ConfigError: CSV line 5, column counts_b: {_NOT_A_COUNT}: '+5'",
     "leading space in a count": f"ConfigError: CSV line 6, column coinc_counts: {_NOT_A_COUNT}: ' 7'",
-    "leading space in a delay": (
-        "ConfigError: CSV line 2, column delay_m: not a decimal number: ' -1.00000000e-06'"
-    ),
+    "leading space in a delay": f"ConfigError: CSV line 2, column delay_m: {_NOT_A_DELAY}: ' -1.00000000e-06'",
     "float in a count column": f"ConfigError: CSV line 7, column counts_a: {_NOT_A_COUNT}: '1.0'",
-    "nan rate": "ConfigError: CSV line 8, column rate_b_hz: not an unsigned decimal number: 'nan'",
-    "inf rate": "ConfigError: CSV line 9, column coinc_hz: not an unsigned decimal number: 'inf'",
-    "negative rate": "ConfigError: CSV line 10, column rate_a_hz: not an unsigned decimal number: '-1.0'",
+    "nan rate": f"ConfigError: CSV line 8, column rate_b_hz: {_NOT_A_RATE}: 'nan'",
+    "inf rate": f"ConfigError: CSV line 9, column coinc_hz: {_NOT_A_RATE}: 'inf'",
+    "negative rate": f"ConfigError: CSV line 10, column rate_a_hz: {_NOT_A_RATE}: '-1.0'",
     "count beyond 64 bits": (
         "ConfigError: CSV line 11, column counts_b: integer out of the 64-bit range: "
         "'9223372036854775808'"
@@ -239,9 +256,7 @@ EDGE_OUTCOMES = {
     "count beyond int's digit limit": (
         f"ConfigError: CSV line 19, column counts_b: integer out of the 64-bit range: '1{'0' * 5000}'"
     ),
-    "minus zero rate": (
-        "ConfigError: CSV line 11, column coinc_hz: not an unsigned decimal number: '-0.00000000e+00'"
-    ),
+    "minus zero rate": f"ConfigError: CSV line 11, column coinc_hz: {_NOT_A_RATE}: '-0.00000000e+00'",
     "count of 20 digits": (
         "ConfigError: CSV line 8, column coinc_counts: integer out of the 64-bit range: "
         "'10000000000000000000'"
@@ -249,9 +264,13 @@ EDGE_OUTCOMES = {
     "leading zero in a count": f"ConfigError: CSV line 9, column counts_a: {_NOT_A_COUNT}: '0108'",
     "negative count": f"ConfigError: CSV line 5, column counts_a: {_NOT_A_COUNT}: '-3'",
     "empty cell": f"ConfigError: CSV line 12, column coinc_counts: {_NOT_A_COUNT}: ''",
-    "rate overflowing to inf": "ConfigError: CSV line 20, column rate_a_hz: not a finite number: '1e999'",
-    "delay overflowing to inf": "ConfigError: CSV line 3, column delay_m: not a finite number: '-1e400'",
-    "other decimal forms of a rate": {},
+    "rate overflowing to inf": (
+        "ConfigError: CSV line 20, column rate_a_hz: not a finite number: '9.99999999e+999'"
+    ),
+    "delay overflowing to inf": (
+        "ConfigError: CSV line 3, column delay_m: not a finite number: '-9.99999999e+999'"
+    ),
+    "other decimal forms of a rate": f"ConfigError: CSV line 10, column rate_b_hz: {_NOT_A_RATE}: '110000.'",
     "cell beyond the csv field limit": {("rates", 1, 12): 1.0},
     "crlf line endings": {},
     "carriage return inside a row": f"ConfigError: CSV line 13, column counts_a: {_NOT_A_COUNT}: '\\r5'",
@@ -289,10 +308,10 @@ EDGE_OUTCOMES = {
     "count padded beyond int's digit limit": (
         f"ConfigError: CSV line 19, column counts_a: {_NOT_A_COUNT}: ' +{'0' * 5000}117'"
     ),
-    "nan delay": "ConfigError: CSV line 21, column delay_m: not a decimal number: 'nan'",
-    "inf delay": "ConfigError: CSV line 22, column delay_m: not a decimal number: 'inf'",
+    "nan delay": f"ConfigError: CSV line 21, column delay_m: {_NOT_A_DELAY}: 'nan'",
+    "inf delay": f"ConfigError: CSV line 22, column delay_m: {_NOT_A_DELAY}: 'inf'",
     "NUL in the header": _BAD_HEADER,
-    "NUL in a rate": "ConfigError: CSV line 3, column rate_a_hz: not an unsigned decimal number: '1\\x00'",
+    "NUL in a rate": f"ConfigError: CSV line 3, column rate_a_hz: {_NOT_A_RATE}: '1\\x00'",
 }
 
 
@@ -321,7 +340,7 @@ def test_cell_by_cell_errors_name_line_and_column():
     its first bad cell, whatever makes each bad.  The delay grid belongs to the
     whole column, so a grid break is named only once every row is good."""
     bad_cells = [
-        (3, "1e999", "not a finite number"),
+        (3, "9.99999999e+999", "not a finite number"),
         (4, "5x", _NOT_A_COUNT),
         (5, str(2**63), "integer out of the 64-bit range"),
     ]
@@ -345,7 +364,7 @@ def test_cell_by_cell_errors_name_line_and_column():
             read_scan_csv(io.StringIO(text))
     # a row without seven cells is named before its cells
     with pytest.raises(ConfigError, match="CSV line 9: row has 8 columns, expected 7"):
-        read_scan_csv(io.StringIO(_edit_cell(9, 3, "1e999,0")(_scan_text())))
+        read_scan_csv(io.StringIO(_edit_cell(9, 3, "9.99999999e+999,0")(_scan_text())))
     # a cell beyond the csv module's field limit, which the grammar accepts,
     # does not hide a later bad row
     text = EDGE_CASES["cell beyond the csv field limit"](_edit_cell(20, 5, "5x")(_scan_text()))
@@ -356,10 +375,11 @@ def test_cell_by_cell_errors_name_line_and_column():
 def test_a_rejected_csv_of_integer_rates_exits_2_in_time(tmp_path):
     """Each cell matches the row grammar in one way only, so the match of a
     rejected file does not backtrack through the ways of every earlier row:
-    401 rows with integer-form rates (``110000``) and a bad cell on the last
-    line exit 2 naming that line.  The fit runs in its own process, so a
-    match that never ends fails the timeout rather than hang the suite."""
-    rows = "".join(f"{k * 10 * 1e-9:.8e},110000,42000,6000,550000,210000,30000\n" for k in range(-200, 201))
+    401 rows with long e-form mantissas and a bad cell on the last line exit
+    2 naming that line.  The fit runs in its own process, so a match that
+    never ends fails the timeout rather than hang the suite."""
+    rate = "1." + "1" * 1000 + "e+05"
+    rows = "".join(f"{k * 10 * 1e-9:.8e},{rate},{rate},{rate},550000,210000,30000\n" for k in range(-200, 201))
     scan, config = tmp_path / "integers.csv", tmp_path / "integers.ini"
     scan.write_text(",".join(CSV_HEADER) + "\n" + rows[:-1] + "x\n", encoding="utf-8")
     config.write_text("[scan]\ndwell_s = 5.0\n", encoding="utf-8")
@@ -375,10 +395,11 @@ def test_a_rejected_csv_of_integer_rates_exits_2_in_time(tmp_path):
 # quotes, a carriage return, an underscore and a non-ASCII digit.
 CELL_EDITS = [*"0123456789", "_", "+", "-", " ", '"', "\r", "e", ".", "١", ""]
 
-# The row grammar, stated as an alternation rather than read from icohsim.cli.
-_DECIMAL = r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+# The row grammar, stated here rather than read from icohsim.cli: a float is
+# what %.Ne prints, one digit, a point, N digits and an exponent of 2 or 3.
+_FLOAT = r"[0-9][.][0-9]+e[-+](?:[0-9][0-9]|[0-9][0-9][0-9])"
 _COUNT = "(?:0|[1-9][0-9]*)"
-ROW_GRAMMAR = re.compile(f"-?{_DECIMAL}(?:,{_DECIMAL}){{3}}(?:,{_COUNT}){{3}}")
+ROW_GRAMMAR = re.compile(f"-?{_FLOAT}(?:,{_FLOAT}){{3}}(?:,{_COUNT}){{3}}")
 
 
 def _good_row(line):

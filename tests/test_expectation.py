@@ -16,7 +16,7 @@ from icohsim.operators import (
     free_mode,
     spdc,
 )
-from icohsim.spectral import check_rates, compile_model
+from icohsim.spectral import compile_model
 
 from conftest import config_with, dense, fresh_import
 
@@ -314,6 +314,8 @@ def test_oracle_agreement_over_randomized_configs():
         delta_x_s = rng.uniform(-2e-6, 2e-6)
         e = compile_model(cfg).monochromatic(delta_x_p, delta_x_s)[:, 0].tolist()
         o = detection_moments(build_state(cfg, delta_x_p, delta_x_s))[:, 0].tolist()
+        # both sides give rates that are finite and not negative, with no check after them
+        assert all(math.isfinite(rate) and rate >= 0 for rate in e + o), (overrides, e, o)
         for ev, ov in zip(e, o):
             scale = max(abs(ev), abs(ov), compile_model(cfg).baseline[0])
             assert abs(ev - ov) <= 1e-6 * scale
@@ -383,24 +385,3 @@ def test_delay_arrays_of_unequal_lengths_raise():
     cfg = config_with(gain1=1e-3, gain2=1e-3)
     with pytest.raises(ValueError):
         compile_model(cfg).monochromatic(np.zeros(3), np.zeros(2))
-
-
-def test_check_rates_rejects_negative():
-    with pytest.raises(ValueError):
-        check_rates(np.array([[-1.0], [0.0], [0.0]]))
-
-
-def test_check_rates_names_the_first_bad_column():
-    check_rates(np.array([[1.0, 0.0], [0.0, -1e-16], [2.0, 0.0]]))  # roundoff passes
-    rates = np.ones((3, 4))
-    rates[2, 1] = -1.0
-    rates[1, 2] = math.nan
-    rates[0, 3] = -2.0
-    with pytest.raises(ValueError, match=r"^rate p_ab=-1\.0 must be finite and non-negative$"):
-        check_rates(rates)
-    rates[1, 1] = math.inf
-    with pytest.raises(ValueError, match=r"^rate p_b=inf must be finite and non-negative$"):
-        check_rates(rates)
-    rates[:, 1] = 1.0
-    with pytest.raises(ValueError, match=r"^rate p_b=nan must be finite and non-negative$"):
-        check_rates(rates)
