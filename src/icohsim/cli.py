@@ -33,12 +33,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fockoracle
-from .config import ConfigError, ExperimentConfig, load_config, utf8_error
+from .config import KEYS, MAX_RATE, MAX_SCAN_DELAY, ConfigError, ExperimentConfig, load_config, utf8_error
 from .counting import accidental_rate, double_pair_probability
 from .expectation import RATE_NAMES
 from .scan import (
     CHANNEL_ROWS,
     CHANNELS,
+    MIN_FIT_POINTS,
     SOURCES,
     FringeFit,
     GridError,
@@ -90,6 +91,12 @@ _REASONS = ["not a number in e-notation", *["not an unsigned number in e-notatio
 # 2**63 - 1, so that every row _BODY takes parses as uint64.
 _BODY = re.compile(r"(?:-?{0},{0},{0},{0},{1},{1},{1}\r?\n)*".format(_FLOAT, "(?:0|[1-9][0-9]{0,18})"))
 _ROW_DTYPE = np.dtype([("floats", "f8", (4,)), ("counts", "u8", (3,))])
+# The largest magnitude of the delay and of each rate.  A config writes rates of
+# at most 2.04 MAX_RATE: a coincidence fringe of visibility 1 at the largest gain.
+_MAX_CSV_RATE = 10.0 * MAX_RATE
+_LIMITS = np.array([MAX_SCAN_DELAY, *[_MAX_CSV_RATE] * 3])
+_RANGES = [f"out of range: must lie in [-{MAX_SCAN_DELAY:g}, {MAX_SCAN_DELAY:g}]",
+           *[f"out of range: must lie in [0, {_MAX_CSV_RATE:g}]"] * 3]
 
 
 def _bad_cell(cell: str, column: int) -> str | None:
@@ -97,7 +104,7 @@ def _bad_cell(cell: str, column: int) -> str | None:
     if not _CELLS[column].fullmatch(cell):
         return _REASONS[column]
     if column < 4:
-        return None if math.isfinite(float(cell)) else "not a finite number"
+        return None if abs(float(cell)) <= _LIMITS[column] else _RANGES[column]
     return None if len(cell) < 20 and int(cell) < 2**63 else "integer out of the 64-bit range"
 
 
@@ -126,8 +133,8 @@ def read_scan_csv(stream: io.TextIOBase) -> ScanRecord:
     (``-1.5000000000000000e-06``), the three rates in unsigned e-notation
     (``4.20000000e+04``), and the three counts as digits without sign or
     leading zeros.  Every line ends in ``\\n`` or ``\\r\\n``.
-    Delays and rates are finite, counts within the 64-bit range, and the
-    delays a uniform grid.
+    Delays lie within MAX_SCAN_DELAY, rates at or below _MAX_CSV_RATE, counts
+    within the 64-bit range, and the delays are a uniform grid (ScanRecord).
 
     One pattern match over the rows decides acceptance, and ``np.loadtxt``
     then parses them.  Only when a file is rejected are its rows walked, so
@@ -142,7 +149,7 @@ def read_scan_csv(stream: io.TextIOBase) -> ScanRecord:
     rows = np.zeros(0, _ROW_DTYPE)
     if body:
         rows = np.loadtxt(io.StringIO(body), dtype=_ROW_DTYPE, delimiter=",", ndmin=1)
-    if not (np.isfinite(rows["floats"]).all() and (rows["counts"] < 2**63).all()):
+    if not ((np.abs(rows["floats"]) <= _LIMITS).all() and (rows["counts"] < 2**63).all()):
         raise _first_bad_line(body)
     table = np.ascontiguousarray(rows["floats"].T)
     counts = np.ascontiguousarray(rows["counts"].T, dtype=np.int64)
@@ -359,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="Poisson-sampled scan to CSV")
     _add_common(p_sim, require_out=True)
-    p_sim.add_argument("--seed", type=int, default=None, help="override the RNG seed")
+    p_sim.add_argument("--seed", default=None, help="override the RNG seed")
 
     p_fit = sub.add_parser("fit", help="fit a fringe model to a scan CSV")
     p_fit.add_argument("input", help="scan CSV produced by predict or simulate")
@@ -442,7 +449,8 @@ def _scan(args: argparse.Namespace, config: ExperimentConfig) -> ScanRecord:
 def _run(args: argparse.Namespace) -> int:
     if args.command == "oracle-check" and not 1 <= args.points <= MAX_ORACLE_POINTS:
         raise ConfigError(f"--points must be between 1 and {MAX_ORACLE_POINTS}, got {args.points}")
-    config = load_config(args.config, getattr(args, "seed", None))
+    seed = getattr(args, "seed", None)  # in detectors.seed's grammar; the config checks its range
+    config = load_config(args.config, None if seed is None else KEYS["detectors", "seed"].parse(seed, "--seed"))
     if args.command == "report":
         _emit(build_report(config), args.out)
         return EXIT_OK
@@ -466,7 +474,7 @@ def _run(args: argparse.Namespace) -> int:
         _say(args, f"wrote {len(record.delays)} scan points to {args.out}")
         return EXIT_OK
     row = CHANNEL_ROWS[args.channel]
-    if args.source == "counts" and not record.counts[row].any():
+    if args.source == "counts" and len(record.delays) >= MIN_FIT_POINTS and not record.counts[row].any():
         raise NoFringeError(f"no fringe detected: every {CSV_HEADER[4 + row]} count is zero, as in "
                             "a predict CSV; fit its rates with --source rates")
     fit = fit_fringe(record, channel=args.channel, source=args.source, dwell=config.dwell)

@@ -46,13 +46,13 @@ Numbers are ASCII, without underscores.  A float value is what ``float``
 reads, and ``detectors.seed`` what ``int(value, 0)`` reads: decimal, or with
 a ``0x``, ``0o`` or ``0b`` prefix.  Anything else, ``1_0`` or ``١٠`` among
 them, is an error naming its ``section.key`` and line, as is a value that is
-not finite in SI units or lies outside its key's range.
+not finite in SI units or lies outside its key's range.  Every range is
+finite and physical, so the modules below need no guard against overflow.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -63,6 +63,13 @@ SCAN_AXES = ("signal", "pump")
 MAX_SCAN_POINTS = 1_000_000
 # Largest delay a scan may reach, in meters; a bench delay line is far shorter.
 MAX_SCAN_DELAY = 1.0
+# Physical bounds: wavelengths (m) from the far UV to the far IR, a detector
+# rate (counts/s) far above any photon counter's, a window or dwell (s) of
+# 11.6 days, and a scan step (m) far below a delay stage's resolution.
+MIN_WAVELENGTH, MAX_WAVELENGTH = 1e-8, 1e-4
+MAX_RATE = 1e12
+MAX_SECONDS = 1e6
+MIN_SCAN_STEP = 1e-12
 # Key suffix -> (multiply by, divide by) from file units to SI.  Dividing by
 # an exact power of ten keeps 355 nm bit-identical to the literal 355e-9.
 UNITS = {"nm": (1.0, 1e9), "um": (1.0, 1e6), "mm": (1.0, 1e3), "ns": (1.0, 1e9),
@@ -87,10 +94,12 @@ class Interval:
         return above and (value < self.high if self.high_open else value <= self.high)
 
 
-POSITIVE = Interval(0.0, math.inf, low_open=True, high_open=True)
 # The engine is first order in K, so a gain must stay well below 1.
 MAX_GAIN = 0.1
 GAIN = Interval(0.0, MAX_GAIN, high_open=True)
+WAVELENGTH = Interval(MIN_WAVELENGTH, MAX_WAVELENGTH)
+RATE = Interval(0.0, MAX_RATE, low_open=True)
+SECONDS = Interval(0.0, MAX_SECONDS, low_open=True)
 DELAY = Interval(-MAX_SCAN_DELAY, MAX_SCAN_DELAY)
 
 
@@ -139,21 +148,15 @@ class Key:
             f"{_show(high)}{')' if self.allowed.high_open else ']'}"
         )
 
-    @cached_property
-    def largest(self) -> float:
-        """The largest magnitude (SI) a file can state: the largest float in the key's unit."""
-        mul, div = UNITS.get(self.unit, (1.0, 1.0))
-        return sys.float_info.max * mul / div
-
     def check(self, value, name: str = ""):
-        """``value`` (SI) if the key allows it and, for a float, a file can state it;
-        else a ConfigError naming ``name``, by default the key."""
-        if value not in self.allowed or (self.kind is float and not abs(value) <= self.largest):
+        """``value`` (SI) if the key allows it, else a ConfigError naming ``name``, by default the key."""
+        if value not in self.allowed:
             raise ConfigError(f"{name or self.label} out of range: must lie in {self.allowed_text}")
         return value
 
-    def parse(self, raw: str, lineno: int):
-        """The SI value of ``raw``, typed on line ``lineno``; its range is not checked here."""
+    def parse(self, raw: str, name: str = ""):
+        """The SI value of ``raw``, else a ConfigError naming ``name``, by default the key;
+        its range is not checked here."""
         if self.kind is str:
             return raw
         try:
@@ -163,35 +166,37 @@ class Key:
             value = float(raw) if self.kind is float else int(raw, 0)
         except ValueError:
             noun = "a number" if self.kind is float else "an integer"
-            raise ConfigError(f"{self.where(lineno)}: not {noun}: {raw!r}") from None
+            raise ConfigError(f"{name or self.label}: not {noun}: {raw!r}") from None
         if self.kind is float:
             mul, div = UNITS.get(self.unit, (1.0, 1.0))
             value = value * mul / div
             if not math.isfinite(value):
-                raise ConfigError(f"{self.where(lineno)}: not a finite number: {raw!r}")
+                raise ConfigError(f"{name or self.label}: not a finite number: {raw!r}")
         return value
 
 
 KEYS = {
     (key.section, key.name): key
     for key in (
-        Key("pump", "wavelength_nm", "pump_wavelength", POSITIVE),
-        Key("pump", "bandwidth_ghz", "pump_bandwidth", POSITIVE),
+        Key("pump", "wavelength_nm", "pump_wavelength", WAVELENGTH),
+        # Below the shortest pump's carrier; ExperimentConfig keeps it below the pump's own.
+        Key("pump", "bandwidth_ghz", "pump_bandwidth",
+            Interval(0.0, SPEED_OF_LIGHT / MIN_WAVELENGTH, low_open=True, high_open=True)),
         Key("pump", "splitter_ratio", "splitter_ratio", Interval(0.0, 1.0, low_open=True, high_open=True)),
         Key("crystal1", "gain", "gain1", GAIN),
         Key("crystal2", "gain", "gain2", GAIN),
         Key("idler_link", "eta", "eta", Interval(0.0, 1.0)),
-        Key("signal_filter", "center_nm", "signal_filter_center", POSITIVE),
-        Key("signal_filter", "bandwidth_nm", "signal_filter_bandwidth", POSITIVE),
-        Key("detectors", "rate_a_hz", "rate_a_cal", POSITIVE),
-        Key("detectors", "rate_b_hz", "rate_b_cal", POSITIVE),
-        Key("detectors", "window_ns", "window", POSITIVE),
+        Key("signal_filter", "center_nm", "signal_filter_center", WAVELENGTH),
+        Key("signal_filter", "bandwidth_nm", "signal_filter_bandwidth", Interval(0.0, MAX_WAVELENGTH, low_open=True)),
+        Key("detectors", "rate_a_hz", "rate_a_cal", RATE),
+        Key("detectors", "rate_b_hz", "rate_b_cal", RATE),
+        Key("detectors", "window_ns", "window", SECONDS),
         Key("detectors", "seed", "seed", Interval(0, SEED_LIMIT, high_open=True), int),
         Key("scan", "axis", "axis", SCAN_AXES, str),
         Key("scan", "start_um", "start", DELAY),
         Key("scan", "stop_um", "stop", DELAY),
-        Key("scan", "step_nm", "step", POSITIVE),
-        Key("scan", "dwell_s", "dwell", POSITIVE),
+        Key("scan", "step_nm", "step", Interval(MIN_SCAN_STEP, 2.0 * MAX_SCAN_DELAY)),
+        Key("scan", "dwell_s", "dwell", SECONDS),
     )
 }
 _SECTIONS = {section for section, _ in KEYS}
@@ -237,20 +242,8 @@ class ExperimentConfig:
         if not self.signal_filter_bandwidth < self.signal_filter_center:
             raise ConfigError("signal_filter.bandwidth_nm must lie below signal_filter.center_nm: "
                               "the filter is not narrowband")
-        try:
-            signal_fwhm = self.signal_filter_fwhm()
-        except (ZeroDivisionError, OverflowError):
-            signal_fwhm = math.nan
-        if not 0.0 < signal_fwhm < math.inf:
-            raise ConfigError(
-                "signal_filter.center_nm out of range: the filter's frequency FWHM "
-                "c * bandwidth / center^2 is not a finite positive number"
-            )
-        # The pump twins of the signal filter's narrowband and finite-frequency checks.
+        # The pump twin of the signal filter's narrowband rule.
         carrier = SPEED_OF_LIGHT / self.pump_wavelength
-        if not carrier < math.inf:
-            raise ConfigError("pump.wavelength_nm out of range: the pump carrier frequency "
-                              "c / wavelength is not a finite number")
         if not self.pump_bandwidth < carrier:
             raise ConfigError(
                 f"pump.bandwidth_ghz gives a pump frequency FWHM of {self.pump_bandwidth:.3g} Hz, "
@@ -341,7 +334,7 @@ def _config_from_sections(sections: dict, seed: int | None = None) -> Experiment
         for name, (lineno, raw) in body.items():
             key = KEYS[section, name]
             try:
-                given.append((key, lineno, key.parse(raw, lineno)))
+                given.append((key, lineno, key.parse(raw, key.where(lineno))))
             except ConfigError:
                 _check_in_file_order(given)
                 raise

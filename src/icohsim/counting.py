@@ -65,12 +65,11 @@ def count_means(detected: np.ndarray, window: float, dwell: float) -> np.ndarray
 
     ``detected`` holds the (3, n) counts/s rows of :func:`detected`;
     accidentals follow :func:`accidental_rate` in the coincidence ``window``.
-    A mean beyond the float range comes out inf, which the scan rejects
-    against :data:`MAX_MEAN`.
+    A config's rates, window and dwell keep every mean below 1e37, finite;
+    the scan checks them against :data:`MAX_MEAN`.
     """
     r_a, r_b, _ = detected
-    with np.errstate(over="ignore"):
-        return np.vstack([detected * dwell, accidental_rate(r_a, r_b, window) * dwell])
+    return np.vstack([detected * dwell, accidental_rate(r_a, r_b, window) * dwell])
 
 
 def sample_scan(means: np.ndarray, seed: int) -> np.ndarray:

@@ -53,7 +53,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig
+from .config import MIN_SCAN_STEP, ConfigError, ExperimentConfig
 from .counting import MAX_MEAN, count_means, detected, sample_scan
 from .spectral import compile_model
 
@@ -121,6 +121,10 @@ FWHM_FACTOR = 2.0 * math.sqrt(2.0 * math.log(2.0))
 BOUND_SIGMAS = 3.0
 # Largest relative deviation of a delay step from the median step on a uniform grid.
 GRID_TOLERANCE = 1e-6
+# Finest grid step a record takes: scan_grid rounds a config's step to at least half of it.
+MIN_GRID_STEP = 0.5 * MIN_SCAN_STEP
+# Fewest delays a fit takes: the periodogram needs a few periods' worth.
+MIN_FIT_POINTS = 8
 
 
 class GridError(ValueError):
@@ -157,10 +161,11 @@ class ScanRecord:
     detector B, coincidences including accidentals), each of shape (3, n).
     A record built without counts, a noiseless one, holds zero counts, as its
     CSV does.  ``step`` is the median delay step (nan below two delays).
-    The delays are strictly increasing, and no step is off the median step
-    by more than GRID_TOLERANCE of it; a grid that breaks either rule raises
-    GridError at its first bad delay.  The scan axis and the dwell come from
-    the config.
+    The delays are strictly increasing, the median step is at least
+    MIN_GRID_STEP, and no step is off it by more than GRID_TOLERANCE of it;
+    a grid that breaks a rule raises GridError at its first bad delay, the
+    second one for a median step too fine.  The scan axis and the dwell come
+    from the config.
     """
 
     delays: np.ndarray
@@ -184,6 +189,8 @@ class ScanRecord:
             previous, delay = self.delays[k - 1 : k + 1]
             raise GridError(f"delay {delay:.9g} m is not greater than the previous delay {previous:.9g} m", k)
         self.step = _median(dx) if len(dx) else math.nan
+        if self.step < MIN_GRID_STEP:
+            raise GridError(f"delay step {self.step:.6g} m is below the finest grid step {MIN_GRID_STEP:g} m", 1)
         off = np.flatnonzero(np.abs(dx - self.step) > GRID_TOLERANCE * self.step)
         if len(off):
             raise GridError(
@@ -250,10 +257,6 @@ def undersampling_warning(config: ExperimentConfig, record: ScanRecord) -> str |
     )
 
 
-# What a user can lower when a scan's rates or counts leave the number range.
-_LOWER_RATES = "; lower detectors.rate_a_hz, detectors.rate_b_hz or scan.dwell_s"
-
-
 def run_scan(config: ExperimentConfig, sample: bool = True) -> ScanRecord:
     """Evaluate the scan along ``config.axis``: calibrated envelope-modulated rates, then counts.
 
@@ -263,18 +266,14 @@ def run_scan(config: ExperimentConfig, sample: bool = True) -> ScanRecord:
     :func:`~icohsim.counting.sample_scan` call.  The non-scanned delay axis
     is held at zero; the grid is the config's (scan_grid).  A grid that
     float64 cannot hold uniform, a step too fine for the size of its delays,
-    raises a ConfigError naming scan.step_nm; calibrated rates beyond the
-    float range, or when sampling an expected count above
-    :data:`~icohsim.counting.MAX_MEAN`, raise one naming the keys that set
-    them.
+    raises a ConfigError naming scan.step_nm; when sampling, an expected
+    count above :data:`~icohsim.counting.MAX_MEAN` raises one naming the
+    keys that set it.
     """
     delays = scan_grid(config)
     model = compile_model(config)
     rates = model.rates(delta_x_p=delays) if config.axis == "pump" else model.rates(delta_x_s=delays)
-    with np.errstate(over="ignore"):
-        calibrated = detected(rates, model.baseline, config.rate_a_cal, config.rate_b_cal)
-    if not np.all(np.isfinite(calibrated)):
-        raise ConfigError(f"calibrated rates exceed the float range{_LOWER_RATES}")
+    calibrated = detected(rates, model.baseline, config.rate_a_cal, config.rate_b_cal)
     counts = None
     if sample:
         means = count_means(calibrated, config.window, config.dwell)
@@ -282,7 +281,7 @@ def run_scan(config: ExperimentConfig, sample: bool = True) -> ScanRecord:
         if len(over):
             raise ConfigError(
                 f"expected counts {max(means[:, over[0]].tolist()):.3g} "
-                f"exceed representable integers{_LOWER_RATES}"
+                "exceed representable integers; lower detectors.rate_a_hz, detectors.rate_b_hz or scan.dwell_s"
             )
         counts = sample_scan(means, config.seed)
     try:
@@ -299,19 +298,19 @@ def estimate_period(y: np.ndarray, step: float) -> float:
     record's frequency resolution 1 / span, so the peak bin is within an
     eighth of it of the true peak, well inside the fit's main lobe of
     half-width 1 / span; a parabola through the peak bin and its neighbours
-    refines it.  Raises NoFringeError when no peak stands out of the
-    background (flat data), when the peak sits in the last bin, at a period
-    of 2 grid steps (there the model's cos and sin columns coincide on the
-    grid), or when the seed is no finite positive length (a period beyond the
-    float range).  fit_fringe passes the record's median step: a record's
-    grid is uniform (see ScanRecord), so that is the step of the whole
-    series.
+    refines it.  Raises NoFringeError below MIN_FIT_POINTS values, when no
+    peak stands out of the background (flat data), or when the peak sits in
+    the last bin, at a period of 2 grid steps (there the model's cos and sin
+    columns coincide on the grid).  fit_fringe passes the record's median
+    step: a record's grid is uniform (see ScanRecord), so that is the step of
+    the whole series, and at least MIN_GRID_STEP.
     """
-    if len(y) < 8:
+    if len(y) < MIN_FIT_POINTS:
         raise NoFringeError("record too short for period estimation")
 
     # A power of two scales every sum and product exactly, so the seed does not
-    # move, and with the largest magnitude in [0.5, 1) no square overflows.
+    # move, and with the largest magnitude in [0.5, 1) no square under- or
+    # overflows: a rate series has no floor, and 1e-200 counts/s square to 0.
     y = np.ldexp(y, -math.frexp(float(np.max(np.abs(y))))[1])
     centered = y - y.mean()
     if not np.any(np.abs(centered) > 0):
@@ -335,19 +334,7 @@ def estimate_period(y: np.ndarray, step: float) -> float:
     p_lo, p_mid, p_hi = power[peak - 1], power[peak], power[peak + 1]
     denom = p_lo - 2.0 * p_mid + p_hi
     shift = 0.5 * (p_lo - p_hi) / denom if denom != 0 else 0.0
-    # In units of step's power of two, so no product over- or underflows; scaling
-    # by a power of two commutes with rounding, so the seed is what the same
-    # arithmetic in metres gives wherever that stays in range.
-    mantissa, exponent = math.frexp(step)
-    bin_width = 1.0 / (nfft * mantissa)
-    frequency = (peak + shift) * bin_width
-    try:
-        period = math.ldexp(1.0 / frequency, exponent)
-    except OverflowError:
-        period = math.inf
-    if not (math.isfinite(period) and period > 0):
-        raise NoFringeError(f"no fringe detected: period seed {period:.6g} m is not a finite positive length")
-    return period
+    return float(1.0 / ((peak + shift) * (1.0 / (nfft * step))))
 
 
 class _Solution(NamedTuple):
@@ -653,15 +640,6 @@ def _gauss_newton(p, basis, ts, sqrt_w, target, reweight) -> _Solution:
     return _Solution(p, a, extended[-1], inverse, blocks, steps, converged)
 
 
-def _period_wavenumber(half_span: float, value: float) -> float:
-    """2 pi half_span / value: the fit's wavenumber in t of a period, or the period
-    of a wavenumber.  Ordered so it cannot overflow where 2 pi half_span does, above
-    2.9e307 m; scaling by powers of two is exact, so it is the same float as that
-    expression wherever the expression is finite.
-    """
-    return 8.0 * (math.pi * (0.25 * half_span) / value)
-
-
 def _wrap_phase(phi: float) -> float:
     wrapped = math.remainder(phi, 2.0 * math.pi)
     if wrapped <= -math.pi:
@@ -723,9 +701,9 @@ def fit_fringe(
     y_scale = float(np.max(np.abs(y_raw)))  # positive: estimate_period rejects a flat series
     ys = y_raw / y_scale
     # The model's one coordinate t runs from -1 to 1 across the scan.
-    # From halves of the end delays, which cannot overflow; the same floats otherwise.
-    middle = 0.5 * float(x_raw[0]) + 0.5 * float(x_raw[-1])
-    half_span = 0.5 * float(x_raw[-1]) - 0.5 * float(x_raw[0])
+    first, last = float(x_raw[0]), float(x_raw[-1])
+    middle = 0.5 * (first + last)
+    half_span = 0.5 * (last - first)
     ts = (x_raw - middle) / half_span
     use_poisson = source == "counts"
 
@@ -750,7 +728,7 @@ def fit_fringe(
         return sqrt_w, ys * sqrt_w
 
     sqrt_w, target = reweight(ys, False) if use_poisson else (np.ones_like(ys), ys)
-    k, basis, model = _refine_seed(_period_wavenumber(half_span, period_seed), ts, sqrt_w, target)
+    k, basis, model = _refine_seed(2.0 * math.pi * half_span / period_seed, ts, sqrt_w, target)
     if use_poisson:
         sqrt_w, target = reweight(model, False)
     solution = _gauss_newton([k, 0.0, 0.0], basis, ts, sqrt_w, target, reweight if use_poisson else None)
@@ -760,7 +738,7 @@ def fit_fringe(
     if not (a0 > 0 and amplitude > 0):
         raise NoFringeError("no fringe detected: fitted baseline or amplitude is not positive")
     k, beta1, beta2 = (float(v) for v in solution.p)
-    period = _period_wavenumber(half_span, k)
+    period = 2.0 * math.pi * half_span / k
     span = 2.0 * half_span
     if period > span:
         raise NoFringeError(
@@ -775,22 +753,11 @@ def fit_fringe(
     scale = 1.0 if use_poisson else ssr / dof
 
     def sigma(*gradient: float) -> float:
-        """Delta-method sigma from partials in (a0, a1, a2, k, b1, b2) order.
-
-        The partials are scaled by the power of two of the largest before the
-        quadratic form, and its root scaled back, so a sigma within the float
-        range is not lost to an overflowing square.  A power of two scales
-        exactly short of the subnormal range, so a sigma that is finite
-        unscaled is the same float.
-        """
-        exponent = math.frexp(max(abs(g) for g in gradient))[1]
-        # The partials that are not zero, scaled, with their indices.
-        scaled = [(i, math.ldexp(g, -exponent)) for i, g in enumerate(gradient) if g]
-        variance = sum(g * cov[i][j] * h for i, g in scaled for j, h in scaled)
-        try:
-            return math.ldexp(math.sqrt(max(variance * scale, 0.0)), exponent)
-        except OverflowError:
-            return math.inf
+        """Delta-method sigma from partials in (a0, a1, a2, k, b1, b2) order."""
+        # The partials that are not zero, with their indices.
+        terms = [(i, g) for i, g in enumerate(gradient) if g]
+        variance = sum(g * cov[i][j] * h for i, g in terms for j, h in terms)
+        return math.sqrt(max(variance * scale, 0.0))
 
     visibility = amplitude / a0
     if not math.isfinite(visibility):

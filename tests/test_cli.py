@@ -29,7 +29,7 @@ from icohsim.cli import (
 )
 from icohsim.config import ConfigError, load_config
 from icohsim.fockoracle import MAX_ORACLE_GAIN
-from icohsim.scan import FringeFit, fit_fringe, run_scan
+from icohsim.scan import SOURCES, FringeFit, fit_fringe, run_scan
 from icohsim.spectral import coherence_length, compile_model
 
 from conftest import near_nyquist_record
@@ -249,13 +249,36 @@ def test_seed_outside_64_bits_exits_with_config_code(tmp_path, capsys, seed):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("seed", ["1_0", "١٠", "1e1", " "])
+def test_seed_flag_outside_the_seed_keys_grammar_exits_with_config_code(tmp_path, capsys, seed):
+    # --seed is read as detectors.seed is, by int(value, 0) on ASCII without underscores
+    out = tmp_path / "scan.csv"
+    argv = ["simulate", "--config", DEFAULT_CONFIG, "--out", str(out), "--seed", seed, "--quiet"]
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: --seed: not an integer: {seed!r}\n"
+    assert not out.exists()
+
+
+def test_seed_flag_takes_base_prefixes_as_the_seed_key_does(tmp_path, capsys):
+    outputs = []
+    for seed in ("0x10", "16", "0o20", "0b10000"):
+        out = tmp_path / f"{seed}.csv"
+        code = main(["simulate", "--config", DEFAULT_CONFIG, "--out", str(out), "--seed", seed])
+        outputs.append((code, capsys.readouterr().err.replace(str(out), "OUT"), out.read_bytes()))
+    assert outputs[0][0] == EXIT_OK
+    assert outputs.count(outputs[0]) == len(outputs)
+    config = write_config(tmp_path, "[detectors]\nseed = 16\n[scan]\n")
+    assert main(["simulate", "--config", config, "--out", str(tmp_path / "file.csv"), "--quiet"]) == EXIT_OK
+    assert (tmp_path / "file.csv").read_bytes() == outputs[0][2]
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
         ("[idler_link]\neta = 1.3\n[scan]\n", "idler_link.eta at line 2 out of range: must lie in [0, 1]"),
         ("[detectors]\nseed = -1\n[scan]\n", "detectors.seed at line 2 out of range: must lie in [0, 2**64)"),
         ("[scan]\nstart_um = 1\nstop_um = -1\n", "scan.stop_um must exceed scan.start_um"),
-        ("[scan]\ndwell_s = 0\n[crystal1]\ngain = nan\n", "scan.dwell_s at line 2 out of range: must lie in (0, inf)"),
+        ("[scan]\ndwell_s = 0\n[crystal1]\ngain = nan\n", "scan.dwell_s at line 2 out of range: must lie in (0, 1e+06]"),
         ("[scan]\nstep_nm = tiny\n", "scan.step_nm at line 2: not a number: 'tiny'"),
     ],
 )
@@ -635,9 +658,10 @@ def test_fit_json_equals_the_reference_encoder(tmp_path, monkeypatch, max_iterat
     assert out.read_text(encoding="utf-8") == json.dumps(summary, indent=2) + "\n"
 
 
+@pytest.mark.filterwarnings("error")
 def test_rates_fit_of_a_scan_at_huge_rates_succeeds(tmp_path):
-    # rates near 1e300 would overflow the periodogram's squares unscaled
-    config = write_config(tmp_path, "[detectors]\nrate_a_hz = 1e300\n[scan]\n")
+    # the largest rates a config takes
+    config = write_config(tmp_path, "[detectors]\nrate_a_hz = 1e12\nrate_b_hz = 1e12\n[scan]\n")
     scan, out = tmp_path / "predict.csv", tmp_path / "fit.json"
     assert main(["predict", "--config", config, "--out", str(scan), "--quiet"]) == EXIT_OK
     for channel in ("singles", "coincidence"):
@@ -647,12 +671,26 @@ def test_rates_fit_of_a_scan_at_huge_rates_succeeds(tmp_path):
         read_json(out)
 
 
+@pytest.mark.filterwarnings("error")
+def test_rates_fit_of_a_scan_at_tiny_rates_succeeds(tmp_path):
+    # Rates have no floor, so the periodogram scales its series by a power of
+    # two: unscaled, rates of 1e-200 counts/s square to zero and show no peak.
+    config = write_config(tmp_path, "[detectors]\nrate_a_hz = 1e-200\n[scan]\n")
+    scan, out = tmp_path / "predict.csv", tmp_path / "fit.json"
+    assert main(["predict", "--config", config, "--out", str(scan), "--quiet"]) == EXIT_OK
+    for channel in ("singles", "coincidence"):
+        argv = ["fit", str(scan), "--config", config, "--source", "rates", "--channel", channel,
+                "--out", str(out), "--quiet"]
+        assert main(argv) == EXIT_OK
+        assert read_json(out)["period_m"] == pytest.approx(808e-9, rel=1e-6)
+
+
 @pytest.mark.parametrize(
-    "first, step", [(1e308, 1e305), (-1e308, 1e306)], ids=["from_1e308_m", "from_minus_1e308_m"]
+    "first, step", [(-1.0, 2**-10), (1.0 - 99 * 2**-10, 2**-10)], ids=["from_minus_1_m", "to_1_m"]
 )
-def test_fit_of_delays_near_the_float_range_succeeds(tmp_path, capsys, first, step):
-    # The first grid's end delays sum beyond the float range, and the second's
-    # periodogram length times its step does; a ten-step fringe of visibility 0.8.
+def test_fit_of_delays_at_the_delay_bound_succeeds(tmp_path, capsys, first, step):
+    # Grids that start or end at the +-1 m a CSV's delays may reach, each delay
+    # exact; a ten-step fringe of visibility 0.8.
     index = np.arange(100)
     counts = np.round(1000 * (1 + 0.8 * np.cos(2 * np.pi * index / 10))).astype(np.int64)
     rows = [f"{first + i * step:.16e},{c / 0.5:.8e},{c / 0.5:.8e},{c / 0.5:.8e},{c},{c},{c}"
@@ -664,29 +702,80 @@ def test_fit_of_delays_near_the_float_range_succeeds(tmp_path, capsys, first, st
     summary = json.loads(out.read_text(encoding="utf-8"), parse_constant=_reject_constant)
     assert summary["period_m"] == pytest.approx(10 * step, rel=1e-6)
     assert summary["visibility"] == pytest.approx(0.8, abs=0.01)
-    assert summary["phase_reference_m"] == pytest.approx(first + 49.5 * step, rel=1e-12)
-    # the period's sigma squares a partial of about 3e304 m, so it is scaled before
-    # squaring; the flat envelope's width bound, 4.23 spans, is 4.19e307 m on the
-    # first grid and beyond any float on the second
+    assert summary["phase_reference_m"] == first + 49.5 * step
+    # the flat envelope's width is reported as its lower bound, 4.23 spans
     assert 0 < summary["period_sigma_m"] < summary["period_m"]
     assert summary["envelope_center_m"] is None
-    bound = 418.8 * step
-    if math.isfinite(bound):
-        assert summary["envelope_fwhm_m"] == pytest.approx(bound, rel=1e-3)
-    else:
-        assert summary["envelope_fwhm_m"] is None
+    assert summary["envelope_fwhm_m"] == pytest.approx(418.8 * step, rel=1e-3)
 
 
-def test_period_seed_beyond_the_float_range_is_no_fringe(tmp_path, capsys):
-    # a ramp's periodogram peaks in its first bin, a seed of 256 steps of 1e307 m
-    counts = [110, 107, 90, 117, 132, 131, 158, 143, 160, 162, 184, 180, 198, 195, 193, 187]
-    rows = [f"{i * 1e307:.16e},{c:.8e},{c:.8e},{c:.8e},{c},{c},{c}" for i, c in enumerate(counts)]
-    scan = tmp_path / "ramp.csv"
-    scan.write_text("\n".join([",".join(CSV_HEADER), *rows]) + "\n", encoding="utf-8")
-    assert main(["fit", str(scan), "--config", DEFAULT_CONFIG, "--quiet"]) == EXIT_FIT
-    assert capsys.readouterr().err.endswith(
-        "fit error: no fringe detected: period seed inf m is not a finite positive length\n"
-    )
+def _csv_of(delays, rates, counts):
+    """CSV text of one row per delay: the delay, three equal rates and three equal counts."""
+    rows = [f"{x:.16e},{r:.8e},{r:.8e},{r:.8e},{c},{c},{c}\n" for x, r, c in zip(delays, rates, counts)]
+    return ",".join(CSV_HEADER) + "\n" + "".join(rows)
+
+
+def _fringe_csv(delays, scale=1.0):
+    """A ten-step fringe of visibility 0.8 at the delays, its rates times ``scale``."""
+    counts = np.round(1000 * (1 + 0.8 * np.cos(2 * np.pi * np.arange(len(delays)) / 10))).astype(int)
+    return _csv_of(delays, (counts * scale).tolist(), counts.tolist())
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # a delay beyond +-1 m, also by one ulp
+        (_fringe_csv(np.arange(20) * 1e-3 - 1.01), "CSV line 2, column delay_m: out of range: must lie in [-1, 1]"),
+        (_fringe_csv(np.arange(20) * 2**-10 + (1.0 - 18 * 2**-10)),
+         "CSV line 21, column delay_m: out of range: must lie in [-1, 1]: '1.0009765625000000e+00'"),
+        (_fringe_csv(np.arange(20) * 1e-8, scale=6e9),
+         "CSV line 2, column rate_a_hz: out of range: must lie in [0, 1e+13]: '1.08000000e+13'"),
+        # a grid step beyond the finest a config writes, down to subnormal steps
+        (_fringe_csv(np.arange(20) * 1e-310), "CSV line 3: delay step 1e-310 m is below the finest grid step 5e-13 m"),
+        (_fringe_csv(np.arange(20) * 4e-13), "CSV line 3: delay step 4e-13 m is below the finest grid step 5e-13 m"),
+    ],
+    ids=["delay_below_minus_1_m", "delay_above_1_m", "rate_1.08e13", "step_1e-310_m", "step_0.4_pm"],
+)
+def test_csv_values_beyond_what_a_config_writes_exit_with_config_code(tmp_path, capsys, text, message):
+    scan = tmp_path / "scan.csv"
+    scan.write_text(text, encoding="utf-8")
+    for source in SOURCES:
+        assert main(["fit", str(scan), "--config", DEFAULT_CONFIG, "--source", source, "--quiet"]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
+
+
+@pytest.mark.parametrize("rows", [0, 3, 7])
+@pytest.mark.parametrize("source", SOURCES)
+def test_fit_of_a_record_too_short_to_fit_says_so(tmp_path, capsys, rows, source):
+    # a header-only or short CSV of zero counts is too short, not a predict CSV to fit by its rates
+    scan = tmp_path / "short.csv"
+    scan.write_text(_csv_of(np.arange(rows) * 1e-8, [42e3] * rows, [0] * rows), encoding="utf-8")
+    assert main(["fit", str(scan), "--config", DEFAULT_CONFIG, "--source", source, "--quiet"]) == EXIT_FIT
+    assert capsys.readouterr().err == "fit error: record too short for period estimation\n"
+
+
+# The corners of the rate, dwell and step ranges: the largest rates and dwell,
+# with a window that keeps the accidentals below the sampler's limit, and the
+# finest step, on a 10 nm pump that gives its grid five fringes.
+CORNER_CONFIGS = {
+    "rates_and_dwell": "[detectors]\nrate_a_hz = 1e12\nrate_b_hz = 1e12\nwindow_ns = 1e-6\n[scan]\ndwell_s = 1e6\n",
+    "step": "[pump]\nwavelength_nm = 10\n[scan]\naxis = pump\nstart_um = 0\nstop_um = 0.05\nstep_nm = 0.001\n",
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("corner", CORNER_CONFIGS)
+def test_csvs_of_the_range_corners_read_back_and_fit(tmp_path, capsys, corner):
+    config = write_config(tmp_path, CORNER_CONFIGS[corner])
+    for command in ("predict", "simulate"):
+        scan = tmp_path / f"{command}.csv"
+        assert main([command, "--config", config, "--out", str(scan), "--quiet"]) == EXIT_OK
+        for channel in ("singles", "coincidence"):
+            for source in SOURCES if command == "simulate" else ["rates"]:
+                argv = ["fit", str(scan), "--config", config, "--channel", channel, "--source", source, "--quiet"]
+                assert main(argv) == EXIT_OK, capsys.readouterr().err
+                period = json.loads(capsys.readouterr().out)["period_m"]
+                assert period == pytest.approx(load_config(config).scan_wavelength(), rel=1e-4)
 
 
 def test_missing_config_exits_with_io_code(tmp_path):
@@ -720,31 +809,37 @@ def test_non_ascii_or_underscored_number_exits_with_config_code(
     assert capsys.readouterr().err == f"config error: detectors.{key} at line 2: {message}: {value!r}\n"
 
 
+_LOWER_RATES = "; lower detectors.rate_a_hz, detectors.rate_b_hz or scan.dwell_s"
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
-    "command, text, reason",
+    "command, text, message",
     [
-        ("simulate", "[detectors]\nrate_a_hz = 1e30\n[scan]\n", "expected counts 6.1e+27"),
-        ("simulate", "[scan]\ndwell_s = 1e300\n", "expected counts 1.1e+305"),
-        (
-            "simulate",
-            "[detectors]\nrate_a_hz = 1e200\nrate_b_hz = 1e200\n[scan]\n",
-            "expected counts inf",
-        ),
-        ("simulate", "[detectors]\nrate_a_hz = 1.7e308\n[scan]\n", "calibrated rates exceed"),
-        ("predict", "[detectors]\nrate_a_hz = 1.7e308\n[scan]\n", "calibrated rates exceed"),
+        # values whose counts would leave the sampler's range lie outside their keys' ranges
+        ("simulate", "[detectors]\nrate_a_hz = 1e30\n[scan]\n",
+         "detectors.rate_a_hz at line 2 out of range: must lie in (0, 1e+12]"),
+        ("simulate", "[scan]\ndwell_s = 1e300\n", "scan.dwell_s at line 2 out of range: must lie in (0, 1e+06]"),
+        ("simulate", "[detectors]\nrate_a_hz = 1e200\nrate_b_hz = 1e200\n[scan]\n",
+         "detectors.rate_a_hz at line 2 out of range: must lie in (0, 1e+12]"),
+        ("simulate", "[detectors]\nrate_a_hz = 1.7e308\n[scan]\n",
+         "detectors.rate_a_hz at line 2 out of range: must lie in (0, 1e+12]"),
+        ("predict", "[detectors]\nrate_a_hz = 1.7e308\n[scan]\n",
+         "detectors.rate_a_hz at line 2 out of range: must lie in (0, 1e+12]"),
+        # in range, only accidentals, r_a r_b window dwell, reach the limit
+        ("simulate", "[detectors]\nrate_a_hz = 1e12\nrate_b_hz = 1e12\n[scan]\ndwell_s = 1e4\n",
+         f"expected counts 4.7e+18 exceed representable integers{_LOWER_RATES}"),
+        ("simulate", "[detectors]\nrate_a_hz = 1e12\nrate_b_hz = 1e12\nwindow_ns = 9.99999e14\n[scan]\ndwell_s = 1e6\n",
+         f"expected counts 1.22e+34 exceed representable integers{_LOWER_RATES}"),
     ],
-    ids=["rate_a_1e30", "dwell_1e300", "rates_1e200", "simulate_rate_1.7e308", "predict_rate_1.7e308"],
+    ids=["rate_a_1e30", "dwell_1e300", "rates_1e200", "simulate_rate_1.7e308", "predict_rate_1.7e308",
+         "rates_1e12_dwell_1e4_s", "largest_window_and_dwell"],
 )
-def test_counts_beyond_the_sampler_limit_exit_with_config_code(
-    tmp_path, capsys, command, text, reason
-):
+def test_counts_beyond_the_sampler_limit_exit_with_config_code(tmp_path, capsys, command, text, message):
     out = tmp_path / "scan.csv"
     argv = [command, "--config", write_config(tmp_path, text), "--out", str(out), "--quiet"]
     assert main(argv) == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert err.startswith(f"config error: {reason}")
-    assert err.rstrip().endswith("lower detectors.rate_a_hz, detectors.rate_b_hz or scan.dwell_s")
+    assert capsys.readouterr().err == f"config error: {message}\n"
     assert not out.exists()
 
 
@@ -963,12 +1058,15 @@ def test_out_of_range_pump_and_oracle_values_exit_with_config_code(
 def test_filter_without_a_finite_frequency_width_exits_with_config_code(
     tmp_path, capsys, command, section
 ):
-    # center^2 underflows to zero, so c * bandwidth / center^2 has no value
+    # center^2 underflows to zero, so c * bandwidth / center^2 has no value: the
+    # center lies below its range
     text = f"[{section}]\ncenter_nm = 1e-300\nbandwidth_nm = 1e-301\n[scan]\n"
     out = tmp_path / "out"
     argv = [command, "--config", write_config(tmp_path, text), "--out", str(out), "--quiet"]
     assert main(argv) == EXIT_CONFIG
-    assert capsys.readouterr().err.startswith(f"config error: {section}.center_nm out of range")
+    assert capsys.readouterr().err == (
+        f"config error: {section}.center_nm at line 2 out of range: must lie in [10, 100000]\n"
+    )
     assert not out.exists()
 
 
@@ -983,13 +1081,15 @@ def test_removed_idler_filter_section_exits_with_config_code(tmp_path, capsys):
 @pytest.mark.parametrize(
     "text",
     [
-        "[signal_filter]\ncenter_nm = 1e-152\nbandwidth_nm = 1e-153\n[scan]\n",
-        "[pump]\nwavelength_nm = 1e-200\nbandwidth_ghz = 1e199\n[scan]\naxis = pump\n",
+        "[signal_filter]\ncenter_nm = 10\nbandwidth_nm = 9.999999\n[scan]\n"
+        "start_um = -1e6\nstop_um = 1e6\nstep_nm = 1e6\n",
+        "[pump]\nwavelength_nm = 10\nbandwidth_ghz = 2.99792e7\n[scan]\naxis = pump\n"
+        "start_um = -1e6\nstop_um = 1e6\nstep_nm = 1e6\n",
     ],
-    ids=["signal_filter_fwhm_3e168_hz", "pump_fwhm_1e208_hz"],
+    ids=["signal_filter_fwhm_3e16_hz", "pump_fwhm_3e16_hz"],
 )
-def test_huge_spectral_widths_give_zero_envelopes_without_overflow(tmp_path, command, text):
-    # the envelope argument reaches 6e154 (signal) and 2e194 (pump); clamped, its square stays finite
+def test_the_widest_spectra_give_zero_envelopes_without_overflow(tmp_path, command, text):
+    # the envelope argument reaches 3e8 at 1 m; its square stays far inside the float range
     out = tmp_path / "out"
     assert main([command, "--config", write_config(tmp_path, text), "--out", str(out), "--quiet"]) == EXIT_OK
 

@@ -2,10 +2,10 @@ import configparser
 import dataclasses
 import inspect
 import io
+import itertools
 import math
 import random
 import re
-import sys
 import warnings
 from pathlib import Path
 
@@ -18,9 +18,15 @@ from icohsim.config import (
     KEYS,
     _config_from_sections,
     _read_sections,
+    MAX_RATE,
     MAX_SCAN_DELAY,
     MAX_SCAN_POINTS,
+    MAX_SECONDS,
+    MAX_WAVELENGTH,
+    MIN_SCAN_STEP,
+    MIN_WAVELENGTH,
     SCAN_AXES,
+    SPEED_OF_LIGHT,
     ConfigError,
     ExperimentConfig,
     load_config,
@@ -28,7 +34,7 @@ from icohsim.config import (
     parse_config,
 )
 from icohsim.fockoracle import MAX_ORACLE_GAIN
-from icohsim.scan import NoFringeError, fit_fringe, run_scan, scan_grid
+from icohsim.scan import SOURCES, NoFringeError, fit_fringe, run_scan, scan_grid
 from icohsim.spectral import compile_model
 
 from conftest import config_with, fresh_import
@@ -391,7 +397,7 @@ def test_unit_conversion_beyond_the_float_range_names_the_key():
 def test_scan_validation():
     for text, message in [
         ("[scan]\naxis = diagonal\n", "scan.axis at line 2 out of range: must lie in {signal, pump}"),
-        ("[scan]\nstep_nm = 0\n", "scan.step_nm at line 2 out of range: must lie in (0, inf)"),
+        ("[scan]\nstep_nm = 0\n", "scan.step_nm at line 2 out of range: must lie in [0.001, 2e+09]"),
         ("[scan]\nstart_um = 2\nstop_um = -2\n", "scan.stop_um must exceed scan.start_um"),
     ]:
         with pytest.raises(ConfigError) as info:
@@ -403,9 +409,10 @@ def test_scan_size_is_capped():
     for step_nm in ("1e-30", "1e-6", "0.003"):
         with pytest.raises(ConfigError, match=r"scan\.step_nm"):
             parse_config(f"[scan]\nstep_nm = {step_nm}\n")
-    # a grid too fine for its span to be a float
-    with pytest.raises(ConfigError, match=r"^scan\.step_nm gives inf grid points"):
+    # a step so fine that its grid's size would overflow is below the step's range
+    with pytest.raises(ConfigError) as info:
         config_with(start=0.0, stop=1.0, step=5e-324)
+    assert str(info.value) == "scan.step_nm out of range: must lie in [0.001, 2e+09]"
     # an infinite stop is out of its own range first
     with pytest.raises(ConfigError) as info:
         config_with(start=0.0, stop=float("inf"), step=1e-9)
@@ -459,16 +466,19 @@ def test_single_key_bounds_run_before_cross_field_rules():
     ids=["center_squared_underflows", "center_squared_overflows"],
 )
 def test_filter_frequency_width_must_be_finite_and_positive(section, center, bandwidth):
+    # centers whose square leaves the float range lie outside the center's range
     text = f"[{section}]\ncenter_nm = {center}\nbandwidth_nm = {bandwidth}\n[scan]\n"
-    with pytest.raises(ConfigError, match=rf"^{section}\.center_nm out of range"):
+    with pytest.raises(ConfigError) as info:
         parse_config(text)
+    assert str(info.value) == f"{section}.center_nm at line 2 out of range: must lie in [10, 100000]"
 
 
 @pytest.mark.parametrize("key", ["center_nm", "bandwidth_nm"])
 def test_signal_filter_keys_must_be_positive(key):
+    allowed = {"center_nm": "[10, 100000]", "bandwidth_nm": "(0, 100000]"}[key]
     with pytest.raises(ConfigError) as info:
         parse_config(f"[signal_filter]\n{key} = 0\n[scan]\n")
-    assert str(info.value) == f"signal_filter.{key} at line 2 out of range: must lie in (0, inf)"
+    assert str(info.value) == f"signal_filter.{key} at line 2 out of range: must lie in {allowed}"
 
 
 def test_detector_validation():
@@ -563,17 +573,17 @@ def test_direct_construction_validates():
 
 
 def test_pump_carrier_frequency_must_be_finite():
-    # 4.94065646e-315 nm is the smallest subnormal in meters: in range, but c / wavelength is inf
-    message = (
-        "pump.wavelength_nm out of range: the pump carrier frequency "
-        "c / wavelength is not a finite number"
-    )
+    # 4.94065646e-315 nm is the smallest subnormal in meters, whose c / wavelength
+    # is inf: below the wavelength's range, as is every wavelength with no finite carrier
+    message = "pump.wavelength_nm out of range: must lie in [10, 100000]"
     with pytest.raises(ConfigError) as info:
         parse_config("[pump]\nwavelength_nm = 4.94065646e-315\n[scan]\n")
-    assert str(info.value) == message
+    assert str(info.value) == message.replace(" out of range", " at line 2 out of range")
     with pytest.raises(ConfigError) as info:
         ExperimentConfig(pump_wavelength=5e-324)
     assert str(info.value) == message
+    # the shortest pump's carrier is the bandwidth's bound, and finite
+    assert SPEED_OF_LIGHT / MIN_WAVELENGTH == KEYS["pump", "bandwidth_ghz"].allowed.high < math.inf
 
 
 # (center m, wavelength FWHM m, the key the error names) of hand-built signal filters.
@@ -637,7 +647,7 @@ def test_narrowband_rule_is_bandwidth_below_center():
     for _ in range(300):
         center = rng.uniform(300.0, 2000.0)
         draws.append((center, center * (1.0 - rng.random() * 1e-15)))
-    for center in (808.0, 300.0, 2000.0, 1e-150, 1e150):
+    for center in (808.0, 300.0, 2000.0, MIN_WAVELENGTH * 1e9, MAX_WAVELENGTH * 1e9):
         draws += [(center, math.nextafter(center, 0.0)), (center, center)]
     for center, bandwidth in draws + NARROWBAND_EDGE:
         decision = _filter_decision(center, bandwidth)
@@ -646,7 +656,7 @@ def test_narrowband_rule_is_bandwidth_below_center():
         assert narrowband or decision == (
             "signal_filter.bandwidth_nm must lie below signal_filter.center_nm: the filter is not narrowband"
         )
-    for center in (808e-9, 300e-9, 2e-6, 1e-159, 1e141):
+    for center in (808e-9, 300e-9, 2e-6, MIN_WAVELENGTH, MAX_WAVELENGTH):
         ExperimentConfig(signal_filter_center=center, signal_filter_bandwidth=math.nextafter(center, 0.0))
     for center, bandwidth in NARROWBAND_EDGE:
         config = _filter_decision(center, bandwidth)
@@ -659,36 +669,38 @@ def test_narrowband_rule_is_bandwidth_below_center():
 
 
 def test_values_built_in_code_must_be_statable_in_the_file_unit():
-    largest = sys.float_info.max
-    cfg = parse_config(f"[scan]\nstep_nm = {largest!r}\n")
-    assert cfg.step == largest / 1e9
-    assert ExperimentConfig(step=largest / 1e9) == cfg
-    # one step above what the file unit can state is out of range, as inf nm would be
-    with pytest.raises(ConfigError) as info:
-        ExperimentConfig(step=math.nextafter(largest / 1e9, math.inf))
-    assert str(info.value) == "scan.step_nm out of range: must lie in (0, inf)"
+    # the range's ends in the file unit give the very floats of its ends in SI
+    for text, step, stop in [("2e9", 2.0, 1.0), ("0.001", MIN_SCAN_STEP, 5e-7)]:
+        cfg = parse_config(f"[scan]\nstart_um = 0\nstop_um = {stop * 1e6:g}\nstep_nm = {text}\n")
+        assert cfg.step == step
+        assert ExperimentConfig(start=0.0, stop=stop, step=step) == cfg
+    # one step beyond either end is out of range, in code as in the file
+    for step in (math.nextafter(2.0, math.inf), math.nextafter(MIN_SCAN_STEP, 0.0)):
+        with pytest.raises(ConfigError) as info:
+            ExperimentConfig(step=step)
+        assert str(info.value) == "scan.step_nm out of range: must lie in [0.001, 2e+09]"
 
 
 # Per key: a value it refuses as typed, the same value in SI units, and the
 # allowed range the message states.
 OUT_OF_RANGE = {
-    "pump.wavelength_nm": ("0", 0.0, "(0, inf)"),
-    "pump.bandwidth_ghz": ("-45", -45e9, "(0, inf)"),
+    "pump.wavelength_nm": ("0", 0.0, "[10, 100000]"),
+    "pump.bandwidth_ghz": ("-45", -45e9, "(0, 2.99792e+07)"),
     "pump.splitter_ratio": ("1", 1.0, "(0, 1)"),
     "crystal1.gain": ("0.1", 0.1, "[0, 0.1)"),
     "crystal2.gain": ("-1e-3", -1e-3, "[0, 0.1)"),
     "idler_link.eta": ("1.3", 1.3, "[0, 1]"),
-    "signal_filter.center_nm": ("0", 0.0, "(0, inf)"),
-    "signal_filter.bandwidth_nm": ("-2", -2e-9, "(0, inf)"),
-    "detectors.rate_a_hz": ("0", 0.0, "(0, inf)"),
-    "detectors.rate_b_hz": ("-1", -1.0, "(0, inf)"),
-    "detectors.window_ns": ("0", 0.0, "(0, inf)"),
+    "signal_filter.center_nm": ("0", 0.0, "[10, 100000]"),
+    "signal_filter.bandwidth_nm": ("-2", -2e-9, "(0, 100000]"),
+    "detectors.rate_a_hz": ("0", 0.0, "(0, 1e+12]"),
+    "detectors.rate_b_hz": ("-1", -1.0, "(0, 1e+12]"),
+    "detectors.window_ns": ("0", 0.0, "(0, 1e+15]"),
     "detectors.seed": ("-1", -1, "[0, 2**64)"),
     "scan.axis": ("diagonal", "diagonal", "{signal, pump}"),
     "scan.start_um": ("-2e6", -2.0, "[-1e+06, 1e+06]"),
     "scan.stop_um": ("1.0000001e6", 1.0000001, "[-1e+06, 1e+06]"),
-    "scan.step_nm": ("0", 0.0, "(0, inf)"),
-    "scan.dwell_s": ("-0.5", -0.5, "(0, inf)"),
+    "scan.step_nm": ("0", 0.0, "[0.001, 2e+09]"),
+    "scan.dwell_s": ("-0.5", -0.5, "(0, 1e+06]"),
 }
 
 
@@ -750,28 +762,21 @@ def test_every_config_field_is_the_target_of_one_key():
 
 
 def in_range(key):
-    """Values of ``key`` (SI) from its whole range, up to the largest value a file can
-    state: its ends, that largest value, 5e-324 and 1.7e308 when allowed, draws in
-    between, and the bench values of GOOD_VALUES."""
+    """Values of ``key`` (SI) from its whole range: its ends, 5e-324 when allowed,
+    draws in between, and the bench values of GOOD_VALUES."""
     if isinstance(key.allowed, tuple):
         return st.sampled_from(key.allowed)
-    bench = st.sampled_from([key.parse(raw, 0) for raw in GOOD_VALUES[key.name]])
+    bench = st.sampled_from([key.parse(raw) for raw in GOOD_VALUES[key.name]])
     low, high = key.allowed.low, key.allowed.high
     if key.kind is int:
         return bench | st.integers(low, high - 1 if key.allowed.high_open else high)
     ends = [
         math.nextafter(low, high) if key.allowed.low_open else low,
         math.nextafter(high, low) if key.allowed.high_open else high,
-        key.largest,
         5e-324,
-        1.7e308,
     ]
-    between = st.floats(
-        low, min(high, key.largest), exclude_min=key.allowed.low_open,
-        exclude_max=key.allowed.high_open and high <= key.largest,
-    )
-    ends = [end for end in dict.fromkeys(ends) if end in key.allowed and end <= key.largest]
-    return bench | st.sampled_from(ends) | between
+    between = st.floats(low, high, exclude_min=key.allowed.low_open, exclude_max=key.allowed.high_open)
+    return bench | st.sampled_from([end for end in dict.fromkeys(ends) if end in key.allowed]) | between
 
 
 def built(values: dict) -> ExperimentConfig:
@@ -785,15 +790,30 @@ def first_points(config: ExperimentConfig, count: int) -> ExperimentConfig:
     return config if len(grid) <= count else dataclasses.replace(config, stop=float(grid[count - 1]))
 
 
+# The corners of the ranges: the largest rates with the largest window and
+# dwell (the window must stay below the dwell), a 10 nm pump at its bandwidth
+# bound on a +-1 m pump scan, the widest filter, and the finest step.
+CORNERS = [
+    {"detectors.rate_a_hz": MAX_RATE, "detectors.rate_b_hz": MAX_RATE,
+     "detectors.window_ns": math.nextafter(MAX_SECONDS, 0.0), "scan.dwell_s": MAX_SECONDS},
+    {"pump.wavelength_nm": MIN_WAVELENGTH, "pump.bandwidth_ghz": math.nextafter(SPEED_OF_LIGHT / MIN_WAVELENGTH, 0.0),
+     "scan.axis": "pump", "scan.start_um": -MAX_SCAN_DELAY, "scan.stop_um": MAX_SCAN_DELAY, "scan.step_nm": 1e-5},
+    {"signal_filter.center_nm": MAX_WAVELENGTH, "signal_filter.bandwidth_nm": math.nextafter(MAX_WAVELENGTH, 0.0)},
+    {"scan.step_nm": MIN_SCAN_STEP, "scan.start_um": 0.0, "scan.stop_um": 1e-7},
+]
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(st.fixed_dictionaries({}, optional={key.label: in_range(key) for key in KEYS.values()}))
-@example({"pump.wavelength_nm": 5e-324})
-@example({"detectors.rate_a_hz": 1e300})
-@example({"detectors.rate_a_hz": 8e307})
+@example(CORNERS[0])
+@example(CORNERS[1])
+@example(CORNERS[2])
+@example(CORNERS[3])
 def test_a_built_config_runs_every_stage_without_a_warning(values):
     """What a built config guarantees is all the modules below it need: a config of
     in-range values is refused with a ConfigError, or every stage runs it cleanly.
-    A record's rates fit, or the fit says it found no fringe or did not converge."""
+    A record's rates and sampled counts fit, or the fit says it found no fringe or
+    did not converge."""
     try:
         config = built(values)
     except ConfigError:
@@ -807,12 +827,12 @@ def test_a_built_config_runs_every_stage_without_a_warning(values):
             try:
                 record = run_scan(first_points(config, 2001), sample=sample)
             except ConfigError:
-                # documented: counts or calibrated rates beyond the representable
-                # range, or a step too fine for float64 delays
+                # documented: counts beyond the representable range, or a step
+                # too fine for float64 delays
                 continue
-            for channel in ("singles", "coincidence"):
+            for channel, source in itertools.product(("singles", "coincidence"), SOURCES if sample else ["rates"]):
                 try:
-                    fit_fringe(record, channel, source="rates")
+                    fit_fringe(record, channel, source, dwell=config.dwell)
                 except NoFringeError:
                     pass
         build_report(config)

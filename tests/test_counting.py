@@ -106,9 +106,10 @@ def test_accidentals_expected_value():
 
 
 def test_overflow_guard():
-    cfg = config_with(seed=123, rate_a_cal=1e30)
+    # accidentals, r_a r_b window dwell, reach the limit from in-range values
+    cfg = config_with(seed=123, rate_a_cal=1e12, rate_b_cal=1e12, dwell=1e4)
     message = (
-        r"^expected counts 6\.1e\+27 exceed representable integers; "
+        r"^expected counts 4\.7e\+18 exceed representable integers; "
         r"lower detectors\.rate_a_hz, detectors\.rate_b_hz or scan\.dwell_s$"
     )
     with pytest.raises(ConfigError, match=message):

@@ -2,7 +2,6 @@
 
 import io
 import itertools
-import math
 import os
 import re
 import subprocess
@@ -83,16 +82,16 @@ def test_a_noiseless_record_is_the_record_of_its_csv(axis, span_um):
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(delay=st.floats(allow_nan=False, allow_infinity=False), rate=st.floats(min_value=0.0, allow_infinity=False))
+@given(delay=st.floats(-1.0, 1.0), rate=st.floats(0.0, 1e13))
 @example(delay=5e-324, rate=5e-324)
-@example(delay=-1.7976931348623157e308, rate=1.7976931348623157e308)
-@example(delay=1.7976931348623157e308, rate=2.2250738585072014e-308)
+@example(delay=-1.0, rate=1e13)
+@example(delay=1.0, rate=2.2250738585072014e-308)
 @example(delay=-0.0, rate=0.0)
 def test_the_grammar_takes_every_float_the_writers_print(delay, rate):
-    """A delay as write_scan_csv (%.16e) or the refit benchmark (%.8e) prints
-    it, and a rate as both print it (%.8e), read back as the float printed,
-    bit for bit: subnormals, the ends of the float range, -0.0 and 3-digit
-    exponents included."""
+    """A delay within +-1 m as write_scan_csv (%.16e) or the refit benchmark
+    (%.8e) prints it, and a rate up to 1e13 as both print it (%.8e), read back
+    as the float printed, bit for bit: subnormals, the ends of the ranges, -0.0
+    and 3-digit exponents included."""
     rate_cell = f"{rate:.8e}"
     for delay_cell, printed in [(f"{delay:.16e}", delay), (f"{delay:.8e}", float(f"{delay:.8e}"))]:
         text = f"{','.join(CSV_HEADER)}\n{delay_cell},{rate_cell},{rate_cell},{rate_cell},0,0,0\n"
@@ -265,10 +264,10 @@ EDGE_OUTCOMES = {
     "negative count": f"ConfigError: CSV line 5, column counts_a: {_NOT_A_COUNT}: '-3'",
     "empty cell": f"ConfigError: CSV line 12, column coinc_counts: {_NOT_A_COUNT}: ''",
     "rate overflowing to inf": (
-        "ConfigError: CSV line 20, column rate_a_hz: not a finite number: '9.99999999e+999'"
+        "ConfigError: CSV line 20, column rate_a_hz: out of range: must lie in [0, 1e+13]: '9.99999999e+999'"
     ),
     "delay overflowing to inf": (
-        "ConfigError: CSV line 3, column delay_m: not a finite number: '-9.99999999e+999'"
+        "ConfigError: CSV line 3, column delay_m: out of range: must lie in [-1, 1]: '-9.99999999e+999'"
     ),
     "other decimal forms of a rate": f"ConfigError: CSV line 10, column rate_b_hz: {_NOT_A_RATE}: '110000.'",
     "cell beyond the csv field limit": {("rates", 1, 12): 1.0},
@@ -340,7 +339,7 @@ def test_cell_by_cell_errors_name_line_and_column():
     its first bad cell, whatever makes each bad.  The delay grid belongs to the
     whole column, so a grid break is named only once every row is good."""
     bad_cells = [
-        (3, "9.99999999e+999", "not a finite number"),
+        (3, "9.99999999e+999", "out of range: must lie in [0, 1e+13]"),
         (4, "5x", _NOT_A_COUNT),
         (5, str(2**63), "integer out of the 64-bit range"),
     ]
@@ -360,7 +359,7 @@ def test_cell_by_cell_errors_name_line_and_column():
         text = _scan_text()
         for column, cell, _ in order:
             text = _edit_cell(9, column, cell)(text)
-        with pytest.raises(ConfigError, match=re.escape("CSV line 9, column coinc_hz: not a finite number")):
+        with pytest.raises(ConfigError, match=re.escape("CSV line 9, column coinc_hz: out of range")):
             read_scan_csv(io.StringIO(text))
     # a row without seven cells is named before its cells
     with pytest.raises(ConfigError, match="CSV line 9: row has 8 columns, expected 7"):
@@ -403,11 +402,13 @@ ROW_GRAMMAR = re.compile(f"-?{_FLOAT}(?:,{_FLOAT}){{3}}(?:,{_COUNT}){{3}}")
 
 
 def _good_row(line):
-    """The line, without its line end, is in the row grammar and its values are in range."""
+    """The line, without its line end, is in the row grammar and its values are in range:
+    the delay within +-1 m, the rates at most 1e13 counts/s, the counts below 2**63."""
     if not ROW_GRAMMAR.fullmatch(line):
         return False
     cells = line.split(",")
-    return all(math.isfinite(float(cell)) for cell in cells[:4]) and all(int(cell) < 2**63 for cell in cells[4:])
+    return (-1.0 <= float(cells[0]) <= 1.0 and all(float(cell) <= 1e13 for cell in cells[1:4])
+            and all(int(cell) < 2**63 for cell in cells[4:]))
 
 
 @st.composite
