@@ -33,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fockoracle
-from .config import KEYS, MAX_RATE, MAX_SCAN_DELAY, ConfigError, ExperimentConfig, load_config, utf8_error
-from .counting import accidental_rate, double_pair_probability
+from .config import MAX_RATE, MAX_SCAN_DELAY, ConfigError, ExperimentConfig, load_config, utf8_error
+from .counting import SEED_LIMIT, accidental_rate, double_pair_probability
 from .expectation import RATE_NAMES
 from .scan import (
     CHANNEL_ROWS,
@@ -62,6 +62,11 @@ CSV_HEADER = ["delay_m", "rate_a_hz", "rate_b_hz", "coinc_hz", "counts_a", "coun
 LOW_GAIN_BOUND = 1e-2
 # Upper limit of oracle-check --points: at 4096 a run peaks near 50 MB resident.
 MAX_ORACLE_POINTS = 4096
+# The integer flags, by name: the values each allows, and its range as errors state it.
+_INT_FLAGS = {
+    "seed": (range(SEED_LIMIT), "[0, 2**64)"),
+    "points": (range(1, MAX_ORACLE_POINTS + 1), f"[1, {MAX_ORACLE_POINTS}]"),
+}
 
 
 # One CSV row: the delay with 17 significant digits, which holds a float64
@@ -366,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="Poisson-sampled scan to CSV")
     _add_common(p_sim, require_out=True)
-    p_sim.add_argument("--seed", default=None, help="override the RNG seed")
+    p_sim.add_argument("--seed", default="20260810", help="RNG seed, in [0, 2**64) (default: %(default)s)")
 
     p_fit = sub.add_parser("fit", help="fit a fringe model to a scan CSV")
     p_fit.add_argument("input", help="scan CSV produced by predict or simulate")
@@ -387,12 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle = sub.add_parser(
         "oracle-check", help="compare the engine against the brute-force state check"
     )
-    p_oracle.add_argument(
-        "--points",
-        type=int,
-        default=16,
-        help=f"grid points per delay axis, 1 to {MAX_ORACLE_POINTS}",
-    )
+    p_oracle.add_argument("--points", default="16",
+                          help=f"grid points per delay axis, in [1, {MAX_ORACLE_POINTS}] (default: %(default)s)")
     _add_common(p_oracle, require_out=False)
 
     p_report = sub.add_parser("report", help="human-readable summary of a config")
@@ -435,6 +436,24 @@ def _say(args: argparse.Namespace, message: str) -> None:
         print(message, file=sys.stderr)
 
 
+def _int_flag(args: argparse.Namespace, name: str) -> int:
+    """The value of the integer flag ``--name``: ``int(value, 0)`` of ASCII without
+    underscores, in the flag's range, else a ConfigError naming the flag.  It is
+    read after the config loads, so that a flag's error comes after the file's."""
+    raw = getattr(args, name)
+    allowed, allowed_text = _INT_FLAGS[name]
+    try:
+        # int would also take 1_0 and non-ASCII digits
+        if "_" in raw or not raw.isascii():
+            raise ValueError(raw)
+        value = int(raw, 0)
+    except ValueError:
+        raise ConfigError(f"--{name}: not an integer: {raw!r}") from None
+    if value not in allowed:
+        raise ConfigError(f"--{name} out of range: must lie in {allowed_text}")
+    return value
+
+
 def _scan(args: argparse.Namespace, config: ExperimentConfig) -> ScanRecord:
     """The scan record of a scan command: run from the config, or for ``fit`` read from its CSV."""
     if args.command == "fit":
@@ -443,19 +462,16 @@ def _scan(args: argparse.Namespace, config: ExperimentConfig) -> ScanRecord:
                 return read_scan_csv(fh)
         except UnicodeDecodeError as exc:
             raise utf8_error(args.input, exc) from None
-    return run_scan(config, sample=args.command == "simulate")
+    return run_scan(config, _int_flag(args, "seed") if args.command == "simulate" else None)
 
 
 def _run(args: argparse.Namespace) -> int:
-    if args.command == "oracle-check" and not 1 <= args.points <= MAX_ORACLE_POINTS:
-        raise ConfigError(f"--points must be between 1 and {MAX_ORACLE_POINTS}, got {args.points}")
-    seed = getattr(args, "seed", None)  # in detectors.seed's grammar; the config checks its range
-    config = load_config(args.config, None if seed is None else KEYS["detectors", "seed"].parse(seed, "--seed"))
+    config = load_config(args.config)
     if args.command == "report":
         _emit(build_report(config), args.out)
         return EXIT_OK
     if args.command == "oracle-check":
-        comparison = oracle_comparison(config, points_per_axis=args.points)
+        comparison = oracle_comparison(config, points_per_axis=_int_flag(args, "points"))
         _emit(oracle_json(comparison), args.out)
         _say(
             args,

@@ -9,14 +9,13 @@ A ``[scan]`` section must be present.
 
 :data:`KEYS` has one row per key.  It drives the known-key check, the
 conversion from the unit the key's name ends in (:data:`UNITS`) to SI, and
-each key's range check.  :meth:`Key.parse` only converts text to SI, and
-:class:`ExperimentConfig`'s construction is the one place values are
-checked: each key's range, then the cross-field rules, the scan grid's
-first.  A load joins ``--seed``, the one flag that replaces a file value,
-to the file's values before it, so each value is checked once.  The modules
-below trust a built config.  It is one flat dataclass with one field per
-key, holding that key's SI value as the file states it.  The module
-imports nothing from the package, so every other module imports it
+each key's range check.  A load checks each value's range where it reads
+it, so the first bad value in file order is the one reported; building the
+:class:`ExperimentConfig` then checks the cross-field rules, the scan grid's
+first.  Construction checks every range too, for configs built in code.
+The modules below trust a built config.  It is one flat dataclass with one
+field per key, holding that key's SI value as the file states it.  The
+module imports nothing from the package, so every other module imports it
 directly.
 
 ``splitter_ratio`` is the transmitted intensity fraction of the output
@@ -42,12 +41,12 @@ span lines, so it is an error; blank and comment lines are exempt.
 Unknown sections (``[DEFAULT]`` among them), unknown keys, and a section or
 key given twice are errors too.  Every one of these errors names its line.
 
-Numbers are ASCII, without underscores.  A float value is what ``float``
-reads, and ``detectors.seed`` what ``int(value, 0)`` reads: decimal, or with
-a ``0x``, ``0o`` or ``0b`` prefix.  Anything else, ``1_0`` or ``١٠`` among
-them, is an error naming its ``section.key`` and line, as is a value that is
-not finite in SI units or lies outside its key's range.  Every range is
-finite and physical, so the modules below need no guard against overflow.
+Numbers are ASCII, without underscores, and a value is what ``float``
+reads.  Anything else, ``1_0`` or ``١٠`` among them, is an error naming its
+``section.key`` and line, as is a value that is not finite in SI units or
+lies outside its key's range.  Every range is finite and physical, so the
+modules below need no guard against overflow, and every length the report
+derives from a bandwidth is finite.
 """
 
 from __future__ import annotations
@@ -57,8 +56,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
-# Seeds are 64-bit words; the sampler's Philox stream is keyed by the seed.
-SEED_LIMIT = 2**64
 SCAN_AXES = ("signal", "pump")
 MAX_SCAN_POINTS = 1_000_000
 # Largest delay a scan may reach, in meters; a bench delay line is far shorter.
@@ -70,6 +67,10 @@ MIN_WAVELENGTH, MAX_WAVELENGTH = 1e-8, 1e-4
 MAX_RATE = 1e12
 MAX_SECONDS = 1e6
 MIN_SCAN_STEP = 1e-12
+# Narrowest spectra (SI): a 1 Hz pump and a 1 fm filter, far below any laser's or
+# filter's width; 1 fm is 1e-06 nm as a file's value reads, so that text is exact.
+MIN_PUMP_BANDWIDTH = 1.0
+MIN_FILTER_BANDWIDTH = 1e-6 / 1e9
 # Key suffix -> (multiply by, divide by) from file units to SI.  Dividing by
 # an exact power of ten keeps 355 nm bit-identical to the literal 355e-9.
 UNITS = {"nm": (1.0, 1e9), "um": (1.0, 1e6), "mm": (1.0, 1e3), "ns": (1.0, 1e9),
@@ -104,22 +105,22 @@ DELAY = Interval(-MAX_SCAN_DELAY, MAX_SCAN_DELAY)
 
 
 def _show(bound: float) -> str:
-    # The seed's bound reads better as a power than as 20 digits.
-    return f"2**{bound.bit_length() - 1}" if bound == SEED_LIMIT else f"{bound:g}"
+    """``bound`` as ``:g`` prints it, with more digits where six do not read back as ``bound``."""
+    return next(text for text in (f"{bound:.{digits}g}" for digits in range(6, 18)) if float(text) == bound)
 
 
 @dataclass(frozen=True)
 class Key:
     """One config key: ``[section]`` ``name`` (as typed, unit suffix included)
-    is read as ``kind``, converted to SI, must lie in ``allowed``, and goes to
-    the :class:`ExperimentConfig` field ``field``.
+    is read as a float in SI units, or as a word if ``allowed`` is a tuple of
+    words, must lie in ``allowed``, and goes to the :class:`ExperimentConfig`
+    field ``field``.
     """
 
     section: str
     name: str
     field: str
     allowed: Interval | tuple[str, ...]
-    kind: type = float
 
     @property
     def label(self) -> str:
@@ -157,21 +158,19 @@ class Key:
     def parse(self, raw: str, name: str = ""):
         """The SI value of ``raw``, else a ConfigError naming ``name``, by default the key;
         its range is not checked here."""
-        if self.kind is str:
+        if isinstance(self.allowed, tuple):
             return raw
         try:
-            # float and int would also take 1_0 and non-ASCII digits
+            # float would also take 1_0 and non-ASCII digits
             if "_" in raw or not raw.isascii():
                 raise ValueError(raw)
-            value = float(raw) if self.kind is float else int(raw, 0)
+            value = float(raw)
         except ValueError:
-            noun = "a number" if self.kind is float else "an integer"
-            raise ConfigError(f"{name or self.label}: not {noun}: {raw!r}") from None
-        if self.kind is float:
-            mul, div = UNITS.get(self.unit, (1.0, 1.0))
-            value = value * mul / div
-            if not math.isfinite(value):
-                raise ConfigError(f"{name or self.label}: not a finite number: {raw!r}")
+            raise ConfigError(f"{name or self.label}: not a number: {raw!r}") from None
+        mul, div = UNITS.get(self.unit, (1.0, 1.0))
+        value = value * mul / div
+        if not math.isfinite(value):
+            raise ConfigError(f"{name or self.label}: not a finite number: {raw!r}")
         return value
 
 
@@ -181,18 +180,17 @@ KEYS = {
         Key("pump", "wavelength_nm", "pump_wavelength", WAVELENGTH),
         # Below the shortest pump's carrier; ExperimentConfig keeps it below the pump's own.
         Key("pump", "bandwidth_ghz", "pump_bandwidth",
-            Interval(0.0, SPEED_OF_LIGHT / MIN_WAVELENGTH, low_open=True, high_open=True)),
+            Interval(MIN_PUMP_BANDWIDTH, SPEED_OF_LIGHT / MIN_WAVELENGTH, high_open=True)),
         Key("pump", "splitter_ratio", "splitter_ratio", Interval(0.0, 1.0, low_open=True, high_open=True)),
         Key("crystal1", "gain", "gain1", GAIN),
         Key("crystal2", "gain", "gain2", GAIN),
         Key("idler_link", "eta", "eta", Interval(0.0, 1.0)),
         Key("signal_filter", "center_nm", "signal_filter_center", WAVELENGTH),
-        Key("signal_filter", "bandwidth_nm", "signal_filter_bandwidth", Interval(0.0, MAX_WAVELENGTH, low_open=True)),
+        Key("signal_filter", "bandwidth_nm", "signal_filter_bandwidth", Interval(MIN_FILTER_BANDWIDTH, MAX_WAVELENGTH)),
         Key("detectors", "rate_a_hz", "rate_a_cal", RATE),
         Key("detectors", "rate_b_hz", "rate_b_cal", RATE),
         Key("detectors", "window_ns", "window", SECONDS),
-        Key("detectors", "seed", "seed", Interval(0, SEED_LIMIT, high_open=True), int),
-        Key("scan", "axis", "axis", SCAN_AXES, str),
+        Key("scan", "axis", "axis", SCAN_AXES),
         Key("scan", "start_um", "start", DELAY),
         Key("scan", "stop_um", "stop", DELAY),
         Key("scan", "step_nm", "step", Interval(MIN_SCAN_STEP, 2.0 * MAX_SCAN_DELAY)),
@@ -214,11 +212,10 @@ class ExperimentConfig:
     eta: float = 1.0
     signal_filter_center: float = 808e-9
     signal_filter_bandwidth: float = 2e-9  # wavelength FWHM
-    # Detectors: fringe-baseline singles rates, coincidence window, RNG seed.
+    # Detectors: fringe-baseline singles rates and coincidence window.
     rate_a_cal: float = 42_000.0
     rate_b_cal: float = 110_000.0
     window: float = 2e-9
-    seed: int = 20260810
     # Scan: axis, a uniform delay grid (meters) and the dwell per point (seconds).
     axis: str = "signal"
     start: float = -2e-6
@@ -309,49 +306,32 @@ def _read_sections(text: str) -> dict[str, dict[str, tuple[int, str]]]:
     return sections
 
 
-def parse_config(text: str, seed: int | None = None) -> ExperimentConfig:
-    """Parse and validate config text, filling defaults for absent keys; ``seed``,
-    if given, replaces the file's ``detectors.seed``, as ``--seed`` does.
+def parse_config(text: str) -> ExperimentConfig:
+    """Parse and validate config text, filling defaults for absent keys.
 
     Raises ConfigError for syntax problems, unknown sections or keys and
     repeated ones, a missing [scan] section, the first value in line order that
     is not a finite number in its key's range (naming its line), then a broken
-    cross-field rule, and last a ``seed`` out of its key's range.
+    cross-field rule.
     """
-    return _config_from_sections(_read_sections(text), seed)
+    return _config_from_sections(_read_sections(text))
 
 
-def _config_from_sections(sections: dict, seed: int | None = None) -> ExperimentConfig:
-    """Convert raw values in file order, join the ``--seed`` value, then build the config once.
+def _config_from_sections(sections: dict) -> ExperimentConfig:
+    """Convert and range-check raw values in file order, then build the config once.
 
     Only the keys given reach the constructor, so an absent key takes its dataclass
-    default.  Only a failed load checks again, for the first error in parse_config's order.
+    default.
     """
     if "scan" not in sections:
         raise ConfigError("missing section [scan]")
-    given = []  # (key, line, SI value) in file order
+    values = {}
     for section, body in sections.items():
         for name, (lineno, raw) in body.items():
             key = KEYS[section, name]
-            try:
-                given.append((key, lineno, key.parse(raw, key.where(lineno))))
-            except ConfigError:
-                _check_in_file_order(given)
-                raise
-    values = {key.field: value for key, _, value in given}
-    try:
-        return ExperimentConfig(**(values if seed is None else {**values, "seed": seed}))
-    except ConfigError:
-        _check_in_file_order(given)
-        ExperimentConfig(**values)  # the file's cross-field errors come before the flag's
-        KEYS["detectors", "seed"].check(seed, "--seed")
-        raise
-
-
-def _check_in_file_order(given: list) -> None:
-    """Raise the range error of the first of the file's values out of range, naming its line."""
-    for key, lineno, value in given:
-        key.check(value, key.where(lineno))
+            where = key.where(lineno)
+            values[key.field] = key.check(key.parse(raw, where), where)
+    return ExperimentConfig(**values)
 
 
 def utf8_error(path: str, exc: UnicodeDecodeError) -> ConfigError:
@@ -365,14 +345,13 @@ def utf8_error(path: str, exc: UnicodeDecodeError) -> ConfigError:
     )
 
 
-def load_config(path: str, seed: int | None = None) -> ExperimentConfig:
+def load_config(path: str) -> ExperimentConfig:
     """Read a config file as UTF-8 with universal newlines (``\\r\\n`` and a
-    lone ``\\r`` become ``\\n``) and parse it as :func:`parse_config` does,
-    ``seed`` replacing the file's ``detectors.seed`` if given."""
+    lone ``\\r`` become ``\\n``) and parse it as :func:`parse_config` does."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise utf8_error(path, exc) from None
-    return parse_config(text.replace("\r\n", "\n").replace("\r", "\n"), seed)
+    return parse_config(text.replace("\r\n", "\n").replace("\r", "\n"))

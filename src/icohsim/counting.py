@@ -18,6 +18,8 @@ import numpy as np
 # Largest expected count per point the sampler takes: its int64 draws stay
 # representable.  The scan checks its means against it before sampling.
 MAX_MEAN = float(2**62)
+# Seeds are 64-bit words, each one word of the sampler's Philox key: no two share a stream.
+SEED_LIMIT = 2**64
 
 
 def detected(rates: np.ndarray, baseline: np.ndarray, rate_a: float, rate_b: float) -> np.ndarray:
@@ -78,10 +80,9 @@ def sample_scan(means: np.ndarray, seed: int) -> np.ndarray:
     Detector counts, true coincidences and accidentals are independent
     Poisson variates, drawn by one ``poisson`` call on the whole (4, n)
     array (row by row, each row in point order) from one Philox stream
-    keyed by the seed.  Every mean must lie at or below :data:`MAX_MEAN`.
+    keyed by the seed, which lies below :data:`SEED_LIMIT`.  Every mean must
+    lie at or below :data:`MAX_MEAN`.
     """
-    # The config keeps seeds below config.SEED_LIMIT, so each is one 64-bit
-    # word of the Philox key and no two seeds share a stream.
     rng = np.random.Generator(np.random.Philox(key=seed))
     draws = rng.poisson(means)
     draws[2] += draws[3]

@@ -257,8 +257,9 @@ def undersampling_warning(config: ExperimentConfig, record: ScanRecord) -> str |
     )
 
 
-def run_scan(config: ExperimentConfig, sample: bool = True) -> ScanRecord:
-    """Evaluate the scan along ``config.axis``: calibrated envelope-modulated rates, then counts.
+def run_scan(config: ExperimentConfig, seed: int | None = None) -> ScanRecord:
+    """Evaluate the scan along ``config.axis``: calibrated envelope-modulated rates,
+    then, given a ``seed``, counts drawn from its stream; without one the counts are zero.
 
     The config is compiled once into its closed-form fringe model, which
     gives the whole grid's rates in one pass and the calibration baseline;
@@ -275,7 +276,7 @@ def run_scan(config: ExperimentConfig, sample: bool = True) -> ScanRecord:
     rates = model.rates(delta_x_p=delays) if config.axis == "pump" else model.rates(delta_x_s=delays)
     calibrated = detected(rates, model.baseline, config.rate_a_cal, config.rate_b_cal)
     counts = None
-    if sample:
+    if seed is not None:
         means = count_means(calibrated, config.window, config.dwell)
         over = np.flatnonzero(np.any(means > MAX_MEAN, axis=0))
         if len(over):
@@ -283,7 +284,7 @@ def run_scan(config: ExperimentConfig, sample: bool = True) -> ScanRecord:
                 f"expected counts {max(means[:, over[0]].tolist()):.3g} "
                 "exceed representable integers; lower detectors.rate_a_hz, detectors.rate_b_hz or scan.dwell_s"
             )
-        counts = sample_scan(means, config.seed)
+        counts = sample_scan(means, seed)
     try:
         return ScanRecord(delays, calibrated, counts)
     except GridError as exc:

@@ -10,6 +10,9 @@ import icohsim
 from icohsim.config import ExperimentConfig
 from icohsim.scan import ScanRecord
 
+# simulate's seed when --seed is not given
+DEFAULT_SEED = 20260810
+
 _acceptance_outcomes = []
 
 

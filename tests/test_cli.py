@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -32,7 +33,7 @@ from icohsim.fockoracle import MAX_ORACLE_GAIN
 from icohsim.scan import SOURCES, FringeFit, fit_fringe, run_scan
 from icohsim.spectral import coherence_length, compile_model
 
-from conftest import near_nyquist_record
+from conftest import DEFAULT_SEED, near_nyquist_record
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_CONFIG = str(REPO_ROOT / "configs" / "default.ini")
 
@@ -235,23 +236,39 @@ def test_seed_override_changes_counts(tmp_path):
     assert a.read_bytes() != b.read_bytes()
 
 
+def test_simulate_without_a_seed_flag_draws_with_the_default_seed(tmp_path, capsys):
+    outputs = []
+    for flags in ([], ["--seed", str(DEFAULT_SEED)]):
+        out = tmp_path / "scan.csv"
+        assert main(["simulate", "--config", DEFAULT_CONFIG, "--out", str(out), *flags]) == EXIT_OK
+        outputs.append((capsys.readouterr(), out.read_bytes()))
+    assert outputs[0] == outputs[1]
+    with open(out, encoding="utf-8") as fh:
+        assert np.array_equal(read_scan_csv(fh).counts, run_scan(load_config(DEFAULT_CONFIG), DEFAULT_SEED).counts)
+
+
+@pytest.mark.parametrize("command", ["predict", "simulate", "report", "oracle-check"])
+def test_the_seed_is_not_a_config_key(tmp_path, capsys, command):
+    # the seed belongs to one simulate run: --seed is its one source
+    out = tmp_path / "out"
+    argv = [command, "--config", write_config(tmp_path, "[detectors]\nseed = 1\n[scan]\n"), "--out", str(out)]
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: unknown key detectors.seed at line 2\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
 def test_seed_outside_64_bits_exits_with_config_code(tmp_path, capsys, seed):
     out = tmp_path / "scan.csv"
     argv = ["simulate", "--config", DEFAULT_CONFIG, "--out", str(out), "--seed", seed, "--quiet"]
     assert main(argv) == EXIT_CONFIG
     assert capsys.readouterr().err == "config error: --seed out of range: must lie in [0, 2**64)\n"
-    config = write_config(tmp_path, f"[detectors]\nseed = {seed}\n[scan]\n")
-    assert main(["simulate", "--config", config, "--out", str(out), "--quiet"]) == EXIT_CONFIG
-    assert capsys.readouterr().err == (
-        "config error: detectors.seed at line 2 out of range: must lie in [0, 2**64)\n"
-    )
     assert not out.exists()
 
 
 @pytest.mark.parametrize("seed", ["1_0", "١٠", "1e1", " "])
 def test_seed_flag_outside_the_seed_keys_grammar_exits_with_config_code(tmp_path, capsys, seed):
-    # --seed is read as detectors.seed is, by int(value, 0) on ASCII without underscores
+    # --seed is read by int(value, 0) on ASCII without underscores, as --points is
     out = tmp_path / "scan.csv"
     argv = ["simulate", "--config", DEFAULT_CONFIG, "--out", str(out), "--seed", seed, "--quiet"]
     assert main(argv) == EXIT_CONFIG
@@ -267,27 +284,55 @@ def test_seed_flag_takes_base_prefixes_as_the_seed_key_does(tmp_path, capsys):
         outputs.append((code, capsys.readouterr().err.replace(str(out), "OUT"), out.read_bytes()))
     assert outputs[0][0] == EXIT_OK
     assert outputs.count(outputs[0]) == len(outputs)
-    config = write_config(tmp_path, "[detectors]\nseed = 16\n[scan]\n")
-    assert main(["simulate", "--config", config, "--out", str(tmp_path / "file.csv"), "--quiet"]) == EXIT_OK
-    assert (tmp_path / "file.csv").read_bytes() == outputs[0][2]
 
 
-@pytest.mark.parametrize(
-    "text, message",
-    [
-        ("[idler_link]\neta = 1.3\n[scan]\n", "idler_link.eta at line 2 out of range: must lie in [0, 1]"),
-        ("[detectors]\nseed = -1\n[scan]\n", "detectors.seed at line 2 out of range: must lie in [0, 2**64)"),
-        ("[scan]\nstart_um = 1\nstop_um = -1\n", "scan.stop_um must exceed scan.start_um"),
-        ("[scan]\ndwell_s = 0\n[crystal1]\ngain = nan\n", "scan.dwell_s at line 2 out of range: must lie in (0, 1e+06]"),
-        ("[scan]\nstep_nm = tiny\n", "scan.step_nm at line 2: not a number: 'tiny'"),
-    ],
-)
+# Config files with an error, and the error a load reports.
+FILE_ERRORS = [
+    ("[idler_link]\neta = 1.3\n[scan]\n", "idler_link.eta at line 2 out of range: must lie in [0, 1]"),
+    ("[detectors]\nseed = -1\n[scan]\n", "unknown key detectors.seed at line 2"),
+    ("[scan]\nstart_um = 1\nstop_um = -1\n", "scan.stop_um must exceed scan.start_um"),
+    ("[scan]\ndwell_s = 0\n[crystal1]\ngain = nan\n", "scan.dwell_s at line 2 out of range: must lie in (0, 1e+06]"),
+    ("[scan]\nstep_nm = tiny\n", "scan.step_nm at line 2: not a number: 'tiny'"),
+]
+
+
+@pytest.mark.parametrize("text, message", FILE_ERRORS)
 def test_a_bad_seed_flag_is_reported_after_the_file_errors(tmp_path, capsys, text, message):
     out = tmp_path / "scan.csv"
     argv = ["simulate", "--config", write_config(tmp_path, text), "--out", str(out), "--seed", "-1", "--quiet"]
     assert main(argv) == EXIT_CONFIG
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("points", ["0", "1_6"])
+@pytest.mark.parametrize("text, message", FILE_ERRORS)
+def test_a_bad_points_flag_is_reported_after_the_file_errors(tmp_path, capsys, text, message, points):
+    out = tmp_path / "oracle.json"
+    argv = ["oracle-check", "--config", write_config(tmp_path, text), "--out", str(out), "--points", points]
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("points", ["1_6", "١٦", "1e1", "1.5", "016", " ", ""])
+def test_points_flag_outside_the_integer_flag_grammar_exits_with_config_code(tmp_path, capsys, points):
+    # argparse's int would take 1_6, ١٦ (Arabic-Indic digits) and 016 as 16
+    out = tmp_path / "oracle.json"
+    argv = ["oracle-check", "--config", DEFAULT_CONFIG, "--out", str(out), "--points", points]
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: --points: not an integer: {points!r}\n"
+    assert not out.exists()
+
+
+def test_points_flag_takes_base_prefixes_as_the_seed_flag_does(tmp_path, capsys):
+    outputs = []
+    for points in ("0x4", "4", "0o4", "0b100", "+4"):
+        out = tmp_path / "oracle.json"
+        code = main(["oracle-check", "--config", DEFAULT_CONFIG, "--out", str(out), "--points", points])
+        outputs.append((code, capsys.readouterr(), out.read_bytes()))
+    assert outputs[0][0] == EXIT_OK
+    assert outputs.count(outputs[0]) == len(outputs)
 
 
 def test_fit_divides_counts_by_the_dwell_they_were_sampled_with(tmp_path):
@@ -563,7 +608,7 @@ def test_readme_fit_keys_are_the_fringe_fit_fields():
     keys = [key.strip() for key in listed.strip("`.").split(",")]
     assert keys == [field.name for field in dataclasses.fields(FringeFit)]
     cfg = load_config(DEFAULT_CONFIG)
-    assert list(cli.fit_summary(fit_fringe(run_scan(cfg), dwell=cfg.dwell))) == keys
+    assert list(cli.fit_summary(fit_fringe(run_scan(cfg, DEFAULT_SEED), dwell=cfg.dwell))) == keys
 
 
 def write_nyquist_csv(tmp_path):
@@ -798,7 +843,7 @@ def test_non_finite_config_value_exits_with_config_code(tmp_path, capsys, comman
 
 @pytest.mark.parametrize(
     "key, value, message",
-    [("rate_a_hz", "1_0", "not a number"), ("seed", "٣", "not an integer")],
+    [("rate_a_hz", "1_0", "not a number"), ("window_ns", "٣", "not a number")],
 )
 def test_non_ascii_or_underscored_number_exits_with_config_code(
     tmp_path, capsys, key, value, message
@@ -949,7 +994,7 @@ def test_oracle_check_rejects_points_out_of_range(tmp_path, capsys, points):
     out = tmp_path / "oracle.json"
     argv = ["oracle-check", "--config", DEFAULT_CONFIG, "--points", str(points), "--out", str(out)]
     assert main(argv) == EXIT_CONFIG
-    assert "--points" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"config error: --points out of range: must lie in [1, {MAX_ORACLE_POINTS}]\n"
     assert not out.exists()
 
 
@@ -1222,6 +1267,19 @@ def test_report_mentions_both_coherence_lengths(tmp_path, capsys):
         assert f"{reach}never\n" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("center_nm", ["10", "100000"])
+@pytest.mark.parametrize("pump_nm", ["10", "100000"])
+def test_report_at_the_narrowest_spectra_prints_only_finite_numbers(tmp_path, capsys, pump_nm, center_nm):
+    # the bandwidth floors, a 1 Hz pump and a 1 fm filter, keep every coherence length finite
+    text = (f"[pump]\nwavelength_nm = {pump_nm}\nbandwidth_ghz = 1e-09\n"
+            f"[signal_filter]\ncenter_nm = {center_nm}\nbandwidth_nm = 1e-06\n[scan]\n")
+    assert main(["report", "--config", write_config(tmp_path, text)]) == EXIT_OK
+    report = capsys.readouterr().out
+    assert not re.search(r"\b(?:inf|nan)\b", report, flags=re.IGNORECASE), report
+    lengths = re.findall(r"coherence length (?:computed from bandwidth: )?([0-9.e+]+) (?:mm|um)", report)
+    assert len(lengths) == 2 and all(0 < float(length) < math.inf for length in lengths), report
+
+
 def test_report_flags_low_gain_violation(tmp_path, capsys):
     good = write_config(tmp_path)
     main(["report", "--config", good])
@@ -1272,7 +1330,7 @@ def test_predict_csv_reads_back_the_scanned_delays(tmp_path_factory, axis, start
     assert main(["predict", "--config", config, "--out", str(out), "--quiet"]) == EXIT_OK
     with open(out, encoding="utf-8") as fh:
         record = read_scan_csv(fh)
-    assert record.delays.tobytes() == run_scan(load_config(config), sample=False).delays.tobytes()
+    assert record.delays.tobytes() == run_scan(load_config(config)).delays.tobytes()
 
 
 # A pump scan half a metre out in 0.1 nm steps: float64 delays there are
@@ -1283,7 +1341,7 @@ FLOAT_LIMITED_SCAN = "[scan]\naxis = pump\nstart_um = 500000\nstop_um = 500010\n
 def test_a_step_too_fine_for_float64_exits_with_config_code(tmp_path, capsys):
     config = write_config(tmp_path, FLOAT_LIMITED_SCAN)
     with pytest.raises(ConfigError, match=r"^scan\.step_nm "):
-        run_scan(load_config(config), sample=False)
+        run_scan(load_config(config))
     out = tmp_path / "scan.csv"
     assert main(["predict", "--config", config, "--out", str(out), "--quiet"]) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("config error: scan.step_nm ")

@@ -29,9 +29,9 @@ def scan_means(rates, cfg, points=1, baseline=ONES):
     return count_means(calibrated, cfg.window, DWELL)
 
 
-def sample_point(rates, cfg, baseline=ONES):
-    """Counts [A, B, coincidences] of a one-point scan."""
-    return sample_scan(scan_means(rates, cfg, baseline=baseline), cfg.seed)[:, 0].tolist()
+def sample_point(rates, cfg, seed, baseline=ONES):
+    """Counts [A, B, coincidences] of a one-point scan drawn with ``seed``."""
+    return sample_scan(scan_means(rates, cfg, baseline=baseline), seed)[:, 0].tolist()
 
 
 def test_accidental_rate_values():
@@ -60,21 +60,20 @@ def test_double_pair_probability_monotone():
 
 
 def test_sampling_is_deterministic():
-    cfg = config_with(seed=99)
-    means = scan_means([1.0, 1.0, 0.9], cfg, 10)
-    first = sample_scan(means, cfg.seed)
-    assert np.array_equal(sample_scan(means, cfg.seed), first)
+    means = scan_means([1.0, 1.0, 0.9], config_with(), 10)
+    first = sample_scan(means, 99)
+    assert np.array_equal(sample_scan(means, 99), first)
 
 
 def test_different_points_and_seeds_differ():
-    cfg = config_with(seed=7)
-    a, b = sample_scan(scan_means(ONES, cfg, 2), cfg.seed).T.tolist()
-    other = sample_point(ONES, config_with(seed=8))
+    cfg = config_with()
+    a, b = sample_scan(scan_means(ONES, cfg, 2), 7).T.tolist()
+    other = sample_point(ONES, cfg, 8)
     assert a[:2] != b[:2] or a != other
 
 
 def test_zero_model_baseline_degenerates_to_flat_calibrated_rates():
-    counts_a, _, coincidences = sample_point(np.zeros(3), config_with(seed=123), baseline=np.zeros(3))
+    counts_a, _, coincidences = sample_point(np.zeros(3), config_with(), 123, baseline=np.zeros(3))
     # degenerate calibration keeps the detectors at their calibrated
     # baselines but produces no true coincidences
     assert counts_a > 0
@@ -82,16 +81,14 @@ def test_zero_model_baseline_degenerates_to_flat_calibrated_rates():
 
 
 def test_mean_within_three_sigma_over_1000_draws():
-    cfg = config_with(seed=2024)
-    draws = sample_scan(scan_means(ONES, cfg, 1000), cfg.seed)[0]
+    draws = sample_scan(scan_means(ONES, config_with(), 1000), 2024)[0]
     mean = 42000 * 0.5
     bound = 3 * math.sqrt(mean) / math.sqrt(1000)
     assert abs(draws.mean() - mean) < bound
 
 
 def test_mean_and_variance_at_five_sigma_over_1e4_draws():
-    cfg = config_with(seed=31337, rate_a_cal=2000.0)
-    draws = sample_scan(scan_means(ONES, cfg, 10_000), cfg.seed)[0]
+    draws = sample_scan(scan_means(ONES, config_with(rate_a_cal=2000.0), 10_000), 31337)[0]
     mu = 2000.0 * 0.5
     n = len(draws)
     assert abs(draws.mean() - mu) < 5 * math.sqrt(mu / n)
@@ -100,22 +97,22 @@ def test_mean_and_variance_at_five_sigma_over_1e4_draws():
 
 
 def test_accidentals_expected_value():
-    cfg = config_with(seed=5, rate_a_cal=42e3, rate_b_cal=110e3, window=2e-9)
+    cfg = config_with(rate_a_cal=42e3, rate_b_cal=110e3, window=2e-9)
     accidentals_expected = scan_means(ONES, cfg)[3, 0]
     assert accidentals_expected == pytest.approx(9.24 * 0.5, rel=1e-9)
 
 
 def test_overflow_guard():
     # accidentals, r_a r_b window dwell, reach the limit from in-range values
-    cfg = config_with(seed=123, rate_a_cal=1e12, rate_b_cal=1e12, dwell=1e4)
+    cfg = config_with(rate_a_cal=1e12, rate_b_cal=1e12, dwell=1e4)
     message = (
         r"^expected counts 4\.7e\+18 exceed representable integers; "
         r"lower detectors\.rate_a_hz, detectors\.rate_b_hz or scan\.dwell_s$"
     )
     with pytest.raises(ConfigError, match=message):
-        run_scan(cfg)
+        run_scan(cfg, 123)
     # only sampling needs integer counts
-    assert not run_scan(cfg, sample=False).counts.any()
+    assert not run_scan(cfg).counts.any()
 
 
 def _scalar_rates(rates, cfg, baseline):
@@ -131,8 +128,8 @@ def _scalar_rates(rates, cfg, baseline):
 
 @pytest.mark.parametrize("axis", ["signal", "pump"])
 def test_scan_sampler_matches_one_philox_stream(axis):
-    cfg = config_with(axis=axis, seed=99)
-    record = run_scan(cfg)
+    cfg = config_with(axis=axis)
+    record = run_scan(cfg, 99)
     assert record.counts.shape == (3, 401)
     model = compile_model(cfg)
     delays = {"delta_x_p" if axis == "pump" else "delta_x_s": record.delays}
@@ -147,10 +144,10 @@ def test_scan_sampler_matches_one_philox_stream(axis):
         (r_a * dwell, r_b * dwell, r_true * dwell, accidental_rate(r_a, r_b, cfg.window) * dwell)
         for r_a, r_b, r_true in zip(*rates.tolist())
     ]).T
-    key = np.array([cfg.seed, 0], dtype=np.uint64)
+    key = np.array([99, 0], dtype=np.uint64)
     draws = np.random.Generator(np.random.Philox(key=key)).poisson(means)
     assert np.array_equal(record.counts, [draws[0], draws[1], draws[2] + draws[3]])
     # another seed: same rates, other counts
-    other = run_scan(config_with(axis=axis, seed=100))
+    other = run_scan(cfg, 100)
     assert np.array_equal(other.rates, record.rates)
     assert np.mean(other.counts[:2] != record.counts[:2]) > 0.9

@@ -73,7 +73,7 @@ def test_a_noiseless_record_is_the_record_of_its_csv(axis, span_um):
     """On the benchmark campaign's two scans, run_scan without sampling gives the
     record that fit reads back from the predict CSV: zero counts, not None."""
     text = f"[scan]\naxis = {axis}\nstart_um = -{span_um}\nstop_um = {span_um}\nstep_nm = 10\n"
-    record = run_scan(parse_config(text), sample=False)
+    record = run_scan(parse_config(text))
     back = read_scan_csv(io.StringIO(_text(record)))
     assert back.delays.tobytes() == record.delays.tobytes()
     assert back.counts.dtype == record.counts.dtype == np.int64

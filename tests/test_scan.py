@@ -32,7 +32,7 @@ from icohsim.scan import (
 )
 from icohsim.spectral import FringeModel, coherence_length, compile_model
 
-from conftest import config_with, near_nyquist_record
+from conftest import DEFAULT_SEED, config_with, near_nyquist_record
 
 SIGMA_SIGNAL = 1.2234e-4  # envelope sigma of the 2 nm / 808 nm filter
 
@@ -63,7 +63,7 @@ def synthetic_record(
 
 
 def test_run_scan_grid_and_record_shape(config):
-    record = run_scan(config)
+    record = run_scan(config, DEFAULT_SEED)
     assert len(record.delays) == 401
     assert record.delays[0] == pytest.approx(-2e-6)
     assert record.delays[-1] == pytest.approx(2e-6)
@@ -73,7 +73,7 @@ def test_run_scan_grid_and_record_shape(config):
 
 
 def test_run_scan_without_sampling(config):
-    record = run_scan(config, sample=False)
+    record = run_scan(config)
     assert record.counts.dtype == np.int64 and record.counts.shape == (3, 401)
     assert not record.counts.any()
     # rates are calibrated: baseline averages to the configured detector rate
@@ -83,7 +83,7 @@ def test_run_scan_without_sampling(config):
 
 def test_run_scan_warns_on_coarse_grid(config):
     # 400 nm steps: about 2 points per 808 nm fringe period
-    record = run_scan(config_with(step=400e-9), sample=False)
+    record = run_scan(config_with(step=400e-9))
     assert "8 points" in undersampling_warning(config, record)
 
 
@@ -227,7 +227,7 @@ def test_fit_poisson_noisy_recovery():
 def test_fit_monte_carlo_signal_periods(config):
     errors = []
     for seed in range(5):
-        record = run_scan(config_with(seed=seed))
+        record = run_scan(config_with(), seed)
         fit = fit_fringe(record, dwell=0.5)
         errors.append(abs(fit.period_m - 808e-9))
         assert fit.period_sigma_m > 0
@@ -237,7 +237,7 @@ def test_fit_monte_carlo_signal_periods(config):
 def test_fit_monte_carlo_pump_periods():
     base = config_with(axis="pump", start=-1e-6, stop=1e-6)
     for seed in range(5):
-        record = run_scan(config_with(axis="pump", start=-1e-6, stop=1e-6, seed=seed))
+        record = run_scan(config_with(axis="pump", start=-1e-6, stop=1e-6), seed)
         fit = fit_fringe(record, dwell=0.5)
         assert abs(fit.period_m - 355e-9) < 1e-9
         # scan range is far inside the pump coherence length: the envelope
@@ -408,8 +408,8 @@ def test_fit_exits_past_a_step_that_raises_chi2(monkeypatch, source, negated):
 
 
 def test_fit_coincidence_channel(config):
-    cfg = config_with(eta=0.7, seed=11)
-    record = run_scan(cfg)
+    cfg = config_with(eta=0.7)
+    record = run_scan(cfg, 11)
     fit = fit_fringe(record, channel="coincidence", dwell=cfg.dwell)
     assert abs(fit.period_m - 808e-9) < 1e-9
     assert fit.visibility == pytest.approx(0.9395973, abs=0.01)
@@ -491,7 +491,7 @@ RECORDED_FITS = [
 def test_fit_decisions_match_recorded_fits(recorded):
     axis, seed, channel, iterations, period, visibility, phase, baseline = recorded
     scan = {} if axis == "signal" else dict(axis="pump", start=-1e-6, stop=1e-6)
-    fit = fit_fringe(run_scan(config_with(seed=seed, **scan)), channel=channel, dwell=0.5)
+    fit = fit_fringe(run_scan(config_with(**scan), seed), channel=channel, dwell=0.5)
     assert fit.iterations == iterations
     for got, expected in (
         (fit.period_m, period),
@@ -786,7 +786,7 @@ def test_campaign_steps_are_not_halved_below_the_tolerance(monkeypatch):
     calls = []
     monkeypatch.setattr("icohsim.scan._basis", lambda *args: calls.append(args) or _basis(*args))
     for seed in (1001, 1006, 1009):
-        record = run_scan(config_with(seed=seed))
+        record = run_scan(config_with(), seed)
         for channel in ("singles", "coincidence"):
             calls.clear()
             fit = fit_fringe(record, channel, dwell=0.5)
@@ -807,7 +807,7 @@ def test_campaign_fits_take_observed_information_steps_after_the_first():
     total = 0
     for _, scan in CAMPAIGN_SCANS.values():
         for seed in range(1, 21):
-            record = run_scan(config_with(seed=seed, **scan))
+            record = run_scan(config_with(**scan), seed)
             total += sum(fit_fringe(record, channel, dwell=0.5).iterations for channel in ("singles", "coincidence"))
     assert total <= 263
 
@@ -821,8 +821,9 @@ def test_pulls_cover_truth_at_eta_070(axis, channel):
     period, scan = CAMPAIGN_SCANS[axis]
     seeds = range(2000, 2060)
     n = len(seeds)
-    truth = fit_fringe(run_scan(config_with(eta=0.7, **scan), sample=False), channel, "rates")
-    fits = [fit_fringe(run_scan(config_with(eta=0.7, seed=s, **scan)), channel, dwell=0.5) for s in seeds]
+    cfg = config_with(eta=0.7, **scan)
+    truth = fit_fringe(run_scan(cfg), channel, "rates")
+    fits = [fit_fringe(run_scan(cfg, s), channel, dwell=0.5) for s in seeds]
     for pulls in (
         [(f.visibility - truth.visibility) / f.visibility_sigma for f in fits],
         [(f.period_m - period) / f.period_sigma_m for f in fits],
@@ -842,7 +843,7 @@ def test_far_pump_scan_visibility_covers_truth_at_500_s_dwell():
     truth = mid_scan_contrast(config_with(**scan), 600e-6)
     assert truth == pytest.approx([0.9715393] * 2, abs=5e-8)
     for seed in range(1, 21):
-        record = run_scan(config_with(seed=seed, **scan))
+        record = run_scan(config_with(**scan), seed)
         for channel, contrast in zip(("singles", "coincidence"), truth):
             fit = fit_fringe(record, channel, dwell=500.0)
             assert fit.visibility_sigma < 1e-5, (seed, channel)
@@ -850,7 +851,7 @@ def test_far_pump_scan_visibility_covers_truth_at_500_s_dwell():
 
 
 def draw_config(rng, axis):
-    """A random scan config: 41-1200 points at 8-40 per fringe period, centred
+    """A random scan config and seed: 41-1200 points at 8-40 per fringe period, centred
     at 0, within 1 um, or up to 30 um (signal) or 600 um (pump) out; eta
     0.2-1, gains 1e-4 to 1e-2, splitter ratio 0.2-0.8, dwell 0.03-5 s and
     detector rates 3e3-1e5 and 1e4-2e5 Hz."""
@@ -872,8 +873,7 @@ def draw_config(rng, axis):
         dwell=rng.uniform(0.03, 5.0),
         rate_a_cal=rng.uniform(3e3, 1e5),
         rate_b_cal=rng.uniform(1e4, 2e5),
-        seed=rng.randrange(2**32),
-    )
+    ), rng.randrange(2**32)
 
 
 def mid_scan_contrast(cfg, middle):
@@ -916,8 +916,8 @@ def config_range_pulls():
     errors = []
     for n in range(320):
         axis = ("signal", "pump")[n % 2]
-        cfg = draw_config(rng, axis)
-        record = run_scan(cfg)
+        cfg, seed = draw_config(rng, axis)
+        record = run_scan(cfg, seed)
         amplitude = compile_model(cfg).amplitude
         wavelength = cfg.signal_filter_center if axis == "signal" else cfg.pump_wavelength
         fwhm = 2.0 * coherence_length(cfg.signal_filter_fwhm() if axis == "signal" else cfg.pump_bandwidth)
@@ -989,7 +989,7 @@ def test_envelope_is_a_lower_bound_on_campaign_scans(axis):
     cfg = config_with(**CAMPAIGN_SCANS[axis][1])
     fwhm = 2.0 * coherence_length(cfg.signal_filter_fwhm() if axis == "signal" else cfg.pump_bandwidth)
     for seed in range(1000, 1020):
-        record = run_scan(config_with(seed=seed, **CAMPAIGN_SCANS[axis][1]))
+        record = run_scan(config_with(**CAMPAIGN_SCANS[axis][1]), seed)
         for channel in ("singles", "coincidence"):
             fit = fit_fringe(record, channel, dwell=0.5)
             assert not fit.envelope_resolved
@@ -1081,7 +1081,7 @@ def test_counts_fits_are_at_the_poisson_maximum_likelihood_point(axis, monkeypat
     # Whatever steps the fit takes, it stops where the Poisson score vanishes.
     _, scan = CAMPAIGN_SCANS[axis]
     for seed in range(3000, 3010):
-        record = run_scan(config_with(seed=seed, **scan))
+        record = run_scan(config_with(**scan), seed)
         for channel, row in (("singles", 0), ("coincidence", 2)):
             fit, exponents = fit_and_exponents(monkeypatch, record, channel, 0.5)
             assert max(poisson_score(fit, record, row, 0.5, exponents)) <= SCORE_TOLERANCE
@@ -1103,8 +1103,8 @@ def test_flank_record_reports_the_fit_the_data_do_not_reject(monkeypatch):
     # free fit is reported at its Poisson maximum-likelihood point, its
     # reduced chi^2 within 3 sqrt(2 / dof) of 1 (a fit with a flat envelope
     # gives 6.85), and its FWHM bound below the true 288 um.
-    cfg = config_with(start=26.3907e-6, stop=35.1907e-6, step=20e-9, dwell=1.6025, seed=104)
-    record = run_scan(cfg)
+    cfg = config_with(start=26.3907e-6, stop=35.1907e-6, step=20e-9, dwell=1.6025)
+    record = run_scan(cfg, 104)
     fit, exponents = fit_and_exponents(monkeypatch, record, "coincidence", cfg.dwell)
     assert fit.converged
     assert max(poisson_score(fit, record, 2, cfg.dwell, exponents)) <= SCORE_TOLERANCE
@@ -1135,7 +1135,7 @@ def test_campaign_fits_make_no_linalg_call(monkeypatch):
     # and on records whose fit is refused.
     far_pump = dict(axis="pump", start=599e-6, stop=601e-6, step=5e-9)
     scans = [scan for _, scan in CAMPAIGN_SCANS.values()] + [far_pump]
-    records = [run_scan(config_with(seed=seed, **scan)) for scan in scans for seed in (1001, 1006)]
+    records = [run_scan(config_with(**scan), seed) for scan in scans for seed in (1001, 1006)]
     ramp = values_record(RAMP_COUNTS, "counts", 0.0, 10e-9)
     refused = [near_nyquist_record(), ramp, values_record(**NYQUIST_RECORD)]
     calls = count_linalg_calls(monkeypatch)

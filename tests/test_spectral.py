@@ -14,7 +14,7 @@ from icohsim.expectation import fringe_law, setup_operators
 from icohsim.scan import run_scan
 from icohsim.spectral import FringeModel, coherence_length, compile_model, envelope
 
-from conftest import config_with, dense
+from conftest import DEFAULT_SEED, config_with, dense
 
 DEFAULT_CONFIG = str(Path(__file__).resolve().parent.parent / "configs" / "default.ini")
 C = 299_792_458.0  # m/s
@@ -244,7 +244,7 @@ def test_dark_fringes_of_visibility_one_give_no_negative_rate():
 @pytest.mark.parametrize("axis", ["signal", "pump"])
 def test_run_scan_equals_per_point_path(axis):
     cfg = config_with(axis=axis)
-    record = run_scan(cfg, sample=False)
+    record = run_scan(cfg)
     baseline = phase_averaged_baseline(cfg)
     rates = (cfg.rate_a_cal, cfg.rate_b_cal)
     # relative to each channel's calibrated baseline: fringe minima reach ~1e-4 of it
@@ -274,7 +274,7 @@ def test_compile_model_makes_one_contraction_per_scan(monkeypatch, capsys):
     assert contractions == [1]
     for n in (9, 401, 4001):
         contractions.clear()
-        record = run_scan(config_with(axis="pump", start=-1e-6, stop=1e-6, step=2e-6 / (n - 1)))
+        record = run_scan(config_with(axis="pump", start=-1e-6, stop=1e-6, step=2e-6 / (n - 1)), DEFAULT_SEED)
         assert record.rates.shape[1] == n
         assert contractions == [1]
     assert batches == []
