@@ -371,7 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="Poisson-sampled scan to CSV")
     _add_common(p_sim, require_out=True)
-    p_sim.add_argument("--seed", default="20260810", help="RNG seed, in [0, 2**64) (default: %(default)s)")
+    p_sim.add_argument("--seed", default="20260810",
+                       help=f"RNG seed, in {_INT_FLAGS['seed'][1]} (default: %(default)s)")
 
     p_fit = sub.add_parser("fit", help="fit a fringe model to a scan CSV")
     p_fit.add_argument("input", help="scan CSV produced by predict or simulate")
@@ -393,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
         "oracle-check", help="compare the engine against the brute-force state check"
     )
     p_oracle.add_argument("--points", default="16",
-                          help=f"grid points per delay axis, in [1, {MAX_ORACLE_POINTS}] (default: %(default)s)")
+                          help=f"grid points per delay axis, in {_INT_FLAGS['points'][1]} (default: %(default)s)")
     _add_common(p_oracle, require_out=False)
 
     p_report = sub.add_parser("report", help="human-readable summary of a config")
@@ -534,7 +535,3 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # pragma: no cover - defensive
         print(f"unexpected error: {exc}", file=sys.stderr)
         return EXIT_UNEXPECTED
-
-
-if __name__ == "__main__":
-    sys.exit(main())

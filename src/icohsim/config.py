@@ -71,6 +71,14 @@ MIN_SCAN_STEP = 1e-12
 # filter's width; 1 fm is 1e-06 nm as a file's value reads, so that text is exact.
 MIN_PUMP_BANDWIDTH = 1.0
 MIN_FILTER_BANDWIDTH = 1e-6 / 1e9
+# Largest relative deviation of a delay step from the median step on a uniform grid.
+GRID_TOLERANCE = 1e-6
+# Finest scan step, as a fraction of the scan's largest |delay| M.  np.linspace
+# puts each delay within 1.5 eps M of a uniform grid (eps = 2**-52) and stop
+# within 2 eps M, so every step lies within 7 eps M of the median step, which is
+# at least half the configured one (scan_grid rounds it no lower): inside
+# GRID_TOLERANCE of it from 14 eps M / GRID_TOLERANCE on, and 16 leaves room.
+MIN_STEP_FRACTION = 16 * 2.0**-52 / GRID_TOLERANCE
 # Key suffix -> (multiply by, divide by) from file units to SI.  Dividing by
 # an exact power of ten keeps 355 nm bit-identical to the literal 355e-9.
 UNITS = {"nm": (1.0, 1e9), "um": (1.0, 1e6), "mm": (1.0, 1e3), "ns": (1.0, 1e9),
@@ -234,8 +242,17 @@ class ExperimentConfig:
             raise ConfigError(
                 f"scan.step_nm gives {span + 1:.3g} grid points; at most {MAX_SCAN_POINTS} allowed"
             )
+        reach = max(abs(self.start), abs(self.stop))
+        if not self.step >= MIN_STEP_FRACTION * reach:
+            raise ConfigError(f"scan.step_nm is too fine for float64 delays on this scan: it must be at least "
+                              f"{MIN_STEP_FRACTION:.3g} of its largest |delay|, {reach * 1e6:.6g} um")
         if not self.window < self.dwell:
             raise ConfigError("detectors.window_ns must be far below scan.dwell_s")
+        # Below one count per window, the accidental rate r_a r_b window stays below each singles rate.
+        per_window = self.window * max(self.rate_a_cal, self.rate_b_cal)
+        if not per_window < 1.0:
+            raise ConfigError(f"detectors.window_ns holds {per_window:.3g} counts per window at the larger of "
+                              "detectors.rate_a_hz and detectors.rate_b_hz; it must hold below 1")
         if not self.signal_filter_bandwidth < self.signal_filter_center:
             raise ConfigError("signal_filter.bandwidth_nm must lie below signal_filter.center_nm: "
                               "the filter is not narrowband")

@@ -15,9 +15,6 @@ import math
 
 import numpy as np
 
-# Largest expected count per point the sampler takes: its int64 draws stay
-# representable.  The scan checks its means against it before sampling.
-MAX_MEAN = float(2**62)
 # Seeds are 64-bit words, each one word of the sampler's Philox key: no two share a stream.
 SEED_LIMIT = 2**64
 
@@ -67,8 +64,9 @@ def count_means(detected: np.ndarray, window: float, dwell: float) -> np.ndarray
 
     ``detected`` holds the (3, n) counts/s rows of :func:`detected`;
     accidentals follow :func:`accidental_rate` in the coincidence ``window``.
-    A config's rates, window and dwell keep every mean below 1e37, finite;
-    the scan checks them against :data:`MAX_MEAN`.
+    A config keeps every mean below 2**62 (4.6e18): a singles mean is at most
+    2e18 (twice 1e12/s for 1e6 s), a true coincidence mean 2.04e18, and its
+    window rule keeps the accidentals r_a r_b window dwell below r_a dwell.
     """
     r_a, r_b, _ = detected
     return np.vstack([detected * dwell, accidental_rate(r_a, r_b, window) * dwell])
@@ -81,7 +79,8 @@ def sample_scan(means: np.ndarray, seed: int) -> np.ndarray:
     Poisson variates, drawn by one ``poisson`` call on the whole (4, n)
     array (row by row, each row in point order) from one Philox stream
     keyed by the seed, which lies below :data:`SEED_LIMIT`.  Every mean must
-    lie at or below :data:`MAX_MEAN`.
+    lie below 2**62, as a config's do (:func:`count_means`), so that the
+    int64 draws and their sum stay representable.
     """
     rng = np.random.Generator(np.random.Philox(key=seed))
     draws = rng.poisson(means)

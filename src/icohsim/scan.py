@@ -53,8 +53,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import MIN_SCAN_STEP, ConfigError, ExperimentConfig
-from .counting import MAX_MEAN, count_means, detected, sample_scan
+from .config import GRID_TOLERANCE, MIN_SCAN_STEP, ExperimentConfig
+from .counting import count_means, detected, sample_scan
 from .spectral import compile_model
 
 # Row of each channel in a record's rates and counts: detector A, detector B, coincidences.
@@ -119,8 +119,6 @@ FWHM_FACTOR = 2.0 * math.sqrt(2.0 * math.log(2.0))
 # with a one-sided normal probability of 1.35e-3; a flat envelope's b2 falls
 # below -BOUND_SIGMAS sigma with that probability too.
 BOUND_SIGMAS = 3.0
-# Largest relative deviation of a delay step from the median step on a uniform grid.
-GRID_TOLERANCE = 1e-6
 # Finest grid step a record takes: scan_grid rounds a config's step to at least half of it.
 MIN_GRID_STEP = 0.5 * MIN_SCAN_STEP
 # Fewest delays a fit takes: the periodogram needs a few periods' worth.
@@ -265,30 +263,16 @@ def run_scan(config: ExperimentConfig, seed: int | None = None) -> ScanRecord:
     gives the whole grid's rates in one pass and the calibration baseline;
     the grid is calibrated as one array and sampled by one
     :func:`~icohsim.counting.sample_scan` call.  The non-scanned delay axis
-    is held at zero; the grid is the config's (scan_grid).  A grid that
-    float64 cannot hold uniform, a step too fine for the size of its delays,
-    raises a ConfigError naming scan.step_nm; when sampling, an expected
-    count above :data:`~icohsim.counting.MAX_MEAN` raises one naming the
-    keys that set it.
+    is held at zero; the grid is the config's (scan_grid), which the
+    config's step rule keeps uniform in float64, and the config's window rule
+    keeps every expected count below 2**62, in the sampler's range.
     """
     delays = scan_grid(config)
     model = compile_model(config)
     rates = model.rates(delta_x_p=delays) if config.axis == "pump" else model.rates(delta_x_s=delays)
     calibrated = detected(rates, model.baseline, config.rate_a_cal, config.rate_b_cal)
-    counts = None
-    if seed is not None:
-        means = count_means(calibrated, config.window, config.dwell)
-        over = np.flatnonzero(np.any(means > MAX_MEAN, axis=0))
-        if len(over):
-            raise ConfigError(
-                f"expected counts {max(means[:, over[0]].tolist()):.3g} "
-                "exceed representable integers; lower detectors.rate_a_hz, detectors.rate_b_hz or scan.dwell_s"
-            )
-        counts = sample_scan(means, seed)
-    try:
-        return ScanRecord(delays, calibrated, counts)
-    except GridError as exc:
-        raise ConfigError(f"scan.step_nm is too fine for float64 delays on this scan: {exc}") from None
+    counts = None if seed is None else sample_scan(count_means(calibrated, config.window, config.dwell), seed)
+    return ScanRecord(delays, calibrated, counts)
 
 
 def estimate_period(y: np.ndarray, step: float) -> float:

@@ -29,6 +29,7 @@ from icohsim.cli import (
     read_scan_csv,
 )
 from icohsim.config import ConfigError, load_config
+from icohsim.counting import SEED_LIMIT
 from icohsim.fockoracle import MAX_ORACLE_GAIN
 from icohsim.scan import SOURCES, FringeFit, fit_fringe, run_scan
 from icohsim.spectral import coherence_length, compile_model
@@ -257,7 +258,7 @@ def test_the_seed_is_not_a_config_key(tmp_path, capsys, command):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+@pytest.mark.parametrize("seed", ["-1", "18446744073709551616", "0x10000000000000000"])
 def test_seed_outside_64_bits_exits_with_config_code(tmp_path, capsys, seed):
     out = tmp_path / "scan.csv"
     argv = ["simulate", "--config", DEFAULT_CONFIG, "--out", str(out), "--seed", seed, "--quiet"]
@@ -266,7 +267,7 @@ def test_seed_outside_64_bits_exits_with_config_code(tmp_path, capsys, seed):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("seed", ["1_0", "١٠", "1e1", " "])
+@pytest.mark.parametrize("seed", ["1_0", "١٠", "٣", "0x_10", "1e1", " "])
 def test_seed_flag_outside_the_seed_keys_grammar_exits_with_config_code(tmp_path, capsys, seed):
     # --seed is read by int(value, 0) on ASCII without underscores, as --points is
     out = tmp_path / "scan.csv"
@@ -276,14 +277,24 @@ def test_seed_flag_outside_the_seed_keys_grammar_exits_with_config_code(tmp_path
     assert not out.exists()
 
 
+# Spellings of one seed each, the ends of the seed range among them.
+SEED_SPELLINGS = {16: ["0x10", "16", "0o20", "0b10000"], 15: ["0o17", "15"], 5: ["0b101", "5"], 7: ["+7", "7"],
+                  0: ["0", "0x0"], SEED_LIMIT - 1: [str(SEED_LIMIT - 1), hex(SEED_LIMIT - 1)]}
+
+
 def test_seed_flag_takes_base_prefixes_as_the_seed_key_does(tmp_path, capsys):
-    outputs = []
-    for seed in ("0x10", "16", "0o20", "0b10000"):
-        out = tmp_path / f"{seed}.csv"
-        code = main(["simulate", "--config", DEFAULT_CONFIG, "--out", str(out), "--seed", seed])
-        outputs.append((code, capsys.readouterr().err.replace(str(out), "OUT"), out.read_bytes()))
-    assert outputs[0][0] == EXIT_OK
-    assert outputs.count(outputs[0]) == len(outputs)
+    # every spelling of a seed writes the same bytes, whose counts are run_scan's with that seed
+    config = load_config(DEFAULT_CONFIG)
+    for seed, spellings in SEED_SPELLINGS.items():
+        outputs = []
+        for text in spellings:
+            out = tmp_path / f"{text}.csv"
+            code = main(["simulate", "--config", DEFAULT_CONFIG, "--out", str(out), "--seed", text])
+            outputs.append((code, capsys.readouterr().err.replace(str(out), "OUT"), out.read_bytes()))
+        assert outputs[0][0] == EXIT_OK, seed
+        assert outputs.count(outputs[0]) == len(outputs), seed
+        with open(out, encoding="utf-8") as fh:
+            assert np.array_equal(read_scan_csv(fh).counts, run_scan(config, seed).counts), seed
 
 
 # Config files with an error, and the error a load reports.
@@ -643,6 +654,22 @@ def test_python_m_icohsim_exits_with_the_code_main_returns(tmp_path):
         assert done.stderr.startswith(start), done.stderr
 
 
+def test_a_fit_whose_visibility_is_not_finite_exits_with_fit_code(tmp_path, capsys, monkeypatch):
+    # a subnormal fitted baseline: amplitude / baseline overflows to inf
+    gauss_newton = icohsim.scan._gauss_newton
+
+    def subnormal_baseline(*args):
+        solution = gauss_newton(*args)
+        return solution._replace(a=np.array([5e-324, *solution.a[1:]]))
+
+    monkeypatch.setattr(icohsim.scan, "_gauss_newton", subnormal_baseline)
+    scan, out = tmp_path / "scan.csv", tmp_path / "fit.json"
+    assert main(["simulate", "--config", DEFAULT_CONFIG, "--out", str(scan), "--quiet"]) == EXIT_OK
+    assert main(["fit", str(scan), "--config", DEFAULT_CONFIG, "--out", str(out), "--quiet"]) == EXIT_FIT
+    assert capsys.readouterr().err == "fit error: no fringe detected: fitted visibility is not finite\n"
+    assert not out.exists()
+
+
 def test_fit_of_a_ramp_without_a_full_fringe_exits_with_fit_code(tmp_path, capsys):
     # 16 Poisson counts of a rising ramp converge at a period of about 1.1 scan spans.
     counts = [110, 107, 90, 117, 132, 131, 158, 143, 160, 162, 184, 180, 198, 195, 193, 187]
@@ -705,8 +732,8 @@ def test_fit_json_equals_the_reference_encoder(tmp_path, monkeypatch, max_iterat
 
 @pytest.mark.filterwarnings("error")
 def test_rates_fit_of_a_scan_at_huge_rates_succeeds(tmp_path):
-    # the largest rates a config takes
-    config = write_config(tmp_path, "[detectors]\nrate_a_hz = 1e12\nrate_b_hz = 1e12\n[scan]\n")
+    # the largest rates a config takes, with a window below one count per window
+    config = write_config(tmp_path, "[detectors]\nrate_a_hz = 1e12\nrate_b_hz = 1e12\nwindow_ns = 0.0009\n[scan]\n")
     scan, out = tmp_path / "predict.csv", tmp_path / "fit.json"
     assert main(["predict", "--config", config, "--out", str(scan), "--quiet"]) == EXIT_OK
     for channel in ("singles", "coincidence"):
@@ -854,7 +881,7 @@ def test_non_ascii_or_underscored_number_exits_with_config_code(
     assert capsys.readouterr().err == f"config error: detectors.{key} at line 2: {message}: {value!r}\n"
 
 
-_LOWER_RATES = "; lower detectors.rate_a_hz, detectors.rate_b_hz or scan.dwell_s"
+_ONE_COUNT = " counts per window at the larger of detectors.rate_a_hz and detectors.rate_b_hz; it must hold below 1"
 
 
 @pytest.mark.filterwarnings("error")
@@ -871,11 +898,12 @@ _LOWER_RATES = "; lower detectors.rate_a_hz, detectors.rate_b_hz or scan.dwell_s
          "detectors.rate_a_hz at line 2 out of range: must lie in (0, 1e+12]"),
         ("predict", "[detectors]\nrate_a_hz = 1.7e308\n[scan]\n",
          "detectors.rate_a_hz at line 2 out of range: must lie in (0, 1e+12]"),
-        # in range, only accidentals, r_a r_b window dwell, reach the limit
+        # in range, accidentals, r_a r_b window dwell, would pass the limit, and
+        # the window rule refuses them at load
         ("simulate", "[detectors]\nrate_a_hz = 1e12\nrate_b_hz = 1e12\n[scan]\ndwell_s = 1e4\n",
-         f"expected counts 4.7e+18 exceed representable integers{_LOWER_RATES}"),
+         f"detectors.window_ns holds 2e+03{_ONE_COUNT}"),
         ("simulate", "[detectors]\nrate_a_hz = 1e12\nrate_b_hz = 1e12\nwindow_ns = 9.99999e14\n[scan]\ndwell_s = 1e6\n",
-         f"expected counts 1.22e+34 exceed representable integers{_LOWER_RATES}"),
+         f"detectors.window_ns holds 1e+18{_ONE_COUNT}"),
     ],
     ids=["rate_a_1e30", "dwell_1e300", "rates_1e200", "simulate_rate_1.7e308", "predict_rate_1.7e308",
          "rates_1e12_dwell_1e4_s", "largest_window_and_dwell"],
@@ -1338,13 +1366,38 @@ def test_predict_csv_reads_back_the_scanned_delays(tmp_path_factory, axis, start
 FLOAT_LIMITED_SCAN = "[scan]\naxis = pump\nstart_um = 500000\nstop_um = 500010\nstep_nm = 0.1\n"
 
 
-def test_a_step_too_fine_for_float64_exits_with_config_code(tmp_path, capsys):
+def test_a_step_too_fine_for_float64_exits_with_config_code(tmp_path):
     config = write_config(tmp_path, FLOAT_LIMITED_SCAN)
-    with pytest.raises(ConfigError, match=r"^scan\.step_nm "):
-        run_scan(load_config(config))
+    with pytest.raises(ConfigError, match=r"^scan\.step_nm is too fine for float64 delays on this scan: "
+                                          r"it must be at least 3\.55e-09 of its largest \|delay\|, 500010 um$"):
+        load_config(config)
+    # 2 nm, above 3.55e-09 of 500010 um, gives a uniform grid
+    config = write_config(tmp_path, FLOAT_LIMITED_SCAN.replace("step_nm = 0.1", "step_nm = 2"))
     out = tmp_path / "scan.csv"
-    assert main(["predict", "--config", config, "--out", str(out), "--quiet"]) == EXIT_CONFIG
-    assert capsys.readouterr().err.startswith("config error: scan.step_nm ")
+    assert main(["predict", "--config", config, "--out", str(out), "--quiet"]) == EXIT_OK
+    with open(out, encoding="utf-8") as fh:
+        assert len(read_scan_csv(fh).delays) == 5001
+
+
+# Configs outside a cross-field rule, by the key each names: a window holding a
+# count or more at the detector rates, and a step too fine for float64 delays.
+REFUSED_AT_LOAD = {
+    "window_1e6_ns": ("[detectors]\nwindow_ns = 1e6\n[scan]\n", "detectors.window_ns holds 110"),
+    "rates_1e12_at_2_ns": ("[detectors]\nrate_a_hz = 1e12\nrate_b_hz = 1e12\n[scan]\n",
+                           "detectors.window_ns holds 2e+03"),
+    "pump_step_0.1_nm_at_500_mm": (FLOAT_LIMITED_SCAN, "scan.step_nm is too fine for float64 delays"),
+}
+
+
+@pytest.mark.parametrize("command", ["predict", "simulate", "fit", "oracle-check", "report"])
+@pytest.mark.parametrize("name", REFUSED_AT_LOAD)
+def test_every_command_refuses_a_config_outside_the_cross_field_rules_at_load(tmp_path, capsys, name, command):
+    text, message = REFUSED_AT_LOAD[name]
+    out = tmp_path / "out"
+    # fit's CSV would exit 4 (test_fit_at_two_grid_steps_per_period_exits_with_fit_code)
+    head = ["fit", write_nyquist_csv(tmp_path)] if command == "fit" else [command]
+    assert main([*head, "--config", write_config(tmp_path, text), "--out", str(out), "--quiet"]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
     assert not out.exists()
 
 

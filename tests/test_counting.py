@@ -1,9 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from icohsim.config import ConfigError
+from icohsim.config import MAX_GAIN, MAX_RATE, MAX_SECONDS, ConfigError
 from icohsim.counting import (
     accidental_rate,
     count_means,
@@ -103,16 +104,37 @@ def test_accidentals_expected_value():
 
 
 def test_overflow_guard():
-    # accidentals, r_a r_b window dwell, reach the limit from in-range values
-    cfg = config_with(rate_a_cal=1e12, rate_b_cal=1e12, dwell=1e4)
-    message = (
-        r"^expected counts 4\.7e\+18 exceed representable integers; "
-        r"lower detectors\.rate_a_hz, detectors\.rate_b_hz or scan\.dwell_s$"
-    )
+    # accidentals, r_a r_b window dwell, would pass the sampler's limit from in-range
+    # values; the config's window rule refuses them
+    message = r"^detectors\.window_ns holds 2e\+03 counts per window at the larger of "
     with pytest.raises(ConfigError, match=message):
-        run_scan(cfg, 123)
-    # only sampling needs integer counts
-    assert not run_scan(cfg).counts.any()
+        config_with(rate_a_cal=1e12, rate_b_cal=1e12, dwell=1e4)
+    # the rule's edge: below one count per window, the largest window, is allowed
+    largest = math.nextafter(1 / MAX_RATE, 0.0)
+    config_with(rate_a_cal=MAX_RATE, rate_b_cal=MAX_RATE, window=largest)
+    with pytest.raises(ConfigError, match=r"^detectors\.window_ns holds 1 counts per window "):
+        config_with(rate_a_cal=MAX_RATE, rate_b_cal=MAX_RATE, window=math.nextafter(largest, 1.0))
+
+
+def test_the_largest_expected_count_a_config_admits_is_below_2_62():
+    # The largest rates, window and dwell the rules admit, over the corners of the
+    # gains, eta and the splitter, at every fringe phase: the largest expected
+    # count, and the coincidences' sum of true and accidental counts, stay below
+    # 2**62, so the sampler's int64 draws and their sum are representable.
+    window = math.nextafter(1 / MAX_RATE, 0.0)
+    gains = [1e-9, 1e-3, math.nextafter(MAX_GAIN, 0.0)]
+    largest = 0.0
+    for gain1, gain2, eta, ratio in itertools.product(gains, gains, [0.0, 0.5, 1.0],
+                                                      [5e-324, 0.25, 0.5, 0.75, math.nextafter(1.0, 0.0)]):
+        cfg = config_with(gain1=gain1, gain2=gain2, eta=eta, splitter_ratio=ratio, rate_a_cal=MAX_RATE,
+                          rate_b_cal=MAX_RATE, window=window, dwell=MAX_SECONDS)
+        model = compile_model(cfg)
+        rates = model.monochromatic(0.0, np.linspace(0.0, cfg.signal_filter_center, 1001))
+        means = count_means(detected(rates, model.baseline, MAX_RATE, MAX_RATE), window, MAX_SECONDS)
+        largest = max(largest, means.max(), (means[2] + means[3]).max())
+    # a coincidence fringe of visibility 1 at the largest gains, 2.04e18, plus 2e18 accidentals
+    assert largest == pytest.approx(4.04 * MAX_RATE * MAX_SECONDS, rel=1e-6)
+    assert largest < 2**62
 
 
 def _scalar_rates(rates, cfg, baseline):

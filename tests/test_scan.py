@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from icohsim.cli import build_report
+from icohsim.config import MAX_SCAN_DELAY, MIN_SCAN_STEP, MIN_STEP_FRACTION, ConfigError
 from icohsim.counting import count_means, detected
 from icohsim.scan import (
     COLUMN_FLOOR,
@@ -470,6 +471,33 @@ def test_scan_grid_spans_start_to_stop_and_rounds_the_step(start, stop, step, po
     assert grid[0] == start and grid[-1] == stop
     assert np.allclose(np.diff(grid), spacing, rtol=1e-12, atol=0.0)
     assert f"um in {step * 1e9:.3g} nm steps\n" in build_report(cfg)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    reach=st.floats(-12.0, 0.0).map(lambda exponent: min(10.0**exponent, MAX_SCAN_DELAY)),
+    points=st.integers(2, 4000),
+    rounding=st.floats(-0.49, 0.49),
+    side=st.sampled_from([-1.0, 1.0]),
+)
+# half a metre out, where 0.1 nm steps are too fine; and a long grid at 1 m
+@example(reach=0.50001, points=4000, rounding=0.0, side=1.0)
+@example(reach=MAX_SCAN_DELAY, points=100_001, rounding=0.3, side=-1.0)
+def test_a_grid_at_the_finest_step_the_config_allows_passes_the_record_checks(reach, points, rounding, side):
+    """At the step rule's bound, MIN_STEP_FRACTION of the largest |delay| (or 1 pm,
+    the finest step, where that is finer), with delays from 1 pm to 1 m and steps
+    that do not divide the span, scan_grid gives a grid ScanRecord takes."""
+    step = max(MIN_STEP_FRACTION * reach, MIN_SCAN_STEP)
+    span = (points - 1 + rounding) * step
+    near = max(reach - span, -reach)  # the grid's end nearer zero, within the reach
+    start, stop = (near, reach) if side > 0 else (-reach, -near)
+    cfg = config_with(start=start, stop=stop, step=step)
+    grid = scan_grid(cfg)
+    ScanRecord(grid, np.zeros((3, len(grid))))
+    if step > MIN_SCAN_STEP:
+        # at the bound: a step one ulp finer is refused
+        with pytest.raises(ConfigError, match=r"^scan\.step_nm is too fine for float64 delays"):
+            config_with(start=start, stop=stop, step=math.nextafter(step, 0.0))
 
 
 # Fits recorded from the variable-projection fitter: (axis, seed, channel,
