@@ -19,24 +19,20 @@ alone, with a flat envelope (b1 = b2 = 0), and the envelope is free from its
 first step on.  Where the scan holds no envelope peak it does not resolve,
 the fit reports a lower bound on the envelope's FWHM (BOUND_SIGMAS).
 
-Every least-squares system of the fit is solved from its Gram matrix A^T A.
-The amplitudes' 3x3 Gram matrix G is inverted in closed form, from its
-cofactors in Python floats, for each linearization and each trial step.
-The Gauss-Newton step in the nonlinear parameters comes from that inverse
-by the Schur complement of G in the Gram matrix of the joint (a, p)
-Jacobian: a 3x3 matrix, inverted by the same closed form (a scalar for the
-seed's step in k).  The covariance is the inverse of the joint Gram matrix,
-put together from the blocks of the Schur step at the returned fit (G^-1,
-E = G^-1 U and S^-1).  No fit builds the joint Jacobian as one matrix.
-Where a Gram matrix is singular, a column is so short beside the longest
-one that numpy's lstsq rank cut (COLUMN_FLOOR, its default rcond) would
-drop a singular value, or the columns' variance inflation factors sum to
-INFLATION_LIMIT or more, the data do not determine the fringe, and the fit
-is refused with NoFringeError; for the step this rule is judged on the
-joint Gram matrix, from its blocks.  Each Gauss-Newton step is tried whole,
-then halved until chi^2 falls, skipping a trial outside the model's domain
-or failing the rule (_trial), and the fit stops once a step would move no
-parameter by STEP_SIGMAS of its sigma.
+Every least-squares system of the fit is solved by one function (_solve)
+from its Gram matrix A^T A, scaled to a unit diagonal and inverted by LU
+(np.linalg.inv): the amplitudes' 3x3 system, for each linearization and
+each trial step, and the joint system of the weighted rows [W; D] of the
+amplitudes and of p (6x6, or 4x4 for the seed's step in k), whose p part is
+the Gauss-Newton step.  The joint inverse at the returned fit is the
+covariance.  Where a Gram matrix is singular, a column is so short beside
+the longest one that numpy's lstsq rank cut (COLUMN_FLOOR, its default
+rcond) would drop a singular value, or the columns' variance inflation
+factors sum to INFLATION_LIMIT or more, the data do not determine the
+fringe, and the fit is refused with NoFringeError.  Each Gauss-Newton step
+is tried whole, then halved until chi^2 falls, skipping a trial outside the
+model's domain or failing the rule (_trial), and the fit stops once a step
+would move no parameter by STEP_SIGMAS of its sigma.
 
 Counts fits reach the Poisson maximum-likelihood point by one Fisher-scoring
 step, then observed-information steps (McCullagh & Nelder, Generalized
@@ -48,7 +44,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from operator import mul
 from typing import NamedTuple
 
 import numpy as np
@@ -66,8 +61,9 @@ SOURCES = ("counts", "rates")
 MAX_ITERATIONS = 200
 # A fit has converged once the Gauss-Newton step it has just computed would
 # move each nonlinear parameter (k, b1, b2) by less than STEP_SIGMAS of that
-# parameter's sigma; that step is not taken.  Each sigma^2 is the diagonal of
-# the step's own S^-1 (_step), times the residual variance for a rates fit.
+# parameter's sigma; that step is not taken.  Each sigma^2 is p's diagonal
+# entry of the step's own joint Gram inverse (_step), times the residual
+# variance for a rates fit.
 # Near the optimum the steps shrink quadratically, so a tenfold tighter rule
 # costs at most one more step (0.35 on average over 80 campaign fits, from
 # 1e-4 to 1e-5); at 1e-5 the Poisson score left at a counts fit of the tests'
@@ -81,30 +77,30 @@ STEP_SIGMAS = 1e-5
 RATES_RESOLUTION = 5e-9
 # Halvings of a Gauss-Newton step before it is given up as not improving.
 MAX_HALVINGS = 30
-# Least-squares systems are solved from their Gram matrix A^T A: the 3x3 one
-# of the amplitudes, and the Schur complement of the step, in closed form
-# (_inverse).  The fit is refused with NoFringeError (_require_determined)
+# Least-squares systems are solved from their Gram matrix G = A^T A (_solve):
+# G is divided by the outer product of the column norms, which scales it to a
+# unit diagonal, and inverted by LU.  The fit is refused with NoFringeError
 # when:
-# - the Gram matrix is singular: a closed-form block has a zero or non-finite
-#   determinant;
 # - a column's norm is at or below COLUMN_FLOOR * max(M, N) times the largest
-#   column norm of the M x N matrix.  COLUMN_FLOOR is numpy's lstsq default
-#   rcond: it cuts singular values below COLUMN_FLOOR * max(M, N) * sigma_max,
-#   and sigma_min <= |a_j| while sigma_max >= max |a_i|, so such a column
-#   always costs lstsq a singular value (a squared-norm ratio of 7.9e-27 at
-#   401 rows, 7.9e-25 at 4001);
-# - the columns' variance inflation factors (each the inverse of the share of
-#   a column's squared norm outside the span of the others) sum to
-#   INFLATION_LIMIT or more.  That sum bounds the condition number of the
-#   column-normalized Gram matrix; for a solve of that column-scaled system it
-#   gives an error estimate of 6 * INFLATION_LIMIT * 2.2e-16 = 1.3e-11.  The
-#   cofactor formulas scale consistently per column, so their error is that of
-#   the column-scaled system.  Measured in units of each column's scale
-#   against lstsq of the column-scaled matrix, on 6000 random full-rank
-#   matrices of 8 to 4001 rows with column scales 1e-3 to 1e3, weighted to
-#   the extremes: at most 1.9e-14 for a 3-column solve and 1.0e-14 for the
-#   Schur step.  lstsq of the unscaled matrix errs by up to 7.6e-9 on the same
-#   matrices, so the tests compare against the column-scaled one.
+#   column norm of the M x N matrix, judged on G's diagonal before any
+#   division.  COLUMN_FLOOR is numpy's lstsq default rcond: it cuts singular
+#   values below COLUMN_FLOOR * max(M, N) * sigma_max, and sigma_min <= |a_j|
+#   while sigma_max >= max |a_i|, so such a column always costs lstsq a
+#   singular value (a squared-norm ratio of 7.9e-27 at 401 rows, 7.9e-25 at
+#   4001);
+# - the scaled matrix is singular: LU raises LinAlgError;
+# - the columns' variance inflation factors sum to INFLATION_LIMIT or more.
+#   Each factor is the inverse of the share of a column's squared norm outside
+#   the span of the others, g_jj (G^-1)_jj, which is the diagonal of the scaled
+#   inverse, so their sum is its trace.  That sum bounds the condition number
+#   of the scaled Gram matrix; for its solve it gives an error estimate of
+#   6 * INFLATION_LIMIT * 2.2e-16 = 1.3e-11.  The tests measure the error in
+#   units of each column's scale against lstsq of the column-scaled matrix, on
+#   random full-rank matrices of 8 to 4001 rows with column scales 1e-3 to
+#   1e3: at most 5.4e-15 for a 3-column solve, 4.9e-15 for the step and
+#   2.7e-14 of its largest entry for the joint inverse.  lstsq of the unscaled
+#   matrix errs by up to 7.6e-9 on such matrices, so the tests compare against
+#   the column-scaled one.
 COLUMN_FLOOR = float(np.finfo(float).eps)
 INFLATION_LIMIT = 1e4
 # Largest envelope exponent b1 t + b2 t^2 a fit may reach on the grid, so the
@@ -327,16 +323,15 @@ class _Solution(NamedTuple):
 
     ``a`` holds the amplitudes and ``residual`` the weighted residual at p,
     under the weights of the expected information there: for counts, the
-    Poisson (Fisher) weights of the model.  ``inverse`` is _solve's inverse
-    of the weighted basis rows' Gram matrix, and ``blocks`` are _step's
-    blocks of the step at p, for _covariance.
+    Poisson (Fisher) weights of the model.  ``covariance`` is _step's inverse
+    of the Gram matrix of the weighted rows [W; D] at p, over (a0, a1, a2)
+    and p.
     """
 
     p: list[float]
     a: np.ndarray
     residual: np.ndarray
-    inverse: list[list[float]]
-    blocks: tuple
+    covariance: np.ndarray
     iterations: int
     converged: bool
 
@@ -365,150 +360,70 @@ def _basis(p: list[float], ts: np.ndarray) -> np.ndarray | None:
     return basis
 
 
-def _inverse(gram: list[list[float]]) -> list[list[float]] | None:
-    """Inverse of the leading 1x1 or 3x3 block of a symmetric matrix, from its cofactors.
+def _solve(rows: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least squares of target on the rows of ``rows``, and the inverse of their Gram matrix.
 
-    The block is as wide as ``gram`` has rows, and only its upper triangle is
-    read.  None if its determinant is 0 or not finite.  Scaling row and
-    column j by s_j scales every product in cofactor (i, j) and in the
-    determinant alike, so entry (i, j) of the inverse scales by
-    1 / (s_i s_j) and its rounding depends on the column-scaled matrix alone.
+    The Gram matrix G is divided by the outer product of the rows' norms,
+    which scales it to a unit diagonal, and inverted by LU (np.linalg.inv);
+    G^-1 is that inverse divided by the same product.  Where the rule at
+    COLUMN_FLOOR and INFLATION_LIMIT fails, NoFringeError is raised: the
+    floor is judged on G's diagonal before any division, and the
+    variance-inflation sum is the scaled inverse's trace.  Rounding can give
+    a nearly singular G an inverse with a huge negative trace, so a sum not
+    above 0 is named as inf, as a singular one is.
     """
-    if len(gram) == 1:
-        g = gram[0][0]
-        return [[1.0 / g]] if g != 0 and math.isfinite(g) else None
-    (g00, g01, g02), (g11, g12), g22 = gram[0][:3], gram[1][1:3], gram[2][2]
-    c00, c01, c02 = g11 * g22 - g12 * g12, g02 * g12 - g01 * g22, g01 * g12 - g02 * g11
-    c11, c12, c22 = g00 * g22 - g02 * g02, g01 * g02 - g00 * g12, g00 * g11 - g01 * g01
-    det = g00 * c00 + g01 * c01 + g02 * c02
-    if not (det != 0 and math.isfinite(det)):
-        return None
-    return [
-        [c00 / det, c01 / det, c02 / det],
-        [c01 / det, c11 / det, c12 / det],
-        [c02 / det, c12 / det, c22 / det],
-    ]
-
-
-def _floor_holds(norms: list[float], rows: int) -> bool:
-    """No squared column norm is at or below (COLUMN_FLOOR * rows)^2 times the largest."""
-    return min(norms) > (COLUMN_FLOOR * rows) ** 2 * max(norms)
-
-
-def _require_determined(inflation: float) -> None:
-    """Raise NoFringeError unless the variance-inflation sum is positive and below INFLATION_LIMIT.
-
-    Rounding can give a nearly singular Gram matrix an inverse with a huge
-    negative trace, so a sum not above 0 is named as inf, as a singular one is.
-    """
+    gram = rows @ rows.T
+    diagonal = gram.diagonal()
+    norms = diagonal.tolist()
+    inflation = math.inf
+    if min(norms) > (COLUMN_FLOOR * max(rows.shape)) ** 2 * max(norms):
+        roots = np.sqrt(diagonal)
+        outer = np.multiply.outer(roots, roots)
+        try:
+            inverse = np.linalg.inv(gram / outer)
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            inflation = sum(inverse.diagonal().tolist())
     if not 0.0 < inflation < INFLATION_LIMIT:
         raise NoFringeError(
             f"no fringe determined: the fit's columns have a variance-inflation sum of "
             f"{inflation if inflation > 0 else math.inf:.6g}, not below {INFLATION_LIMIT:.6g}"
         )
+    inverse /= outer
+    return inverse @ (rows @ target), inverse
 
 
-def _solve(
-    weighted: np.ndarray, target: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, list[list[float]], list[list[float]]]:
-    """Least squares of target on the rows of the 3 x n matrix ``weighted``.
+def _step(weighted: np.ndarray, extended: np.ndarray) -> tuple[list[float], np.ndarray]:
+    """p part of the least-squares solution of the joint rows [W; D] on r, and their Gram inverse.
 
-    Returns the solution, the residual, the rows' Gram matrix G and G^-1.  G
-    is inverted in closed form; where the rule at COLUMN_FLOOR and
-    INFLATION_LIMIT fails, NoFringeError is raised.
+    ``weighted`` holds the rows W of the weighted basis, and ``extended`` the
+    rows [D; r]: the q weighted Jacobian rows D of p, then the residual r.
+    Solving over W too takes D's part along W out of the step, as variable
+    projection's step does.  The inverse is _solve's, over (a0, a1, a2) and
+    the q parameters of p.
     """
-    gram = (weighted @ weighted.T).tolist()
-    g0, g1, g2 = gram[0][0], gram[1][1], gram[2][2]
-    inverse = _inverse(gram) if _floor_holds([g0, g1, g2], max(weighted.shape)) else None
-    inflation = math.inf if inverse is None else g0 * inverse[0][0] + g1 * inverse[1][1] + g2 * inverse[2][2]
-    _require_determined(inflation)
-    b0, b1, b2 = (weighted @ target).tolist()
-    a = np.array([i0 * b0 + i1 * b1 + i2 * b2 for i0, i1, i2 in inverse])
-    return a, target - a @ weighted, gram, inverse
-
-
-def _step(
-    weighted: np.ndarray,
-    gram: list[list[float]],
-    inverse: list[list[float]],
-    extended: np.ndarray,
-) -> tuple[list[float], tuple]:
-    """p part of the least-squares solution of the joint matrix [W, D] on r, and its blocks.
-
-    ``weighted`` holds the columns of W as rows, and ``extended`` those of
-    [D, r]: the q weighted Jacobian columns D of p, then the residual r.
-    ``gram`` and ``inverse`` are W's Gram matrix G and its inverse from
-    _solve.  With U = W^T D and E = G^-1 U, the Schur complement of G in the
-    Gram matrix of [W, D, r] holds S = D^T D - U^T E beside
-    D^T r - E^T W^T r, and S^-1 times the latter is the step.  S is 1x1 or
-    3x3, inverted in closed form.  The rule at COLUMN_FLOOR and
-    INFLATION_LIMIT is evaluated on the joint Gram matrix of [W, D] from
-    these blocks: its diagonal is G's and D^T D's, and its inverse's diagonal
-    is that of G^-1 + E S^-1 E^T and of S^-1.  The blocks returned are E, as
-    rows with G^-1 W^T r as their last column, and S^-1, for _covariance.
-    Where S has no closed-form inverse or the rule fails, NoFringeError is
-    raised.
-    """
-    q = len(extended) - 1
-    c0, c1, c2 = (weighted @ extended.T).tolist()
-    # G^-1 W^T [D, r] by rows: E, then G^-1 W^T r.
-    e0, e1, e2 = [[i0 * u0 + i1 * u1 + i2 * u2 for u0, u1, u2 in zip(c0, c1, c2)] for i0, i1, i2 in inverse]
-    own = (extended[:q] @ extended.T).tolist()
-    # q rows of the Schur complement: S, then D^T r - E^T W^T r.
-    schur = [
-        [v - (c0[k] * e0[l] + c1[k] * e1[l] + c2[k] * e2[l]) for l, v in enumerate(row)]
-        for k, row in enumerate(own)
-    ]
-    schur_inverse = _inverse(schur)
-    g0, g1, g2 = gram[0][0], gram[1][1], gram[2][2]
-    norms = [g0, g1, g2] + [own[k][k] for k in range(q)]
-    if schur_inverse is None or not _floor_holds(norms, max(extended.shape[1], 3 + q)):
-        _require_determined(math.inf)
-    inflation = g0 * inverse[0][0] + g1 * inverse[1][1] + g2 * inverse[2][2]
-    for k, row in enumerate(schur_inverse):
-        inflation += own[k][k] * row[k]
-        for l, s in enumerate(row):
-            inflation += s * (g0 * e0[k] * e0[l] + g1 * e1[k] * e1[l] + g2 * e2[k] * e2[l])
-    _require_determined(inflation)
-    rhs = [row[q] for row in schur]
-    step = [sum(map(mul, row, rhs)) for row in schur_inverse]
-    return step, ([e0, e1, e2], schur_inverse)
-
-
-def _covariance(inverse: list[list[float]], blocks: tuple) -> list[list[float]]:
-    """Inverse of the Gram matrix of the joint Jacobian [W, D] over (a0, a1, a2) and the q columns of D.
-
-    From _step's blocks E and S^-1 and W's Gram inverse G^-1, by the block
-    form [[G^-1 + E S^-1 E^T, -E S^-1], [-S^-1 E^T, S^-1]].
-    """
-    e, schur_inverse = blocks
-    q = len(schur_inverse)
-    # E S^-1, by rows; map stops at E's q columns, before G^-1 W^T r.
-    es = [[sum(map(mul, row, column)) for column in zip(*schur_inverse)] for row in e]
-    top = [
-        [g + sum(map(mul, es[i], e[j])) for j, g in enumerate(row)] + [-v for v in es[i]]
-        for i, row in enumerate(inverse)
-    ]
-    return top + [[-es[i][l] for i in range(3)] + schur_inverse[l] for l in range(q)]
+    step, inverse = _solve(np.concatenate((weighted, extended[:-1])), extended[-1])
+    return step[3:].tolist(), inverse
 
 
 def _linearize(p, basis, ts, sqrt_w, target):
-    """Weighted basis rows, amplitudes, [D, r] rows and _solve's Gram blocks at p = [k] or [k, b1, b2].
+    """Weighted basis rows, amplitudes and [D, r] rows at p = [k] or [k, b1, b2].
 
     The amplitudes solve the weighted least squares of ``target`` on the
     weighted basis; the rows are the weighted Jacobian columns D of p, then
     the residual r.
     """
     weighted = basis * sqrt_w
-    a, residual, gram, inverse = _solve(weighted, target)
+    a, _ = _solve(weighted, target)
     extended = np.empty((len(p) + 1, len(ts)))
     extended[0] = ts * ((a[2], -a[1]) @ weighted[1:])
     if len(p) == 3:
         # The envelope exponents' columns: t and t^2 times the oscillation.
         extended[1] = ts * (a[1:] @ weighted[1:])
         extended[2] = ts * extended[1]
-    extended[-1] = residual
-    return weighted, a, extended, gram, inverse
+    extended[-1] = target - a @ weighted
+    return weighted, a, extended
 
 
 def _trial(p, ts, sqrt_w, target) -> tuple[np.ndarray, np.ndarray, float] | None:
@@ -521,10 +436,12 @@ def _trial(p, ts, sqrt_w, target) -> tuple[np.ndarray, np.ndarray, float] | None
     basis = _basis(p, ts)
     if basis is None:
         return None
+    weighted = basis * sqrt_w
     try:
-        a, residual, _, _ = _solve(basis * sqrt_w, target)
+        a, _ = _solve(weighted, target)
     except NoFringeError:
         return None
+    residual = target - a @ weighted
     return basis, a @ basis, float(residual @ residual)
 
 
@@ -541,8 +458,8 @@ def _refine_seed(
     values, in units of the target's, give a counts fit its first weights.
     """
     basis = _basis([k], ts)
-    weighted, a, extended, gram, inverse = _linearize([k], basis, ts, sqrt_w, target)
-    (step,), _ = _step(weighted, gram, inverse, extended)
+    weighted, a, extended = _linearize([k], basis, ts, sqrt_w, target)
+    (step,), _ = _step(weighted, extended)
     trial = _trial([k + step], ts, sqrt_w, target)
     if trial is not None and trial[2] < float(extended[1] @ extended[1]):
         trial_basis, model, _ = trial
@@ -556,11 +473,10 @@ def _gauss_newton(p, basis, ts, sqrt_w, target, reweight) -> _Solution:
     ``basis`` is the model's basis at the starting p, and ``sqrt_w`` and
     ``target`` the roots of the starting weights and the weighted data.
     Each step solves the amplitudes by weighted linear least squares at the
-    current p, takes the p part of the joint Gauss-Newton step in (a, p) from
-    the amplitudes' Gram inverse (_step), halved until the weighted chi^2
-    falls, then refreshes the weights from the model.  ``reweight(model,
-    observed)`` gives the new roots and target of a counts fit; rates fits
-    (None) keep unit weights.
+    current p, takes the p part of the joint Gauss-Newton step in (a, p)
+    (_step), halved until the weighted chi^2 falls, then refreshes the
+    weights from the model.  ``reweight(model, observed)`` gives the new
+    roots and target of a counts fit; rates fits (None) keep unit weights.
 
     A counts fit takes its first step by Fisher scoring: Poisson weights 1/mu
     of the model mu, floored at one count, safe where the model still misses
@@ -581,19 +497,19 @@ def _gauss_newton(p, basis, ts, sqrt_w, target, reweight) -> _Solution:
     weighted chi^2, so it is one that chi^2, summed in floats, cannot resolve
     (on a few-thousand-point scan a step of 1e-5 sigma can be one).  A
     counts fit that took a step is solved once more with the Fisher weights
-    of its model, so the returned amplitudes, residual and blocks are those
-    of the expected information at the returned p.
+    of its model, so the returned amplitudes, residual and covariance are
+    those of the expected information at the returned p.
     """
     failed = False
     steps = 0
     dof = len(ts) - 6
     while True:
-        weighted, a, extended, gram, inverse = _linearize(p, basis, ts, sqrt_w, target)
-        step, blocks = _step(weighted, gram, inverse, extended)
+        weighted, a, extended = _linearize(p, basis, ts, sqrt_w, target)
+        step, covariance = _step(weighted, extended)
         ssr = float(extended[-1] @ extended[-1])
         variance = 1.0 if reweight is not None else max(ssr / dof, RATES_RESOLUTION * RATES_RESOLUTION)
         # The squares of STEP_SIGMAS of each parameter's sigma.
-        floors = [STEP_SIGMAS * STEP_SIGMAS * variance * row[j] for j, row in enumerate(blocks[1])]
+        floors = [STEP_SIGMAS * STEP_SIGMAS * variance * v for v in covariance.diagonal()[3:].tolist()]
 
         def below(scale: float) -> bool:
             return all((s * scale) ** 2 < floor for s, floor in zip(step, floors))
@@ -620,9 +536,9 @@ def _gauss_newton(p, basis, ts, sqrt_w, target, reweight) -> _Solution:
             sqrt_w, target = reweight(a @ basis if failed else model, True)
     if steps and reweight is not None:
         sqrt_w, target = reweight(a @ basis, False)
-        weighted, a, extended, gram, inverse = _linearize(p, basis, ts, sqrt_w, target)
-        _, blocks = _step(weighted, gram, inverse, extended)
-    return _Solution(p, a, extended[-1], inverse, blocks, steps, converged)
+        weighted, a, extended = _linearize(p, basis, ts, sqrt_w, target)
+        _, covariance = _step(weighted, extended)
+    return _Solution(p, a, extended[-1], covariance, steps, converged)
 
 
 def _wrap_phase(phi: float) -> float:
@@ -732,9 +648,7 @@ def fit_fringe(
         )
     ssr = float(solution.residual @ solution.residual)
     dof = len(ts) - 6
-    # The inverse of the joint (a, p) Gram matrix, from the blocks of the
-    # fit's Schur step.
-    cov = _covariance(solution.inverse, solution.blocks)
+    cov = solution.covariance.tolist()
     scale = 1.0 if use_poisson else ssr / dof
 
     def sigma(*gradient: float) -> float:
