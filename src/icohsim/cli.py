@@ -174,13 +174,8 @@ def fit_summary(fit: FringeFit) -> dict:
 
 
 def fit_json(fit: FringeFit) -> str:
-    """The fit JSON: the bytes ``json.dumps(fit_summary(fit), indent=2) + "\\n"`` gives.
-
-    The summary is flat, so ``indent=2`` only puts each item on a line of its
-    own; these separators do the same through json's C encoder, which an
-    ``indent`` turns off.
-    """
-    return "{\n  " + json.dumps(fit_summary(fit), separators=(",\n  ", ": "))[1:-1] + "\n}\n"
+    """The fit JSON, with a final newline."""
+    return json.dumps(fit_summary(fit), indent=2) + "\n"
 
 
 @dataclass(frozen=True)

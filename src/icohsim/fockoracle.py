@@ -30,9 +30,6 @@ creation is applied once, to first order in its gain, and the link and the
 splitter conserve photon number.  So the state reaches at most 11
 occupations, and in every one sig1 + sig2 = idler + loss <= 2, with
 loss <= 1 because only crystal 1's idler crosses the link.
-:data:`MAX_ORACLE_GAIN` is the oracle's first-order gain limit:
-:func:`build_state`, the oracle's one gain guard, refuses a gain above it
-with a ConfigError.
 """
 
 from __future__ import annotations
@@ -41,10 +38,9 @@ import math
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig
+from .config import ExperimentConfig
 
 MODES = ("sig1", "sig2", "idler", "loss")
-MAX_ORACLE_GAIN = 1e-2
 
 MONITOR_SLOT = MODES.index("sig2")
 CAMERA_SLOT = MODES.index("sig1")
@@ -166,11 +162,6 @@ def build_state(
     phase on its gain; signal delay phase on the crystal-1 signal; output
     beam splitter as a rotation of the two signal slots.
     """
-    for key, gain in (("crystal1.gain", config.gain1), ("crystal2.gain", config.gain2)):
-        if gain > MAX_ORACLE_GAIN:
-            raise ConfigError(f"{key} = {gain!r} is above the oracle's first-order gain limit "
-                              f"fockoracle.MAX_ORACLE_GAIN = {MAX_ORACLE_GAIN!r}")
-
     eta = config.eta
     leak = math.sqrt(1.0 - eta * eta)
     t = math.sqrt(config.splitter_ratio)

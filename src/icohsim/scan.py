@@ -133,19 +133,6 @@ class NoFringeError(RuntimeError):
     """Raised when no significant fringe is found in a record, or the data do not determine one."""
 
 
-def _median(values: np.ndarray) -> float:
-    """np.median of a non-empty array without nan, from one np.partition.
-
-    The middle value, or for an even count the two middle values summed and
-    halved, as np.median takes them; the two agree bit for bit.
-    """
-    half = len(values) // 2
-    if len(values) % 2:
-        return float(np.partition(values, half)[half])
-    low, high = np.partition(values, (half - 1, half))[half - 1 : half + 1].tolist()
-    return (low + high) / 2.0
-
-
 @dataclass
 class ScanRecord:
     """One delay scan on a uniform grid: delays, calibrated rates, sampled counts.
@@ -182,7 +169,7 @@ class ScanRecord:
             k = int(bad[0]) + 1
             previous, delay = self.delays[k - 1 : k + 1]
             raise GridError(f"delay {delay:.9g} m is not greater than the previous delay {previous:.9g} m", k)
-        self.step = _median(dx) if len(dx) else math.nan
+        self.step = float(np.median(dx)) if len(dx) else math.nan
         if self.step < MIN_GRID_STEP:
             raise GridError(f"delay step {self.step:.6g} m is below the finest grid step {MIN_GRID_STEP:g} m", 1)
         off = np.flatnonzero(np.abs(dx - self.step) > GRID_TOLERANCE * self.step)
@@ -302,7 +289,7 @@ def estimate_period(y: np.ndarray, step: float) -> float:
 
     power[0] = 0.0
     peak = int(np.argmax(power))
-    background = _median(power[1:])
+    background = float(np.median(power[1:]))
     if peak == 0 or power[peak] < 20.0 * max(background, 1e-300):
         raise NoFringeError("no fringe detected: periodogram peak not significant")
     if peak == len(power) - 1:

@@ -28,9 +28,8 @@ from icohsim.cli import (
     oracle_comparison,
     read_scan_csv,
 )
-from icohsim.config import ConfigError, load_config
+from icohsim.config import MAX_GAIN, ConfigError, load_config
 from icohsim.counting import SEED_LIMIT
-from icohsim.fockoracle import MAX_ORACLE_GAIN
 from icohsim.scan import SOURCES, FringeFit, fit_fringe, run_scan
 from icohsim.spectral import coherence_length, compile_model
 
@@ -1099,29 +1098,43 @@ def test_oracle_json_tells_signed_zeros_apart():
         ("simulate", "[pump]\nbandwidth_ghz = 1e299\n[scan]\naxis = pump\n", "pump.bandwidth_ghz"),
         ("report", "[pump]\nwavelength_nm = 4.94065646e-315\n[scan]\n", "pump.wavelength_nm"),
         ("predict", "[pump]\nwavelength_nm = 4.94065646e-315\n[scan]\n", "pump.wavelength_nm"),
-        ("oracle-check", "[crystal1]\ngain = 0.05\n[scan]\n", "crystal1.gain"),
-        ("oracle-check", "[crystal2]\ngain = 0.02\n[scan]\n", "crystal2.gain"),
     ],
     ids=[
         "bandwidth_1e299",
         "bandwidth_1e299_pump",
         "carrier_inf",
         "carrier_inf_predict",
-        "oracle_gain1",
-        "oracle_gain2",
     ],
 )
-def test_out_of_range_pump_and_oracle_values_exit_with_config_code(
-    tmp_path, capsys, command, text, key
-):
+def test_out_of_range_pump_values_exit_with_config_code(tmp_path, capsys, command, text, key):
     out = tmp_path / "out"
     argv = [command, "--config", write_config(tmp_path, text), "--out", str(out), "--quiet"]
     assert main(argv) == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert err.startswith(f"config error: {key} ")
-    if command == "oracle-check":
-        assert repr(MAX_ORACLE_GAIN) in err
+    assert capsys.readouterr().err.startswith(f"config error: {key} ")
     assert not out.exists()
+
+
+TOP_GAIN = math.nextafter(MAX_GAIN, 0.0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[crystal1]\ngain = 0.05\n[scan]\n",
+        "[crystal2]\ngain = 0.02\n[scan]\n",
+        f"[crystal1]\ngain = {TOP_GAIN!r}\n[crystal2]\ngain = {TOP_GAIN!r}\n[scan]\n",
+    ],
+    ids=["gain1_0.05", "gain2_0.02", "both_gains_below_max"],
+)
+def test_oracle_check_runs_up_to_the_config_gain_limit(tmp_path, text):
+    # the engine and the oracle are first order in K alike: up to MAX_GAIN they
+    # differ by the same 2|K|^2 scale test_oracle_check_command allows
+    out = tmp_path / "oracle.json"
+    argv = ["oracle-check", "--config", write_config(tmp_path, text), "--out", str(out), "--quiet"]
+    assert main(argv) == EXIT_OK
+    data = read_json(out)
+    assert data["max_relative_deviation"] <= 2.05 * max(data["gain_1"], data["gain_2"]) ** 2
 
 
 
@@ -1380,12 +1393,16 @@ def test_a_step_too_fine_for_float64_exits_with_config_code(tmp_path):
 
 
 # Configs outside a cross-field rule, by the key each names: a window holding a
-# count or more at the detector rates, and a step too fine for float64 delays.
+# count or more at the detector rates, a step too fine for float64 delays, and a
+# pump frequency FWHM not below the pump's carrier.
 REFUSED_AT_LOAD = {
     "window_1e6_ns": ("[detectors]\nwindow_ns = 1e6\n[scan]\n", "detectors.window_ns holds 110"),
     "rates_1e12_at_2_ns": ("[detectors]\nrate_a_hz = 1e12\nrate_b_hz = 1e12\n[scan]\n",
                            "detectors.window_ns holds 2e+03"),
     "pump_step_0.1_nm_at_500_mm": (FLOAT_LIMITED_SCAN, "scan.step_nm is too fine for float64 delays"),
+    "pump_bandwidth_1e6_ghz": ("[pump]\nbandwidth_ghz = 1e6\n[scan]\n",
+                               "pump.bandwidth_ghz gives a pump frequency FWHM of 1e+15 Hz, "
+                               "not below the carrier frequency 8.44e+14 Hz\n"),
 }
 
 

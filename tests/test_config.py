@@ -39,7 +39,6 @@ from icohsim.config import (
     Key,
     parse_config,
 )
-from icohsim.fockoracle import MAX_ORACLE_GAIN
 from icohsim.scan import SOURCES, NoFringeError, fit_fringe, run_scan, scan_grid
 from icohsim.spectral import compile_model
 
@@ -891,5 +890,4 @@ def test_a_built_config_runs_every_stage_without_a_warning(values):
                 except NoFringeError:
                     pass
         build_report(config)
-        if max(config.gain1, config.gain2) <= MAX_ORACLE_GAIN:
-            oracle_comparison(config, 4)
+        oracle_comparison(config, 4)

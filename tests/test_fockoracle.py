@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from icohsim.config import ConfigError
+from icohsim.config import MAX_GAIN
 from icohsim.fockoracle import (
     CAMERA_SLOT,
     IDLER_SLOT,
@@ -124,7 +124,8 @@ def test_signal_delay_shifts_fringe():
 
 
 def test_truncation_bounds_hold():
-    cfg = config_with(gain1=1e-2, gain2=1e-2, eta=0.5)
+    top = math.nextafter(MAX_GAIN, 0.0)
+    cfg = config_with(gain1=top, gain2=top, eta=0.5)
     state = build_state(cfg, 100e-9)
     for occ in state:
         assert holds_pair_invariant(occ), occ
@@ -135,8 +136,8 @@ def test_generic_configs_reach_exactly_the_eleven_occupations():
     rng = random.Random(38)
     for _ in range(40):
         cfg = config_with(
-            gain1=10 ** rng.uniform(-4.0, -2.0),
-            gain2=10 ** rng.uniform(-4.0, -2.0),
+            gain1=10 ** rng.uniform(-4.0, math.log10(MAX_GAIN)),
+            gain2=10 ** rng.uniform(-4.0, math.log10(MAX_GAIN)),
             eta=rng.uniform(0.01, 0.99),
             splitter_ratio=rng.uniform(0.01, 0.99),
         )
@@ -144,12 +145,6 @@ def test_generic_configs_reach_exactly_the_eleven_occupations():
         state = build_state(cfg, np.array([rng.uniform(-1e-6, 1e-6) for _ in range(m)]),
                             np.array([rng.uniform(-2e-6, 2e-6) for _ in range(m)]))
         assert set(state) == GENERIC_OCCUPATIONS
-
-
-def test_gain_guard():
-    cfg = config_with(gain1=0.05, gain2=0.001)
-    with pytest.raises(ConfigError, match=r"^crystal1\.gain = 0\.05 is above the oracle's first-order gain limit"):
-        build_state(cfg)
 
 
 def test_moments_linear_in_pair_probability():

@@ -19,7 +19,6 @@ from icohsim.scan import (
     ScanRecord,
     _basis,
     _gauss_newton,
-    _median,
     _refine_seed,
     _solve,
     _step,
@@ -99,17 +98,6 @@ def test_scan_record_requires_three_channel_rows_of_the_grid():
         ScanRecord(delays=delays, rates=np.ones((3, 2)))
     with pytest.raises(ValueError, match=r"^counts must have shape \(3, number of delays\)$"):
         ScanRecord(delays=delays, rates=np.ones((3, 3)), counts=np.ones((2, 3), dtype=np.int64))
-
-
-@pytest.mark.parametrize("length", [1, 2, 3, 4, 5, 8, 255, 256, 1000, 1001])
-def test_median_is_np_median_bit_for_bit(length):
-    rng = np.random.default_rng(length)
-    for values in (
-        rng.standard_normal(length),
-        rng.integers(0, 4, length).astype(float),  # ties
-        np.exp(rng.uniform(-700.0, 700.0, length)),  # middle pairs that overflow or are subnormal
-    ):
-        assert np.float64(_median(values)).tobytes() == np.float64(np.median(values)).tobytes()
 
 
 def test_scan_record_step_is_the_median_step():
