@@ -33,7 +33,7 @@ from icohsim.counting import SEED_LIMIT
 from icohsim.scan import SOURCES, FringeFit, fit_fringe, run_scan
 from icohsim.spectral import coherence_length, compile_model
 
-from conftest import DEFAULT_SEED, near_nyquist_record
+from conftest import DEFAULT_SEED, config_with, near_nyquist_record
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_CONFIG = str(REPO_ROOT / "configs" / "default.ini")
 
@@ -1136,6 +1136,33 @@ def test_oracle_check_runs_up_to_the_config_gain_limit(tmp_path, text):
     data = read_json(out)
     assert data["max_relative_deviation"] <= 2.05 * max(data["gain_1"], data["gain_2"]) ** 2
 
+
+# The K^2 law MAX_GAIN's comment states, one gain decade at a time: the larger
+# gain is drawn in the decade and the other between 1e-6 and it, on splitter
+# ratios in [0.05, 0.95] (bound 1.98) or within 1e-6 of 0 or 1 (bound 2.99).
+GAIN_DECADES = [(1e-6, 1e-5), (1e-5, 1e-4), (1e-4, 1e-3), (1e-3, 1e-2), (1e-2, TOP_GAIN)]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("ratios, bound", [("inner", 1.98), ("edge", 2.99)], ids=["inner_ratios", "edge_ratios"])
+@pytest.mark.parametrize("decade", GAIN_DECADES, ids=[f"1e{e}" for e in range(-6, -1)])
+def test_engine_and_oracle_keep_the_k_squared_law_of_max_gain(decade, ratios, bound):
+    rng = np.random.default_rng(GAIN_DECADES.index(decade))
+    low, high = np.log(decade)
+    for _ in range(50):
+        larger = float(np.exp(rng.uniform(low, high)))
+        other = float(np.exp(rng.uniform(np.log(1e-6), np.log(larger))))
+        gain1, gain2 = (larger, other) if rng.random() < 0.5 else (other, larger)
+        if ratios == "inner":
+            ratio = rng.uniform(0.05, 0.95)
+        else:
+            off = rng.uniform(1e-12, 1e-6)
+            ratio = off if rng.random() < 0.5 else 1.0 - off
+        config = config_with(gain1=gain1, gain2=gain2, eta=rng.uniform(0.0, 1.0), splitter_ratio=ratio,
+                             pump_wavelength=rng.uniform(300e-9, 1000e-9),
+                             signal_filter_center=rng.uniform(500e-9, 2000e-9))
+        deviation = oracle_comparison(config).header["max_relative_deviation"]
+        assert deviation <= bound * larger**2, config
 
 
 @pytest.mark.filterwarnings("error")
