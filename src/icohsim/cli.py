@@ -60,7 +60,8 @@ EXIT_FIT = 4
 CSV_HEADER = ["delay_m", "rate_a_hz", "rate_b_hz", "coinc_hz", "counts_a", "counts_b", "coinc_counts"]
 
 LOW_GAIN_BOUND = 1e-2
-# Upper limit of oracle-check --points: at 4096 a run peaks near 50 MB resident.
+# oracle-check --points: its default, and its upper limit, at which a run peaks near 50 MB resident.
+ORACLE_POINTS = 16
 MAX_ORACLE_POINTS = 4096
 # The integer flags, by name: the values each allows, and its range as errors state it.
 _INT_FLAGS = {
@@ -194,7 +195,7 @@ class OracleComparison:
     oracle: np.ndarray
 
 
-def oracle_comparison(config: ExperimentConfig, points_per_axis: int = 16) -> OracleComparison:
+def oracle_comparison(config: ExperimentConfig, points_per_axis: int = ORACLE_POINTS) -> OracleComparison:
     """The compiled model's monochromatic rates vs the brute-force state, one fringe period per axis.
 
     Both sides evaluate all 2 * ``points_per_axis`` delay settings in one
@@ -388,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle = sub.add_parser(
         "oracle-check", help="compare the engine against the brute-force state check"
     )
-    p_oracle.add_argument("--points", default="16",
+    p_oracle.add_argument("--points", default=str(ORACLE_POINTS),
                           help=f"grid points per delay axis, in {_INT_FLAGS['points'][1]} (default: %(default)s)")
     _add_common(p_oracle, require_out=False)
 

@@ -4,8 +4,9 @@ The on-disk format is a diff-friendly sectioned key=value file; keys carry
 unit suffixes.  All values default to the reference bench parameters
 (355 nm pump with 45 GHz bandwidth, 808 nm / 2 nm signal filter, 42 kHz
 and 110 kHz detector rates, 2 ns coincidence window), so a config file only
-needs to state what differs.
-A ``[scan]`` section must be present.
+needs to state what differs; each default is stated once, on its field.
+A ``[scan]`` section must be present.  The config holds no seed, and no
+command-line flag reaches it.
 
 :data:`KEYS` has one row per key.  It drives the known-key check, the
 conversion from the unit the key's name ends in (:data:`UNITS`) to SI, and
@@ -22,10 +23,10 @@ directly.
 recombination splitter.  ``pump.bandwidth_ghz`` alone sets the pump
 spectrum.
 
-Line grammar.  :func:`parse_config` splits the text at ``\n`` (:func:`load_config`
-maps a file's ``\r\n`` and lone ``\r`` to ``\n``, so they end its lines
-too) and reads each line in one pass.  With surrounding whitespace stripped,
-a line is one of:
+Line grammar, read without ``configparser``.  :func:`parse_config` splits
+the text at ``\n`` (:func:`load_config` maps a file's ``\r\n`` and lone
+``\r`` to ``\n``, so they end its lines too) and reads each line in one
+pass.  With surrounding whitespace stripped, a line is one of:
 
 * blank;
 * a comment: it starts with ``#`` or ``;``;
@@ -110,6 +111,13 @@ class Interval:
 # from 1e-6 up to this limit, and at most 2.99 max(K1, K2)^2 at ratios within
 # 1e-6 of 0 or 1.
 MAX_GAIN = 0.1
+# The least nonzero larger gain.  Rates are in units of K^2: below K = 1.5e-154
+# K^2 leaves the normal floats and loses digits, and near K = 1e-160 it
+# underflows to 0, which the engine reads as no pairs.  1e-150 lies far below
+# any crystal's gain (the bench's is 1e-3) and keeps K^2 = 1e-300 a normal
+# float.  The smaller gain has no floor: a K^2 that underflows beside the
+# other's adds nothing to any rate.
+MIN_GAIN = 1e-150
 GAIN = Interval(0.0, MAX_GAIN, high_open=True)
 WAVELENGTH = Interval(MIN_WAVELENGTH, MAX_WAVELENGTH)
 RATE = Interval(0.0, MAX_RATE, low_open=True)
@@ -268,6 +276,10 @@ class ExperimentConfig:
                 f"pump.bandwidth_ghz gives a pump frequency FWHM of {self.pump_bandwidth:.3g} Hz, "
                 f"not below the carrier frequency {carrier:.3g} Hz"
             )
+        larger = max(self.gain1, self.gain2)
+        if 0.0 < larger < MIN_GAIN:
+            raise ConfigError(f"the larger of crystal1.gain and crystal2.gain is {larger:.3g}: it must be 0 "
+                              f"or at least {MIN_GAIN:g}, so that the rates, in units of K^2, do not underflow")
 
     def signal_filter_fwhm(self) -> float:
         """The signal filter's frequency FWHM (Hz): c * bandwidth / center^2."""

@@ -6,7 +6,9 @@ in units of |K|^2; calibration to count rates is the counting module's job.
 The chain is composed once per config with the delays as the symbols u_p and
 u_s, and :func:`fringe_law` contracts it at no delay setting into each rate's
 Laurent polynomial in the phasors: B + Re(A e^{i dphi}), or it raises.  It is
-plain Python: ``spectral`` evaluates the law at delays, and imports numpy.
+plain Python and imports only ``config`` and ``operators``: the one caller of
+:func:`fringe_law`, ``spectral.compile_model``, evaluates the law at delays
+with numpy.
 """
 
 from __future__ import annotations

@@ -5,8 +5,10 @@ the ancilla anc that takes the idler link's loss.  The delays enter only as
 the phasors u_p = exp(2 pi i dx_p / lambda_p) and u_s = exp(2 pi i dx_s / lambda_s),
 kept as symbols: a channel is a list of terms (row, mode, n_p, n_s, coefficient),
 each the coefficient times u_p^n_p u_s^n_s times the mode's a (row 0) or a^+
-(row 1), and terms with the same (row, mode, n_p, n_s) add.  The transforms are
-plain complex arithmetic on these terms: one composition serves every setting.
+(row 1), and terms with the same (row, mode, n_p, n_s) add.  The transforms
+(low-gain SPDC, phase delay, adjoint, beam splitter, attenuation) are plain
+complex arithmetic on these terms, with no numpy and no truncation in the
+gain's degree: one composition serves every setting.
 """
 
 from __future__ import annotations

@@ -248,7 +248,8 @@ def run_scan(config: ExperimentConfig, seed: int | None = None) -> ScanRecord:
     :func:`~icohsim.counting.sample_scan` call.  The non-scanned delay axis
     is held at zero; the grid is the config's (scan_grid), which the
     config's step rule keeps uniform in float64, and the config's window rule
-    keeps every expected count below 2**62, in the sampler's range.
+    keeps every expected count below 2**62, in the sampler's range, so it
+    refuses no built config.
     """
     delays = scan_grid(config)
     model = compile_model(config)

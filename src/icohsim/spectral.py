@@ -24,8 +24,10 @@ engine's contraction of the chain, exact and with no delay setting
 evaluated.  :meth:`FringeModel.monochromatic` evaluates that law and
 :meth:`FringeModel.rates` damps its fringe term by both envelopes, the one
 evaluator of either.  Both clamp it at 0, which roundoff at a dark fringe of
-visibility 1 can undercut by a few ulps.  The tests check the envelope law
-against an independent average of the monochromatic rates over the spectra.
+visibility 1 can undercut by a few ulps, so no rate is negative or -0.0 and
+every other rate is the law's value bit for bit.  The tests check the
+envelope law against an independent average of the monochromatic rates over
+the spectra.
 """
 
 from __future__ import annotations

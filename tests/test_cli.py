@@ -28,7 +28,7 @@ from icohsim.cli import (
     oracle_comparison,
     read_scan_csv,
 )
-from icohsim.config import MAX_GAIN, ConfigError, load_config
+from icohsim.config import MAX_GAIN, MIN_GAIN, ConfigError, load_config
 from icohsim.counting import SEED_LIMIT
 from icohsim.scan import SOURCES, FringeFit, fit_fringe, run_scan
 from icohsim.spectral import coherence_length, compile_model
@@ -64,24 +64,6 @@ def write_config(tmp_path, text="[scan]\n", name="exp.ini"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return str(path)
-
-
-def test_simulate_then_fit_signal_default(tmp_path):
-    out = tmp_path / "scan.csv"
-    assert main(["simulate", "--config", DEFAULT_CONFIG, "--out", str(out), "--quiet"]) == EXIT_OK
-    lines = out.read_text(encoding="utf-8").splitlines()
-    assert lines[0] == ",".join(CSV_HEADER)
-    assert len(lines) == 402
-
-    fit_out = tmp_path / "fit.json"
-    assert (
-        main(["fit", str(out), "--config", DEFAULT_CONFIG, "--out", str(fit_out), "--quiet"])
-        == EXIT_OK
-    )
-    summary = json.loads(fit_out.read_text(encoding="utf-8"))
-    assert list(summary.keys()) == FIT_KEYS
-    assert abs(summary["period_m"] - 808e-9) < 1e-9
-    assert summary["converged"] is True
 
 
 def _reject_constant(name):
@@ -144,13 +126,21 @@ FIT_RUNS = [
 
 
 def test_fit_is_byte_deterministic(tmp_path):
-    # Each scan simulate writes, fitted twice and from a copy with \r\n line
-    # ends, gives one JSON file: a converged counts fit of the axis wavelength
-    # within 1e-9 m, its phase at mid-scan with a sigma below a milliradian.
+    # Each scan simulate writes holds the header and one row per grid point, the
+    # fringe-free detector B at its configured rate.  Fitted twice and from a
+    # copy with \r\n line ends, it gives one JSON file: a converged counts fit
+    # of the axis wavelength within 1e-9 m, its phase at mid-scan with a sigma
+    # below a milliradian.
     scan, crlf, out = tmp_path / "scan.csv", tmp_path / "crlf.csv", tmp_path / "fit.json"
     for text, channel in FIT_RUNS:
         config = write_config(tmp_path, text)
+        cfg = load_config(config)
         assert main(["simulate", "--config", config, "--out", str(scan), "--quiet"]) == EXIT_OK
+        lines = scan.read_text(encoding="utf-8").splitlines()
+        assert lines[0] == ",".join(CSV_HEADER)
+        assert len(lines) == 2 + round((cfg.stop - cfg.start) / cfg.step), text  # 402 on the default scan
+        with open(scan, encoding="utf-8") as fh:
+            assert read_scan_csv(fh).rates[1] == pytest.approx(cfg.rate_b_cal, rel=1e-6), text
         crlf.write_bytes(scan.read_bytes().replace(b"\n", b"\r\n"))
         outputs = []
         for source in (scan, scan, crlf):
@@ -161,26 +151,10 @@ def test_fit_is_byte_deterministic(tmp_path):
         summary = read_json(out)
         assert list(summary) == FIT_KEYS
         assert summary["converged"] is True and summary["source"] == "counts", (text, channel)
-        cfg = load_config(config)
         assert abs(summary["period_m"] - cfg.scan_wavelength()) <= 1e-9, (text, channel)
         middle = (cfg.start + cfg.stop) / 2
         assert abs(summary["phase_reference_m"] - middle) <= 1e-12 * abs(middle), (text, channel)
         assert summary["phase_sigma_rad"] < 1e-3, (text, channel)
-
-
-def test_simulate_then_fit_pump_axis(tmp_path):
-    config = write_config(
-        tmp_path, "[scan]\naxis = pump\nstart_um = -1\nstop_um = 1\nstep_nm = 10\n"
-    )
-    out = tmp_path / "pump.csv"
-    assert main(["simulate", "--config", config, "--out", str(out), "--quiet"]) == EXIT_OK
-    fit_out = tmp_path / "pump_fit.json"
-    assert (
-        main(["fit", str(out), "--config", config, "--out", str(fit_out), "--quiet"])
-        == EXIT_OK
-    )
-    summary = json.loads(fit_out.read_text(encoding="utf-8"))
-    assert abs(summary["period_m"] - 355e-9) < 1e-9
 
 
 # The default pump's fringe envelope at 600 um of pump delay; V0 = 1 at eta = 1.
@@ -257,43 +231,73 @@ def test_the_seed_is_not_a_config_key(tmp_path, capsys, command):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("seed", ["-1", "18446744073709551616", "0x10000000000000000"])
-def test_seed_outside_64_bits_exits_with_config_code(tmp_path, capsys, seed):
-    out = tmp_path / "scan.csv"
-    argv = ["simulate", "--config", DEFAULT_CONFIG, "--out", str(out), "--seed", seed, "--quiet"]
-    assert main(argv) == EXIT_CONFIG
-    assert capsys.readouterr().err == "config error: --seed out of range: must lie in [0, 2**64)\n"
+# The two integer flags, read in one grammar: the command that reads each, and
+# the range its errors state.
+FLAG_COMMANDS = {"seed": "simulate", "points": "oracle-check"}
+FLAG_RANGES = {"seed": "[0, 2**64)", "points": f"[1, {MAX_ORACLE_POINTS}]"}
+
+
+def flag_argv(flag, value, config, out):
+    """The argv of the command that reads ``--flag``, given ``value`` and writing to ``out``."""
+    return [FLAG_COMMANDS[flag], "--config", config, "--out", str(out), f"--{flag}", value, "--quiet"]
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("seed", "-1"), ("seed", "18446744073709551616"), ("seed", "0x10000000000000000"),
+     ("points", "0"), ("points", "-3"), ("points", str(MAX_ORACLE_POINTS + 1))],
+)
+def test_integer_flag_out_of_range_exits_with_config_code(tmp_path, capsys, flag, value):
+    out = tmp_path / "out"
+    assert main(flag_argv(flag, value, DEFAULT_CONFIG, out)) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: --{flag} out of range: must lie in {FLAG_RANGES[flag]}\n"
     assert not out.exists()
 
 
-@pytest.mark.parametrize("seed", ["1_0", "١٠", "٣", "0x_10", "1e1", " "])
-def test_seed_flag_outside_the_seed_keys_grammar_exits_with_config_code(tmp_path, capsys, seed):
-    # --seed is read by int(value, 0) on ASCII without underscores, as --points is
-    out = tmp_path / "scan.csv"
-    argv = ["simulate", "--config", DEFAULT_CONFIG, "--out", str(out), "--seed", seed, "--quiet"]
-    assert main(argv) == EXIT_CONFIG
-    assert capsys.readouterr().err == f"config error: --seed: not an integer: {seed!r}\n"
+@pytest.mark.parametrize("value", ["1_0", "١٠", "٣", "0x_10", "1e1", " ", "1_6", "١٦", "1.5", "016", ""])
+@pytest.mark.parametrize("flag", FLAG_COMMANDS)
+def test_integer_flag_outside_the_grammar_exits_with_config_code(tmp_path, capsys, flag, value):
+    # int(value, 0) on ASCII without underscores; argparse's int would take 1_6,
+    # ١٦ (Arabic-Indic digits) and 016 as 16
+    out = tmp_path / "out"
+    assert main(flag_argv(flag, value, DEFAULT_CONFIG, out)) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: --{flag}: not an integer: {value!r}\n"
     assert not out.exists()
 
 
-# Spellings of one seed each, the ends of the seed range among them.
-SEED_SPELLINGS = {16: ["0x10", "16", "0o20", "0b10000"], 15: ["0o17", "15"], 5: ["0b101", "5"], 7: ["+7", "7"],
-                  0: ["0", "0x0"], SEED_LIMIT - 1: [str(SEED_LIMIT - 1), hex(SEED_LIMIT - 1)]}
+# Spellings of one value each, the ends of the seed range among them, and the
+# output the library gives for that value.
+FLAG_SPELLINGS = {
+    "seed": {16: ["0x10", "16", "0o20", "0b10000"], 15: ["0o17", "15"], 5: ["0b101", "5"], 7: ["+7", "7"],
+             0: ["0", "0x0"], SEED_LIMIT - 1: [str(SEED_LIMIT - 1), hex(SEED_LIMIT - 1)]},
+    "points": {4: ["0x4", "4", "0o4", "0b100", "+4"]},
+}
 
 
-def test_seed_flag_takes_base_prefixes_as_the_seed_key_does(tmp_path, capsys):
-    # every spelling of a seed writes the same bytes, whose counts are run_scan's with that seed
+def csv_text(record):
+    """The scan CSV of ``record``, as predict and simulate write it."""
+    buffer = io.StringIO()
+    cli.write_scan_csv(record, buffer)
+    return buffer.getvalue()
+
+
+FLAG_OUTPUTS = {
+    "seed": lambda config, seed: csv_text(run_scan(config, seed)),
+    "points": lambda config, points: cli.oracle_json(oracle_comparison(config, points)),
+}
+
+
+@pytest.mark.parametrize("flag", FLAG_COMMANDS)
+def test_integer_flags_take_base_prefixes(tmp_path, capsys, flag):
+    # every spelling of a value writes the bytes the library gives for that value
     config = load_config(DEFAULT_CONFIG)
-    for seed, spellings in SEED_SPELLINGS.items():
-        outputs = []
+    for value, spellings in FLAG_SPELLINGS[flag].items():
+        expected = FLAG_OUTPUTS[flag](config, value).encode("utf-8")
         for text in spellings:
-            out = tmp_path / f"{text}.csv"
-            code = main(["simulate", "--config", DEFAULT_CONFIG, "--out", str(out), "--seed", text])
-            outputs.append((code, capsys.readouterr().err.replace(str(out), "OUT"), out.read_bytes()))
-        assert outputs[0][0] == EXIT_OK, seed
-        assert outputs.count(outputs[0]) == len(outputs), seed
-        with open(out, encoding="utf-8") as fh:
-            assert np.array_equal(read_scan_csv(fh).counts, run_scan(config, seed).counts), seed
+            out = tmp_path / f"{text}.out"
+            assert main(flag_argv(flag, text, DEFAULT_CONFIG, out)) == EXIT_OK, (value, text)
+            assert capsys.readouterr().err == "", (value, text)
+            assert out.read_bytes() == expected, (value, text)
 
 
 # Config files with an error, and the error a load reports.
@@ -306,43 +310,13 @@ FILE_ERRORS = [
 ]
 
 
+@pytest.mark.parametrize("flag, value", [("seed", "-1"), ("seed", "1_0"), ("points", "0"), ("points", "1_6")])
 @pytest.mark.parametrize("text, message", FILE_ERRORS)
-def test_a_bad_seed_flag_is_reported_after_the_file_errors(tmp_path, capsys, text, message):
-    out = tmp_path / "scan.csv"
-    argv = ["simulate", "--config", write_config(tmp_path, text), "--out", str(out), "--seed", "-1", "--quiet"]
-    assert main(argv) == EXIT_CONFIG
+def test_a_bad_integer_flag_is_reported_after_the_file_errors(tmp_path, capsys, text, message, flag, value):
+    out = tmp_path / "out"
+    assert main(flag_argv(flag, value, write_config(tmp_path, text), out)) == EXIT_CONFIG
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert not out.exists()
-
-
-@pytest.mark.parametrize("points", ["0", "1_6"])
-@pytest.mark.parametrize("text, message", FILE_ERRORS)
-def test_a_bad_points_flag_is_reported_after_the_file_errors(tmp_path, capsys, text, message, points):
-    out = tmp_path / "oracle.json"
-    argv = ["oracle-check", "--config", write_config(tmp_path, text), "--out", str(out), "--points", points]
-    assert main(argv) == EXIT_CONFIG
-    assert capsys.readouterr().err == f"config error: {message}\n"
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("points", ["1_6", "١٦", "1e1", "1.5", "016", " ", ""])
-def test_points_flag_outside_the_integer_flag_grammar_exits_with_config_code(tmp_path, capsys, points):
-    # argparse's int would take 1_6, ١٦ (Arabic-Indic digits) and 016 as 16
-    out = tmp_path / "oracle.json"
-    argv = ["oracle-check", "--config", DEFAULT_CONFIG, "--out", str(out), "--points", points]
-    assert main(argv) == EXIT_CONFIG
-    assert capsys.readouterr().err == f"config error: --points: not an integer: {points!r}\n"
-    assert not out.exists()
-
-
-def test_points_flag_takes_base_prefixes_as_the_seed_flag_does(tmp_path, capsys):
-    outputs = []
-    for points in ("0x4", "4", "0o4", "0b100", "+4"):
-        out = tmp_path / "oracle.json"
-        code = main(["oracle-check", "--config", DEFAULT_CONFIG, "--out", str(out), "--points", points])
-        outputs.append((code, capsys.readouterr(), out.read_bytes()))
-    assert outputs[0][0] == EXIT_OK
-    assert outputs.count(outputs[0]) == len(outputs)
 
 
 def test_fit_divides_counts_by_the_dwell_they_were_sampled_with(tmp_path):
@@ -404,18 +378,20 @@ def test_predict_writes_zero_counts_and_fit_rates_works(tmp_path):
     assert main([*fit, DEFAULT_CONFIG]) == EXIT_OK
     summary = read_json(fit_out)
     assert summary["visibility"] == pytest.approx(1.0, abs=1e-6)
-    # the noiseless pump scan's coincidence fringe: the period is the pump
-    # wavelength to 1e-9 of itself, and the fringe lies in the model's family,
-    # so its rates resolve the pump envelope, 5.88 mm wide, from a 4 um scan
+    assert abs(summary["period_m"] - 808e-9) <= 1e-9
+    # the noiseless pump scan's fringes: the period is the pump wavelength to
+    # 1e-9 of itself, and the fringe lies in the model's family, so the rates
+    # of either channel resolve the pump envelope, 5.88 mm wide, from a 4 um scan
     default = Path(DEFAULT_CONFIG).read_text(encoding="utf-8")
     pump = write_config(tmp_path, default.replace("\naxis = signal\n", "\naxis = pump\n"), "pump.ini")
     assert main(["predict", "--config", pump, "--out", str(out), "--quiet"]) == EXIT_OK
-    assert main([*fit, pump, "--channel", "coincidence"]) == EXIT_OK
-    summary = read_json(fit_out)
-    assert abs(summary["period_m"] / 355e-9 - 1) <= 1e-9
-    assert summary["envelope_resolved"] is True
     fwhm = 2 * coherence_length(load_config(DEFAULT_CONFIG).pump_bandwidth)
-    assert abs(summary["envelope_fwhm_m"] - fwhm) <= 3 * summary["envelope_fwhm_sigma_m"]
+    for channel in ("singles", "coincidence"):
+        assert main([*fit, pump, "--channel", channel]) == EXIT_OK
+        summary = read_json(fit_out)
+        assert abs(summary["period_m"] / 355e-9 - 1) <= 1e-9, channel
+        assert summary["envelope_resolved"] is True, channel
+        assert abs(summary["envelope_fwhm_m"] - fwhm) <= 3 * summary["envelope_fwhm_sigma_m"], channel
 
 
 def test_fit_on_flat_counts_exits_with_fit_code(tmp_path, capsys):
@@ -445,15 +421,20 @@ def test_fit_refuses_source_auto(tmp_path, capsys):
     assert "counts" in err and "rates" in err
 
 
-@pytest.mark.parametrize("command", ["predict", "simulate", "fit", "oracle-check", "report"])
-def test_no_command_takes_an_axis_flag(tmp_path, capsys, command):
-    # scan.axis in the config is the one source of the scanned delay
+@pytest.mark.parametrize(
+    "command, flag",
+    [(command, "--axis pump") for command in ["predict", "simulate", "fit", "oracle-check", "report"]]
+    + [(command, "--seed 1") for command in ["predict", "fit", "oracle-check", "report"]],
+)
+def test_a_flag_the_command_does_not_read_is_a_usage_error(tmp_path, capsys, command, flag):
+    # scan.axis in the config is the one source of the scanned delay, and
+    # --seed is simulate's alone
     out = str(tmp_path / "out")
     argv = [command, *(["s.csv"] if command == "fit" else []), "--config", DEFAULT_CONFIG, "--out", out]
     with pytest.raises(SystemExit) as exit_info:
-        main([*argv, "--axis", "pump"])
+        main([*argv, *flag.split()])
     assert exit_info.value.code == EXIT_CONFIG
-    assert capsys.readouterr().err.endswith("error: unrecognized arguments: --axis pump\n")
+    assert capsys.readouterr().err.endswith(f"error: unrecognized arguments: {flag}\n")
     assert not os.path.exists(out)
 
 
@@ -1016,15 +997,6 @@ def test_oracle_check_command(tmp_path):
     assert outputs[0] == outputs[1]
 
 
-@pytest.mark.parametrize("points", [0, -3, MAX_ORACLE_POINTS + 1])
-def test_oracle_check_rejects_points_out_of_range(tmp_path, capsys, points):
-    out = tmp_path / "oracle.json"
-    argv = ["oracle-check", "--config", DEFAULT_CONFIG, "--points", str(points), "--out", str(out)]
-    assert main(argv) == EXIT_CONFIG
-    assert capsys.readouterr().err == f"config error: --points out of range: must lie in [1, {MAX_ORACLE_POINTS}]\n"
-    assert not out.exists()
-
-
 def reference_oracle_json(comparison) -> str:
     """The oracle-check JSON as json.dumps writes it."""
     rows = zip(
@@ -1348,14 +1320,12 @@ def test_report_at_the_narrowest_spectra_prints_only_finite_numbers(tmp_path, ca
     assert len(lengths) == 2 and all(0 < float(length) < math.inf for length in lengths), report
 
 
-def test_report_flags_low_gain_violation(tmp_path, capsys):
-    good = write_config(tmp_path)
-    main(["report", "--config", good])
-    assert "OK: below the 1e-2 low-gain bound" in capsys.readouterr().out
-
-    hot = write_config(tmp_path, "[detectors]\nrate_b_hz = 1e8\n[scan]\n")
-    main(["report", "--config", hot])
-    assert "exceeds the 1e-2 low-gain bound" in capsys.readouterr().out
+def test_report_verdict_states_the_low_gain_bound_it_checks(tmp_path, capsys):
+    # criterion 09 checks the verdicts; the bound each prints is the one compared
+    for text in ("[scan]\n", "[detectors]\nrate_b_hz = 1e8\n[scan]\n"):
+        assert main(["report", "--config", write_config(tmp_path, text)]) == EXIT_OK
+        bound = re.search(r"the (\S+) low-gain bound", capsys.readouterr().out).group(1)
+        assert float(bound) == cli.LOW_GAIN_BOUND, text
 
 
 @pytest.mark.parametrize(
@@ -1363,22 +1333,15 @@ def test_report_flags_low_gain_violation(tmp_path, capsys):
     [
         ("[idler_link]\neta = 0.7\n[scan]\n", "singles 0.7000, coincidence 0.9396"),
         ("[crystal1]\ngain = 0\n[crystal2]\ngain = 0\n[scan]\n", "singles 0.0000, coincidence 0.0000"),
+        (f"[crystal1]\ngain = {MIN_GAIN!r}\n[crystal2]\ngain = {MIN_GAIN!r}\n[idler_link]\neta = 0.7\n[scan]\n",
+         "singles 0.7000, coincidence 0.9396"),
     ],
+    ids=["eta_0.7", "no_pairs", "eta_0.7_at_min_gain"],
 )
 def test_report_predicts_visibilities(tmp_path, capsys, text, line):
-    # eta and 2 eta / (1 + eta^2) at eta = 0.7; no pairs, no fringe
+    # eta and 2 eta / (1 + eta^2) at eta = 0.7, down to the gain floor; no pairs, no fringe
     assert main(["report", "--config", write_config(tmp_path, text)]) == EXIT_OK
     assert f"predicted visibility: {line}\n" in capsys.readouterr().out
-
-
-def test_round_trip_csv_reader(tmp_path):
-    out = tmp_path / "scan.csv"
-    main(["simulate", "--config", DEFAULT_CONFIG, "--out", str(out), "--quiet"])
-    with open(out, encoding="utf-8") as fh:
-        record = read_scan_csv(fh)
-    assert len(record.delays) == 401
-    assert record.counts[0, 0] >= 0
-    assert record.rates[1, 0] == pytest.approx(110e3, rel=1e-6)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -1420,8 +1383,8 @@ def test_a_step_too_fine_for_float64_exits_with_config_code(tmp_path):
 
 
 # Configs outside a cross-field rule, by the key each names: a window holding a
-# count or more at the detector rates, a step too fine for float64 delays, and a
-# pump frequency FWHM not below the pump's carrier.
+# count or more at the detector rates, a step too fine for float64 delays, a
+# pump frequency FWHM not below the pump's carrier, and gains whose K^2 underflows.
 REFUSED_AT_LOAD = {
     "window_1e6_ns": ("[detectors]\nwindow_ns = 1e6\n[scan]\n", "detectors.window_ns holds 110"),
     "rates_1e12_at_2_ns": ("[detectors]\nrate_a_hz = 1e12\nrate_b_hz = 1e12\n[scan]\n",
@@ -1430,6 +1393,8 @@ REFUSED_AT_LOAD = {
     "pump_bandwidth_1e6_ghz": ("[pump]\nbandwidth_ghz = 1e6\n[scan]\n",
                                "pump.bandwidth_ghz gives a pump frequency FWHM of 1e+15 Hz, "
                                "not below the carrier frequency 8.44e+14 Hz\n"),
+    "gains_1e-170": ("[crystal1]\ngain = 1e-170\n[crystal2]\ngain = 1e-170\n[scan]\n",
+                     "the larger of crystal1.gain and crystal2.gain is 1e-170: it must be 0 or at least 1e-150"),
 }
 
 

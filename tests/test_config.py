@@ -6,6 +6,7 @@ import itertools
 import math
 import random
 import re
+import sys
 import warnings
 from pathlib import Path
 
@@ -20,12 +21,14 @@ from icohsim.config import (
     UNITS,
     _config_from_sections,
     _read_sections,
+    MAX_GAIN,
     MAX_RATE,
     MAX_SCAN_DELAY,
     MAX_SCAN_POINTS,
     MAX_SECONDS,
     MAX_WAVELENGTH,
     MIN_FILTER_BANDWIDTH,
+    MIN_GAIN,
     MIN_PUMP_BANDWIDTH,
     MIN_SCAN_STEP,
     MIN_STEP_FRACTION,
@@ -724,6 +727,23 @@ def test_bandwidth_floors_are_the_narrowest_spectra():
         parse_config("[pump]\nbandwidth_ghz = 1e-320\n[signal_filter]\nbandwidth_nm = 1e-310\n[scan]\n")
 
 
+def test_the_larger_gain_is_zero_or_at_least_min_gain():
+    # rates are in units of K^2, a normal float at the floor; the floor holds the larger gain alone
+    assert MIN_GAIN**2 >= sys.float_info.min
+    with pytest.raises(ConfigError) as info:
+        parse_config("[crystal1]\ngain = 1e-170\n[crystal2]\ngain = 1e-170\n[scan]\n")
+    assert str(info.value) == ("the larger of crystal1.gain and crystal2.gain is 1e-170: it must be 0 or at least "
+                               "1e-150, so that the rates, in units of K^2, do not underflow")
+    below = math.nextafter(MIN_GAIN, 0.0)
+    for gains in [(below, below), (0.0, below), (below, 5e-324), (5e-324, 0.0)]:
+        for gain1, gain2 in (gains, gains[::-1]):
+            with pytest.raises(ConfigError, match=r"^the larger of crystal1\.gain and crystal2\.gain is "):
+                ExperimentConfig(gain1=gain1, gain2=gain2)
+    for gains in [(0.0, 0.0), (MIN_GAIN, MIN_GAIN), (0.0, MIN_GAIN), (5e-324, MIN_GAIN), (5e-324, 1e-3)]:
+        for gain1, gain2 in (gains, gains[::-1]):
+            ExperimentConfig(gain1=gain1, gain2=gain2)
+
+
 def test_readme_key_table_matches_the_code():
     """README's "Config keys" table lists the table's keys in order, with their
     units, allowed ranges, and defaults that parse to the built-in ones."""
@@ -840,8 +860,16 @@ def valid_configs(draw) -> dict:
     not mirror fails the test below instead of thinning its examples."""
     keys = {key.label: key for key in KEYS.values()}
     values = {label: draw(in_range(key)) for label, key in keys.items() if label not in {
-        "pump.bandwidth_ghz", "signal_filter.bandwidth_nm", "detectors.window_ns",
+        "crystal2.gain", "pump.bandwidth_ghz", "signal_filter.bandwidth_nm", "detectors.window_ns",
         "scan.start_um", "scan.stop_um", "scan.step_nm", "scan.dwell_s"}}
+    # The larger gain is 0 or at least MIN_GAIN: a crystal 1 gain below the floor
+    # leaves crystal 2 the floor and above, and 0 too if crystal 1's is 0.
+    gain1 = values["crystal1.gain"]
+    floored = in_range(keys["crystal2.gain"], Interval(MIN_GAIN, MAX_GAIN, high_open=True))
+    if gain1 >= MIN_GAIN:
+        values["crystal2.gain"] = draw(in_range(keys["crystal2.gain"]))
+    else:
+        values["crystal2.gain"] = draw(st.just(0.0) | floored if gain1 == 0.0 else floored)
     carrier = SPEED_OF_LIGHT / values["pump.wavelength_nm"]
     values["pump.bandwidth_ghz"] = draw(in_range(
         keys["pump.bandwidth_ghz"], Interval(MIN_PUMP_BANDWIDTH, carrier, high_open=True)))

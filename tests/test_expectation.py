@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from icohsim.config import MIN_GAIN
 from icohsim.expectation import fringe_law, setup_operators
 from icohsim.fockoracle import build_state, detection_moments
 from icohsim.operators import (
@@ -269,6 +270,21 @@ def test_zero_gains_remove_all_pairs():
         assert p_a == 0.0
         assert p_b == 0.0
         assert p_ab == 0.0
+
+
+@pytest.mark.parametrize("ratio, eta, splitter_ratio", [(1.0, 0.7, 0.5), (0.37, 0.93, 0.21)])
+def test_singles_visibility_holds_as_the_gains_scale_down_to_min_gain(ratio, eta, splitter_ratio):
+    # rates are in units of K^2: scaling both gains, a decade at a time from
+    # 1e-3 down to the floor, leaves the singles |A| / B as it was
+    def visibility(gain):
+        model = compile_model(config_with(gain1=gain, gain2=ratio * gain, eta=eta, splitter_ratio=splitter_ratio))
+        return abs(model.amplitude[0]) / model.baseline[0]
+
+    gains = [float(f"1e{exponent}") for exponent in range(-3, -151, -1)]
+    assert gains[-1] == MIN_GAIN
+    reference = visibility(gains[0])
+    for gain in gains:
+        assert visibility(gain) == pytest.approx(reference, rel=1e-12), gain
 
 
 def test_phase_averaged_rates_are_the_baseline():
