@@ -118,6 +118,13 @@ MAX_GAIN = 0.1
 # float.  The smaller gain has no floor: a K^2 that underflows beside the
 # other's adds nothing to any rate.
 MIN_GAIN = 1e-150
+# The least share of either splitter port: the splitter ratio f and 1 - f are
+# at least this.  With one crystal dark, detector A's rate goes as f K^2 or
+# (1 - f) K^2, which at K = MIN_GAIN stays a normal float for a share of at
+# least 2.3e-8; below that it loses digits, and it underflows to 0, which the
+# counting layer reads as no pairs, at 1e-320 beside the bench's K = 1e-3.
+# 1e-7 lies far below any bench splitter's share.
+MIN_SPLITTER_FRACTION = 1e-7
 GAIN = Interval(0.0, MAX_GAIN, high_open=True)
 WAVELENGTH = Interval(MIN_WAVELENGTH, MAX_WAVELENGTH)
 RATE = Interval(0.0, MAX_RATE, low_open=True)
@@ -202,7 +209,7 @@ KEYS = {
         # Below the shortest pump's carrier; ExperimentConfig keeps it below the pump's own.
         Key("pump", "bandwidth_ghz", "pump_bandwidth",
             Interval(MIN_PUMP_BANDWIDTH, SPEED_OF_LIGHT / MIN_WAVELENGTH, high_open=True)),
-        Key("pump", "splitter_ratio", "splitter_ratio", Interval(0.0, 1.0, low_open=True, high_open=True)),
+        Key("pump", "splitter_ratio", "splitter_ratio", Interval(MIN_SPLITTER_FRACTION, 1.0 - MIN_SPLITTER_FRACTION)),
         Key("crystal1", "gain", "gain1", GAIN),
         Key("crystal2", "gain", "gain2", GAIN),
         Key("idler_link", "eta", "eta", Interval(0.0, 1.0)),

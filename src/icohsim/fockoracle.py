@@ -15,9 +15,9 @@ Each per-term factor stays a Python scalar until it meets an amplitude array:
 the pair creation's ``1j * gain * boost``, and a rotation's binomial, matrix
 power and factorial weights, which are summed into one real coefficient per
 source and destination occupation.  Every term then costs one array multiply
-and at most one add.  A term whose coefficient is exactly 0 is never formed,
-the camera phase multiplies only occupations that hold camera photons, and one
-pass at the end drops the amplitudes that cancel at every setting.
+and at most one add.  The camera phase multiplies only occupations that hold
+camera photons, and one pass at the end drops the amplitudes that vanish at
+every setting.
 :func:`detection_moments` takes |amplitude|^2 of the whole state in one
 stacked pass.
 
@@ -68,11 +68,8 @@ def _pair_create(
     slot_b: int,
     phase_factor: np.ndarray | None = None,
 ) -> dict[Occupation, np.ndarray]:
-    """Apply (1 + i*gain*phase_factor*adag_a*adag_b), first order in the gain.
-    A zero gain creates no term."""
+    """Apply (1 + i*gain*phase_factor*adag_a*adag_b), first order in the gain."""
     out = dict(amplitudes)
-    if gain == 0:
-        return out
     lift = 1j * gain if phase_factor is None else 1j * (gain * phase_factor)
     for occ, amp in amplitudes.items():
         lifted = list(occ)
@@ -88,8 +85,7 @@ def _rotation_coefficients(
 ) -> list[tuple[int, int, float]]:
     """The destinations (new_a, new_b) of occupations (na, nb) under the
     rotation ``m``, each with its one real coefficient: the binomial (k, l)
-    terms landing there, summed, times the factorial weights.  Coefficients
-    of exactly 0 are left out."""
+    terms landing there, summed, times the factorial weights."""
     (m00, m01), (m10, m11) = m
     sums: dict[int, float] = {}
     for k in range(na + 1):
@@ -100,9 +96,7 @@ def _rotation_coefficients(
     out = []
     for new_a, total in sums.items():
         new_b = na + nb - new_a
-        coefficient = total * math.sqrt(math.factorial(new_a) * math.factorial(new_b)) / norm
-        if coefficient != 0:
-            out.append((new_a, new_b, coefficient))
+        out.append((new_a, new_b, total * math.sqrt(math.factorial(new_a) * math.factorial(new_b)) / norm))
     return out
 
 
@@ -134,7 +128,9 @@ def _mode_phase(
     amplitudes: dict[Occupation, np.ndarray], slot: int, phase: np.ndarray
 ) -> dict[Occupation, np.ndarray]:
     """Multiply each amplitude by exp(i * phase * n), n the slot's occupation.
-    An empty slot's factor is exactly 1, so its amplitude is kept as it is."""
+    An empty slot's factor is exactly 1, so its amplitude is kept as it is:
+    multiplying it too makes the oracle take about 1.1 times as long on
+    oracle-sweep's configs."""
     factors: dict[int, np.ndarray] = {}
     out = {}
     for occ, amp in amplitudes.items():

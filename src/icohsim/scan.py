@@ -23,16 +23,17 @@ Every least-squares system of the fit is solved by one function (_solve)
 from its Gram matrix A^T A, scaled to a unit diagonal and inverted by LU
 (np.linalg.inv): the amplitudes' 3x3 system, for each linearization and
 each trial step, and the joint system of the weighted rows [W; D] of the
-amplitudes and of p (6x6, or 4x4 for the seed's step in k), whose p part is
-the Gauss-Newton step.  The joint inverse at the returned fit is the
-covariance.  Where a Gram matrix is singular, a column is so short beside
-the longest one that numpy's lstsq rank cut (COLUMN_FLOOR, its default
-rcond) would drop a singular value, or the columns' variance inflation
-factors sum to INFLATION_LIMIT or more, the data do not determine the
-fringe, and the fit is refused with NoFringeError.  Each Gauss-Newton step
-is tried whole, then halved until chi^2 falls, skipping a trial outside the
-model's domain or failing the rule (_trial), and the fit stops once a step
-would move no parameter by STEP_SIGMAS of its sigma.
+amplitudes and of p (6x6, or 4x4 for the seed's step in k), which each
+linearization forms once (_linearize) and whose p part is the Gauss-Newton
+step.  The joint inverse at the returned fit is the covariance.  Where a
+Gram matrix is singular, a column is so short beside the longest one that
+numpy's lstsq rank cut (COLUMN_FLOOR, its default rcond) would drop a
+singular value, or the columns' variance inflation factors sum to
+INFLATION_LIMIT or more, the data do not determine the fringe, and the fit
+is refused with NoFringeError.  Each Gauss-Newton step is tried whole,
+then halved until chi^2 falls, skipping a trial outside the model's domain
+or failing the rule (_trial), and the fit stops once a step would move no
+parameter by STEP_SIGMAS of its sigma.
 
 Counts fits reach the Poisson maximum-likelihood point by one Fisher-scoring
 step, then observed-information steps (McCullagh & Nelder, Generalized
@@ -62,7 +63,7 @@ MAX_ITERATIONS = 200
 # A fit has converged once the Gauss-Newton step it has just computed would
 # move each nonlinear parameter (k, b1, b2) by less than STEP_SIGMAS of that
 # parameter's sigma; that step is not taken.  Each sigma^2 is p's diagonal
-# entry of the step's own joint Gram inverse (_step), times the residual
+# entry of the step's own joint Gram inverse (_linearize), times the residual
 # variance for a rates fit.
 # Near the optimum the steps shrink quadratically, so a tenfold tighter rule
 # costs at most one more step (0.35 on average over 80 campaign fits, from
@@ -311,9 +312,9 @@ class _Solution(NamedTuple):
 
     ``a`` holds the amplitudes and ``residual`` the weighted residual at p,
     under the weights of the expected information there: for counts, the
-    Poisson (Fisher) weights of the model.  ``covariance`` is _step's inverse
-    of the Gram matrix of the weighted rows [W; D] at p, over (a0, a1, a2)
-    and p.
+    Poisson (Fisher) weights of the model.  ``covariance`` is _linearize's
+    inverse of the Gram matrix of the weighted rows [W; D] at p, over
+    (a0, a1, a2) and p.
     """
 
     p: list[float]
@@ -382,36 +383,27 @@ def _solve(rows: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return inverse @ (rows @ target), inverse
 
 
-def _step(weighted: np.ndarray, extended: np.ndarray) -> tuple[list[float], np.ndarray]:
-    """p part of the least-squares solution of the joint rows [W; D] on r, and their Gram inverse.
-
-    ``weighted`` holds the rows W of the weighted basis, and ``extended`` the
-    rows [D; r]: the q weighted Jacobian rows D of p, then the residual r.
-    Solving over W too takes D's part along W out of the step, as variable
-    projection's step does.  The inverse is _solve's, over (a0, a1, a2) and
-    the q parameters of p.
-    """
-    step, inverse = _solve(np.concatenate((weighted, extended[:-1])), extended[-1])
-    return step[3:].tolist(), inverse
-
-
 def _linearize(p, basis, ts, sqrt_w, target):
-    """Weighted basis rows, amplitudes and [D, r] rows at p = [k] or [k, b1, b2].
+    """Amplitudes, residual, Gauss-Newton step and joint Gram inverse at p = [k] or [k, b1, b2].
 
-    The amplitudes solve the weighted least squares of ``target`` on the
-    weighted basis; the rows are the weighted Jacobian columns D of p, then
-    the residual r.
+    The joint rows [W; D] are formed once: the rows W of the weighted basis,
+    on which the amplitudes solve the weighted least squares of ``target``,
+    then the q weighted Jacobian rows D of p.  The step is the p part of the
+    least squares of [W; D] on the residual r: solving over W too takes D's
+    part along W out of the step, as variable projection's step does.  The
+    inverse is _solve's, over (a0, a1, a2) and the q parameters of p.
     """
-    weighted = basis * sqrt_w
+    joint = np.empty((3 + len(p), len(ts)))
+    weighted = np.multiply(basis, sqrt_w, out=joint[:3])
     a, _ = _solve(weighted, target)
-    extended = np.empty((len(p) + 1, len(ts)))
-    extended[0] = ts * ((a[2], -a[1]) @ weighted[1:])
+    joint[3] = ts * ((a[2], -a[1]) @ weighted[1:])
     if len(p) == 3:
-        # The envelope exponents' columns: t and t^2 times the oscillation.
-        extended[1] = ts * (a[1:] @ weighted[1:])
-        extended[2] = ts * extended[1]
-    extended[-1] = target - a @ weighted
-    return weighted, a, extended
+        # The envelope exponents' rows: t and t^2 times the oscillation.
+        joint[4] = ts * (a[1:] @ weighted[1:])
+        joint[5] = ts * joint[4]
+    residual = target - a @ weighted
+    step, inverse = _solve(joint, residual)
+    return a, residual, step[3:].tolist(), inverse
 
 
 def _trial(p, ts, sqrt_w, target) -> tuple[np.ndarray, np.ndarray, float] | None:
@@ -446,10 +438,9 @@ def _refine_seed(
     values, in units of the target's, give a counts fit its first weights.
     """
     basis = _basis([k], ts)
-    weighted, a, extended = _linearize([k], basis, ts, sqrt_w, target)
-    (step,), _ = _step(weighted, extended)
+    a, residual, (step,), _ = _linearize([k], basis, ts, sqrt_w, target)
     trial = _trial([k + step], ts, sqrt_w, target)
-    if trial is not None and trial[2] < float(extended[1] @ extended[1]):
+    if trial is not None and trial[2] < float(residual @ residual):
         trial_basis, model, _ = trial
         return k + step, trial_basis, model
     return k, basis, a @ basis
@@ -462,7 +453,7 @@ def _gauss_newton(p, basis, ts, sqrt_w, target, reweight) -> _Solution:
     ``target`` the roots of the starting weights and the weighted data.
     Each step solves the amplitudes by weighted linear least squares at the
     current p, takes the p part of the joint Gauss-Newton step in (a, p)
-    (_step), halved until the weighted chi^2 falls, then refreshes the
+    (_linearize), halved until the weighted chi^2 falls, then refreshes the
     weights from the model.  ``reweight(model, observed)`` gives the new
     roots and target of a counts fit; rates fits (None) keep unit weights.
 
@@ -492,9 +483,8 @@ def _gauss_newton(p, basis, ts, sqrt_w, target, reweight) -> _Solution:
     steps = 0
     dof = len(ts) - 6
     while True:
-        weighted, a, extended = _linearize(p, basis, ts, sqrt_w, target)
-        step, covariance = _step(weighted, extended)
-        ssr = float(extended[-1] @ extended[-1])
+        a, residual, step, covariance = _linearize(p, basis, ts, sqrt_w, target)
+        ssr = float(residual @ residual)
         variance = 1.0 if reweight is not None else max(ssr / dof, RATES_RESOLUTION * RATES_RESOLUTION)
         # The squares of STEP_SIGMAS of each parameter's sigma.
         floors = [STEP_SIGMAS * STEP_SIGMAS * variance * v for v in covariance.diagonal()[3:].tolist()]
@@ -524,9 +514,8 @@ def _gauss_newton(p, basis, ts, sqrt_w, target, reweight) -> _Solution:
             sqrt_w, target = reweight(a @ basis if failed else model, True)
     if steps and reweight is not None:
         sqrt_w, target = reweight(a @ basis, False)
-        weighted, a, extended = _linearize(p, basis, ts, sqrt_w, target)
-        _, covariance = _step(weighted, extended)
-    return _Solution(p, a, extended[-1], covariance, steps, converged)
+        a, residual, _, covariance = _linearize(p, basis, ts, sqrt_w, target)
+    return _Solution(p, a, residual, covariance, steps, converged)
 
 
 def _wrap_phase(phi: float) -> float:

@@ -28,7 +28,7 @@ from icohsim.cli import (
     oracle_comparison,
     read_scan_csv,
 )
-from icohsim.config import MAX_GAIN, MIN_GAIN, ConfigError, load_config
+from icohsim.config import MAX_GAIN, MIN_GAIN, MIN_SPLITTER_FRACTION, ConfigError, load_config
 from icohsim.counting import SEED_LIMIT
 from icohsim.scan import SOURCES, FringeFit, fit_fringe, run_scan
 from icohsim.spectral import coherence_length, compile_model
@@ -1064,25 +1064,29 @@ def test_oracle_json_tells_signed_zeros_apart():
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
-    "command, text, key",
+    "command, text, where",
     [
         ("simulate", "[pump]\nbandwidth_ghz = 1e299\n[scan]\n", "pump.bandwidth_ghz"),
         ("simulate", "[pump]\nbandwidth_ghz = 1e299\n[scan]\naxis = pump\n", "pump.bandwidth_ghz"),
         ("report", "[pump]\nwavelength_nm = 4.94065646e-315\n[scan]\n", "pump.wavelength_nm"),
         ("predict", "[pump]\nwavelength_nm = 4.94065646e-315\n[scan]\n", "pump.wavelength_nm"),
+        # with crystal 1 dark, detector A's rate ratio * K2^2 would underflow to 0
+        ("predict", "[crystal1]\ngain = 0\n[pump]\nsplitter_ratio = 1e-320\n[scan]\n",
+         "pump.splitter_ratio at line 4"),
     ],
     ids=[
         "bandwidth_1e299",
         "bandwidth_1e299_pump",
         "carrier_inf",
         "carrier_inf_predict",
+        "splitter_1e-320",
     ],
 )
-def test_out_of_range_pump_values_exit_with_config_code(tmp_path, capsys, command, text, key):
+def test_out_of_range_pump_values_exit_with_config_code(tmp_path, capsys, command, text, where):
     out = tmp_path / "out"
     argv = [command, "--config", write_config(tmp_path, text), "--out", str(out), "--quiet"]
     assert main(argv) == EXIT_CONFIG
-    assert capsys.readouterr().err.startswith(f"config error: {key} ")
+    assert capsys.readouterr().err.startswith(f"config error: {where} ")
     assert not out.exists()
 
 
@@ -1111,7 +1115,8 @@ def test_oracle_check_runs_up_to_the_config_gain_limit(tmp_path, text):
 
 # The K^2 law MAX_GAIN's comment states, one gain decade at a time: the larger
 # gain is drawn in the decade and the other between 1e-6 and it, on splitter
-# ratios in [0.05, 0.95] (bound 1.98) or within 1e-6 of 0 or 1 (bound 2.99).
+# ratios in [0.05, 0.95] (bound 1.98) or within 1e-6 of 0 or 1, from
+# MIN_SPLITTER_FRACTION on (bound 2.99).
 GAIN_DECADES = [(1e-6, 1e-5), (1e-5, 1e-4), (1e-4, 1e-3), (1e-3, 1e-2), (1e-2, TOP_GAIN)]
 
 
@@ -1128,7 +1133,7 @@ def test_engine_and_oracle_keep_the_k_squared_law_of_max_gain(decade, ratios, bo
         if ratios == "inner":
             ratio = rng.uniform(0.05, 0.95)
         else:
-            off = rng.uniform(1e-12, 1e-6)
+            off = rng.uniform(MIN_SPLITTER_FRACTION, 1e-6)
             ratio = off if rng.random() < 0.5 else 1.0 - off
         config = config_with(gain1=gain1, gain2=gain2, eta=rng.uniform(0.0, 1.0), splitter_ratio=ratio,
                              pump_wavelength=rng.uniform(300e-9, 1000e-9),

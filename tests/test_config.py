@@ -667,7 +667,7 @@ def test_values_built_in_code_must_be_statable_in_the_file_unit():
 OUT_OF_RANGE = {
     "pump.wavelength_nm": ("0", 0.0, "[10, 100000]"),
     "pump.bandwidth_ghz": ("-45", -45e9, "[1e-09, 29979245.8)"),
-    "pump.splitter_ratio": ("1", 1.0, "(0, 1)"),
+    "pump.splitter_ratio": ("1", 1.0, "[1e-07, 0.9999999]"),
     "crystal1.gain": ("0.1", 0.1, "[0, 0.1)"),
     "crystal2.gain": ("-1e-3", -1e-3, "[0, 0.1)"),
     "idler_link.eta": ("1.3", 1.3, "[0, 1]"),

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from icohsim.config import MAX_GAIN, MAX_RATE, MAX_SECONDS, ConfigError
+from icohsim.config import MAX_GAIN, MAX_RATE, MAX_SECONDS, MIN_SPLITTER_FRACTION, ConfigError
 from icohsim.counting import (
     accidental_rate,
     count_means,
@@ -125,7 +125,8 @@ def test_the_largest_expected_count_a_config_admits_is_below_2_62():
     gains = [1e-9, 1e-3, math.nextafter(MAX_GAIN, 0.0)]
     largest = 0.0
     for gain1, gain2, eta, ratio in itertools.product(gains, gains, [0.0, 0.5, 1.0],
-                                                      [5e-324, 0.25, 0.5, 0.75, math.nextafter(1.0, 0.0)]):
+                                                      [MIN_SPLITTER_FRACTION, 0.25, 0.5, 0.75,
+                                                       1.0 - MIN_SPLITTER_FRACTION]):
         cfg = config_with(gain1=gain1, gain2=gain2, eta=eta, splitter_ratio=ratio, rate_a_cal=MAX_RATE,
                           rate_b_cal=MAX_RATE, window=window, dwell=MAX_SECONDS)
         model = compile_model(cfg)

@@ -19,9 +19,9 @@ from icohsim.scan import (
     ScanRecord,
     _basis,
     _gauss_newton,
+    _linearize,
     _refine_seed,
     _solve,
-    _step,
     _wrap_phase,
     estimate_period,
     fit_fringe,
@@ -326,17 +326,17 @@ def test_fit_halves_past_a_step_to_a_negative_wavenumber(monkeypatch, noise_seed
         trials.append(list(p))
         return _basis(p, ts)
 
-    def step(*args):
-        step, blocks = _step(*args)
+    def linearize(*args):
+        a, residual, step, inverse = _linearize(*args)
         if len(step) == 3:
             calls.append(args)
             if len(calls) == 1:
                 stretch = -3.0 * trials[-1][0] / step[0]
                 step = [s * stretch for s in step]
-        return step, blocks
+        return a, residual, step, inverse
 
     monkeypatch.setattr("icohsim.scan._basis", basis)
-    monkeypatch.setattr("icohsim.scan._step", step)
+    monkeypatch.setattr("icohsim.scan._linearize", linearize)
     patched = fit_fringe(record, dwell=0.5)
     assert sum(not p[0] > 0 for p in trials) == 2
     assert patched.converged
@@ -350,17 +350,18 @@ def test_fit_halves_past_a_step_to_a_negative_wavenumber(monkeypatch, noise_seed
     ids=["counts-seed", "rates-seed", "counts-second", "rates-first", "counts-second-third"],
 )
 def test_fit_exits_past_a_step_that_raises_chi2(monkeypatch, source, negated):
-    # _step's first call is the seed's step in k alone, each later one a joint
-    # Gauss-Newton step; the calls in ``negated`` are reversed, so no size of
-    # them lowers chi^2 and halving stops at the step floor.
+    # _linearize's first call gives the seed's step in k alone, each later one a
+    # joint Gauss-Newton step; the steps of the calls in ``negated`` are
+    # reversed, so no size of them lowers chi^2 and halving stops at the step
+    # floor.
     record = synthetic_record(sigma=1.5e-6, noise_seed=3 if source == "counts" else None)
     plain = fit_fringe(record, source=source, dwell=0.5)
     calls, seeds, starts = [], [], []
 
-    def step(*args):
-        step, blocks = _step(*args)
+    def linearize(*args):
+        a, residual, step, inverse = _linearize(*args)
         calls.append(1)
-        return ([-s for s in step] if len(calls) in negated else step), blocks
+        return a, residual, ([-s for s in step] if len(calls) in negated else step), inverse
 
     def refine_seed(k, *args):
         seeds.append((k, _refine_seed(k, *args)))
@@ -370,7 +371,7 @@ def test_fit_exits_past_a_step_that_raises_chi2(monkeypatch, source, negated):
         starts.append((list(p), _gauss_newton(p, *args)))
         return starts[-1][1]
 
-    monkeypatch.setattr("icohsim.scan._step", step)
+    monkeypatch.setattr("icohsim.scan._linearize", linearize)
     monkeypatch.setattr("icohsim.scan._refine_seed", refine_seed)
     monkeypatch.setattr("icohsim.scan._gauss_newton", gauss_newton)
     patched = fit_fringe(record, source=source, dwell=0.5)
@@ -731,9 +732,9 @@ def test_step_is_the_joint_least_squares_step(rows, free, exponents, seed):
     # the p part of lstsq on the joint matrix to 1e-11 in units of each
     # column's scale (4.9e-15 is the largest seen).
     matrix, target, scales = _matrix(rows, 6 if free else 4, exponents, seed)
-    step, _ = _step(matrix[:, :3].T, np.vstack([matrix[:, 3:].T, target]))
+    solution, _ = _solve(matrix.T, target)
     expected = _scaled_lstsq(matrix, target, scales)
-    assert np.linalg.norm(np.array(step) * scales[3:] - expected[3:]) <= 1e-11 * np.linalg.norm(expected)
+    assert np.linalg.norm(solution[3:] * scales[3:] - expected[3:]) <= 1e-11 * np.linalg.norm(expected)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -749,7 +750,7 @@ def test_covariance_is_the_inverse_of_the_joint_gram_matrix(rows, free, exponent
     # units of each column's scale, to 1e-11 of its largest entry (at most
     # 2.7e-14 seen).
     matrix, target, scales = _matrix(rows, 6 if free else 4, exponents, seed)
-    _, covariance = _step(matrix[:, :3].T, np.vstack([matrix[:, 3:].T, target]))
+    _, covariance = _solve(matrix.T, target)
     covariance = covariance * np.outer(scales, scales)
     scaled = matrix / scales
     expected = np.linalg.pinv(scaled.T @ scaled)
@@ -766,7 +767,8 @@ def test_covariance_is_the_inverse_of_the_joint_gram_matrix(rows, free, exponent
 )
 def test_step_refuses_where_the_joint_rule_fails(rows, free, exponents, seed, defect):
     # 3 amplitude columns, then 1 (k alone) or 3 (k, b1, b2) step columns.  A
-    # singular basis is refused by _solve, every other defect by _step.
+    # singular basis is refused by the amplitudes' solve, every other defect by
+    # the joint one.
     matrix, target, scales = _matrix(rows, 6 if free else 4, exponents, seed)
     if defect == "near-duplicate":
         # A step column within 1e-9 of a basis column, relative, point by point.
@@ -786,7 +788,7 @@ def test_step_refuses_where_the_joint_rule_fails(rows, free, exponents, seed, de
         return
     _solve(weighted, target)
     with pytest.raises(NoFringeError, match=REFUSAL):
-        _step(weighted, np.vstack([matrix[:, 3:].T, target]))
+        _solve(matrix.T, target)
 
 
 def test_campaign_steps_are_not_halved_below_the_tolerance(monkeypatch):
@@ -820,6 +822,42 @@ def test_campaign_fits_take_observed_information_steps_after_the_first():
             record = run_scan(config_with(**scan), seed)
             total += sum(fit_fringe(record, channel, dwell=0.5).iterations for channel in ("singles", "coincidence"))
     assert total <= 263
+
+
+# Step in each of (k, b1, b2) of the central difference below: its truncation
+# and rounding errors both stay near 1e-10 of the derivative.
+DIFFERENCE_STEP = 1e-5
+
+
+@pytest.mark.parametrize("axis", CAMPAIGN_SCANS)
+def test_jacobian_rows_are_the_derivatives_of_the_weighted_model(axis, monkeypatch):
+    # At the first Gauss-Newton linearization of these counts fits, with its
+    # Fisher weights, and at the same k with an envelope across the scan, the
+    # step solves the joint rows [W; D_fd], D_fd the central difference of the
+    # weighted model in (k, b1, b2) at the linearization's amplitudes.  In
+    # units of each column's scale the step is the p part of lstsq on them to
+    # 1e-8 of its norm (2.1e-10 is the largest seen; D's b2 row scaled by 1.1
+    # moves it by 7.6e-3 to 8.8e-2), so a scale error in D, which leaves the
+    # optimum in place, still fails.
+    calls = []
+    monkeypatch.setattr("icohsim.scan._linearize", lambda *args: calls.append(args) or _linearize(*args))
+    record = run_scan(config_with(**CAMPAIGN_SCANS[axis][1]), 1001)
+    for channel in ("singles", "coincidence"):
+        calls.clear()
+        fit_fringe(record, channel, dwell=0.5)
+        first, _, ts, sqrt_w, target = next(call for call in calls if len(call[0]) == 3)
+        for p in (first, [first[0], 0.3, -0.4]):
+            a, residual, step, _ = _linearize(p, _basis(p, ts), ts, sqrt_w, target)
+            columns = [_basis(p, ts) * sqrt_w]
+            for j in range(3):
+                up, down = list(p), list(p)
+                up[j] += DIFFERENCE_STEP
+                down[j] -= DIFFERENCE_STEP
+                columns.append([(a @ _basis(up, ts) - a @ _basis(down, ts)) * sqrt_w / (2 * DIFFERENCE_STEP)])
+            matrix = np.vstack(columns).T
+            scales = np.linalg.norm(matrix, axis=0)
+            expected = _scaled_lstsq(matrix, residual, scales)[3:]
+            assert np.linalg.norm(np.array(step) * scales[3:] - expected) <= 1e-8 * np.linalg.norm(expected)
 
 
 @pytest.mark.parametrize("axis", CAMPAIGN_SCANS)
