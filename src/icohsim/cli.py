@@ -10,7 +10,8 @@ cells, four floats in e-notation and three counts.  One pattern match
 decides acceptance and ``np.loadtxt`` parses the rows; only a rejected file
 is walked line by line, to name its first bad line and cell.  A bad CSV,
 like a bad config, is a configuration problem, and so is a CSV or config
-file that is not UTF-8.
+file that is not UTF-8 or is longer than its bound (``MAX_CSV_CHARS``
+characters, ``config.MAX_CONFIG_BYTES`` bytes).
 
 Exit codes: 0 success, 2 configuration problem, 3 I/O failure, 4 fit did
 not converge or found no fringe, 1 unexpected failure.
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fockoracle
-from .config import MAX_RATE, MAX_SCAN_DELAY, ConfigError, ExperimentConfig, load_config, utf8_error
+from .config import MAX_RATE, MAX_SCAN_DELAY, MAX_SCAN_POINTS, ConfigError, ExperimentConfig, load_config, utf8_error
 from .counting import SEED_LIMIT, accidental_rate, double_pair_probability
 from .expectation import RATE_NAMES
 from .scan import (
@@ -74,6 +75,11 @@ _INT_FLAGS = {
 # exactly, the rates with nine, then the counts.
 _ROW_FORMAT = "%.16e,%.8e,%.8e,%.8e,%d,%d,%d\n"
 _HEADER_LINE = ",".join(CSV_HEADER)
+# The most characters a scan CSV may hold: the header, then MAX_SCAN_POINTS of
+# the longest row _ROW_FORMAT prints (a negative subnormal delay, rates with
+# three-digit exponents and 19-digit counts, 132 characters), every line ended
+# by \r\n.  A read takes no more, so an endless file ends.
+MAX_CSV_CHARS = len(_HEADER_LINE) + 2 + MAX_SCAN_POINTS * (132 + 2)
 
 
 def write_scan_csv(record: ScanRecord, stream: io.TextIOBase) -> None:
@@ -138,7 +144,8 @@ def read_scan_csv(stream: io.TextIOBase) -> ScanRecord:
     e-notation ``%.Ne`` prints, with an optional minus sign
     (``-1.5000000000000000e-06``), the three rates in unsigned e-notation
     (``4.20000000e+04``), and the three counts as digits without sign or
-    leading zeros.  Every line ends in ``\\n`` or ``\\r\\n``.
+    leading zeros.  Every line ends in ``\\n`` or ``\\r\\n``, and the file holds
+    at most MAX_CSV_CHARS characters.
     Delays lie within MAX_SCAN_DELAY, rates at or below _MAX_CSV_RATE, counts
     within the 64-bit range, and the delays are a uniform grid (ScanRecord).
 
@@ -147,7 +154,16 @@ def read_scan_csv(stream: io.TextIOBase) -> ScanRecord:
     that the error names the first bad line and, within it, the first bad
     cell.  The delay grid is checked once every row is good.
     """
-    head, newline, body = stream.read().partition("\n")
+    # Up to one character past the bound, 1 MiB at a time: one read of the
+    # whole bound would reserve 134 MB of address space on every call.
+    parts, size = [], 0
+    while size <= MAX_CSV_CHARS and (part := stream.read(min(1 << 20, MAX_CSV_CHARS + 1 - size))):
+        parts.append(part)
+        size += len(part)
+    if size > MAX_CSV_CHARS:
+        name = getattr(stream, "name", "scan CSV")
+        raise ConfigError(f"{name}: longer than {MAX_CSV_CHARS} characters, the most a scan CSV may hold")
+    head, newline, body = "".join(parts).partition("\n")
     if head.removesuffix("\r") != _HEADER_LINE or not newline:
         raise ConfigError(f"CSV line 1: expected the header line {_HEADER_LINE!r}, ended by \\n or \\r\\n")
     if not _BODY.fullmatch(body):
@@ -454,11 +470,12 @@ def _int_flag(args: argparse.Namespace, name: str) -> int:
 def _scan(args: argparse.Namespace, config: ExperimentConfig) -> ScanRecord:
     """The scan record of a scan command: run from the config, or for ``fit`` read from its CSV."""
     if args.command == "fit":
-        try:
-            with open(args.input, "r", encoding="utf-8", newline="") as fh:
+        with open(args.input, "r", encoding="utf-8", newline="") as fh:
+            try:
                 return read_scan_csv(fh)
-        except UnicodeDecodeError as exc:
-            raise utf8_error(args.input, exc) from None
+            except UnicodeDecodeError as exc:
+                # a bounded read decodes in chunks, and exc holds the bytes up to the read position
+                raise utf8_error(args.input, exc, fh.buffer.tell() - len(exc.object)) from None
     return run_scan(config, _int_flag(args, "seed") if args.command == "simulate" else None)
 
 

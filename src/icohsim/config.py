@@ -59,6 +59,11 @@ from functools import cached_property
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 SCAN_AXES = ("signal", "pump")
 MAX_SCAN_POINTS = 1_000_000
+# The most bytes a config file may hold, far above any config (the shipped
+# default holds 464): a load reads no further, so an endless file ends.  A
+# read reserves a buffer of the bound's size first: at 1 MB that made each
+# load some 30 us slower.
+MAX_CONFIG_BYTES = 100_000
 # Largest delay a scan may reach, in meters; a bench delay line is far shorter.
 MAX_SCAN_DELAY = 1.0
 # Physical bounds: wavelengths (m) from the far UV to the far IR, a detector
@@ -375,22 +380,26 @@ def _config_from_sections(sections: dict) -> ExperimentConfig:
     return ExperimentConfig(**values)
 
 
-def utf8_error(path: str, exc: UnicodeDecodeError) -> ConfigError:
+def utf8_error(path: str, exc: UnicodeDecodeError, offset: int = 0) -> ConfigError:
     """The error for a file that is not UTF-8 text, naming its first bad byte and offset.
 
-    ``exc`` comes from decoding the whole file at once, so its offsets are the file's.
+    ``offset`` is the file offset of the first byte of ``exc.object``, which is 0
+    when ``exc`` comes from decoding the whole file at once.
     """
     return ConfigError(
         f"{path}: not UTF-8 text: byte 0x{exc.object[exc.start]:02x} "
-        f"at offset {exc.start} ({exc.reason})"
+        f"at offset {offset + exc.start} ({exc.reason})"
     )
 
 
 def load_config(path: str) -> ExperimentConfig:
-    """Read a config file as UTF-8 with universal newlines (``\\r\\n`` and a
-    lone ``\\r`` become ``\\n``) and parse it as :func:`parse_config` does."""
+    """Read a config file of at most MAX_CONFIG_BYTES as UTF-8 with universal
+    newlines (``\\r\\n`` and a lone ``\\r`` become ``\\n``) and parse it as
+    :func:`parse_config` does."""
     with open(path, "rb") as fh:
-        data = fh.read()
+        data = fh.read(MAX_CONFIG_BYTES + 1)
+    if len(data) > MAX_CONFIG_BYTES:
+        raise ConfigError(f"{path}: longer than {MAX_CONFIG_BYTES} bytes, the most a config file may hold")
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:

@@ -13,6 +13,16 @@ from icohsim.scan import ScanRecord
 # simulate's seed when --seed is not given
 DEFAULT_SEED = 20260810
 
+# Bounds on the engine-oracle deviation, in units of K^2 of the larger gain.
+# The oracle keeps double-pair terms the low-gain engine drops, so the two sit
+# at twice the K^2 scale, and at once that scale with a dark crystal or a
+# blocked idler.  Over random configs MAX_GAIN's comment states the law: 1.98
+# at splitter ratios in [0.05, 0.95] and 2.99 within 1e-6 of 0 or 1.
+ORACLE_K2_BOUND = 2.05
+PRUNED_K2_BOUND = 1.05
+INNER_RATIOS_K2_BOUND = 1.98
+EDGE_RATIOS_K2_BOUND = 2.99
+
 _acceptance_outcomes = []
 
 

@@ -28,12 +28,13 @@ from icohsim.cli import (
     oracle_comparison,
     read_scan_csv,
 )
-from icohsim.config import MAX_GAIN, MIN_GAIN, MIN_SPLITTER_FRACTION, ConfigError, load_config
+from icohsim.config import MAX_CONFIG_BYTES, MAX_GAIN, MIN_GAIN, MIN_SPLITTER_FRACTION, ConfigError, load_config
 from icohsim.counting import SEED_LIMIT
 from icohsim.scan import SOURCES, FringeFit, fit_fringe, run_scan
 from icohsim.spectral import coherence_length, compile_model
 
-from conftest import DEFAULT_SEED, config_with, near_nyquist_record
+from conftest import (DEFAULT_SEED, EDGE_RATIOS_K2_BOUND, INNER_RATIOS_K2_BOUND, ORACLE_K2_BOUND, PRUNED_K2_BOUND,
+                      config_with, near_nyquist_record)
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_CONFIG = str(REPO_ROOT / "configs" / "default.ini")
 
@@ -61,8 +62,9 @@ FIT_KEYS = [
 
 
 def write_config(tmp_path, text="[scan]\n", name="exp.ini"):
+    """Write ``text``, as UTF-8 unless it is bytes, to ``name`` in ``tmp_path``; return its path."""
     path = tmp_path / name
-    path.write_text(text, encoding="utf-8")
+    path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
     return str(path)
 
 
@@ -221,16 +223,6 @@ def test_simulate_without_a_seed_flag_draws_with_the_default_seed(tmp_path, caps
         assert np.array_equal(read_scan_csv(fh).counts, run_scan(load_config(DEFAULT_CONFIG), DEFAULT_SEED).counts)
 
 
-@pytest.mark.parametrize("command", ["predict", "simulate", "report", "oracle-check"])
-def test_the_seed_is_not_a_config_key(tmp_path, capsys, command):
-    # the seed belongs to one simulate run: --seed is its one source
-    out = tmp_path / "out"
-    argv = [command, "--config", write_config(tmp_path, "[detectors]\nseed = 1\n[scan]\n"), "--out", str(out)]
-    assert main(argv) == EXIT_CONFIG
-    assert capsys.readouterr().err == "config error: unknown key detectors.seed at line 2\n"
-    assert not out.exists()
-
-
 # The two integer flags, read in one grammar: the command that reads each, and
 # the range its errors state.
 FLAG_COMMANDS = {"seed": "simulate", "points": "oracle-check"}
@@ -300,23 +292,109 @@ def test_integer_flags_take_base_prefixes(tmp_path, capsys, flag):
             assert out.read_bytes() == expected, (value, text)
 
 
-# Config files with an error, and the error a load reports.
-FILE_ERRORS = [
-    ("[idler_link]\neta = 1.3\n[scan]\n", "idler_link.eta at line 2 out of range: must lie in [0, 1]"),
-    ("[detectors]\nseed = -1\n[scan]\n", "unknown key detectors.seed at line 2"),
-    ("[scan]\nstart_um = 1\nstop_um = -1\n", "scan.stop_um must exceed scan.start_um"),
-    ("[scan]\ndwell_s = 0\n[crystal1]\ngain = nan\n", "scan.dwell_s at line 2 out of range: must lie in (0, 1e+06]"),
-    ("[scan]\nstep_nm = tiny\n", "scan.step_nm at line 2: not a number: 'tiny'"),
-]
+# A pump scan half a metre out in 0.1 nm steps: float64 delays there are
+# 1.1e-16 m apart, so the grid's steps vary by 1e-6 of the step and more.
+FLOAT_LIMITED_SCAN = "[scan]\naxis = pump\nstart_um = 500000\nstop_um = 500010\nstep_nm = 0.1\n"
+_ONE_COUNT = " counts per window at the larger of detectors.rate_a_hz and detectors.rate_b_hz; it must hold below 1"
+
+# Every config the loader refuses, by name: the text of config file exp.ini
+# (bytes for one that is not UTF-8 text), and the error each command reports.
+REFUSED_AT_LOAD = {
+    # the line grammar, and the sections and keys it knows; the seed is --seed's alone
+    "seed_key": ("[detectors]\nseed = 1\n[scan]\n", "unknown key detectors.seed at line 2"),
+    "seed_key_-1": ("[detectors]\nseed = -1\n[scan]\n", "unknown key detectors.seed at line 2"),
+    "idler_filter_section": ("[idler_filter]\ncenter_nm = 632\nbandwidth_nm = 3\n[scan]\n",
+                             "unknown section [idler_filter] at line 1"),
+    # numbers: ASCII, without underscores, finite
+    "step_tiny": ("[scan]\nstep_nm = tiny\n", "scan.step_nm at line 2: not a number: 'tiny'"),
+    "rate_1_0": ("[detectors]\nrate_a_hz = 1_0\n[scan]\n", "detectors.rate_a_hz at line 2: not a number: '1_0'"),
+    "window_arabic_3": ("[detectors]\nwindow_ns = \u0663\n[scan]\n",
+                        "detectors.window_ns at line 2: not a number: '\u0663'"),
+    "wavelength_nan": ("[pump]\nwavelength_nm = nan\n[scan]\n",
+                       "pump.wavelength_nm at line 2: not a finite number: 'nan'"),
+    # each key's range, the first bad line in the file reported
+    "eta_1.3": ("[idler_link]\neta = 1.3\n[scan]\n", "idler_link.eta at line 2 out of range: must lie in [0, 1]"),
+    "eta_2": ("[idler_link]\neta = 2\n[scan]\n", "idler_link.eta at line 2 out of range: must lie in [0, 1]"),
+    "dwell_0_before_gain_nan": ("[scan]\ndwell_s = 0\n[crystal1]\ngain = nan\n",
+                                "scan.dwell_s at line 2 out of range: must lie in (0, 1e+06]"),
+    # values whose counts would leave the sampler's range
+    "rate_a_1e30": ("[detectors]\nrate_a_hz = 1e30\n[scan]\n",
+                    "detectors.rate_a_hz at line 2 out of range: must lie in (0, 1e+12]"),
+    "rates_1e200": ("[detectors]\nrate_a_hz = 1e200\nrate_b_hz = 1e200\n[scan]\n",
+                    "detectors.rate_a_hz at line 2 out of range: must lie in (0, 1e+12]"),
+    "rate_a_1.7e308": ("[detectors]\nrate_a_hz = 1.7e308\n[scan]\n",
+                       "detectors.rate_a_hz at line 2 out of range: must lie in (0, 1e+12]"),
+    "dwell_1e300": ("[scan]\ndwell_s = 1e300\n", "scan.dwell_s at line 2 out of range: must lie in (0, 1e+06]"),
+    # pump values without a finite spectrum, and a splitter ratio whose baseline,
+    # with crystal 1 dark, ratio * K2^2, would underflow to 0
+    "pump_bandwidth_1e299": ("[pump]\nbandwidth_ghz = 1e299\n[scan]\n",
+                             "pump.bandwidth_ghz at line 2 out of range: must lie in [1e-09, 29979245.8)"),
+    "pump_bandwidth_1e299_pump_axis": ("[pump]\nbandwidth_ghz = 1e299\n[scan]\naxis = pump\n",
+                                       "pump.bandwidth_ghz at line 2 out of range: must lie in [1e-09, 29979245.8)"),
+    "carrier_inf": ("[pump]\nwavelength_nm = 4.94065646e-315\n[scan]\n",
+                    "pump.wavelength_nm at line 2 out of range: must lie in [10, 100000]"),
+    "splitter_1e-320": ("[crystal1]\ngain = 0\n[pump]\nsplitter_ratio = 1e-320\n[scan]\n",
+                        "pump.splitter_ratio at line 4 out of range: must lie in [1e-07, 0.9999999]"),
+    # a filter centre whose square underflows, so c * bandwidth / center^2 has no value
+    "filter_center_1e-300": ("[signal_filter]\ncenter_nm = 1e-300\nbandwidth_nm = 1e-301\n[scan]\n",
+                             "signal_filter.center_nm at line 2 out of range: must lie in [10, 100000]"),
+    # scan delays beyond the bound
+    "start_1e200": ("[scan]\nstart_um = 1e200\nstop_um = 1.0000001e200\nstep_nm = 1e196\n",
+                    "scan.start_um at line 2 out of range: must lie in [-1e+06, 1e+06]"),
+    "stop_10_m": ("[scan]\nstart_um = -2\nstop_um = 1e7\nstep_nm = 1e9\n",
+                  "scan.stop_um at line 3 out of range: must lie in [-1e+06, 1e+06]"),
+    # the cross-field rules: the scan's order, a window holding a count or more at
+    # the detector rates, a step too fine for float64 delays, a pump frequency FWHM
+    # not below the pump's carrier, and gains whose K^2 underflows
+    "stop_below_start": ("[scan]\nstart_um = 1\nstop_um = -1\n", "scan.stop_um must exceed scan.start_um"),
+    "window_1e6_ns": ("[detectors]\nwindow_ns = 1e6\n[scan]\n", f"detectors.window_ns holds 110{_ONE_COUNT}"),
+    "rates_1e12_at_2_ns": ("[detectors]\nrate_a_hz = 1e12\nrate_b_hz = 1e12\n[scan]\n",
+                           f"detectors.window_ns holds 2e+03{_ONE_COUNT}"),
+    "rates_1e12_dwell_1e4_s": ("[detectors]\nrate_a_hz = 1e12\nrate_b_hz = 1e12\n[scan]\ndwell_s = 1e4\n",
+                               f"detectors.window_ns holds 2e+03{_ONE_COUNT}"),
+    "largest_window_and_dwell": (
+        "[detectors]\nrate_a_hz = 1e12\nrate_b_hz = 1e12\nwindow_ns = 9.99999e14\n[scan]\ndwell_s = 1e6\n",
+        f"detectors.window_ns holds 1e+18{_ONE_COUNT}"),
+    "pump_step_0.1_nm_at_500_mm": (FLOAT_LIMITED_SCAN,
+                                   "scan.step_nm is too fine for float64 delays on this scan: "
+                                   "it must be at least 3.55e-09 of its largest |delay|, 500010 um"),
+    "pump_bandwidth_1e6_ghz": ("[pump]\nbandwidth_ghz = 1e6\n[scan]\n",
+                               "pump.bandwidth_ghz gives a pump frequency FWHM of 1e+15 Hz, "
+                               "not below the carrier frequency 8.44e+14 Hz"),
+    "gains_1e-170": ("[crystal1]\ngain = 1e-170\n[crystal2]\ngain = 1e-170\n[scan]\n",
+                     "the larger of crystal1.gain and crystal2.gain is 1e-170: it must be 0 or at least 1e-150, "
+                     "so that the rates, in units of K^2, do not underflow"),
+    # the file itself: UTF-8 text, and no longer than the byte bound
+    "not_utf8": (b"[scan]\n# caf\xe9\n",
+                 "exp.ini: not UTF-8 text: byte 0xe9 at offset 12 (invalid continuation byte)"),
+    "one_byte_too_long": (b"[scan]\n".ljust(MAX_CONFIG_BYTES + 1),
+                          f"exp.ini: longer than {MAX_CONFIG_BYTES} bytes, the most a config file may hold"),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["predict", "simulate", "fit", "oracle-check", "report"])
+@pytest.mark.parametrize("name", REFUSED_AT_LOAD)
+def test_every_command_refuses_each_bad_config_before_any_output(tmp_path, monkeypatch, capsys, name, command):
+    # fit's CSV is empty, which the reader refuses with its own message: the config is read first
+    text, message = REFUSED_AT_LOAD[name]
+    monkeypatch.chdir(tmp_path)
+    write_config(tmp_path, text)
+    head = ["fit", write_config(tmp_path, "", "scan.csv")] if command == "fit" else [command]
+    assert main([*head, "--config", "exp.ini", "--out", "out", "--quiet"]) == EXIT_CONFIG
+    assert capsys.readouterr() == ("", f"config error: {message}\n")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("flag, value", [("seed", "-1"), ("seed", "1_0"), ("points", "0"), ("points", "1_6")])
-@pytest.mark.parametrize("text, message", FILE_ERRORS)
-def test_a_bad_integer_flag_is_reported_after_the_file_errors(tmp_path, capsys, text, message, flag, value):
-    out = tmp_path / "out"
-    assert main(flag_argv(flag, value, write_config(tmp_path, text), out)) == EXIT_CONFIG
+@pytest.mark.parametrize("name", REFUSED_AT_LOAD)
+def test_a_bad_integer_flag_is_reported_after_the_file_errors(tmp_path, monkeypatch, capsys, name, flag, value):
+    text, message = REFUSED_AT_LOAD[name]
+    monkeypatch.chdir(tmp_path)
+    write_config(tmp_path, text)
+    assert main(flag_argv(flag, value, "exp.ini", "out")) == EXIT_CONFIG
     assert capsys.readouterr().err == f"config error: {message}\n"
-    assert not out.exists()
+    assert not (tmp_path / "out").exists()
 
 
 def test_fit_divides_counts_by_the_dwell_they_were_sampled_with(tmp_path):
@@ -767,35 +845,6 @@ def _csv_of(delays, rates, counts):
     return ",".join(CSV_HEADER) + "\n" + "".join(rows)
 
 
-def _fringe_csv(delays, scale=1.0):
-    """A ten-step fringe of visibility 0.8 at the delays, its rates times ``scale``."""
-    counts = np.round(1000 * (1 + 0.8 * np.cos(2 * np.pi * np.arange(len(delays)) / 10))).astype(int)
-    return _csv_of(delays, (counts * scale).tolist(), counts.tolist())
-
-
-@pytest.mark.parametrize(
-    "text, message",
-    [
-        # a delay beyond +-1 m, also by one ulp
-        (_fringe_csv(np.arange(20) * 1e-3 - 1.01), "CSV line 2, column delay_m: out of range: must lie in [-1, 1]"),
-        (_fringe_csv(np.arange(20) * 2**-10 + (1.0 - 18 * 2**-10)),
-         "CSV line 21, column delay_m: out of range: must lie in [-1, 1]: '1.0009765625000000e+00'"),
-        (_fringe_csv(np.arange(20) * 1e-8, scale=6e9),
-         "CSV line 2, column rate_a_hz: out of range: must lie in [0, 1e+13]: '1.08000000e+13'"),
-        # a grid step beyond the finest a config writes, down to subnormal steps
-        (_fringe_csv(np.arange(20) * 1e-310), "CSV line 3: delay step 1e-310 m is below the finest grid step 5e-13 m"),
-        (_fringe_csv(np.arange(20) * 4e-13), "CSV line 3: delay step 4e-13 m is below the finest grid step 5e-13 m"),
-    ],
-    ids=["delay_below_minus_1_m", "delay_above_1_m", "rate_1.08e13", "step_1e-310_m", "step_0.4_pm"],
-)
-def test_csv_values_beyond_what_a_config_writes_exit_with_config_code(tmp_path, capsys, text, message):
-    scan = tmp_path / "scan.csv"
-    scan.write_text(text, encoding="utf-8")
-    for source in SOURCES:
-        assert main(["fit", str(scan), "--config", DEFAULT_CONFIG, "--source", source, "--quiet"]) == EXIT_CONFIG
-        assert capsys.readouterr().err.startswith(f"config error: {message}")
-
-
 @pytest.mark.parametrize("rows", [0, 3, 7])
 @pytest.mark.parametrize("source", SOURCES)
 def test_fit_of_a_record_too_short_to_fit_says_so(tmp_path, capsys, rows, source):
@@ -832,68 +881,6 @@ def test_csvs_of_the_range_corners_read_back_and_fit(tmp_path, capsys, corner):
 
 def test_missing_config_exits_with_io_code(tmp_path):
     assert main(["report", "--config", str(tmp_path / "nope.ini")]) == EXIT_IO
-
-
-def test_invalid_config_exits_with_config_code(tmp_path):
-    config = write_config(tmp_path, "[idler_link]\neta = 2\n[scan]\n")
-    assert main(["report", "--config", config]) == EXIT_CONFIG
-
-
-@pytest.mark.parametrize("command", ["simulate", "report", "oracle-check"])
-def test_non_finite_config_value_exits_with_config_code(tmp_path, capsys, command):
-    config = write_config(tmp_path, "[pump]\nwavelength_nm = nan\n[scan]\n")
-    argv = [command, "--config", config, "--out", str(tmp_path / "out"), "--quiet"]
-    assert main(argv) == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert err == "config error: pump.wavelength_nm at line 2: not a finite number: 'nan'\n"
-
-
-@pytest.mark.parametrize(
-    "key, value, message",
-    [("rate_a_hz", "1_0", "not a number"), ("window_ns", "٣", "not a number")],
-)
-def test_non_ascii_or_underscored_number_exits_with_config_code(
-    tmp_path, capsys, key, value, message
-):
-    config = tmp_path / "exp.ini"
-    config.write_text(f"[detectors]\n{key} = {value}\n[scan]\n", encoding="utf-8")
-    assert main(["report", "--config", str(config)]) == EXIT_CONFIG
-    assert capsys.readouterr().err == f"config error: detectors.{key} at line 2: {message}: {value!r}\n"
-
-
-_ONE_COUNT = " counts per window at the larger of detectors.rate_a_hz and detectors.rate_b_hz; it must hold below 1"
-
-
-@pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize(
-    "command, text, message",
-    [
-        # values whose counts would leave the sampler's range lie outside their keys' ranges
-        ("simulate", "[detectors]\nrate_a_hz = 1e30\n[scan]\n",
-         "detectors.rate_a_hz at line 2 out of range: must lie in (0, 1e+12]"),
-        ("simulate", "[scan]\ndwell_s = 1e300\n", "scan.dwell_s at line 2 out of range: must lie in (0, 1e+06]"),
-        ("simulate", "[detectors]\nrate_a_hz = 1e200\nrate_b_hz = 1e200\n[scan]\n",
-         "detectors.rate_a_hz at line 2 out of range: must lie in (0, 1e+12]"),
-        ("simulate", "[detectors]\nrate_a_hz = 1.7e308\n[scan]\n",
-         "detectors.rate_a_hz at line 2 out of range: must lie in (0, 1e+12]"),
-        ("predict", "[detectors]\nrate_a_hz = 1.7e308\n[scan]\n",
-         "detectors.rate_a_hz at line 2 out of range: must lie in (0, 1e+12]"),
-        # in range, accidentals, r_a r_b window dwell, would pass the limit, and
-        # the window rule refuses them at load
-        ("simulate", "[detectors]\nrate_a_hz = 1e12\nrate_b_hz = 1e12\n[scan]\ndwell_s = 1e4\n",
-         f"detectors.window_ns holds 2e+03{_ONE_COUNT}"),
-        ("simulate", "[detectors]\nrate_a_hz = 1e12\nrate_b_hz = 1e12\nwindow_ns = 9.99999e14\n[scan]\ndwell_s = 1e6\n",
-         f"detectors.window_ns holds 1e+18{_ONE_COUNT}"),
-    ],
-    ids=["rate_a_1e30", "dwell_1e300", "rates_1e200", "simulate_rate_1.7e308", "predict_rate_1.7e308",
-         "rates_1e12_dwell_1e4_s", "largest_window_and_dwell"],
-)
-def test_counts_beyond_the_sampler_limit_exit_with_config_code(tmp_path, capsys, command, text, message):
-    out = tmp_path / "scan.csv"
-    argv = [command, "--config", write_config(tmp_path, text), "--out", str(out), "--quiet"]
-    assert main(argv) == EXIT_CONFIG
-    assert capsys.readouterr().err == f"config error: {message}\n"
-    assert not out.exists()
 
 
 def test_unwritable_output_exits_with_io_code(tmp_path):
@@ -993,7 +980,7 @@ def test_oracle_check_command(tmp_path):
         assert data["relative_deviation_per_channel"]["p_a"] <= 1e-6
         # the state check keeps double-pair terms the low-gain engine drops,
         # so the other channels sit at twice the |K|^2 scale
-        assert data["max_relative_deviation"] <= 2.05e-6
+        assert data["max_relative_deviation"] <= ORACLE_K2_BOUND * max(data["gain_1"], data["gain_2"]) ** 2
     assert outputs[0] == outputs[1]
 
 
@@ -1047,7 +1034,7 @@ def test_oracle_check_json_of_pruned_terms_equals_the_reference_encoder(tmp_path
     # most floats repeat here: whole rows of equal rates, zero rates and zero deviations
     data = assert_oracle_json_is_the_reference(tmp_path, write_config(tmp_path, text), points)
     # on the zero-gain and blocked-link paths the two agree at the |K|^2 scale
-    assert data["max_relative_deviation"] <= 1.05e-6
+    assert data["max_relative_deviation"] <= PRUNED_K2_BOUND * max(data["gain_1"], data["gain_2"]) ** 2
 
 
 def test_oracle_json_tells_signed_zeros_apart():
@@ -1060,34 +1047,6 @@ def test_oracle_json_tells_signed_zeros_apart():
         np.array([0.0, -0.0, 1e-9]), np.array([-0.0, 0.0, -1e-9]), rates, -rates,
     )
     assert cli.oracle_json(comparison) == reference_oracle_json(comparison)
-
-
-@pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize(
-    "command, text, where",
-    [
-        ("simulate", "[pump]\nbandwidth_ghz = 1e299\n[scan]\n", "pump.bandwidth_ghz"),
-        ("simulate", "[pump]\nbandwidth_ghz = 1e299\n[scan]\naxis = pump\n", "pump.bandwidth_ghz"),
-        ("report", "[pump]\nwavelength_nm = 4.94065646e-315\n[scan]\n", "pump.wavelength_nm"),
-        ("predict", "[pump]\nwavelength_nm = 4.94065646e-315\n[scan]\n", "pump.wavelength_nm"),
-        # with crystal 1 dark, detector A's rate ratio * K2^2 would underflow to 0
-        ("predict", "[crystal1]\ngain = 0\n[pump]\nsplitter_ratio = 1e-320\n[scan]\n",
-         "pump.splitter_ratio at line 4"),
-    ],
-    ids=[
-        "bandwidth_1e299",
-        "bandwidth_1e299_pump",
-        "carrier_inf",
-        "carrier_inf_predict",
-        "splitter_1e-320",
-    ],
-)
-def test_out_of_range_pump_values_exit_with_config_code(tmp_path, capsys, command, text, where):
-    out = tmp_path / "out"
-    argv = [command, "--config", write_config(tmp_path, text), "--out", str(out), "--quiet"]
-    assert main(argv) == EXIT_CONFIG
-    assert capsys.readouterr().err.startswith(f"config error: {where} ")
-    assert not out.exists()
 
 
 TOP_GAIN = math.nextafter(MAX_GAIN, 0.0)
@@ -1110,18 +1069,18 @@ def test_oracle_check_runs_up_to_the_config_gain_limit(tmp_path, text):
     argv = ["oracle-check", "--config", write_config(tmp_path, text), "--out", str(out), "--quiet"]
     assert main(argv) == EXIT_OK
     data = read_json(out)
-    assert data["max_relative_deviation"] <= 2.05 * max(data["gain_1"], data["gain_2"]) ** 2
+    assert data["max_relative_deviation"] <= ORACLE_K2_BOUND * max(data["gain_1"], data["gain_2"]) ** 2
 
 
 # The K^2 law MAX_GAIN's comment states, one gain decade at a time: the larger
 # gain is drawn in the decade and the other between 1e-6 and it, on splitter
-# ratios in [0.05, 0.95] (bound 1.98) or within 1e-6 of 0 or 1, from
-# MIN_SPLITTER_FRACTION on (bound 2.99).
+# ratios in [0.05, 0.95] or within 1e-6 of 0 or 1, from MIN_SPLITTER_FRACTION on.
 GAIN_DECADES = [(1e-6, 1e-5), (1e-5, 1e-4), (1e-4, 1e-3), (1e-3, 1e-2), (1e-2, TOP_GAIN)]
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("ratios, bound", [("inner", 1.98), ("edge", 2.99)], ids=["inner_ratios", "edge_ratios"])
+@pytest.mark.parametrize("ratios, bound", [("inner", INNER_RATIOS_K2_BOUND), ("edge", EDGE_RATIOS_K2_BOUND)],
+                         ids=["inner_ratios", "edge_ratios"])
 @pytest.mark.parametrize("decade", GAIN_DECADES, ids=[f"1e{e}" for e in range(-6, -1)])
 def test_engine_and_oracle_keep_the_k_squared_law_of_max_gain(decade, ratios, bound):
     rng = np.random.default_rng(GAIN_DECADES.index(decade))
@@ -1144,30 +1103,6 @@ def test_engine_and_oracle_keep_the_k_squared_law_of_max_gain(decade, ratios, bo
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("command", ["report", "simulate", "predict"])
-@pytest.mark.parametrize("section", ["signal_filter"])
-def test_filter_without_a_finite_frequency_width_exits_with_config_code(
-    tmp_path, capsys, command, section
-):
-    # center^2 underflows to zero, so c * bandwidth / center^2 has no value: the
-    # center lies below its range
-    text = f"[{section}]\ncenter_nm = 1e-300\nbandwidth_nm = 1e-301\n[scan]\n"
-    out = tmp_path / "out"
-    argv = [command, "--config", write_config(tmp_path, text), "--out", str(out), "--quiet"]
-    assert main(argv) == EXIT_CONFIG
-    assert capsys.readouterr().err == (
-        f"config error: {section}.center_nm at line 2 out of range: must lie in [10, 100000]\n"
-    )
-    assert not out.exists()
-
-
-def test_removed_idler_filter_section_exits_with_config_code(tmp_path, capsys):
-    config = write_config(tmp_path, "[idler_filter]\ncenter_nm = 632\nbandwidth_nm = 3\n[scan]\n")
-    assert main(["report", "--config", config]) == EXIT_CONFIG
-    assert capsys.readouterr().err.startswith("config error: unknown section [idler_filter]")
-
-
-@pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("command", ["report", "simulate", "predict"])
 @pytest.mark.parametrize(
     "text",
     [
@@ -1183,23 +1118,6 @@ def test_the_widest_spectra_give_zero_envelopes_without_overflow(tmp_path, comma
     out = tmp_path / "out"
     assert main([command, "--config", write_config(tmp_path, text), "--out", str(out), "--quiet"]) == EXIT_OK
 
-
-@pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("command", ["simulate", "predict"])
-@pytest.mark.parametrize(
-    "scan, key",
-    [
-        ("start_um = 1e200\nstop_um = 1.0000001e200\nstep_nm = 1e196\n", "scan.start_um at line 2"),
-        ("start_um = -2\nstop_um = 1e7\nstep_nm = 1e9\n", "scan.stop_um at line 3"),
-    ],
-    ids=["start_1e200", "stop_10m"],
-)
-def test_scan_delays_beyond_the_bound_exit_with_config_code(tmp_path, capsys, command, scan, key):
-    out = tmp_path / "scan.csv"
-    argv = [command, "--config", write_config(tmp_path, "[scan]\n" + scan), "--out", str(out), "--quiet"]
-    assert main(argv) == EXIT_CONFIG
-    assert capsys.readouterr().err == f"config error: {key} out of range: must lie in [-1e+06, 1e+06]\n"
-    assert not out.exists()
 
 # Engine and oracle (p_a, p_b, p_ab, p_a, p_b, p_ab) of `oracle-check --points 4`,
 # recorded from the one-setting-at-a-time implementation: rows 0-3 step the
@@ -1369,11 +1287,6 @@ def test_predict_csv_reads_back_the_scanned_delays(tmp_path_factory, axis, start
     assert record.delays.tobytes() == run_scan(load_config(config)).delays.tobytes()
 
 
-# A pump scan half a metre out in 0.1 nm steps: float64 delays there are
-# 1.1e-16 m apart, so the grid's steps vary by 1e-6 of the step and more.
-FLOAT_LIMITED_SCAN = "[scan]\naxis = pump\nstart_um = 500000\nstop_um = 500010\nstep_nm = 0.1\n"
-
-
 def test_a_step_too_fine_for_float64_exits_with_config_code(tmp_path):
     config = write_config(tmp_path, FLOAT_LIMITED_SCAN)
     with pytest.raises(ConfigError, match=r"^scan\.step_nm is too fine for float64 delays on this scan: "
@@ -1385,88 +1298,6 @@ def test_a_step_too_fine_for_float64_exits_with_config_code(tmp_path):
     assert main(["predict", "--config", config, "--out", str(out), "--quiet"]) == EXIT_OK
     with open(out, encoding="utf-8") as fh:
         assert len(read_scan_csv(fh).delays) == 5001
-
-
-# Configs outside a cross-field rule, by the key each names: a window holding a
-# count or more at the detector rates, a step too fine for float64 delays, a
-# pump frequency FWHM not below the pump's carrier, and gains whose K^2 underflows.
-REFUSED_AT_LOAD = {
-    "window_1e6_ns": ("[detectors]\nwindow_ns = 1e6\n[scan]\n", "detectors.window_ns holds 110"),
-    "rates_1e12_at_2_ns": ("[detectors]\nrate_a_hz = 1e12\nrate_b_hz = 1e12\n[scan]\n",
-                           "detectors.window_ns holds 2e+03"),
-    "pump_step_0.1_nm_at_500_mm": (FLOAT_LIMITED_SCAN, "scan.step_nm is too fine for float64 delays"),
-    "pump_bandwidth_1e6_ghz": ("[pump]\nbandwidth_ghz = 1e6\n[scan]\n",
-                               "pump.bandwidth_ghz gives a pump frequency FWHM of 1e+15 Hz, "
-                               "not below the carrier frequency 8.44e+14 Hz\n"),
-    "gains_1e-170": ("[crystal1]\ngain = 1e-170\n[crystal2]\ngain = 1e-170\n[scan]\n",
-                     "the larger of crystal1.gain and crystal2.gain is 1e-170: it must be 0 or at least 1e-150"),
-}
-
-
-@pytest.mark.parametrize("command", ["predict", "simulate", "fit", "oracle-check", "report"])
-@pytest.mark.parametrize("name", REFUSED_AT_LOAD)
-def test_every_command_refuses_a_config_outside_the_cross_field_rules_at_load(tmp_path, capsys, name, command):
-    text, message = REFUSED_AT_LOAD[name]
-    out = tmp_path / "out"
-    # fit's CSV would exit 4 (test_fit_at_two_grid_steps_per_period_exits_with_fit_code)
-    head = ["fit", write_nyquist_csv(tmp_path)] if command == "fit" else [command]
-    assert main([*head, "--config", write_config(tmp_path, text), "--out", str(out), "--quiet"]) == EXIT_CONFIG
-    assert capsys.readouterr().err.startswith(f"config error: {message}")
-    assert not out.exists()
-
-
-def test_bad_csv_header_rejected(tmp_path):
-    bad = tmp_path / "bad.csv"
-    bad.write_text("a,b,c\n1,2,3\n", encoding="utf-8")
-    code = main(["fit", str(bad), "--config", DEFAULT_CONFIG, "--quiet"])
-    assert code == EXIT_CONFIG
-
-
-def test_csv_header_cell_beyond_the_field_limit_is_a_config_error(tmp_path, capsys):
-    # the header is one exact line, whatever its length, and the message does not echo it
-    bad = tmp_path / "bad.csv"
-    bad.write_text('"' + "d" * 200_000 + '",' + ",".join(CSV_HEADER[1:]) + "\n", encoding="utf-8")
-    assert main(["fit", str(bad), "--config", DEFAULT_CONFIG, "--quiet"]) == EXIT_CONFIG
-    assert capsys.readouterr().err == (f"config error: CSV line 1: expected the header line {','.join(CSV_HEADER)!r}, "
-                                       "ended by \\n or \\r\\n\n")
-
-
-@pytest.mark.parametrize(
-    "line, column, cell",
-    [
-        (2, 0, "abc"),
-        (4, 1, "nan"),
-        (5, 3, "inf"),
-        (7, 6, "1.5"),
-        (9, 4, ""),
-        (10, 5, "1_0"),
-        (11, 2, "1_1.0"),
-        (12, 6, "\u0661"),
-        (13, 4, "-3"),
-        (14, 6, "007"),
-        (15, 5, '"5"'),
-        (16, 0, "+1e-06"),
-        (17, 2, "1e999"),
-        (18, 4, str(2**63)),
-        (19, 1, "42000"),
-        (20, 2, "1.1E5"),
-        (21, 3, ".11e6"),
-        (22, 0, "2.0"),
-    ],
-)
-def test_malformed_csv_cell_names_line_and_column(tmp_path, capsys, line, column, cell):
-    scan = tmp_path / "scan.csv"
-    assert main(["simulate", "--config", DEFAULT_CONFIG, "--out", str(scan), "--quiet"]) == EXIT_OK
-    lines = scan.read_text(encoding="utf-8").splitlines()
-    row = lines[line - 1].split(",")
-    row[column] = cell
-    lines[line - 1] = ",".join(row)
-    scan.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    capsys.readouterr()
-    assert main(["fit", str(scan), "--config", DEFAULT_CONFIG, "--quiet"]) == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert err.startswith(f"config error: CSV line {line}, column {CSV_HEADER[column]}: ")
-    assert err.endswith(f": {cell!r}\n")
 
 
 def test_csv_cell_beyond_field_limit_is_accepted(tmp_path):
@@ -1485,59 +1316,35 @@ def test_csv_cell_beyond_field_limit_is_accepted(tmp_path):
 def test_fit_rejects_a_csv_that_is_not_utf8(tmp_path, capsys):
     scan = tmp_path / "scan.csv"
     assert main(["simulate", "--config", DEFAULT_CONFIG, "--out", str(scan), "--quiet"]) == EXIT_OK
-    data = bytearray(scan.read_bytes())
-    offset = len(data) - 100  # beyond the first 8 KiB a text reader decodes
-    data[offset] = 0xFF
-    scan.write_bytes(bytes(data))
-    capsys.readouterr()
-    assert main(["fit", str(scan), "--config", DEFAULT_CONFIG, "--quiet"]) == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert f"{scan}: not UTF-8 text: byte 0xff at offset {offset} (invalid start byte)" in err
+    good = scan.read_bytes()
+    # a bad byte beyond the first 8 KiB a text reader decodes, and a sequence cut off by the file's end
+    bad = len(good) - 100
+    for data, error in [(good[:bad] + b"\xff" + good[bad + 1:], f"byte 0xff at offset {bad} (invalid start byte)"),
+                        (good + b"\xe2\x82", f"byte 0xe2 at offset {len(good)} (unexpected end of data)")]:
+        scan.write_bytes(data)
+        capsys.readouterr()
+        assert main(["fit", str(scan), "--config", DEFAULT_CONFIG, "--quiet"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {scan}: not UTF-8 text: {error}\n"
 
 
-@pytest.mark.parametrize("command", ["report", "simulate", "predict", "oracle-check"])
-def test_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys, command):
-    config = tmp_path / "exp.ini"
-    config.write_bytes(b"[scan]\n# caf\xe9\n")
-    out = tmp_path / "out.txt"
-    assert main([command, "--config", str(config), "--out", str(out), "--quiet"]) == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert f"{config}: not UTF-8 text: byte 0xe9 at offset 12 (invalid continuation byte)" in err
-    assert not out.exists()
-
-
-def _swap_rows(lines):
-    lines[100], lines[101] = lines[101], lines[100]
-
-
-def _duplicate_row(lines):
-    lines.insert(50, lines[49])
-
-
-def _delete_ten_rows(lines):
-    del lines[200:210]
-
-
-@pytest.mark.parametrize(
-    "edit, line, reason",
-    [
-        (_swap_rows, 102, "is not greater than the previous delay"),
-        (_duplicate_row, 51, "is not greater than the previous delay"),
-        (_delete_ten_rows, 201, "is off the grid's median step"),
-    ],
-)
-def test_bad_delay_grid_names_line(tmp_path, capsys, edit, line, reason):
-    scan = tmp_path / "pred.csv"
-    assert main(["predict", "--config", DEFAULT_CONFIG, "--out", str(scan), "--quiet"]) == EXIT_OK
-    lines = scan.read_text(encoding="utf-8").splitlines()
-    edit(lines)
-    scan.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    capsys.readouterr()
-    code = main(["fit", str(scan), "--config", DEFAULT_CONFIG, "--source", "rates", "--quiet"])
-    assert code == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert err.startswith(f"config error: CSV line {line}: delay ")
-    assert reason in err
+def test_endless_and_oversized_inputs_are_config_errors(tmp_path, monkeypatch, capsys):
+    # Each read stops one past its bound, so an endless file ends; reading the
+    # CSV's bound takes about 0.1 s and 130 MB.  A file at its bound is read.
+    assert main(["report", "--config", "/dev/zero"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"config error: /dev/zero: longer than {MAX_CONFIG_BYTES} bytes, the most a config file may hold\n")
+    assert main(["report", "--config", write_config(tmp_path, b"[scan]\n".ljust(MAX_CONFIG_BYTES))]) == EXIT_OK
+    assert main(["fit", "/dev/zero", "--config", DEFAULT_CONFIG, "--quiet"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"config error: /dev/zero: longer than {cli.MAX_CSV_CHARS} characters, the most a scan CSV may hold\n")
+    scan = tmp_path / "scan.csv"
+    assert main(["simulate", "--config", DEFAULT_CONFIG, "--out", str(scan), "--quiet"]) == EXIT_OK
+    size = len(scan.read_text(encoding="utf-8"))
+    for bound, code in [(size, EXIT_OK), (size - 1, EXIT_CONFIG)]:
+        monkeypatch.setattr(cli, "MAX_CSV_CHARS", bound)
+        assert main(["fit", str(scan), "--config", DEFAULT_CONFIG, "--quiet"]) == code
+    assert capsys.readouterr().err == (
+        f"config error: {scan}: longer than {size - 1} characters, the most a scan CSV may hold\n")
 
 
 # Count families for the fit contract: what a CSV that follows the grammar can hold.

@@ -10,7 +10,6 @@ import sys
 import warnings
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -78,23 +77,6 @@ def test_minimal_config_fills_defaults():
 def test_missing_scan_section_is_an_error():
     with pytest.raises(ConfigError, match=r"missing section \[scan\]"):
         parse_config("[pump]\nwavelength_nm = 355\n")
-
-
-def test_eta_out_of_range_message():
-    with pytest.raises(ConfigError) as info:
-        parse_config("[idler_link]\neta = 1.3\n[scan]\n")
-    assert str(info.value) == "idler_link.eta at line 2 out of range: must lie in [0, 1]"
-
-
-def test_gain_out_of_range():
-    # the bound is config.MAX_GAIN, itself excluded
-    for section, gain in [("crystal1", "0.5"), ("crystal2", "-0.1"), ("crystal1", "0.1"), ("crystal2", "0.1")]:
-        with pytest.raises(ConfigError) as info:
-            parse_config(f"[{section}]\ngain = {gain}\n[scan]\n")
-        assert str(info.value) == f"{section}.gain at line 2 out of range: must lie in [0, 0.1)"
-    below = math.nextafter(0.1, 0.0)
-    cfg = parse_config(f"[crystal1]\ngain = {below!r}\n[crystal2]\ngain = {below!r}\n[scan]\n")
-    assert cfg.gain1 == cfg.gain2 == below
 
 
 def test_unknown_sections_and_keys_rejected():
@@ -401,17 +383,6 @@ def test_scan_size_is_capped():
     assert round((largest.stop - largest.start) / largest.step) + 1 == MAX_SCAN_POINTS
 
 
-def test_scan_delays_are_bounded():
-    # the bound itself is allowed on both ends
-    config_with(start=-MAX_SCAN_DELAY, stop=MAX_SCAN_DELAY, step=0.01)
-    with pytest.raises(ConfigError) as info:
-        config_with(start=-1.0000001 * MAX_SCAN_DELAY, stop=0.0, step=0.01)
-    assert str(info.value) == "scan.start_um out of range: must lie in [-1e+06, 1e+06]"
-    with pytest.raises(ConfigError) as info:
-        parse_config("[scan]\nstart_um = 0\nstop_um = 1.0000001e6\nstep_nm = 1e7\n")
-    assert str(info.value) == "scan.stop_um at line 3 out of range: must lie in [-1e+06, 1e+06]"
-
-
 @pytest.mark.parametrize(
     "text, message",
     [
@@ -436,28 +407,6 @@ def test_single_key_bounds_run_before_cross_field_rules():
     with pytest.raises(ConfigError) as info:
         parse_config("[scan]\nstart_um = -2e6\n")
     assert str(info.value) == "scan.start_um at line 2 out of range: must lie in [-1e+06, 1e+06]"
-
-
-@pytest.mark.parametrize("section", ["signal_filter"])
-@pytest.mark.parametrize(
-    "center, bandwidth",
-    [("1e-300", "1e-301"), ("1e300", "1")],
-    ids=["center_squared_underflows", "center_squared_overflows"],
-)
-def test_filter_frequency_width_must_be_finite_and_positive(section, center, bandwidth):
-    # centers whose square leaves the float range lie outside the center's range
-    text = f"[{section}]\ncenter_nm = {center}\nbandwidth_nm = {bandwidth}\n[scan]\n"
-    with pytest.raises(ConfigError) as info:
-        parse_config(text)
-    assert str(info.value) == f"{section}.center_nm at line 2 out of range: must lie in [10, 100000]"
-
-
-@pytest.mark.parametrize("key", ["center_nm", "bandwidth_nm"])
-def test_signal_filter_keys_must_be_positive(key):
-    allowed = {"center_nm": "[10, 100000]", "bandwidth_nm": "[1e-06, 100000]"}[key]
-    with pytest.raises(ConfigError) as info:
-        parse_config(f"[signal_filter]\n{key} = 0\n[scan]\n")
-    assert str(info.value) == f"signal_filter.{key} at line 2 out of range: must lie in {allowed}"
 
 
 def test_detector_validation():
@@ -567,26 +516,6 @@ def test_pump_carrier_frequency_must_be_finite():
     assert SPEED_OF_LIGHT / MIN_WAVELENGTH == KEYS["pump", "bandwidth_ghz"].allowed.high < math.inf
 
 
-# (center m, wavelength FWHM m, the key the error names) of hand-built signal filters.
-BAD_FILTERS = {
-    "zero_center": (0.0, 2e-9, "center_nm"),
-    "negative_center": (-808e-9, 2e-9, "center_nm"),
-    "inf_center": (math.inf, 2e-9, "center_nm"),
-    "nan_center": (math.nan, 2e-9, "center_nm"),
-    "zero_fwhm": (808e-9, 0.0, "bandwidth_nm"),
-    "negative_fwhm": (808e-9, -2e-9, "bandwidth_nm"),
-    "inf_fwhm": (808e-9, math.inf, "bandwidth_nm"),
-    "nan_fwhm": (808e-9, math.nan, "bandwidth_nm"),
-    "broadband": (808e-9, 900e-9, "bandwidth_nm"),
-}
-
-
-@pytest.mark.parametrize("center, bandwidth, key", BAD_FILTERS.values(), ids=BAD_FILTERS)
-def test_hand_built_signal_filter_profile_is_checked(center, bandwidth, key):
-    with pytest.raises(ConfigError, match=rf"^signal_filter\.{key} "):
-        ExperimentConfig(signal_filter_center=center, signal_filter_bandwidth=bandwidth)
-
-
 def test_file_made_signal_filters_equal_direct_construction():
     # The narrowest and widest filters a file can state near the default center.
     for bandwidth in (1e-06, 807.9):
@@ -662,43 +591,49 @@ def test_values_built_in_code_must_be_statable_in_the_file_unit():
         assert str(info.value) == "scan.step_nm out of range: must lie in [0.001, 2e+09]"
 
 
-# Per key: a value it refuses as typed, the same value in SI units, and the
-# allowed range the message states.
+# Per key: the allowed range its errors state, then values it refuses, each as
+# typed and in SI units.  A value typed as None is refused on construction
+# only: a file's nan or inf is not a finite number, an error of its own.
 OUT_OF_RANGE = {
-    "pump.wavelength_nm": ("0", 0.0, "[10, 100000]"),
-    "pump.bandwidth_ghz": ("-45", -45e9, "[1e-09, 29979245.8)"),
-    "pump.splitter_ratio": ("1", 1.0, "[1e-07, 0.9999999]"),
-    "crystal1.gain": ("0.1", 0.1, "[0, 0.1)"),
-    "crystal2.gain": ("-1e-3", -1e-3, "[0, 0.1)"),
-    "idler_link.eta": ("1.3", 1.3, "[0, 1]"),
-    "signal_filter.center_nm": ("0", 0.0, "[10, 100000]"),
-    "signal_filter.bandwidth_nm": ("-2", -2e-9, "[1e-06, 100000]"),
-    "detectors.rate_a_hz": ("0", 0.0, "(0, 1e+12]"),
-    "detectors.rate_b_hz": ("-1", -1.0, "(0, 1e+12]"),
-    "detectors.window_ns": ("0", 0.0, "(0, 1e+15]"),
-    "scan.axis": ("diagonal", "diagonal", "{signal, pump}"),
-    "scan.start_um": ("-2e6", -2.0, "[-1e+06, 1e+06]"),
-    "scan.stop_um": ("1.0000001e6", 1.0000001, "[-1e+06, 1e+06]"),
-    "scan.step_nm": ("0", 0.0, "[0.001, 2e+09]"),
-    "scan.dwell_s": ("-0.5", -0.5, "(0, 1e+06]"),
+    "pump.wavelength_nm": ("[10, 100000]", ("0", 0.0)),
+    "pump.bandwidth_ghz": ("[1e-09, 29979245.8)", ("-45", -45e9)),
+    "pump.splitter_ratio": ("[1e-07, 0.9999999]", ("1", 1.0)),
+    # the gain bound is config.MAX_GAIN, itself excluded
+    "crystal1.gain": ("[0, 0.1)", ("0.1", 0.1), ("0.5", 0.5)),
+    "crystal2.gain": ("[0, 0.1)", ("-1e-3", -1e-3), ("-0.1", -0.1), ("0.1", 0.1)),
+    "idler_link.eta": ("[0, 1]", ("1.3", 1.3)),
+    # centres whose square leaves the float range lie outside the centre's range
+    "signal_filter.center_nm": ("[10, 100000]", ("0", 0.0), ("-808", -808e-9), ("1e-300", 1e-309),
+                                ("1e300", 1e291), (None, math.nan), (None, math.inf)),
+    "signal_filter.bandwidth_nm": ("[1e-06, 100000]", ("-2", -2e-9), ("0", 0.0), (None, math.nan), (None, math.inf)),
+    "detectors.rate_a_hz": ("(0, 1e+12]", ("0", 0.0)),
+    "detectors.rate_b_hz": ("(0, 1e+12]", ("-1", -1.0)),
+    "detectors.window_ns": ("(0, 1e+15]", ("0", 0.0)),
+    "scan.axis": ("{signal, pump}", ("diagonal", "diagonal")),
+    "scan.start_um": ("[-1e+06, 1e+06]", ("-2e6", -2.0), ("-1.0000001e6", -1.0000001)),
+    "scan.stop_um": ("[-1e+06, 1e+06]", ("1.0000001e6", 1.0000001)),
+    "scan.step_nm": ("[0.001, 2e+09]", ("0", 0.0)),
+    "scan.dwell_s": ("(0, 1e+06]", ("-0.5", -0.5)),
 }
 
 
 @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
 @pytest.mark.parametrize("key", KEYS.values(), ids=lambda key: key.label)
 def test_each_key_range_is_checked_in_files_and_on_construction(key, newline):
-    raw, si, allowed = OUT_OF_RANGE[key.label]
+    allowed, *values = OUT_OF_RANGE[key.label]
     assert key.allowed_text == allowed
-    lines = ["# a value out of range", "", f"[{key.section}]", f"{key.name} = {raw}"]
-    if key.section != "scan":
-        lines.append("[scan]")
-    with pytest.raises(ConfigError) as info:
-        parse_config(newline.join(lines) + newline)
     message = f"{key.label} out of range: must lie in {allowed}"
-    assert str(info.value) == message.replace(" out of range", " at line 4 out of range", 1)
-    with pytest.raises(ConfigError) as info:
-        built({key.label: si})
-    assert str(info.value) == message
+    for raw, si in values:
+        if raw is not None:
+            lines = ["# a value out of range", "", f"[{key.section}]", f"{key.name} = {raw}"]
+            if key.section != "scan":
+                lines.append("[scan]")
+            with pytest.raises(ConfigError) as info:
+                parse_config(newline.join(lines) + newline)
+            assert str(info.value) == message.replace(" out of range", " at line 4 out of range", 1), raw
+        with pytest.raises(ConfigError) as info:
+            built({key.label: si})
+        assert str(info.value) == message, si
 
 
 @pytest.mark.parametrize(

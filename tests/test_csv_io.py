@@ -1,4 +1,5 @@
-"""Scan CSV write/read: a round trip, edge cases pinned to their outcome, and edited scans."""
+"""Scan CSV write/read: a round trip, edge cases pinned to their outcome in the reader and
+through `fit`, and edited scans."""
 
 import io
 import itertools
@@ -13,9 +14,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import icohsim
-from icohsim.cli import CSV_HEADER, EXIT_CONFIG, EXIT_OK, main, read_scan_csv, write_scan_csv
-from icohsim.config import ConfigError, parse_config
-from icohsim.scan import ScanRecord, run_scan
+from icohsim.cli import (_ROW_FORMAT, CSV_HEADER, EXIT_CONFIG, EXIT_OK, MAX_CSV_CHARS, main, read_scan_csv,
+                         write_scan_csv)
+from icohsim.config import MAX_SCAN_POINTS, ConfigError, parse_config
+from icohsim.scan import SOURCES, ScanRecord, run_scan
 
 # A numpy warning here is a parse the grammar does not state.  The one
 # ignored warning is the one pyproject.toml ignores: a third-party import on
@@ -159,6 +161,17 @@ def _quote_cell(text):
     return "\n".join(lines)
 
 
+def _delays(delays):
+    """An edit that puts ``delays`` in the delay column, as write_scan_csv prints them."""
+    def edit(text):
+        lines = text.split("\n")
+        for number, delay in enumerate(delays, 1):
+            lines[number] = f"{delay:.16e}" + lines[number][lines[number].index(","):]
+        return "\n".join(lines)
+
+    return edit
+
+
 def _edits(*edits):
     def edit(text):
         for one in edits:
@@ -225,6 +238,23 @@ EDGE_CASES = {
     "inf delay": _edit_cell(22, 0, "inf"),
     "NUL in the header": lambda text: text.replace("coinc_counts", "coinc_counts\0", 1),
     "NUL in a rate": _edit_cell(3, 1, "1\0"),
+    "letters in a delay": _edit_cell(2, 0, "abc"),
+    "plus sign on a delay": _edit_cell(16, 0, "+1e-06"),
+    "delay not in e-notation": _edit_cell(22, 0, "2.0"),
+    "delay below -1 m": _edit_cell(2, 0, "-1.0100000000000000e+00"),
+    "delay one ulp above 1 m": _edit_cell(22, 0, "1.0000000000000002e+00"),
+    "rate not in e-notation": _edit_cell(19, 1, "42000"),
+    "rate in e-notation without a point": _edit_cell(17, 2, "1e999"),
+    "rate with an upper-case exponent": _edit_cell(20, 2, "1.1E5"),
+    "rate without a leading digit": _edit_cell(21, 3, ".11e6"),
+    "rate beyond 1e13": _edit_cell(4, 3, "1.08000000e+13"),
+    "fraction in a count": _edit_cell(7, 6, "1.5"),
+    "leading zeros in a count": _edit_cell(14, 6, "007"),
+    "foreign header": lambda text: "a,b,c\n1,2,3\n",
+    "header cell beyond the csv field limit": lambda text: text.replace("delay_m", '"' + "d" * 200_000 + '"', 1),
+    "duplicated row": lambda text: "\n".join(text.split("\n")[:8] + text.split("\n")[7:]),
+    "grid step of 1e-310 m": _delays(np.arange(21) * 1e-310),
+    "grid step of 0.4 pm": _delays(np.arange(21) * 4e-13),
 }
 
 
@@ -311,6 +341,29 @@ EDGE_OUTCOMES = {
     "inf delay": f"ConfigError: CSV line 22, column delay_m: {_NOT_A_DELAY}: 'inf'",
     "NUL in the header": _BAD_HEADER,
     "NUL in a rate": f"ConfigError: CSV line 3, column rate_a_hz: {_NOT_A_RATE}: '1\\x00'",
+    "letters in a delay": f"ConfigError: CSV line 2, column delay_m: {_NOT_A_DELAY}: 'abc'",
+    "plus sign on a delay": f"ConfigError: CSV line 16, column delay_m: {_NOT_A_DELAY}: '+1e-06'",
+    "delay not in e-notation": f"ConfigError: CSV line 22, column delay_m: {_NOT_A_DELAY}: '2.0'",
+    "delay below -1 m": (
+        "ConfigError: CSV line 2, column delay_m: out of range: must lie in [-1, 1]: '-1.0100000000000000e+00'"
+    ),
+    "delay one ulp above 1 m": (
+        "ConfigError: CSV line 22, column delay_m: out of range: must lie in [-1, 1]: '1.0000000000000002e+00'"
+    ),
+    "rate not in e-notation": f"ConfigError: CSV line 19, column rate_a_hz: {_NOT_A_RATE}: '42000'",
+    "rate in e-notation without a point": f"ConfigError: CSV line 17, column rate_b_hz: {_NOT_A_RATE}: '1e999'",
+    "rate with an upper-case exponent": f"ConfigError: CSV line 20, column rate_b_hz: {_NOT_A_RATE}: '1.1E5'",
+    "rate without a leading digit": f"ConfigError: CSV line 21, column coinc_hz: {_NOT_A_RATE}: '.11e6'",
+    "rate beyond 1e13": (
+        "ConfigError: CSV line 4, column coinc_hz: out of range: must lie in [0, 1e+13]: '1.08000000e+13'"
+    ),
+    "fraction in a count": f"ConfigError: CSV line 7, column coinc_counts: {_NOT_A_COUNT}: '1.5'",
+    "leading zeros in a count": f"ConfigError: CSV line 14, column coinc_counts: {_NOT_A_COUNT}: '007'",
+    "foreign header": _BAD_HEADER,
+    "header cell beyond the csv field limit": _BAD_HEADER,
+    "duplicated row": "ConfigError: CSV line 9: delay -4e-07 m is not greater than the previous delay -4e-07 m",
+    "grid step of 1e-310 m": "ConfigError: CSV line 3: delay step 1e-310 m is below the finest grid step 5e-13 m",
+    "grid step of 0.4 pm": "ConfigError: CSV line 3: delay step 4e-13 m is below the finest grid step 5e-13 m",
 }
 
 
@@ -332,6 +385,32 @@ def test_fast_path_matches_cell_by_cell_parse(name):
     assert sorted(EDGE_OUTCOMES) == sorted(EDGE_CASES)
     text = EDGE_CASES[name](_scan_text())
     assert _outcome(text) == _expected_outcome(EDGE_OUTCOMES[name])
+
+
+REFUSED = sorted(name for name, outcome in EDGE_OUTCOMES.items() if isinstance(outcome, str))
+
+
+@pytest.mark.parametrize("source", SOURCES)
+@pytest.mark.parametrize("name", REFUSED)
+def test_fit_reports_each_refused_csv_with_the_readers_message(tmp_path, capsys, name, source):
+    scan, config, out = tmp_path / "scan.csv", tmp_path / "exp.ini", tmp_path / "fit.json"
+    scan.write_bytes(EDGE_CASES[name](_scan_text()).encode("utf-8"))
+    config.write_text("[scan]\n", encoding="utf-8")
+    argv = ["fit", str(scan), "--config", str(config), "--source", source, "--out", str(out), "--quiet"]
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr() == ("", f"config error: {EDGE_OUTCOMES[name].removeprefix('ConfigError: ')}\n")
+    assert not out.exists()
+
+
+def test_the_largest_csv_a_config_writes_lies_within_the_bound():
+    """MAX_SCAN_POINTS rows, each the longest the writer prints of values the
+    reader takes (a negative subnormal delay, rates with three-digit exponents
+    and 19-digit counts), every line ended by \\r\\n."""
+    longest = max(len(_ROW_FORMAT % (delay, rate, rate, rate, *[count] * 3))
+                  for delay in (-5e-324, -1.0, -2.2250738585072014e-308, 1.0)
+                  for rate in (1e-300, 5e-324, 1e13) for count in (0, 2**63 - 1))
+    assert longest == len(_ROW_FORMAT % (-5e-324, 1e-300, 1e-300, 1e-300, *[2**63 - 1] * 3)) == 133
+    assert len(",".join(CSV_HEADER)) + 2 + MAX_SCAN_POINTS * (longest + 1) <= MAX_CSV_CHARS
 
 
 def test_cell_by_cell_errors_name_line_and_column():

@@ -19,7 +19,7 @@ from icohsim.operators import (
 )
 from icohsim.spectral import compile_model
 
-from conftest import config_with, dense, fresh_import
+from conftest import ORACLE_K2_BOUND, config_with, dense, fresh_import
 
 
 def rates_of(s, i):
@@ -309,7 +309,7 @@ def test_agrees_with_fock_oracle_on_default_grid():
     for e, o in zip(engine, oracle):
         scale = max(e.max(), o.max())
         # leading orders agree; the two truncation schemes differ at O(K^4)
-        assert np.max(np.abs(e - o)) <= 2.05 * k * k * scale
+        assert np.max(np.abs(e - o)) <= ORACLE_K2_BOUND * k * k * scale
 
 
 def test_oracle_agreement_over_randomized_configs():
